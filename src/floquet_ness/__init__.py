@@ -1,9 +1,8 @@
 """Frequency-space MPO toolkit for steady states of driven Lindblad chains."""
 
-from .tensors import DenseTensor, TruncationSpec, contract, factorize
+from .tensors import TruncationSpec
 from .superops import (
     LocalOperator,
-    SuperOperator,
     dissipator_super,
     identity_costate,
     left_mult_super,
@@ -24,8 +23,6 @@ from .freqspace import (
 )
 from .liouvillian import (
     ModelSpec,
-    PenaltyParams,
-    PenalizedAction,
     build_extended_lindbladian,
     dense_extended_lindbladian,
     extended_null_vector,

@@ -14,12 +14,11 @@ harmonic expansion. The block-diagonal ``-i n Omega`` ramp is kept symbolic
 
 from __future__ import annotations
 
-import io
 import json
 
 import numpy as np
 
-from .mps import CompressionInfo, Mpo, Mps
+from .mps import Mps
 from .superops import vectorize_choi
 from .tensors import TruncationSpec
 
@@ -123,13 +122,6 @@ class FloquetDensityMatrix:
                 out[n + offset] = b
         return FloquetDensityMatrix(
             out, self.omega, self.cutoff, self.chain_length, self.site_dim
-        )
-
-    def with_cutoff(self, cutoff):
-        """Embed into a larger cutoff (or restrict to a smaller one)."""
-        out = {n: b for n, b in self.blocks.items() if abs(n) <= cutoff}
-        return FloquetDensityMatrix(
-            out, self.omega, cutoff, self.chain_length, self.site_dim
         )
 
     def identity_dual_vectors(self):
@@ -298,30 +290,6 @@ class FloquetMPO:
         return FloquetDensityMatrix(
             out, state.omega, state.cutoff, state.chain_length, state.site_dim
         )
-
-    def block_mpo(self, n, m):
-        """Full MPO of the ``(n, m)`` block, frequency ramp included.
-
-        Returns None when the block vanishes identically. This materializes
-        the two-Fourier-index view ``W^{nm}`` of the stored components.
-        """
-        q = n - m
-        part = self.components.get(q)
-        if n != m:
-            return part
-        ramp = self.diagonal_coefficient(n)
-        eye = Mpo.identity(self.chain_length, self.phys_dim).scaled(ramp)
-        if part is None:
-            return eye if ramp != 0 else None
-        return part.add(eye) if ramp != 0 else part
-
-    def w_tensors(self, n, m):
-        """Site tensors of the ``(n, m)`` block together with boundary vectors."""
-        mpo = self.block_mpo(n, m)
-        if mpo is None:
-            zero = Mpo.from_local_terms(self.chain_length, self.phys_dim, [])
-            mpo = zero
-        return list(mpo.tensors), mpo.boundary_left, mpo.boundary_right
 
 
 def save_state(state: FloquetDensityMatrix, path):

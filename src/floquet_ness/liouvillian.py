@@ -24,30 +24,26 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .freqspace import FloquetDensityMatrix, FloquetMPO
-from .mps import Mpo, Mps
+from .freqspace import FloquetMPO
+from .mps import Mpo
 from .superops import (
-    LocalOperator,
     dissipator_super,
     identity_costate,
     left_mult_super,
     right_mult_super,
     window_super_site_layout,
 )
-from .tensors import TruncationSpec
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
     "ModelSpec",
-    "PenaltyParams",
     "fourier_superoperator_terms",
     "build_extended_lindbladian",
     "dense_fourier_superoperator",
     "sparse_fourier_superoperator",
     "dense_extended_lindbladian",
     "extended_null_vector",
-    "PenalizedAction",
     "DEFAULT_DENSE_LIMIT",
 ]
 
@@ -100,17 +96,6 @@ class ModelSpec:
                     raise ValueError(f"jump channel {alpha!r} leaves the chain")
         return self
 
-    def scaled_dissipation(self, factor):
-        """Scale all dissipation rates by `factor` (amplitudes by its root)."""
-        root = np.sqrt(factor)
-        jumps = {
-            alpha: {k: op.scaled(root) for k, op in comps.items()}
-            for alpha, comps in self.jump_fourier.items()
-        }
-        return ModelSpec(
-            self.chain_length, self.omega, dict(self.hamiltonian_fourier), jumps, self.site_dim
-        )
-
     @property
     def max_hamiltonian_harmonic(self):
         return max((abs(k) for k, v in self.hamiltonian_fourier.items() if v), default=0)
@@ -142,21 +127,6 @@ class ModelSpec:
         if n_c is not None:
             qs = {q for q in qs if abs(q) <= 2 * n_c}
         return sorted(qs)
-
-
-@dataclass(frozen=True)
-class PenaltyParams:
-    """Trace-constraint penalty strengths for the warm-up sweeps."""
-
-    p0: float = 1000.0
-    p1: float = 1000.0
-    delta: float = 0.01
-
-    def __post_init__(self):
-        if self.p0 < 0 or self.p1 < 0:
-            raise ValueError("penalty strengths must be non-negative")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
 
 
 def fourier_superoperator_terms(model: ModelSpec, q: int):
@@ -339,53 +309,3 @@ def extended_null_vector(
         seg = x[(n + n_c) * d2l : (n + n_c + 1) * d2l]
         out[n] = choi_site_matrix(seg, model.chain_length, d)
     return out
-
-
-class PenalizedAction:
-    """Generator action with the trace-constraint penalties of the warm-up.
-
-    On a state ``rho`` the action evaluates the plain generator, then
-    subtracts ``P0`` times the trace content of every nonstatic block and a
-    state-dependent global damping ``P1 * exp(-|Tr rho^0|^2 / delta^2)``
-    recomputed from the state it is applied to.
-    """
-
-    def __init__(self, mpo: FloquetMPO, params: PenaltyParams):
-        self.mpo = mpo
-        self.params = params
-
-    def trace_factor(self, state: FloquetDensityMatrix):
-        t0 = state.block_trace(0)
-        # underflows to exactly 0 once |Tr rho^0| >> delta, switching the term off
-        return float(np.exp(-(abs(t0) ** 2) / self.params.delta**2))
-
-    def __call__(self, state: FloquetDensityMatrix, spec=None):
-        spec = spec or TruncationSpec(weight_cutoff=1e-14)
-        out = self.mpo.apply(state, spec)
-        kappa = self.trace_factor(state)
-        eye_vec = [
-            np.eye(state.site_dim, dtype=complex).reshape(-1)
-            for _ in range(state.chain_length)
-        ]
-        eye_mps = Mps.from_product(eye_vec)
-        blocks = dict(out.blocks)
-        for n in state.harmonics:
-            pieces = []
-            if n in blocks:
-                pieces.append(blocks[n])
-            if self.params.p0 and n != 0:
-                tr = state.block_trace(n)
-                if tr != 0:
-                    pieces.append(eye_mps.scaled(-self.params.p0 * tr))
-            if self.params.p1 and kappa > 0 and n in state.blocks:
-                pieces.append(state.blocks[n].scaled(-self.params.p1 * kappa))
-            if not pieces:
-                continue
-            acc = pieces[0]
-            for extra in pieces[1:]:
-                acc = acc.add(extra)
-            acc, _ = acc.canonicalize(spec)
-            blocks[n] = acc
-        return FloquetDensityMatrix(
-            blocks, state.omega, state.cutoff, state.chain_length, state.site_dim
-        )

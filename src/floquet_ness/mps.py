@@ -283,20 +283,6 @@ class Mpo:
     def max_bond(self):
         return max(self.bond_dims, default=1)
 
-    @property
-    def boundary_left(self):
-        """Left boundary vector (trivial after absorption)."""
-        return np.ones(1, dtype=complex)
-
-    @property
-    def boundary_right(self):
-        return np.ones(1, dtype=complex)
-
-    @classmethod
-    def identity(cls, length, phys_dim):
-        eye = np.eye(phys_dim, dtype=complex).reshape(1, phys_dim, phys_dim, 1)
-        return cls([eye.copy() for _ in range(length)])
-
     @classmethod
     def from_local_terms(cls, length, phys_dim, terms, compress_cutoff=1e-13):
         """Assemble ``sum_k O_k`` from windowed dense terms.

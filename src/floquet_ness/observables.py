@@ -1,10 +1,10 @@
-"""Physical observables and diagnostics from harmonic-resolved states.
+"""Physical observables from harmonic-resolved states.
 
 Time series reconstruct ``<O(t)> = sum_n exp(i n omega t) Tr(O rho^n)`` with
-the harmonic traces evaluated by MPS contraction; correlation profiles,
-entropy-based effective temperatures and the consolidated convergence report
-live here as well, together with small CSV/JSON writers used by the command
-line front end.
+the harmonic traces evaluated by MPS contraction. Correlation profiles and
+the entropy-based effective temperature use the static harmonic ``rho^0``.
+Small CSV/JSON writers store series, profiles and reports (for instance
+``SolveReport.to_dict()``) with a provenance record.
 """
 
 from __future__ import annotations
@@ -12,20 +12,13 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exact import beta_from_entropy, entropy_of_density
-from .freqspace import (
-    FloquetDensityMatrix,
-    block_norms,
-    compress,
-    hermiticity_defect,
-    trace_components,
-)
+from .freqspace import FloquetDensityMatrix
 from .superops import PAULI, LocalOperator, vectorize_choi
-from .tensors import TruncationSpec
 
 logger = logging.getLogger(__name__)
 
@@ -37,7 +30,6 @@ __all__ = [
     "correlation_profile",
     "averaged_correlation_profile",
     "ness_entropy_and_beta_eff",
-    "convergence_report",
     "harmonic_expectations",
     "write_series_csv",
     "write_profile_csv",
@@ -251,38 +243,6 @@ def ness_entropy_and_beta_eff(state: FloquetDensityMatrix, d_matrix, dense_limit
     energies = np.linalg.eigvalsh(np.asarray(d_matrix))
     beta_eff = beta_from_entropy(entropy, energies)
     return entropy, beta_eff, report["clipped_weight"]
-
-
-def convergence_report(state: FloquetDensityMatrix, solve_report=None, tolerance=1e-3):
-    """Consolidated diagnostics: harmonic weights, traces, Hermiticity, spectra."""
-    norms = block_norms(state)
-    traces = trace_components(state)
-    defects = hermiticity_defect(state)
-    _, _, spectra = compress(state, TruncationSpec())
-    ref = norms.get(0, 0.0) or 1.0
-    flags = []
-    edge = norms.get(state.cutoff, 0.0) / ref
-    if edge > tolerance:
-        flags.append(f"edge harmonic weight {edge:.2e} exceeds {tolerance:.1e}")
-    worst_defect = max(defects.values()) if defects else 0.0
-    if worst_defect > tolerance:
-        flags.append(f"hermiticity defect {worst_defect:.2e} exceeds {tolerance:.1e}")
-    out = {
-        "block_norms": {str(n): float(v) for n, v in norms.items()},
-        "relative_block_norms": {str(n): float(v / ref) for n, v in norms.items()},
-        "trace_components": {
-            str(n): [float(np.real(t)), float(np.imag(t))] for n, t in traces.items()
-        },
-        "hermiticity_defects": {str(n): float(v) for n, v in defects.items()},
-        "schmidt_spectra": {
-            str(n): [[float(x) for x in bond[:16]] for bond in bonds]
-            for n, bonds in spectra.items()
-        },
-        "flags": flags,
-    }
-    if solve_report is not None:
-        out["solver"] = solve_report.to_dict()
-    return out
 
 
 # -- writers -------------------------------------------------------------------

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import logging
 import time
+import warnings
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
 from .freqspace import FloquetDensityMatrix, FloquetMPO, initial_guess
-from .liouvillian import ModelSpec, PenaltyParams, build_extended_lindbladian
+from .liouvillian import ModelSpec, build_extended_lindbladian
 from .mps import Mps
 from .superops import LocalOperator, vectorize_choi
 from .tensors import TruncationSpec, truncated_svd
@@ -42,7 +43,6 @@ __all__ = [
     "StaleEnvironmentError",
     "RankOneTerm",
     "SweepEngine",
-    "local_effective_operator",
     "make_warmup_schedule",
     "solve_ness",
     "solve_first_decay_mode",
@@ -73,7 +73,6 @@ class SweepStage:
 
     n_c: int
     chi: int
-    gamma_scale: float = 1.0
     sweeps: int = 4
     penalties_on: bool = True
     two_site: bool = True
@@ -84,16 +83,13 @@ class SweepConfig:
     """Schedule and tolerances for the sweeping solver.
 
     `warmup` must end with the production stage (the one whose cutoff and
-    bond dimension are the targets); stages must ramp the cutoff and bond
-    dimension up and the dissipation scale down.
+    bond dimension are the targets); stages must not shrink the cutoff or
+    the bond dimension.
     """
 
     warmup: list = field(default_factory=list)
-    penalties: PenaltyParams = field(default_factory=PenaltyParams)
     eig_tol: float = 1e-10
     convergence_tol: float = 1e-3
-    max_sweeps: int = 24
-    local_eig_target: str = "nearest_zero"
     noise_amplitude: float = 1e-6
     seed: int = 7
     weight_cutoff: float = 1e-12
@@ -101,7 +97,6 @@ class SweepConfig:
     arpack_maxiter: int = 600
     dense_local_cutoff: int = 700
     dense_local_hard_cap: int = 4096
-    degeneracy_check: bool = True
     degeneracy_tol: float = 1e-7
 
     def validate(self):
@@ -110,25 +105,20 @@ class SweepConfig:
         for a, b in zip(self.warmup, self.warmup[1:]):
             if b.n_c < a.n_c or b.chi < a.chi:
                 raise ValueError("stages must not shrink the cutoff or bond dimension")
-            if b.gamma_scale > a.gamma_scale + 1e-12:
-                raise ValueError("dissipation scale must be non-increasing across stages")
         if self.eig_tol <= 0 or self.convergence_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.local_eig_target not in ("nearest_zero", "largest_real"):
-            raise ValueError(f"unknown eigenvalue target {self.local_eig_target!r}")
         return self
 
 
 def make_warmup_schedule(
     n_c,
     chi,
-    gamma_scale_start=1.0,
     warm_sweeps=3,
     final_sweeps=8,
     chi_start=None,
     two_site_final=False,
 ):
-    """Standard schedule: grow the cutoff stepwise, ramp chi up and gamma down."""
+    """Standard schedule: grow the cutoff stepwise and ramp chi up."""
     chi_start = min(chi, 8) if chi_start is None else chi_start
     cutoffs = list(range(0, n_c + 1)) or [0]
     stages = []
@@ -137,12 +127,10 @@ def make_warmup_schedule(
         frac = idx / max(n_warm - 1, 1)
         stage_chi = int(round(chi_start * (chi / chi_start) ** frac)) if chi_start else chi
         stage_chi = min(chi, max(chi_start, stage_chi))
-        gamma = gamma_scale_start ** (1.0 - frac) if gamma_scale_start > 0 else 1.0
         stages.append(
             SweepStage(
                 n_c=nc,
                 chi=stage_chi,
-                gamma_scale=max(gamma, 1.0) if gamma_scale_start >= 1 else gamma,
                 sweeps=warm_sweeps,
                 penalties_on=True,
                 two_site=True,
@@ -152,7 +140,6 @@ def make_warmup_schedule(
         SweepStage(
             n_c=n_c,
             chi=chi,
-            gamma_scale=1.0,
             sweeps=final_sweeps,
             penalties_on=False,
             two_site=two_site_final,
@@ -587,11 +574,6 @@ class SiteProblem:
         return cols
 
 
-def local_effective_operator(engine: SweepEngine, site, two_site=False):
-    """Projected generator action on the stacked block tensors of one site."""
-    return engine.site_problem(site, two_site)
-
-
 def _select_eig(values, vectors, which):
     if which == "nearest_zero":
         order = np.argsort(np.abs(values))
@@ -750,20 +732,29 @@ def _embed_state(state, n_c, noise_amplitude, rng):
     )
 
 
-def _penalty_terms(cfg, mpo, cutoff, chain_length, omega, site_dim):
-    """Trace penalties for warm-up stages: block projectors plus global damping."""
+# Warm-up penalty strengths: P0 for the trace of every nonstatic block, P1
+# for the damping that switches on while |Tr rho^0| is below DELTA.
+PENALTY_P0 = 1000.0
+PENALTY_P1 = 1000.0
+PENALTY_DELTA = 0.01
+
+
+def _penalty_terms(cutoff, chain_length, omega, site_dim):
+    """Trace penalties for warm-up stages: block projectors plus global damping.
+
+    Each nonstatic block gets ``-P0 |I><I|``; the whole state gets
+    ``-P1 exp(-|Tr rho^0|^2 / DELTA^2)``, which underflows to exactly 0 once
+    the static block carries trace.
+    """
     terms = []
     nonzero = [n for n in range(-cutoff, cutoff + 1) if n != 0]
-    if cfg.penalties.p0 and nonzero:
+    if nonzero:
         ident = identity_operator_state(chain_length, omega, cutoff, nonzero, site_dim)
-        terms.append(RankOneTerm(-cfg.penalties.p0, ident, coupled=False))
-    scalar = None
-    if cfg.penalties.p1:
-        p1, delta = cfg.penalties.p1, cfg.penalties.delta
+        terms.append(RankOneTerm(-PENALTY_P0, ident, coupled=False))
 
-        def scalar(engine):
-            t0 = engine.block_trace(0)
-            return -p1 * float(np.exp(-(abs(t0) ** 2) / delta**2))
+    def scalar(engine):
+        t0 = engine.block_trace(0)
+        return -PENALTY_P1 * float(np.exp(-(abs(t0) ** 2) / PENALTY_DELTA**2))
 
     return terms, scalar
 
@@ -771,12 +762,14 @@ def _penalty_terms(cfg, mpo, cutoff, chain_length, omega, site_dim):
 def solve_ness(model: ModelSpec, cfg: SweepConfig):
     """Sweep the frequency-space zero mode of the model's generator.
 
-    Runs the warm-up schedule (trace penalties on, dissipation possibly
-    rescaled), then the production stage with penalties removed, and returns
-    the trace-normalized state with a :class:`SolveReport`. Raises
+    Runs the warm-up schedule with the trace penalties on, then the
+    production stage with penalties removed, and returns the trace-normalized
+    state with a :class:`SolveReport`. Raises
     :class:`DegenerateSteadyStateError` when a second near-zero local mode
-    appears, and restarts once with fresh noise if the inner eigensolver
-    breaks down.
+    appears in the production stage, and restarts a stage once with fresh
+    noise (degeneracy check included) if the inner eigensolver breaks down.
+    The report warns about weight in the edge harmonic, Hermiticity defects
+    and a final residual above tolerance.
     """
     cfg.validate()
     model.validate()
@@ -792,26 +785,23 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
         seed=cfg.seed,
     )
     final_theta = None
+    last = len(cfg.warmup) - 1
     for idx, stage in enumerate(cfg.warmup):
-        scaled = model.scaled_dissipation(stage.gamma_scale) if stage.gamma_scale != 1 else model
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            if idx < len(cfg.warmup) - 1:
+        with warnings.catch_warnings():
+            if idx < last:
                 # warm-up stages intentionally run under-resolved cutoffs
-                _warnings.simplefilter("ignore", UserWarning)
-            mpo = build_extended_lindbladian(scaled, stage.n_c)
+                warnings.simplefilter("ignore", UserWarning)
+            mpo = build_extended_lindbladian(model, stage.n_c)
         state = _embed_state(state, stage.n_c, cfg.noise_amplitude, rng)
         terms, scalar = ([], None)
         if stage.penalties_on:
             terms, scalar = _penalty_terms(
-                cfg, mpo, stage.n_c, model.chain_length, model.omega, model.site_dim
+                stage.n_c, model.chain_length, model.omega, model.site_dim
             )
         trunc = TruncationSpec(max_rank=stage.chi, weight_cutoff=cfg.weight_cutoff)
         stage_info = {
             "n_c": stage.n_c,
             "chi": stage.chi,
-            "gamma_scale": stage.gamma_scale,
             "penalties_on": stage.penalties_on,
             "two_site": stage.two_site,
         }
@@ -821,16 +811,21 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
                 engine,
                 cfg,
                 stage,
-                cfg.local_eig_target,
+                "nearest_zero",
                 label=f"stage {idx}",
-                check_degeneracy=cfg.degeneracy_check and idx == len(cfg.warmup) - 1,
+                check_degeneracy=idx == last,
             )
         except EigensolverBreakdown:
             logger.warning("eigensolver breakdown in stage %d; restarting with noise", idx)
             state = _embed_state(state, stage.n_c, max(cfg.noise_amplitude, 1e-4), rng)
             engine = SweepEngine(mpo, state, trunc, terms, scalar)
             residuals, final_theta = _run_sweeps(
-                engine, cfg, stage, cfg.local_eig_target, label=f"stage {idx} retry"
+                engine,
+                cfg,
+                stage,
+                "nearest_zero",
+                label=f"stage {idx} retry",
+                check_degeneracy=idx == last,
             )
         state = engine.state()
         stage_info["sweep_residuals"] = [float(r) for r in residuals]
@@ -849,10 +844,12 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
         )
     report.eigenvalue = final_theta
     # diagnostics
-    from .freqspace import block_norms, hermiticity_defect, trace_components
+    from .freqspace import block_norms, compress, hermiticity_defect, trace_components
 
     final_stage = cfg.warmup[-1]
-    _, _, spectra = _compressed_diagnostics(state, final_stage.chi, cfg.weight_cutoff)
+    _, _, spectra = compress(
+        state, TruncationSpec(max_rank=final_stage.chi, weight_cutoff=cfg.weight_cutoff)
+    )
     report.schmidt_spectra = {
         n: [list(map(float, s[:16])) for s in bonds] for n, bonds in spectra.items()
     }
@@ -870,18 +867,17 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
             f"edge harmonic weight {edge:.2e} above tolerance {cfg.convergence_tol:.1e}; "
             "cutoff too small"
         )
-    # fixed-point residual of the unpenalized generator
-    mpo = build_extended_lindbladian(model, final_stage.n_c)
+    worst_defect = max(report.hermiticity_defects.values())
+    if worst_defect > cfg.convergence_tol:
+        report.warnings.append(
+            f"hermiticity defect {worst_defect:.2e} above tolerance {cfg.convergence_tol:.1e}"
+        )
+    # fixed-point residual of the unpenalized generator, with the MPO of the
+    # production stage (the model at the final cutoff)
     image = mpo.apply(state, TruncationSpec(weight_cutoff=1e-14))
     report.fixed_point_residual = image.norm() / max(state.norm(), 1e-300)
     report.wall_time = time.perf_counter() - start
     return state, report
-
-
-def _compressed_diagnostics(state, chi, weight_cutoff):
-    from .freqspace import compress
-
-    return compress(state, TruncationSpec(max_rank=chi, weight_cutoff=weight_cutoff))
 
 
 @dataclass

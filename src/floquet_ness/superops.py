@@ -21,14 +21,13 @@ Spin-1/2 basis: index 0 is "up" (Z eigenvalue +1), index 1 is "down".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "PAULI",
     "LocalOperator",
-    "SuperOperator",
     "vectorize_choi",
     "devectorize_choi",
     "left_mult_super",
@@ -113,34 +112,6 @@ def commutator_local(a: LocalOperator, b: LocalOperator):
     am = a.on_window(start, stop).matrix
     bm = b.on_window(start, stop).matrix
     return LocalOperator(start, am @ bm - bm @ am, a.site_dim)
-
-
-@dataclass(frozen=True)
-class SuperOperator:
-    """Superoperator on a contiguous window, acting on vectorized matrices."""
-
-    start: int
-    matrix: np.ndarray
-    site_dim: int = 2
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("superoperator matrix must be square")
-        d2 = self.site_dim**2
-        w = int(round(np.log(m.shape[0]) / np.log(d2)))
-        if d2**w != m.shape[0]:
-            raise ValueError("superoperator extent must be a power of site_dim**2")
-        object.__setattr__(self, "_width", w)
-
-    @property
-    def width(self):
-        return self._width
-
-    @property
-    def stop(self):
-        return self.start + self.width
 
 
 def vectorize_choi(rho):

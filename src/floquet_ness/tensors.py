@@ -1,8 +1,8 @@
-"""Dense complex tensors with named indices, contraction, and truncated SVD.
+"""Bond truncation policy and the truncated SVD behind every compression.
 
-This is the numerical substrate used by the rest of the package. Tensors are
-plain numpy arrays in row-major layout; indices are addressed by name rather
-than by position, which removes permutation bookkeeping from client code.
+Tensors throughout the package are plain numpy arrays in row-major layout;
+this module only decides which singular values a split keeps and reports the
+weight it throws away.
 """
 
 from __future__ import annotations
@@ -11,13 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "TruncationSpec",
-    "DenseTensor",
-    "contract",
-    "factorize",
-    "truncated_svd",
-]
+__all__ = ["TruncationSpec", "truncated_svd"]
 
 
 @dataclass(frozen=True)
@@ -64,108 +58,3 @@ def truncated_svd(matrix, spec=None):
     discarded = float(np.sum(s[keep:] ** 2))
     weight = discarded / total if total > 0.0 else 0.0
     return u[:, :keep], s[:keep], vh[:keep, :], weight
-
-
-class DenseTensor:
-    """Complex tensor whose indices carry unique string labels."""
-
-    __slots__ = ("entries", "labels")
-
-    def __init__(self, entries, labels):
-        entries = np.asarray(entries, dtype=complex)
-        labels = tuple(labels)
-        if entries.ndim != len(labels):
-            raise ValueError(
-                f"{len(labels)} labels given for a rank-{entries.ndim} tensor"
-            )
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"labels must be unique, got {labels}")
-        if entries.size and not np.all(np.isfinite(entries)):
-            raise ValueError("tensor entries must be finite")
-        self.entries = entries
-        self.labels = labels
-
-    @property
-    def shape(self):
-        return self.entries.shape
-
-    def axis(self, label):
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"unknown index label {label!r}") from None
-
-    def extent(self, label):
-        return self.entries.shape[self.axis(label)]
-
-    def relabel(self, mapping):
-        """Return a view of the tensor with labels renamed via `mapping`."""
-        return DenseTensor(self.entries, tuple(mapping.get(l, l) for l in self.labels))
-
-    def transpose(self, labels):
-        labels = tuple(labels)
-        if set(labels) != set(self.labels):
-            raise ValueError("transpose must use the same label set")
-        perm = [self.axis(l) for l in labels]
-        return DenseTensor(self.entries.transpose(perm), labels)
-
-    def norm(self):
-        return float(np.linalg.norm(self.entries))
-
-    def scale(self, alpha):
-        return DenseTensor(alpha * self.entries, self.labels)
-
-    def __repr__(self):
-        dims = ", ".join(f"{l}={d}" for l, d in zip(self.labels, self.shape))
-        return f"DenseTensor({dims})"
-
-
-def contract(a: DenseTensor, b: DenseTensor, pairs):
-    """Contract `a` with `b` over the given ``(label_in_a, label_in_b)`` pairs.
-
-    The result carries all unpaired labels of `a` followed by those of `b`;
-    label clashes between the survivors are rejected.
-    """
-    pairs = list(pairs)
-    axes_a = [a.axis(la) for la, _ in pairs]
-    axes_b = [b.axis(lb) for _, lb in pairs]
-    for (la, lb), ax_a, ax_b in zip(pairs, axes_a, axes_b):
-        if a.shape[ax_a] != b.shape[ax_b]:
-            raise ValueError(
-                f"extent mismatch contracting {la!r} ({a.shape[ax_a]}) "
-                f"with {lb!r} ({b.shape[ax_b]})"
-            )
-    out_labels = tuple(l for l in a.labels if l not in {p[0] for p in pairs})
-    out_labels += tuple(l for l in b.labels if l not in {p[1] for p in pairs})
-    if len(set(out_labels)) != len(out_labels):
-        raise ValueError(f"contraction result has duplicate labels {out_labels}")
-    entries = np.tensordot(a.entries, b.entries, axes=(axes_a, axes_b))
-    return DenseTensor(entries, out_labels)
-
-
-def factorize(t: DenseTensor, left_labels, spec=None, bond_label="bond"):
-    """Split `t` into ``left @ diag(s) @ right`` across the given label split.
-
-    `left_labels` must be a nonempty proper subset of the tensor's labels.
-    Returns ``(left, s, right, discarded_weight)``; the new bond index is
-    appended to `left` and prepended to `right` under `bond_label`, and the
-    singular values come back sorted non-increasing.
-    """
-    left_labels = tuple(left_labels)
-    if not left_labels or set(left_labels) == set(t.labels):
-        raise ValueError("left_labels must be a nonempty proper subset of labels")
-    for l in left_labels:
-        t.axis(l)  # raises KeyError on unknown labels
-    if bond_label in t.labels:
-        raise ValueError(f"bond label {bond_label!r} collides with tensor labels")
-    right_labels = tuple(l for l in t.labels if l not in left_labels)
-    ordered = t.transpose(left_labels + right_labels)
-    l_dim = int(np.prod([ordered.extent(l) for l in left_labels], initial=1))
-    r_dim = int(np.prod([ordered.extent(l) for l in right_labels], initial=1))
-    u, s, vh, weight = truncated_svd(ordered.entries.reshape(l_dim, r_dim), spec)
-    rank = s.size
-    left_shape = [ordered.extent(l) for l in left_labels] + [rank]
-    right_shape = [rank] + [ordered.extent(l) for l in right_labels]
-    left = DenseTensor(u.reshape(left_shape), left_labels + (bond_label,))
-    right = DenseTensor(vh.reshape(right_shape), (bond_label,) + right_labels)
-    return left, s, right, weight

@@ -3,11 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from floquet_ness.freqspace import FloquetDensityMatrix, initial_guess
+from floquet_ness.freqspace import FloquetDensityMatrix
 from floquet_ness.liouvillian import (
     ModelSpec,
-    PenalizedAction,
-    PenaltyParams,
     build_extended_lindbladian,
     dense_extended_lindbladian,
     dense_fourier_superoperator,
@@ -210,12 +208,12 @@ def test_time_independent_blocks_are_generator_minus_ramp():
     model = single_qubit_model(gamma=0.4, omega_z=0.6)
     mpo = build_extended_lindbladian(model, 1)
     base = dense_fourier_superoperator(model, 0)
+    assert np.max(np.abs(mpo.components[0].to_dense() - base)) < 1e-12
     for n in (-1, 0, 1):
-        block = mpo.block_mpo(n, n)
-        expect = base - 1j * n * model.omega * np.eye(4)
-        assert np.max(np.abs(block.to_dense() - expect)) < 1e-12
-        off = mpo.block_mpo(n, n - 1)
-        assert off is None or np.max(np.abs(off.to_dense())) < 1e-14
+        assert mpo.diagonal_coefficient(n) == -1j * n * model.omega
+    # a static model couples no two different harmonics
+    for q, comp in mpo.components.items():
+        assert q == 0 or np.max(np.abs(comp.to_dense())) < 1e-14
 
 
 def test_cutoff_warning_for_under_resolved_model():
@@ -235,73 +233,6 @@ def test_operator_bond_dimension_is_documented_scale():
     ).validate()
     mpo = build_extended_lindbladian(model, 0)
     assert mpo.components[0].max_bond <= 16 + 2
-
-
-def test_penalized_action_trace_factor():
-    model = single_qubit_model()
-    mpo = build_extended_lindbladian(model, 1)
-    params = PenaltyParams(p0=1000.0, p1=1000.0, delta=0.01)
-    action = PenalizedAction(mpo, params)
-    unit = initial_guess(1, 2, 1, omega=model.omega)
-    assert action.trace_factor(unit) == 0.0  # exp(-1e4) underflows
-    zero_trace = FloquetDensityMatrix(
-        {0: Mps.from_product([np.array([1.0, 0, 0, -1.0])])}, model.omega, 1, 1
-    )
-    assert abs(action.trace_factor(zero_trace) - 1.0) < 1e-12
-
-
-def test_penalized_action_gains_damping_term():
-    model = single_qubit_model(gamma=0.0)
-    mpo = build_extended_lindbladian(model, 0)
-    params = PenaltyParams(p0=0.0, p1=7.0, delta=0.01)
-    action = PenalizedAction(mpo, params)
-    zero_trace = FloquetDensityMatrix(
-        {0: Mps.from_product([np.array([0, 1.0, 0, 0])])}, model.omega, 0, 1
-    )
-    out = action(zero_trace)
-    # H = 0, gamma = 0: plain action vanishes, leaving exactly -P1 * rho
-    assert np.allclose(out.blocks[0].to_dense(), -7.0 * zero_trace.blocks[0].to_dense())
-
-
-def test_penalty_projector_ignores_traceless_blocks():
-    model = single_qubit_model(gamma=0.0)
-    mpo = build_extended_lindbladian(model, 1)
-    params = PenaltyParams(p0=500.0, p1=0.0, delta=0.01)
-    action = PenalizedAction(mpo, params)
-    traceless = np.array([1.0, 0, 0, -1.0])  # vec(Z), trace 0
-    state = FloquetDensityMatrix(
-        {
-            0: Mps.from_product([np.array([0.5, 0, 0, 0.5])]),
-            1: Mps.from_product([traceless]),
-        },
-        model.omega,
-        1,
-        1,
-    )
-    out = action(state)
-    # P0 sees <<I|rho^1>> = 0, so block 1 only feels the frequency ramp
-    expect = -1j * model.omega * traceless
-    assert np.allclose(out.blocks[1].to_dense(), expect)
-
-
-def test_penalty_projector_suppresses_traceful_blocks():
-    model = single_qubit_model(gamma=0.0)
-    mpo = build_extended_lindbladian(model, 1)
-    p0 = 123.0
-    action = PenalizedAction(mpo, PenaltyParams(p0=p0, p1=0.0, delta=0.01))
-    traceful = np.array([1.0, 0, 0, 1.0])  # vec(I), trace 2
-    state = FloquetDensityMatrix(
-        {
-            0: Mps.from_product([np.array([0.5, 0, 0, 0.5])]),
-            1: Mps.from_product([traceful]),
-        },
-        model.omega,
-        1,
-        1,
-    )
-    out = action(state)
-    expect = -1j * model.omega * traceful - p0 * 2.0 * np.array([1.0, 0, 0, 1.0])
-    assert np.allclose(out.blocks[1].to_dense(), expect)
 
 
 def test_dense_limit_enforced():

@@ -176,8 +176,3 @@ def test_mpo_compression_reduces_bond():
     mpo = Mpo.from_local_terms(length, 2, terms)
     # Ising MPO compresses to bond dimension 3.
     assert mpo.max_bond <= 3 + 1e-9
-
-
-def test_mpo_identity():
-    eye = Mpo.identity(3, 2)
-    assert np.allclose(eye.to_dense(), np.eye(8))

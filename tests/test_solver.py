@@ -4,26 +4,30 @@ import pytest
 from floquet_ness.freqspace import FloquetDensityMatrix, block_norms, initial_guess, trace_components
 from floquet_ness.liouvillian import (
     ModelSpec,
-    PenaltyParams,
     build_extended_lindbladian,
     dense_extended_lindbladian,
     extended_null_vector,
 )
 from floquet_ness.mps import Mps
 from floquet_ness.models import IsingBenchmarkParams, build_driven_ising
+from floquet_ness import solver
 from floquet_ness.solver import (
+    PENALTY_DELTA,
+    PENALTY_P0,
+    PENALTY_P1,
     DegenerateSteadyStateError,
+    EigensolverBreakdown,
     StaleEnvironmentError,
     SweepConfig,
     SweepEngine,
     SweepStage,
-    local_effective_operator,
+    _penalty_terms,
     make_warmup_schedule,
     solve_first_decay_mode,
     solve_ness,
     transient_observable,
 )
-from floquet_ness.superops import PAULI, LocalOperator, choi_site_vector
+from floquet_ness.superops import PAULI, LocalOperator, choi_site_vector, vectorize_choi
 from floquet_ness.tensors import TruncationSpec
 
 SM = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -57,7 +61,7 @@ def test_local_operator_single_site_equals_dense():
     mpo = build_extended_lindbladian(model, n_c)
     state = initial_guess(1, 2, n_c, model.omega, noise_amplitude=1e-2, seed=3)
     engine = SweepEngine(mpo, state, TruncationSpec())
-    problem = local_effective_operator(engine, 0)
+    problem = engine.site_problem(0)
     local = densify_problem(problem)
     dense = dense_extended_lindbladian(model, n_c)
     assert np.max(np.abs(local - dense)) < 1e-10
@@ -81,7 +85,7 @@ def test_local_operator_matches_dense_projection_two_sites():
     engine = SweepEngine(mpo, state, TruncationSpec())
     site = 1
     engine.advance_to(site)
-    problem = local_effective_operator(engine, site)
+    problem = engine.site_problem(site)
     local = densify_problem(problem)
     # dense projection oracle: P = Phi^dag L Phi with Phi mapping local
     # coordinates to the full frequency-stacked space through the frames
@@ -99,6 +103,31 @@ def test_local_operator_matches_dense_projection_two_sites():
             col += 1
     projected = phi.conj().T @ dense @ phi
     assert np.max(np.abs(projected - local)) < 1e-10
+
+
+@pytest.mark.parametrize("trace0", [1.0, 0.004])
+def test_local_operator_with_penalties_equals_dense(trace0):
+    # one site: the local problem is the whole extended space, so the
+    # penalized local matrix is the dense generator minus P0 |I><I| in every
+    # nonstatic block and minus the damping P1 exp(-|Tr rho^0|^2 / delta^2)
+    model = single_qubit_model(gamma=0.7, omega_z=1.1, drive=4.0)
+    n_c = 1
+    mpo = build_extended_lindbladian(model, n_c)
+    state = initial_guess(1, 2, n_c, model.omega, noise_amplitude=1e-2, seed=3)
+    state = state.scaled(trace0 / state.block_trace(0))
+    terms, scalar = _penalty_terms(n_c, 1, model.omega, 2)
+    engine = SweepEngine(mpo, state, TruncationSpec(), terms, scalar)
+    assert abs(engine.block_trace(0) - trace0) < 1e-12
+    local = engine.site_problem(0).dense_matrix()
+    kappa = np.exp(-(trace0**2) / PENALTY_DELTA**2)
+    if trace0 == 1.0:
+        assert kappa == 0.0  # the damping underflows once the trace is there
+    expect = dense_extended_lindbladian(model, n_c) - PENALTY_P1 * kappa * np.eye(12)
+    eye = vectorize_choi(np.eye(2))
+    for n in (-1, 1):
+        block = slice((n + n_c) * 4, (n + n_c + 1) * 4)
+        expect[block, block] -= PENALTY_P0 * np.outer(eye, eye)
+    assert np.max(np.abs(local - expect)) < 1e-9
 
 
 def test_stale_problem_rejected():
@@ -159,6 +188,27 @@ def test_solve_ness_detects_degenerate_steady_space():
     cfg = quick_config(0, 2)
     with pytest.raises(DegenerateSteadyStateError):
         solve_ness(model, cfg)
+
+
+def test_breakdown_retry_keeps_degeneracy_check(monkeypatch):
+    # the restart after an eigensolver breakdown must still look for a
+    # second near-zero mode in the production stage
+    model = ModelSpec(
+        1, 2.0, {}, {"z": {0: LocalOperator(0, PAULI["Z"])}}
+    ).validate()
+    original = solver._local_eigensolve
+    injected = []
+
+    def breaks_once(problem, v0, which, *args, want_second=False, **kwargs):
+        if want_second and not injected:
+            injected.append(problem.dim)
+            raise EigensolverBreakdown("injected breakdown")
+        return original(problem, v0, which, *args, want_second=want_second, **kwargs)
+
+    monkeypatch.setattr(solver, "_local_eigensolve", breaks_once)
+    with pytest.raises(DegenerateSteadyStateError):
+        solve_ness(model, quick_config(0, 2))
+    assert injected
 
 
 def test_decay_mode_amplitude_damping():
@@ -260,10 +310,8 @@ def test_normalization_idempotence():
     # one extra production sweep must not move the observables
     mpo = build_extended_lindbladian(model, 1)
     engine = SweepEngine(mpo, state, TruncationSpec(max_rank=4))
-    from floquet_ness.solver import _run_sweeps
-
     stage = SweepStage(n_c=1, chi=4, sweeps=1, penalties_on=False, two_site=False)
-    _run_sweeps(engine, cfg, stage, cfg.local_eig_target, label="extra")
+    solver._run_sweeps(engine, cfg, stage, "nearest_zero", label="extra")
     again = engine.state()
     t0 = again.block_trace(0)
     again = again.scaled(1.0 / t0)
@@ -282,19 +330,11 @@ def test_config_validation():
     bad = [SweepStage(n_c=2, chi=8), SweepStage(n_c=1, chi=8)]
     with pytest.raises(ValueError):
         SweepConfig(warmup=bad).validate()
-    bad_gamma = [
-        SweepStage(n_c=0, chi=8, gamma_scale=1.0),
-        SweepStage(n_c=1, chi=8, gamma_scale=2.0),
-    ]
-    with pytest.raises(ValueError):
-        SweepConfig(warmup=bad_gamma).validate()
 
 
 def test_schedule_builder_monotone():
-    stages = make_warmup_schedule(4, 32, gamma_scale_start=5.0)
+    stages = make_warmup_schedule(4, 32)
     cfg = SweepConfig(warmup=stages)
     cfg.validate()
     assert stages[-1].penalties_on is False
     assert stages[-1].n_c == 4 and stages[-1].chi == 32
-    assert stages[0].gamma_scale == pytest.approx(5.0)
-    assert stages[-1].gamma_scale == 1.0

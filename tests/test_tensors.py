@@ -1,122 +1,52 @@
 import numpy as np
 import pytest
 
-from floquet_ness.tensors import DenseTensor, TruncationSpec, contract, factorize
+from floquet_ness.tensors import TruncationSpec, truncated_svd
 
 
-Z = np.diag([1.0, -1.0]).astype(complex)
-
-
-def random_tensor(rng, shape, labels):
-    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return DenseTensor(data, labels)
-
-
-def test_identity_contraction():
-    eye = DenseTensor(np.eye(2), ("out", "in"))
-    vec = DenseTensor(np.array([3.0, 4.0j]), ("in",))
-    res = contract(eye, vec, [("in", "in")])
-    assert res.labels == ("out",)
-    assert np.allclose(res.entries, [3.0, 4.0j])
-
-
-def test_full_trace_of_z_squared():
-    a = DenseTensor(Z, ("i", "j"))
-    b = DenseTensor(Z, ("i", "j"))
-    res = contract(a, b, [("i", "i"), ("j", "j")])
-    assert res.labels == ()
-    assert np.allclose(res.entries, 2.0)
-
-
-def test_contraction_associativity():
-    rng = np.random.default_rng(11)
-    a = random_tensor(rng, (2, 3), ("x", "y"))
-    b = random_tensor(rng, (3, 4), ("y", "z"))
-    c = random_tensor(rng, (4, 2), ("z", "w"))
-    left = contract(contract(a, b, [("y", "y")]), c, [("z", "z")])
-    right = contract(a, contract(b, c, [("z", "z")]), [("y", "y")])
-    assert np.max(np.abs(left.entries - right.transpose(left.labels).entries)) < 1e-12
-
-
-def test_contraction_is_bilinear():
-    rng = np.random.default_rng(5)
-    a = random_tensor(rng, (3, 4), ("i", "j"))
-    b = random_tensor(rng, (4, 2), ("j", "k"))
-    alpha = 0.7 - 1.3j
-    scaled = contract(a.scale(alpha), b, [("j", "j")])
-    plain = contract(a, b, [("j", "j")])
-    assert np.max(np.abs(scaled.entries - alpha * plain.entries)) < 1e-12
-
-
-def test_contract_errors():
-    a = DenseTensor(np.zeros((2, 3)), ("i", "j"))
-    b = DenseTensor(np.zeros((4, 2)), ("j", "k"))
-    with pytest.raises(ValueError):
-        contract(a, b, [("j", "j")])
-    with pytest.raises(KeyError):
-        contract(a, b, [("nope", "j")])
-
-
-def test_labels_must_be_unique():
-    with pytest.raises(ValueError):
-        DenseTensor(np.zeros((2, 2)), ("i", "i"))
+def random_matrix(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def test_factorize_identity_no_truncation():
-    t = DenseTensor(np.eye(2), ("i", "j"))
-    left, s, right, weight = factorize(t, ("i",))
+    u, s, vh, weight = truncated_svd(np.eye(2))
     assert np.allclose(s, [1.0, 1.0])
     assert weight == 0.0
-    recon = contract(left.scale(1.0), right, [("bond", "bond")])
-    # singular values must be reinserted for the reconstruction
-    mid = left.entries @ np.diag(s) @ right.entries
-    assert np.max(np.abs(mid - np.eye(2))) < 1e-12
+    assert np.max(np.abs(u @ np.diag(s) @ vh - np.eye(2))) < 1e-12
 
 
 def test_factorize_rank_one_outer_product():
     rng = np.random.default_rng(3)
-    u = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    u = random_matrix(rng, 4)
+    v = random_matrix(rng, 3)
     u /= np.linalg.norm(u)
     v /= np.linalg.norm(v)
-    t = DenseTensor(np.outer(u, v), ("a", "b"))
-    left, s, right, weight = factorize(t, ("a",))
+    _, s, _, weight = truncated_svd(np.outer(u, v))
     assert np.sum(s > 1e-12) == 1
     assert abs(s[0] - 1.0) < 1e-12
     assert weight < 1e-24
 
 
 def test_factorize_weight_cutoff():
-    t = DenseTensor(np.diag([1.0, 1e-12]), ("a", "b"))
-    left, s, right, weight = factorize(t, ("a",), TruncationSpec(weight_cutoff=1e-8))
+    _, s, _, weight = truncated_svd(np.diag([1.0, 1e-12]), TruncationSpec(weight_cutoff=1e-8))
     assert s.size == 1
     assert abs(weight - 1e-24) < 1e-30
 
 
 def test_factorize_reconstruction_error_matches_weight():
     rng = np.random.default_rng(17)
-    t = random_tensor(rng, (4, 3, 5), ("a", "b", "c"))
-    spec = TruncationSpec(max_rank=5)
-    left, s, right, weight = factorize(t, ("a", "b"), spec)
-    mid = (left.entries.reshape(-1, s.size) * s) @ right.entries.reshape(s.size, -1)
-    err2 = np.linalg.norm(mid - t.entries.reshape(12, 5)) ** 2
-    assert err2 <= weight * t.norm() ** 2 + 1e-12
+    mat = random_matrix(rng, (12, 5))
+    u, s, vh, weight = truncated_svd(mat, TruncationSpec(max_rank=3))
+    assert s.size == 3
+    err2 = np.linalg.norm((u * s) @ vh - mat) ** 2
+    assert abs(err2 - weight * np.linalg.norm(mat) ** 2) < 1e-10
 
 
 def test_singular_values_sorted_nonincreasing():
     rng = np.random.default_rng(23)
-    t = random_tensor(rng, (6, 6), ("a", "b"))
-    _, s, _, _ = factorize(t, ("a",))
+    _, s, _, _ = truncated_svd(random_matrix(rng, (6, 6)))
     assert np.all(np.diff(s) <= 1e-14)
     assert np.all(s >= 0)
-
-
-def test_factorize_invalid_split():
-    t = DenseTensor(np.zeros((2, 2)), ("a", "b"))
-    with pytest.raises(ValueError):
-        factorize(t, ())
-    with pytest.raises(ValueError):
-        factorize(t, ("a", "b"))
 
 
 def test_truncation_spec_validation():
