@@ -3,11 +3,21 @@
 The solver works on the harmonic-resolved MPS of
 :class:`~floquet_ness.freqspace.FloquetDensityMatrix`. All blocks are kept in
 mixed-canonical gauge around the active site; contracting everything except
-that site against the transfer components of the generator yields, for the
-stacked per-block site tensors, an ordinary (non-Hermitian) eigenproblem
-solved with a restarted Arnoldi method. Sweeping the active site back and
-forth relaxes the state onto the eigenvector, with the trace constraints
-enforced by rank-one penalty projectors during warm-up.
+that site (or pair of sites) against the transfer components of the
+generator yields, for the site tensors of all harmonic blocks at once, an
+ordinary (non-Hermitian) local eigenproblem. Local problems up to
+``SweepConfig.dense_local_cutoff`` are densified and diagonalized by LAPACK;
+larger ones go to restarted Arnoldi (ARPACK), with a logged dense fallback
+when it fails. Sweeping the active site back and forth relaxes the state
+onto the eigenvector, with the trace constraints enforced by rank-one
+penalty projectors during warm-up.
+
+Harmonic blocks ``n`` couple only through the transfer components ``q``, so
+every local operation is one contraction batched over ``(q, n)``: the sweep
+engine stores arrays stacked over harmonics and zero-padded to the largest
+bond (layout in :class:`SweepEngine`). The padding is exact and never enters
+the flat local vector of :class:`SiteProblem`: padded coordinates would be
+exact zero eigenvalues, which the ``"nearest_zero"`` target would pick.
 
 Sign conventions: eigenvalues are those of the frequency-space generator
 (``Re <= 0``); a mode decays as ``exp(lambda t)`` and the relaxation time of
@@ -78,26 +88,32 @@ class SweepStage:
     two_site: bool = True
 
 
+CONVERGENCE_TOL = 1e-3  # edge-harmonic weight and Hermiticity defect that warn
+WEIGHT_CUTOFF = 1e-12  # relative singular-value cutoff of every truncation
+KRYLOV_DIM = 36  # ARPACK basis size of a first attempt; a retry doubles it
+ARPACK_MAXITER = 600  # ARPACK restarts of a first attempt; a retry doubles them
+DENSE_LOCAL_HARD_CAP = 4096  # largest local problem densified after ARPACK fails
+DEGENERACY_TOL = 1e-7  # a second local eigenvalue this close to 0 is degenerate
+# `SiteProblem.dense_matrix` applies the local operator to as many identity
+# columns at once as keep its largest intermediate below this many bytes.
+DENSE_BLOCK_BYTES = 1 << 21
+
+
 @dataclass
 class SweepConfig:
     """Schedule and tolerances for the sweeping solver.
 
     `warmup` must end with the production stage (the one whose cutoff and
     bond dimension are the targets); stages must not shrink the cutoff or
-    the bond dimension.
+    the bond dimension. Local problems up to `dense_local_cutoff` are solved
+    densely, larger ones with ARPACK.
     """
 
     warmup: list = field(default_factory=list)
     eig_tol: float = 1e-10
-    convergence_tol: float = 1e-3
     noise_amplitude: float = 1e-6
     seed: int = 7
-    weight_cutoff: float = 1e-12
-    krylov_dim: int = 36
-    arpack_maxiter: int = 600
     dense_local_cutoff: int = 700
-    dense_local_hard_cap: int = 4096
-    degeneracy_tol: float = 1e-7
 
     def validate(self):
         if not self.warmup:
@@ -105,27 +121,22 @@ class SweepConfig:
         for a, b in zip(self.warmup, self.warmup[1:]):
             if b.n_c < a.n_c or b.chi < a.chi:
                 raise ValueError("stages must not shrink the cutoff or bond dimension")
-        if self.eig_tol <= 0 or self.convergence_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.eig_tol <= 0:
+            raise ValueError("eig_tol must be positive")
         return self
 
 
-def make_warmup_schedule(
-    n_c,
-    chi,
-    warm_sweeps=3,
-    final_sweeps=8,
-    chi_start=None,
-    two_site_final=False,
-):
-    """Standard schedule: grow the cutoff stepwise and ramp chi up."""
-    chi_start = min(chi, 8) if chi_start is None else chi_start
+def make_warmup_schedule(n_c, chi, warm_sweeps=3, final_sweeps=8):
+    """Standard schedule: two-site warm-up stages with penalties at cutoffs
+    ``0..n_c``, chi ramping up from ``min(chi, 8)``, then a single-site
+    production stage without penalties."""
+    chi_start = min(chi, 8)
     cutoffs = list(range(0, n_c + 1)) or [0]
     stages = []
     n_warm = len(cutoffs)
     for idx, nc in enumerate(cutoffs):
         frac = idx / max(n_warm - 1, 1)
-        stage_chi = int(round(chi_start * (chi / chi_start) ** frac)) if chi_start else chi
+        stage_chi = int(round(chi_start * (chi / chi_start) ** frac))
         stage_chi = min(chi, max(chi_start, stage_chi))
         stages.append(
             SweepStage(
@@ -142,7 +153,7 @@ def make_warmup_schedule(
             chi=chi,
             sweeps=final_sweeps,
             penalties_on=False,
-            two_site=two_site_final,
+            two_site=False,
         )
     )
     return stages
@@ -218,14 +229,36 @@ def _qr_left(tensor):
     return q.reshape(p, r, -1).transpose(0, 2, 1), rmat
 
 
+def _padded(arrays, extra=0):
+    """Stack of equal-rank arrays, zero-padded to the largest extent of each
+    axis, with `extra` trailing zero entries."""
+    shape = np.max([a.shape for a in arrays], axis=0)
+    out = np.zeros((len(arrays) + extra, *shape), dtype=complex)
+    for k, a in enumerate(arrays):
+        out[(k, *map(slice, a.shape))] = a
+    return out
+
+
 class SweepEngine:
     """Mutable sweep state: block tensors, environments, penalty frames.
 
-    The engine owns copies of the block tensors in mixed-canonical form and
-    keeps, for every transfer component ``q`` and output block ``n``, the
-    partially contracted environments needed by the local eigenproblem at
-    the active site. Rank-one penalty vectors get overlap environments of
-    the same structure.
+    The engine owns copies of the block tensors in mixed-canonical form,
+    per harmonic and unpadded (QR and SVD act block by block), and the
+    partially contracted environments of the local eigenproblem, one array
+    per bond:
+
+    - ``env_left[i]`` / ``env_right[i]``: ``[q, n, a, w, b]`` over the
+      transfer components in `transfers` and the harmonics, with ``a`` the
+      bra bond of block ``n``, ``b`` the ket bond of block ``n - q`` (both
+      zero-padded to the largest bond of any block) and ``w`` the operator
+      bond (zero-padded over components). Entries whose ``n - q`` lies outside
+      the cutoff meet the zero block of the harmonic stack and stay zero.
+    - ``vec_left[t][i]`` / ``vec_right[t][i]``: ``[n, a_v, a]`` overlap
+      environments of rank-one term ``t``, zero for harmonics its vector
+      lacks.
+
+    `discarded_weight` sums the relative weight that two-site updates
+    truncate away; callers reset it to measure one sweep.
     """
 
     def __init__(
@@ -250,12 +283,30 @@ class SweepEngine:
         for n in self.harmonics:
             mps = state.block(n).mixed_canonical(0)
             self.blocks[n] = [t.copy() for t in mps.tensors]
-        self.pairs = [
-            (n, q)
-            for n in self.harmonics
-            for q in self.mpo.components
-            if -self.cutoff <= n - q <= self.cutoff
+        self.transfers = [q for q in mpo.components if abs(q) <= 2 * self.cutoff]
+        # stack position of block n - q for every (q, n); the position past
+        # the last harmonic is the zero block
+        outside = len(self.harmonics)
+        self._shift = np.array(
+            [
+                [n - q + self.cutoff if abs(n - q) <= self.cutoff else outside for n in self.harmonics]
+                for q in self.transfers
+            ]
+        )
+        # per site, [q, (p' w'), (w p)] matrices of the [w, p', p, w'] tensors
+        self._wstack = []
+        for i in range(self.length):
+            w = _padded([mpo.components[q].tensors[i].transpose(1, 3, 0, 2) for q in self.transfers])
+            self._wstack.append(w.reshape(w.shape[0], w.shape[1] * w.shape[2], -1))
+        # per rank-one term and site, the conjugated [n, m, p, m'] vector tensors
+        self._vectors = [
+            [
+                _padded([term.vector.block(n).tensors[i].transpose(1, 0, 2) for n in self.harmonics]).conj()
+                for i in range(self.length)
+            ]
+            for term in self.rank_one_terms
         ]
+        self.discarded_weight = 0.0
         self.version = 0
         self.center = 0
         self._build_environments()
@@ -278,86 +329,65 @@ class SweepEngine:
             env = env @ np.tensordot(eye, t, axes=([0], [0]))
         return complex(env[0])
 
+    def site_stack(self, i):
+        """``[n + 1, l, p, r]`` stack of site `i` over harmonics, zero block last."""
+        return _padded([self.blocks[n][i].transpose(1, 0, 2) for n in self.harmonics], extra=1)
+
     # -- environments ---------------------------------------------------------
 
     def _build_environments(self):
-        left, right = {}, {}
-        for n, q in self.pairs:
-            left[(n, q)] = [None] * (self.length + 1)
-            right[(n, q)] = [None] * (self.length + 1)
-            left[(n, q)][0] = np.ones((1, 1, 1), dtype=complex)
-            right[(n, q)][self.length - 1] = np.ones((1, 1, 1), dtype=complex)
-        self.env_left, self.env_right = left, right
-        self.vec_left, self.vec_right = [], []
-        for term in self.rank_one_terms:
-            vl, vr = {}, {}
-            for n in term.vector.blocks:
-                if abs(n) > self.cutoff:
-                    continue
-                vl[n] = [None] * (self.length + 1)
-                vr[n] = [None] * (self.length + 1)
-                vl[n][0] = np.ones((1, 1), dtype=complex)
-                vr[n][self.length - 1] = np.ones((1, 1), dtype=complex)
-            self.vec_left.append(vl)
-            self.vec_right.append(vr)
+        nq, nh = len(self.transfers), len(self.harmonics)
+        tail = [None] * self.length
+        self.env_left = [np.ones((nq, nh, 1, 1, 1), dtype=complex)] + tail
+        self.env_right = tail[1:] + [self.env_left[0], None]
+        self.vec_left = [[np.ones((nh, 1, 1), dtype=complex)] + tail for _ in self.rank_one_terms]
+        self.vec_right = [tail[1:] + [vl[0], None] for vl in self.vec_left]
         for i in range(self.length - 1, 0, -1):
             self._update_right(i)
 
+    def _operands(self, i):
+        """Site `i` as ``[n, l, (p r)]``, its bra ``[n, (l p), r]`` and the kets
+        ``[q, n, l, (p r)]`` of blocks ``n - q``, with the bond sizes."""
+        stack = self.site_stack(i)
+        nh, l, p, r = stack[:-1].shape
+        site = stack[:-1].reshape(nh, l, p * r)
+        bra = stack[:-1].conj().reshape(nh, l * p, r)
+        return site, bra, stack[self._shift].reshape(-1, nh, l, p * r), (nh, l, p, r)
+
     def _update_left(self, i):
         """Absorb site `i` into the left environments (valid at i+1)."""
-        for (n, q) in self.pairs:
-            env = self.env_left[(n, q)][i]
-            bra = self.blocks[n][i].conj()
-            ket = self.blocks[n - q][i]
-            w = self.mpo.components[q].tensors[i]
-            t1 = np.tensordot(env, bra, axes=([0], [1]))  # [w, b, p, a']
-            t2 = np.tensordot(t1, w, axes=([0, 2], [0, 1]))  # [b, a', in, w']
-            t3 = np.tensordot(t2, ket, axes=([0, 2], [1, 0]))  # [a', w', b']
-            self.env_left[(n, q)][i + 1] = t3
-        for term, vl in zip(self.rank_one_terms, self.vec_left):
-            for n in vl:
-                env = vl[n][i]
-                vten = term.vector.blocks[n].tensors[i].conj()
-                frame = self.blocks[n][i]
-                t1 = np.tensordot(vten, env, axes=([1], [0]))  # [p, lv', l]
-                t2 = np.tensordot(t1, frame, axes=([0, 2], [0, 1]))  # [lv', l']
-                vl[n][i + 1] = t2
+        site, bra, ket, (nh, l, p, r) = self._operands(i)
+        env = self.env_left[i]
+        nq, w = env.shape[0], env.shape[3]
+        t = env.reshape(nq, nh, l * w, l) @ ket  # [q, n, (a w), (p b')]
+        t = self._wstack[i][:, None, None] @ t.reshape(nq, nh, l, w * p, r)  # [q, n, a, (p' w'), b']
+        t = bra.swapaxes(1, 2) @ t.reshape(nq, nh, l * p, -1)  # [q, n, a', (w' b')]
+        self.env_left[i + 1] = t.reshape(nq, nh, r, -1, r)
+        for vectors, vl in zip(self._vectors, self.vec_left):
+            v = vectors[i]  # [n, m, p, m'], conjugated
+            t = (vl[i] @ site).reshape(nh, -1, r)  # [n, (m p), a']
+            vl[i + 1] = v.reshape(nh, -1, v.shape[3]).swapaxes(1, 2) @ t
 
     def _update_right(self, i):
         """Absorb site `i` into the right environments (valid at i-1)."""
-        for (n, q) in self.pairs:
-            env = self.env_right[(n, q)][i]
-            bra = self.blocks[n][i].conj()
-            ket = self.blocks[n - q][i]
-            w = self.mpo.components[q].tensors[i]
-            t1 = np.tensordot(bra, env, axes=([2], [0]))  # [p, a, w, b]
-            t2 = np.tensordot(w, t1, axes=([1, 3], [0, 2]))  # [w1, in, a, b]
-            t3 = np.tensordot(t2, ket, axes=([1, 3], [0, 2]))  # [w1, a, b']
-            self.env_right[(n, q)][i - 1] = t3.transpose(1, 0, 2)
-        for term, vr in zip(self.rank_one_terms, self.vec_right):
-            for n in vr:
-                env = vr[n][i]
-                vten = term.vector.blocks[n].tensors[i].conj()
-                frame = self.blocks[n][i]
-                t1 = np.tensordot(vten, env, axes=([2], [0]))  # [p, lv, r]
-                t2 = np.tensordot(t1, frame, axes=([0, 2], [0, 2]))  # [lv, l]
-                vr[n][i - 1] = t2
+        site, bra, ket, (nh, l, p, r) = self._operands(i)
+        env = self.env_right[i]
+        nq = env.shape[0]
+        t = bra @ env.reshape(nq, nh, r, -1)  # [q, n, (a p'), (w' b')]
+        t = self._wstack[i].swapaxes(1, 2)[:, None, None] @ t.reshape(nq, nh, l, -1, r)
+        t = t.reshape(nq, nh, -1, p * r) @ ket.swapaxes(2, 3)  # [q, n, (a w), b]
+        self.env_right[i - 1] = t.reshape(nq, nh, l, -1, l)
+        for vectors, vr in zip(self._vectors, self.vec_right):
+            v = vectors[i]  # [n, m, p, m'], conjugated
+            t = (v.reshape(nh, -1, v.shape[3]) @ vr[i]).reshape(nh, v.shape[1], -1)
+            vr[i - 1] = t @ site.swapaxes(1, 2)  # [n, m, a]
 
     def advance_to(self, site):
         """Move the orthogonality center rightward to `site` without solving."""
         if site < self.center:
             raise ValueError("advance_to only moves the center rightward")
         while self.center < site:
-            i = self.center
-            self.version += 1
-            for n in self.harmonics:
-                q, rmat = _qr_right(self.blocks[n][i])
-                self.blocks[n][i] = q
-                self.blocks[n][i + 1] = np.tensordot(
-                    rmat, self.blocks[n][i + 1], axes=([1], [1])
-                ).transpose(1, 0, 2)
-            self._update_left(i)
-            self.center += 1
+            self.set_site(self.center, {}, direction="right")
 
     # -- local problem ---------------------------------------------------------
 
@@ -368,8 +398,9 @@ class SweepEngine:
         """Write back the solved tensors and restore the gauge.
 
         `pieces` maps the harmonic to the new site tensor(s). For two-site
-        updates the merged tensor is split with the engine truncation; the
-        orthogonality center moves along `direction`.
+        updates the merged tensor is split with the engine truncation, whose
+        discarded weight adds to `discarded_weight`; the orthogonality center
+        moves along `direction`.
         """
         self.version += 1
         if not two_site:
@@ -398,7 +429,8 @@ class SweepEngine:
         for n, merged in pieces.items():
             p1, p2, l, r = merged.shape
             mat = merged.transpose(0, 2, 1, 3).reshape(p1 * l, p2 * r)
-            u, s, vh, _ = truncated_svd(mat, self.trunc)
+            u, s, vh, weight = truncated_svd(mat, self.trunc)
+            self.discarded_weight += weight
             rank = s.size
             if direction == "right":
                 self.blocks[n][i] = u.reshape(p1, l, rank)
@@ -424,11 +456,15 @@ class SweepEngine:
 
 
 class SiteProblem:
-    """Stacked local eigenproblem at one (or two) active site(s).
+    """Local eigenproblem at one (or two) active site(s), all harmonics at once.
 
-    Packs the per-block site tensors into one flat vector; ``matvec``
-    evaluates the projected generator action including the frequency ramp
-    and any registered penalty terms. Environments are validated against the
+    The flat local vector holds the unpadded site tensors of every harmonic
+    block in turn, each ``[p, l, r]`` (two sites: ``[p1, p2, l, r]``, see
+    `shapes`). `matvec` scatters it into the padded layout
+    ``[n, l, p(, p2), r]``, applies the projected generator in one batched
+    contraction per environment and per active site, and adds the frequency
+    ramp, the scalar penalty and the rank-one terms; it takes one vector or
+    a ``(dim, k)`` block of columns. Environments are validated against the
     engine version, so a stale problem object fails loudly.
     """
 
@@ -439,197 +475,137 @@ class SiteProblem:
         self.site = site
         self.two_site = two_site
         self.version = engine.version
-        self.shapes = {}
-        self.offsets = {}
-        off = 0
-        for n in engine.harmonics:
-            tl = engine.blocks[n][site]
-            if two_site:
-                tr = engine.blocks[n][site + 1]
-                shape = (tl.shape[0], tr.shape[0], tl.shape[1], tr.shape[2])
-            else:
-                shape = tl.shape
+        sites = [site, site + 1] if two_site else [site]
+        nh, p = len(engine.harmonics), engine.phys
+        l = max(engine.blocks[n][site].shape[1] for n in engine.harmonics)
+        r = max(engine.blocks[n][sites[-1]].shape[2] for n in engine.harmonics)
+        padded = (l,) + (p,) * len(sites) + (r,)
+        self._size = int(np.prod(padded))
+        positions = np.arange(nh * self._size).reshape((nh,) + padded)
+        scalar = engine.scalar_coefficient(engine) if engine.scalar_coefficient else 0.0
+        self.shapes, index, diag = {}, [], []
+        for h, n in enumerate(engine.harmonics):
+            left, right = engine.blocks[n][site], engine.blocks[n][sites[-1]]
+            shape = (p,) * len(sites) + (left.shape[1], right.shape[2])
             self.shapes[n] = shape
-            self.offsets[n] = off
-            off += int(np.prod(shape))
-        self.dim = off
-        self._scalar = (
-            engine.scalar_coefficient(engine) if engine.scalar_coefficient else 0.0
-        )
-        self._prepare()
-
-    def _check_fresh(self):
-        if self.version != self.engine.version:
-            raise StaleEnvironmentError("site problem built against an older sweep state")
-
-    def _prepare(self):
-        eng = self.engine
-        i = self.site
-        self._elw = {}
-        for (n, q) in eng.pairs:
-            el = eng.env_left[(n, q)][i]
-            w = eng.mpo.components[q].tensors[i]
-            # [a, w, b] x [w, p', p, w'] -> [a, b, p', p, w']
-            self._elw[(n, q)] = np.tensordot(el, w, axes=([1], [0]))
-        self._penalty_locals = []
-        for term, vl, vr in zip(eng.rank_one_terms, eng.vec_left, eng.vec_right):
-            locals_n = {}
-            for n in vl:
-                vmps = term.vector.blocks[n]
-                left = vl[n][i]
-                if self.two_site:
-                    right = vr[n][i + 1]
-                    v1 = vmps.tensors[i].conj()
-                    v2 = vmps.tensors[i + 1].conj()
-                    t = np.tensordot(v1, left, axes=([1], [0]))  # [p1, m, l]
-                    t = np.tensordot(t, v2, axes=([1], [1]))  # [p1, l, p2, rv]
-                    t = np.tensordot(t, right, axes=([3], [0]))  # [p1, l, p2, r]
-                    locals_n[n] = t.transpose(0, 2, 1, 3)  # [p1, p2, l, r]
-                else:
-                    right = vr[n][i]
-                    v1 = vmps.tensors[i].conj()
-                    t = np.tensordot(v1, left, axes=([1], [0]))  # [p, rv, l]
-                    locals_n[n] = np.tensordot(t, right, axes=([1], [0]))  # [p, l, r]
-            self._penalty_locals.append(locals_n)
-
-    def pack(self, pieces):
-        out = np.zeros(self.dim, dtype=complex)
-        for n, t in pieces.items():
-            off = self.offsets[n]
-            out[off : off + t.size] = t.reshape(-1)
-        return out
+            # padded positions of the block's entries, in flat [p.., l, r] order
+            region = positions[h][: shape[-2], ..., : shape[-1]]
+            index.append(np.moveaxis(region, 0, -2).ravel())
+            diag.append(np.full(index[-1].size, engine.mpo.diagonal_coefficient(n) + scalar))
+        self._index = np.concatenate(index)
+        self._diag = np.concatenate(diag)
+        self.dim = self._index.size
+        nq = len(engine.transfers)
+        self._left = engine.env_left[site].reshape(nq, nh, -1, l)  # [q, n, (a w), b]
+        self._wstack = [engine._wstack[i][:, None, None] for i in sites]
+        self._right = engine.env_right[sites[-1]].reshape(nq, nh, 1, r, -1)  # [q, n, 1, a', (w b')]
+        self._rank_one = []
+        owner = np.repeat(np.arange(nh), [int(np.prod(s)) for s in self.shapes.values()])
+        for term, vectors, vl, vr in zip(
+            engine.rank_one_terms, engine._vectors, engine.vec_left, engine.vec_right
+        ):
+            t = vl[site].swapaxes(1, 2)  # [n, a, m]
+            for i in sites:
+                v = vectors[i]  # [n, m, p, m'], conjugated
+                t = (t @ v.reshape(nh, v.shape[1], -1)).reshape(nh, -1, v.shape[3])
+            local = (t @ vr[sites[-1]]).reshape(-1)[self._index]
+            if term.coupled:
+                rows = local[None, :]
+            else:
+                rows = np.where(owner == np.arange(nh)[:, None], local, 0.0)
+            self._rank_one.append((rows, term.coefficient * rows.conj().T))
 
     def unpack(self, vec):
-        out = {}
-        for n, shape in self.shapes.items():
-            off = self.offsets[n]
-            out[n] = vec[off : off + int(np.prod(shape))].reshape(shape)
-        return out
+        """Per-harmonic site tensors of a flat local vector."""
+        sizes = [int(np.prod(s)) for s in self.shapes.values()]
+        parts = np.split(np.asarray(vec), np.cumsum(sizes)[:-1])
+        return {n: part.reshape(s) for (n, s), part in zip(self.shapes.items(), parts)}
 
     def current_vector(self):
-        eng = self.engine
-        pieces = {}
-        for n in eng.harmonics:
-            if self.two_site:
-                t = np.tensordot(
-                    eng.blocks[n][self.site], eng.blocks[n][self.site + 1], axes=([2], [1])
-                )  # [p1, l, p2, r]
-                pieces[n] = t.transpose(0, 2, 1, 3)
-            else:
-                pieces[n] = eng.blocks[n][self.site]
-        return self.pack(pieces)
+        t = self.engine.site_stack(self.site)[:-1]
+        if self.two_site:
+            nxt = self.engine.site_stack(self.site + 1)[:-1]
+            nh, m = nxt.shape[:2]
+            t = t.reshape(nh, -1, m) @ nxt.reshape(nh, m, -1)
+        return t.reshape(-1)[self._index]
 
     def matvec(self, vec):
-        self._check_fresh()
-        eng = self.engine
-        i = self.site
-        x = self.unpack(np.asarray(vec, dtype=complex))
-        y = {n: np.zeros(shape, dtype=complex) for n, shape in self.shapes.items()}
-        for (n, q) in eng.pairs:
-            m = n - q
-            xm = x[m]
-            elw = self._elw[(n, q)]
-            if self.two_site:
-                er = eng.env_right[(n, q)][i + 1]
-                w2 = eng.mpo.components[q].tensors[i + 1]
-                t = np.tensordot(elw, xm, axes=([1, 3], [2, 0]))  # [a, p1', wm, p2, r]
-                t = np.tensordot(t, w2, axes=([2, 3], [0, 2]))  # [a, p1', r, p2', w']
-                t = np.tensordot(t, er, axes=([2, 4], [2, 1]))  # [a, p1', p2', a']
-                y[n] += t.transpose(1, 2, 0, 3)
-            else:
-                er = eng.env_right[(n, q)][i]
-                t = np.tensordot(elw, xm, axes=([1, 3], [1, 0]))  # [a, p', w', r]
-                t = np.tensordot(t, er, axes=([2, 3], [1, 2]))  # [a, p', a']
-                y[n] += t.transpose(1, 0, 2)
-        for n in eng.harmonics:
-            coeff = eng.mpo.diagonal_coefficient(n)
-            if coeff != 0:
-                y[n] += coeff * x[n]
-            if self._scalar:
-                y[n] += self._scalar * x[n]
-        for term, locals_n in zip(eng.rank_one_terms, self._penalty_locals):
-            if term.coupled:
-                s = sum(np.sum(locals_n[n] * x[n]) for n in locals_n if n in x)
-                if s != 0:
-                    for n in locals_n:
-                        y[n] += term.coefficient * s * locals_n[n].conj()
-            else:
-                for n in locals_n:
-                    s = np.sum(locals_n[n] * x[n])
-                    if s != 0:
-                        y[n] += term.coefficient * s * locals_n[n].conj()
-        return self.pack(y)
-
-    def operator(self):
-        return spla.LinearOperator((self.dim, self.dim), matvec=self.matvec, dtype=complex)
+        if self.version != self.engine.version:
+            raise StaleEnvironmentError("site problem built against an older sweep state")
+        vec = np.asarray(vec, dtype=complex)
+        cols = vec.reshape(self.dim, -1)
+        k = cols.shape[1]
+        nq, nh, _, l = self._left.shape
+        x = np.zeros(((nh + 1) * self._size, k), dtype=complex)
+        x[self._index] = cols
+        x = x.reshape(nh + 1, l, -1)[self.engine._shift]  # [q, n, b, (p.. b' k)]
+        t = self._left @ x  # [q, n, (a w), (p.. b' k)]
+        lead = l
+        for w in self._wstack:
+            t = w @ t.reshape(nq, nh, lead, w.shape[-1], -1)  # [q, n, lead, (p' w'), rest]
+            lead *= self.engine.phys
+        t = self._right @ t.reshape(nq, nh, lead, self._right.shape[-1], k)  # [q, n, lead, a', k]
+        y = t.sum(axis=0).reshape(-1, k)[self._index] + self._diag[:, None] * cols
+        for rows, back in self._rank_one:
+            y += back @ (rows @ cols)
+        return y.reshape(vec.shape)
 
     def dense_matrix(self):
-        """Materialize the local operator column by column (small dims only)."""
-        cols = np.empty((self.dim, self.dim), dtype=complex)
-        basis = np.zeros(self.dim, dtype=complex)
-        for j in range(self.dim):
-            basis[:] = 0
-            basis[j] = 1.0
-            cols[:, j] = self.matvec(basis)
-        return cols
+        """Materialize the local operator: `matvec` on blocks of identity columns."""
+        nq, nh = self._left.shape[:2]
+        bond = max(max(w.shape[-2:]) for w in self._wstack) // self.engine.phys
+        width = max(1, DENSE_BLOCK_BYTES // (16 * nq * nh * self._size * bond))
+        out = np.empty((self.dim, self.dim), dtype=complex)
+        for j in range(0, self.dim, width):
+            cols = np.eye(self.dim, min(width, self.dim - j), -j, dtype=complex)
+            out[:, j : j + width] = self.matvec(cols)
+        return out
 
 
-def _select_eig(values, vectors, which):
+def _leading(values, vectors, which):
+    """Targeted eigenpair and the runner-up eigenvalue (None if there is none)."""
     if which == "nearest_zero":
         order = np.argsort(np.abs(values))
     else:
         order = np.argsort(-values.real)
-    return values[order], vectors[:, order]
+    second = values[order[1]] if values.size > 1 else None
+    return values[order[0]], vectors[:, order[0]], second
 
 
-def _local_eigensolve(problem: SiteProblem, v0, which, tol, ncv, maxiter, dense_cutoff, hard_cap, want_second=False):
+def _local_eigensolve(problem: SiteProblem, v0, which, tol, dense_cutoff, want_second=False):
     """Solve the local eigenproblem, returning ``(theta, vector, theta2)``.
 
-    Small problems are densified outright; larger ones go to the restarted
-    Arnoldi solver with the previous tensor as the starting vector, a larger
-    Krylov space on a retry, and a dense fallback below `hard_cap`.
+    Problems up to `dense_cutoff` are densified outright. Larger ones go to
+    ARPACK with the previous tensor as the starting vector, and once more
+    with twice the Krylov space and restarts if that fails; a partial,
+    unconverged result is never used. After two failures, problems up to
+    DENSE_LOCAL_HARD_CAP are densified with a WARNING log, larger ones raise
+    :class:`EigensolverBreakdown`.
     """
     dim = problem.dim
     k = 2 if want_second else 1
-    if dim <= max(dense_cutoff, k + 2):
-        mat = problem.dense_matrix()
-        values, vectors = np.linalg.eig(mat)
-        values, vectors = _select_eig(values, vectors, which)
-        second = values[1] if values.size > 1 else None
-        return values[0], vectors[:, 0], second
-    arpack_which = "SM" if which == "nearest_zero" else "LR"
-    norm0 = np.linalg.norm(v0)
-    v0 = None if norm0 == 0 else v0 / norm0
-    last_error = None
-    for attempt, factor in enumerate((1, 2)):
-        try:
-            values, vectors = spla.eigs(
-                problem.operator(),
-                k=k,
-                which=arpack_which,
-                v0=v0,
-                ncv=min(dim, max(ncv * factor, 3 * k + 2)),
-                maxiter=maxiter * factor,
-                tol=tol,
-            )
-            values, vectors = _select_eig(values, vectors, which)
-            second = values[1] if values.size > 1 else None
-            return values[0], vectors[:, 0], second
-        except spla.ArpackNoConvergence as err:
-            last_error = err
-            if len(err.eigenvalues):
-                values, vectors = _select_eig(err.eigenvalues, err.eigenvectors, which)
-                second = values[1] if values.size > 1 else None
-                return values[0], vectors[:, 0], second
-        except spla.ArpackError as err:
-            last_error = err
-    if dim <= hard_cap:
-        mat = problem.dense_matrix()
-        values, vectors = np.linalg.eig(mat)
-        values, vectors = _select_eig(values, vectors, which)
-        second = values[1] if values.size > 1 else None
-        return values[0], vectors[:, 0], second
-    raise EigensolverBreakdown(f"Arnoldi failed at dim {dim}: {last_error}")
+    if dim > max(dense_cutoff, k + 2):
+        arpack_which = "SM" if which == "nearest_zero" else "LR"
+        norm0 = np.linalg.norm(v0)
+        v0 = None if norm0 == 0 else v0 / norm0
+        for factor in (1, 2):
+            try:
+                values, vectors = spla.eigs(
+                    spla.LinearOperator((dim, dim), matvec=problem.matvec, dtype=complex),
+                    k=k,
+                    which=arpack_which,
+                    v0=v0,
+                    ncv=min(dim, max(KRYLOV_DIM * factor, 3 * k + 2)),
+                    maxiter=ARPACK_MAXITER * factor,
+                    tol=tol,
+                )
+                return _leading(values, vectors, which)
+            except spla.ArpackError as err:  # includes ArpackNoConvergence
+                error = err
+        if dim > DENSE_LOCAL_HARD_CAP:
+            raise EigensolverBreakdown(f"Arnoldi failed at dim {dim}: {error}")
+        logger.warning("Arnoldi failed at dim %d (%s); solving densely", dim, error)
+    return _leading(*np.linalg.eig(problem.dense_matrix()), which)
 
 
 def _sweep_sites(length, two_site):
@@ -645,13 +621,19 @@ def _sweep_sites(length, two_site):
 
 
 def _run_sweeps(engine, cfg, stage, which, label, check_degeneracy=False):
-    """Sweep until the local eigenvalue settles; returns (residuals, theta)."""
-    thetas = []
+    """Sweep until the local eigenvalue settles; returns ``(log, theta)``.
+
+    `log` holds one entry per sweep under ``"sweep_residuals"``,
+    ``"discarded_weight"`` (summed over the sweep's truncations) and
+    ``"max_bond"`` (after the sweep).
+    """
+    log = {"sweep_residuals": [], "discarded_weight": [], "max_bond": []}
     history = []
     theta = None
     use_two = stage.two_site and engine.length > 1
     for sweep in range(max(stage.sweeps, 1)):
         sweep_thetas = []
+        engine.discarded_weight = 0.0
         for site, direction in _sweep_sites(engine.length, use_two):
             problem = engine.site_problem(site, use_two)
             v0 = problem.current_vector()
@@ -665,13 +647,10 @@ def _run_sweeps(engine, cfg, stage, which, label, check_degeneracy=False):
                 v0,
                 which,
                 tol=min(cfg.eig_tol * 1e-1, 1e-9),
-                ncv=cfg.krylov_dim,
-                maxiter=cfg.arpack_maxiter,
                 dense_cutoff=cfg.dense_local_cutoff,
-                hard_cap=cfg.dense_local_hard_cap,
                 want_second=want_second,
             )
-            if want_second and second is not None and abs(second) < cfg.degeneracy_tol:
+            if want_second and second is not None and abs(second) < DEGENERACY_TOL:
                 raise DegenerateSteadyStateError(
                     f"two near-zero local eigenvalues ({theta:.2e}, {second:.2e}); "
                     "steady space looks degenerate"
@@ -696,7 +675,9 @@ def _run_sweeps(engine, cfg, stage, which, label, check_degeneracy=False):
         else:
             spread = max(abs(t - sweep_thetas[-1]) for t in sweep_thetas)
             resid = spread / max(abs(sweep_thetas[-1]), 1e-30)
-        thetas.append(resid)
+        log["sweep_residuals"].append(float(resid))
+        log["discarded_weight"].append(float(engine.discarded_weight))
+        log["max_bond"].append(max(max(t.shape[1:]) for ts in engine.blocks.values() for t in ts))
         history.append(sweep_thetas[-1])
         logger.debug("%s sweep %d: residual %.3e", label, sweep + 1, resid)
         if resid <= cfg.eig_tol and sweep >= 1:
@@ -708,7 +689,7 @@ def _run_sweeps(engine, cfg, stage, which, label, check_degeneracy=False):
             and resid <= 1e-6
         ):
             break
-    return thetas, history[-1] if history else None
+    return log, history[-1] if history else None
 
 
 def _embed_state(state, n_c, noise_amplitude, rng):
@@ -798,7 +779,7 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
             terms, scalar = _penalty_terms(
                 stage.n_c, model.chain_length, model.omega, model.site_dim
             )
-        trunc = TruncationSpec(max_rank=stage.chi, weight_cutoff=cfg.weight_cutoff)
+        trunc = TruncationSpec(max_rank=stage.chi, weight_cutoff=WEIGHT_CUTOFF)
         stage_info = {
             "n_c": stage.n_c,
             "chi": stage.chi,
@@ -807,7 +788,7 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
         }
         try:
             engine = SweepEngine(mpo, state, trunc, terms, scalar)
-            residuals, final_theta = _run_sweeps(
+            log, final_theta = _run_sweeps(
                 engine,
                 cfg,
                 stage,
@@ -819,7 +800,7 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
             logger.warning("eigensolver breakdown in stage %d; restarting with noise", idx)
             state = _embed_state(state, stage.n_c, max(cfg.noise_amplitude, 1e-4), rng)
             engine = SweepEngine(mpo, state, trunc, terms, scalar)
-            residuals, final_theta = _run_sweeps(
+            log, final_theta = _run_sweeps(
                 engine,
                 cfg,
                 stage,
@@ -828,9 +809,9 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
                 check_degeneracy=idx == last,
             )
         state = engine.state()
-        stage_info["sweep_residuals"] = [float(r) for r in residuals]
+        stage_info.update(log)
         report.stage_log.append(stage_info)
-        report.sweep_residuals.extend(float(r) for r in residuals)
+        report.sweep_residuals.extend(log["sweep_residuals"])
     # exact trace normalization (fixes the overall phase as well)
     t0 = state.block_trace(0)
     if abs(t0) < 1e-12:
@@ -848,7 +829,7 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
 
     final_stage = cfg.warmup[-1]
     _, _, spectra = compress(
-        state, TruncationSpec(max_rank=final_stage.chi, weight_cutoff=cfg.weight_cutoff)
+        state, TruncationSpec(max_rank=final_stage.chi, weight_cutoff=WEIGHT_CUTOFF)
     )
     report.schmidt_spectra = {
         n: [list(map(float, s[:16])) for s in bonds] for n, bonds in spectra.items()
@@ -862,15 +843,15 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
     report.hermiticity_defects = hermiticity_defect(state)
     ref = norms[0] if norms.get(0) else 1.0
     edge = norms.get(final_stage.n_c, 0.0) / ref
-    if edge > cfg.convergence_tol:
+    if edge > CONVERGENCE_TOL:
         report.warnings.append(
-            f"edge harmonic weight {edge:.2e} above tolerance {cfg.convergence_tol:.1e}; "
+            f"edge harmonic weight {edge:.2e} above tolerance {CONVERGENCE_TOL:.1e}; "
             "cutoff too small"
         )
     worst_defect = max(report.hermiticity_defects.values())
-    if worst_defect > cfg.convergence_tol:
+    if worst_defect > CONVERGENCE_TOL:
         report.warnings.append(
-            f"hermiticity defect {worst_defect:.2e} above tolerance {cfg.convergence_tol:.1e}"
+            f"hermiticity defect {worst_defect:.2e} above tolerance {CONVERGENCE_TOL:.1e}"
         )
     # fixed-point residual of the unpenalized generator, with the MPO of the
     # production stage (the model at the final cutoff)
@@ -947,7 +928,7 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
         for idx, stage in enumerate(cfg.warmup):
             if stage.n_c != n_c:
                 continue  # decay solve runs at the production cutoff only
-            trunc = TruncationSpec(max_rank=stage.chi, weight_cutoff=cfg.weight_cutoff)
+            trunc = TruncationSpec(max_rank=stage.chi, weight_cutoff=WEIGHT_CUTOFF)
             engine = SweepEngine(mpo, state, trunc, terms, None)
             sweep_stage = SweepStage(
                 n_c=stage.n_c,
@@ -956,10 +937,11 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
                 penalties_on=False,
                 two_site=stage.two_site and model.chain_length > 1,
             )
-            residuals, theta = _run_sweeps(
-                engine, cfg, sweep_stage, "largest_real", label=label
+            log, theta = _run_sweeps(engine, cfg, sweep_stage, "largest_real", label=label)
+            report.stage_log.append(
+                {"label": label, "n_c": stage.n_c, "chi": stage.chi, "two_site": sweep_stage.two_site, **log}
             )
-            report.sweep_residuals.extend(float(r) for r in residuals)
+            report.sweep_residuals.extend(log["sweep_residuals"])
             state = engine.state()
         return state, theta
 
@@ -1007,7 +989,7 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
         left = left.shifted(-center_l)
         theta_l = theta_l - 1j * center_l * model.omega
     # A complex pair is degenerate in real part, so the left solve may land
-    # on the conjugate partner, which pairs to zero with our right mode; its
+    # on the conjugate partner, whose pairing with our right mode vanishes; its
     # blockwise adjoint is then the matching left eigenvector.
     scale = max(left.norm() * right.norm(), 1e-300)
     if abs(left.inner(right)) < 1e-4 * scale:

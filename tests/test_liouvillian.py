@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,6 @@ from floquet_ness.liouvillian import (
     dense_extended_lindbladian,
     dense_fourier_superoperator,
     extended_null_vector,
-    fourier_superoperator_terms,
     sparse_fourier_superoperator,
 )
 from floquet_ness.mps import Mps

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from floquet_ness.mps import Mpo, Mps
 from floquet_ness.superops import PAULI, choi_site_matrix, pauli_string

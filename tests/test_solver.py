@@ -1,5 +1,9 @@
+import json
+import logging
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from floquet_ness.freqspace import FloquetDensityMatrix, block_norms, initial_guess, trace_components
 from floquet_ness.liouvillian import (
@@ -27,7 +31,7 @@ from floquet_ness.solver import (
     solve_ness,
     transient_observable,
 )
-from floquet_ness.superops import PAULI, LocalOperator, choi_site_vector, vectorize_choi
+from floquet_ness.superops import PAULI, LocalOperator, vectorize_choi
 from floquet_ness.tensors import TruncationSpec
 
 SM = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -67,42 +71,102 @@ def test_local_operator_single_site_equals_dense():
     assert np.max(np.abs(local - dense)) < 1e-10
 
 
-def test_local_operator_matches_dense_projection_two_sites():
-    # random driven two-site model; frames from a random state
-    rng = np.random.default_rng(5)
-    h1 = [LocalOperator(0, 0.3 * PAULI["X"]), LocalOperator(1, 0.2j * PAULI["Y"])]
+def driven_three_site_model():
+    h1 = [
+        LocalOperator(0, 0.3 * PAULI["X"]),
+        LocalOperator(1, 0.2j * PAULI["Y"]),
+        LocalOperator(2, 0.1 * PAULI["Z"]),
+    ]
     hm1 = [LocalOperator(t.start, t.matrix.conj().T) for t in h1]
-    model = ModelSpec(
-        2,
+    zz = np.kron(PAULI["Z"], PAULI["Z"])
+    return ModelSpec(
+        3,
         3.0,
-        {0: [LocalOperator(0, np.kron(PAULI["Z"], PAULI["Z"]))], 1: h1, -1: hm1},
-        {"a": {0: LocalOperator(0, np.sqrt(0.5) * np.kron(SM, PAULI["I"]))}},
+        {0: [LocalOperator(0, zz), LocalOperator(1, 0.5 * zz)], 1: h1, -1: hm1},
+        {
+            "a": {0: LocalOperator(0, np.sqrt(0.5) * np.kron(SM, PAULI["I"]))},
+            "b": {0: LocalOperator(2, 0.3 * SM)},
+        },
     ).validate()
-    n_c = 1
-    mpo = build_extended_lindbladian(model, n_c)
-    blocks = {n: Mps.random(2, 4, 3, rng, norm=1.0) for n in (-1, 0, 1)}
-    state = FloquetDensityMatrix(blocks, model.omega, n_c, 2)
-    engine = SweepEngine(mpo, state, TruncationSpec())
-    site = 1
-    engine.advance_to(site)
-    problem = engine.site_problem(site)
-    local = densify_problem(problem)
-    # dense projection oracle: P = Phi^dag L Phi with Phi mapping local
-    # coordinates to the full frequency-stacked space through the frames
-    dense = dense_extended_lindbladian(model, n_c)
-    d2l = 4**2
-    phi = np.zeros((3 * d2l, problem.dim), dtype=complex)
-    col = 0
-    for n in (-1, 0, 1):
-        shape = problem.shapes[n]
+
+
+def frame_map(engine, problem):
+    """Dense map from local coordinates to the frequency-stacked space.
+
+    Column j is the state whose active site tensor(s) are the j-th local
+    basis tensor and whose other sites are the engine's frames.
+    """
+    first = problem.site
+    last = first + 1 if problem.two_site else first
+    d = engine.phys**engine.length
+    columns = []
+    for h, (n, shape) in enumerate(problem.shapes.items()):
         for idx in np.ndindex(shape):
             basis = np.zeros(shape, dtype=complex)
             basis[idx] = 1.0
-            mps = Mps([engine.blocks[n][0], basis])
-            phi[(n + 1) * d2l : (n + 2) * d2l, col] = mps.to_dense()
-            col += 1
-    projected = phi.conj().T @ dense @ phi
-    assert np.max(np.abs(projected - local)) < 1e-10
+            if problem.two_site:
+                p1, p2, l, r = shape
+                active = [
+                    basis.transpose(0, 2, 1, 3).reshape(p1, l, p2 * r),
+                    np.eye(p2 * r).reshape(p2 * r, p2, r).transpose(1, 0, 2),
+                ]
+            else:
+                active = [basis]
+            tensors = engine.blocks[n][:first] + active + engine.blocks[n][last + 1 :]
+            column = np.zeros(len(problem.shapes) * d, dtype=complex)
+            column[h * d : (h + 1) * d] = Mps(tensors).to_dense()
+            columns.append(column)
+    return np.array(columns).T
+
+
+@pytest.mark.parametrize("terms", ["none", "uncoupled", "coupled"])
+@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+@pytest.mark.parametrize("two_site", [False, True], ids=["one", "two"])
+def test_local_operator_matches_dense_projection(two_site, adjoint, terms):
+    # the local matrix at every site equals Phi^dag (L + sum c |v><v|) Phi,
+    # Phi mapping local coordinates to the full space through the frames;
+    # blocks carry different bond dimensions per harmonic
+    model = driven_three_site_model()
+    n_c, length = 1, 3
+    rng = np.random.default_rng(5)
+    blocks = {n: Mps.random(length, 4, chi, rng, norm=1.0) for n, chi in ((-1, 1), (0, 3), (1, 2))}
+    state = FloquetDensityMatrix(blocks, model.omega, n_c, length)
+    mpo = build_extended_lindbladian(model, n_c)
+    dense = dense_extended_lindbladian(model, n_c)
+    if adjoint:
+        mpo, dense = mpo.adjoint(), dense.conj().T
+    partial = FloquetDensityMatrix(
+        {n: Mps.random(length, 4, 2, rng, norm=1.0) for n in (-1, 0)}, model.omega, n_c, length
+    )
+    rank_one = {
+        "none": [],
+        "uncoupled": [
+            solver.RankOneTerm(-3.0, solver.identity_operator_state(length, model.omega, n_c, [-1, 1]), coupled=False)
+        ],
+        # vectors lacking a harmonic, as the decay solve's shifted steady states do
+        "coupled": [
+            solver.RankOneTerm(-2.0 + 1.0j, partial, coupled=True),
+            solver.RankOneTerm(-1.5, partial.shifted(1), coupled=True),
+        ],
+    }[terms]
+    for term in rank_one:
+        groups = [term.vector.blocks] if term.coupled else [{n: b} for n, b in term.vector.blocks.items()]
+        for group in groups:
+            v = np.concatenate(
+                [group[n].to_dense() if n in group else np.zeros(4**length) for n in (-1, 0, 1)]
+            )
+            dense = dense + term.coefficient * np.outer(v, v.conj())
+    for site in range(length - 1 if two_site else length):
+        engine = SweepEngine(mpo, state, TruncationSpec(), rank_one)
+        engine.advance_to(site)
+        problem = engine.site_problem(site, two_site)
+        local = problem.dense_matrix()
+        phi = frame_map(engine, problem)
+        assert np.max(np.abs(phi.conj().T @ dense @ phi - local)) < 1e-10
+        x = rng.standard_normal(problem.dim) + 1j * rng.standard_normal(problem.dim)
+        assert np.max(np.abs(problem.matvec(x) - local @ x)) < 1e-12
+        stacked = np.concatenate([state.block(n).to_dense() for n in (-1, 0, 1)])
+        assert np.max(np.abs(phi @ problem.current_vector() - stacked)) < 1e-12
 
 
 @pytest.mark.parametrize("trace0", [1.0, 0.004])
@@ -209,6 +273,50 @@ def test_breakdown_retry_keeps_degeneracy_check(monkeypatch):
     with pytest.raises(DegenerateSteadyStateError):
         solve_ness(model, quick_config(0, 2))
     assert injected
+
+
+def test_partial_arpack_result_is_not_accepted(monkeypatch, caplog):
+    # ARPACK that gives up with a wrong partial eigenvalue: both attempts
+    # fail, the dense fallback answers and says so; above the hard cap the
+    # solve breaks down instead
+    model = single_qubit_model(gamma=0.7, omega_z=1.1, drive=4.0)
+    mpo = build_extended_lindbladian(model, 1)
+    state = initial_guess(1, 2, 1, model.omega, noise_amplitude=1e-2, seed=3)
+    problem = SweepEngine(mpo, state, TruncationSpec()).site_problem(0)
+    attempts = []
+
+    def partial(op, k=1, **kwargs):
+        attempts.append(kwargs["maxiter"])
+        raise ArpackNoConvergence("injected", np.array([0.5 + 0j]), np.ones((op.shape[0], 1), complex))
+
+    monkeypatch.setattr(solver.spla, "eigs", partial)
+    solve = dict(v0=problem.current_vector(), which="nearest_zero", tol=1e-10, dense_cutoff=4)
+    with caplog.at_level(logging.WARNING, logger="floquet_ness.solver"):
+        theta, _, _ = solver._local_eigensolve(problem, **solve)
+    values = np.linalg.eigvals(problem.dense_matrix())
+    assert abs(theta - values[np.argmin(np.abs(values))]) < 1e-12
+    assert abs(theta) < 1e-10
+    assert attempts == [solver.ARPACK_MAXITER, 2 * solver.ARPACK_MAXITER]
+    assert any(r.levelno == logging.WARNING and "Arnoldi failed" in r.getMessage() for r in caplog.records)
+    monkeypatch.setattr(solver, "DENSE_LOCAL_HARD_CAP", problem.dim - 1)
+    with pytest.raises(EigensolverBreakdown):
+        solver._local_eigensolve(problem, **solve)
+
+
+def test_stage_log_reports_discarded_weight_and_bond():
+    # chi=2 binds on the L=3 chain (bonds up to 4): two-site warm-up
+    # sweeps truncate and must say how much
+    model = build_driven_ising(IsingBenchmarkParams(chain_length=3, omega=5.0))
+    _, report = solve_ness(model, quick_config(1, 2))
+    *warm, final = report.stage_log
+    assert all(entry["two_site"] for entry in warm) and not final["two_site"]
+    for entry in report.stage_log:
+        assert len(entry["discarded_weight"]) == len(entry["max_bond"]) == len(entry["sweep_residuals"])
+        assert max(entry["max_bond"]) == 2
+    assert all(min(entry["discarded_weight"]) > 0 for entry in warm)
+    assert final["discarded_weight"] == [0.0] * len(final["sweep_residuals"])
+    logged = json.loads(json.dumps(report.to_dict()))["stage_log"]
+    assert logged[0]["discarded_weight"] == warm[0]["discarded_weight"]
 
 
 def test_decay_mode_amplitude_damping():
