@@ -385,34 +385,6 @@ class Mpo:
         """MPO of the adjoint map: conjugate and swap the physical legs sitewise."""
         return Mpo([t.conj().transpose(0, 2, 1, 3) for t in self.tensors])
 
-    def scaled(self, alpha):
-        out = [t.copy() for t in self.tensors]
-        out[0] = alpha * out[0]
-        return Mpo(out)
-
-    def add(self, other):
-        """Direct sum of two MPOs of identical geometry."""
-        if len(other) != len(self) or other.phys_dim != self.phys_dim:
-            raise ValueError("can only add MPOs of identical geometry")
-        if len(self) == 1:
-            return Mpo([self.tensors[0] + other.tensors[0]])
-        p = self.phys_dim
-        out = []
-        for i, (a, b) in enumerate(zip(self.tensors, other.tensors)):
-            if i == 0:
-                t = np.concatenate([a, b], axis=3)
-            elif i == len(self) - 1:
-                t = np.concatenate([a, b], axis=0)
-            else:
-                t = np.zeros(
-                    (a.shape[0] + b.shape[0], p, p, a.shape[3] + b.shape[3]),
-                    dtype=complex,
-                )
-                t[: a.shape[0], :, :, : a.shape[3]] = a
-                t[a.shape[0] :, :, :, a.shape[3] :] = b
-            out.append(t)
-        return Mpo(out)
-
     def to_dense(self):
         """Dense matrix of the full MPO (small chains only)."""
         acc = self.tensors[0][0]  # [out, in, wr]

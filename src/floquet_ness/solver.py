@@ -6,11 +6,16 @@ mixed-canonical gauge around the active site; contracting everything except
 that site (or pair of sites) against the transfer components of the
 generator yields, for the site tensors of all harmonic blocks at once, an
 ordinary (non-Hermitian) local eigenproblem. Local problems up to
-``SweepConfig.dense_local_cutoff`` are densified and diagonalized by LAPACK;
-larger ones go to restarted Arnoldi (ARPACK), with a logged dense fallback
-when it fails. Sweeping the active site back and forth relaxes the state
-onto the eigenvector, with the trace constraints enforced by rank-one
-penalty projectors during warm-up.
+``SweepConfig.dense_local_cutoff`` are densified. The steady-state target
+(the eigenvalue nearest zero) is then found by shift-invert: one LU
+factorization and a short Arnoldi run on the inverse, accepted only on a
+small true residual. The degeneracy check, which needs the runner-up
+eigenvalue, the decay target (largest real part) and every refused
+shift-invert solve use a full LAPACK diagonalization instead. Larger
+problems go to restarted Arnoldi (ARPACK), with a logged dense fallback when
+it fails. Sweeping the active site back and forth relaxes the state onto the
+eigenvector, with the trace constraints enforced by rank-one penalty
+projectors during warm-up.
 
 Harmonic blocks ``n`` couple only through the transfer components ``q``, so
 every local operation is one contraction batched over ``(q, n)``: the sweep
@@ -32,6 +37,7 @@ import warnings
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from .freqspace import FloquetDensityMatrix, FloquetMPO, initial_guess
@@ -90,13 +96,17 @@ class SweepStage:
 
 CONVERGENCE_TOL = 1e-3  # edge-harmonic weight and Hermiticity defect that warn
 WEIGHT_CUTOFF = 1e-12  # relative singular-value cutoff of every truncation
-KRYLOV_DIM = 36  # ARPACK basis size of a first attempt; a retry doubles it
+KRYLOV_DIM = 36  # ARPACK basis of a first attempt (a retry doubles it); shift-invert step budget
 ARPACK_MAXITER = 600  # ARPACK restarts of a first attempt; a retry doubles them
 DENSE_LOCAL_HARD_CAP = 4096  # largest local problem densified after ARPACK fails
 DEGENERACY_TOL = 1e-7  # a second local eigenvalue this close to 0 is degenerate
 # `SiteProblem.dense_matrix` applies the local operator to as many identity
 # columns at once as keep its largest intermediate below this many bytes.
 DENSE_BLOCK_BYTES = 1 << 21
+# Methods a local solve is counted under in `SweepEngine.local_solves`:
+# shift-invert and a full dense `eig` below the dense cutoff, ARPACK above
+# it, and a dense `eig` (or shift-invert) after the method tried first failed.
+LOCAL_METHODS = ("shift_invert", "dense_eig", "arnoldi", "dense_fallback")
 
 
 @dataclass
@@ -105,8 +115,11 @@ class SweepConfig:
 
     `warmup` must end with the production stage (the one whose cutoff and
     bond dimension are the targets); stages must not shrink the cutoff or
-    the bond dimension. Local problems up to `dense_local_cutoff` are solved
-    densely, larger ones with ARPACK.
+    the bond dimension. Local problems up to `dense_local_cutoff` are
+    densified: steady-state solves use shift-invert (LU plus a short Arnoldi
+    on the inverse) and fall back to a full `eig` when it is refused; the
+    degeneracy check and the decay target always use `eig`. Larger problems
+    go to ARPACK.
     """
 
     warmup: list = field(default_factory=list)
@@ -258,7 +271,8 @@ class SweepEngine:
       lacks.
 
     `discarded_weight` sums the relative weight that two-site updates
-    truncate away; callers reset it to measure one sweep.
+    truncate away; callers reset it to measure one sweep. `local_solves`
+    counts the engine's local solves by method (keys `LOCAL_METHODS`).
     """
 
     def __init__(
@@ -307,6 +321,7 @@ class SweepEngine:
             for term in self.rank_one_terms
         ]
         self.discarded_weight = 0.0
+        self.local_solves = dict.fromkeys(LOCAL_METHODS, 0)
         self.version = 0
         self.center = 0
         self._build_environments()
@@ -572,40 +587,116 @@ def _leading(values, vectors, which):
     return values[order[0]], vectors[:, order[0]], second
 
 
+def _shift_invert(mat, v0, tol):
+    """Eigenpair of `mat` nearest zero, from Arnoldi on its inverse.
+
+    Returns ``((theta, vector), None)``, or ``(None, reason)`` when the start
+    vector is zero, the LU factorization is unusable (a zero pivot, which
+    scipy reports with a ``LinAlgWarning``, or non-finite factors) or no Ritz
+    pair of largest ``|1 / theta|`` reaches ``||mat v - theta v|| <= tol
+    ||mat||`` within KRYLOV_DIM steps. An accepted vector is polished by one
+    inverse-iteration step.
+    """
+    norm0 = np.linalg.norm(v0)
+    if not norm0 > 0:
+        return None, "zero start vector"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", sla.LinAlgWarning)
+        try:
+            lu = sla.lu_factor(mat, check_finite=False)
+        except sla.LinAlgWarning as err:
+            return None, str(err)
+    if not np.all(np.isfinite(lu[0])):
+        return None, "non-finite LU factors"
+    dim = mat.shape[0]
+    bound = tol * np.linalg.norm(mat)
+    steps = min(KRYLOV_DIM, dim)
+    basis = np.zeros((dim, steps + 1), dtype=complex)
+    hess = np.zeros((steps + 1, steps), dtype=complex)
+    basis[:, 0] = v0 / norm0
+    for j in range(steps):
+        w = sla.lu_solve(lu, basis[:, j], check_finite=False)
+        span = basis[:, : j + 1]
+        for _ in range(2):  # Gram-Schmidt, repeated to keep the basis orthonormal
+            h = span.conj().T @ w
+            w -= span @ h
+            hess[: j + 1, j] += h
+        hess[j + 1, j] = np.linalg.norm(w)
+        if not np.isfinite(hess[j + 1, j]):
+            return None, "non-finite inverse step"
+        mu, ritz = sla.eig(hess[: j + 1, : j + 1])
+        top = np.argmax(np.abs(mu))
+        if mu[top] != 0:
+            theta = 1.0 / mu[top]
+            vec = span @ ritz[:, top]
+            vec /= np.linalg.norm(vec)
+            if np.linalg.norm(mat @ vec - theta * vec) <= bound:
+                vec = sla.lu_solve(lu, vec, check_finite=False)
+                return (theta, vec / np.linalg.norm(vec)), None
+        if hess[j + 1, j] == 0:
+            break  # invariant subspace: more steps add nothing
+        basis[:, j + 1] = w / hess[j + 1, j]
+    return None, f"no Ritz pair accepted within {j + 1} steps"
+
+
 def _local_eigensolve(problem: SiteProblem, v0, which, tol, dense_cutoff, want_second=False):
     """Solve the local eigenproblem, returning ``(theta, vector, theta2)``.
 
-    Problems up to `dense_cutoff` are densified outright. Larger ones go to
-    ARPACK with the previous tensor as the starting vector, and once more
-    with twice the Krylov space and restarts if that fails; a partial,
-    unconverged result is never used. After two failures, problems up to
-    DENSE_LOCAL_HARD_CAP are densified with a WARNING log, larger ones raise
-    :class:`EigensolverBreakdown`.
+    Problems up to `dense_cutoff` are densified outright. The steady-state
+    target (``"nearest_zero"`` without `want_second`) is solved by
+    shift-invert (:func:`_shift_invert`), which resolves no runner-up, so
+    `theta2` is None; a refused shift-invert solve (singular or non-finite
+    LU, zero start vector, no accepted pair) is logged at DEBUG and falls
+    back to a full ``np.linalg.eig``. Degeneracy checks (`want_second`) and
+    the ``"largest_real"`` target always use ``np.linalg.eig``.
+
+    Larger problems go to ARPACK with the previous tensor as the starting
+    vector, and once more with twice the Krylov space and restarts if that
+    fails; a partial, unconverged result is never used. After two failures,
+    problems up to DENSE_LOCAL_HARD_CAP are solved densely as above, with a
+    WARNING log, larger ones raise :class:`EigensolverBreakdown`.
+
+    Each solve is counted in ``problem.engine.local_solves`` under the
+    method that answered it, or under ``"dense_fallback"`` when the method
+    tried first failed.
     """
     dim = problem.dim
+    counts = problem.engine.local_solves
     k = 2 if want_second else 1
+    fallback = False
     if dim > max(dense_cutoff, k + 2):
         arpack_which = "SM" if which == "nearest_zero" else "LR"
         norm0 = np.linalg.norm(v0)
-        v0 = None if norm0 == 0 else v0 / norm0
+        start = None if norm0 == 0 else v0 / norm0
         for factor in (1, 2):
             try:
                 values, vectors = spla.eigs(
                     spla.LinearOperator((dim, dim), matvec=problem.matvec, dtype=complex),
                     k=k,
                     which=arpack_which,
-                    v0=v0,
+                    v0=start,
                     ncv=min(dim, max(KRYLOV_DIM * factor, 3 * k + 2)),
                     maxiter=ARPACK_MAXITER * factor,
                     tol=tol,
                 )
+                counts["arnoldi"] += 1
                 return _leading(values, vectors, which)
             except spla.ArpackError as err:  # includes ArpackNoConvergence
                 error = err
         if dim > DENSE_LOCAL_HARD_CAP:
             raise EigensolverBreakdown(f"Arnoldi failed at dim {dim}: {error}")
         logger.warning("Arnoldi failed at dim %d (%s); solving densely", dim, error)
-    return _leading(*np.linalg.eig(problem.dense_matrix()), which)
+        fallback = True
+    mat = problem.dense_matrix()
+    if which == "nearest_zero" and not want_second:
+        found, reason = _shift_invert(mat, v0, tol)
+        if found is not None:
+            counts["dense_fallback" if fallback else "shift_invert"] += 1
+            return (*found, None)
+        logger.debug("shift-invert refused at dim %d (%s); solving with eig", dim, reason)
+        fallback = True
+    counts["dense_fallback" if fallback else "dense_eig"] += 1
+    return _leading(*np.linalg.eig(mat), which)
 
 
 def _sweep_sites(length, two_site):
@@ -625,7 +716,8 @@ def _run_sweeps(engine, cfg, stage, which, label, check_degeneracy=False):
 
     `log` holds one entry per sweep under ``"sweep_residuals"``,
     ``"discarded_weight"`` (summed over the sweep's truncations) and
-    ``"max_bond"`` (after the sweep).
+    ``"max_bond"`` (after the sweep), and under ``"local_solves"`` the
+    stage's local solves counted by method (`SweepEngine.local_solves`).
     """
     log = {"sweep_residuals": [], "discarded_weight": [], "max_bond": []}
     history = []
@@ -689,6 +781,7 @@ def _run_sweeps(engine, cfg, stage, which, label, check_degeneracy=False):
             and resid <= 1e-6
         ):
             break
+    log["local_solves"] = dict(engine.local_solves)
     return log, history[-1] if history else None
 
 

@@ -88,9 +88,6 @@ class LocalOperator:
     def support(self):
         return (self.start, self.stop - 1)
 
-    def dagger(self):
-        return LocalOperator(self.start, self.matrix.conj().T, self.site_dim)
-
     def scaled(self, alpha):
         return LocalOperator(self.start, alpha * self.matrix, self.site_dim)
 

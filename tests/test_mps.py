@@ -160,13 +160,6 @@ def test_mpo_adjoint():
     assert np.max(np.abs(adj.to_dense() - mpo.to_dense().conj().T)) < 1e-12
 
 
-def test_mpo_add_and_scale():
-    a = Mpo.from_local_terms(3, 2, [(0, pauli_string("XX"))])
-    b = Mpo.from_local_terms(3, 2, [(1, pauli_string("ZZ"))])
-    combo = a.add(b.scaled(0.5j))
-    assert np.allclose(combo.to_dense(), a.to_dense() + 0.5j * b.to_dense())
-
-
 def test_mpo_compression_reduces_bond():
     # A sum of many overlapping terms assembles with inflated bonds.
     length = 6

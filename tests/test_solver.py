@@ -303,6 +303,94 @@ def test_partial_arpack_result_is_not_accepted(monkeypatch, caplog):
         solver._local_eigensolve(problem, **solve)
 
 
+def ising_l3():
+    return build_driven_ising(IsingBenchmarkParams(chain_length=3, omega=5.0))
+
+
+def counted(**counts):
+    return {**dict.fromkeys(solver.LOCAL_METHODS, 0), **counts}
+
+
+@pytest.mark.parametrize("penalties", [False, True], ids=["bare", "penalized"])
+@pytest.mark.parametrize("two_site", [False, True], ids=["one", "two"])
+@pytest.mark.parametrize("start", ["guess", "random"])
+def test_shift_invert_matches_dense_eig(start, two_site, penalties):
+    # at every site the shift-invert pair is LAPACK's eigenpair nearest zero;
+    # from the noisy guess it takes several Arnoldi steps, and on the random
+    # state the one-site edge problems have that eigenvalue at |theta| ~ 1
+    model = ising_l3()
+    n_c = 1
+    mpo = build_extended_lindbladian(model, n_c)
+    if start == "guess":
+        state = initial_guess(3, 2, n_c, model.omega, noise_amplitude=1e-2, seed=3)
+    else:
+        rng = np.random.default_rng(5)
+        blocks = {n: Mps.random(3, 4, 4, rng, norm=1.0) for n in range(-n_c, n_c + 1)}
+        state = FloquetDensityMatrix(blocks, model.omega, n_c, 3, 2)
+    terms, scalar = _penalty_terms(n_c, 3, model.omega, 2) if penalties else ([], None)
+    for site in range(3 - two_site):
+        engine = SweepEngine(mpo, state, TruncationSpec(), terms, scalar)
+        engine.advance_to(site)
+        problem = engine.site_problem(site, two_site)
+        mat = problem.dense_matrix()
+        values, vectors = np.linalg.eig(mat)
+        best = np.argmin(np.abs(values))
+        theta, vec, second = solver._local_eigensolve(
+            problem, problem.current_vector(), "nearest_zero", tol=1e-11, dense_cutoff=700
+        )
+        assert engine.local_solves == counted(shift_invert=1)
+        assert abs(theta - values[best]) <= 1e-12 * np.linalg.norm(mat)
+        assert abs(np.vdot(vectors[:, best], vec)) >= 1 - 1e-10
+        assert second is None
+
+
+@pytest.mark.parametrize("case", ["singular", "zero_start", "budget"])
+def test_refused_shift_invert_returns_the_eig_answer(case, monkeypatch, caplog):
+    # an exactly singular matrix, a zero start vector and a step budget the
+    # noisy guess cannot meet each fall back to np.linalg.eig and say so
+    model = ising_l3()
+    mpo = build_extended_lindbladian(model, 1)
+    state = initial_guess(3, 2, 1, model.omega, noise_amplitude=1e-2, seed=3)
+    engine = SweepEngine(mpo, state, TruncationSpec())
+    problem = engine.site_problem(0)
+    mat = problem.dense_matrix()
+    v0 = problem.current_vector()
+    if case == "singular":
+        mat[:, 0] = 0.0  # LU meets an exact zero pivot
+        monkeypatch.setattr(problem, "dense_matrix", mat.copy)
+    elif case == "zero_start":
+        v0 = np.zeros_like(v0)
+    else:
+        monkeypatch.setattr(solver, "KRYLOV_DIM", 1)
+    with caplog.at_level(logging.DEBUG, logger="floquet_ness.solver"):
+        theta, vec, second = solver._local_eigensolve(
+            problem, v0, "nearest_zero", tol=1e-11, dense_cutoff=700
+        )
+    expect_theta, expect_vec, expect_second = solver._leading(*np.linalg.eig(mat), "nearest_zero")
+    assert theta == expect_theta and second == expect_second
+    assert np.array_equal(vec, expect_vec)
+    assert engine.local_solves == counted(dense_fallback=1)
+    assert any(
+        r.levelno == logging.DEBUG and "shift-invert refused" in r.getMessage() for r in caplog.records
+    )
+
+
+def test_stage_log_counts_local_solves_by_method():
+    # every local solve is counted once, under the method that answered it:
+    # shift-invert, except the degeneracy check at the centre site of the
+    # production stage, which needs the runner-up eigenvalue from eig
+    _, report = solve_ness(ising_l3(), quick_config(1, 8))
+    last = len(report.stage_log) - 1
+    for idx, entry in enumerate(report.stage_log):
+        counts = entry["local_solves"]
+        sweeps = len(entry["sweep_residuals"])
+        assert sum(counts.values()) == sweeps * len(solver._sweep_sites(3, entry["two_site"]))
+        checks = 2 * sweeps if idx == last else 0  # the centre site, once per direction
+        assert counts == counted(dense_eig=checks, shift_invert=sum(counts.values()) - checks)
+    logged = json.loads(json.dumps(report.to_dict()))["stage_log"]
+    assert [e["local_solves"] for e in logged] == [e["local_solves"] for e in report.stage_log]
+
+
 def test_stage_log_reports_discarded_weight_and_bond():
     # chi=2 binds on the L=3 chain (bonds up to 4): two-site warm-up
     # sweeps truncate and must say how much
@@ -329,6 +417,9 @@ def test_decay_mode_amplitude_damping():
     assert abs(decay.tau_relax - 2.0 / gamma) < 1e-7
     assert decay.identity_overlap < 1e-8
     assert decay.steady_overlap < 1e-6
+    # the largest_real target is never shift-inverted
+    for entry in decay.report.stage_log:
+        assert entry["local_solves"]["dense_eig"] == sum(entry["local_solves"].values()) > 0
 
 
 def test_decay_mode_conjugate_pair():
