@@ -73,15 +73,6 @@ class FloquetDensityMatrix:
             return self.blocks[n]
         return Mps.zeros(self.chain_length, self.phys_dim)
 
-    def copy(self):
-        return FloquetDensityMatrix(
-            {n: b.copy() for n, b in self.blocks.items()},
-            self.omega,
-            self.cutoff,
-            self.chain_length,
-            self.site_dim,
-        )
-
     def scaled(self, alpha):
         return FloquetDensityMatrix(
             {n: b.scaled(alpha) for n, b in self.blocks.items()},
@@ -101,9 +92,6 @@ class FloquetDensityMatrix:
 
     def norm(self):
         return float(np.sqrt(max(self.inner(self).real, 0.0)))
-
-    def max_bond(self):
-        return max((b.max_bond for b in self.blocks.values()), default=1)
 
     def dagger_reflect(self):
         """Blockwise adjoint ``rho^n -> (rho^(-n))^dag`` of the represented operator."""
@@ -243,10 +231,6 @@ class FloquetMPO:
     @property
     def phys_dim(self):
         return self.site_dim * self.site_dim
-
-    @property
-    def transfers(self):
-        return sorted(self.components)
 
     @property
     def max_bond(self):

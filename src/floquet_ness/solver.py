@@ -9,13 +9,15 @@ ordinary (non-Hermitian) local eigenproblem. Local problems up to
 ``SweepConfig.dense_local_cutoff`` are densified. The steady-state target
 (the eigenvalue nearest zero) is then found by shift-invert: one LU
 factorization and a short Arnoldi run on the inverse, accepted only on a
-small true residual. The degeneracy check, which needs the runner-up
-eigenvalue, the decay target (largest real part) and every refused
+small true residual. The decay target (largest real part) and every refused
 shift-invert solve use a full LAPACK diagonalization instead. Larger
 problems go to restarted Arnoldi (ARPACK), with a logged dense fallback when
 it fails. Sweeping the active site back and forth relaxes the state onto the
 eigenvector, with the trace constraints enforced by rank-one penalty
-projectors during warm-up.
+projectors during warm-up. Degeneracy of the steady state is checked once,
+after the sweeps: the converged state is deflated out of the centre-site
+problem (Wielandt), and that problem's eigenvalue nearest zero must not
+vanish.
 
 Harmonic blocks ``n`` couple only through the transfer components ``q``, so
 every local operation is one contraction batched over ``(q, n)``: the sweep
@@ -99,7 +101,7 @@ WEIGHT_CUTOFF = 1e-12  # relative singular-value cutoff of every truncation
 KRYLOV_DIM = 36  # ARPACK basis of a first attempt (a retry doubles it); shift-invert step budget
 ARPACK_MAXITER = 600  # ARPACK restarts of a first attempt; a retry doubles them
 DENSE_LOCAL_HARD_CAP = 4096  # largest local problem densified after ARPACK fails
-DEGENERACY_TOL = 1e-7  # a second local eigenvalue this close to 0 is degenerate
+DEGENERACY_TOL = 1e-7  # a deflated local eigenvalue this close to 0 is degenerate
 # `SiteProblem.dense_matrix` applies the local operator to as many identity
 # columns at once as keep its largest intermediate below this many bytes.
 DENSE_BLOCK_BYTES = 1 << 21
@@ -116,10 +118,10 @@ class SweepConfig:
     `warmup` must end with the production stage (the one whose cutoff and
     bond dimension are the targets); stages must not shrink the cutoff or
     the bond dimension. Local problems up to `dense_local_cutoff` are
-    densified: steady-state solves use shift-invert (LU plus a short Arnoldi
-    on the inverse) and fall back to a full `eig` when it is refused; the
-    degeneracy check and the decay target always use `eig`. Larger problems
-    go to ARPACK.
+    densified: steady-state solves, the degeneracy check included, use
+    shift-invert (LU plus a short Arnoldi on the inverse) and fall back to a
+    full `eig` when it is refused; the decay target always uses `eig`.
+    Larger problems go to ARPACK.
     """
 
     warmup: list = field(default_factory=list)
@@ -324,7 +326,15 @@ class SweepEngine:
         self.local_solves = dict.fromkeys(LOCAL_METHODS, 0)
         self.version = 0
         self.center = 0
-        self._build_environments()
+        # environments, the right ones absorbed from the last site inward
+        nq, nh = len(self.transfers), len(self.harmonics)
+        tail = [None] * self.length
+        self.env_left = [np.ones((nq, nh, 1, 1, 1), dtype=complex)] + tail
+        self.env_right = tail[1:] + [self.env_left[0], None]
+        self.vec_left = [[np.ones((nh, 1, 1), dtype=complex)] + tail for _ in self.rank_one_terms]
+        self.vec_right = [tail[1:] + [vl[0], None] for vl in self.vec_left]
+        for i in range(self.length - 1, 0, -1):
+            self._update_right(i)
 
     # -- state access --------------------------------------------------------
 
@@ -349,16 +359,6 @@ class SweepEngine:
         return _padded([self.blocks[n][i].transpose(1, 0, 2) for n in self.harmonics], extra=1)
 
     # -- environments ---------------------------------------------------------
-
-    def _build_environments(self):
-        nq, nh = len(self.transfers), len(self.harmonics)
-        tail = [None] * self.length
-        self.env_left = [np.ones((nq, nh, 1, 1, 1), dtype=complex)] + tail
-        self.env_right = tail[1:] + [self.env_left[0], None]
-        self.vec_left = [[np.ones((nh, 1, 1), dtype=complex)] + tail for _ in self.rank_one_terms]
-        self.vec_right = [tail[1:] + [vl[0], None] for vl in self.vec_left]
-        for i in range(self.length - 1, 0, -1):
-            self._update_right(i)
 
     def _operands(self, i):
         """Site `i` as ``[n, l, (p r)]``, its bra ``[n, (l p), r]`` and the kets
@@ -463,11 +463,12 @@ class SweepEngine:
             self.center = i
 
     def rescale(self, alpha):
+        """Scale the state at its orthogonality center. A problem at the
+        center reads no environment containing that site, and moving the
+        center rebuilds the ones that do, so no environment is refreshed."""
         self.version += 1
         for n in self.harmonics:
-            self.blocks[n][0] = alpha * self.blocks[n][0]
-        # pure rescaling keeps the gauge; refresh environments cheaply
-        self._build_environments()
+            self.blocks[n][self.center] = alpha * self.blocks[n][self.center]
 
 
 class SiteProblem:
@@ -578,13 +579,12 @@ class SiteProblem:
 
 
 def _leading(values, vectors, which):
-    """Targeted eigenpair and the runner-up eigenvalue (None if there is none)."""
+    """Targeted eigenpair ``(theta, vector)``."""
     if which == "nearest_zero":
         order = np.argsort(np.abs(values))
     else:
         order = np.argsort(-values.real)
-    second = values[order[1]] if values.size > 1 else None
-    return values[order[0]], vectors[:, order[0]], second
+    return values[order[0]], vectors[:, order[0]]
 
 
 def _shift_invert(mat, v0, tol):
@@ -639,22 +639,21 @@ def _shift_invert(mat, v0, tol):
     return None, f"no Ritz pair accepted within {j + 1} steps"
 
 
-def _local_eigensolve(problem: SiteProblem, v0, which, tol, dense_cutoff, want_second=False):
-    """Solve the local eigenproblem, returning ``(theta, vector, theta2)``.
+def _local_eigensolve(problem: SiteProblem, v0, which, tol, dense_cutoff):
+    """Solve the local eigenproblem, returning ``(theta, vector)``.
 
     Problems up to `dense_cutoff` are densified outright. The steady-state
-    target (``"nearest_zero"`` without `want_second`) is solved by
-    shift-invert (:func:`_shift_invert`), which resolves no runner-up, so
-    `theta2` is None; a refused shift-invert solve (singular or non-finite
-    LU, zero start vector, no accepted pair) is logged at DEBUG and falls
-    back to a full ``np.linalg.eig``. Degeneracy checks (`want_second`) and
-    the ``"largest_real"`` target always use ``np.linalg.eig``.
+    target ``"nearest_zero"`` is solved by shift-invert
+    (:func:`_shift_invert`); a refused shift-invert solve (singular or
+    non-finite LU, zero start vector, no accepted pair) is logged at DEBUG
+    and falls back to a full ``np.linalg.eig``. The ``"largest_real"``
+    target always uses ``np.linalg.eig``.
 
-    Larger problems go to ARPACK with the previous tensor as the starting
-    vector, and once more with twice the Krylov space and restarts if that
-    fails; a partial, unconverged result is never used. After two failures,
-    problems up to DENSE_LOCAL_HARD_CAP are solved densely as above, with a
-    WARNING log, larger ones raise :class:`EigensolverBreakdown`.
+    Larger problems go to ARPACK with `v0` as the starting vector, and once
+    more with twice the Krylov space and restarts if that fails; a partial,
+    unconverged result is never used. After two failures, problems up to
+    DENSE_LOCAL_HARD_CAP are solved densely as above, with a WARNING log,
+    larger ones raise :class:`EigensolverBreakdown`.
 
     Each solve is counted in ``problem.engine.local_solves`` under the
     method that answered it, or under ``"dense_fallback"`` when the method
@@ -662,9 +661,8 @@ def _local_eigensolve(problem: SiteProblem, v0, which, tol, dense_cutoff, want_s
     """
     dim = problem.dim
     counts = problem.engine.local_solves
-    k = 2 if want_second else 1
     fallback = False
-    if dim > max(dense_cutoff, k + 2):
+    if dim > max(dense_cutoff, 3):  # ARPACK needs dim > k + 2 for k = 1
         arpack_which = "SM" if which == "nearest_zero" else "LR"
         norm0 = np.linalg.norm(v0)
         start = None if norm0 == 0 else v0 / norm0
@@ -672,10 +670,10 @@ def _local_eigensolve(problem: SiteProblem, v0, which, tol, dense_cutoff, want_s
             try:
                 values, vectors = spla.eigs(
                     spla.LinearOperator((dim, dim), matvec=problem.matvec, dtype=complex),
-                    k=k,
+                    k=1,
                     which=arpack_which,
                     v0=start,
-                    ncv=min(dim, max(KRYLOV_DIM * factor, 3 * k + 2)),
+                    ncv=min(dim, KRYLOV_DIM * factor),
                     maxiter=ARPACK_MAXITER * factor,
                     tol=tol,
                 )
@@ -688,15 +686,20 @@ def _local_eigensolve(problem: SiteProblem, v0, which, tol, dense_cutoff, want_s
         logger.warning("Arnoldi failed at dim %d (%s); solving densely", dim, error)
         fallback = True
     mat = problem.dense_matrix()
-    if which == "nearest_zero" and not want_second:
+    if which == "nearest_zero":
         found, reason = _shift_invert(mat, v0, tol)
         if found is not None:
             counts["dense_fallback" if fallback else "shift_invert"] += 1
-            return (*found, None)
+            return found
         logger.debug("shift-invert refused at dim %d (%s); solving with eig", dim, reason)
         fallback = True
     counts["dense_fallback" if fallback else "dense_eig"] += 1
     return _leading(*np.linalg.eig(mat), which)
+
+
+def _local_tol(cfg):
+    """ARPACK tolerance and shift-invert residual bound of every local solve."""
+    return min(cfg.eig_tol * 1e-1, 1e-9)
 
 
 def _sweep_sites(length, two_site):
@@ -711,7 +714,7 @@ def _sweep_sites(length, two_site):
     return sites
 
 
-def _run_sweeps(engine, cfg, stage, which, label, check_degeneracy=False):
+def _run_sweeps(engine, cfg, stage, which, label):
     """Sweep until the local eigenvalue settles; returns ``(log, theta)``.
 
     `log` holds one entry per sweep under ``"sweep_residuals"``,
@@ -728,25 +731,13 @@ def _run_sweeps(engine, cfg, stage, which, label, check_degeneracy=False):
         engine.discarded_weight = 0.0
         for site, direction in _sweep_sites(engine.length, use_two):
             problem = engine.site_problem(site, use_two)
-            v0 = problem.current_vector()
-            want_second = (
-                check_degeneracy
-                and which == "nearest_zero"
-                and site == engine.length // 2
-            )
-            theta, vec, second = _local_eigensolve(
+            theta, vec = _local_eigensolve(
                 problem,
-                v0,
+                problem.current_vector(),
                 which,
-                tol=min(cfg.eig_tol * 1e-1, 1e-9),
+                tol=_local_tol(cfg),
                 dense_cutoff=cfg.dense_local_cutoff,
-                want_second=want_second,
             )
-            if want_second and second is not None and abs(second) < DEGENERACY_TOL:
-                raise DegenerateSteadyStateError(
-                    f"two near-zero local eigenvalues ({theta:.2e}, {second:.2e}); "
-                    "steady space looks degenerate"
-                )
             engine.set_site(
                 site,
                 problem.unpack(vec),
@@ -833,17 +824,44 @@ def _penalty_terms(cutoff, chain_length, omega, site_dim):
     return terms, scalar
 
 
+def _deflated_check(mpo, state, cfg, rng):
+    """Eigenvalue nearest zero of the centre-site problem with `state` deflated.
+
+    The coupled term ``-P0 |rho><rho| / ||rho||^2`` moves the local
+    eigenvalue of the converged state `rho` to about ``-P0`` and leaves every
+    other local eigenvalue in place (Wielandt deflation), so what remains
+    nearest zero is the runner-up of the undeflated problem. It is found by
+    the ordinary steady-state local solve from a random start drawn from
+    `rng`. Returns ``(theta, local_solves)``; raises
+    :class:`DegenerateSteadyStateError` when ``|theta| < DEGENERACY_TOL``.
+    """
+    deflation = RankOneTerm(-PENALTY_P0 / state.norm() ** 2, state)
+    engine = SweepEngine(mpo, state, TruncationSpec(), [deflation])
+    centre = state.chain_length // 2
+    engine.advance_to(centre)
+    problem = engine.site_problem(centre)
+    v0 = rng.standard_normal(problem.dim) + 1j * rng.standard_normal(problem.dim)
+    theta, _ = _local_eigensolve(problem, v0, "nearest_zero", _local_tol(cfg), cfg.dense_local_cutoff)
+    if abs(theta) < DEGENERACY_TOL:
+        raise DegenerateSteadyStateError(
+            f"deflated centre-site eigenvalue {theta:.2e} is near zero; "
+            "steady space looks degenerate"
+        )
+    return theta, engine.local_solves
+
+
 def solve_ness(model: ModelSpec, cfg: SweepConfig):
     """Sweep the frequency-space zero mode of the model's generator.
 
     Runs the warm-up schedule with the trace penalties on, then the
     production stage with penalties removed, and returns the trace-normalized
-    state with a :class:`SolveReport`. Raises
-    :class:`DegenerateSteadyStateError` when a second near-zero local mode
-    appears in the production stage, and restarts a stage once with fresh
-    noise (degeneracy check included) if the inner eigensolver breaks down.
-    The report warns about weight in the edge harmonic, Hermiticity defects
-    and a final residual above tolerance.
+    state with a :class:`SolveReport`. A stage is restarted once with fresh
+    noise if the inner eigensolver breaks down. The generator MPO is built
+    once per distinct cutoff. After the last stage, :func:`_deflated_check`
+    raises :class:`DegenerateSteadyStateError` when the steady state is
+    degenerate; the last `stage_log` entry records its ``"degeneracy_gap"``
+    and counts its local solve. The report warns about weight in the edge
+    harmonic, Hermiticity defects and a final residual above tolerance.
     """
     cfg.validate()
     model.validate()
@@ -859,13 +877,14 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
         seed=cfg.seed,
     )
     final_theta = None
-    last = len(cfg.warmup) - 1
+    mpo = None
     for idx, stage in enumerate(cfg.warmup):
-        with warnings.catch_warnings():
-            if idx < last:
-                # warm-up stages intentionally run under-resolved cutoffs
-                warnings.simplefilter("ignore", UserWarning)
-            mpo = build_extended_lindbladian(model, stage.n_c)
+        if mpo is None or mpo.cutoff != stage.n_c:
+            with warnings.catch_warnings():
+                if stage.n_c < cfg.warmup[-1].n_c:
+                    # warm-up stages intentionally run under-resolved cutoffs
+                    warnings.simplefilter("ignore", UserWarning)
+                mpo = build_extended_lindbladian(model, stage.n_c)
         state = _embed_state(state, stage.n_c, cfg.noise_amplitude, rng)
         terms, scalar = ([], None)
         if stage.penalties_on:
@@ -881,30 +900,23 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
         }
         try:
             engine = SweepEngine(mpo, state, trunc, terms, scalar)
-            log, final_theta = _run_sweeps(
-                engine,
-                cfg,
-                stage,
-                "nearest_zero",
-                label=f"stage {idx}",
-                check_degeneracy=idx == last,
-            )
+            log, final_theta = _run_sweeps(engine, cfg, stage, "nearest_zero", label=f"stage {idx}")
         except EigensolverBreakdown:
             logger.warning("eigensolver breakdown in stage %d; restarting with noise", idx)
             state = _embed_state(state, stage.n_c, max(cfg.noise_amplitude, 1e-4), rng)
             engine = SweepEngine(mpo, state, trunc, terms, scalar)
             log, final_theta = _run_sweeps(
-                engine,
-                cfg,
-                stage,
-                "nearest_zero",
-                label=f"stage {idx} retry",
-                check_degeneracy=idx == last,
+                engine, cfg, stage, "nearest_zero", label=f"stage {idx} retry"
             )
         state = engine.state()
         stage_info.update(log)
         report.stage_log.append(stage_info)
         report.sweep_residuals.extend(log["sweep_residuals"])
+    theta, solves = _deflated_check(mpo, state, cfg, rng)
+    production = report.stage_log[-1]
+    production["degeneracy_gap"] = float(abs(theta))
+    for method, count in solves.items():
+        production["local_solves"][method] += count
     # exact trace normalization (fixes the overall phase as well)
     t0 = state.block_trace(0)
     if abs(t0) < 1e-12:

@@ -10,10 +10,12 @@ from floquet_ness.liouvillian import extended_null_vector
 from floquet_ness.models import IsingBenchmarkParams, build_driven_ising
 from floquet_ness.mps import Mps
 from floquet_ness.observables import (
+    ObservableSeries,
     averaged_correlation_profile,
     correlation_profile,
     expectation_series,
     ness_entropy_and_beta_eff,
+    period_averaged_error,
     write_profile_csv,
     write_report_json,
     write_series_csv,
@@ -95,6 +97,26 @@ def read_commented_csv(path):
         rows = list(csv.reader(fh))
     assert first.startswith("# ")
     return json.loads(first[2:]), rows
+
+
+def test_period_averaged_error_matches_analytic_mean():
+    # |sin(omega t)| averages to 2 / pi over whole half-periods; the grid
+    # holds every zero, so the trapezoid rule errs by O(h^2) only
+    omega = 5.0
+    period = 2 * np.pi / omega
+    times = np.linspace(0.0, 2 * period, 4001)
+    drive = ObservableSeries(times, 0.3 + np.sin(omega * times), "drive", period)
+    offset = ObservableSeries(times, np.full(times.size, 0.3), "offset", period)
+    assert period_averaged_error(drive, offset) == pytest.approx(2 / np.pi, rel=1e-5)
+    assert period_averaged_error(offset, offset) == 0.0
+    with pytest.raises(ValueError, match="grids"):
+        period_averaged_error(drive, ObservableSeries(times + 1e-3, offset.values, "late", period))
+    half = times <= period / 2
+    with pytest.raises(ValueError, match="period"):
+        period_averaged_error(
+            ObservableSeries(times[half], drive.values[half], "drive", period),
+            ObservableSeries(times[half], offset.values[half], "offset", period),
+        )
 
 
 def test_write_series_csv_round_trip(ising, tmp_path):

@@ -1,5 +1,6 @@
 import json
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from floquet_ness.liouvillian import (
     extended_null_vector,
 )
 from floquet_ness.mps import Mps
-from floquet_ness.models import IsingBenchmarkParams, build_driven_ising
+from floquet_ness.models import DTCParams, IsingBenchmarkParams, build_driven_ising, build_dtc_model
 from floquet_ness import solver
 from floquet_ness.solver import (
     PENALTY_DELTA,
@@ -245,6 +246,26 @@ def test_solve_ness_driven_ising_l3_matches_dense():
     assert report.fixed_point_residual < 1e-7
 
 
+def test_solve_ness_builds_one_mpo_per_cutoff(monkeypatch):
+    # cutoffs 0, 1, 1: two builds, and the drive's second harmonic is
+    # reported once, at the production cutoff, not for the warm-up at 0
+    drive = {n: [LocalOperator(0, 0.3 * PAULI["X"])] for n in (-2, 2)}
+    model = ModelSpec(1, 4.0, drive, {"d": {0: LocalOperator(0, SM)}}).validate()
+    cutoffs = []
+
+    def build(model, n_c):
+        cutoffs.append(n_c)
+        return build_extended_lindbladian(model, n_c)
+
+    monkeypatch.setattr(solver, "build_extended_lindbladian", build)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        solve_ness(model, quick_config(1, 4))
+    assert cutoffs == [0, 1]
+    messages = [str(w.message) for w in caught if "exceed the frequency cutoff" in str(w.message)]
+    assert len(messages) == 1 and "n_c=1;" in messages[0]
+
+
 def test_solve_ness_detects_degenerate_steady_space():
     model = ModelSpec(
         1, 2.0, {}, {"z": {0: LocalOperator(0, PAULI["Z"])}}
@@ -255,19 +276,21 @@ def test_solve_ness_detects_degenerate_steady_space():
 
 
 def test_breakdown_retry_keeps_degeneracy_check(monkeypatch):
-    # the restart after an eigensolver breakdown must still look for a
-    # second near-zero mode in the production stage
+    # a breakdown in the production stage restarts it; the degeneracy
+    # check after the restart must still find the second zero mode
     model = ModelSpec(
         1, 2.0, {}, {"z": {0: LocalOperator(0, PAULI["Z"])}}
     ).validate()
     original = solver._local_eigensolve
     injected = []
 
-    def breaks_once(problem, v0, which, *args, want_second=False, **kwargs):
-        if want_second and not injected:
+    def breaks_once(problem, *args, **kwargs):
+        engine = problem.engine
+        production = engine.scalar_coefficient is None and not engine.rank_one_terms
+        if production and not injected:
             injected.append(problem.dim)
             raise EigensolverBreakdown("injected breakdown")
-        return original(problem, v0, which, *args, want_second=want_second, **kwargs)
+        return original(problem, *args, **kwargs)
 
     monkeypatch.setattr(solver, "_local_eigensolve", breaks_once)
     with pytest.raises(DegenerateSteadyStateError):
@@ -292,7 +315,7 @@ def test_partial_arpack_result_is_not_accepted(monkeypatch, caplog):
     monkeypatch.setattr(solver.spla, "eigs", partial)
     solve = dict(v0=problem.current_vector(), which="nearest_zero", tol=1e-10, dense_cutoff=4)
     with caplog.at_level(logging.WARNING, logger="floquet_ness.solver"):
-        theta, _, _ = solver._local_eigensolve(problem, **solve)
+        theta, _ = solver._local_eigensolve(problem, **solve)
     values = np.linalg.eigvals(problem.dense_matrix())
     assert abs(theta - values[np.argmin(np.abs(values))]) < 1e-12
     assert abs(theta) < 1e-10
@@ -335,13 +358,12 @@ def test_shift_invert_matches_dense_eig(start, two_site, penalties):
         mat = problem.dense_matrix()
         values, vectors = np.linalg.eig(mat)
         best = np.argmin(np.abs(values))
-        theta, vec, second = solver._local_eigensolve(
+        theta, vec = solver._local_eigensolve(
             problem, problem.current_vector(), "nearest_zero", tol=1e-11, dense_cutoff=700
         )
         assert engine.local_solves == counted(shift_invert=1)
         assert abs(theta - values[best]) <= 1e-12 * np.linalg.norm(mat)
         assert abs(np.vdot(vectors[:, best], vec)) >= 1 - 1e-10
-        assert second is None
 
 
 @pytest.mark.parametrize("case", ["singular", "zero_start", "budget"])
@@ -363,11 +385,11 @@ def test_refused_shift_invert_returns_the_eig_answer(case, monkeypatch, caplog):
     else:
         monkeypatch.setattr(solver, "KRYLOV_DIM", 1)
     with caplog.at_level(logging.DEBUG, logger="floquet_ness.solver"):
-        theta, vec, second = solver._local_eigensolve(
+        theta, vec = solver._local_eigensolve(
             problem, v0, "nearest_zero", tol=1e-11, dense_cutoff=700
         )
-    expect_theta, expect_vec, expect_second = solver._leading(*np.linalg.eig(mat), "nearest_zero")
-    assert theta == expect_theta and second == expect_second
+    expect_theta, expect_vec = solver._leading(*np.linalg.eig(mat), "nearest_zero")
+    assert theta == expect_theta
     assert np.array_equal(vec, expect_vec)
     assert engine.local_solves == counted(dense_fallback=1)
     assert any(
@@ -377,18 +399,44 @@ def test_refused_shift_invert_returns_the_eig_answer(case, monkeypatch, caplog):
 
 def test_stage_log_counts_local_solves_by_method():
     # every local solve is counted once, under the method that answered it:
-    # shift-invert, except the degeneracy check at the centre site of the
-    # production stage, which needs the runner-up eigenvalue from eig
+    # all by shift-invert, the production stage's count including the one
+    # solve of the deflated degeneracy check
     _, report = solve_ness(ising_l3(), quick_config(1, 8))
     last = len(report.stage_log) - 1
     for idx, entry in enumerate(report.stage_log):
         counts = entry["local_solves"]
         sweeps = len(entry["sweep_residuals"])
-        assert sum(counts.values()) == sweeps * len(solver._sweep_sites(3, entry["two_site"]))
-        checks = 2 * sweeps if idx == last else 0  # the centre site, once per direction
-        assert counts == counted(dense_eig=checks, shift_invert=sum(counts.values()) - checks)
+        check = 1 if idx == last else 0
+        solves = sweeps * len(solver._sweep_sites(3, entry["two_site"])) + check
+        assert counts == counted(shift_invert=solves)
+        assert ("degeneracy_gap" in entry) == bool(check)
+    assert report.stage_log[-1]["degeneracy_gap"] > solver.DEGENERACY_TOL
     logged = json.loads(json.dumps(report.to_dict()))["stage_log"]
     assert [e["local_solves"] for e in logged] == [e["local_solves"] for e in report.stage_log]
+    assert logged[-1]["degeneracy_gap"] == report.stage_log[-1]["degeneracy_gap"]
+
+
+@pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # DTC harmonics exceed n_c = 1
+@pytest.mark.parametrize("chain", ["ising", "dtc"])
+def test_deflated_check_matches_eig_runner_up(chain):
+    # deflating the converged state out of the centre-site problem leaves
+    # the runner-up eigenvalue of the undeflated problem nearest zero
+    model = ising_l3() if chain == "ising" else build_dtc_model(DTCParams(chain_length=3), n_c=1)
+    cfg = quick_config(1, 8)
+    state, report = solve_ness(model, cfg)
+    mpo = build_extended_lindbladian(model, 1)
+    theta, solves = solver._deflated_check(mpo, state, cfg, np.random.default_rng(3))
+    assert solves == counted(shift_invert=1)
+    engine = SweepEngine(mpo, state, TruncationSpec())
+    engine.advance_to(1)
+    mat = engine.site_problem(1).dense_matrix()
+    values = np.linalg.eig(mat)[0]
+    steady, runner_up = values[np.argsort(np.abs(values))[:2]]
+    scale = np.linalg.norm(mat)
+    assert abs(steady) <= 1e-8 * scale
+    assert abs(runner_up) > solver.DEGENERACY_TOL
+    assert abs(theta - runner_up) <= 1e-8 * scale
+    assert abs(report.stage_log[-1]["degeneracy_gap"] - abs(runner_up)) <= 1e-8 * scale
 
 
 def test_stage_log_reports_discarded_weight_and_bond():
