@@ -13,11 +13,12 @@ small true residual. The decay target (largest real part) and every refused
 shift-invert solve use a full LAPACK diagonalization instead. Larger
 problems go to restarted Arnoldi (ARPACK), with a logged dense fallback when
 it fails. Sweeping the active site back and forth relaxes the state onto the
-eigenvector, with the trace constraints enforced by rank-one penalty
-projectors during warm-up. Degeneracy of the steady state is checked once,
-after the sweeps: the converged state is deflated out of the centre-site
-problem (Wielandt), and that problem's eigenvalue nearest zero must not
-vanish.
+eigenvector of the bare generator. No trace constraint is imposed: the
+shifted copies of the steady state sit at ``i s omega``, ``|s| omega`` away
+from zero, so the eigenvalue nearest zero already singles out the steady
+state. Degeneracy of the steady state is checked once, after the sweeps: the
+converged state is deflated out of the centre-site problem (Wielandt), and
+that problem's eigenvalue nearest zero must not vanish.
 
 Harmonic blocks ``n`` couple only through the transfer components ``q``, so
 every local operation is one contraction batched over ``(q, n)``: the sweep
@@ -92,7 +93,6 @@ class SweepStage:
     n_c: int
     chi: int
     sweeps: int = 4
-    penalties_on: bool = True
     two_site: bool = True
 
 
@@ -102,6 +102,7 @@ KRYLOV_DIM = 36  # ARPACK basis of a first attempt (a retry doubles it); shift-i
 ARPACK_MAXITER = 600  # ARPACK restarts of a first attempt; a retry doubles them
 DENSE_LOCAL_HARD_CAP = 4096  # largest local problem densified after ARPACK fails
 DEGENERACY_TOL = 1e-7  # a deflated local eigenvalue this close to 0 is degenerate
+DEFLATION_SHIFT = 1000.0  # the degeneracy check moves the converged state's eigenvalue to -this
 # `SiteProblem.dense_matrix` applies the local operator to as many identity
 # columns at once as keep its largest intermediate below this many bytes.
 DENSE_BLOCK_BYTES = 1 << 21
@@ -142,36 +143,13 @@ class SweepConfig:
 
 
 def make_warmup_schedule(n_c, chi, warm_sweeps=3, final_sweeps=8):
-    """Standard schedule: two-site warm-up stages with penalties at cutoffs
-    ``0..n_c``, chi ramping up from ``min(chi, 8)``, then a single-site
-    production stage without penalties."""
-    chi_start = min(chi, 8)
-    cutoffs = list(range(0, n_c + 1)) or [0]
-    stages = []
-    n_warm = len(cutoffs)
-    for idx, nc in enumerate(cutoffs):
-        frac = idx / max(n_warm - 1, 1)
-        stage_chi = int(round(chi_start * (chi / chi_start) ** frac))
-        stage_chi = min(chi, max(chi_start, stage_chi))
-        stages.append(
-            SweepStage(
-                n_c=nc,
-                chi=stage_chi,
-                sweeps=warm_sweeps,
-                penalties_on=True,
-                two_site=True,
-            )
-        )
-    stages.append(
-        SweepStage(
-            n_c=n_c,
-            chi=chi,
-            sweeps=final_sweeps,
-            penalties_on=False,
-            two_site=False,
-        )
-    )
-    return stages
+    """Standard schedule, both stages at cutoff `n_c` and bond `chi`:
+    `warm_sweeps` two-site sweeps, which grow the bonds, then `final_sweeps`
+    single-site sweeps."""
+    return [
+        SweepStage(n_c, chi, warm_sweeps, two_site=True),
+        SweepStage(n_c, chi, final_sweeps, two_site=False),
+    ]
 
 
 @dataclass
@@ -212,7 +190,11 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class RankOneTerm:
-    """Penalty projector ``coefficient * |v><v|`` over harmonic blocks.
+    """Rank-one term ``coefficient * |v><v|`` added to the generator.
+
+    The decay solve uses such terms to move the steady state and its shifted
+    copies out of the way, the degeneracy check to deflate the converged
+    state.
 
     With ``coupled`` the projector acts on the full frequency-stacked vector;
     otherwise each block in `vector` carries its own independent projector.
@@ -255,7 +237,7 @@ def _padded(arrays, extra=0):
 
 
 class SweepEngine:
-    """Mutable sweep state: block tensors, environments, penalty frames.
+    """Mutable sweep state: block tensors and environments.
 
     The engine owns copies of the block tensors in mixed-canonical form,
     per harmonic and unpadded (QR and SVD act block by block), and the
@@ -283,7 +265,6 @@ class SweepEngine:
         state: FloquetDensityMatrix,
         trunc: TruncationSpec,
         rank_one_terms=(),
-        scalar_coefficient=None,
     ):
         self.mpo = mpo
         self.trunc = trunc
@@ -294,7 +275,6 @@ class SweepEngine:
         self.cutoff = state.cutoff
         self.harmonics = list(range(-self.cutoff, self.cutoff + 1))
         self.rank_one_terms = list(rank_one_terms)
-        self.scalar_coefficient = scalar_coefficient
         self.blocks = {}
         for n in self.harmonics:
             mps = state.block(n).mixed_canonical(0)
@@ -479,9 +459,9 @@ class SiteProblem:
     `shapes`). `matvec` scatters it into the padded layout
     ``[n, l, p(, p2), r]``, applies the projected generator in one batched
     contraction per environment and per active site, and adds the frequency
-    ramp, the scalar penalty and the rank-one terms; it takes one vector or
-    a ``(dim, k)`` block of columns. Environments are validated against the
-    engine version, so a stale problem object fails loudly.
+    ramp and the rank-one terms; it takes one vector or a ``(dim, k)`` block
+    of columns. Environments are validated against the engine version, so a
+    stale problem object fails loudly.
     """
 
     def __init__(self, engine: SweepEngine, site, two_site):
@@ -498,7 +478,6 @@ class SiteProblem:
         padded = (l,) + (p,) * len(sites) + (r,)
         self._size = int(np.prod(padded))
         positions = np.arange(nh * self._size).reshape((nh,) + padded)
-        scalar = engine.scalar_coefficient(engine) if engine.scalar_coefficient else 0.0
         self.shapes, index, diag = {}, [], []
         for h, n in enumerate(engine.harmonics):
             left, right = engine.blocks[n][site], engine.blocks[n][sites[-1]]
@@ -507,7 +486,7 @@ class SiteProblem:
             # padded positions of the block's entries, in flat [p.., l, r] order
             region = positions[h][: shape[-2], ..., : shape[-1]]
             index.append(np.moveaxis(region, 0, -2).ravel())
-            diag.append(np.full(index[-1].size, engine.mpo.diagonal_coefficient(n) + scalar))
+            diag.append(np.full(index[-1].size, engine.mpo.diagonal_coefficient(n)))
         self._index = np.concatenate(index)
         self._diag = np.concatenate(diag)
         self.dim = self._index.size
@@ -797,45 +776,18 @@ def _embed_state(state, n_c, noise_amplitude, rng):
     )
 
 
-# Warm-up penalty strengths: P0 for the trace of every nonstatic block, P1
-# for the damping that switches on while |Tr rho^0| is below DELTA.
-PENALTY_P0 = 1000.0
-PENALTY_P1 = 1000.0
-PENALTY_DELTA = 0.01
-
-
-def _penalty_terms(cutoff, chain_length, omega, site_dim):
-    """Trace penalties for warm-up stages: block projectors plus global damping.
-
-    Each nonstatic block gets ``-P0 |I><I|``; the whole state gets
-    ``-P1 exp(-|Tr rho^0|^2 / DELTA^2)``, which underflows to exactly 0 once
-    the static block carries trace.
-    """
-    terms = []
-    nonzero = [n for n in range(-cutoff, cutoff + 1) if n != 0]
-    if nonzero:
-        ident = identity_operator_state(chain_length, omega, cutoff, nonzero, site_dim)
-        terms.append(RankOneTerm(-PENALTY_P0, ident, coupled=False))
-
-    def scalar(engine):
-        t0 = engine.block_trace(0)
-        return -PENALTY_P1 * float(np.exp(-(abs(t0) ** 2) / PENALTY_DELTA**2))
-
-    return terms, scalar
-
-
 def _deflated_check(mpo, state, cfg, rng):
     """Eigenvalue nearest zero of the centre-site problem with `state` deflated.
 
-    The coupled term ``-P0 |rho><rho| / ||rho||^2`` moves the local
-    eigenvalue of the converged state `rho` to about ``-P0`` and leaves every
-    other local eigenvalue in place (Wielandt deflation), so what remains
-    nearest zero is the runner-up of the undeflated problem. It is found by
-    the ordinary steady-state local solve from a random start drawn from
-    `rng`. Returns ``(theta, local_solves)``; raises
+    The coupled term ``-DEFLATION_SHIFT |rho><rho| / ||rho||^2`` moves the
+    local eigenvalue of the converged state `rho` to about ``-DEFLATION_SHIFT``
+    and leaves every other local eigenvalue in place (Wielandt deflation), so
+    what remains nearest zero is the runner-up of the undeflated problem. It
+    is found by the ordinary steady-state local solve from a random start
+    drawn from `rng`. Returns ``(theta, local_solves)``; raises
     :class:`DegenerateSteadyStateError` when ``|theta| < DEGENERACY_TOL``.
     """
-    deflation = RankOneTerm(-PENALTY_P0 / state.norm() ** 2, state)
+    deflation = RankOneTerm(-DEFLATION_SHIFT / state.norm() ** 2, state)
     engine = SweepEngine(mpo, state, TruncationSpec(), [deflation])
     centre = state.chain_length // 2
     engine.advance_to(centre)
@@ -853,15 +805,16 @@ def _deflated_check(mpo, state, cfg, rng):
 def solve_ness(model: ModelSpec, cfg: SweepConfig):
     """Sweep the frequency-space zero mode of the model's generator.
 
-    Runs the warm-up schedule with the trace penalties on, then the
-    production stage with penalties removed, and returns the trace-normalized
-    state with a :class:`SolveReport`. A stage is restarted once with fresh
-    noise if the inner eigensolver breaks down. The generator MPO is built
-    once per distinct cutoff. After the last stage, :func:`_deflated_check`
-    raises :class:`DegenerateSteadyStateError` when the steady state is
-    degenerate; the last `stage_log` entry records its ``"degeneracy_gap"``
-    and counts its local solve. The report warns about weight in the edge
-    harmonic, Hermiticity defects and a final residual above tolerance.
+    Runs the stages of ``cfg.warmup`` on the bare generator, each targeting
+    the local eigenvalue nearest zero, and returns the trace-normalized state
+    with a :class:`SolveReport`. An :class:`EigensolverBreakdown` of a local
+    solve propagates. The generator MPO is built once per distinct cutoff,
+    and a stage at a larger cutoff than the last seeds its new harmonics with
+    noise. After the last stage, :func:`_deflated_check` raises
+    :class:`DegenerateSteadyStateError` when the steady state is degenerate;
+    the last `stage_log` entry records its ``"degeneracy_gap"`` and counts
+    its local solve. The report warns about weight in the edge harmonic,
+    Hermiticity defects and a final residual above tolerance.
     """
     cfg.validate()
     model.validate()
@@ -886,31 +839,11 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
                     warnings.simplefilter("ignore", UserWarning)
                 mpo = build_extended_lindbladian(model, stage.n_c)
         state = _embed_state(state, stage.n_c, cfg.noise_amplitude, rng)
-        terms, scalar = ([], None)
-        if stage.penalties_on:
-            terms, scalar = _penalty_terms(
-                stage.n_c, model.chain_length, model.omega, model.site_dim
-            )
         trunc = TruncationSpec(max_rank=stage.chi, weight_cutoff=WEIGHT_CUTOFF)
-        stage_info = {
-            "n_c": stage.n_c,
-            "chi": stage.chi,
-            "penalties_on": stage.penalties_on,
-            "two_site": stage.two_site,
-        }
-        try:
-            engine = SweepEngine(mpo, state, trunc, terms, scalar)
-            log, final_theta = _run_sweeps(engine, cfg, stage, "nearest_zero", label=f"stage {idx}")
-        except EigensolverBreakdown:
-            logger.warning("eigensolver breakdown in stage %d; restarting with noise", idx)
-            state = _embed_state(state, stage.n_c, max(cfg.noise_amplitude, 1e-4), rng)
-            engine = SweepEngine(mpo, state, trunc, terms, scalar)
-            log, final_theta = _run_sweeps(
-                engine, cfg, stage, "nearest_zero", label=f"stage {idx} retry"
-            )
+        engine = SweepEngine(mpo, state, trunc)
+        log, final_theta = _run_sweeps(engine, cfg, stage, "nearest_zero", label=f"stage {idx}")
         state = engine.state()
-        stage_info.update(log)
-        report.stage_log.append(stage_info)
+        report.stage_log.append({"n_c": stage.n_c, "chi": stage.chi, "two_site": stage.two_site, **log})
         report.sweep_residuals.extend(log["sweep_residuals"])
     theta, solves = _deflated_check(mpo, state, cfg, rng)
     production = report.stage_log[-1]
@@ -920,7 +853,7 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
     # exact trace normalization (fixes the overall phase as well)
     t0 = state.block_trace(0)
     if abs(t0) < 1e-12:
-        raise SolverError("converged state carries no trace; penalties failed")
+        raise SolverError("converged state carries no trace in the static block")
     state = state.scaled(1.0 / t0)
     report.final_residual = report.sweep_residuals[-1] if report.sweep_residuals else np.inf
     report.converged = report.final_residual <= cfg.eig_tol
@@ -958,8 +891,8 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
         report.warnings.append(
             f"hermiticity defect {worst_defect:.2e} above tolerance {CONVERGENCE_TOL:.1e}"
         )
-    # fixed-point residual of the unpenalized generator, with the MPO of the
-    # production stage (the model at the final cutoff)
+    # fixed-point residual of the generator, with the MPO of the production
+    # stage (the model at the final cutoff)
     image = mpo.apply(state, TruncationSpec(weight_cutoff=1e-14))
     report.fixed_point_residual = image.norm() / max(state.norm(), 1e-300)
     report.wall_time = time.perf_counter() - start
@@ -1034,12 +967,11 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
             if stage.n_c != n_c:
                 continue  # decay solve runs at the production cutoff only
             trunc = TruncationSpec(max_rank=stage.chi, weight_cutoff=WEIGHT_CUTOFF)
-            engine = SweepEngine(mpo, state, trunc, terms, None)
+            engine = SweepEngine(mpo, state, trunc, terms)
             sweep_stage = SweepStage(
                 n_c=stage.n_c,
                 chi=stage.chi,
                 sweeps=max(stage.sweeps, 4),
-                penalties_on=False,
                 two_site=stage.two_site and model.chain_length > 1,
             )
             log, theta = _run_sweeps(engine, cfg, sweep_stage, "largest_real", label=label)

@@ -17,22 +17,18 @@ from floquet_ness.mps import Mps
 from floquet_ness.models import DTCParams, IsingBenchmarkParams, build_driven_ising, build_dtc_model
 from floquet_ness import solver
 from floquet_ness.solver import (
-    PENALTY_DELTA,
-    PENALTY_P0,
-    PENALTY_P1,
     DegenerateSteadyStateError,
     EigensolverBreakdown,
     StaleEnvironmentError,
     SweepConfig,
     SweepEngine,
     SweepStage,
-    _penalty_terms,
     make_warmup_schedule,
     solve_first_decay_mode,
     solve_ness,
     transient_observable,
 )
-from floquet_ness.superops import PAULI, LocalOperator, vectorize_choi
+from floquet_ness.superops import PAULI, LocalOperator
 from floquet_ness.tensors import TruncationSpec
 
 SM = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -170,31 +166,6 @@ def test_local_operator_matches_dense_projection(two_site, adjoint, terms):
         assert np.max(np.abs(phi @ problem.current_vector() - stacked)) < 1e-12
 
 
-@pytest.mark.parametrize("trace0", [1.0, 0.004])
-def test_local_operator_with_penalties_equals_dense(trace0):
-    # one site: the local problem is the whole extended space, so the
-    # penalized local matrix is the dense generator minus P0 |I><I| in every
-    # nonstatic block and minus the damping P1 exp(-|Tr rho^0|^2 / delta^2)
-    model = single_qubit_model(gamma=0.7, omega_z=1.1, drive=4.0)
-    n_c = 1
-    mpo = build_extended_lindbladian(model, n_c)
-    state = initial_guess(1, 2, n_c, model.omega, noise_amplitude=1e-2, seed=3)
-    state = state.scaled(trace0 / state.block_trace(0))
-    terms, scalar = _penalty_terms(n_c, 1, model.omega, 2)
-    engine = SweepEngine(mpo, state, TruncationSpec(), terms, scalar)
-    assert abs(engine.block_trace(0) - trace0) < 1e-12
-    local = engine.site_problem(0).dense_matrix()
-    kappa = np.exp(-(trace0**2) / PENALTY_DELTA**2)
-    if trace0 == 1.0:
-        assert kappa == 0.0  # the damping underflows once the trace is there
-    expect = dense_extended_lindbladian(model, n_c) - PENALTY_P1 * kappa * np.eye(12)
-    eye = vectorize_choi(np.eye(2))
-    for n in (-1, 1):
-        block = slice((n + n_c) * 4, (n + n_c + 1) * 4)
-        expect[block, block] -= PENALTY_P0 * np.outer(eye, eye)
-    assert np.max(np.abs(local - expect)) < 1e-9
-
-
 def test_stale_problem_rejected():
     model = single_qubit_model()
     mpo = build_extended_lindbladian(model, 0)
@@ -246,6 +217,47 @@ def test_solve_ness_driven_ising_l3_matches_dense():
     assert report.fixed_point_residual < 1e-7
 
 
+def ising_l4():
+    return build_driven_ising(IsingBenchmarkParams(chain_length=4, omega=5.0))
+
+
+def block_error(state, model, n_c):
+    exact = extended_null_vector(model, n_c)
+    got = state.to_dense_blocks()
+    return max(np.max(np.abs(got[n] - exact[n])) for n in exact)
+
+
+@pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # the drive's harmonic 1 exceeds n_c = 0
+def test_solve_ness_ising_l4_full_bond_matches_oracle():
+    # chi = 16 is the exact bond of the L=4 chain; both stages run at it, so
+    # the single-site stage starts from full bonds instead of a smaller warm-up
+    model = ising_l4()
+    state, report = solve_ness(model, quick_config(0, 16))
+    assert report.converged
+    assert block_error(state, model, 0) < 1e-7
+    assert max(report.stage_log[-1]["max_bond"]) == 16
+
+
+# Block error of the chi=4 solve below, measured with the trace penalties and
+# the cutoff ramp that the solver ran before it swept the bare generator.
+BINDING_CHI_ERROR = 2.6352e-2
+
+
+def test_solve_ness_binding_chi_reports_truncation():
+    # chi = 4 is below the exact bond of 16: the solve stays unconverged, every
+    # two-site sweep reports the weight it throws away, and the error stays
+    # where it was; the raised dense cutoff keeps the 768-dimensional two-site
+    # problems off ARPACK
+    model = ising_l4()
+    state, report = solve_ness(model, quick_config(1, 4, dense_local_cutoff=4096))
+    assert not report.converged
+    for entry in report.stage_log:
+        assert max(entry["max_bond"]) == 4
+        if entry["two_site"]:
+            assert min(entry["discarded_weight"]) > 0
+    assert abs(block_error(state, model, 1) - BINDING_CHI_ERROR) <= 0.05 * BINDING_CHI_ERROR
+
+
 def test_solve_ness_builds_one_mpo_per_cutoff(monkeypatch):
     # cutoffs 0, 1, 1: two builds, and the drive's second harmonic is
     # reported once, at the production cutoff, not for the warm-up at 0
@@ -260,7 +272,8 @@ def test_solve_ness_builds_one_mpo_per_cutoff(monkeypatch):
     monkeypatch.setattr(solver, "build_extended_lindbladian", build)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        solve_ness(model, quick_config(1, 4))
+        schedule = [SweepStage(0, 4, 2), SweepStage(1, 4, 2), SweepStage(1, 4, 6, two_site=False)]
+        solve_ness(model, quick_config(1, 4, warmup=schedule))
     assert cutoffs == [0, 1]
     messages = [str(w.message) for w in caught if "exceed the frequency cutoff" in str(w.message)]
     assert len(messages) == 1 and "n_c=1;" in messages[0]
@@ -275,27 +288,24 @@ def test_solve_ness_detects_degenerate_steady_space():
         solve_ness(model, cfg)
 
 
-def test_breakdown_retry_keeps_degeneracy_check(monkeypatch):
-    # a breakdown in the production stage restarts it; the degeneracy
-    # check after the restart must still find the second zero mode
-    model = ModelSpec(
-        1, 2.0, {}, {"z": {0: LocalOperator(0, PAULI["Z"])}}
-    ).validate()
+@pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # the drive's harmonic 1 exceeds n_c = 0
+def test_breakdown_in_production_stage_propagates(monkeypatch):
+    # a local solve is deterministic given its start vector, so a breakdown
+    # would repeat on a restart; solve_ness lets it through instead
     original = solver._local_eigensolve
     injected = []
 
     def breaks_once(problem, *args, **kwargs):
-        engine = problem.engine
-        production = engine.scalar_coefficient is None and not engine.rank_one_terms
+        production = not problem.two_site and not problem.engine.rank_one_terms
         if production and not injected:
             injected.append(problem.dim)
             raise EigensolverBreakdown("injected breakdown")
         return original(problem, *args, **kwargs)
 
     monkeypatch.setattr(solver, "_local_eigensolve", breaks_once)
-    with pytest.raises(DegenerateSteadyStateError):
-        solve_ness(model, quick_config(0, 2))
-    assert injected
+    with pytest.raises(EigensolverBreakdown, match="injected"):
+        solve_ness(ising_l3(), quick_config(0, 4))
+    assert len(injected) == 1
 
 
 def test_partial_arpack_result_is_not_accepted(monkeypatch, caplog):
@@ -340,7 +350,9 @@ def counted(**counts):
 def test_shift_invert_matches_dense_eig(start, two_site, penalties):
     # at every site the shift-invert pair is LAPACK's eigenpair nearest zero;
     # from the noisy guess it takes several Arnoldi steps, and on the random
-    # state the one-site edge problems have that eigenvalue at |theta| ~ 1
+    # state the one-site edge problems have that eigenvalue at |theta| ~ 1;
+    # the penalized cases deflate the state itself, as the degeneracy check
+    # does, with one coupled rank-one term
     model = ising_l3()
     n_c = 1
     mpo = build_extended_lindbladian(model, n_c)
@@ -350,9 +362,9 @@ def test_shift_invert_matches_dense_eig(start, two_site, penalties):
         rng = np.random.default_rng(5)
         blocks = {n: Mps.random(3, 4, 4, rng, norm=1.0) for n in range(-n_c, n_c + 1)}
         state = FloquetDensityMatrix(blocks, model.omega, n_c, 3, 2)
-    terms, scalar = _penalty_terms(n_c, 3, model.omega, 2) if penalties else ([], None)
+    terms = [solver.RankOneTerm(-solver.DEFLATION_SHIFT / state.norm() ** 2, state)] if penalties else []
     for site in range(3 - two_site):
-        engine = SweepEngine(mpo, state, TruncationSpec(), terms, scalar)
+        engine = SweepEngine(mpo, state, TruncationSpec(), terms)
         engine.advance_to(site)
         problem = engine.site_problem(site, two_site)
         mat = problem.dense_matrix()
@@ -557,7 +569,7 @@ def test_normalization_idempotence():
     # one extra production sweep must not move the observables
     mpo = build_extended_lindbladian(model, 1)
     engine = SweepEngine(mpo, state, TruncationSpec(max_rank=4))
-    stage = SweepStage(n_c=1, chi=4, sweeps=1, penalties_on=False, two_site=False)
+    stage = SweepStage(n_c=1, chi=4, sweeps=1, two_site=False)
     solver._run_sweeps(engine, cfg, stage, "nearest_zero", label="extra")
     again = engine.state()
     t0 = again.block_trace(0)
@@ -581,7 +593,6 @@ def test_config_validation():
 
 def test_schedule_builder_monotone():
     stages = make_warmup_schedule(4, 32)
-    cfg = SweepConfig(warmup=stages)
-    cfg.validate()
-    assert stages[-1].penalties_on is False
-    assert stages[-1].n_c == 4 and stages[-1].chi == 32
+    SweepConfig(warmup=stages).validate()
+    assert stages == [SweepStage(4, 32, 3, two_site=True), SweepStage(4, 32, 8, two_site=False)]
+    assert make_warmup_schedule(0, 16, 2, 6) == [SweepStage(0, 16, 2), SweepStage(0, 16, 6, two_site=False)]
