@@ -93,15 +93,6 @@ class FloquetDensityMatrix:
     def norm(self):
         return float(np.sqrt(max(self.inner(self).real, 0.0)))
 
-    def dagger_reflect(self):
-        """Blockwise adjoint ``rho^n -> (rho^(-n))^dag`` of the represented operator."""
-        out = {}
-        for n, b in self.blocks.items():
-            out[-n] = b.dagger_reflect(self.site_dim)
-        return FloquetDensityMatrix(
-            out, self.omega, self.cutoff, self.chain_length, self.site_dim
-        )
-
     def shifted(self, offset):
         """Relabel harmonics ``n -> n + offset``, dropping blocks beyond the cutoff."""
         out = {}

@@ -323,7 +323,7 @@ def test_partial_arpack_result_is_not_accepted(monkeypatch, caplog):
         raise ArpackNoConvergence("injected", np.array([0.5 + 0j]), np.ones((op.shape[0], 1), complex))
 
     monkeypatch.setattr(solver.spla, "eigs", partial)
-    solve = dict(v0=problem.current_vector(), which="nearest_zero", tol=1e-10, dense_cutoff=4)
+    solve = dict(v0=problem.current_vector(), target=0.0, tol=1e-10, dense_cutoff=4)
     with caplog.at_level(logging.WARNING, logger="floquet_ness.solver"):
         theta, _ = solver._local_eigensolve(problem, **solve)
     values = np.linalg.eigvals(problem.dense_matrix())
@@ -371,7 +371,7 @@ def test_shift_invert_matches_dense_eig(start, two_site, penalties):
         values, vectors = np.linalg.eig(mat)
         best = np.argmin(np.abs(values))
         theta, vec = solver._local_eigensolve(
-            problem, problem.current_vector(), "nearest_zero", tol=1e-11, dense_cutoff=700
+            problem, problem.current_vector(), 0.0, tol=1e-11, dense_cutoff=700
         )
         assert engine.local_solves == counted(shift_invert=1)
         assert abs(theta - values[best]) <= 1e-12 * np.linalg.norm(mat)
@@ -397,12 +397,15 @@ def test_refused_shift_invert_returns_the_eig_answer(case, monkeypatch, caplog):
     else:
         monkeypatch.setattr(solver, "KRYLOV_DIM", 1)
     with caplog.at_level(logging.DEBUG, logger="floquet_ness.solver"):
-        theta, vec = solver._local_eigensolve(
-            problem, v0, "nearest_zero", tol=1e-11, dense_cutoff=700
-        )
-    expect_theta, expect_vec = solver._leading(*np.linalg.eig(mat), "nearest_zero")
-    assert theta == expect_theta
-    assert np.array_equal(vec, expect_vec)
+        theta, vec = solver._local_eigensolve(problem, v0, 0.0, tol=1e-11, dense_cutoff=700)
+    # the eig value nearest zero; the singular case has two within the
+    # residual bound, one eigenspace, whose vector nearest v0 is taken
+    values, vectors = np.linalg.eig(mat)
+    near = np.flatnonzero(np.abs(values) <= np.min(np.abs(values)) + 1e-11 * np.linalg.norm(mat))
+    assert len(near) == (2 if case == "singular" else 1)
+    best = near[np.argmax(np.abs(vectors[:, near].conj().T @ v0))]
+    assert theta == values[best]
+    assert np.array_equal(vec, vectors[:, best])
     assert engine.local_solves == counted(dense_fallback=1)
     assert any(
         r.levelno == logging.DEBUG and "shift-invert refused" in r.getMessage() for r in caplog.records
@@ -477,9 +480,21 @@ def test_decay_mode_amplitude_damping():
     assert abs(decay.tau_relax - 2.0 / gamma) < 1e-7
     assert decay.identity_overlap < 1e-8
     assert decay.steady_overlap < 1e-6
-    # the largest_real target is never shift-inverted
-    for entry in decay.report.stage_log:
-        assert entry["local_solves"]["dense_eig"] == sum(entry["local_solves"].values()) > 0
+    assert decay.report.converged and not decay.report.warnings
+    # the right mode is always solved by eig; the left one at its shift, where
+    # the LU is exactly singular on this qubit (the shift is an exact local
+    # eigenvalue) and the solve falls back to eig
+    logged = json.loads(json.dumps(decay.report.to_dict()))
+    for entry, exported in zip(decay.report.stage_log, logged["stage_log"]):
+        solves = sum(entry["local_solves"].values())
+        if entry["label"] == "decay right":
+            assert exported["target"] == "slowest_central"
+            assert entry["local_solves"]["dense_eig"] == solves > 0
+        else:
+            assert exported["target"] == [decay.eigenvalue.real, -decay.eigenvalue.imag]
+            assert entry["local_solves"]["dense_eig"] == 0
+            assert entry["local_solves"]["shift_invert"] + entry["local_solves"]["dense_fallback"] == solves > 0
+    assert logged["fixed_point_residual"] == decay.report.fixed_point_residual < 1e-10
 
 
 def test_decay_mode_conjugate_pair():
@@ -497,6 +512,33 @@ def test_decay_mode_conjugate_pair():
     assert np.min(np.abs(eigs - np.conj(decay.eigenvalue))) < 1e-8
 
 
+@pytest.mark.parametrize("n_c, rotation", [(0, 3.0), (1, 2.0)])
+def test_decay_mode_rotating_faster_than_half_omega(n_c, rotation):
+    # omega_z = 3 exceeds omega / 2 = 2.5. Without a ladder (n_c = 0) there is
+    # no zone and the mode is -0.3 +- 3i itself; with one, it is its central
+    # copy -0.3 +- 2i (3 - omega), the same quasi-energy
+    gamma = 0.6
+    model = single_qubit_model(gamma=gamma, omega_z=3.0)
+    cfg = quick_config(n_c, 4)
+    ness, _ = solve_ness(model, cfg)
+    decay = solve_first_decay_mode(model, ness, cfg)
+    assert abs(decay.eigenvalue - complex(-gamma / 2, rotation)) < 1e-8
+    assert abs(decay.tau_relax - 2.0 / gamma) < 1e-7
+    assert decay.report.converged and not decay.report.warnings
+
+
+def central_slowest(model, n_c):
+    """Slowest nonzero eigenvalue of the dense generator with |Im| < omega / 2,
+    and the whole spectrum."""
+    eigs = np.linalg.eigvals(dense_extended_lindbladian(model, n_c))
+    central = eigs[(np.abs(eigs.imag) < model.omega / 2) & (eigs.real < -1e-8)]
+    return central[np.argmax(central.real)], eigs
+
+
+def pair_error(lam, exact):
+    return min(abs(lam - exact), abs(np.conj(lam) - exact)) / abs(exact)
+
+
 def test_decay_mode_l3_ising_vs_dense_spectrum():
     p = IsingBenchmarkParams(chain_length=3, omega=5.0, gamma=1.0)
     model = build_driven_ising(p)
@@ -504,17 +546,110 @@ def test_decay_mode_l3_ising_vs_dense_spectrum():
     cfg = quick_config(n_c, 16, noise_amplitude=1e-5)
     ness, _ = solve_ness(model, cfg)
     decay = solve_first_decay_mode(model, ness, cfg)
-    dense = dense_extended_lindbladian(model, n_c)
-    eigs = np.linalg.eigvals(dense)
-    # fold into the first zone and find the slowest genuine decay
+    lam_exact, eigs = central_slowest(model, n_c)
+    assert pair_error(decay.eigenvalue, lam_exact) < 1e-8
+    assert decay.report.converged
+    # the truncated ladder carries a spurious copy at fold +-n_c whose real
+    # part is larger than the central value's; it is not the decay mode
     fold = np.round(eigs.imag / model.omega)
-    folded = eigs - 1j * fold * model.omega
-    nonzero = folded[folded.real < -1e-8]
-    lam_exact = nonzero[np.argmax(nonzero.real)]
-    err = min(
-        abs(decay.eigenvalue - lam_exact), abs(np.conj(decay.eigenvalue) - lam_exact)
-    ) / abs(lam_exact)
-    assert err < 1e-3
+    edge = eigs[(np.abs(fold) == n_c) & (eigs.real < -1e-8)]
+    artifact = edge[np.argmax(edge.real)]
+    assert artifact.real > lam_exact.real + 0.05
+    assert pair_error(decay.eigenvalue, artifact) > 0.05
+
+
+@pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # DTC harmonics exceed n_c = 1
+def test_decay_mode_dtc_l3_central_zone():
+    # the edge copy (-0.012314) is slower than the central mode (-0.012347)
+    model = build_dtc_model(DTCParams(chain_length=3), n_c=1)
+    cfg = quick_config(1, 16, seed=7)
+    ness, _ = solve_ness(model, cfg)
+    decay = solve_first_decay_mode(model, ness, cfg)
+    lam_exact, _ = central_slowest(model, 1)
+    assert abs(lam_exact - (-0.012347015)) < 1e-9
+    assert abs(decay.eigenvalue - lam_exact) < 1e-8
+    assert decay.report.converged and not decay.report.warnings
+
+
+def test_decay_mode_arpack_central_zone():
+    # above the dense cutoff the right mode comes from ARPACK "LR" values
+    # filtered to the central zone, the left one from ARPACK "SM" at its shift
+    model = ising_l3()
+    ness, _ = solve_ness(model, quick_config(1, 8))
+    decay = solve_first_decay_mode(model, ness, quick_config(1, 8, dense_local_cutoff=150))
+    lam_exact, _ = central_slowest(model, 1)
+    assert pair_error(decay.eigenvalue, lam_exact) < 1e-8
+    assert decay.report.converged
+    for label in ("decay right", "decay left"):
+        entries = [e for e in decay.report.stage_log if e["label"] == label]
+        assert sum(e["local_solves"]["arnoldi"] for e in entries) > 0
+
+
+@pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # Ising harmonics exceed n_c = 0
+def test_decay_mode_binding_chi_is_not_converged():
+    # chi=2 binds on L=4 (exact bond 16): the sweep residuals stay above
+    # eig_tol and the left eigenvalue misses conj(lambda)
+    model = build_driven_ising(IsingBenchmarkParams(chain_length=4, omega=5.0))
+    cfg = quick_config(0, 2)
+    ness, _ = solve_ness(model, cfg)
+    decay = solve_first_decay_mode(model, ness, cfg)
+    assert not decay.report.converged
+    assert any("above eig_tol" in w for w in decay.report.warnings)
+    assert decay.report.fixed_point_residual > 1e-6
+
+
+def test_arpack_without_central_value_falls_back(monkeypatch, caplog):
+    # ARPACK converges, but only on copies outside the central zone: both
+    # attempts are refused and the dense fallback answers, with a WARNING
+    model = single_qubit_model(gamma=0.7, omega_z=1.1, drive=4.0)
+    mpo = build_extended_lindbladian(model, 1)
+    state = initial_guess(1, 2, 1, model.omega, noise_amplitude=1e-2, seed=3)
+    engine = SweepEngine(mpo, state, TruncationSpec())
+    problem = engine.site_problem(0)
+    requested = []
+
+    def edge_copies(op, k=1, **kwargs):
+        requested.append(k)
+        return np.full(k, -0.35 + 1j * model.omega), np.ones((op.shape[0], k), complex)
+
+    monkeypatch.setattr(solver.spla, "eigs", edge_copies)
+    with caplog.at_level(logging.WARNING, logger="floquet_ness.solver"):
+        theta, _ = solver._local_eigensolve(
+            problem, problem.current_vector(), "slowest_central", tol=1e-10, dense_cutoff=4
+        )
+    assert requested == [2 * 1 + 2] * 2
+    values = np.linalg.eigvals(problem.dense_matrix())
+    central = values[(np.abs(values.imag) < model.omega / 2) & (values.imag > -1e-10 * np.abs(values))]
+    assert abs(theta - central[np.argmax(central.real)]) < 1e-12
+    assert engine.local_solves == counted(dense_fallback=1)
+    assert any(r.levelno == logging.WARNING and "no central value" in r.getMessage() for r in caplog.records)
+
+
+def test_arpack_krylov_space_holds_every_requested_value(monkeypatch):
+    # at n_c = 17 the central target asks for k = 36 values, as many as
+    # KRYLOV_DIM: the first basis grows to 2k + 1 and the retry doubles it
+    n_c = 17
+    model = single_qubit_model(gamma=0.7, omega_z=1.1, drive=4.0)
+    mpo = build_extended_lindbladian(model, n_c)
+    state = initial_guess(1, 2, n_c, model.omega, noise_amplitude=1e-2, seed=3)
+    engine = SweepEngine(mpo, state, TruncationSpec())
+    problem = engine.site_problem(0)
+    calls = []
+
+    def record(op, k=1, ncv=None, **kwargs):
+        calls.append((k, ncv))
+        if len(calls) == 1:
+            raise ArpackNoConvergence("injected", np.zeros(0, complex), np.zeros((op.shape[0], 0), complex))
+        return np.full(k, -0.35 + 0j), np.ones((op.shape[0], k), complex)
+
+    monkeypatch.setattr(solver.spla, "eigs", record)
+    theta, _ = solver._local_eigensolve(
+        problem, problem.current_vector(), "slowest_central", tol=1e-10, dense_cutoff=4
+    )
+    assert problem.dim == 4 * (2 * n_c + 1)
+    assert calls == [(36, 73), (36, problem.dim)]
+    assert theta == -0.35
+    assert engine.local_solves == counted(arnoldi=1)
 
 
 def test_transient_limits():
@@ -570,7 +705,7 @@ def test_normalization_idempotence():
     mpo = build_extended_lindbladian(model, 1)
     engine = SweepEngine(mpo, state, TruncationSpec(max_rank=4))
     stage = SweepStage(n_c=1, chi=4, sweeps=1, two_site=False)
-    solver._run_sweeps(engine, cfg, stage, "nearest_zero", label="extra")
+    solver._run_sweeps(engine, cfg, stage, 0.0, label="extra")
     again = engine.state()
     t0 = again.block_trace(0)
     again = again.scaled(1.0 / t0)
