@@ -93,16 +93,6 @@ class FloquetDensityMatrix:
     def norm(self):
         return float(np.sqrt(max(self.inner(self).real, 0.0)))
 
-    def shifted(self, offset):
-        """Relabel harmonics ``n -> n + offset``, dropping blocks beyond the cutoff."""
-        out = {}
-        for n, b in self.blocks.items():
-            if abs(n + offset) <= self.cutoff:
-                out[n + offset] = b
-        return FloquetDensityMatrix(
-            out, self.omega, self.cutoff, self.chain_length, self.site_dim
-        )
-
     def identity_dual_vectors(self):
         """Per-site dual vectors evaluating the trace of a block."""
         eye = vectorize_choi(np.eye(self.site_dim, dtype=complex))

@@ -16,7 +16,7 @@ doubles the period.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -654,19 +654,7 @@ def truncation_diagnostic(p: DTCParams, r_small, r_large, site=None, n_times=32,
     site = p.chain_length // 2 if site is None else site
     ops = {}
     for r in {r_small, r_large}:
-        pr = DTCParams(
-            j=p.j,
-            h=p.h,
-            g=p.g,
-            gamma=p.gamma,
-            omega=p.omega,
-            bath=p.bath,
-            r=r,
-            chain_length=p.chain_length,
-            high_freq_order=p.high_freq_order,
-            envelope_k_max=p.envelope_k_max,
-        )
-        jumps, _ = build_dissipative_jump_ops(pr, k_max=k_max)
+        jumps, _ = build_dissipative_jump_ops(replace(p, r=r), k_max=k_max)
         ops[r] = jumps[site]
     small, large = ops[r_small], ops[r_large]
     ref = next(iter(large.values()))

@@ -17,11 +17,15 @@ shift-invert (one LU factorization of ``A - sigma I`` and a short Arnoldi run
 on its inverse, accepted only on a small true residual), the decay mode and
 every refused shift-invert solve by a full LAPACK diagonalization. Larger
 problems go to restarted Arnoldi (ARPACK), with a logged dense fallback when
-it fails. Sweeping relaxes the state onto the targeted eigenvector. The steady
-state needs no trace constraint: its shifted copies sit at ``i s omega``,
-``|s| omega`` away from zero. Its degeneracy is checked once, after the
-sweeps: the converged state is deflated out of the centre-site problem
-(Wielandt), and that problem's eigenvalue nearest zero must not vanish.
+it fails. Sweeping relaxes the state onto the targeted eigenvector: every
+solve (steady state, right and left decay mode) runs the stages of one
+schedule, ``SweepConfig.warmup``, at one harmonic cutoff through one stage
+loop; stages differ only in sweep count, bond dimension and one- or two-site
+updates. The steady state needs no trace constraint: its shifted copies sit
+at ``i s omega``, ``|s| omega`` away from zero. Its degeneracy is checked
+once, after the sweeps: the converged state is deflated out of the
+centre-site problem (Wielandt), and that problem's eigenvalue nearest zero
+must not vanish.
 
 Harmonic blocks ``n`` couple only through the transfer components ``q``, so
 every local operation is one contraction batched over ``(q, n)``: the sweep
@@ -91,7 +95,9 @@ class StaleEnvironmentError(SolverError):
 
 @dataclass(frozen=True)
 class SweepStage:
-    """One warm-up or production stage of the sweep schedule."""
+    """One stage of the sweep schedule: up to `sweeps` sweeps at bond
+    dimension `chi`, updating site pairs or single sites. `n_c` is the
+    harmonic cutoff, the same in every stage of a schedule."""
 
     n_c: int
     chi: int
@@ -119,13 +125,13 @@ LOCAL_METHODS = ("shift_invert", "dense_eig", "arnoldi", "dense_fallback")
 class SweepConfig:
     """Schedule and tolerances for the sweeping solver.
 
-    `warmup` must end with the production stage (the one whose cutoff and
-    bond dimension are the targets); stages must not shrink the cutoff or
-    the bond dimension. Local problems up to `dense_local_cutoff` are
-    densified: solves at a shift (steady state, degeneracy check, left decay
-    mode) use shift-invert (LU plus a short Arnoldi on the inverse) and fall
-    back to a full `eig` when it is refused; the right decay mode uses
-    `eig`. Larger problems go to ARPACK.
+    `warmup` is the schedule every solve runs: its stages share one cutoff,
+    each runs at least one sweep, and the bond dimension must not shrink from
+    one stage to the next (the last stage's is the target). Local problems
+    up to `dense_local_cutoff` are densified: solves at a shift (steady
+    state, degeneracy check, left decay mode) use shift-invert (LU plus a
+    short Arnoldi on the inverse) and fall back to a full `eig` when it is
+    refused; the right decay mode uses `eig`. Larger problems go to ARPACK.
     """
 
     warmup: list = field(default_factory=list)
@@ -138,17 +144,21 @@ class SweepConfig:
         if not self.warmup:
             raise ValueError("sweep schedule is empty")
         for a, b in zip(self.warmup, self.warmup[1:]):
-            if b.n_c < a.n_c or b.chi < a.chi:
-                raise ValueError("stages must not shrink the cutoff or bond dimension")
+            if b.n_c != a.n_c:
+                raise ValueError("every stage must run at the same cutoff")
+            if b.chi < a.chi:
+                raise ValueError("stages must not shrink the bond dimension")
+        if any(stage.sweeps < 1 for stage in self.warmup):
+            raise ValueError("every stage must run at least one sweep")
         if self.eig_tol <= 0:
             raise ValueError("eig_tol must be positive")
         return self
 
 
 def make_warmup_schedule(n_c, chi, warm_sweeps=3, final_sweeps=8):
-    """Standard schedule, both stages at cutoff `n_c` and bond `chi`:
-    `warm_sweeps` two-site sweeps, which grow the bonds, then `final_sweeps`
-    single-site sweeps."""
+    """Standard schedule at cutoff `n_c` and bond `chi`: `warm_sweeps`
+    two-site sweeps, which grow the bonds, then `final_sweeps` single-site
+    sweeps."""
     return [
         SweepStage(n_c, chi, warm_sweeps, two_site=True),
         SweepStage(n_c, chi, final_sweeps, two_site=False),
@@ -330,13 +340,6 @@ class SweepEngine:
             self.site_dim,
         )
 
-    def block_trace(self, n):
-        eye = vectorize_choi(np.eye(self.site_dim, dtype=complex))
-        env = np.ones((1,), dtype=complex)
-        for t in self.blocks[n]:
-            env = env @ np.tensordot(eye, t, axes=([0], [0]))
-        return complex(env[0])
-
     def site_stack(self, i):
         """``[n + 1, l, p, r]`` stack of site `i` over harmonics, zero block last."""
         return _padded([self.blocks[n][i].transpose(1, 0, 2) for n in self.harmonics], extra=1)
@@ -444,14 +447,6 @@ class SweepEngine:
         else:
             self._update_right(i + 1)
             self.center = i
-
-    def rescale(self, alpha):
-        """Scale the state at its orthogonality center. A problem at the
-        center reads no environment containing that site, and moving the
-        center rebuilds the ones that do, so no environment is refreshed."""
-        self.version += 1
-        for n in self.harmonics:
-            self.blocks[n][self.center] = alpha * self.blocks[n][self.center]
 
 
 class SiteProblem:
@@ -731,14 +726,19 @@ def _run_sweeps(engine, cfg, stage, target, label):
 
     A sweep's residual is the largest distance of its local eigenvalues from
     a shift `target`, or for ``"slowest_central"`` their spread relative to
-    the last one. `log` holds one entry per sweep under ``"sweep_residuals"``,
-    ``"discarded_weight"`` (summed over the sweep's truncations) and
-    ``"max_bond"`` (after the sweep), and under ``"local_solves"`` the
-    stage's local solves counted by method (`SweepEngine.local_solves`).
+    the last one. Every local solve writes a unit-norm centre vector into
+    orthonormal frames, so the state is never rescaled: it keeps unit norm,
+    less the weight a two-site split truncates.
+    `log` records under ``"two_site"`` whether the sweeps updated site pairs
+    (never on a single site), one entry per sweep under
+    ``"sweep_residuals"``, ``"discarded_weight"`` (summed over the sweep's
+    truncations) and ``"max_bond"`` (after the sweep), and under
+    ``"local_solves"`` the stage's local solves counted by method
+    (`SweepEngine.local_solves`).
     """
-    log = {"sweep_residuals": [], "discarded_weight": [], "max_bond": []}
     use_two = stage.two_site and engine.length > 1
-    for sweep in range(max(stage.sweeps, 1)):
+    log = {"two_site": use_two, "sweep_residuals": [], "discarded_weight": [], "max_bond": []}
+    for sweep in range(stage.sweeps):
         sweep_thetas = []
         engine.discarded_weight = 0.0
         for site, direction in _sweep_sites(engine.length, use_two):
@@ -757,14 +757,6 @@ def _run_sweeps(engine, cfg, stage, target, label):
                 direction=direction,
             )
             sweep_thetas.append(complex(theta))
-        # keep the overall scale tame between sweeps
-        t0 = engine.block_trace(0)
-        if abs(t0) > 1e-3:
-            engine.rescale(1.0 / t0)
-        else:
-            norm = engine.state().norm()
-            if norm > 0:
-                engine.rescale(1.0 / norm)
         if target == "slowest_central":
             spread = max(abs(t - sweep_thetas[-1]) for t in sweep_thetas)
             resid = spread / max(abs(sweep_thetas[-1]), 1e-30)
@@ -780,25 +772,25 @@ def _run_sweeps(engine, cfg, stage, target, label):
     return log, sweep_thetas[-1]
 
 
-def _embed_state(state, n_c, noise_amplitude, rng):
-    """Carry a state to a (possibly larger) cutoff, seeding fresh harmonics."""
-    blocks = {n: b for n, b in state.blocks.items() if abs(n) <= n_c}
-    ref_norm = blocks[0].norm() if 0 in blocks else 1.0
-    for n in range(-n_c, n_c + 1):
-        missing = n not in blocks or blocks[n].norm() == 0.0
-        if missing and noise_amplitude > 0:
-            blocks[n] = Mps.random(
-                state.chain_length,
-                state.phys_dim,
-                2,
-                rng,
-                norm=noise_amplitude * max(ref_norm, 1e-12),
-            )
-        elif n not in blocks:
-            blocks[n] = Mps.zeros(state.chain_length, state.phys_dim)
-    return FloquetDensityMatrix(
-        blocks, state.omega, n_c, state.chain_length, state.site_dim
-    )
+def _sweep_schedule(mpo, state, cfg, report, target, label, terms=()):
+    """Sweep `state` through every stage of ``cfg.warmup`` towards `target`.
+
+    Each stage runs :func:`_run_sweeps` on a fresh engine of `mpo` and the
+    rank-one `terms`, truncated at the stage's bond dimension. Its log goes
+    to ``report.stage_log`` with `label`, `target` (a shift as ``[re, im]``),
+    cutoff and bond dimension; its residuals extend
+    ``report.sweep_residuals``. Returns the final state and local eigenvalue.
+    """
+    logged = target if isinstance(target, str) else [target.real, target.imag]
+    for stage in cfg.warmup:
+        trunc = TruncationSpec(max_rank=stage.chi, weight_cutoff=WEIGHT_CUTOFF)
+        engine = SweepEngine(mpo, state, trunc, terms)
+        log, theta = _run_sweeps(engine, cfg, stage, target, label)
+        state = engine.state()
+        entry = {"label": label, "target": logged, "n_c": stage.n_c, "chi": stage.chi}
+        report.stage_log.append({**entry, **log})
+        report.sweep_residuals.extend(log["sweep_residuals"])
+    return state, theta
 
 
 def _deflated_check(mpo, state, cfg, rng):
@@ -830,12 +822,12 @@ def _deflated_check(mpo, state, cfg, rng):
 def solve_ness(model: ModelSpec, cfg: SweepConfig):
     """Sweep the frequency-space zero mode of the model's generator.
 
-    Runs the stages of ``cfg.warmup`` on the bare generator, each targeting
-    the local eigenvalue nearest zero, and returns the trace-normalized state
-    with a :class:`SolveReport`. An :class:`EigensolverBreakdown` of a local
-    solve propagates. The generator MPO is built once per distinct cutoff,
-    and a stage at a larger cutoff than the last seeds its new harmonics with
-    noise. After the last stage, :func:`_deflated_check` raises
+    Builds the generator MPO once, at the cutoff shared by every stage of
+    ``cfg.warmup``, and sweeps :func:`initial_guess` through those stages on
+    the bare generator (`stage_log` label ``"ness"``), each targeting the
+    local eigenvalue nearest zero. Returns the trace-normalized state with a
+    :class:`SolveReport`. An :class:`EigensolverBreakdown` of a local solve
+    propagates. After the last stage, :func:`_deflated_check` raises
     :class:`DegenerateSteadyStateError` when the steady state is degenerate;
     the last `stage_log` entry records its ``"degeneracy_gap"`` and counts
     its local solve. The report warns about weight in the edge harmonic,
@@ -846,30 +838,17 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
     start = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     report = SolveReport()
+    n_c = cfg.warmup[0].n_c
     state = initial_guess(
         model.chain_length,
         model.site_dim,
-        cfg.warmup[0].n_c,
+        n_c,
         model.omega,
         noise_amplitude=cfg.noise_amplitude,
         seed=cfg.seed,
     )
-    final_theta = None
-    mpo = None
-    for idx, stage in enumerate(cfg.warmup):
-        if mpo is None or mpo.cutoff != stage.n_c:
-            with warnings.catch_warnings():
-                if stage.n_c < cfg.warmup[-1].n_c:
-                    # warm-up stages intentionally run under-resolved cutoffs
-                    warnings.simplefilter("ignore", UserWarning)
-                mpo = build_extended_lindbladian(model, stage.n_c)
-        state = _embed_state(state, stage.n_c, cfg.noise_amplitude, rng)
-        trunc = TruncationSpec(max_rank=stage.chi, weight_cutoff=WEIGHT_CUTOFF)
-        engine = SweepEngine(mpo, state, trunc)
-        log, final_theta = _run_sweeps(engine, cfg, stage, 0.0, label=f"stage {idx}")
-        state = engine.state()
-        report.stage_log.append({"n_c": stage.n_c, "chi": stage.chi, "two_site": stage.two_site, **log})
-        report.sweep_residuals.extend(log["sweep_residuals"])
+    mpo = build_extended_lindbladian(model, n_c)
+    state, final_theta = _sweep_schedule(mpo, state, cfg, report, 0.0, "ness")
     theta, solves = _deflated_check(mpo, state, cfg, rng)
     production = report.stage_log[-1]
     production["degeneracy_gap"] = float(abs(theta))
@@ -880,7 +859,7 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
     if abs(t0) < 1e-12:
         raise SolverError("converged state carries no trace in the static block")
     state = state.scaled(1.0 / t0)
-    report.final_residual = report.sweep_residuals[-1] if report.sweep_residuals else np.inf
+    report.final_residual = report.sweep_residuals[-1]
     report.converged = report.final_residual <= cfg.eig_tol
     if not report.converged:
         report.warnings.append(
@@ -890,9 +869,8 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
     # diagnostics
     from .freqspace import block_norms, compress, hermiticity_defect, trace_components
 
-    final_stage = cfg.warmup[-1]
     _, _, spectra = compress(
-        state, TruncationSpec(max_rank=final_stage.chi, weight_cutoff=WEIGHT_CUTOFF)
+        state, TruncationSpec(max_rank=cfg.warmup[-1].chi, weight_cutoff=WEIGHT_CUTOFF)
     )
     report.schmidt_spectra = {
         n: [list(map(float, s[:16])) for s in bonds] for n, bonds in spectra.items()
@@ -905,7 +883,7 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
     }
     report.hermiticity_defects = hermiticity_defect(state)
     ref = norms[0] if norms.get(0) else 1.0
-    edge = norms.get(final_stage.n_c, 0.0) / ref
+    edge = norms.get(n_c, 0.0) / ref
     if edge > CONVERGENCE_TOL:
         report.warnings.append(
             f"edge harmonic weight {edge:.2e} above tolerance {CONVERGENCE_TOL:.1e}; "
@@ -916,8 +894,7 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
         report.warnings.append(
             f"hermiticity defect {worst_defect:.2e} above tolerance {CONVERGENCE_TOL:.1e}"
         )
-    # fixed-point residual of the generator, with the MPO of the production
-    # stage (the model at the final cutoff)
+    # fixed-point residual of the generator the sweeps ran on
     image = mpo.apply(state, TruncationSpec(weight_cutoff=1e-14))
     report.fixed_point_residual = image.norm() / max(state.norm(), 1e-300)
     report.wall_time = time.perf_counter() - start
@@ -962,19 +939,22 @@ def _eigen_residual(mpo, vec, theta):
     return float(np.linalg.norm(norms)) / max(vec.norm(), 1e-300)
 
 
-def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: SweepConfig, w=None):
+def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: SweepConfig):
     """Slowest decaying mode ``lambda`` and its left partner.
 
     The frequency-space kernel is degenerate: shifting the steady state by
     ``s`` harmonics gives an eigenvector at ``-i s omega``, all with vanishing
     real part. The right solve therefore penalizes the trace content of every
-    block (one identity projector per harmonic, strength ``w``), which moves
-    all kernel copies at once while leaving genuine decay modes (blockwise
-    traceless) alone, and targets ``"slowest_central"``. The left partner is
-    the eigenvector of the bare adjoint generator at the known eigenvalue
-    ``conj(lambda)``, solved at that shift from the right mode. Both are
-    cleaned (trace content of the right mode, steady-state overlap of the
-    left one) and bi-normalized.
+    block (one identity projector per harmonic, of strength ``w = 10 max(1,
+    s)`` with ``s`` the largest sum of squared spectral norms of one jump
+    operator's Fourier components), which moves all kernel copies at once
+    while leaving genuine decay modes (blockwise traceless) alone, and
+    targets ``"slowest_central"``. The left partner is the eigenvector of the
+    bare adjoint generator at the known eigenvalue ``conj(lambda)``, solved
+    at that shift from the right mode. Both solves sweep the stages of
+    ``cfg.warmup`` (`stage_log` labels ``"decay right"`` and ``"decay
+    left"``) at their shared cutoff. Both modes are cleaned (trace content of
+    the right mode, steady-state overlap of the left one) and bi-normalized.
 
     ``report.converged`` holds only when each solve's last sweep residual is
     at most ``cfg.eig_tol`` (the left one bounds ``|theta_left -
@@ -986,40 +966,16 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
     cfg.validate()
     model.validate()
     start = time.perf_counter()
-    if w is None:
-        scale = 0.0
-        for comps in model.jump_fourier.values():
-            scale = max(
-                scale, sum(np.linalg.norm(op.matrix, ord=2) ** 2 for op in comps.values())
-            )
-        w = 10.0 * max(scale, 1.0)
+    scale = 0.0
+    for comps in model.jump_fourier.values():
+        scale = max(
+            scale, sum(np.linalg.norm(op.matrix, ord=2) ** 2 for op in comps.values())
+        )
+    w = 10.0 * max(scale, 1.0)
     report = SolveReport()
     final_stage = cfg.warmup[-1]
     n_c = final_stage.n_c
-    failures = []  # unmet convergence criteria
-
-    def run(mpo, terms, target, label, state):
-        logged = target if isinstance(target, str) else [target.real, target.imag]
-        for stage in cfg.warmup:
-            if stage.n_c != n_c:
-                continue  # decay solve runs at the production cutoff only
-            trunc = TruncationSpec(max_rank=stage.chi, weight_cutoff=WEIGHT_CUTOFF)
-            engine = SweepEngine(mpo, state, trunc, terms)
-            sweep_stage = SweepStage(
-                n_c=stage.n_c,
-                chi=stage.chi,
-                sweeps=max(stage.sweeps, 4),
-                two_site=stage.two_site and model.chain_length > 1,
-            )
-            log, theta = _run_sweeps(engine, cfg, sweep_stage, target, label=label)
-            entry = {"label": label, "target": logged, "n_c": stage.n_c, "chi": stage.chi}
-            report.stage_log.append({**entry, "two_site": sweep_stage.two_site, **log})
-            report.sweep_residuals.extend(log["sweep_residuals"])
-            state = engine.state()
-        resid = log["sweep_residuals"][-1]
-        if resid > cfg.eig_tol:
-            failures.append(f"{label}: last sweep residual {resid:.2e} above eig_tol {cfg.eig_tol:.0e}")
-        return state, theta
+    residuals = {}  # last sweep residual of each solve
 
     mpo = build_extended_lindbladian(model, n_c)
     ident_all = identity_operator_state(
@@ -1028,7 +984,8 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
     right_terms = [RankOneTerm(-w / model.site_dim**model.chain_length, ident_all, coupled=False)]
     rng = np.random.default_rng(cfg.seed + 1)
     seed = _orthogonalized_noise(model, n_c, min(final_stage.chi, 4), rng, model.site_dim)
-    right, lam = run(mpo, right_terms, "slowest_central", "decay right", seed)
+    right, lam = _sweep_schedule(mpo, seed, cfg, report, "slowest_central", "decay right", right_terms)
+    residuals["decay right"] = report.sweep_residuals[-1]
 
     # clean residual trace content in every block, then normalize
     eye_mps = ident_all.blocks[0]
@@ -1043,7 +1000,8 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
     right = right.scaled(1.0 / max(right.norm(), 1e-300))
 
     adjoint = mpo.adjoint()  # the left solve starts from the right mode, its pair
-    left, _ = run(adjoint, [], lam.conjugate(), "decay left", right)
+    left, _ = _sweep_schedule(adjoint, right, cfg, report, lam.conjugate(), "decay left")
+    residuals["decay left"] = report.sweep_residuals[-1]
     # project out the steady-state direction: <<L - beta I | ness>> = 0 with
     # beta = conj(<<L|ness>>) because <<I|ness>> = Tr rho^0 = 1
     overlap = left.inner(ness)
@@ -1065,6 +1023,11 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
             f"identity overlap {ident_overlap:.2e} after projection; w may be too small"
         )
     pair = abs(lam.imag) > 1e-8 * max(1.0, abs(lam.real))
+    failures = [
+        f"{label}: last sweep residual {resid:.2e} above eig_tol {cfg.eig_tol:.0e}"
+        for label, resid in residuals.items()
+        if resid > cfg.eig_tol
+    ]
     report.warnings.extend(failures)
     report.converged = not failures
     report.eigenvalue = lam

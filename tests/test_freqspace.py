@@ -120,14 +120,11 @@ def test_hermiticity_defect_zero_state_raises():
         hermiticity_defect(state)
 
 
-def test_extended_inner_and_shift():
+def test_extended_inner():
     rng = np.random.default_rng(8)
     state = random_state(rng)
     val = state.inner(state)
     assert val.real > 0 and abs(val.imag) < 1e-12
-    shifted = state.shifted(1)
-    assert 2 not in state.blocks or shifted.block(2).norm() == state.block(1).norm()
-    assert shifted.block(-2).norm() == 0.0 or -3 in state.blocks
 
 
 def test_save_load_round_trip(tmp_path):

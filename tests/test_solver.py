@@ -140,10 +140,14 @@ def test_local_operator_matches_dense_projection(two_site, adjoint, terms):
         "uncoupled": [
             solver.RankOneTerm(-3.0, solver.identity_operator_state(length, model.omega, n_c, [-1, 1]), coupled=False)
         ],
-        # vectors lacking a harmonic, as the decay solve's shifted steady states do
+        # vectors lacking a harmonic: partial, and partial relabelled n -> n + 1
         "coupled": [
             solver.RankOneTerm(-2.0 + 1.0j, partial, coupled=True),
-            solver.RankOneTerm(-1.5, partial.shifted(1), coupled=True),
+            solver.RankOneTerm(
+                -1.5,
+                FloquetDensityMatrix({n + 1: b for n, b in partial.blocks.items()}, model.omega, n_c, length),
+                coupled=True,
+            ),
         ],
     }[terms]
     for term in rank_one:
@@ -259,8 +263,8 @@ def test_solve_ness_binding_chi_reports_truncation():
 
 
 def test_solve_ness_builds_one_mpo_per_cutoff(monkeypatch):
-    # cutoffs 0, 1, 1: two builds, and the drive's second harmonic is
-    # reported once, at the production cutoff, not for the warm-up at 0
+    # every stage runs at n_c = 1: one build, and the drive's second harmonic
+    # is reported once
     drive = {n: [LocalOperator(0, 0.3 * PAULI["X"])] for n in (-2, 2)}
     model = ModelSpec(1, 4.0, drive, {"d": {0: LocalOperator(0, SM)}}).validate()
     cutoffs = []
@@ -272,9 +276,8 @@ def test_solve_ness_builds_one_mpo_per_cutoff(monkeypatch):
     monkeypatch.setattr(solver, "build_extended_lindbladian", build)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        schedule = [SweepStage(0, 4, 2), SweepStage(1, 4, 2), SweepStage(1, 4, 6, two_site=False)]
-        solve_ness(model, quick_config(1, 4, warmup=schedule))
-    assert cutoffs == [0, 1]
+        solve_ness(model, quick_config(1, 4))
+    assert cutoffs == [1]
     messages = [str(w.message) for w in caught if "exceed the frequency cutoff" in str(w.message)]
     assert len(messages) == 1 and "n_c=1;" in messages[0]
 
@@ -452,6 +455,39 @@ def test_deflated_check_matches_eig_runner_up(chain):
     assert abs(runner_up) > solver.DEGENERACY_TOL
     assert abs(theta - runner_up) <= 1e-8 * scale
     assert abs(report.stage_log[-1]["degeneracy_gap"] - abs(runner_up)) <= 1e-8 * scale
+
+
+def test_stage_log_entries_carry_label_and_target():
+    # steady-state and decay stages log the same keys; the single qubit has
+    # no site pair, so both stages log the one-site updates they ran
+    model = single_qubit_model(gamma=0.8)
+    cfg = quick_config(0, 4)
+    ness, report = solve_ness(model, cfg)
+    decay = solve_first_decay_mode(model, ness, cfg)
+    keys = {"label", "target", "n_c", "chi", "two_site"}
+    keys |= {"sweep_residuals", "discarded_weight", "max_bond", "local_solves"}
+    assert [(e["label"], e["target"], e["two_site"]) for e in report.stage_log] == [("ness", [0.0, 0.0], False)] * 2
+    assert [e["label"] for e in decay.report.stage_log] == ["decay right"] * 2 + ["decay left"] * 2
+    for rep in (report, decay.report):
+        logged = json.loads(json.dumps(rep.to_dict()))["stage_log"]
+        assert len(logged) == len(rep.stage_log)
+        for entry, exported in zip(rep.stage_log, logged):
+            assert set(entry) - {"degeneracy_gap"} == keys
+            assert (exported["label"], exported["target"]) == (entry["label"], entry["target"])
+
+
+def test_sweeps_keep_unit_norm():
+    # every local solve writes a unit-norm centre vector into orthonormal
+    # frames, so no rescale is needed between sweeps
+    model = ising_l3()
+    mpo = build_extended_lindbladian(model, 1)
+    state = initial_guess(3, 2, 1, model.omega, noise_amplitude=1e-4, seed=2)
+    assert abs(state.norm() - 1.0) > 0.1
+    for stage in make_warmup_schedule(1, 8, warm_sweeps=1, final_sweeps=1):
+        engine = SweepEngine(mpo, state, TruncationSpec(max_rank=8, weight_cutoff=solver.WEIGHT_CUTOFF))
+        solver._run_sweeps(engine, quick_config(1, 8), stage, 0.0, label="norm")
+        state = engine.state()
+        assert abs(state.norm() - 1.0) < 1e-12
 
 
 def test_stage_log_reports_discarded_weight_and_bond():
@@ -724,6 +760,12 @@ def test_config_validation():
     bad = [SweepStage(n_c=2, chi=8), SweepStage(n_c=1, chi=8)]
     with pytest.raises(ValueError):
         SweepConfig(warmup=bad).validate()
+    with pytest.raises(ValueError, match="same cutoff"):
+        SweepConfig(warmup=[SweepStage(0, 4, 2), SweepStage(1, 4, 2)]).validate()
+    with pytest.raises(ValueError, match="bond dimension"):
+        SweepConfig(warmup=[SweepStage(1, 8, 2), SweepStage(1, 4, 2)]).validate()
+    with pytest.raises(ValueError, match="at least one sweep"):
+        SweepConfig(warmup=[SweepStage(1, 4, 2), SweepStage(1, 4, 0, two_site=False)]).validate()
 
 
 def test_schedule_builder_monotone():
