@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 DEFAULT_DENSE_DIM = 2**12
+MULTIPLIER_DEGENERACY_TOL = 1e-8  # one-period multipliers this close to the steady one are degenerate
+BETA_BRACKET = (1e-6, 200.0)  # inverse temperatures searched by beta_from_entropy
 
 
 class _DenseGenerator:
@@ -131,14 +133,15 @@ def floquet_propagator_modes(
     n_time_samples: int = 128,
     tol: float = 1e-12,
     dense_dim: int = DEFAULT_DENSE_DIM,
-    degeneracy_tol: float = 1e-8,
 ):
     """Diagnose the one-period map and Fourier-resolve its steady mode.
 
     The propagator over ``[t0, t0 + 2 pi / omega]`` is built by integrating
     the full superoperator basis, then diagonalized; the eigenvector with
     multiplier closest to 1 is evolved through the period, sampled uniformly
-    and discrete-Fourier-transformed into harmonics ``|n| <= n_c``.
+    and discrete-Fourier-transformed into harmonics ``|n| <= n_c``. Other
+    multipliers within MULTIPLIER_DEGENERACY_TOL of it mark the steady mode
+    degenerate.
     """
     model.validate()
     dl = model.site_dim**model.chain_length
@@ -168,7 +171,7 @@ def floquet_propagator_modes(
     multipliers, rates, vecs = multipliers[order], rates[order], vecs[:, order]
 
     steady_idx = int(np.argmin(np.abs(multipliers - 1.0)))
-    near_unit = np.where(np.abs(multipliers - multipliers[steady_idx]) < degeneracy_tol)[0]
+    near_unit = np.where(np.abs(multipliers - multipliers[steady_idx]) < MULTIPLIER_DEGENERACY_TOL)[0]
     degenerate = near_unit.size > 1
     if degenerate:
         logger.warning("one-period map has %d near-unit multipliers", near_unit.size)
@@ -208,7 +211,7 @@ class RateEquationResult:
     entropy: float
 
 
-def solve_fre(d_matrix, y_fourier, bath, fundamental, beta_bracket=(1e-6, 200.0)):
+def solve_fre(d_matrix, y_fourier, bath, fundamental):
     """Stationary populations of the Fermi-golden-rule rate equation.
 
     `d_matrix` is the static effective Hamiltonian; `y_fourier` maps the
@@ -224,7 +227,7 @@ def solve_fre(d_matrix, y_fourier, bath, fundamental, beta_bracket=(1e-6, 200.0)
     (``fundamental = 0``-like) stationary state exactly Gibbs at the bath
     temperature. Populations solve the balance equation as the kernel of the
     rate matrix, normalized to 1; `beta_eff` matches the population entropy
-    against the Gibbs entropy curve of `d_matrix`.
+    against the Gibbs entropy curve of `d_matrix` (:func:`beta_from_entropy`).
     """
     d_matrix = np.asarray(d_matrix, dtype=complex)
     if np.max(np.abs(d_matrix - d_matrix.conj().T)) > 1e-9:
@@ -266,7 +269,7 @@ def solve_fre(d_matrix, y_fourier, bath, fundamental, beta_bracket=(1e-6, 200.0)
     if residual > 1e-10 * max(1.0, np.max(np.abs(rates))):
         raise RuntimeError(f"stationarity residual too large: {residual:.2e}")
     entropy = float(-np.sum(pops[pops > 0] * np.log(pops[pops > 0])))
-    beta_eff = beta_from_entropy(entropy, energies, beta_bracket)
+    beta_eff = beta_from_entropy(entropy, energies)
     return RateEquationResult(
         populations=pops,
         rates=rates,
@@ -319,15 +322,15 @@ def entropy_of_density(rho, clip_report=None):
     return float(-np.sum(vals[mask] * np.log(vals[mask])))
 
 
-def beta_from_entropy(target_entropy, energies, bracket=(1e-6, 200.0)):
-    """Invert the Gibbs entropy curve by bisection.
+def beta_from_entropy(target_entropy, energies):
+    """Invert the Gibbs entropy curve by bisection over BETA_BRACKET.
 
     The curve decreases monotonically in beta from ``log(dim)`` at beta = 0.
-    Targets at or above the maximum return 0; targets below the entropy at
-    the top of the bracket return the bracket endpoint.
+    Targets at or above the maximum return 0; other targets outside the
+    entropy range of the bracket return the nearer endpoint.
     """
     energies = np.asarray(energies, dtype=float)
-    lo, hi = bracket
+    lo, hi = BETA_BRACKET
     s_max = np.log(energies.size)
     if target_entropy >= s_max - 1e-12:
         return 0.0

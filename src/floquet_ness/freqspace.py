@@ -171,7 +171,9 @@ def compress(state: FloquetDensityMatrix, spec: TruncationSpec):
 def hermiticity_defect(state: FloquetDensityMatrix):
     """Relative defect ``|rho^n - (rho^(-n))^dag| / |rho^0|`` per harmonic.
 
-    Raises for states with a vanishing static block, for which the
+    The norm is taken of the canonicalized difference MPS, so it does not
+    cancel the way ``|a|^2 + |b|^2 - 2 Re <a|b>`` does for nearly equal
+    terms. Raises for states with a vanishing static block, for which the
     normalization is meaningless.
     """
     ref = state.block(0).norm()
@@ -179,10 +181,8 @@ def hermiticity_defect(state: FloquetDensityMatrix):
         raise ValueError("hermiticity defect undefined for a state with |rho^0| = 0")
     out = {}
     for n in state.harmonics:
-        a = state.block(n)
-        b = state.block(-n).dagger_reflect(state.site_dim)
-        diff2 = (a.inner(a) + b.inner(b) - 2.0 * a.inner(b).real).real
-        out[n] = float(np.sqrt(max(diff2, 0.0))) / ref
+        reflected = state.block(-n).dagger_reflect(state.site_dim).scaled(-1.0)
+        out[n] = state.block(n).add(reflected).canonicalize()[0].norm() / ref
     return out
 
 

@@ -150,16 +150,13 @@ def fourier_superoperator_terms(model: ModelSpec, q: int):
     return terms
 
 
-def build_extended_lindbladian(
-    model: ModelSpec,
-    n_c: int,
-    mpo_cutoff: float = 1e-13,
-) -> FloquetMPO:
+def build_extended_lindbladian(model: ModelSpec, n_c: int) -> FloquetMPO:
     """Harmonic-resolved MPO of the generator for states cut off at ``n_c``.
 
     Components with ``|q| > 2 n_c`` cannot connect any retained blocks and
     are dropped; if the model carries harmonics beyond ``n_c`` a warning is
     emitted since part of the drive then acts only through folded paths.
+    Each component is compressed as :meth:`Mpo.from_local_terms` assembles it.
     """
     model.validate()
     if model.max_transfer > 2 * n_c or model.max_hamiltonian_harmonic > n_c:
@@ -175,8 +172,7 @@ def build_extended_lindbladian(
         terms = fourier_superoperator_terms(model, q)
         if not terms and q != 0:
             continue
-        mpo = Mpo.from_local_terms(model.chain_length, p, terms, compress_cutoff=mpo_cutoff)
-        components[q] = mpo
+        components[q] = Mpo.from_local_terms(model.chain_length, p, terms)
     out = FloquetMPO(
         components,
         model.omega,

@@ -15,6 +15,8 @@ from .tensors import TruncationSpec, truncated_svd
 
 __all__ = ["Mps", "Mpo", "CompressionInfo"]
 
+MPO_COMPRESS_CUTOFF = 1e-13  # relative singular-value cutoff of every assembled MPO
+
 
 class CompressionInfo:
     """Per-bond Schmidt spectra and discarded weights from a compression."""
@@ -284,14 +286,14 @@ class Mpo:
         return max(self.bond_dims, default=1)
 
     @classmethod
-    def from_local_terms(cls, length, phys_dim, terms, compress_cutoff=1e-13):
+    def from_local_terms(cls, length, phys_dim, terms):
         """Assemble ``sum_k O_k`` from windowed dense terms.
 
         `terms` is an iterable of ``(start, matrix)`` with `matrix` acting on
         ``width = log_{phys_dim} extent`` consecutive sites from `start`. The
         assembly uses the standard pending/done automaton over virtual bonds
-        and is compressed afterwards with a relative cutoff that only removes
-        numerically zero directions.
+        and is compressed afterwards with the relative cutoff
+        MPO_COMPRESS_CUTOFF, which only removes numerically zero directions.
         """
         merged = {}
         for start, matrix in terms:
@@ -359,10 +361,7 @@ class Mpo:
         last = tensors[-1]
         # A width-L term ends in slot 1; but for length-1 chains slot 0 never fed it.
         tensors[-1] = last[:, :, :, 1:2]
-        out = cls(tensors)
-        if compress_cutoff:
-            out = out.compressed(TruncationSpec(weight_cutoff=compress_cutoff))
-        return out
+        return cls(tensors).compressed(TruncationSpec(weight_cutoff=MPO_COMPRESS_CUTOFF))
 
     def compressed(self, spec):
         """SVD compression, treating the MPO as an MPS with fused physical legs."""

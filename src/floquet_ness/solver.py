@@ -203,19 +203,16 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class RankOneTerm:
-    """Rank-one term ``coefficient * |v><v|`` added to the generator.
+    """Rank-one term ``coefficient * |v><v|`` added to the generator, with
+    ``|v>`` the whole frequency-stacked `vector` (absent harmonics are zero).
 
-    The right decay solve uses such terms to move the steady state and its
-    shifted copies out of the way, the degeneracy check to deflate the
-    converged state.
-
-    With ``coupled`` the projector acts on the full frequency-stacked vector;
-    otherwise each block in `vector` carries its own independent projector.
+    The right decay solve uses one such term per harmonic, the identity in
+    that block alone, to move the steady state and its shifted copies out of
+    the way; the degeneracy check uses one to deflate the converged state.
     """
 
     coefficient: complex
     vector: FloquetDensityMatrix
-    coupled: bool = True
 
 
 def identity_operator_state(chain_length, omega, cutoff, blocks, site_dim=2):
@@ -263,9 +260,9 @@ class SweepEngine:
       zero-padded to the largest bond of any block) and ``w`` the operator
       bond (zero-padded over components). Entries whose ``n - q`` lies outside
       the cutoff meet the zero block of the harmonic stack and stay zero.
-    - ``vec_left[t][i]`` / ``vec_right[t][i]``: ``[n, a_v, a]`` overlap
-      environments of rank-one term ``t``, zero for harmonics its vector
-      lacks.
+    - ``vec_left[i]`` / ``vec_right[i]``: ``[t, n, a_v, a]`` overlap
+      environments of the rank-one terms ``t`` (``a_v`` the vector bond,
+      zero-padded over terms and harmonics), zero where a vector lacks ``n``.
 
     `discarded_weight` sums the relative weight that two-site updates
     truncate away; callers reset it to measure one sweep. `local_solves`
@@ -307,25 +304,25 @@ class SweepEngine:
         for i in range(self.length):
             w = _padded([mpo.components[q].tensors[i].transpose(1, 3, 0, 2) for q in self.transfers])
             self._wstack.append(w.reshape(w.shape[0], w.shape[1] * w.shape[2], -1))
-        # per rank-one term and site, the conjugated [n, m, p, m'] vector tensors
-        self._vectors = [
-            [
-                _padded([term.vector.block(n).tensors[i].transpose(1, 0, 2) for n in self.harmonics]).conj()
-                for i in range(self.length)
-            ]
-            for term in self.rank_one_terms
-        ]
+        # per site, the conjugated [t, n, m, p, m'] vector tensors of the rank-one terms
+        nt, nh = len(self.rank_one_terms), len(self.harmonics)
+        vectors = [term.vector for term in self.rank_one_terms]
+        self._vectors = []
+        for i in range(self.length):
+            flat = [v.block(n).tensors[i].transpose(1, 0, 2) for v in vectors for n in self.harmonics]
+            stack = _padded(flat) if flat else np.zeros((0, 1, self.phys, 1), dtype=complex)
+            self._vectors.append(stack.reshape(nt, nh, *stack.shape[1:]).conj())
         self.discarded_weight = 0.0
         self.local_solves = dict.fromkeys(LOCAL_METHODS, 0)
         self.version = 0
         self.center = 0
         # environments, the right ones absorbed from the last site inward
-        nq, nh = len(self.transfers), len(self.harmonics)
+        nq = len(self.transfers)
         tail = [None] * self.length
         self.env_left = [np.ones((nq, nh, 1, 1, 1), dtype=complex)] + tail
         self.env_right = tail[1:] + [self.env_left[0], None]
-        self.vec_left = [[np.ones((nh, 1, 1), dtype=complex)] + tail for _ in self.rank_one_terms]
-        self.vec_right = [tail[1:] + [vl[0], None] for vl in self.vec_left]
+        self.vec_left = [np.ones((nt, nh, 1, 1), dtype=complex)] + tail
+        self.vec_right = tail[1:] + [self.vec_left[0], None]
         for i in range(self.length - 1, 0, -1):
             self._update_right(i)
 
@@ -364,10 +361,10 @@ class SweepEngine:
         t = self._wstack[i][:, None, None] @ t.reshape(nq, nh, l, w * p, r)  # [q, n, a, (p' w'), b']
         t = bra.swapaxes(1, 2) @ t.reshape(nq, nh, l * p, -1)  # [q, n, a', (w' b')]
         self.env_left[i + 1] = t.reshape(nq, nh, r, -1, r)
-        for vectors, vl in zip(self._vectors, self.vec_left):
-            v = vectors[i]  # [n, m, p, m'], conjugated
-            t = (vl[i] @ site).reshape(nh, -1, r)  # [n, (m p), a']
-            vl[i + 1] = v.reshape(nh, -1, v.shape[3]).swapaxes(1, 2) @ t
+        v = self._vectors[i]  # [t, n, m, p, m'], conjugated
+        nt, _, m, _, m2 = v.shape
+        t = (self.vec_left[i] @ site).reshape(nt, nh, m * p, r)  # [t, n, (m p), a']
+        self.vec_left[i + 1] = v.reshape(nt, nh, m * p, m2).swapaxes(2, 3) @ t
 
     def _update_right(self, i):
         """Absorb site `i` into the right environments (valid at i-1)."""
@@ -378,10 +375,10 @@ class SweepEngine:
         t = self._wstack[i].swapaxes(1, 2)[:, None, None] @ t.reshape(nq, nh, l, -1, r)
         t = t.reshape(nq, nh, -1, p * r) @ ket.swapaxes(2, 3)  # [q, n, (a w), b]
         self.env_right[i - 1] = t.reshape(nq, nh, l, -1, l)
-        for vectors, vr in zip(self._vectors, self.vec_right):
-            v = vectors[i]  # [n, m, p, m'], conjugated
-            t = (v.reshape(nh, -1, v.shape[3]) @ vr[i]).reshape(nh, v.shape[1], -1)
-            vr[i - 1] = t @ site.swapaxes(1, 2)  # [n, m, a]
+        v = self._vectors[i]  # [t, n, m, p, m'], conjugated
+        nt, _, m, _, m2 = v.shape
+        t = (v.reshape(nt, nh, m * p, m2) @ self.vec_right[i]).reshape(nt, nh, m, p * r)
+        self.vec_right[i - 1] = t @ site.swapaxes(1, 2)  # [t, n, m, a]
 
     def advance_to(self, site):
         """Move the orthogonality center rightward to `site` without solving."""
@@ -458,8 +455,11 @@ class SiteProblem:
     ``[n, l, p(, p2), r]``, applies the projected generator in one batched
     contraction per environment and per active site, and adds the frequency
     ramp and the rank-one terms; it takes one vector or a ``(dim, k)`` block
-    of columns. Environments are validated against the engine version, so a
-    stale problem object fails loudly.
+    of columns. The T terms are one low-rank update ``back @ (rows @ x)``,
+    row ``t`` of the ``(T, dim)`` `rows` the local bra of term ``t``'s vector
+    and ``back = rows^H diag(c)`` with the terms' coefficients ``c``.
+    Environments are validated against the engine version, so a stale
+    problem object fails loudly.
     """
 
     def __init__(self, engine: SweepEngine, site, two_site):
@@ -492,21 +492,17 @@ class SiteProblem:
         self._left = engine.env_left[site].reshape(nq, nh, -1, l)  # [q, n, (a w), b]
         self._wstack = [engine._wstack[i][:, None, None] for i in sites]
         self._right = engine.env_right[sites[-1]].reshape(nq, nh, 1, r, -1)  # [q, n, 1, a', (w b')]
-        self._rank_one = []
-        owner = np.repeat(np.arange(nh), [int(np.prod(s)) for s in self.shapes.values()])
-        for term, vectors, vl, vr in zip(
-            engine.rank_one_terms, engine._vectors, engine.vec_left, engine.vec_right
-        ):
-            t = vl[site].swapaxes(1, 2)  # [n, a, m]
-            for i in sites:
-                v = vectors[i]  # [n, m, p, m'], conjugated
-                t = (t @ v.reshape(nh, v.shape[1], -1)).reshape(nh, -1, v.shape[3])
-            local = (t @ vr[sites[-1]]).reshape(-1)[self._index]
-            if term.coupled:
-                rows = local[None, :]
-            else:
-                rows = np.where(owner == np.arange(nh)[:, None], local, 0.0)
-            self._rank_one.append((rows, term.coefficient * rows.conj().T))
+        t = engine.vec_left[site].swapaxes(2, 3)  # [t, n, a, m]
+        nt, lead = t.shape[0], l
+        for i in sites:
+            v = engine._vectors[i]  # [t, n, m, p, m'], conjugated
+            _, _, m, _, m2 = v.shape
+            t = (t @ v.reshape(nt, nh, m, p * m2)).reshape(nt, nh, lead * p, m2)
+            lead *= p
+        t = t @ engine.vec_right[sites[-1]]  # [t, n, (a p..), a']
+        self._rows = t.reshape(nt, nh * self._size)[:, self._index]
+        coefficients = np.array([term.coefficient for term in engine.rank_one_terms], dtype=complex)
+        self._back = self._rows.conj().T * coefficients
 
     def unpack(self, vec):
         """Per-harmonic site tensors of a flat local vector."""
@@ -539,8 +535,8 @@ class SiteProblem:
             lead *= self.engine.phys
         t = self._right @ t.reshape(nq, nh, lead, self._right.shape[-1], k)  # [q, n, lead, a', k]
         y = t.sum(axis=0).reshape(-1, k)[self._index] + self._diag[:, None] * cols
-        for rows, back in self._rank_one:
-            y += back @ (rows @ cols)
+        if self._rows.size:
+            y += self._back @ (self._rows @ cols)
         return y.reshape(vec.shape)
 
     def dense_matrix(self):
@@ -796,7 +792,7 @@ def _sweep_schedule(mpo, state, cfg, report, target, label, terms=()):
 def _deflated_check(mpo, state, cfg, rng):
     """Eigenvalue nearest zero of the centre-site problem with `state` deflated.
 
-    The coupled term ``-DEFLATION_SHIFT |rho><rho| / ||rho||^2`` moves the
+    The rank-one term ``-DEFLATION_SHIFT |rho><rho| / ||rho||^2`` moves the
     local eigenvalue of the converged state `rho` to about ``-DEFLATION_SHIFT``
     and leaves every other local eigenvalue in place (Wielandt deflation), so
     what remains nearest zero is the runner-up of the undeflated problem. It
@@ -894,9 +890,7 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
         report.warnings.append(
             f"hermiticity defect {worst_defect:.2e} above tolerance {CONVERGENCE_TOL:.1e}"
         )
-    # fixed-point residual of the generator the sweeps ran on
-    image = mpo.apply(state, TruncationSpec(weight_cutoff=1e-14))
-    report.fixed_point_residual = image.norm() / max(state.norm(), 1e-300)
+    report.fixed_point_residual = _eigen_residual(mpo, state, 0.0)
     report.wall_time = time.perf_counter() - start
     return state, report
 
@@ -945,23 +939,27 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
     The frequency-space kernel is degenerate: shifting the steady state by
     ``s`` harmonics gives an eigenvector at ``-i s omega``, all with vanishing
     real part. The right solve therefore penalizes the trace content of every
-    block (one identity projector per harmonic, of strength ``w = 10 max(1,
-    s)`` with ``s`` the largest sum of squared spectral norms of one jump
-    operator's Fourier components), which moves all kernel copies at once
-    while leaving genuine decay modes (blockwise traceless) alone, and
-    targets ``"slowest_central"``. The left partner is the eigenvector of the
-    bare adjoint generator at the known eigenvalue ``conj(lambda)``, solved
-    at that shift from the right mode. Both solves sweep the stages of
-    ``cfg.warmup`` (`stage_log` labels ``"decay right"`` and ``"decay
-    left"``) at their shared cutoff. Both modes are cleaned (trace content of
-    the right mode, steady-state overlap of the left one) and bi-normalized.
+    block (``2 n_c + 1`` rank-one terms, one identity projector per harmonic,
+    of strength ``w = 10 max(1, s)`` with ``s`` the largest sum of squared
+    spectral norms of one jump operator's Fourier components), which moves
+    all kernel copies at once while leaving genuine decay modes (blockwise
+    traceless) alone, and targets ``"slowest_central"``. The left partner is
+    the eigenvector of the bare adjoint generator at the known eigenvalue
+    ``conj(lambda)``, solved at that shift from the right mode. Both solves
+    sweep the stages of ``cfg.warmup`` (`stage_log` labels ``"decay right"``
+    and ``"decay left"``) at their shared cutoff. Both modes are cleaned
+    (trace content of the right mode, steady-state overlap of the left one)
+    at the last stage's bond and bi-normalized; the last `stage_log` entry of
+    each solve records the weight its cleaning truncates
+    (``"repair_discarded_weight"``).
 
-    ``report.converged`` holds only when each solve's last sweep residual is
-    at most ``cfg.eig_tol`` (the left one bounds ``|theta_left -
-    conj(lambda)|``); each failing solve adds a warning. Above cutoff 0,
-    ``lambda`` is the central copy of its quasi-energy. The report's
-    ``fixed_point_residual`` is the larger true residual of the two modes,
-    and each `stage_log` entry records its ``"target"``.
+    ``report.final_residual`` is the larger of the two solves' last sweep
+    residuals (the left one bounds ``|theta_left - conj(lambda)|``), and
+    ``report.converged`` holds when it is at most ``cfg.eig_tol``; each
+    failing solve adds a warning. Above cutoff 0, ``lambda`` is the central
+    copy of its quasi-energy. The report's ``fixed_point_residual`` is the
+    larger true residual of the two modes, and each `stage_log` entry
+    records its ``"target"``.
     """
     cfg.validate()
     model.validate()
@@ -978,25 +976,28 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
     residuals = {}  # last sweep residual of each solve
 
     mpo = build_extended_lindbladian(model, n_c)
-    ident_all = identity_operator_state(
-        model.chain_length, model.omega, n_c, range(-n_c, n_c + 1), model.site_dim
-    )
-    right_terms = [RankOneTerm(-w / model.site_dim**model.chain_length, ident_all, coupled=False)]
+    projectors = [
+        identity_operator_state(model.chain_length, model.omega, n_c, [n], model.site_dim)
+        for n in range(-n_c, n_c + 1)
+    ]
+    right_terms = [RankOneTerm(-w / model.site_dim**model.chain_length, p) for p in projectors]
     rng = np.random.default_rng(cfg.seed + 1)
     seed = _orthogonalized_noise(model, n_c, min(final_stage.chi, 4), rng, model.site_dim)
     right, lam = _sweep_schedule(mpo, seed, cfg, report, "slowest_central", "decay right", right_terms)
     residuals["decay right"] = report.sweep_residuals[-1]
+    repair = TruncationSpec(max_rank=final_stage.chi)
 
     # clean residual trace content in every block, then normalize
-    eye_mps = ident_all.blocks[0]
+    eye_mps = projectors[n_c].blocks[0]
     eye_norm2 = eye_mps.inner(eye_mps).real
+    discarded = 0.0
     for n in list(right.blocks):
         tr = eye_mps.inner(right.blocks[n])
         if abs(tr) == 0.0:
             continue
-        cleaned = right.blocks[n].add(eye_mps.scaled(-tr / eye_norm2))
-        cleaned, _ = cleaned.canonicalize(TruncationSpec(max_rank=final_stage.chi))
-        right.blocks[n] = cleaned
+        right.blocks[n], info = right.blocks[n].add(eye_mps.scaled(-tr / eye_norm2)).canonicalize(repair)
+        discarded += info.total_discarded
+    report.stage_log[-1]["repair_discarded_weight"] = discarded
     right = right.scaled(1.0 / max(right.norm(), 1e-300))
 
     adjoint = mpo.adjoint()  # the left solve starts from the right mode, its pair
@@ -1005,10 +1006,8 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
     # project out the steady-state direction: <<L - beta I | ness>> = 0 with
     # beta = conj(<<L|ness>>) because <<I|ness>> = Tr rho^0 = 1
     overlap = left.inner(ness)
-    if 0 in left.blocks:
-        corrected = left.blocks[0].add(eye_mps.scaled(-np.conj(overlap)))
-        corrected, _ = corrected.canonicalize(TruncationSpec(max_rank=final_stage.chi))
-        left.blocks[0] = corrected
+    left.blocks[0], info = left.blocks[0].add(eye_mps.scaled(-np.conj(overlap))).canonicalize(repair)
+    report.stage_log[-1]["repair_discarded_weight"] = info.total_discarded
     pairing = left.inner(right)
     if abs(pairing) < 1e-9 * max(left.norm() * right.norm(), 1e-300):
         raise SolverError("left and right modes are numerically orthogonal")
@@ -1016,7 +1015,7 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
 
     if lam.real > 1e-6:
         raise SolverError(f"decay eigenvalue has positive real part: {lam}")
-    ident_overlap = abs(eye_mps.inner(right.blocks[0])) if 0 in right.blocks else 0.0
+    ident_overlap = abs(eye_mps.inner(right.blocks[0]))
     steady_overlap = abs(left.inner(ness))
     if ident_overlap > 1e-6:
         report.warnings.append(
@@ -1029,9 +1028,9 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
         if resid > cfg.eig_tol
     ]
     report.warnings.extend(failures)
-    report.converged = not failures
+    report.final_residual = max(residuals.values())
+    report.converged = report.final_residual <= cfg.eig_tol
     report.eigenvalue = lam
-    report.final_residual = report.sweep_residuals[-1]
     report.fixed_point_residual = max(
         _eigen_residual(mpo, right, lam), _eigen_residual(adjoint, left, lam.conjugate())
     )

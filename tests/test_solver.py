@@ -137,26 +137,23 @@ def test_local_operator_matches_dense_projection(two_site, adjoint, terms):
     )
     rank_one = {
         "none": [],
+        # one identity projector per harmonic, as the decay solve builds them
         "uncoupled": [
-            solver.RankOneTerm(-3.0, solver.identity_operator_state(length, model.omega, n_c, [-1, 1]), coupled=False)
+            solver.RankOneTerm(-3.0, solver.identity_operator_state(length, model.omega, n_c, [n]))
+            for n in (-1, 1)
         ],
         # vectors lacking a harmonic: partial, and partial relabelled n -> n + 1
         "coupled": [
-            solver.RankOneTerm(-2.0 + 1.0j, partial, coupled=True),
+            solver.RankOneTerm(-2.0 + 1.0j, partial),
             solver.RankOneTerm(
                 -1.5,
                 FloquetDensityMatrix({n + 1: b for n, b in partial.blocks.items()}, model.omega, n_c, length),
-                coupled=True,
             ),
         ],
     }[terms]
     for term in rank_one:
-        groups = [term.vector.blocks] if term.coupled else [{n: b} for n, b in term.vector.blocks.items()]
-        for group in groups:
-            v = np.concatenate(
-                [group[n].to_dense() if n in group else np.zeros(4**length) for n in (-1, 0, 1)]
-            )
-            dense = dense + term.coefficient * np.outer(v, v.conj())
+        v = np.concatenate([term.vector.block(n).to_dense() for n in (-1, 0, 1)])
+        dense = dense + term.coefficient * np.outer(v, v.conj())
     for site in range(length - 1 if two_site else length):
         engine = SweepEngine(mpo, state, TruncationSpec(), rank_one)
         engine.advance_to(site)
@@ -240,6 +237,16 @@ def test_solve_ness_ising_l4_full_bond_matches_oracle():
     assert report.converged
     assert block_error(state, model, 0) < 1e-7
     assert max(report.stage_log[-1]["max_bond"]) == 16
+
+
+def test_solve_ness_ising_l4_first_harmonic_matches_oracle():
+    # L=4 with a harmonic ladder; the raised dense cutoff keeps every local
+    # problem (up to dimension 3072) on shift-invert, off ARPACK
+    model = ising_l4()
+    state, report = solve_ness(model, quick_config(1, 16, noise_amplitude=1e-5, dense_local_cutoff=4096))
+    assert report.converged
+    assert block_error(state, model, 1) < 1e-7
+    assert sum(e["local_solves"]["arnoldi"] for e in report.stage_log) == 0
 
 
 # Block error of the chi=4 solve below, measured with the trace penalties and
@@ -355,7 +362,7 @@ def test_shift_invert_matches_dense_eig(start, two_site, penalties):
     # from the noisy guess it takes several Arnoldi steps, and on the random
     # state the one-site edge problems have that eigenvalue at |theta| ~ 1;
     # the penalized cases deflate the state itself, as the degeneracy check
-    # does, with one coupled rank-one term
+    # does, with one rank-one term
     model = ising_l3()
     n_c = 1
     mpo = build_extended_lindbladian(model, n_c)
@@ -472,7 +479,7 @@ def test_stage_log_entries_carry_label_and_target():
         logged = json.loads(json.dumps(rep.to_dict()))["stage_log"]
         assert len(logged) == len(rep.stage_log)
         for entry, exported in zip(rep.stage_log, logged):
-            assert set(entry) - {"degeneracy_gap"} == keys
+            assert set(entry) - {"degeneracy_gap", "repair_discarded_weight"} == keys
             assert (exported["label"], exported["target"]) == (entry["label"], entry["target"])
 
 
@@ -632,6 +639,56 @@ def test_decay_mode_binding_chi_is_not_converged():
     assert not decay.report.converged
     assert any("above eig_tol" in w for w in decay.report.warnings)
     assert decay.report.fixed_point_residual > 1e-6
+
+
+@pytest.fixture(scope="module")
+def ising_l3_decay():
+    """Converged steady state and decay mode of Ising L=3, n_c=1, chi=8."""
+    model = ising_l3()
+    cfg = quick_config(1, 8)
+    ness, report = solve_ness(model, cfg)
+    return ness, report, solve_first_decay_mode(model, ness, cfg)
+
+
+def test_hermiticity_defect_matches_dense_on_converged_state(ising_l3_decay):
+    # rho^n and (rho^-n)^dag agree to rounding: the defect must not cancel
+    # to sqrt(eps) or to an exact zero
+    ness, report, _ = ising_l3_decay
+    dense = ness.to_dense_blocks()
+    ref = np.linalg.norm(dense[0])
+    for n, defect in report.hermiticity_defects.items():
+        exact = np.linalg.norm(dense[n] - dense[-n].conj().T) / ref
+        assert abs(defect - exact) < 1e-12
+
+
+def test_final_residual_decides_convergence(ising_l3_decay):
+    # the decay solve's final residual is the worse of its two solves, so
+    # converged == (final_residual <= eig_tol) holds for both solvers
+    _, report, decay = ising_l3_decay
+    last = {e["label"]: e["sweep_residuals"][-1] for e in decay.report.stage_log}
+    assert decay.report.final_residual == max(last["decay right"], last["decay left"])
+    for rep in (report, decay.report):
+        assert rep.converged == (rep.final_residual <= 1e-10)
+    assert decay.report.converged
+
+
+@pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # Ising harmonics exceed n_c = 0
+def test_decay_repairs_report_discarded_weight(ising_l3_decay):
+    # the right mode's trace cleaning and the left mode's steady-state
+    # correction recompress to chi: both truncate when chi = 2 binds on L=4,
+    # and neither does on the converged L=3 run
+    model = ising_l4()
+    cfg = quick_config(0, 2)
+    ness, _ = solve_ness(model, cfg)
+    binding = solve_first_decay_mode(model, ness, cfg)
+    for decay, positive in ((binding, True), (ising_l3_decay[2], False)):
+        logged = json.loads(json.dumps(decay.report.to_dict()))["stage_log"]
+        for label in ("decay right", "decay left"):
+            index = max(i for i, e in enumerate(logged) if e["label"] == label)
+            weight = decay.report.stage_log[index]["repair_discarded_weight"]
+            assert logged[index]["repair_discarded_weight"] == weight
+            assert weight > 0 if positive else weight == 0.0
+            assert all("repair_discarded_weight" not in e for e in logged[:index] if e["label"] == label)
 
 
 def test_arpack_without_central_value_falls_back(monkeypatch, caplog):
