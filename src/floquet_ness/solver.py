@@ -112,9 +112,6 @@ ARPACK_MAXITER = 600  # ARPACK restarts of a first attempt; a retry doubles them
 DENSE_LOCAL_HARD_CAP = 4096  # largest local problem densified after ARPACK fails
 DEGENERACY_TOL = 1e-7  # a deflated local eigenvalue this close to 0 is degenerate
 DEFLATION_SHIFT = 1000.0  # the degeneracy check moves the converged state's eigenvalue to -this
-# `SiteProblem.dense_matrix` applies the local operator to as many identity
-# columns at once as keep its largest intermediate below this many bytes.
-DENSE_BLOCK_BYTES = 1 << 21
 # Methods a local solve is counted under in `SweepEngine.local_solves`:
 # shift-invert and a full dense `eig` below the dense cutoff, ARPACK above
 # it, and a dense `eig` (or shift-invert) after the method tried first failed.
@@ -458,8 +455,16 @@ class SiteProblem:
     of columns. The T terms are one low-rank update ``back @ (rows @ x)``,
     row ``t`` of the ``(T, dim)`` `rows` the local bra of term ``t``'s vector
     and ``back = rows^H diag(c)`` with the terms' coefficients ``c``.
-    Environments are validated against the engine version, so a stale
-    problem object fails loudly.
+
+    `dense_matrix` assembles the same operator without `matvec`: for every
+    live pair ``(q, n)`` (``|n - q| <= n_c``; the others are zero) it
+    contracts ``L[q, n, a, w, b] W_q[w, p', p, w'] R[q, n, a', w', b']``,
+    with a pair's two MPO tensors folded into one, in two batched products,
+    and gathers the unpadded entries into block ``(n, n - q)`` of the
+    ``(dim, dim)`` matrix. The ramp goes on the diagonal and the low-rank
+    update ``back @ rows`` is added once. Both methods validate the
+    environments against the engine version, so a stale problem object
+    fails loudly.
     """
 
     def __init__(self, engine: SweepEngine, site, two_site):
@@ -539,15 +544,49 @@ class SiteProblem:
             y += self._back @ (self._rows @ cols)
         return y.reshape(vec.shape)
 
+    def _active_mpo(self):
+        """``[q, w, P', P, w']`` MPO of the active site(s), a pair folded into
+        one tensor with ``P = (p1 p2)``; operator bonds padded as in the
+        environments."""
+        nq, p = self._left.shape[0], self.engine.phys
+        # each [q, 1, 1, (p' w'), (w p)] matrix as a [q, w, p', p, w'] tensor
+        fold, *rest = [
+            w.reshape(nq, p, -1, w.shape[-1] // p, p).transpose(0, 3, 1, 4, 2) for w in self._wstack
+        ]
+        for w in rest:
+            _, wl, pp, _, wm = fold.shape
+            t = (fold.reshape(nq, -1, wm) @ w.reshape(nq, wm, -1)).reshape(nq, wl, pp, pp, p, p, -1)
+            fold = t.transpose(0, 1, 2, 4, 3, 5, 6).reshape(nq, wl, pp * p, pp * p, -1)
+        return fold
+
     def dense_matrix(self):
-        """Materialize the local operator: `matvec` on blocks of identity columns."""
-        nq, nh = self._left.shape[:2]
-        bond = max(max(w.shape[-2:]) for w in self._wstack) // self.engine.phys
-        width = max(1, DENSE_BLOCK_BYTES // (16 * nq * nh * self._size * bond))
-        out = np.empty((self.dim, self.dim), dtype=complex)
-        for j in range(0, self.dim, width):
-            cols = np.eye(self.dim, min(width, self.dim - j), -j, dtype=complex)
-            out[:, j : j + width] = self.matvec(cols)
+        """Materialize the local operator from the environments and MPO tensors."""
+        if self.version != self.engine.version:
+            raise StaleEnvironmentError("site problem built against an older sweep state")
+        shift = self.engine._shift
+        nh = shift.shape[1]
+        l, r = self._left.shape[3], self._right.shape[3]
+        mpo = self._active_mpo()
+        _, wl, pp, _, wr = mpo.shape
+        # live (q, n) pairs, whose block n - q lies inside the cutoff
+        q, n = np.nonzero(shift < nh)
+        k = q.size
+        left = self._left[q, n].reshape(k, l, wl, l).transpose(0, 1, 3, 2)  # [k, a, b, w]
+        t = left.reshape(k, l * l, wl) @ mpo[q].reshape(k, wl, -1)  # [k, (a b), (P' P w')]
+        right = self._right[q, n, 0].reshape(k, r, wr, r).transpose(0, 2, 1, 3)  # [k, w', a', b']
+        blocks = (t.reshape(k, -1, wr) @ right.reshape(k, wr, r * r)).reshape(k, -1)  # [k, (a b P' P a' b')]
+        # flat offsets into one block of every local row (a, P', a') and column (b, P, b')
+        harmonic, a, p, a2 = np.unravel_index(self._index, (nh, l, pp, r))
+        rows = (a * l * pp + p) * pp * r * r + a2 * r
+        cols = (a * pp * pp + p) * r * r + a2
+        bounds = np.searchsorted(harmonic, np.arange(nh + 1))  # local range of each harmonic
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for block, row, col in zip(blocks, n, shift[q, n]):  # block (n, n - q)
+            rs, cs = slice(bounds[row], bounds[row + 1]), slice(bounds[col], bounds[col + 1])
+            out[rs, cs] = block[rows[rs, None] + cols[None, cs]]
+        out.flat[:: self.dim + 1] += self._diag
+        if self._rows.size:
+            out += self._back @ self._rows
         return out
 
 
@@ -578,10 +617,12 @@ def _shift_invert(mat, v0, tol, sigma):
     if not norm0 > 0:
         return None, "zero start vector"
     dim = mat.shape[0]
+    shifted = mat.copy()
+    shifted.flat[:: dim + 1] -= sigma
     with warnings.catch_warnings():
         warnings.simplefilter("error", sla.LinAlgWarning)
         try:
-            lu = sla.lu_factor(mat - sigma * np.eye(dim), overwrite_a=True, check_finite=False)
+            lu = sla.lu_factor(shifted, overwrite_a=True, check_finite=False)
         except sla.LinAlgWarning as err:
             return None, str(err)
     if not np.all(np.isfinite(lu[0])):
@@ -774,16 +815,19 @@ def _sweep_schedule(mpo, state, cfg, report, target, label, terms=()):
     Each stage runs :func:`_run_sweeps` on a fresh engine of `mpo` and the
     rank-one `terms`, truncated at the stage's bond dimension. Its log goes
     to ``report.stage_log`` with `label`, `target` (a shift as ``[re, im]``),
-    cutoff and bond dimension; its residuals extend
-    ``report.sweep_residuals``. Returns the final state and local eigenvalue.
+    cutoff, bond dimension and ``"seconds"``, the stage's wall time; its
+    residuals extend ``report.sweep_residuals``. Returns the final state and
+    local eigenvalue.
     """
     logged = target if isinstance(target, str) else [target.real, target.imag]
     for stage in cfg.warmup:
+        start = time.perf_counter()
         trunc = TruncationSpec(max_rank=stage.chi, weight_cutoff=WEIGHT_CUTOFF)
         engine = SweepEngine(mpo, state, trunc, terms)
         log, theta = _run_sweeps(engine, cfg, stage, target, label)
         state = engine.state()
-        entry = {"label": label, "target": logged, "n_c": stage.n_c, "chi": stage.chi}
+        seconds = time.perf_counter() - start
+        entry = {"label": label, "target": logged, "n_c": stage.n_c, "chi": stage.chi, "seconds": seconds}
         report.stage_log.append({**entry, **log})
         report.sweep_residuals.extend(log["sweep_residuals"])
     return state, theta
@@ -826,8 +870,8 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
     propagates. After the last stage, :func:`_deflated_check` raises
     :class:`DegenerateSteadyStateError` when the steady state is degenerate;
     the last `stage_log` entry records its ``"degeneracy_gap"`` and counts
-    its local solve. The report warns about weight in the edge harmonic,
-    Hermiticity defects and a final residual above tolerance.
+    its local solve and its time. The report warns about weight in the edge
+    harmonic, Hermiticity defects and a final residual above tolerance.
     """
     cfg.validate()
     model.validate()
@@ -845,8 +889,10 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
     )
     mpo = build_extended_lindbladian(model, n_c)
     state, final_theta = _sweep_schedule(mpo, state, cfg, report, 0.0, "ness")
+    check_start = time.perf_counter()
     theta, solves = _deflated_check(mpo, state, cfg, rng)
     production = report.stage_log[-1]
+    production["seconds"] += time.perf_counter() - check_start
     production["degeneracy_gap"] = float(abs(theta))
     for method, count in solves.items():
         production["local_solves"][method] += count

@@ -167,6 +167,42 @@ def test_local_operator_matches_dense_projection(two_site, adjoint, terms):
         assert np.max(np.abs(phi @ problem.current_vector() - stacked)) < 1e-12
 
 
+@pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # DTC harmonics exceed n_c = 1
+@pytest.mark.parametrize("terms", [False, True], ids=["bare", "projectors"])
+@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+@pytest.mark.parametrize("two_site", [False, True], ids=["one", "two"])
+def test_dense_matrix_assembles_matvec_without_calling_it(two_site, adjoint, terms, monkeypatch):
+    # DTC at n_c = 1 keeps 5 transfer components (q = -2..2), so pairs (q, n)
+    # with |n - q| > n_c are dead; blocks carry different bonds per harmonic,
+    # and the decay solve's 2 n_c + 1 identity projectors add a low-rank update
+    model = build_dtc_model(DTCParams(chain_length=3), n_c=1)
+    n_c, length = 1, 3
+    mpo = build_extended_lindbladian(model, n_c)
+    assert sorted(q for q in mpo.components if abs(q) <= 2 * n_c) == [-2, -1, 0, 1, 2]
+    if adjoint:
+        mpo = mpo.adjoint()
+    rng = np.random.default_rng(8)
+    blocks = {n: Mps.random(length, 4, chi, rng, norm=1.0) for n, chi in ((-1, 2), (0, 4), (1, 3))}
+    state = FloquetDensityMatrix(blocks, model.omega, n_c, length)
+    projectors = [
+        solver.RankOneTerm(-2.5, solver.identity_operator_state(length, model.omega, n_c, [n]))
+        for n in range(-n_c, n_c + 1)
+    ]
+    for site in range(length - 1 if two_site else length):
+        engine = SweepEngine(mpo, state, TruncationSpec(), projectors if terms else [])
+        engine.advance_to(site)
+        problem = engine.site_problem(site, two_site)
+        columns = problem.matvec(np.eye(problem.dim))
+
+        def refuse(_):
+            raise AssertionError("dense_matrix called matvec")
+
+        monkeypatch.setattr(problem, "matvec", refuse)
+        local = problem.dense_matrix()
+        assert local.shape == (problem.dim, problem.dim)
+        assert np.max(np.abs(local - columns)) <= 1e-13 * np.max(np.abs(columns))
+
+
 def test_stale_problem_rejected():
     model = single_qubit_model()
     mpo = build_extended_lindbladian(model, 0)
@@ -471,7 +507,7 @@ def test_stage_log_entries_carry_label_and_target():
     cfg = quick_config(0, 4)
     ness, report = solve_ness(model, cfg)
     decay = solve_first_decay_mode(model, ness, cfg)
-    keys = {"label", "target", "n_c", "chi", "two_site"}
+    keys = {"label", "target", "n_c", "chi", "seconds", "two_site"}
     keys |= {"sweep_residuals", "discarded_weight", "max_bond", "local_solves"}
     assert [(e["label"], e["target"], e["two_site"]) for e in report.stage_log] == [("ness", [0.0, 0.0], False)] * 2
     assert [e["label"] for e in decay.report.stage_log] == ["decay right"] * 2 + ["decay left"] * 2
@@ -480,6 +516,7 @@ def test_stage_log_entries_carry_label_and_target():
         assert len(logged) == len(rep.stage_log)
         for entry, exported in zip(rep.stage_log, logged):
             assert set(entry) - {"degeneracy_gap", "repair_discarded_weight"} == keys
+            assert exported["seconds"] > 0
             assert (exported["label"], exported["target"]) == (entry["label"], entry["target"])
 
 
