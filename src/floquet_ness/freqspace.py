@@ -113,25 +113,25 @@ class FloquetDensityMatrix:
         }
 
 
-def initial_guess(chain_length, site_dim, cutoff, omega, noise_amplitude=0.0, seed=0):
-    """Maximally mixed state in the static block plus seeded noise elsewhere.
+def initial_guess(chain_length, site_dim, cutoff, omega, noise_amplitude=0.0, seed=0, noise_bond=2):
+    """Maximally mixed state in the static block plus seeded noise everywhere.
 
     With zero noise, block 0 is exactly the vectorized ``I / d**L`` and all
-    other harmonics vanish. Noise blocks are normalized random MPS scaled to
-    `noise_amplitude`; the same seed reproduces the same tensors.
+    other harmonics vanish. Noise blocks are random MPS of bond dimension
+    `noise_bond` (capped by the chain), scaled to norm `noise_amplitude`;
+    the same seed reproduces the same tensors.
     """
     p = site_dim * site_dim
     rng = np.random.default_rng(seed)
     mixed = [vectorize_choi(np.eye(site_dim)) / site_dim] * chain_length
     blocks = {0: Mps.from_product(mixed)}
     if noise_amplitude > 0.0:
-        chi = min(2, p)
         blocks[0] = blocks[0].add(
-            Mps.random(chain_length, p, chi, rng, norm=noise_amplitude)
+            Mps.random(chain_length, p, noise_bond, rng, norm=noise_amplitude)
         )
         for n in range(-cutoff, cutoff + 1):
             if n != 0:
-                blocks[n] = Mps.random(chain_length, p, chi, rng, norm=noise_amplitude)
+                blocks[n] = Mps.random(chain_length, p, noise_bond, rng, norm=noise_amplitude)
     else:
         for n in range(-cutoff, cutoff + 1):
             if n != 0:

@@ -3,9 +3,9 @@
 The solver works on the harmonic-resolved MPS of
 :class:`~floquet_ness.freqspace.FloquetDensityMatrix`. All blocks are kept in
 mixed-canonical gauge around the active site; contracting everything except
-that site (or pair of sites) against the transfer components of the generator
-yields, for the site tensors of all harmonic blocks at once, an ordinary
-(non-Hermitian) local eigenproblem. Its target is a shift ``sigma``, the
+that site against the transfer components of the generator yields, for the
+site tensors of all harmonic blocks at once, an ordinary (non-Hermitian)
+local eigenproblem. Its target is a shift ``sigma``, the
 eigenvalue nearest it (``0`` for the steady state, ``conj(lambda)`` for the
 left partner of a decay mode ``lambda``), or ``"slowest_central"``: the
 largest real part in the central Floquet zone ``|Im theta| < omega / 2``,
@@ -18,10 +18,12 @@ on its inverse, accepted only on a small true residual), the decay mode and
 every refused shift-invert solve by a full LAPACK diagonalization. Larger
 problems go to restarted Arnoldi (ARPACK), with a logged dense fallback when
 it fails. Sweeping relaxes the state onto the targeted eigenvector: every
-solve (steady state, right and left decay mode) runs the stages of one
-schedule, ``SweepConfig.warmup``, at one harmonic cutoff through one stage
-loop; stages differ only in sweep count, bond dimension and one- or two-site
-updates. The steady state needs no trace constraint: its shifted copies sit
+solve (steady state, right and left decay mode) canonicalizes its start at
+the one bond dimension of the schedule, ``SweepConfig.warmup``, and runs
+single-site sweeps at that bond and one harmonic cutoff. Bonds are fixed at
+the start, never grown, so the start must span them (a noisy start at the
+full bond); a bond held at the bond dimension below its exact size is
+reported. The steady state needs no trace constraint: its shifted copies sit
 at ``i s omega``, ``|s| omega`` away from zero. Its degeneracy is checked
 once, after the sweeps: the converged state is deflated out of the
 centre-site problem (Wielandt), and that problem's eigenvalue nearest zero
@@ -54,6 +56,7 @@ from .freqspace import FloquetDensityMatrix, FloquetMPO, initial_guess
 from .liouvillian import ModelSpec, build_extended_lindbladian
 from .mps import Mps
 from .superops import LocalOperator, vectorize_choi
+# perfbench/tracing.py wraps solver.truncated_svd, so the name stays bound here
 from .tensors import TruncationSpec, truncated_svd
 
 logger = logging.getLogger(__name__)
@@ -95,18 +98,17 @@ class StaleEnvironmentError(SolverError):
 
 @dataclass(frozen=True)
 class SweepStage:
-    """One stage of the sweep schedule: up to `sweeps` sweeps at bond
-    dimension `chi`, updating site pairs or single sites. `n_c` is the
-    harmonic cutoff, the same in every stage of a schedule."""
+    """The sweep schedule: up to `sweeps` single-site sweeps at harmonic
+    cutoff `n_c` and bond dimension `chi`, the bond of the start and of the
+    result."""
 
     n_c: int
     chi: int
     sweeps: int = 4
-    two_site: bool = True
 
 
 CONVERGENCE_TOL = 1e-3  # edge-harmonic weight and Hermiticity defect that warn
-WEIGHT_CUTOFF = 1e-12  # relative singular-value cutoff of every truncation
+WEIGHT_CUTOFF = 1e-12  # relative Schmidt value kept by compression and counted as saturating a bond
 KRYLOV_DIM = 36  # ARPACK basis of a first attempt (a retry doubles it); shift-invert step budget
 ARPACK_MAXITER = 600  # ARPACK restarts of a first attempt; a retry doubles them
 DENSE_LOCAL_HARD_CAP = 4096  # largest local problem densified after ARPACK fails
@@ -122,12 +124,13 @@ LOCAL_METHODS = ("shift_invert", "dense_eig", "arnoldi", "dense_fallback")
 class SweepConfig:
     """Schedule and tolerances for the sweeping solver.
 
-    `warmup` is the schedule every solve runs: its stages share one cutoff,
-    each runs at least one sweep, and the bond dimension must not shrink from
-    one stage to the next (the last stage's is the target). Local problems
-    up to `dense_local_cutoff` are densified: solves at a shift (steady
-    state, degeneracy check, left decay mode) use shift-invert (LU plus a
-    short Arnoldi on the inverse) and fall back to a full `eig` when it is
+    `warmup` is the schedule every solve runs, exactly one
+    :class:`SweepStage` of at least one sweep. Single-site sweeps cannot grow
+    a bond, so the start carries seeded noise of `noise_amplitude` at the
+    full bond; it must be positive. Local problems up to
+    `dense_local_cutoff` are densified: solves at a shift (steady state,
+    degeneracy check, left decay mode) use shift-invert (LU plus a short
+    Arnoldi on the inverse) and fall back to a full `eig` when it is
     refused; the right decay mode uses `eig`. Larger problems go to ARPACK.
     """
 
@@ -135,31 +138,24 @@ class SweepConfig:
     eig_tol: float = 1e-10
     noise_amplitude: float = 1e-6
     seed: int = 7
-    dense_local_cutoff: int = 700
+    dense_local_cutoff: int = DENSE_LOCAL_HARD_CAP
 
     def validate(self):
-        if not self.warmup:
-            raise ValueError("sweep schedule is empty")
-        for a, b in zip(self.warmup, self.warmup[1:]):
-            if b.n_c != a.n_c:
-                raise ValueError("every stage must run at the same cutoff")
-            if b.chi < a.chi:
-                raise ValueError("stages must not shrink the bond dimension")
-        if any(stage.sweeps < 1 for stage in self.warmup):
-            raise ValueError("every stage must run at least one sweep")
+        if len(self.warmup) != 1:
+            raise ValueError("the sweep schedule must be exactly one stage")
+        if self.warmup[0].sweeps < 1:
+            raise ValueError("the stage must run at least one sweep")
         if self.eig_tol <= 0:
             raise ValueError("eig_tol must be positive")
+        if not self.noise_amplitude > 0:
+            raise ValueError("noise_amplitude must be positive: a noiseless start stays at bond 1")
         return self
 
 
 def make_warmup_schedule(n_c, chi, warm_sweeps=3, final_sweeps=8):
-    """Standard schedule at cutoff `n_c` and bond `chi`: `warm_sweeps`
-    two-site sweeps, which grow the bonds, then `final_sweeps` single-site
-    sweeps."""
-    return [
-        SweepStage(n_c, chi, warm_sweeps, two_site=True),
-        SweepStage(n_c, chi, final_sweeps, two_site=False),
-    ]
+    """Standard schedule at cutoff `n_c` and bond `chi`: one stage of up to
+    ``warm_sweeps + final_sweeps`` single-site sweeps."""
+    return [SweepStage(n_c, chi, warm_sweeps + final_sweeps)]
 
 
 @dataclass
@@ -247,7 +243,8 @@ class SweepEngine:
     """Mutable sweep state: block tensors and environments.
 
     The engine owns copies of the block tensors in mixed-canonical form,
-    per harmonic and unpadded (QR and SVD act block by block), and the
+    per harmonic and unpadded (QR acts block by block; no sweep changes a
+    bond dimension), and the
     partially contracted environments of the local eigenproblem, one array
     per bond:
 
@@ -261,20 +258,12 @@ class SweepEngine:
       environments of the rank-one terms ``t`` (``a_v`` the vector bond,
       zero-padded over terms and harmonics), zero where a vector lacks ``n``.
 
-    `discarded_weight` sums the relative weight that two-site updates
-    truncate away; callers reset it to measure one sweep. `local_solves`
-    counts the engine's local solves by method (keys `LOCAL_METHODS`).
+    `local_solves` counts the engine's local solves by method (keys
+    `LOCAL_METHODS`).
     """
 
-    def __init__(
-        self,
-        mpo: FloquetMPO,
-        state: FloquetDensityMatrix,
-        trunc: TruncationSpec,
-        rank_one_terms=(),
-    ):
+    def __init__(self, mpo: FloquetMPO, state: FloquetDensityMatrix, rank_one_terms=()):
         self.mpo = mpo
-        self.trunc = trunc
         self.length = state.chain_length
         self.site_dim = state.site_dim
         self.phys = state.phys_dim
@@ -309,7 +298,6 @@ class SweepEngine:
             flat = [v.block(n).tensors[i].transpose(1, 0, 2) for v in vectors for n in self.harmonics]
             stack = _padded(flat) if flat else np.zeros((0, 1, self.phys, 1), dtype=complex)
             self._vectors.append(stack.reshape(nt, nh, *stack.shape[1:]).conj())
-        self.discarded_weight = 0.0
         self.local_solves = dict.fromkeys(LOCAL_METHODS, 0)
         self.version = 0
         self.center = 0
@@ -386,125 +374,88 @@ class SweepEngine:
 
     # -- local problem ---------------------------------------------------------
 
-    def site_problem(self, i, two_site=False):
-        return SiteProblem(self, i, two_site)
+    def site_problem(self, i):
+        return SiteProblem(self, i)
 
-    def set_site(self, i, pieces, two_site=False, direction="right"):
+    def set_site(self, i, pieces, direction="right"):
         """Write back the solved tensors and restore the gauge.
 
-        `pieces` maps the harmonic to the new site tensor(s). For two-site
-        updates the merged tensor is split with the engine truncation, whose
-        discarded weight adds to `discarded_weight`; the orthogonality center
-        moves along `direction`.
+        `pieces` maps the harmonic to the new site tensor; a QR moves the
+        orthogonality center along `direction`, keeping every bond dimension.
         """
         self.version += 1
-        if not two_site:
-            for n, t in pieces.items():
-                self.blocks[n][i] = t
-            self.center = i
-            if direction == "right" and i < self.length - 1:
-                for n in self.harmonics:
-                    q, rmat = _qr_right(self.blocks[n][i])
-                    self.blocks[n][i] = q
-                    self.blocks[n][i + 1] = np.tensordot(
-                        rmat, self.blocks[n][i + 1], axes=([1], [1])
-                    ).transpose(1, 0, 2)
-                self._update_left(i)
-                self.center = i + 1
-            elif direction == "left" and i > 0:
-                for n in self.harmonics:
-                    q, rmat = _qr_left(self.blocks[n][i])
-                    self.blocks[n][i] = q
-                    self.blocks[n][i - 1] = np.tensordot(
-                        self.blocks[n][i - 1], rmat, axes=([2], [1])
-                    )
-                self._update_right(i)
-                self.center = i - 1
-            return
-        for n, merged in pieces.items():
-            p1, p2, l, r = merged.shape
-            mat = merged.transpose(0, 2, 1, 3).reshape(p1 * l, p2 * r)
-            u, s, vh, weight = truncated_svd(mat, self.trunc)
-            self.discarded_weight += weight
-            rank = s.size
-            if direction == "right":
-                self.blocks[n][i] = u.reshape(p1, l, rank)
-                sv = s[:, None] * vh
-                self.blocks[n][i + 1] = sv.reshape(rank, p2, r).transpose(1, 0, 2)
-            else:
-                us = u * s[None, :]
-                self.blocks[n][i] = us.reshape(p1, l, rank)
-                self.blocks[n][i + 1] = vh.reshape(rank, p2, r).transpose(1, 0, 2)
-        if direction == "right":
+        for n, t in pieces.items():
+            self.blocks[n][i] = t
+        self.center = i
+        if direction == "right" and i < self.length - 1:
+            for n in self.harmonics:
+                q, rmat = _qr_right(self.blocks[n][i])
+                self.blocks[n][i] = q
+                self.blocks[n][i + 1] = np.tensordot(
+                    rmat, self.blocks[n][i + 1], axes=([1], [1])
+                ).transpose(1, 0, 2)
             self._update_left(i)
             self.center = i + 1
-        else:
-            self._update_right(i + 1)
-            self.center = i
+        elif direction == "left" and i > 0:
+            for n in self.harmonics:
+                q, rmat = _qr_left(self.blocks[n][i])
+                self.blocks[n][i] = q
+                self.blocks[n][i - 1] = np.tensordot(
+                    self.blocks[n][i - 1], rmat, axes=([2], [1])
+                )
+            self._update_right(i)
+            self.center = i - 1
 
 
 class SiteProblem:
-    """Local eigenproblem at one (or two) active site(s), all harmonics at once.
+    """Local eigenproblem at one active site, all harmonics at once.
 
     The flat local vector holds the unpadded site tensors of every harmonic
-    block in turn, each ``[p, l, r]`` (two sites: ``[p1, p2, l, r]``, see
-    `shapes`). `matvec` scatters it into the padded layout
-    ``[n, l, p(, p2), r]``, applies the projected generator in one batched
-    contraction per environment and per active site, and adds the frequency
-    ramp and the rank-one terms; it takes one vector or a ``(dim, k)`` block
-    of columns. The T terms are one low-rank update ``back @ (rows @ x)``,
-    row ``t`` of the ``(T, dim)`` `rows` the local bra of term ``t``'s vector
-    and ``back = rows^H diag(c)`` with the terms' coefficients ``c``.
+    block in turn, each ``[p, l, r]`` (see `shapes`). `matvec` scatters it
+    into the padded layout ``[n, l, p, r]``, applies the projected generator
+    in one batched contraction per environment and one for the site's MPO
+    tensor, and adds the frequency ramp and the rank-one terms; it takes one
+    vector or a ``(dim, k)`` block of columns. The T terms are one low-rank
+    update ``back @ (rows @ x)``, row ``t`` of the ``(T, dim)`` `rows` the
+    local bra of term ``t``'s vector and ``back = rows^H diag(c)`` with the
+    terms' coefficients ``c``.
 
     `dense_matrix` assembles the same operator without `matvec`: for every
     live pair ``(q, n)`` (``|n - q| <= n_c``; the others are zero) it
-    contracts ``L[q, n, a, w, b] W_q[w, p', p, w'] R[q, n, a', w', b']``,
-    with a pair's two MPO tensors folded into one, in two batched products,
-    and gathers the unpadded entries into block ``(n, n - q)`` of the
-    ``(dim, dim)`` matrix. The ramp goes on the diagonal and the low-rank
-    update ``back @ rows`` is added once. Both methods validate the
-    environments against the engine version, so a stale problem object
-    fails loudly.
+    contracts ``L[q, n, a, w, b] W_q[w, p', p, w'] R[q, n, a', w', b']`` in
+    two batched products, and gathers the unpadded entries into block
+    ``(n, n - q)`` of the ``(dim, dim)`` matrix. The ramp goes on the
+    diagonal and the low-rank update ``back @ rows`` is added once. Both
+    methods validate the environments against the engine version, so a
+    stale problem object fails loudly.
     """
 
-    def __init__(self, engine: SweepEngine, site, two_site):
-        if two_site and site >= engine.length - 1:
-            raise ValueError("two-site problem needs a right neighbor")
+    def __init__(self, engine: SweepEngine, site):
         self.engine = engine
         self.site = site
-        self.two_site = two_site
         self.version = engine.version
-        sites = [site, site + 1] if two_site else [site]
         nh, p = len(engine.harmonics), engine.phys
         l = max(engine.blocks[n][site].shape[1] for n in engine.harmonics)
-        r = max(engine.blocks[n][sites[-1]].shape[2] for n in engine.harmonics)
-        padded = (l,) + (p,) * len(sites) + (r,)
-        self._size = int(np.prod(padded))
-        positions = np.arange(nh * self._size).reshape((nh,) + padded)
+        r = max(engine.blocks[n][site].shape[2] for n in engine.harmonics)
+        self._size = l * p * r
+        positions = np.arange(nh * self._size).reshape(nh, l, p, r)
         self.shapes, index, diag = {}, [], []
         for h, n in enumerate(engine.harmonics):
-            left, right = engine.blocks[n][site], engine.blocks[n][sites[-1]]
-            shape = (p,) * len(sites) + (left.shape[1], right.shape[2])
-            self.shapes[n] = shape
-            # padded positions of the block's entries, in flat [p.., l, r] order
-            region = positions[h][: shape[-2], ..., : shape[-1]]
-            index.append(np.moveaxis(region, 0, -2).ravel())
+            shape = self.shapes[n] = engine.blocks[n][site].shape
+            # padded positions of the block's entries, in flat [p, l, r] order
+            index.append(positions[h, : shape[1], :, : shape[2]].transpose(1, 0, 2).ravel())
             diag.append(np.full(index[-1].size, engine.mpo.diagonal_coefficient(n)))
         self._index = np.concatenate(index)
         self._diag = np.concatenate(diag)
         self.dim = self._index.size
         nq = len(engine.transfers)
         self._left = engine.env_left[site].reshape(nq, nh, -1, l)  # [q, n, (a w), b]
-        self._wstack = [engine._wstack[i][:, None, None] for i in sites]
-        self._right = engine.env_right[sites[-1]].reshape(nq, nh, 1, r, -1)  # [q, n, 1, a', (w b')]
-        t = engine.vec_left[site].swapaxes(2, 3)  # [t, n, a, m]
-        nt, lead = t.shape[0], l
-        for i in sites:
-            v = engine._vectors[i]  # [t, n, m, p, m'], conjugated
-            _, _, m, _, m2 = v.shape
-            t = (t @ v.reshape(nt, nh, m, p * m2)).reshape(nt, nh, lead * p, m2)
-            lead *= p
-        t = t @ engine.vec_right[sites[-1]]  # [t, n, (a p..), a']
+        self._w = engine._wstack[site][:, None, None]  # [q, 1, 1, (p' w'), (w p)]
+        self._right = engine.env_right[site].reshape(nq, nh, 1, r, -1)  # [q, n, 1, a', (w b')]
+        v = engine._vectors[site]  # [t, n, m, p, m'], conjugated
+        nt, _, m, _, m2 = v.shape
+        t = engine.vec_left[site].swapaxes(2, 3) @ v.reshape(nt, nh, m, p * m2)  # [t, n, a, (p m')]
+        t = t.reshape(nt, nh, l * p, m2) @ engine.vec_right[site]  # [t, n, (a p), a']
         self._rows = t.reshape(nt, nh * self._size)[:, self._index]
         coefficients = np.array([term.coefficient for term in engine.rank_one_terms], dtype=complex)
         self._back = self._rows.conj().T * coefficients
@@ -516,12 +467,7 @@ class SiteProblem:
         return {n: part.reshape(s) for (n, s), part in zip(self.shapes.items(), parts)}
 
     def current_vector(self):
-        t = self.engine.site_stack(self.site)[:-1]
-        if self.two_site:
-            nxt = self.engine.site_stack(self.site + 1)[:-1]
-            nh, m = nxt.shape[:2]
-            t = t.reshape(nh, -1, m) @ nxt.reshape(nh, m, -1)
-        return t.reshape(-1)[self._index]
+        return self.engine.site_stack(self.site)[:-1].reshape(-1)[self._index]
 
     def matvec(self, vec):
         if self.version != self.engine.version:
@@ -532,32 +478,14 @@ class SiteProblem:
         nq, nh, _, l = self._left.shape
         x = np.zeros(((nh + 1) * self._size, k), dtype=complex)
         x[self._index] = cols
-        x = x.reshape(nh + 1, l, -1)[self.engine._shift]  # [q, n, b, (p.. b' k)]
-        t = self._left @ x  # [q, n, (a w), (p.. b' k)]
-        lead = l
-        for w in self._wstack:
-            t = w @ t.reshape(nq, nh, lead, w.shape[-1], -1)  # [q, n, lead, (p' w'), rest]
-            lead *= self.engine.phys
-        t = self._right @ t.reshape(nq, nh, lead, self._right.shape[-1], k)  # [q, n, lead, a', k]
+        x = x.reshape(nh + 1, l, -1)[self.engine._shift]  # [q, n, b, (p b' k)]
+        t = self._left @ x  # [q, n, (a w), (p b' k)]
+        t = self._w @ t.reshape(nq, nh, l, self._w.shape[-1], -1)  # [q, n, a, (p' w'), (b' k)]
+        t = self._right @ t.reshape(nq, nh, l * self.engine.phys, self._right.shape[-1], k)  # [q, n, (a p'), a', k]
         y = t.sum(axis=0).reshape(-1, k)[self._index] + self._diag[:, None] * cols
         if self._rows.size:
             y += self._back @ (self._rows @ cols)
         return y.reshape(vec.shape)
-
-    def _active_mpo(self):
-        """``[q, w, P', P, w']`` MPO of the active site(s), a pair folded into
-        one tensor with ``P = (p1 p2)``; operator bonds padded as in the
-        environments."""
-        nq, p = self._left.shape[0], self.engine.phys
-        # each [q, 1, 1, (p' w'), (w p)] matrix as a [q, w, p', p, w'] tensor
-        fold, *rest = [
-            w.reshape(nq, p, -1, w.shape[-1] // p, p).transpose(0, 3, 1, 4, 2) for w in self._wstack
-        ]
-        for w in rest:
-            _, wl, pp, _, wm = fold.shape
-            t = (fold.reshape(nq, -1, wm) @ w.reshape(nq, wm, -1)).reshape(nq, wl, pp, pp, p, p, -1)
-            fold = t.transpose(0, 1, 2, 4, 3, 5, 6).reshape(nq, wl, pp * p, pp * p, -1)
-        return fold
 
     def dense_matrix(self):
         """Materialize the local operator from the environments and MPO tensors."""
@@ -566,19 +494,21 @@ class SiteProblem:
         shift = self.engine._shift
         nh = shift.shape[1]
         l, r = self._left.shape[3], self._right.shape[3]
-        mpo = self._active_mpo()
-        _, wl, pp, _, wr = mpo.shape
+        nq, p = self._left.shape[0], self.engine.phys
+        # the site's [q, (p' w'), (w p)] matrices as [q, w, p', p, w'] tensors
+        mpo = self._w.reshape(nq, p, -1, self._w.shape[-1] // p, p).transpose(0, 3, 1, 4, 2)
+        wl, wr = mpo.shape[1], mpo.shape[4]
         # live (q, n) pairs, whose block n - q lies inside the cutoff
         q, n = np.nonzero(shift < nh)
         k = q.size
         left = self._left[q, n].reshape(k, l, wl, l).transpose(0, 1, 3, 2)  # [k, a, b, w]
-        t = left.reshape(k, l * l, wl) @ mpo[q].reshape(k, wl, -1)  # [k, (a b), (P' P w')]
+        t = left.reshape(k, l * l, wl) @ mpo[q].reshape(k, wl, -1)  # [k, (a b), (p' p w')]
         right = self._right[q, n, 0].reshape(k, r, wr, r).transpose(0, 2, 1, 3)  # [k, w', a', b']
-        blocks = (t.reshape(k, -1, wr) @ right.reshape(k, wr, r * r)).reshape(k, -1)  # [k, (a b P' P a' b')]
-        # flat offsets into one block of every local row (a, P', a') and column (b, P, b')
-        harmonic, a, p, a2 = np.unravel_index(self._index, (nh, l, pp, r))
-        rows = (a * l * pp + p) * pp * r * r + a2 * r
-        cols = (a * pp * pp + p) * r * r + a2
+        blocks = (t.reshape(k, -1, wr) @ right.reshape(k, wr, r * r)).reshape(k, -1)  # [k, (a b p' p a' b')]
+        # flat offsets into one block of every local row (a, p', a') and column (b, p, b')
+        harmonic, a, s, a2 = np.unravel_index(self._index, (nh, l, p, r))
+        rows = (a * l * p + s) * p * r * r + a2 * r
+        cols = (a * p * p + s) * r * r + a2
         bounds = np.searchsorted(harmonic, np.arange(nh + 1))  # local range of each harmonic
         out = np.zeros((self.dim, self.dim), dtype=complex)
         for block, row, col in zip(blocks, n, shift[q, n]):  # block (n, n - q)
@@ -746,40 +676,29 @@ def _local_tol(cfg):
     return min(cfg.eig_tol * 1e-1, 1e-9)
 
 
-def _sweep_sites(length, two_site):
+def _sweep_sites(length):
     if length == 1:
         return [(0, "right")]
-    if two_site:
-        sites = [(i, "right") for i in range(length - 1)]
-        sites += [(i, "left") for i in range(length - 2, -1, -1)]
-    else:
-        sites = [(i, "right") for i in range(length)]
-        sites += [(i, "left") for i in range(length - 1, -1, -1)]
-    return sites
+    return [(i, "right") for i in range(length)] + [(i, "left") for i in range(length - 1, -1, -1)]
 
 
 def _run_sweeps(engine, cfg, stage, target, label):
-    """Sweep until the local eigenvalue settles; returns ``(log, theta)``.
+    """Sweep single sites until the local eigenvalue settles; returns ``(log, theta)``.
 
     A sweep's residual is the largest distance of its local eigenvalues from
     a shift `target`, or for ``"slowest_central"`` their spread relative to
-    the last one. Every local solve writes a unit-norm centre vector into
-    orthonormal frames, so the state is never rescaled: it keeps unit norm,
-    less the weight a two-site split truncates.
-    `log` records under ``"two_site"`` whether the sweeps updated site pairs
-    (never on a single site), one entry per sweep under
-    ``"sweep_residuals"``, ``"discarded_weight"`` (summed over the sweep's
-    truncations) and ``"max_bond"`` (after the sweep), and under
-    ``"local_solves"`` the stage's local solves counted by method
-    (`SweepEngine.local_solves`).
+    the last one; a residual within ``cfg.eig_tol`` stops the stage from the
+    third sweep on. Every local solve writes a unit-norm centre vector into
+    orthonormal frames, so the state keeps unit norm and its bond dimensions.
+    `log` records one entry per sweep under ``"sweep_residuals"`` and
+    ``"max_bond"`` (after the sweep), and under ``"local_solves"`` the
+    stage's local solves counted by method (`SweepEngine.local_solves`).
     """
-    use_two = stage.two_site and engine.length > 1
-    log = {"two_site": use_two, "sweep_residuals": [], "discarded_weight": [], "max_bond": []}
+    log = {"sweep_residuals": [], "max_bond": []}
     for sweep in range(stage.sweeps):
         sweep_thetas = []
-        engine.discarded_weight = 0.0
-        for site, direction in _sweep_sites(engine.length, use_two):
-            problem = engine.site_problem(site, use_two)
+        for site, direction in _sweep_sites(engine.length):
+            problem = engine.site_problem(site)
             theta, vec = _local_eigensolve(
                 problem,
                 problem.current_vector(),
@@ -787,12 +706,7 @@ def _run_sweeps(engine, cfg, stage, target, label):
                 tol=_local_tol(cfg),
                 dense_cutoff=cfg.dense_local_cutoff,
             )
-            engine.set_site(
-                site,
-                problem.unpack(vec),
-                two_site=use_two,
-                direction=direction,
-            )
+            engine.set_site(site, problem.unpack(vec), direction=direction)
             sweep_thetas.append(complex(theta))
         if target == "slowest_central":
             spread = max(abs(t - sweep_thetas[-1]) for t in sweep_thetas)
@@ -800,37 +714,72 @@ def _run_sweeps(engine, cfg, stage, target, label):
         else:
             resid = max(abs(t - target) for t in sweep_thetas)
         log["sweep_residuals"].append(float(resid))
-        log["discarded_weight"].append(float(engine.discarded_weight))
         log["max_bond"].append(max(max(t.shape[1:]) for ts in engine.blocks.values() for t in ts))
         logger.debug("%s sweep %d: residual %.3e", label, sweep + 1, resid)
-        if resid <= cfg.eig_tol and sweep >= 1:
+        # the first sweeps only rotate a random start into place
+        if resid <= cfg.eig_tol and sweep >= 2:
             break
     log["local_solves"] = dict(engine.local_solves)
     return log, sweep_thetas[-1]
 
 
 def _sweep_schedule(mpo, state, cfg, report, target, label, terms=()):
-    """Sweep `state` through every stage of ``cfg.warmup`` towards `target`.
+    """Sweep `state` through the stage of ``cfg.warmup`` towards `target`.
 
-    Each stage runs :func:`_run_sweeps` on a fresh engine of `mpo` and the
-    rank-one `terms`, truncated at the stage's bond dimension. Its log goes
+    Every block of `state` is canonicalized at the stage's bond dimension,
+    with no weight cutoff; the sweeps keep those bonds. :func:`_run_sweeps`
+    then runs on an engine of `mpo` and the rank-one `terms`. Its log goes
     to ``report.stage_log`` with `label`, `target` (a shift as ``[re, im]``),
-    cutoff, bond dimension and ``"seconds"``, the stage's wall time; its
-    residuals extend ``report.sweep_residuals``. Returns the final state and
-    local eigenvalue.
+    cutoff, bond dimension, ``"start_discarded_weight"`` (the relative
+    weight the start's canonicalization dropped, summed over blocks and
+    bonds) and ``"seconds"``, the stage's wall time; its residuals extend
+    ``report.sweep_residuals``. Returns the final state and local eigenvalue.
     """
+    (stage,) = cfg.warmup
+    start = time.perf_counter()
+    spec = TruncationSpec(max_rank=stage.chi)
+    blocks, discarded = {}, 0.0
+    for n in state.harmonics:
+        blocks[n], info = state.block(n).canonicalize(spec)
+        discarded += info.total_discarded
+    state = FloquetDensityMatrix(blocks, state.omega, state.cutoff, state.chain_length, state.site_dim)
+    engine = SweepEngine(mpo, state, terms)
+    log, theta = _run_sweeps(engine, cfg, stage, target, label)
     logged = target if isinstance(target, str) else [target.real, target.imag]
-    for stage in cfg.warmup:
-        start = time.perf_counter()
-        trunc = TruncationSpec(max_rank=stage.chi, weight_cutoff=WEIGHT_CUTOFF)
-        engine = SweepEngine(mpo, state, trunc, terms)
-        log, theta = _run_sweeps(engine, cfg, stage, target, label)
-        state = engine.state()
-        seconds = time.perf_counter() - start
-        entry = {"label": label, "target": logged, "n_c": stage.n_c, "chi": stage.chi, "seconds": seconds}
-        report.stage_log.append({**entry, **log})
-        report.sweep_residuals.extend(log["sweep_residuals"])
-    return state, theta
+    entry = {
+        "label": label,
+        "target": logged,
+        "n_c": stage.n_c,
+        "chi": stage.chi,
+        "start_discarded_weight": float(discarded),
+        "seconds": time.perf_counter() - start,
+    }
+    report.stage_log.append({**entry, **log})
+    report.sweep_residuals.extend(log["sweep_residuals"])
+    return engine.state(), theta
+
+
+def _saturation_warnings(spectra, chi, phys, length):
+    """One warning for bonds held at `chi` below their exact size, or none.
+
+    `spectra` lists, per block, the Schmidt values of every bond; bond ``i``
+    splits off sites ``0..i`` and has exact size ``min(p^(i+1), p^(L-i-1))``.
+    A bond is saturated when it keeps `chi` values below that size and the
+    smallest is at least WEIGHT_CUTOFF times the largest: a larger `chi`
+    would then keep more weight.
+    """
+    saturated = sorted(
+        {
+            i
+            for bonds in spectra
+            for i, s in enumerate(bonds)
+            if len(s) == chi < min(phys ** (i + 1), phys ** (length - i - 1))
+            and s[-1] >= WEIGHT_CUTOFF * s[0] > 0
+        }
+    )
+    if not saturated:
+        return []
+    return [f"bond dimension {chi} saturated below the exact bond at bonds {saturated}; chi may truncate the state"]
 
 
 def _deflated_check(mpo, state, cfg, rng):
@@ -845,7 +794,7 @@ def _deflated_check(mpo, state, cfg, rng):
     :class:`DegenerateSteadyStateError` when ``|theta| < DEGENERACY_TOL``.
     """
     deflation = RankOneTerm(-DEFLATION_SHIFT / state.norm() ** 2, state)
-    engine = SweepEngine(mpo, state, TruncationSpec(), [deflation])
+    engine = SweepEngine(mpo, state, [deflation])
     centre = state.chain_length // 2
     engine.advance_to(centre)
     problem = engine.site_problem(centre)
@@ -862,23 +811,26 @@ def _deflated_check(mpo, state, cfg, rng):
 def solve_ness(model: ModelSpec, cfg: SweepConfig):
     """Sweep the frequency-space zero mode of the model's generator.
 
-    Builds the generator MPO once, at the cutoff shared by every stage of
-    ``cfg.warmup``, and sweeps :func:`initial_guess` through those stages on
-    the bare generator (`stage_log` label ``"ness"``), each targeting the
-    local eigenvalue nearest zero. Returns the trace-normalized state with a
-    :class:`SolveReport`. An :class:`EigensolverBreakdown` of a local solve
-    propagates. After the last stage, :func:`_deflated_check` raises
+    Builds the generator MPO once, at the cutoff of ``cfg.warmup``, and
+    sweeps :func:`initial_guess`, with its noise at the stage's bond
+    dimension, on the bare generator (`stage_log` label ``"ness"``),
+    targeting the local eigenvalue nearest zero. Returns the
+    trace-normalized state with a :class:`SolveReport`. An
+    :class:`EigensolverBreakdown` of a local solve propagates. After the
+    sweeps, :func:`_deflated_check` raises
     :class:`DegenerateSteadyStateError` when the steady state is degenerate;
-    the last `stage_log` entry records its ``"degeneracy_gap"`` and counts
-    its local solve and its time. The report warns about weight in the edge
-    harmonic, Hermiticity defects and a final residual above tolerance.
+    the `stage_log` entry records its ``"degeneracy_gap"`` and counts its
+    local solve and its time. The report warns about weight in the edge
+    harmonic, Hermiticity defects, a final residual above tolerance and a
+    bond saturated at the bond dimension (:func:`_saturation_warnings`).
     """
     cfg.validate()
     model.validate()
     start = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     report = SolveReport()
-    n_c = cfg.warmup[0].n_c
+    (stage,) = cfg.warmup
+    n_c = stage.n_c
     state = initial_guess(
         model.chain_length,
         model.site_dim,
@@ -886,6 +838,7 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
         model.omega,
         noise_amplitude=cfg.noise_amplitude,
         seed=cfg.seed,
+        noise_bond=stage.chi,
     )
     mpo = build_extended_lindbladian(model, n_c)
     state, final_theta = _sweep_schedule(mpo, state, cfg, report, 0.0, "ness")
@@ -911,12 +864,11 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
     # diagnostics
     from .freqspace import block_norms, compress, hermiticity_defect, trace_components
 
-    _, _, spectra = compress(
-        state, TruncationSpec(max_rank=cfg.warmup[-1].chi, weight_cutoff=WEIGHT_CUTOFF)
-    )
+    _, _, spectra = compress(state, TruncationSpec(max_rank=stage.chi, weight_cutoff=WEIGHT_CUTOFF))
     report.schmidt_spectra = {
         n: [list(map(float, s[:16])) for s in bonds] for n, bonds in spectra.items()
     }
+    report.warnings.extend(_saturation_warnings(spectra.values(), stage.chi, state.phys_dim, model.chain_length))
     norms = block_norms(state)
     report.block_norm_profile = norms
     traces = trace_components(state)
@@ -956,7 +908,8 @@ class DecayModeResult:
 
 
 def _orthogonalized_noise(model, n_c, chi, rng, site_dim=2):
-    """Random state with the trace content of every block projected out."""
+    """Random state at bond `chi` with the trace content of every block
+    projected out, which leaves bonds up to ``chi + 1``."""
     blocks = {}
     eye = Mps.from_product(
         [vectorize_choi(np.eye(site_dim, dtype=complex))] * model.chain_length
@@ -965,9 +918,7 @@ def _orthogonalized_noise(model, n_c, chi, rng, site_dim=2):
     for n in range(-n_c, n_c + 1):
         b = Mps.random(model.chain_length, site_dim**2, chi, rng, norm=1.0)
         tr = eye.inner(b)
-        b = b.add(eye.scaled(-tr / eye_norm2))
-        b, _ = b.canonicalize(TruncationSpec(max_rank=chi))
-        blocks[n] = b
+        blocks[n] = b.add(eye.scaled(-tr / eye_norm2))
     return FloquetDensityMatrix(blocks, model.omega, n_c, model.chain_length, site_dim)
 
 
@@ -992,12 +943,14 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
     traceless) alone, and targets ``"slowest_central"``. The left partner is
     the eigenvector of the bare adjoint generator at the known eigenvalue
     ``conj(lambda)``, solved at that shift from the right mode. Both solves
-    sweep the stages of ``cfg.warmup`` (`stage_log` labels ``"decay right"``
-    and ``"decay left"``) at their shared cutoff. Both modes are cleaned
-    (trace content of the right mode, steady-state overlap of the left one)
-    at the last stage's bond and bi-normalized; the last `stage_log` entry of
-    each solve records the weight its cleaning truncates
-    (``"repair_discarded_weight"``).
+    sweep the stage of ``cfg.warmup`` (`stage_log` labels ``"decay right"``
+    and ``"decay left"``), the right one from trace-free noise at the
+    stage's bond dimension. Both modes are cleaned (trace content of the
+    right mode, steady-state overlap of the left one) at that bond and
+    bi-normalized; the `stage_log` entry of each solve records the weight
+    its cleaning truncates (``"repair_discarded_weight"``), and the report
+    warns when a cleaned block has a saturated bond
+    (:func:`_saturation_warnings`).
 
     ``report.final_residual`` is the larger of the two solves' last sweep
     residuals (the left one bounds ``|theta_left - conj(lambda)|``), and
@@ -1017,8 +970,8 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
         )
     w = 10.0 * max(scale, 1.0)
     report = SolveReport()
-    final_stage = cfg.warmup[-1]
-    n_c = final_stage.n_c
+    (stage,) = cfg.warmup
+    n_c = stage.n_c
     residuals = {}  # last sweep residual of each solve
 
     mpo = build_extended_lindbladian(model, n_c)
@@ -1028,10 +981,11 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
     ]
     right_terms = [RankOneTerm(-w / model.site_dim**model.chain_length, p) for p in projectors]
     rng = np.random.default_rng(cfg.seed + 1)
-    seed = _orthogonalized_noise(model, n_c, min(final_stage.chi, 4), rng, model.site_dim)
+    seed = _orthogonalized_noise(model, n_c, stage.chi, rng, model.site_dim)
     right, lam = _sweep_schedule(mpo, seed, cfg, report, "slowest_central", "decay right", right_terms)
     residuals["decay right"] = report.sweep_residuals[-1]
-    repair = TruncationSpec(max_rank=final_stage.chi)
+    repair = TruncationSpec(max_rank=stage.chi)
+    spectra = []  # Schmidt values of every cleaned block
 
     # clean residual trace content in every block, then normalize
     eye_mps = projectors[n_c].blocks[0]
@@ -1043,6 +997,7 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
             continue
         right.blocks[n], info = right.blocks[n].add(eye_mps.scaled(-tr / eye_norm2)).canonicalize(repair)
         discarded += info.total_discarded
+        spectra.append(info.spectra)
     report.stage_log[-1]["repair_discarded_weight"] = discarded
     right = right.scaled(1.0 / max(right.norm(), 1e-300))
 
@@ -1054,6 +1009,7 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
     overlap = left.inner(ness)
     left.blocks[0], info = left.blocks[0].add(eye_mps.scaled(-np.conj(overlap))).canonicalize(repair)
     report.stage_log[-1]["repair_discarded_weight"] = info.total_discarded
+    spectra.append(info.spectra)
     pairing = left.inner(right)
     if abs(pairing) < 1e-9 * max(left.norm() * right.norm(), 1e-300):
         raise SolverError("left and right modes are numerically orthogonal")
@@ -1074,6 +1030,7 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
         if resid > cfg.eig_tol
     ]
     report.warnings.extend(failures)
+    report.warnings.extend(_saturation_warnings(spectra, stage.chi, right.phys_dim, model.chain_length))
     report.final_residual = max(residuals.values())
     report.converged = report.final_residual <= cfg.eig_tol
     report.eigenvalue = lam

@@ -29,7 +29,6 @@ from floquet_ness.solver import (
     transient_observable,
 )
 from floquet_ness.superops import PAULI, LocalOperator
-from floquet_ness.tensors import TruncationSpec
 
 SM = np.array([[0, 1], [0, 0]], dtype=complex)
 
@@ -61,7 +60,7 @@ def test_local_operator_single_site_equals_dense():
     n_c = 1
     mpo = build_extended_lindbladian(model, n_c)
     state = initial_guess(1, 2, n_c, model.omega, noise_amplitude=1e-2, seed=3)
-    engine = SweepEngine(mpo, state, TruncationSpec())
+    engine = SweepEngine(mpo, state)
     problem = engine.site_problem(0)
     local = densify_problem(problem)
     dense = dense_extended_lindbladian(model, n_c)
@@ -90,26 +89,17 @@ def driven_three_site_model():
 def frame_map(engine, problem):
     """Dense map from local coordinates to the frequency-stacked space.
 
-    Column j is the state whose active site tensor(s) are the j-th local
-    basis tensor and whose other sites are the engine's frames.
+    Column j is the state whose active site tensor is the j-th local basis
+    tensor and whose other sites are the engine's frames.
     """
-    first = problem.site
-    last = first + 1 if problem.two_site else first
+    site = problem.site
     d = engine.phys**engine.length
     columns = []
     for h, (n, shape) in enumerate(problem.shapes.items()):
         for idx in np.ndindex(shape):
             basis = np.zeros(shape, dtype=complex)
             basis[idx] = 1.0
-            if problem.two_site:
-                p1, p2, l, r = shape
-                active = [
-                    basis.transpose(0, 2, 1, 3).reshape(p1, l, p2 * r),
-                    np.eye(p2 * r).reshape(p2 * r, p2, r).transpose(1, 0, 2),
-                ]
-            else:
-                active = [basis]
-            tensors = engine.blocks[n][:first] + active + engine.blocks[n][last + 1 :]
+            tensors = engine.blocks[n][:site] + [basis] + engine.blocks[n][site + 1 :]
             column = np.zeros(len(problem.shapes) * d, dtype=complex)
             column[h * d : (h + 1) * d] = Mps(tensors).to_dense()
             columns.append(column)
@@ -118,8 +108,7 @@ def frame_map(engine, problem):
 
 @pytest.mark.parametrize("terms", ["none", "uncoupled", "coupled"])
 @pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
-@pytest.mark.parametrize("two_site", [False, True], ids=["one", "two"])
-def test_local_operator_matches_dense_projection(two_site, adjoint, terms):
+def test_local_operator_matches_dense_projection(adjoint, terms):
     # the local matrix at every site equals Phi^dag (L + sum c |v><v|) Phi,
     # Phi mapping local coordinates to the full space through the frames;
     # blocks carry different bond dimensions per harmonic
@@ -154,10 +143,10 @@ def test_local_operator_matches_dense_projection(two_site, adjoint, terms):
     for term in rank_one:
         v = np.concatenate([term.vector.block(n).to_dense() for n in (-1, 0, 1)])
         dense = dense + term.coefficient * np.outer(v, v.conj())
-    for site in range(length - 1 if two_site else length):
-        engine = SweepEngine(mpo, state, TruncationSpec(), rank_one)
+    for site in range(length):
+        engine = SweepEngine(mpo, state, rank_one)
         engine.advance_to(site)
-        problem = engine.site_problem(site, two_site)
+        problem = engine.site_problem(site)
         local = problem.dense_matrix()
         phi = frame_map(engine, problem)
         assert np.max(np.abs(phi.conj().T @ dense @ phi - local)) < 1e-10
@@ -170,8 +159,7 @@ def test_local_operator_matches_dense_projection(two_site, adjoint, terms):
 @pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # DTC harmonics exceed n_c = 1
 @pytest.mark.parametrize("terms", [False, True], ids=["bare", "projectors"])
 @pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
-@pytest.mark.parametrize("two_site", [False, True], ids=["one", "two"])
-def test_dense_matrix_assembles_matvec_without_calling_it(two_site, adjoint, terms, monkeypatch):
+def test_dense_matrix_assembles_matvec_without_calling_it(adjoint, terms, monkeypatch):
     # DTC at n_c = 1 keeps 5 transfer components (q = -2..2), so pairs (q, n)
     # with |n - q| > n_c are dead; blocks carry different bonds per harmonic,
     # and the decay solve's 2 n_c + 1 identity projectors add a low-rank update
@@ -188,10 +176,10 @@ def test_dense_matrix_assembles_matvec_without_calling_it(two_site, adjoint, ter
         solver.RankOneTerm(-2.5, solver.identity_operator_state(length, model.omega, n_c, [n]))
         for n in range(-n_c, n_c + 1)
     ]
-    for site in range(length - 1 if two_site else length):
-        engine = SweepEngine(mpo, state, TruncationSpec(), projectors if terms else [])
+    for site in range(length):
+        engine = SweepEngine(mpo, state, projectors if terms else [])
         engine.advance_to(site)
-        problem = engine.site_problem(site, two_site)
+        problem = engine.site_problem(site)
         columns = problem.matvec(np.eye(problem.dim))
 
         def refuse(_):
@@ -207,7 +195,7 @@ def test_stale_problem_rejected():
     model = single_qubit_model()
     mpo = build_extended_lindbladian(model, 0)
     state = initial_guess(1, 2, 0, model.omega, noise_amplitude=1e-3, seed=1)
-    engine = SweepEngine(mpo, state, TruncationSpec())
+    engine = SweepEngine(mpo, state)
     problem = engine.site_problem(0)
     vec = problem.current_vector()
     engine.set_site(0, problem.unpack(vec))
@@ -266,42 +254,54 @@ def block_error(state, model, n_c):
 
 @pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # the drive's harmonic 1 exceeds n_c = 0
 def test_solve_ness_ising_l4_full_bond_matches_oracle():
-    # chi = 16 is the exact bond of the L=4 chain; both stages run at it, so
-    # the single-site stage starts from full bonds instead of a smaller warm-up
+    # chi = 16 is the exact bond of the L=4 chain (bonds 4, 16, 4): the start
+    # holds it, and no bond counts as saturated
     model = ising_l4()
     state, report = solve_ness(model, quick_config(0, 16))
     assert report.converged
     assert block_error(state, model, 0) < 1e-7
     assert max(report.stage_log[-1]["max_bond"]) == 16
+    assert not any("saturated" in w for w in report.warnings)
 
 
 def test_solve_ness_ising_l4_first_harmonic_matches_oracle():
-    # L=4 with a harmonic ladder; the raised dense cutoff keeps every local
-    # problem (up to dimension 3072) on shift-invert, off ARPACK
+    # L=4 with a harmonic ladder; the default dense cutoff keeps every local
+    # problem (up to dimension 768) on shift-invert, off ARPACK
     model = ising_l4()
-    state, report = solve_ness(model, quick_config(1, 16, noise_amplitude=1e-5, dense_local_cutoff=4096))
+    state, report = solve_ness(model, quick_config(1, 16, noise_amplitude=1e-5))
     assert report.converged
     assert block_error(state, model, 1) < 1e-7
     assert sum(e["local_solves"]["arnoldi"] for e in report.stage_log) == 0
 
 
-# Block error of the chi=4 solve below, measured with the trace penalties and
-# the cutoff ramp that the solver ran before it swept the bare generator.
-BINDING_CHI_ERROR = 2.6352e-2
+def test_solve_ness_ising_l4_second_harmonic_at_default_config():
+    # at the default dense cutoff every local problem (up to dimension 1280)
+    # is an LU shift-invert solve; ARPACK at these sizes takes minutes
+    model = ising_l4()
+    state, report = solve_ness(model, quick_config(2, 16, noise_amplitude=1e-5))
+    assert report.converged
+    assert block_error(state, model, 2) < 1e-7
+    assert sum(e["local_solves"]["arnoldi"] for e in report.stage_log) == 0
+    assert report.wall_time < 6.0
+
+
+# Block error of the chi=4 solve below at its fixed point, reached within the
+# 30 sweeps it runs; an 8-sweep solve stops short of it (2.8e-2 to 2.9e-2 for
+# seeds 11 to 13).
+BINDING_CHI_ERROR = 2.547e-2
 
 
 def test_solve_ness_binding_chi_reports_truncation():
-    # chi = 4 is below the exact bond of 16: the solve stays unconverged, every
-    # two-site sweep reports the weight it throws away, and the error stays
-    # where it was; the raised dense cutoff keeps the 768-dimensional two-site
-    # problems off ARPACK
+    # chi = 4 is below the exact bond of 16: the solve stays unconverged, the
+    # bonds stay at chi, the report warns that the centre bond is saturated,
+    # and the error is that of the chi = 4 fixed point
     model = ising_l4()
-    state, report = solve_ness(model, quick_config(1, 4, dense_local_cutoff=4096))
+    cfg = quick_config(1, 4, warmup=make_warmup_schedule(1, 4, warm_sweeps=2, final_sweeps=28))
+    state, report = solve_ness(model, cfg)
     assert not report.converged
-    for entry in report.stage_log:
-        assert max(entry["max_bond"]) == 4
-        if entry["two_site"]:
-            assert min(entry["discarded_weight"]) > 0
+    (entry,) = report.stage_log
+    assert max(entry["max_bond"]) == 4
+    assert any("bond dimension 4 saturated below the exact bond at bonds [1]" in w for w in report.warnings)
     assert abs(block_error(state, model, 1) - BINDING_CHI_ERROR) <= 0.05 * BINDING_CHI_ERROR
 
 
@@ -342,7 +342,7 @@ def test_breakdown_in_production_stage_propagates(monkeypatch):
     injected = []
 
     def breaks_once(problem, *args, **kwargs):
-        production = not problem.two_site and not problem.engine.rank_one_terms
+        production = not problem.engine.rank_one_terms
         if production and not injected:
             injected.append(problem.dim)
             raise EigensolverBreakdown("injected breakdown")
@@ -361,7 +361,7 @@ def test_partial_arpack_result_is_not_accepted(monkeypatch, caplog):
     model = single_qubit_model(gamma=0.7, omega_z=1.1, drive=4.0)
     mpo = build_extended_lindbladian(model, 1)
     state = initial_guess(1, 2, 1, model.omega, noise_amplitude=1e-2, seed=3)
-    problem = SweepEngine(mpo, state, TruncationSpec()).site_problem(0)
+    problem = SweepEngine(mpo, state).site_problem(0)
     attempts = []
 
     def partial(op, k=1, **kwargs):
@@ -391,12 +391,11 @@ def counted(**counts):
 
 
 @pytest.mark.parametrize("penalties", [False, True], ids=["bare", "penalized"])
-@pytest.mark.parametrize("two_site", [False, True], ids=["one", "two"])
 @pytest.mark.parametrize("start", ["guess", "random"])
-def test_shift_invert_matches_dense_eig(start, two_site, penalties):
+def test_shift_invert_matches_dense_eig(start, penalties):
     # at every site the shift-invert pair is LAPACK's eigenpair nearest zero;
     # from the noisy guess it takes several Arnoldi steps, and on the random
-    # state the one-site edge problems have that eigenvalue at |theta| ~ 1;
+    # state the edge problems have that eigenvalue at |theta| ~ 1;
     # the penalized cases deflate the state itself, as the degeneracy check
     # does, with one rank-one term
     model = ising_l3()
@@ -409,10 +408,10 @@ def test_shift_invert_matches_dense_eig(start, two_site, penalties):
         blocks = {n: Mps.random(3, 4, 4, rng, norm=1.0) for n in range(-n_c, n_c + 1)}
         state = FloquetDensityMatrix(blocks, model.omega, n_c, 3, 2)
     terms = [solver.RankOneTerm(-solver.DEFLATION_SHIFT / state.norm() ** 2, state)] if penalties else []
-    for site in range(3 - two_site):
-        engine = SweepEngine(mpo, state, TruncationSpec(), terms)
+    for site in range(3):
+        engine = SweepEngine(mpo, state, terms)
         engine.advance_to(site)
-        problem = engine.site_problem(site, two_site)
+        problem = engine.site_problem(site)
         mat = problem.dense_matrix()
         values, vectors = np.linalg.eig(mat)
         best = np.argmin(np.abs(values))
@@ -431,7 +430,7 @@ def test_refused_shift_invert_returns_the_eig_answer(case, monkeypatch, caplog):
     model = ising_l3()
     mpo = build_extended_lindbladian(model, 1)
     state = initial_guess(3, 2, 1, model.omega, noise_amplitude=1e-2, seed=3)
-    engine = SweepEngine(mpo, state, TruncationSpec())
+    engine = SweepEngine(mpo, state)
     problem = engine.site_problem(0)
     mat = problem.dense_matrix()
     v0 = problem.current_vector()
@@ -468,7 +467,7 @@ def test_stage_log_counts_local_solves_by_method():
         counts = entry["local_solves"]
         sweeps = len(entry["sweep_residuals"])
         check = 1 if idx == last else 0
-        solves = sweeps * len(solver._sweep_sites(3, entry["two_site"])) + check
+        solves = sweeps * len(solver._sweep_sites(3)) + check
         assert counts == counted(shift_invert=solves)
         assert ("degeneracy_gap" in entry) == bool(check)
     assert report.stage_log[-1]["degeneracy_gap"] > solver.DEGENERACY_TOL
@@ -488,7 +487,7 @@ def test_deflated_check_matches_eig_runner_up(chain):
     mpo = build_extended_lindbladian(model, 1)
     theta, solves = solver._deflated_check(mpo, state, cfg, np.random.default_rng(3))
     assert solves == counted(shift_invert=1)
-    engine = SweepEngine(mpo, state, TruncationSpec())
+    engine = SweepEngine(mpo, state)
     engine.advance_to(1)
     mat = engine.site_problem(1).dense_matrix()
     values = np.linalg.eig(mat)[0]
@@ -501,16 +500,15 @@ def test_deflated_check_matches_eig_runner_up(chain):
 
 
 def test_stage_log_entries_carry_label_and_target():
-    # steady-state and decay stages log the same keys; the single qubit has
-    # no site pair, so both stages log the one-site updates they ran
+    # steady-state and decay solves log one stage each, with the same keys
     model = single_qubit_model(gamma=0.8)
     cfg = quick_config(0, 4)
     ness, report = solve_ness(model, cfg)
     decay = solve_first_decay_mode(model, ness, cfg)
-    keys = {"label", "target", "n_c", "chi", "seconds", "two_site"}
-    keys |= {"sweep_residuals", "discarded_weight", "max_bond", "local_solves"}
-    assert [(e["label"], e["target"], e["two_site"]) for e in report.stage_log] == [("ness", [0.0, 0.0], False)] * 2
-    assert [e["label"] for e in decay.report.stage_log] == ["decay right"] * 2 + ["decay left"] * 2
+    keys = {"label", "target", "n_c", "chi", "seconds", "start_discarded_weight"}
+    keys |= {"sweep_residuals", "max_bond", "local_solves"}
+    assert [(e["label"], e["target"]) for e in report.stage_log] == [("ness", [0.0, 0.0])]
+    assert [e["label"] for e in decay.report.stage_log] == ["decay right", "decay left"]
     for rep in (report, decay.report):
         logged = json.loads(json.dumps(rep.to_dict()))["stage_log"]
         assert len(logged) == len(rep.stage_log)
@@ -525,29 +523,27 @@ def test_sweeps_keep_unit_norm():
     # frames, so no rescale is needed between sweeps
     model = ising_l3()
     mpo = build_extended_lindbladian(model, 1)
-    state = initial_guess(3, 2, 1, model.omega, noise_amplitude=1e-4, seed=2)
+    state = initial_guess(3, 2, 1, model.omega, noise_amplitude=1e-4, seed=2, noise_bond=8)
     assert abs(state.norm() - 1.0) > 0.1
-    for stage in make_warmup_schedule(1, 8, warm_sweeps=1, final_sweeps=1):
-        engine = SweepEngine(mpo, state, TruncationSpec(max_rank=8, weight_cutoff=solver.WEIGHT_CUTOFF))
-        solver._run_sweeps(engine, quick_config(1, 8), stage, 0.0, label="norm")
-        state = engine.state()
-        assert abs(state.norm() - 1.0) < 1e-12
+    engine = SweepEngine(mpo, state)
+    (stage,) = make_warmup_schedule(1, 8, warm_sweeps=1, final_sweeps=1)
+    solver._run_sweeps(engine, quick_config(1, 8), stage, 0.0, label="norm")
+    assert abs(engine.state().norm() - 1.0) < 1e-12
 
 
 def test_stage_log_reports_discarded_weight_and_bond():
-    # chi=2 binds on the L=3 chain (bonds up to 4): two-site warm-up
-    # sweeps truncate and must say how much
+    # chi=2 binds on the L=3 chain (bonds up to 4): the start truncated to
+    # chi says how much it dropped, every sweep keeps the bond at chi, and
+    # the report warns that the bond is saturated
     model = build_driven_ising(IsingBenchmarkParams(chain_length=3, omega=5.0))
     _, report = solve_ness(model, quick_config(1, 2))
-    *warm, final = report.stage_log
-    assert all(entry["two_site"] for entry in warm) and not final["two_site"]
-    for entry in report.stage_log:
-        assert len(entry["discarded_weight"]) == len(entry["max_bond"]) == len(entry["sweep_residuals"])
-        assert max(entry["max_bond"]) == 2
-    assert all(min(entry["discarded_weight"]) > 0 for entry in warm)
-    assert final["discarded_weight"] == [0.0] * len(final["sweep_residuals"])
+    (entry,) = report.stage_log
+    assert len(entry["max_bond"]) == len(entry["sweep_residuals"])
+    assert entry["max_bond"] == [2] * len(entry["sweep_residuals"])
+    assert entry["start_discarded_weight"] > 0
+    assert any("bond dimension 2 saturated" in w for w in report.warnings)
     logged = json.loads(json.dumps(report.to_dict()))["stage_log"]
-    assert logged[0]["discarded_weight"] == warm[0]["discarded_weight"]
+    assert logged[0]["start_discarded_weight"] == entry["start_discarded_weight"]
 
 
 def test_decay_mode_amplitude_damping():
@@ -668,13 +664,15 @@ def test_decay_mode_arpack_central_zone():
 @pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # Ising harmonics exceed n_c = 0
 def test_decay_mode_binding_chi_is_not_converged():
     # chi=2 binds on L=4 (exact bond 16): the sweep residuals stay above
-    # eig_tol and the left eigenvalue misses conj(lambda)
+    # eig_tol, the left eigenvalue misses conj(lambda) and the cleaned modes
+    # report saturated bonds
     model = build_driven_ising(IsingBenchmarkParams(chain_length=4, omega=5.0))
     cfg = quick_config(0, 2)
     ness, _ = solve_ness(model, cfg)
     decay = solve_first_decay_mode(model, ness, cfg)
     assert not decay.report.converged
     assert any("above eig_tol" in w for w in decay.report.warnings)
+    assert any("bond dimension 2 saturated" in w for w in decay.report.warnings)
     assert decay.report.fixed_point_residual > 1e-6
 
 
@@ -734,7 +732,7 @@ def test_arpack_without_central_value_falls_back(monkeypatch, caplog):
     model = single_qubit_model(gamma=0.7, omega_z=1.1, drive=4.0)
     mpo = build_extended_lindbladian(model, 1)
     state = initial_guess(1, 2, 1, model.omega, noise_amplitude=1e-2, seed=3)
-    engine = SweepEngine(mpo, state, TruncationSpec())
+    engine = SweepEngine(mpo, state)
     problem = engine.site_problem(0)
     requested = []
 
@@ -762,7 +760,7 @@ def test_arpack_krylov_space_holds_every_requested_value(monkeypatch):
     model = single_qubit_model(gamma=0.7, omega_z=1.1, drive=4.0)
     mpo = build_extended_lindbladian(model, n_c)
     state = initial_guess(1, 2, n_c, model.omega, noise_amplitude=1e-2, seed=3)
-    engine = SweepEngine(mpo, state, TruncationSpec())
+    engine = SweepEngine(mpo, state)
     problem = engine.site_problem(0)
     calls = []
 
@@ -833,8 +831,8 @@ def test_normalization_idempotence():
     state, _ = solve_ness(model, cfg)
     # one extra production sweep must not move the observables
     mpo = build_extended_lindbladian(model, 1)
-    engine = SweepEngine(mpo, state, TruncationSpec(max_rank=4))
-    stage = SweepStage(n_c=1, chi=4, sweeps=1, two_site=False)
+    engine = SweepEngine(mpo, state)
+    stage = SweepStage(n_c=1, chi=4, sweeps=1)
     solver._run_sweeps(engine, cfg, stage, 0.0, label="extra")
     again = engine.state()
     t0 = again.block_trace(0)
@@ -851,19 +849,27 @@ def test_normalization_idempotence():
 def test_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(warmup=[]).validate()
-    bad = [SweepStage(n_c=2, chi=8), SweepStage(n_c=1, chi=8)]
-    with pytest.raises(ValueError):
-        SweepConfig(warmup=bad).validate()
-    with pytest.raises(ValueError, match="same cutoff"):
-        SweepConfig(warmup=[SweepStage(0, 4, 2), SweepStage(1, 4, 2)]).validate()
-    with pytest.raises(ValueError, match="bond dimension"):
-        SweepConfig(warmup=[SweepStage(1, 8, 2), SweepStage(1, 4, 2)]).validate()
+    with pytest.raises(ValueError, match="one stage"):
+        SweepConfig(warmup=[SweepStage(1, 4, 2), SweepStage(1, 4, 2)]).validate()
     with pytest.raises(ValueError, match="at least one sweep"):
-        SweepConfig(warmup=[SweepStage(1, 4, 2), SweepStage(1, 4, 0, two_site=False)]).validate()
+        SweepConfig(warmup=[SweepStage(1, 4, 0)]).validate()
+    with pytest.raises(ValueError, match="eig_tol"):
+        SweepConfig(warmup=[SweepStage(1, 4, 2)], eig_tol=0.0).validate()
+
+
+@pytest.mark.parametrize("amplitude", [0.0, -1e-6])
+def test_config_rejects_noiseless_start(amplitude):
+    # single-site sweeps cannot grow a bond: without noise every block but
+    # the product-state static one would stay at bond 1
+    cfg = quick_config(1, 4, noise_amplitude=amplitude)
+    with pytest.raises(ValueError, match="noise_amplitude"):
+        cfg.validate()
+    with pytest.raises(ValueError, match="noise_amplitude"):
+        solve_ness(single_qubit_model(), cfg)
 
 
 def test_schedule_builder_monotone():
     stages = make_warmup_schedule(4, 32)
     SweepConfig(warmup=stages).validate()
-    assert stages == [SweepStage(4, 32, 3, two_site=True), SweepStage(4, 32, 8, two_site=False)]
-    assert make_warmup_schedule(0, 16, 2, 6) == [SweepStage(0, 16, 2), SweepStage(0, 16, 6, two_site=False)]
+    assert stages == [SweepStage(4, 32, 11)]
+    assert make_warmup_schedule(0, 16, 2, 6) == [SweepStage(0, 16, 8)]
