@@ -107,7 +107,7 @@ def frame_map(engine, problem):
 
 
 @pytest.mark.parametrize("terms", ["none", "uncoupled", "coupled"])
-@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+@pytest.mark.parametrize("adjoint", [False, True], ids=["one-forward", "one-adjoint"])  # one-site problems
 def test_local_operator_matches_dense_projection(adjoint, terms):
     # the local matrix at every site equals Phi^dag (L + sum c |v><v|) Phi,
     # Phi mapping local coordinates to the full space through the frames;
@@ -158,7 +158,7 @@ def test_local_operator_matches_dense_projection(adjoint, terms):
 
 @pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # DTC harmonics exceed n_c = 1
 @pytest.mark.parametrize("terms", [False, True], ids=["bare", "projectors"])
-@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+@pytest.mark.parametrize("adjoint", [False, True], ids=["one-forward", "one-adjoint"])  # one-site problems
 def test_dense_matrix_assembles_matvec_without_calling_it(adjoint, terms, monkeypatch):
     # DTC at n_c = 1 keeps 5 transfer components (q = -2..2), so pairs (q, n)
     # with |n - q| > n_c are dead; blocks carry different bonds per harmonic,
@@ -390,7 +390,7 @@ def counted(**counts):
     return {**dict.fromkeys(solver.LOCAL_METHODS, 0), **counts}
 
 
-@pytest.mark.parametrize("penalties", [False, True], ids=["bare", "penalized"])
+@pytest.mark.parametrize("penalties", [False, True], ids=["one-bare", "one-penalized"])  # one-site problems
 @pytest.mark.parametrize("start", ["guess", "random"])
 def test_shift_invert_matches_dense_eig(start, penalties):
     # at every site the shift-invert pair is LAPACK's eigenpair nearest zero;
