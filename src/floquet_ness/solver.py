@@ -14,10 +14,11 @@ truncated harmonic ladder carries spurious ones at its edge (at cutoff 0, with
 no ladder, every value counts). Local problems up to
 ``SweepConfig.dense_local_cutoff`` are densified: a shift target is found by
 shift-invert (one LU factorization of ``A - sigma I`` and a short Arnoldi run
-on its inverse, accepted only on a small true residual), the decay mode and
-every refused shift-invert solve by a full LAPACK diagonalization. Larger
-problems go to restarted Arnoldi (ARPACK), with a logged dense fallback when
-it fails. Sweeping relaxes the state onto the targeted eigenvector: every
+on its inverse, accepted only on a small true residual), every refused one and
+``"slowest_central"`` (the right decay solve's first sweep; later sweeps track
+that mode at a shift) by a full LAPACK diagonalization. Larger problems go to
+restarted Arnoldi (ARPACK ``"SM"``), with a logged dense fallback when it
+fails. Sweeping relaxes the state onto the targeted eigenvector: every
 solve (steady state, right and left decay mode) canonicalizes its start at
 the one bond dimension of the schedule, ``SweepConfig.warmup``, and runs
 single-site sweeps at that bond and one harmonic cutoff. Bonds are fixed at
@@ -109,14 +110,14 @@ class SweepStage:
 
 CONVERGENCE_TOL = 1e-3  # edge-harmonic weight and Hermiticity defect that warn
 WEIGHT_CUTOFF = 1e-12  # relative Schmidt value kept by compression and counted as saturating a bond
-KRYLOV_DIM = 36  # ARPACK basis of a first attempt (a retry doubles it); shift-invert step budget
+KRYLOV_DIM = 36  # ARPACK "SM" basis of a first attempt (a retry doubles it); shift-invert step budget
 ARPACK_MAXITER = 600  # ARPACK restarts of a first attempt; a retry doubles them
-DENSE_LOCAL_HARD_CAP = 4096  # largest local problem densified after ARPACK fails
+DENSE_LOCAL_HARD_CAP = 4096  # largest local problem densified: a slowest-central solve, or a shift after ARPACK fails
 DEGENERACY_TOL = 1e-7  # a deflated local eigenvalue this close to 0 is degenerate
 DEFLATION_SHIFT = 1000.0  # the degeneracy check moves the converged state's eigenvalue to -this
-# Methods a local solve is counted under in `SweepEngine.local_solves`:
-# shift-invert and a full dense `eig` below the dense cutoff, ARPACK above
-# it, and a dense `eig` (or shift-invert) after the method tried first failed.
+# Methods a local solve is counted under in `SweepEngine.local_solves`: at a
+# shift, shift-invert below the dense cutoff, ARPACK above it, and a dense `eig`
+# (or shift-invert) after either failed; `eig` for the slowest central value.
 LOCAL_METHODS = ("shift_invert", "dense_eig", "arnoldi", "dense_fallback")
 
 
@@ -128,10 +129,10 @@ class SweepConfig:
     :class:`SweepStage` of at least one sweep. Single-site sweeps cannot grow
     a bond, so the start carries seeded noise of `noise_amplitude` at the
     full bond; it must be positive. Local problems up to
-    `dense_local_cutoff` are densified: solves at a shift (steady state,
-    degeneracy check, left decay mode) use shift-invert (LU plus a short
-    Arnoldi on the inverse) and fall back to a full `eig` when it is
-    refused; the right decay mode uses `eig`. Larger problems go to ARPACK.
+    `dense_local_cutoff` are densified: solves at a shift (every solve but
+    the right decay mode's first sweep, which uses `eig`) use shift-invert
+    (LU plus a short Arnoldi on the inverse) and fall back to a full `eig`
+    when it is refused. Larger problems at a shift go to ARPACK.
     """
 
     warmup: list = field(default_factory=list)
@@ -591,22 +592,21 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff):
     """Solve the local eigenproblem, returning ``(theta, vector)``.
 
     `target` is a shift ``sigma`` (the eigenvalue nearest it) or
-    ``"slowest_central"`` (:func:`_slowest_central`). Problems up to
-    `dense_cutoff` are densified outright. A shift target is solved by
+    ``"slowest_central"`` (:func:`_slowest_central`), always taken from a
+    full ``np.linalg.eig`` of the dense problem; above DENSE_LOCAL_HARD_CAP,
+    or with no central eigenvalue, it raises :class:`EigensolverBreakdown`.
+
+    A shift target up to `dense_cutoff` is densified and solved by
     :func:`_shift_invert`; a refused solve (singular or non-finite LU, zero
     start vector, no accepted pair) is logged at DEBUG and falls back to a
     full ``np.linalg.eig``, taking the value nearest ``sigma`` (of values
     within the shift-invert residual bound of it, the one whose vector
-    overlaps `v0` most). ``"slowest_central"`` always uses ``np.linalg.eig``.
-
-    Larger problems go to ARPACK from `v0`: ``"SM"`` on ``A - sigma I``, or
-    ``"LR"`` for ``2 n_c + 2`` values (every copy of a conjugate pair) that
-    must include a central one, on KRYLOV_DIM (at least ``2 k + 1``) vectors.
-    A failed attempt is retried once with twice the Krylov space and
-    restarts; a partial, unconverged result is never used. After two
-    failures, problems up to DENSE_LOCAL_HARD_CAP are solved densely as
-    above, with a WARNING log, larger ones raise :class:`EigensolverBreakdown`,
-    as does a dense problem with no central eigenvalue.
+    overlaps `v0` most). Larger problems go to ARPACK ``"SM"`` with ``k = 1``
+    on ``A - sigma I`` from `v0`, on KRYLOV_DIM vectors. A failed attempt is
+    retried once with twice the Krylov space and restarts; a partial,
+    unconverged result is never used. After two failures, problems up to
+    DENSE_LOCAL_HARD_CAP are solved densely as above, with a WARNING log,
+    and larger ones raise :class:`EigensolverBreakdown`.
 
     Each solve is counted in ``problem.engine.local_solves`` under the
     method that answered it, or under ``"dense_fallback"`` when the method
@@ -614,11 +614,18 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff):
     """
     dim = problem.dim
     counts = problem.engine.local_solves
-    central = target == "slowest_central"
-    sigma = 0.0 if central else target
+    if target == "slowest_central":
+        if dim > DENSE_LOCAL_HARD_CAP:
+            raise EigensolverBreakdown(f"slowest central value wanted at dim {dim}, above the dense cap")
+        counts["dense_eig"] += 1
+        values, vectors = np.linalg.eig(problem.dense_matrix())
+        found = _slowest_central(values, vectors, problem.engine)
+        if found is None:
+            raise EigensolverBreakdown(f"no central local eigenvalue at dim {dim}")
+        return found
+    sigma = target
     fallback = False
-    if dim > max(dense_cutoff, 3):  # ARPACK needs k <= dim - 2
-        k = min(2 * problem.engine.cutoff + 2, dim - 2) if central else 1
+    if dim > max(dense_cutoff, 2):  # ARPACK needs k = 1 < dim - 1
         shifted = problem.matvec if sigma == 0 else lambda x: problem.matvec(x) - sigma * x
         op = spla.LinearOperator((dim, dim), matvec=shifted, dtype=complex)
         norm0 = np.linalg.norm(v0)
@@ -627,43 +634,30 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff):
             try:
                 values, vectors = spla.eigs(
                     op,
-                    k=k,
-                    which="LR" if central else "SM",
+                    k=1,
+                    which="SM",
                     v0=start,
-                    ncv=min(dim, max(KRYLOV_DIM, 2 * k + 1) * factor),
+                    ncv=min(dim, KRYLOV_DIM * factor),
                     maxiter=ARPACK_MAXITER * factor,
                     tol=tol,
                 )
             except spla.ArpackError as err:  # includes ArpackNoConvergence
                 error = err
                 continue
-            if central:
-                found = _slowest_central(values, vectors, problem.engine)
-            else:
-                found = sigma + values[0], vectors[:, 0]
-            if found is not None:
-                counts["arnoldi"] += 1
-                return found
-            error = f"no central value among {k} eigenvalues"
+            counts["arnoldi"] += 1
+            return sigma + values[0], vectors[:, 0]
         if dim > DENSE_LOCAL_HARD_CAP:
             raise EigensolverBreakdown(f"Arnoldi failed at dim {dim}: {error}")
         logger.warning("Arnoldi failed at dim %d (%s); solving densely", dim, error)
         fallback = True
     mat = problem.dense_matrix()
-    if not central:
-        found, reason = _shift_invert(mat, v0, tol, sigma)
-        if found is not None:
-            counts["dense_fallback" if fallback else "shift_invert"] += 1
-            return found
-        logger.debug("shift-invert refused at dim %d (%s); solving with eig", dim, reason)
-        fallback = True
-    counts["dense_fallback" if fallback else "dense_eig"] += 1
-    values, vectors = np.linalg.eig(mat)
-    if central:
-        found = _slowest_central(values, vectors, problem.engine)
-        if found is None:
-            raise EigensolverBreakdown(f"no central local eigenvalue at dim {dim}")
+    found, reason = _shift_invert(mat, v0, tol, sigma)
+    if found is not None:
+        counts["dense_fallback" if fallback else "shift_invert"] += 1
         return found
+    logger.debug("shift-invert refused at dim %d (%s); solving with eig", dim, reason)
+    counts["dense_fallback"] += 1
+    values, vectors = np.linalg.eig(mat)
     # values within the residual bound of sigma are one eigenspace: take its vector nearest v0
     dist = np.abs(values - sigma)
     near = np.flatnonzero(dist <= dist.min() + tol * np.linalg.norm(mat))
@@ -685,16 +679,20 @@ def _sweep_sites(length):
 def _run_sweeps(engine, cfg, stage, target, label):
     """Sweep single sites until the local eigenvalue settles; returns ``(log, theta)``.
 
-    A sweep's residual is the largest distance of its local eigenvalues from
-    a shift `target`, or for ``"slowest_central"`` their spread relative to
-    the last one; a residual within ``cfg.eig_tol`` stops the stage from the
-    third sweep on. Every local solve writes a unit-norm centre vector into
-    orthonormal frames, so the state keeps unit norm and its bond dimensions.
-    `log` records one entry per sweep under ``"sweep_residuals"`` and
-    ``"max_bond"`` (after the sweep), and under ``"local_solves"`` the
-    stage's local solves counted by method (`SweepEngine.local_solves`).
+    For ``"slowest_central"`` only the first sweep solves for it; later sweeps
+    track the mode at the sweep before's last local eigenvalue, as a shift
+    (Yu, Pekker, Clark, PRL 118, 017201 (2017)). A sweep's residual is the
+    largest distance of its local eigenvalues from a shift `target`, or for
+    ``"slowest_central"`` their spread relative to the last one; a residual
+    within ``cfg.eig_tol`` stops the stage from the third sweep on. Every
+    local solve writes a unit-norm centre vector into orthonormal frames, so
+    the state keeps unit norm and its bond dimensions. `log` records one entry
+    per sweep under ``"sweep_residuals"`` and ``"max_bond"`` (after the
+    sweep), and under ``"local_solves"`` the stage's local solves counted by
+    method (`SweepEngine.local_solves`).
     """
     log = {"sweep_residuals": [], "max_bond": []}
+    local_target = target
     for sweep in range(stage.sweeps):
         sweep_thetas = []
         for site, direction in _sweep_sites(engine.length):
@@ -702,7 +700,7 @@ def _run_sweeps(engine, cfg, stage, target, label):
             theta, vec = _local_eigensolve(
                 problem,
                 problem.current_vector(),
-                target,
+                local_target,
                 tol=_local_tol(cfg),
                 dense_cutoff=cfg.dense_local_cutoff,
             )
@@ -711,6 +709,7 @@ def _run_sweeps(engine, cfg, stage, target, label):
         if target == "slowest_central":
             spread = max(abs(t - sweep_thetas[-1]) for t in sweep_thetas)
             resid = spread / max(abs(sweep_thetas[-1]), 1e-30)
+            local_target = sweep_thetas[-1]
         else:
             resid = max(abs(t - target) for t in sweep_thetas)
         log["sweep_residuals"].append(float(resid))

@@ -546,6 +546,19 @@ def test_stage_log_reports_discarded_weight_and_bond():
     assert logged[0]["start_discarded_weight"] == entry["start_discarded_weight"]
 
 
+def assert_right_solve_tracks_after_one_eig_sweep(decay, length):
+    # one dense eig per site of the first sweep; every later right solve at
+    # the tracked shift, by shift-invert or its eig fallback
+    (entry,) = [e for e in decay.report.stage_log if e["label"] == "decay right"]
+    counts = entry["local_solves"]
+    first = len(solver._sweep_sites(length))
+    later = (len(entry["sweep_residuals"]) - 1) * first
+    assert later > 0
+    assert counts["dense_eig"] == first
+    assert counts["shift_invert"] + counts["dense_fallback"] == later
+    assert counts["arnoldi"] == 0
+
+
 def test_decay_mode_amplitude_damping():
     gamma = 0.8
     model = single_qubit_model(gamma=gamma)
@@ -557,15 +570,15 @@ def test_decay_mode_amplitude_damping():
     assert decay.identity_overlap < 1e-8
     assert decay.steady_overlap < 1e-6
     assert decay.report.converged and not decay.report.warnings
-    # the right mode is always solved by eig; the left one at its shift, where
-    # the LU is exactly singular on this qubit (the shift is an exact local
-    # eigenvalue) and the solve falls back to eig
+    # the right mode's first sweep is solved by eig, its later sweeps and the
+    # left mode at a shift, where the LU can be exactly singular on this qubit
+    # (the shift is an exact local eigenvalue) and the solve falls back to eig
+    assert_right_solve_tracks_after_one_eig_sweep(decay, 1)
     logged = json.loads(json.dumps(decay.report.to_dict()))
     for entry, exported in zip(decay.report.stage_log, logged["stage_log"]):
         solves = sum(entry["local_solves"].values())
         if entry["label"] == "decay right":
             assert exported["target"] == "slowest_central"
-            assert entry["local_solves"]["dense_eig"] == solves > 0
         else:
             assert exported["target"] == [decay.eigenvalue.real, -decay.eigenvalue.imag]
             assert entry["local_solves"]["dense_eig"] == 0
@@ -648,8 +661,9 @@ def test_decay_mode_dtc_l3_central_zone():
 
 
 def test_decay_mode_arpack_central_zone():
-    # above the dense cutoff the right mode comes from ARPACK "LR" values
-    # filtered to the central zone, the left one from ARPACK "SM" at its shift
+    # the right mode's first sweep is a dense eig (largest local dimension
+    # 192, above the cutoff); its later sweeps use ARPACK "SM" at the tracked
+    # shift, and the left mode ARPACK "SM" at its shift
     model = ising_l3()
     ness, _ = solve_ness(model, quick_config(1, 8))
     decay = solve_first_decay_mode(model, ness, quick_config(1, 8, dense_local_cutoff=150))
@@ -707,6 +721,10 @@ def test_final_residual_decides_convergence(ising_l3_decay):
     assert decay.report.converged
 
 
+def test_decay_right_solve_tracks_a_shift_on_ising_l3(ising_l3_decay):
+    assert_right_solve_tracks_after_one_eig_sweep(ising_l3_decay[2], 3)
+
+
 @pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # Ising harmonics exceed n_c = 0
 def test_decay_repairs_report_discarded_weight(ising_l3_decay):
     # the right mode's trace cleaning and the left mode's steady-state
@@ -726,58 +744,53 @@ def test_decay_repairs_report_discarded_weight(ising_l3_decay):
             assert all("repair_discarded_weight" not in e for e in logged[:index] if e["label"] == label)
 
 
-def test_arpack_without_central_value_falls_back(monkeypatch, caplog):
-    # ARPACK converges, but only on copies outside the central zone: both
-    # attempts are refused and the dense fallback answers, with a WARNING
+def test_slowest_central_is_always_dense(monkeypatch):
+    # above the dense cutoff the slowest central value still comes from a
+    # dense eig; above the hard cap it raises; ARPACK is never called
     model = single_qubit_model(gamma=0.7, omega_z=1.1, drive=4.0)
     mpo = build_extended_lindbladian(model, 1)
     state = initial_guess(1, 2, 1, model.omega, noise_amplitude=1e-2, seed=3)
     engine = SweepEngine(mpo, state)
     problem = engine.site_problem(0)
-    requested = []
 
-    def edge_copies(op, k=1, **kwargs):
-        requested.append(k)
-        return np.full(k, -0.35 + 1j * model.omega), np.ones((op.shape[0], k), complex)
+    def refuse(*args, **kwargs):
+        raise AssertionError("ARPACK called")
 
-    monkeypatch.setattr(solver.spla, "eigs", edge_copies)
-    with caplog.at_level(logging.WARNING, logger="floquet_ness.solver"):
-        theta, _ = solver._local_eigensolve(
-            problem, problem.current_vector(), "slowest_central", tol=1e-10, dense_cutoff=4
-        )
-    assert requested == [2 * 1 + 2] * 2
-    values = np.linalg.eigvals(problem.dense_matrix())
-    central = values[(np.abs(values.imag) < model.omega / 2) & (values.imag > -1e-10 * np.abs(values))]
-    assert abs(theta - central[np.argmax(central.real)]) < 1e-12
-    assert engine.local_solves == counted(dense_fallback=1)
-    assert any(r.levelno == logging.WARNING and "no central value" in r.getMessage() for r in caplog.records)
-
-
-def test_arpack_krylov_space_holds_every_requested_value(monkeypatch):
-    # at n_c = 17 the central target asks for k = 36 values, as many as
-    # KRYLOV_DIM: the first basis grows to 2k + 1 and the retry doubles it
-    n_c = 17
-    model = single_qubit_model(gamma=0.7, omega_z=1.1, drive=4.0)
-    mpo = build_extended_lindbladian(model, n_c)
-    state = initial_guess(1, 2, n_c, model.omega, noise_amplitude=1e-2, seed=3)
-    engine = SweepEngine(mpo, state)
-    problem = engine.site_problem(0)
-    calls = []
-
-    def record(op, k=1, ncv=None, **kwargs):
-        calls.append((k, ncv))
-        if len(calls) == 1:
-            raise ArpackNoConvergence("injected", np.zeros(0, complex), np.zeros((op.shape[0], 0), complex))
-        return np.full(k, -0.35 + 0j), np.ones((op.shape[0], k), complex)
-
-    monkeypatch.setattr(solver.spla, "eigs", record)
+    monkeypatch.setattr(solver.spla, "eigs", refuse)
     theta, _ = solver._local_eigensolve(
         problem, problem.current_vector(), "slowest_central", tol=1e-10, dense_cutoff=4
     )
-    assert problem.dim == 4 * (2 * n_c + 1)
-    assert calls == [(36, 73), (36, problem.dim)]
-    assert theta == -0.35
-    assert engine.local_solves == counted(arnoldi=1)
+    assert problem.dim == 12
+    values = np.linalg.eigvals(problem.dense_matrix())
+    central = values[(np.abs(values.imag) < model.omega / 2) & (values.imag > -1e-10 * np.abs(values))]
+    assert abs(theta - central[np.argmax(central.real)]) < 1e-12
+    assert engine.local_solves == counted(dense_eig=1)
+    monkeypatch.setattr(solver, "DENSE_LOCAL_HARD_CAP", problem.dim - 1)
+    with pytest.raises(EigensolverBreakdown, match="above the dense cap"):
+        solver._local_eigensolve(
+            problem, problem.current_vector(), "slowest_central", tol=1e-10, dense_cutoff=4
+        )
+    assert engine.local_solves == counted(dense_eig=1)
+
+
+def test_slowest_central_without_central_value_breaks_down(monkeypatch):
+    # a dense spectrum of edge copies only (|Im theta| > omega / 2) has no
+    # slowest central value: the solve raises instead of taking an edge copy
+    model = single_qubit_model(gamma=0.7, omega_z=1.1, drive=4.0)
+    mpo = build_extended_lindbladian(model, 1)
+    state = initial_guess(1, 2, 1, model.omega, noise_amplitude=1e-2, seed=3)
+    problem = SweepEngine(mpo, state).site_problem(0)
+
+    def edge_copies(mat):
+        values = np.full(mat.shape[0], -0.35 + 1j * model.omega)
+        values[::2] = values[::2].conj()
+        return values, np.eye(mat.shape[0], dtype=complex)
+
+    monkeypatch.setattr(solver.np.linalg, "eig", edge_copies)
+    with pytest.raises(EigensolverBreakdown, match="no central local eigenvalue"):
+        solver._local_eigensolve(
+            problem, problem.current_vector(), "slowest_central", tol=1e-10, dense_cutoff=100
+        )
 
 
 def test_transient_limits():
