@@ -363,22 +363,22 @@ class Mpo:
         tensors[-1] = last[:, :, :, 1:2]
         return cls(tensors).compressed(TruncationSpec(weight_cutoff=MPO_COMPRESS_CUTOFF))
 
+    def _fused(self):
+        """The MPO as an MPS whose physical leg fuses ``(out, in)``."""
+        return Mps([t.transpose(1, 2, 0, 3).reshape(-1, t.shape[0], t.shape[3]) for t in self.tensors])
+
+    def _unfused(self, mps):
+        p = self.phys_dim
+        return Mpo([t.reshape(p, p, t.shape[1], t.shape[2]).transpose(2, 0, 1, 3) for t in mps.tensors])
+
     def compressed(self, spec):
         """SVD compression, treating the MPO as an MPS with fused physical legs."""
-        fused = Mps(
-            [
-                t.transpose(1, 2, 0, 3).reshape(t.shape[1] * t.shape[2], t.shape[0], t.shape[3])
-                for t in self.tensors
-            ]
-        )
-        comp, _ = fused.canonicalize(spec)
-        p = self.phys_dim
-        out = []
-        for t in comp.tensors:
-            out.append(
-                t.reshape(p, p, t.shape[1], t.shape[2]).transpose(2, 0, 1, 3)
-            )
-        return Mpo(out)
+        comp, _ = self._fused().canonicalize(spec)
+        return self._unfused(comp)
+
+    def add(self, other):
+        """Direct-sum addition; bond dimensions add up."""
+        return self._unfused(self._fused().add(other._fused()))
 
     def adjoint(self):
         """MPO of the adjoint map: conjugate and swap the physical legs sitewise."""

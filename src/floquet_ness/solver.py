@@ -26,9 +26,13 @@ the start, never grown, so the start must span them (a noisy start at the
 full bond); a bond held at the bond dimension below its exact size is
 reported. The steady state needs no trace constraint: its shifted copies sit
 at ``i s omega``, ``|s| omega`` away from zero. Its degeneracy is checked
-once, after the sweeps: the converged state is deflated out of the
-centre-site problem (Wielandt), and that problem's eigenvalue nearest zero
-must not vanish.
+once, after the sweeps: the converged state, whose local image in its own
+orthonormal frames is the centre vector, is deflated out of the centre-site
+problem (Wielandt), and that problem's eigenvalue nearest zero must not
+vanish. The right decay solve moves the steady state and its copies away
+with a penalty that is part of its generator: a product operator added to
+the ``q = 0`` transfer component. So every sweep contracts one MPO and
+nothing else.
 
 Harmonic blocks ``n`` couple only through the transfer components ``q``, so
 every local operation is one contraction batched over ``(q, n)``: the sweep
@@ -55,7 +59,7 @@ import scipy.sparse.linalg as spla
 
 from .freqspace import FloquetDensityMatrix, FloquetMPO, initial_guess
 from .liouvillian import ModelSpec, build_extended_lindbladian
-from .mps import Mps
+from .mps import Mpo, Mps
 from .superops import LocalOperator, vectorize_choi
 # perfbench/tracing.py wraps solver.truncated_svd, so the name stays bound here
 from .tensors import TruncationSpec, truncated_svd
@@ -71,13 +75,11 @@ __all__ = [
     "EigensolverBreakdown",
     "DegenerateSteadyStateError",
     "StaleEnvironmentError",
-    "RankOneTerm",
     "SweepEngine",
     "make_warmup_schedule",
     "solve_ness",
     "solve_first_decay_mode",
     "transient_observable",
-    "identity_operator_state",
 ]
 
 
@@ -195,29 +197,6 @@ class SolveReport:
         return out
 
 
-@dataclass(frozen=True)
-class RankOneTerm:
-    """Rank-one term ``coefficient * |v><v|`` added to the generator, with
-    ``|v>`` the whole frequency-stacked `vector` (absent harmonics are zero).
-
-    The right decay solve uses one such term per harmonic, the identity in
-    that block alone, to move the steady state and its shifted copies out of
-    the way; the degeneracy check uses one to deflate the converged state.
-    """
-
-    coefficient: complex
-    vector: FloquetDensityMatrix
-
-
-def identity_operator_state(chain_length, omega, cutoff, blocks, site_dim=2):
-    """Vectorized identity placed in the given harmonic blocks (unnormalized)."""
-    eye = vectorize_choi(np.eye(site_dim, dtype=complex))
-    mps = Mps.from_product([eye] * chain_length)
-    return FloquetDensityMatrix(
-        {n: mps.copy() for n in blocks}, omega, cutoff, chain_length, site_dim
-    )
-
-
 def _qr_right(tensor):
     p, l, r = tensor.shape
     q, rmat = np.linalg.qr(tensor.reshape(p * l, r))
@@ -245,25 +224,21 @@ class SweepEngine:
 
     The engine owns copies of the block tensors in mixed-canonical form,
     per harmonic and unpadded (QR acts block by block; no sweep changes a
-    bond dimension), and the
-    partially contracted environments of the local eigenproblem, one array
-    per bond:
-
-    - ``env_left[i]`` / ``env_right[i]``: ``[q, n, a, w, b]`` over the
-      transfer components in `transfers` and the harmonics, with ``a`` the
-      bra bond of block ``n``, ``b`` the ket bond of block ``n - q`` (both
-      zero-padded to the largest bond of any block) and ``w`` the operator
-      bond (zero-padded over components). Entries whose ``n - q`` lies outside
-      the cutoff meet the zero block of the harmonic stack and stay zero.
-    - ``vec_left[i]`` / ``vec_right[i]``: ``[t, n, a_v, a]`` overlap
-      environments of the rank-one terms ``t`` (``a_v`` the vector bond,
-      zero-padded over terms and harmonics), zero where a vector lacks ``n``.
+    bond dimension), and the partially contracted environments of the local
+    eigenproblem of the one generator `mpo` (penalties included, as MPO
+    terms), one array per bond: ``env_left[i]`` / ``env_right[i]`` is
+    ``[q, n, a, w, b]`` over the transfer components in `transfers` and the
+    harmonics, with ``a`` the bra bond of block ``n``, ``b`` the ket bond of
+    block ``n - q`` (both zero-padded to the largest bond of any block) and
+    ``w`` the operator bond (zero-padded over components). Entries whose
+    ``n - q`` lies outside the cutoff meet the zero block of the harmonic
+    stack and stay zero.
 
     `local_solves` counts the engine's local solves by method (keys
     `LOCAL_METHODS`).
     """
 
-    def __init__(self, mpo: FloquetMPO, state: FloquetDensityMatrix, rank_one_terms=()):
+    def __init__(self, mpo: FloquetMPO, state: FloquetDensityMatrix):
         self.mpo = mpo
         self.length = state.chain_length
         self.site_dim = state.site_dim
@@ -271,7 +246,6 @@ class SweepEngine:
         self.omega = state.omega
         self.cutoff = state.cutoff
         self.harmonics = list(range(-self.cutoff, self.cutoff + 1))
-        self.rank_one_terms = list(rank_one_terms)
         self.blocks = {}
         for n in self.harmonics:
             mps = state.block(n).mixed_canonical(0)
@@ -291,24 +265,14 @@ class SweepEngine:
         for i in range(self.length):
             w = _padded([mpo.components[q].tensors[i].transpose(1, 3, 0, 2) for q in self.transfers])
             self._wstack.append(w.reshape(w.shape[0], w.shape[1] * w.shape[2], -1))
-        # per site, the conjugated [t, n, m, p, m'] vector tensors of the rank-one terms
-        nt, nh = len(self.rank_one_terms), len(self.harmonics)
-        vectors = [term.vector for term in self.rank_one_terms]
-        self._vectors = []
-        for i in range(self.length):
-            flat = [v.block(n).tensors[i].transpose(1, 0, 2) for v in vectors for n in self.harmonics]
-            stack = _padded(flat) if flat else np.zeros((0, 1, self.phys, 1), dtype=complex)
-            self._vectors.append(stack.reshape(nt, nh, *stack.shape[1:]).conj())
         self.local_solves = dict.fromkeys(LOCAL_METHODS, 0)
         self.version = 0
         self.center = 0
         # environments, the right ones absorbed from the last site inward
-        nq = len(self.transfers)
+        nq, nh = len(self.transfers), len(self.harmonics)
         tail = [None] * self.length
         self.env_left = [np.ones((nq, nh, 1, 1, 1), dtype=complex)] + tail
         self.env_right = tail[1:] + [self.env_left[0], None]
-        self.vec_left = [np.ones((nt, nh, 1, 1), dtype=complex)] + tail
-        self.vec_right = tail[1:] + [self.vec_left[0], None]
         for i in range(self.length - 1, 0, -1):
             self._update_right(i)
 
@@ -330,41 +294,32 @@ class SweepEngine:
     # -- environments ---------------------------------------------------------
 
     def _operands(self, i):
-        """Site `i` as ``[n, l, (p r)]``, its bra ``[n, (l p), r]`` and the kets
-        ``[q, n, l, (p r)]`` of blocks ``n - q``, with the bond sizes."""
+        """Site `i` as the bra ``[n, (l p), r]`` and the kets ``[q, n, l, (p r)]``
+        of blocks ``n - q``, with the bond sizes."""
         stack = self.site_stack(i)
         nh, l, p, r = stack[:-1].shape
-        site = stack[:-1].reshape(nh, l, p * r)
         bra = stack[:-1].conj().reshape(nh, l * p, r)
-        return site, bra, stack[self._shift].reshape(-1, nh, l, p * r), (nh, l, p, r)
+        return bra, stack[self._shift].reshape(-1, nh, l, p * r), (nh, l, p, r)
 
     def _update_left(self, i):
         """Absorb site `i` into the left environments (valid at i+1)."""
-        site, bra, ket, (nh, l, p, r) = self._operands(i)
+        bra, ket, (nh, l, p, r) = self._operands(i)
         env = self.env_left[i]
         nq, w = env.shape[0], env.shape[3]
         t = env.reshape(nq, nh, l * w, l) @ ket  # [q, n, (a w), (p b')]
         t = self._wstack[i][:, None, None] @ t.reshape(nq, nh, l, w * p, r)  # [q, n, a, (p' w'), b']
         t = bra.swapaxes(1, 2) @ t.reshape(nq, nh, l * p, -1)  # [q, n, a', (w' b')]
         self.env_left[i + 1] = t.reshape(nq, nh, r, -1, r)
-        v = self._vectors[i]  # [t, n, m, p, m'], conjugated
-        nt, _, m, _, m2 = v.shape
-        t = (self.vec_left[i] @ site).reshape(nt, nh, m * p, r)  # [t, n, (m p), a']
-        self.vec_left[i + 1] = v.reshape(nt, nh, m * p, m2).swapaxes(2, 3) @ t
 
     def _update_right(self, i):
         """Absorb site `i` into the right environments (valid at i-1)."""
-        site, bra, ket, (nh, l, p, r) = self._operands(i)
+        bra, ket, (nh, l, p, r) = self._operands(i)
         env = self.env_right[i]
         nq = env.shape[0]
         t = bra @ env.reshape(nq, nh, r, -1)  # [q, n, (a p'), (w' b')]
         t = self._wstack[i].swapaxes(1, 2)[:, None, None] @ t.reshape(nq, nh, l, -1, r)
         t = t.reshape(nq, nh, -1, p * r) @ ket.swapaxes(2, 3)  # [q, n, (a w), b]
         self.env_right[i - 1] = t.reshape(nq, nh, l, -1, l)
-        v = self._vectors[i]  # [t, n, m, p, m'], conjugated
-        nt, _, m, _, m2 = v.shape
-        t = (v.reshape(nt, nh, m * p, m2) @ self.vec_right[i]).reshape(nt, nh, m, p * r)
-        self.vec_right[i - 1] = t @ site.swapaxes(1, 2)  # [t, n, m, a]
 
     def advance_to(self, site):
         """Move the orthogonality center rightward to `site` without solving."""
@@ -375,8 +330,8 @@ class SweepEngine:
 
     # -- local problem ---------------------------------------------------------
 
-    def site_problem(self, i):
-        return SiteProblem(self, i)
+    def site_problem(self, i, deflation=0.0):
+        return SiteProblem(self, i, deflation)
 
     def set_site(self, i, pieces, direction="right"):
         """Write back the solved tensors and restore the gauge.
@@ -415,11 +370,15 @@ class SiteProblem:
     block in turn, each ``[p, l, r]`` (see `shapes`). `matvec` scatters it
     into the padded layout ``[n, l, p, r]``, applies the projected generator
     in one batched contraction per environment and one for the site's MPO
-    tensor, and adds the frequency ramp and the rank-one terms; it takes one
-    vector or a ``(dim, k)`` block of columns. The T terms are one low-rank
-    update ``back @ (rows @ x)``, row ``t`` of the ``(T, dim)`` `rows` the
-    local bra of term ``t``'s vector and ``back = rows^H diag(c)`` with the
-    terms' coefficients ``c``.
+    tensor, and adds the frequency ramp; it takes one vector or a
+    ``(dim, k)`` block of columns.
+
+    A nonzero `deflation` ``s`` adds ``-s x0 x0^H / ||x0||^2`` with ``x0``
+    the current centre vector, as one low-rank update ``back @ (rows @ x)``
+    (``rows = x0^H``). In orthonormal frames ``x0`` is the local image of
+    the engine's whole state, so this is the projection of the global
+    Wielandt deflation ``-s |rho><rho| / ||rho||^2``: the degeneracy check
+    deflates the converged state this way, on one problem.
 
     `dense_matrix` assembles the same operator without `matvec`: for every
     live pair ``(q, n)`` (``|n - q| <= n_c``; the others are zero) it
@@ -431,9 +390,10 @@ class SiteProblem:
     stale problem object fails loudly.
     """
 
-    def __init__(self, engine: SweepEngine, site):
+    def __init__(self, engine: SweepEngine, site, deflation=0.0):
         self.engine = engine
         self.site = site
+        self.deflation = deflation
         self.version = engine.version
         nh, p = len(engine.harmonics), engine.phys
         l = max(engine.blocks[n][site].shape[1] for n in engine.harmonics)
@@ -453,13 +413,12 @@ class SiteProblem:
         self._left = engine.env_left[site].reshape(nq, nh, -1, l)  # [q, n, (a w), b]
         self._w = engine._wstack[site][:, None, None]  # [q, 1, 1, (p' w'), (w p)]
         self._right = engine.env_right[site].reshape(nq, nh, 1, r, -1)  # [q, n, 1, a', (w b')]
-        v = engine._vectors[site]  # [t, n, m, p, m'], conjugated
-        nt, _, m, _, m2 = v.shape
-        t = engine.vec_left[site].swapaxes(2, 3) @ v.reshape(nt, nh, m, p * m2)  # [t, n, a, (p m')]
-        t = t.reshape(nt, nh, l * p, m2) @ engine.vec_right[site]  # [t, n, (a p), a']
-        self._rows = t.reshape(nt, nh * self._size)[:, self._index]
-        coefficients = np.array([term.coefficient for term in engine.rank_one_terms], dtype=complex)
-        self._back = self._rows.conj().T * coefficients
+        self._rows = np.zeros((0, self.dim), dtype=complex)  # low-rank update back @ rows
+        self._back = self._rows.T
+        if deflation:
+            x0 = self.current_vector()
+            self._rows = x0.conj()[None]
+            self._back = x0[:, None] * (-deflation / np.vdot(x0, x0).real)
 
     def unpack(self, vec):
         """Per-harmonic site tensors of a flat local vector."""
@@ -671,9 +630,11 @@ def _local_tol(cfg):
 
 
 def _sweep_sites(length):
+    """One sweep's ``(site, direction)`` solves: right over ``0..L-2``, left
+    over ``L-1..1``, so each end site is solved once, ``2 (L - 1)`` in all."""
     if length == 1:
         return [(0, "right")]
-    return [(i, "right") for i in range(length)] + [(i, "left") for i in range(length - 1, -1, -1)]
+    return [(i, "right") for i in range(length - 1)] + [(i, "left") for i in range(length - 1, 0, -1)]
 
 
 def _run_sweeps(engine, cfg, stage, target, label):
@@ -722,13 +683,13 @@ def _run_sweeps(engine, cfg, stage, target, label):
     return log, sweep_thetas[-1]
 
 
-def _sweep_schedule(mpo, state, cfg, report, target, label, terms=()):
+def _sweep_schedule(mpo, state, cfg, report, target, label):
     """Sweep `state` through the stage of ``cfg.warmup`` towards `target`.
 
     Every block of `state` is canonicalized at the stage's bond dimension,
     with no weight cutoff; the sweeps keep those bonds. :func:`_run_sweeps`
-    then runs on an engine of `mpo` and the rank-one `terms`. Its log goes
-    to ``report.stage_log`` with `label`, `target` (a shift as ``[re, im]``),
+    then runs on an engine of `mpo`. Its log goes to ``report.stage_log``
+    with `label`, `target` (a shift as ``[re, im]``),
     cutoff, bond dimension, ``"start_discarded_weight"`` (the relative
     weight the start's canonicalization dropped, summed over blocks and
     bonds) and ``"seconds"``, the stage's wall time; its residuals extend
@@ -742,7 +703,7 @@ def _sweep_schedule(mpo, state, cfg, report, target, label, terms=()):
         blocks[n], info = state.block(n).canonicalize(spec)
         discarded += info.total_discarded
     state = FloquetDensityMatrix(blocks, state.omega, state.cutoff, state.chain_length, state.site_dim)
-    engine = SweepEngine(mpo, state, terms)
+    engine = SweepEngine(mpo, state)
     log, theta = _run_sweeps(engine, cfg, stage, target, label)
     logged = target if isinstance(target, str) else [target.real, target.imag]
     entry = {
@@ -784,19 +745,21 @@ def _saturation_warnings(spectra, chi, phys, length):
 def _deflated_check(mpo, state, cfg, rng):
     """Eigenvalue nearest zero of the centre-site problem with `state` deflated.
 
-    The rank-one term ``-DEFLATION_SHIFT |rho><rho| / ||rho||^2`` moves the
-    local eigenvalue of the converged state `rho` to about ``-DEFLATION_SHIFT``
-    and leaves every other local eigenvalue in place (Wielandt deflation), so
-    what remains nearest zero is the runner-up of the undeflated problem. It
-    is found by the ordinary steady-state local solve from a random start
-    drawn from `rng`. Returns ``(theta, local_solves)``; raises
-    :class:`DegenerateSteadyStateError` when ``|theta| < DEGENERACY_TOL``.
+    An engine holds `state` in orthonormal frames around the centre site, so
+    the state's local image is the centre vector ``x0``, and the local term
+    ``-DEFLATION_SHIFT x0 x0^H / ||x0||^2`` (:class:`SiteProblem`) is the
+    projected Wielandt deflation of the converged state. It moves the local
+    eigenvalue of the state to about ``-DEFLATION_SHIFT`` and leaves every
+    other local eigenvalue in place, so what remains nearest zero is the
+    runner-up of the undeflated problem. It is found by the ordinary
+    steady-state local solve from a random start drawn from `rng`. Returns
+    ``(theta, local_solves)``; raises :class:`DegenerateSteadyStateError`
+    when ``|theta| < DEGENERACY_TOL``.
     """
-    deflation = RankOneTerm(-DEFLATION_SHIFT / state.norm() ** 2, state)
-    engine = SweepEngine(mpo, state, [deflation])
+    engine = SweepEngine(mpo, state)
     centre = state.chain_length // 2
     engine.advance_to(centre)
-    problem = engine.site_problem(centre)
+    problem = engine.site_problem(centre, deflation=DEFLATION_SHIFT)
     v0 = rng.standard_normal(problem.dim) + 1j * rng.standard_normal(problem.dim)
     theta, _ = _local_eigensolve(problem, v0, 0.0, _local_tol(cfg), cfg.dense_local_cutoff)
     if abs(theta) < DEGENERACY_TOL:
@@ -906,19 +869,31 @@ class DecayModeResult:
     report: SolveReport
 
 
-def _orthogonalized_noise(model, n_c, chi, rng, site_dim=2):
+def _orthogonalized_noise(model, n_c, chi, rng, eye):
     """Random state at bond `chi` with the trace content of every block
-    projected out, which leaves bonds up to ``chi + 1``."""
+    projected out (`eye` is the vectorized identity MPS), which leaves bonds
+    up to ``chi + 1``."""
     blocks = {}
-    eye = Mps.from_product(
-        [vectorize_choi(np.eye(site_dim, dtype=complex))] * model.chain_length
-    )
     eye_norm2 = eye.inner(eye).real
     for n in range(-n_c, n_c + 1):
-        b = Mps.random(model.chain_length, site_dim**2, chi, rng, norm=1.0)
+        b = Mps.random(model.chain_length, eye.phys_dim, chi, rng, norm=1.0)
         tr = eye.inner(b)
         blocks[n] = b.add(eye.scaled(-tr / eye_norm2))
-    return FloquetDensityMatrix(blocks, model.omega, n_c, model.chain_length, site_dim)
+    return FloquetDensityMatrix(blocks, model.omega, n_c, model.chain_length, model.site_dim)
+
+
+def _trace_penalized(mpo, strength):
+    """`mpo` plus ``-strength |I><I| / <I|I>`` in every harmonic block.
+
+    ``|I>`` is the vectorized identity of the chain, a product state, so the
+    term is a bond-1 product operator; it acts within each block, so it joins
+    the ``q = 0`` transfer component as a direct sum, whose bond grows by one.
+    """
+    eye = vectorize_choi(np.eye(mpo.site_dim, dtype=complex))
+    projector = np.outer(eye, eye.conj())[None, :, :, None] / mpo.site_dim  # <I|I> = d per site
+    penalty = Mpo([-strength * projector] + [projector] * (mpo.chain_length - 1))
+    components = {**mpo.components, 0: mpo.components[0].add(penalty)}
+    return FloquetMPO(components, mpo.omega, mpo.cutoff, mpo.chain_length, mpo.site_dim, mpo.diag_sign)
 
 
 def _eigen_residual(mpo, vec, theta):
@@ -934,12 +909,14 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
 
     The frequency-space kernel is degenerate: shifting the steady state by
     ``s`` harmonics gives an eigenvector at ``-i s omega``, all with vanishing
-    real part. The right solve therefore penalizes the trace content of every
-    block (``2 n_c + 1`` rank-one terms, one identity projector per harmonic,
-    of strength ``w = 10 max(1, s)`` with ``s`` the largest sum of squared
-    spectral norms of one jump operator's Fourier components), which moves
-    all kernel copies at once while leaving genuine decay modes (blockwise
-    traceless) alone, and targets ``"slowest_central"``. The left partner is
+    real part. The right solve therefore sweeps a penalized generator: its
+    ``q = 0`` transfer component gains, as a direct sum, the bond-1 product
+    operator ``-w |I><I| / <I|I>`` (``|I>`` the vectorized identity, so the
+    trace content of every harmonic block is penalized alike), of strength
+    ``w = 10 max(1, s)`` with ``s`` the largest sum of squared spectral
+    norms of one jump operator's Fourier components. That moves all kernel
+    copies at once while leaving genuine decay modes (blockwise traceless)
+    alone, and the solve targets ``"slowest_central"``. The left partner is
     the eigenvector of the bare adjoint generator at the known eigenvalue
     ``conj(lambda)``, solved at that shift from the right mode. Both solves
     sweep the stage of ``cfg.warmup`` (`stage_log` labels ``"decay right"``
@@ -974,21 +951,16 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
     residuals = {}  # last sweep residual of each solve
 
     mpo = build_extended_lindbladian(model, n_c)
-    projectors = [
-        identity_operator_state(model.chain_length, model.omega, n_c, [n], model.site_dim)
-        for n in range(-n_c, n_c + 1)
-    ]
-    right_terms = [RankOneTerm(-w / model.site_dim**model.chain_length, p) for p in projectors]
+    eye_mps = Mps.from_product([vectorize_choi(np.eye(model.site_dim, dtype=complex))] * model.chain_length)
+    eye_norm2 = eye_mps.inner(eye_mps).real
     rng = np.random.default_rng(cfg.seed + 1)
-    seed = _orthogonalized_noise(model, n_c, stage.chi, rng, model.site_dim)
-    right, lam = _sweep_schedule(mpo, seed, cfg, report, "slowest_central", "decay right", right_terms)
+    seed = _orthogonalized_noise(model, n_c, stage.chi, rng, eye_mps)
+    right, lam = _sweep_schedule(_trace_penalized(mpo, w), seed, cfg, report, "slowest_central", "decay right")
     residuals["decay right"] = report.sweep_residuals[-1]
     repair = TruncationSpec(max_rank=stage.chi)
     spectra = []  # Schmidt values of every cleaned block
 
     # clean residual trace content in every block, then normalize
-    eye_mps = projectors[n_c].blocks[0]
-    eye_norm2 = eye_mps.inner(eye_mps).real
     discarded = 0.0
     for n in list(right.blocks):
         tr = eye_mps.inner(right.blocks[n])

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from floquet_ness.mps import Mpo, Mps
 from floquet_ness.superops import PAULI, choi_site_matrix, pauli_string
@@ -168,3 +169,18 @@ def test_mpo_compression_reduces_bond():
     mpo = Mpo.from_local_terms(length, 2, terms)
     # Ising MPO compresses to bond dimension 3.
     assert mpo.max_bond <= 3 + 1e-9
+
+
+def random_mpo(rng, length, phys, chi):
+    bonds = [1] + [chi] * (length - 1) + [1]
+    shapes = [(bonds[i], phys, phys, bonds[i + 1]) for i in range(length)]
+    return Mpo([rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes])
+
+
+@pytest.mark.parametrize("length", [1, 2, 3])
+def test_mpo_add_matches_dense_sum(length):
+    rng = np.random.default_rng(12)
+    a, b = random_mpo(rng, length, 2, 2), random_mpo(rng, length, 2, 3)
+    total = a.add(b)
+    assert np.max(np.abs(total.to_dense() - a.to_dense() - b.to_dense())) < 1e-12
+    assert total.bond_dims == [x + y for x, y in zip(a.bond_dims, b.bond_dims)]

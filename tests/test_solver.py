@@ -1,3 +1,4 @@
+import functools
 import json
 import logging
 import warnings
@@ -106,12 +107,21 @@ def frame_map(engine, problem):
     return np.array(columns).T
 
 
-@pytest.mark.parametrize("terms", ["none", "uncoupled", "coupled"])
+def identity_projectors(length, harmonics):
+    """Dense ``sum_n |I_n><I_n|`` over the harmonic blocks of a stacked vector."""
+    eye = functools.reduce(np.kron, [np.eye(2, dtype=complex).reshape(-1)] * length)
+    return np.kron(np.eye(harmonics), np.outer(eye, eye.conj()))
+
+
+@pytest.mark.parametrize("terms", ["none", "uncoupled", "deflated"])
 @pytest.mark.parametrize("adjoint", [False, True], ids=["one-forward", "one-adjoint"])  # one-site problems
 def test_local_operator_matches_dense_projection(adjoint, terms):
-    # the local matrix at every site equals Phi^dag (L + sum c |v><v|) Phi,
-    # Phi mapping local coordinates to the full space through the frames;
-    # blocks carry different bond dimensions per harmonic
+    # the local matrix at every site equals Phi^dag A Phi, Phi mapping local
+    # coordinates to the full space through the frames, with A the generator
+    # L, the decay solve's penalized L + c sum_n |I_n><I_n| (one identity
+    # projector per harmonic, in the q = 0 MPO component), or for the
+    # deflated problem L - s |rho><rho| / ||rho||^2 with rho the engine's
+    # state; blocks carry different bond dimensions per harmonic
     model = driven_three_site_model()
     n_c, length = 1, 3
     rng = np.random.default_rng(5)
@@ -121,65 +131,50 @@ def test_local_operator_matches_dense_projection(adjoint, terms):
     dense = dense_extended_lindbladian(model, n_c)
     if adjoint:
         mpo, dense = mpo.adjoint(), dense.conj().T
-    partial = FloquetDensityMatrix(
-        {n: Mps.random(length, 4, 2, rng, norm=1.0) for n in (-1, 0)}, model.omega, n_c, length
-    )
-    rank_one = {
-        "none": [],
-        # one identity projector per harmonic, as the decay solve builds them
-        "uncoupled": [
-            solver.RankOneTerm(-3.0, solver.identity_operator_state(length, model.omega, n_c, [n]))
-            for n in (-1, 1)
-        ],
-        # vectors lacking a harmonic: partial, and partial relabelled n -> n + 1
-        "coupled": [
-            solver.RankOneTerm(-2.0 + 1.0j, partial),
-            solver.RankOneTerm(
-                -1.5,
-                FloquetDensityMatrix({n + 1: b for n, b in partial.blocks.items()}, model.omega, n_c, length),
-            ),
-        ],
-    }[terms]
-    for term in rank_one:
-        v = np.concatenate([term.vector.block(n).to_dense() for n in (-1, 0, 1)])
-        dense = dense + term.coefficient * np.outer(v, v.conj())
+    stacked = np.concatenate([state.block(n).to_dense() for n in (-1, 0, 1)])
+    deflation = 0.0
+    if terms == "uncoupled":
+        mpo = solver._trace_penalized(mpo, 3.0)
+        dense = dense - 3.0 / 2**length * identity_projectors(length, 3)
+    elif terms == "deflated":
+        deflation = solver.DEFLATION_SHIFT
+        dense = dense - deflation * np.outer(stacked, stacked.conj()) / np.vdot(stacked, stacked).real
     for site in range(length):
-        engine = SweepEngine(mpo, state, rank_one)
+        engine = SweepEngine(mpo, state)
         engine.advance_to(site)
-        problem = engine.site_problem(site)
+        problem = engine.site_problem(site, deflation=deflation)
         local = problem.dense_matrix()
         phi = frame_map(engine, problem)
         assert np.max(np.abs(phi.conj().T @ dense @ phi - local)) < 1e-10
         x = rng.standard_normal(problem.dim) + 1j * rng.standard_normal(problem.dim)
         assert np.max(np.abs(problem.matvec(x) - local @ x)) < 1e-12
-        stacked = np.concatenate([state.block(n).to_dense() for n in (-1, 0, 1)])
         assert np.max(np.abs(phi @ problem.current_vector() - stacked)) < 1e-12
 
 
 @pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # DTC harmonics exceed n_c = 1
-@pytest.mark.parametrize("terms", [False, True], ids=["bare", "projectors"])
+@pytest.mark.parametrize("terms", ["bare", "projectors", "deflated"])
 @pytest.mark.parametrize("adjoint", [False, True], ids=["one-forward", "one-adjoint"])  # one-site problems
 def test_dense_matrix_assembles_matvec_without_calling_it(adjoint, terms, monkeypatch):
     # DTC at n_c = 1 keeps 5 transfer components (q = -2..2), so pairs (q, n)
-    # with |n - q| > n_c are dead; blocks carry different bonds per harmonic,
-    # and the decay solve's 2 n_c + 1 identity projectors add a low-rank update
+    # with |n - q| > n_c are dead; blocks carry different bonds per harmonic;
+    # the decay solve's identity projectors widen the q = 0 component, and
+    # the degeneracy check's deflation adds a low-rank update
     model = build_dtc_model(DTCParams(chain_length=3), n_c=1)
     n_c, length = 1, 3
     mpo = build_extended_lindbladian(model, n_c)
     assert sorted(q for q in mpo.components if abs(q) <= 2 * n_c) == [-2, -1, 0, 1, 2]
     if adjoint:
         mpo = mpo.adjoint()
+    if terms == "projectors":
+        mpo = solver._trace_penalized(mpo, 2.5 * 2**length)
+    deflation = solver.DEFLATION_SHIFT if terms == "deflated" else 0.0
     rng = np.random.default_rng(8)
     blocks = {n: Mps.random(length, 4, chi, rng, norm=1.0) for n, chi in ((-1, 2), (0, 4), (1, 3))}
     state = FloquetDensityMatrix(blocks, model.omega, n_c, length)
-    projectors = [
-        solver.RankOneTerm(-2.5, solver.identity_operator_state(length, model.omega, n_c, [n]))
-        for n in range(-n_c, n_c + 1)
-    ]
     for site in range(length):
-        engine = SweepEngine(mpo, state, projectors if terms else [])
+        engine = SweepEngine(mpo, state)
         engine.advance_to(site)
-        problem = engine.site_problem(site)
+        problem = engine.site_problem(site, deflation=deflation)
         columns = problem.matvec(np.eye(problem.dim))
 
         def refuse(_):
@@ -342,7 +337,7 @@ def test_breakdown_in_production_stage_propagates(monkeypatch):
     injected = []
 
     def breaks_once(problem, *args, **kwargs):
-        production = not problem.engine.rank_one_terms
+        production = not problem.deflation
         if production and not injected:
             injected.append(problem.dim)
             raise EigensolverBreakdown("injected breakdown")
@@ -396,8 +391,8 @@ def test_shift_invert_matches_dense_eig(start, penalties):
     # at every site the shift-invert pair is LAPACK's eigenpair nearest zero;
     # from the noisy guess it takes several Arnoldi steps, and on the random
     # state the edge problems have that eigenvalue at |theta| ~ 1;
-    # the penalized cases deflate the state itself, as the degeneracy check
-    # does, with one rank-one term
+    # the penalized cases deflate the state itself out of the local problem,
+    # as the degeneracy check does
     model = ising_l3()
     n_c = 1
     mpo = build_extended_lindbladian(model, n_c)
@@ -407,11 +402,11 @@ def test_shift_invert_matches_dense_eig(start, penalties):
         rng = np.random.default_rng(5)
         blocks = {n: Mps.random(3, 4, 4, rng, norm=1.0) for n in range(-n_c, n_c + 1)}
         state = FloquetDensityMatrix(blocks, model.omega, n_c, 3, 2)
-    terms = [solver.RankOneTerm(-solver.DEFLATION_SHIFT / state.norm() ** 2, state)] if penalties else []
+    deflation = solver.DEFLATION_SHIFT if penalties else 0.0
     for site in range(3):
-        engine = SweepEngine(mpo, state, terms)
+        engine = SweepEngine(mpo, state)
         engine.advance_to(site)
-        problem = engine.site_problem(site)
+        problem = engine.site_problem(site, deflation=deflation)
         mat = problem.dense_matrix()
         values, vectors = np.linalg.eig(mat)
         best = np.argmin(np.abs(values))
@@ -467,7 +462,7 @@ def test_stage_log_counts_local_solves_by_method():
         counts = entry["local_solves"]
         sweeps = len(entry["sweep_residuals"])
         check = 1 if idx == last else 0
-        solves = sweeps * len(solver._sweep_sites(3)) + check
+        solves = sweeps * 4 + check  # 2 (L - 1) solves per sweep at L = 3
         assert counts == counted(shift_invert=solves)
         assert ("degeneracy_gap" in entry) == bool(check)
     assert report.stage_log[-1]["degeneracy_gap"] > solver.DEGENERACY_TOL
@@ -518,6 +513,16 @@ def test_stage_log_entries_carry_label_and_target():
             assert (exported["label"], exported["target"]) == (entry["label"], entry["target"])
 
 
+@pytest.mark.parametrize("length", [1, 2, 3, 5])
+def test_sweep_sites_solve_each_end_site_once(length):
+    # a sweep solves every site, each end site once: 2 (L - 1) solves (one at
+    # L = 1), each next to the one before, so the centre never jumps
+    sites = solver._sweep_sites(length)
+    assert {site for site, _ in sites} == set(range(length))
+    assert len(sites) == max(2 * (length - 1), 1)
+    assert all(abs(a - b) == 1 for (a, _), (b, _) in zip(sites, sites[1:]))
+
+
 def test_sweeps_keep_unit_norm():
     # every local solve writes a unit-norm centre vector into orthonormal
     # frames, so no rescale is needed between sweeps
@@ -546,12 +551,13 @@ def test_stage_log_reports_discarded_weight_and_bond():
     assert logged[0]["start_discarded_weight"] == entry["start_discarded_weight"]
 
 
-def assert_right_solve_tracks_after_one_eig_sweep(decay, length):
-    # one dense eig per site of the first sweep; every later right solve at
-    # the tracked shift, by shift-invert or its eig fallback
+def assert_right_solve_tracks_after_one_eig_sweep(decay, per_sweep):
+    # one dense eig per local solve of the first sweep (`per_sweep` of them);
+    # every later right solve at the tracked shift, by shift-invert or its
+    # eig fallback
     (entry,) = [e for e in decay.report.stage_log if e["label"] == "decay right"]
     counts = entry["local_solves"]
-    first = len(solver._sweep_sites(length))
+    first = per_sweep
     later = (len(entry["sweep_residuals"]) - 1) * first
     assert later > 0
     assert counts["dense_eig"] == first
@@ -722,7 +728,7 @@ def test_final_residual_decides_convergence(ising_l3_decay):
 
 
 def test_decay_right_solve_tracks_a_shift_on_ising_l3(ising_l3_decay):
-    assert_right_solve_tracks_after_one_eig_sweep(ising_l3_decay[2], 3)
+    assert_right_solve_tracks_after_one_eig_sweep(ising_l3_decay[2], 4)
 
 
 @pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # Ising harmonics exceed n_c = 0
