@@ -232,7 +232,13 @@ class FloquetMPO:
         )
 
     def apply(self, state: FloquetDensityMatrix, spec=None):
-        """Apply to a state, compressing each output block with `spec`."""
+        """Apply to a state, compressing each output block with `spec`.
+
+        This is the tested reference for the generator's action (tests
+        compare it with the dense generator). The solver does not call it:
+        its fixed-point residual streams the same products through one QR
+        sweep per block without building them (``solver._eigen_residual``).
+        """
         spec = spec or TruncationSpec(weight_cutoff=1e-14)
         out = {}
         for n in state.harmonics:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .tensors import TruncationSpec, truncated_svd
 
-__all__ = ["Mps", "Mpo", "CompressionInfo"]
+__all__ = ["Mps", "Mpo", "CompressionInfo", "product_sum_norm"]
 
 MPO_COMPRESS_CUTOFF = 1e-13  # relative singular-value cutoff of every assembled MPO
 
@@ -395,6 +395,41 @@ class Mpo:
             dim_i *= t.shape[2]
             acc = acc.reshape(dim_o, dim_i, t.shape[3])
         return acc[:, :, 0]
+
+
+def product_sum_norm(terms):
+    """Norm of ``sum_k W_k x_k`` over ``(W_k, x_k)`` pairs of one chain, each
+    an :class:`Mpo` (None for the identity) and an :class:`Mps`.
+
+    One left-to-right QR sweep over the direct sum of the products, the
+    zip-up of Stoudenmire and White (NJP 12, 055026 (2010)) without
+    truncation: each term keeps one column slice ``[D, (w l)]`` of the
+    running triangular factor and absorbs its next MPS and MPO tensors into
+    it; the slices of all terms, side by side, are factorized together. The
+    discarded factors are orthonormal, so at the last site, where every
+    slice is one column, the norm of their sum is the norm of the whole sum.
+    No product is built as an MPS, and no squared norm ``<x|W^dag W|x>`` is
+    formed, so nothing cancels.
+    """
+    terms = [(None if w is None else w.tensors, x.tensors) for w, x in terms]
+    if not terms:
+        return 0.0
+    last = len(terms[0][1]) - 1
+    slices = [np.ones((1, 1), dtype=complex)] * len(terms)
+    for i in range(last + 1):
+        pieces = []
+        for (w, x), r in zip(terms, slices):
+            if w is None:
+                t = np.tensordot(r, x[i], axes=([1], [1]))  # [D, p, r]
+            else:
+                t = np.tensordot(r.reshape(r.shape[0], -1, x[i].shape[1]), x[i], axes=([2], [1]))  # [D, w, p, r]
+                t = np.tensordot(t, w[i], axes=([1, 2], [0, 2])).transpose(0, 2, 3, 1)  # [D, p', w', r]
+            pieces.append(t.reshape(t.shape[0] * t.shape[1], -1))
+        stacked = np.concatenate(pieces, axis=1)
+        if i == last:
+            return float(np.linalg.norm(stacked.sum(axis=1)))
+        _, rmat = np.linalg.qr(stacked)
+        slices = np.split(rmat, np.cumsum([piece.shape[1] for piece in pieces])[:-1], axis=1)
 
 
 def _mpo_factors(matrix, width, phys_dim):

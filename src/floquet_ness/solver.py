@@ -26,13 +26,17 @@ the start, never grown, so the start must span them (a noisy start at the
 full bond); a bond held at the bond dimension below its exact size is
 reported. The steady state needs no trace constraint: its shifted copies sit
 at ``i s omega``, ``|s| omega`` away from zero. Its degeneracy is checked
-once, after the sweeps: the converged state, whose local image in its own
-orthonormal frames is the centre vector, is deflated out of the centre-site
-problem (Wielandt), and that problem's eigenvalue nearest zero must not
-vanish. The right decay solve moves the steady state and its copies away
-with a penalty that is part of its generator: a product operator added to
-the ``q = 0`` transfer component. So every sweep contracts one MPO and
-nothing else.
+once, after the sweeps, on the sweep engine itself: the converged state,
+whose local image in the engine's orthonormal frames is the centre vector,
+is deflated out of the centre-site problem (Wielandt), and that problem's
+eigenvalue nearest zero must not vanish. The right decay solve moves the
+steady state and its copies away with a penalty that is part of its
+generator: a product operator added to the ``q = 0`` transfer component. So
+every sweep contracts one MPO and nothing else.
+
+Every solve ends with its true fixed-point residual ``||(L - theta) x|| /
+||x||``, streamed through one QR sweep per output harmonic block, so the
+image ``L x`` is never built (:func:`_eigen_residual`).
 
 Harmonic blocks ``n`` couple only through the transfer components ``q``, so
 every local operation is one contraction batched over ``(q, n)``: the sweep
@@ -59,7 +63,7 @@ import scipy.sparse.linalg as spla
 
 from .freqspace import FloquetDensityMatrix, FloquetMPO, initial_guess
 from .liouvillian import ModelSpec, build_extended_lindbladian
-from .mps import Mpo, Mps
+from .mps import Mpo, Mps, product_sum_norm
 from .superops import LocalOperator, vectorize_choi
 # perfbench/tracing.py wraps solver.truncated_svd, so the name stays bound here
 from .tensors import TruncationSpec, truncated_svd
@@ -232,7 +236,9 @@ class SweepEngine:
     block ``n - q`` (both zero-padded to the largest bond of any block) and
     ``w`` the operator bond (zero-padded over components). Entries whose
     ``n - q`` lies outside the cutoff meet the zero block of the harmonic
-    stack and stay zero.
+    stack and stay zero; `_live` lists the other, live pairs ``(q, n)`` as
+    two index arrays, ordered by ``q``, and `_groups` holds, per transfer,
+    the slice of its pairs and the slice of their harmonics (consecutive).
 
     `local_solves` counts the engine's local solves by method (keys
     `LOCAL_METHODS`).
@@ -260,6 +266,9 @@ class SweepEngine:
                 for q in self.transfers
             ]
         )
+        self._live = q, n = np.nonzero(self._shift < outside)
+        bounds = np.searchsorted(q, np.arange(len(self.transfers) + 1))
+        self._groups = [(slice(a, b), slice(n[a], n[b - 1] + 1)) for a, b in zip(bounds[:-1], bounds[1:])]
         # per site, [q, (p' w'), (w p)] matrices of the [w, p', p, w'] tensors
         self._wstack = []
         for i in range(self.length):
@@ -369,9 +378,10 @@ class SiteProblem:
     The flat local vector holds the unpadded site tensors of every harmonic
     block in turn, each ``[p, l, r]`` (see `shapes`). `matvec` scatters it
     into the padded layout ``[n, l, p, r]``, applies the projected generator
+    of every live pair ``(q, n)`` (``|n - q| <= n_c``; the others are zero)
     in one batched contraction per environment and one for the site's MPO
-    tensor, and adds the frequency ramp; it takes one vector or a
-    ``(dim, k)`` block of columns.
+    tensor, sums the pairs of each harmonic in order of ``q`` and adds the
+    frequency ramp; it takes one vector or a ``(dim, k)`` block of columns.
 
     A nonzero `deflation` ``s`` adds ``-s x0 x0^H / ||x0||^2`` with ``x0``
     the current centre vector, as one low-rank update ``back @ (rows @ x)``
@@ -381,9 +391,9 @@ class SiteProblem:
     deflates the converged state this way, on one problem.
 
     `dense_matrix` assembles the same operator without `matvec`: for every
-    live pair ``(q, n)`` (``|n - q| <= n_c``; the others are zero) it
-    contracts ``L[q, n, a, w, b] W_q[w, p', p, w'] R[q, n, a', w', b']`` in
-    two batched products, and gathers the unpadded entries into block
+    live pair ``(q, n)`` it contracts
+    ``L[q, n, a, w, b] W_q[w, p', p, w'] R[q, n, a', w', b']`` in two
+    batched products, and gathers the unpadded entries into block
     ``(n, n - q)`` of the ``(dim, dim)`` matrix. The ramp goes on the
     diagonal and the low-rank update ``back @ rows`` is added once. Both
     methods validate the environments against the engine version, so a
@@ -410,9 +420,12 @@ class SiteProblem:
         self._diag = np.concatenate(diag)
         self.dim = self._index.size
         nq = len(engine.transfers)
-        self._left = engine.env_left[site].reshape(nq, nh, -1, l)  # [q, n, (a w), b]
-        self._w = engine._wstack[site][:, None, None]  # [q, 1, 1, (p' w'), (w p)]
-        self._right = engine.env_right[site].reshape(nq, nh, 1, r, -1)  # [q, n, 1, a', (w b')]
+        # operands of the live pairs (q, n), and the stack position of block n - q
+        q, n = engine._live
+        self._left = engine.env_left[site].reshape(nq, nh, -1, l)[q, n]  # [pair, (a w), b]
+        self._w = engine._wstack[site][q]  # [pair, (p' w'), (w p)]
+        self._right = engine.env_right[site].reshape(nq, nh, r, -1)[q, n]  # [pair, a', (w b')]
+        self._source = engine._shift[q, n]
         self._rows = np.zeros((0, self.dim), dtype=complex)  # low-rank update back @ rows
         self._back = self._rows.T
         if deflation:
@@ -435,14 +448,18 @@ class SiteProblem:
         vec = np.asarray(vec, dtype=complex)
         cols = vec.reshape(self.dim, -1)
         k = cols.shape[1]
-        nq, nh, _, l = self._left.shape
-        x = np.zeros(((nh + 1) * self._size, k), dtype=complex)
+        pairs, _, l = self._left.shape
+        nh = len(self.engine.harmonics)
+        x = np.zeros((nh * self._size, k), dtype=complex)
         x[self._index] = cols
-        x = x.reshape(nh + 1, l, -1)[self.engine._shift]  # [q, n, b, (p b' k)]
-        t = self._left @ x  # [q, n, (a w), (p b' k)]
-        t = self._w @ t.reshape(nq, nh, l, self._w.shape[-1], -1)  # [q, n, a, (p' w'), (b' k)]
-        t = self._right @ t.reshape(nq, nh, l * self.engine.phys, self._right.shape[-1], k)  # [q, n, (a p'), a', k]
-        y = t.sum(axis=0).reshape(-1, k)[self._index] + self._diag[:, None] * cols
+        x = x.reshape(nh, l, -1)[self._source]  # [pair, b, (p b' k)]
+        t = self._left @ x  # [pair, (a w), (p b' k)]
+        t = self._w[:, None] @ t.reshape(pairs, l, self._w.shape[-1], -1)  # [pair, a, (p' w'), (b' k)]
+        t = self._right[:, None] @ t.reshape(pairs, l * self.engine.phys, self._right.shape[-1], k)  # [pair, (a p'), a', k]
+        y = np.zeros((nh, *t.shape[1:]), dtype=complex)
+        for group, harmonics in self.engine._groups:  # each harmonic's pairs in order of q
+            y[harmonics] += t[group]
+        y = y.reshape(-1, k)[self._index] + self._diag[:, None] * cols
         if self._rows.size:
             y += self._back @ (self._rows @ cols)
         return y.reshape(vec.shape)
@@ -451,19 +468,15 @@ class SiteProblem:
         """Materialize the local operator from the environments and MPO tensors."""
         if self.version != self.engine.version:
             raise StaleEnvironmentError("site problem built against an older sweep state")
-        shift = self.engine._shift
-        nh = shift.shape[1]
-        l, r = self._left.shape[3], self._right.shape[3]
-        nq, p = self._left.shape[0], self.engine.phys
-        # the site's [q, (p' w'), (w p)] matrices as [q, w, p', p, w'] tensors
-        mpo = self._w.reshape(nq, p, -1, self._w.shape[-1] // p, p).transpose(0, 3, 1, 4, 2)
+        nh = len(self.engine.harmonics)
+        k, _, l = self._left.shape
+        r, p = self._right.shape[1], self.engine.phys
+        # the pairs' [(p' w'), (w p)] matrices as [w, p', p, w'] tensors
+        mpo = self._w.reshape(k, p, -1, self._w.shape[-1] // p, p).transpose(0, 3, 1, 4, 2)
         wl, wr = mpo.shape[1], mpo.shape[4]
-        # live (q, n) pairs, whose block n - q lies inside the cutoff
-        q, n = np.nonzero(shift < nh)
-        k = q.size
-        left = self._left[q, n].reshape(k, l, wl, l).transpose(0, 1, 3, 2)  # [k, a, b, w]
-        t = left.reshape(k, l * l, wl) @ mpo[q].reshape(k, wl, -1)  # [k, (a b), (p' p w')]
-        right = self._right[q, n, 0].reshape(k, r, wr, r).transpose(0, 2, 1, 3)  # [k, w', a', b']
+        left = self._left.reshape(k, l, wl, l).transpose(0, 1, 3, 2)  # [k, a, b, w]
+        t = left.reshape(k, l * l, wl) @ mpo.reshape(k, wl, -1)  # [k, (a b), (p' p w')]
+        right = self._right.reshape(k, r, wr, r).transpose(0, 2, 1, 3)  # [k, w', a', b']
         blocks = (t.reshape(k, -1, wr) @ right.reshape(k, wr, r * r)).reshape(k, -1)  # [k, (a b p' p a' b')]
         # flat offsets into one block of every local row (a, p', a') and column (b, p, b')
         harmonic, a, s, a2 = np.unravel_index(self._index, (nh, l, p, r))
@@ -471,7 +484,7 @@ class SiteProblem:
         cols = (a * p * p + s) * r * r + a2
         bounds = np.searchsorted(harmonic, np.arange(nh + 1))  # local range of each harmonic
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        for block, row, col in zip(blocks, n, shift[q, n]):  # block (n, n - q)
+        for block, row, col in zip(blocks, self.engine._live[1], self._source):  # block (n, n - q)
             rs, cs = slice(bounds[row], bounds[row + 1]), slice(bounds[col], bounds[col + 1])
             out[rs, cs] = block[rows[rs, None] + cols[None, cs]]
         out.flat[:: self.dim + 1] += self._diag
@@ -693,7 +706,10 @@ def _sweep_schedule(mpo, state, cfg, report, target, label):
     cutoff, bond dimension, ``"start_discarded_weight"`` (the relative
     weight the start's canonicalization dropped, summed over blocks and
     bonds) and ``"seconds"``, the stage's wall time; its residuals extend
-    ``report.sweep_residuals``. Returns the final state and local eigenvalue.
+    ``report.sweep_residuals``. Returns ``(engine, theta)``: the engine,
+    which holds the swept state (``engine.state()``) with its orthogonality
+    centre at site 0 and its environments, and the last local eigenvalue.
+    The degeneracy check goes on from that engine.
     """
     (stage,) = cfg.warmup
     start = time.perf_counter()
@@ -716,7 +732,7 @@ def _sweep_schedule(mpo, state, cfg, report, target, label):
     }
     report.stage_log.append({**entry, **log})
     report.sweep_residuals.extend(log["sweep_residuals"])
-    return engine.state(), theta
+    return engine, theta
 
 
 def _saturation_warnings(spectra, chi, phys, length):
@@ -742,23 +758,27 @@ def _saturation_warnings(spectra, chi, phys, length):
     return [f"bond dimension {chi} saturated below the exact bond at bonds {saturated}; chi may truncate the state"]
 
 
-def _deflated_check(mpo, state, cfg, rng):
-    """Eigenvalue nearest zero of the centre-site problem with `state` deflated.
+def _deflated_check(engine, cfg, rng):
+    """Eigenvalue nearest zero of the centre-site problem with the engine's state deflated.
 
-    An engine holds `state` in orthonormal frames around the centre site, so
-    the state's local image is the centre vector ``x0``, and the local term
-    ``-DEFLATION_SHIFT x0 x0^H / ||x0||^2`` (:class:`SiteProblem`) is the
-    projected Wielandt deflation of the converged state. It moves the local
-    eigenvalue of the state to about ``-DEFLATION_SHIFT`` and leaves every
-    other local eigenvalue in place, so what remains nearest zero is the
-    runner-up of the undeflated problem. It is found by the ordinary
-    steady-state local solve from a random start drawn from `rng`. Returns
-    ``(theta, local_solves)``; raises :class:`DegenerateSteadyStateError`
-    when ``|theta| < DEGENERACY_TOL``.
+    `engine` is the sweep engine that converged the state (its centre at or
+    left of the centre site ``L // 2``). The check QR-moves its centre
+    rightward to that site, which changes the gauge but not the state, so
+    the state's local image in the orthonormal frames is the centre vector
+    ``x0``, and the local term ``-DEFLATION_SHIFT x0 x0^H / ||x0||^2``
+    (:class:`SiteProblem`) is the projected Wielandt deflation of the
+    converged state. It moves the local eigenvalue of the state to about
+    ``-DEFLATION_SHIFT`` and leaves every other local eigenvalue in place, so
+    what remains nearest zero is the runner-up of the undeflated problem. It
+    is found by the ordinary steady-state local solve from a random start
+    drawn from `rng`. Returns ``(theta, local_solves)``, the latter counting
+    this check's solve only (the change in ``engine.local_solves``, which
+    also holds the sweeps' solves); raises
+    :class:`DegenerateSteadyStateError` when ``|theta| < DEGENERACY_TOL``.
     """
-    engine = SweepEngine(mpo, state)
-    centre = state.chain_length // 2
+    centre = engine.length // 2
     engine.advance_to(centre)
+    before = dict(engine.local_solves)
     problem = engine.site_problem(centre, deflation=DEFLATION_SHIFT)
     v0 = rng.standard_normal(problem.dim) + 1j * rng.standard_normal(problem.dim)
     theta, _ = _local_eigensolve(problem, v0, 0.0, _local_tol(cfg), cfg.dense_local_cutoff)
@@ -767,7 +787,7 @@ def _deflated_check(mpo, state, cfg, rng):
             f"deflated centre-site eigenvalue {theta:.2e} is near zero; "
             "steady space looks degenerate"
         )
-    return theta, engine.local_solves
+    return theta, {method: count - before[method] for method, count in engine.local_solves.items()}
 
 
 def solve_ness(model: ModelSpec, cfg: SweepConfig):
@@ -779,12 +799,15 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
     targeting the local eigenvalue nearest zero. Returns the
     trace-normalized state with a :class:`SolveReport`. An
     :class:`EigensolverBreakdown` of a local solve propagates. After the
-    sweeps, :func:`_deflated_check` raises
+    sweeps, the state is taken from the sweep engine, and
+    :func:`_deflated_check` runs on that engine; it raises
     :class:`DegenerateSteadyStateError` when the steady state is degenerate;
     the `stage_log` entry records its ``"degeneracy_gap"`` and counts its
-    local solve and its time. The report warns about weight in the edge
-    harmonic, Hermiticity defects, a final residual above tolerance and a
-    bond saturated at the bond dimension (:func:`_saturation_warnings`).
+    local solve and its time. ``report.fixed_point_residual`` is
+    :func:`_eigen_residual` of the normalized state. The report warns about
+    weight in the edge harmonic, Hermiticity defects, a final residual above
+    tolerance and a bond saturated at the bond dimension
+    (:func:`_saturation_warnings`).
     """
     cfg.validate()
     model.validate()
@@ -803,9 +826,10 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
         noise_bond=stage.chi,
     )
     mpo = build_extended_lindbladian(model, n_c)
-    state, final_theta = _sweep_schedule(mpo, state, cfg, report, 0.0, "ness")
+    engine, final_theta = _sweep_schedule(mpo, state, cfg, report, 0.0, "ness")
+    state = engine.state()  # before the check moves the centre
     check_start = time.perf_counter()
-    theta, solves = _deflated_check(mpo, state, cfg, rng)
+    theta, solves = _deflated_check(engine, cfg, rng)
     production = report.stage_log[-1]
     production["seconds"] += time.perf_counter() - check_start
     production["degeneracy_gap"] = float(abs(theta))
@@ -897,10 +921,21 @@ def _trace_penalized(mpo, strength):
 
 
 def _eigen_residual(mpo, vec, theta):
-    """True residual ``||(mpo - theta) vec|| / ||vec||`` through `FloquetMPO.apply`."""
-    image = mpo.apply(vec)
-    diffs = [image.block(n).add(vec.block(n).scaled(-theta)) for n in vec.harmonics]
-    norms = [d.canonicalize()[0].norm() for d in diffs]  # no squared-norm cancellation
+    """True residual ``||(mpo - theta) vec|| / ||vec||``, streamed block by block.
+
+    Output block ``n`` sums ``W_q x_(n-q)`` over the transfers ``q`` whose
+    block ``n - q`` is stored, and ``(c_n - theta) x_n`` with ``c_n`` the
+    ramp coefficient (dropped when zero); :func:`~floquet_ness.mps.product_sum_norm`
+    takes its norm without building the products. :meth:`FloquetMPO.apply`
+    is the tested reference for the same action.
+    """
+    norms = []
+    for n in vec.harmonics:
+        terms = [(w, vec.blocks[n - q]) for q, w in mpo.components.items() if n - q in vec.blocks]
+        coeff = mpo.diagonal_coefficient(n) - theta
+        if n in vec.blocks and coeff != 0:
+            terms.append((None, vec.blocks[n].scaled(coeff)))
+        norms.append(product_sum_norm(terms))
     return float(np.linalg.norm(norms)) / max(vec.norm(), 1e-300)
 
 
@@ -955,7 +990,8 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
     eye_norm2 = eye_mps.inner(eye_mps).real
     rng = np.random.default_rng(cfg.seed + 1)
     seed = _orthogonalized_noise(model, n_c, stage.chi, rng, eye_mps)
-    right, lam = _sweep_schedule(_trace_penalized(mpo, w), seed, cfg, report, "slowest_central", "decay right")
+    engine, lam = _sweep_schedule(_trace_penalized(mpo, w), seed, cfg, report, "slowest_central", "decay right")
+    right = engine.state()
     residuals["decay right"] = report.sweep_residuals[-1]
     repair = TruncationSpec(max_rank=stage.chi)
     spectra = []  # Schmidt values of every cleaned block
@@ -973,7 +1009,8 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
     right = right.scaled(1.0 / max(right.norm(), 1e-300))
 
     adjoint = mpo.adjoint()  # the left solve starts from the right mode, its pair
-    left, _ = _sweep_schedule(adjoint, right, cfg, report, lam.conjugate(), "decay left")
+    engine, _ = _sweep_schedule(adjoint, right, cfg, report, lam.conjugate(), "decay left")
+    left = engine.state()
     residuals["decay left"] = report.sweep_residuals[-1]
     # project out the steady-state direction: <<L - beta I | ness>> = 0 with
     # beta = conj(<<L|ness>>) because <<I|ness>> = Tr rho^0 = 1

@@ -30,6 +30,7 @@ from floquet_ness.solver import (
     transient_observable,
 )
 from floquet_ness.superops import PAULI, LocalOperator
+from test_liouvillian import single_qubit_model as damped_qubit, small_driven_model, time_dependent_jump_model
 
 SM = np.array([[0, 1], [0, 0]], dtype=complex)
 
@@ -452,11 +453,15 @@ def test_refused_shift_invert_returns_the_eig_answer(case, monkeypatch, caplog):
     )
 
 
-def test_stage_log_counts_local_solves_by_method():
+@pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # DTC harmonics exceed n_c = 1
+@pytest.mark.parametrize("chain", ["ising", "dtc"])
+def test_stage_log_counts_local_solves_by_method(chain):
     # every local solve is counted once, under the method that answered it:
     # all by shift-invert, the production stage's count including the one
-    # solve of the deflated degeneracy check
-    _, report = solve_ness(ising_l3(), quick_config(1, 8))
+    # solve of the deflated degeneracy check (not the sweep engine's
+    # cumulative count, on which the check runs)
+    model = ising_l3() if chain == "ising" else build_dtc_model(DTCParams(chain_length=3), n_c=1)
+    _, report = solve_ness(model, quick_config(1, 8))
     last = len(report.stage_log) - 1
     for idx, entry in enumerate(report.stage_log):
         counts = entry["local_solves"]
@@ -474,16 +479,22 @@ def test_stage_log_counts_local_solves_by_method():
 @pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # DTC harmonics exceed n_c = 1
 @pytest.mark.parametrize("chain", ["ising", "dtc"])
 def test_deflated_check_matches_eig_runner_up(chain):
-    # deflating the converged state out of the centre-site problem leaves
-    # the runner-up eigenvalue of the undeflated problem nearest zero
+    # deflating the converged state out of the centre-site problem of the
+    # sweep engine leaves the runner-up eigenvalue of the undeflated problem
+    # nearest zero; the check counts its own solve only, and moving the
+    # engine's centre there leaves the state as it was
     model = ising_l3() if chain == "ising" else build_dtc_model(DTCParams(chain_length=3), n_c=1)
     cfg = quick_config(1, 8)
-    state, report = solve_ness(model, cfg)
     mpo = build_extended_lindbladian(model, 1)
-    theta, solves = solver._deflated_check(mpo, state, cfg, np.random.default_rng(3))
+    start = initial_guess(3, 2, 1, model.omega, noise_amplitude=cfg.noise_amplitude, seed=cfg.seed, noise_bond=8)
+    engine, _ = solver._sweep_schedule(mpo, start, cfg, solver.SolveReport(), 0.0, "ness")
+    state = engine.state()
+    assert engine.local_solves["shift_invert"] > 1
+    theta, solves = solver._deflated_check(engine, cfg, np.random.default_rng(3))
     assert solves == counted(shift_invert=1)
-    engine = SweepEngine(mpo, state)
-    engine.advance_to(1)
+    assert engine.center == 1
+    for n, block in engine.state().blocks.items():
+        assert np.max(np.abs(block.to_dense() - state.block(n).to_dense())) < 1e-13
     mat = engine.site_problem(1).dense_matrix()
     values = np.linalg.eig(mat)[0]
     steady, runner_up = values[np.argsort(np.abs(values))[:2]]
@@ -491,7 +502,37 @@ def test_deflated_check_matches_eig_runner_up(chain):
     assert abs(steady) <= 1e-8 * scale
     assert abs(runner_up) > solver.DEGENERACY_TOL
     assert abs(theta - runner_up) <= 1e-8 * scale
+    _, report = solve_ness(model, cfg)
     assert abs(report.stage_log[-1]["degeneracy_gap"] - abs(runner_up)) <= 1e-8 * scale
+
+
+@pytest.mark.parametrize("theta", [0.0, -0.3 + 1.2j], ids=["zero", "complex"])
+@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+def test_eigen_residual_matches_dense(adjoint, theta):
+    # the streamed residual ||(L - theta) x|| / ||x|| equals the dense one on
+    # random states, with every block stored and with the lowest one absent,
+    # for the models of test_mpo_action_matches_dense_action; the driven ones
+    # have output blocks n with a transfer q whose n - q lies outside the cutoff
+    rng = np.random.default_rng(17)
+    edge_pairs = 0
+    for model, n_c in [
+        (small_driven_model(length=3), 2),
+        (time_dependent_jump_model(length=2), 2),
+        (damped_qubit(gamma=0.5, omega_z=1.0), 1),
+    ]:
+        mpo = build_extended_lindbladian(model, n_c)
+        dense = dense_extended_lindbladian(model, n_c)
+        if adjoint:
+            mpo, dense = mpo.adjoint(), dense.conj().T
+        harmonics = range(-n_c, n_c + 1)
+        edge_pairs += sum(abs(n - q) > n_c for q in mpo.components for n in harmonics)
+        blocks = {n: Mps.random(model.chain_length, 4, 3, rng, norm=1.0) for n in harmonics}
+        for stored in (blocks, {n: b for n, b in blocks.items() if n != -n_c}):
+            state = FloquetDensityMatrix(stored, model.omega, n_c, model.chain_length)
+            vec = np.concatenate([state.block(n).to_dense() for n in harmonics])
+            expect = np.linalg.norm(dense @ vec - theta * vec) / np.linalg.norm(vec)
+            assert abs(solver._eigen_residual(mpo, state, theta) - expect) <= 1e-12 * expect
+    assert edge_pairs > 0
 
 
 def test_stage_log_entries_carry_label_and_target():

@@ -88,6 +88,22 @@ def test_dissipator_linearity_in_pair():
     assert np.allclose(dissipator_super(alpha * l1, l2), alpha * dissipator_super(l1, l2))
 
 
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_superoperators_equal_kron_bit_for_bit(dim):
+    # MPO assembly builds on these helpers; they must form np.kron's exact
+    # products, so the assembled MPO keeps its last bits
+    rng = np.random.default_rng(dim)
+    a, b = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)) for _ in range(2))
+    eye = np.eye(dim, dtype=complex)
+    assert np.array_equal(left_mult_super(a), np.kron(a, eye))
+    assert np.array_equal(right_mult_super(b), np.kron(eye, b.T))
+    for l2 in (a, b):
+        anti = l2.conj().T @ a
+        expected = np.kron(a, l2.conj()) - 0.5 * np.kron(anti, eye) - 0.5 * np.kron(eye, anti.T)
+        assert np.array_equal(dissipator_super(a, l2), expected)
+    assert np.array_equal(dissipator_super(a), dissipator_super(a, a))
+
+
 def test_identity_costate_traces():
     cost = identity_costate(1)
     assert np.allclose(cost, [1, 0, 0, 1])
