@@ -39,11 +39,11 @@ Every solve ends with its true fixed-point residual ``||(L - theta) x|| /
 image ``L x`` is never built (:func:`_eigen_residual`).
 
 Harmonic blocks ``n`` couple only through the transfer components ``q``, so
-every local operation is one contraction batched over ``(q, n)``: the sweep
-engine stores arrays stacked over harmonics and zero-padded to the largest
-bond (layout in :class:`SweepEngine`). The padding is exact and never enters
-the flat local vector of :class:`SiteProblem`: padded coordinates would be
-exact zero eigenvalues, which the steady-state target would pick.
+every local operation is one contraction batched over the live pairs
+``(q, n)``, whose block ``n - q`` lies within the cutoff. All blocks share
+their bonds, so the sweep engine holds each site as one stack over
+harmonics, and that stack is the flat local vector of :class:`SiteProblem`
+(layout in :class:`SweepEngine`).
 
 Sign conventions: eigenvalues are those of the frequency-space generator
 (``Re <= 0``); a mode decays as ``exp(lambda t)`` and the relaxation time of
@@ -135,10 +135,11 @@ class SweepConfig:
     :class:`SweepStage` of at least one sweep. Single-site sweeps cannot grow
     a bond, so the start carries seeded noise of `noise_amplitude` at the
     full bond; it must be positive. Local problems up to
-    `dense_local_cutoff` are densified: solves at a shift (every solve but
-    the right decay mode's first sweep, which uses `eig`) use shift-invert
-    (LU plus a short Arnoldi on the inverse) and fall back to a full `eig`
-    when it is refused. Larger problems at a shift go to ARPACK.
+    `dense_local_cutoff` (at most DENSE_LOCAL_HARD_CAP) are densified: solves
+    at a shift (every solve but the right decay mode's first sweep, which
+    uses `eig`) use shift-invert (LU plus a short Arnoldi on the inverse) and
+    fall back to a full `eig` when it is refused. Larger problems at a shift
+    go to ARPACK.
     """
 
     warmup: list = field(default_factory=list)
@@ -156,6 +157,8 @@ class SweepConfig:
             raise ValueError("eig_tol must be positive")
         if not self.noise_amplitude > 0:
             raise ValueError("noise_amplitude must be positive: a noiseless start stays at bond 1")
+        if not 0 <= self.dense_local_cutoff <= DENSE_LOCAL_HARD_CAP:
+            raise ValueError(f"dense_local_cutoff must lie in [0, {DENSE_LOCAL_HARD_CAP}]")
         return self
 
 
@@ -201,44 +204,33 @@ class SolveReport:
         return out
 
 
-def _qr_right(tensor):
-    p, l, r = tensor.shape
-    q, rmat = np.linalg.qr(tensor.reshape(p * l, r))
-    return q.reshape(p, l, -1), rmat
-
-
-def _qr_left(tensor):
-    p, l, r = tensor.shape
-    q, rmat = np.linalg.qr(tensor.transpose(0, 2, 1).reshape(p * r, l))
-    return q.reshape(p, r, -1).transpose(0, 2, 1), rmat
-
-
-def _padded(arrays, extra=0):
-    """Stack of equal-rank arrays, zero-padded to the largest extent of each
-    axis, with `extra` trailing zero entries."""
+def _padded(arrays):
+    """Stack of equal-rank arrays, zero-padded to the largest extent of each axis."""
     shape = np.max([a.shape for a in arrays], axis=0)
-    out = np.zeros((len(arrays) + extra, *shape), dtype=complex)
+    out = np.zeros((len(arrays), *shape), dtype=complex)
     for k, a in enumerate(arrays):
         out[(k, *map(slice, a.shape))] = a
     return out
 
 
 class SweepEngine:
-    """Mutable sweep state: block tensors and environments.
+    """Mutable sweep state: site stacks and environments.
 
-    The engine owns copies of the block tensors in mixed-canonical form,
-    per harmonic and unpadded (QR acts block by block; no sweep changes a
-    bond dimension), and the partially contracted environments of the local
-    eigenproblem of the one generator `mpo` (penalties included, as MPO
-    terms), one array per bond: ``env_left[i]`` / ``env_right[i]`` is
-    ``[q, n, a, w, b]`` over the transfer components in `transfers` and the
-    harmonics, with ``a`` the bra bond of block ``n``, ``b`` the ket bond of
-    block ``n - q`` (both zero-padded to the largest bond of any block) and
-    ``w`` the operator bond (zero-padded over components). Entries whose
-    ``n - q`` lies outside the cutoff meet the zero block of the harmonic
-    stack and stay zero; `_live` lists the other, live pairs ``(q, n)`` as
-    two index arrays, ordered by ``q``, and `_groups` holds, per transfer,
-    the slice of its pairs and the slice of their harmonics (consecutive).
+    Every block is brought to mixed-canonical form at site 0, and all
+    blocks must then share their bonds (a ``ValueError`` names them
+    otherwise; an exactly zero block takes the frames of a nonzero one; no
+    sweep changes a bond). ``sites[i]`` stacks site `i` of
+    every harmonic block as ``[n, p, l, r]``. Only the live transfer/harmonic
+    pairs ``(q, n)``, those with ``|n - q| <= n_c``, couple blocks: `_live`
+    holds their transfer and harmonic indices, ordered by ``q``, `_source`
+    the stack position of block ``n - q``, and `_groups`, per transfer, the
+    slice of its pairs and the slice of their harmonics (consecutive). The
+    environments of the local eigenproblem of the one generator `mpo`
+    (penalties included, as MPO terms) are one array per bond:
+    ``env_left[i]`` / ``env_right[i]`` is ``[pair, a, w, b]``, with ``a``
+    the bra bond of block ``n``, ``b`` the ket bond of block ``n - q`` and
+    ``w`` the operator bond, zero-padded over components (`_padded`), as
+    are the pairs' MPO matrices in `_wstack`.
 
     `local_solves` counts the engine's local solves by method (keys
     `LOCAL_METHODS`).
@@ -252,35 +244,33 @@ class SweepEngine:
         self.omega = state.omega
         self.cutoff = state.cutoff
         self.harmonics = list(range(-self.cutoff, self.cutoff + 1))
-        self.blocks = {}
-        for n in self.harmonics:
-            mps = state.block(n).mixed_canonical(0)
-            self.blocks[n] = [t.copy() for t in mps.tensors]
+        blocks = [state.block(n).mixed_canonical(0).tensors for n in self.harmonics]
+        # an exactly zero block (zero centre) canonicalizes to bond 1; it takes
+        # the orthonormal frames of a nonzero block instead and stays zero
+        frames = next((ts for ts in blocks if np.any(ts[0])), None)
+        if frames is not None:
+            blocks = [ts if np.any(ts[0]) else [np.zeros_like(frames[0]), *frames[1:]] for ts in blocks]
+        bonds = {n: [t.shape[2] for t in ts[:-1]] for n, ts in zip(self.harmonics, blocks)}
+        if len({tuple(b) for b in bonds.values()}) > 1:
+            raise ValueError(f"harmonic blocks must share their bonds, got {bonds}")
+        self.sites = [np.stack(ts) for ts in zip(*blocks)]
         self.transfers = [q for q in mpo.components if abs(q) <= 2 * self.cutoff]
-        # stack position of block n - q for every (q, n); the position past
-        # the last harmonic is the zero block
-        outside = len(self.harmonics)
-        self._shift = np.array(
-            [
-                [n - q + self.cutoff if abs(n - q) <= self.cutoff else outside for n in self.harmonics]
-                for q in self.transfers
-            ]
-        )
-        self._live = q, n = np.nonzero(self._shift < outside)
+        shift = np.array([[n - q for n in self.harmonics] for q in self.transfers])
+        self._live = q, n = np.nonzero(np.abs(shift) <= self.cutoff)
+        self._source = shift[q, n] + self.cutoff
         bounds = np.searchsorted(q, np.arange(len(self.transfers) + 1))
         self._groups = [(slice(a, b), slice(n[a], n[b - 1] + 1)) for a, b in zip(bounds[:-1], bounds[1:])]
-        # per site, [q, (p' w'), (w p)] matrices of the [w, p', p, w'] tensors
+        # per site, [pair, (p' w'), (w p)] matrices of the [w, p', p, w'] tensors
         self._wstack = []
         for i in range(self.length):
-            w = _padded([mpo.components[q].tensors[i].transpose(1, 3, 0, 2) for q in self.transfers])
+            w = _padded([mpo.components[self.transfers[k]].tensors[i].transpose(1, 3, 0, 2) for k in q])
             self._wstack.append(w.reshape(w.shape[0], w.shape[1] * w.shape[2], -1))
         self.local_solves = dict.fromkeys(LOCAL_METHODS, 0)
         self.version = 0
         self.center = 0
         # environments, the right ones absorbed from the last site inward
-        nq, nh = len(self.transfers), len(self.harmonics)
         tail = [None] * self.length
-        self.env_left = [np.ones((nq, nh, 1, 1, 1), dtype=complex)] + tail
+        self.env_left = [np.ones((len(q), 1, 1, 1), dtype=complex)] + tail
         self.env_right = tail[1:] + [self.env_left[0], None]
         for i in range(self.length - 1, 0, -1):
             self._update_right(i)
@@ -289,85 +279,79 @@ class SweepEngine:
 
     def state(self):
         return FloquetDensityMatrix(
-            {n: Mps([t.copy() for t in ts]) for n, ts in self.blocks.items()},
+            {n: Mps([s[h].copy() for s in self.sites]) for h, n in enumerate(self.harmonics)},
             self.omega,
             self.cutoff,
             self.length,
             self.site_dim,
         )
 
-    def site_stack(self, i):
-        """``[n + 1, l, p, r]`` stack of site `i` over harmonics, zero block last."""
-        return _padded([self.blocks[n][i].transpose(1, 0, 2) for n in self.harmonics], extra=1)
-
     # -- environments ---------------------------------------------------------
 
     def _operands(self, i):
-        """Site `i` as the bra ``[n, (l p), r]`` and the kets ``[q, n, l, (p r)]``
-        of blocks ``n - q``, with the bond sizes."""
-        stack = self.site_stack(i)
-        nh, l, p, r = stack[:-1].shape
-        bra = stack[:-1].conj().reshape(nh, l * p, r)
-        return bra, stack[self._shift].reshape(-1, nh, l, p * r), (nh, l, p, r)
+        """Site `i` of every pair as the bra ``[pair, (l p), r]`` of block ``n``
+        and the ket ``[pair, l, (p r)]`` of block ``n - q``, the pairs' MPO
+        matrices, and the sizes ``(l, p, r)``."""
+        stack = np.ascontiguousarray(self.sites[i].transpose(0, 2, 1, 3))  # [n, l, p, r]
+        nh, l, p, r = stack.shape
+        bra = stack.conj().reshape(nh, l * p, r)[self._live[1]]
+        return bra, stack.reshape(nh, l, p * r)[self._source], self._wstack[i], (l, p, r)
 
     def _update_left(self, i):
         """Absorb site `i` into the left environments (valid at i+1)."""
-        bra, ket, (nh, l, p, r) = self._operands(i)
+        bra, ket, mpo, (l, p, r) = self._operands(i)
         env = self.env_left[i]
-        nq, w = env.shape[0], env.shape[3]
-        t = env.reshape(nq, nh, l * w, l) @ ket  # [q, n, (a w), (p b')]
-        t = self._wstack[i][:, None, None] @ t.reshape(nq, nh, l, w * p, r)  # [q, n, a, (p' w'), b']
-        t = bra.swapaxes(1, 2) @ t.reshape(nq, nh, l * p, -1)  # [q, n, a', (w' b')]
-        self.env_left[i + 1] = t.reshape(nq, nh, r, -1, r)
+        pairs, w = env.shape[0], env.shape[2]
+        t = env.reshape(pairs, l * w, l) @ ket  # [pair, (a w), (p b')]
+        t = mpo[:, None] @ t.reshape(pairs, l, w * p, r)  # [pair, a, (p' w'), b']
+        t = bra.swapaxes(1, 2) @ t.reshape(pairs, l * p, -1)  # [pair, a', (w' b')]
+        self.env_left[i + 1] = t.reshape(pairs, r, -1, r)
 
     def _update_right(self, i):
         """Absorb site `i` into the right environments (valid at i-1)."""
-        bra, ket, (nh, l, p, r) = self._operands(i)
+        bra, ket, mpo, (l, p, r) = self._operands(i)
         env = self.env_right[i]
-        nq = env.shape[0]
-        t = bra @ env.reshape(nq, nh, r, -1)  # [q, n, (a p'), (w' b')]
-        t = self._wstack[i].swapaxes(1, 2)[:, None, None] @ t.reshape(nq, nh, l, -1, r)
-        t = t.reshape(nq, nh, -1, p * r) @ ket.swapaxes(2, 3)  # [q, n, (a w), b]
-        self.env_right[i - 1] = t.reshape(nq, nh, l, -1, l)
+        pairs = env.shape[0]
+        t = bra @ env.reshape(pairs, r, -1)  # [pair, (a p'), (w' b')]
+        t = mpo.swapaxes(1, 2)[:, None] @ t.reshape(pairs, l, -1, r)  # [pair, a, (w p), b']
+        t = t.reshape(pairs, -1, p * r) @ ket.swapaxes(1, 2)  # [pair, (a w), b]
+        self.env_right[i - 1] = t.reshape(pairs, l, -1, l)
 
     def advance_to(self, site):
         """Move the orthogonality center rightward to `site` without solving."""
         if site < self.center:
             raise ValueError("advance_to only moves the center rightward")
         while self.center < site:
-            self.set_site(self.center, {}, direction="right")
+            self.set_site(self.center, None, direction="right")
 
     # -- local problem ---------------------------------------------------------
 
     def site_problem(self, i, deflation=0.0):
         return SiteProblem(self, i, deflation)
 
-    def set_site(self, i, pieces, direction="right"):
-        """Write back the solved tensors and restore the gauge.
-
-        `pieces` maps the harmonic to the new site tensor; a QR moves the
-        orthogonality center along `direction`, keeping every bond dimension.
-        """
+    def set_site(self, i, stack, direction="right"):
+        """Write back the solved stack ``[n, p, l, r]`` (None keeps site `i`)
+        and restore the gauge: one batched QR moves the orthogonality center
+        along `direction`, keeping every bond dimension."""
         self.version += 1
-        for n, t in pieces.items():
-            self.blocks[n][i] = t
+        if stack is not None:
+            self.sites[i] = stack
         self.center = i
+        nh, p, l, r = self.sites[i].shape
         if direction == "right" and i < self.length - 1:
-            for n in self.harmonics:
-                q, rmat = _qr_right(self.blocks[n][i])
-                self.blocks[n][i] = q
-                self.blocks[n][i + 1] = np.tensordot(
-                    rmat, self.blocks[n][i + 1], axes=([1], [1])
-                ).transpose(1, 0, 2)
+            q, rmat = np.linalg.qr(self.sites[i].reshape(nh, p * l, r))
+            self.sites[i] = q.reshape(nh, p, l, -1)
+            _, p, l, r = self.sites[i + 1].shape
+            t = rmat @ self.sites[i + 1].transpose(0, 2, 1, 3).reshape(nh, l, p * r)
+            self.sites[i + 1] = t.reshape(nh, -1, p, r).transpose(0, 2, 1, 3)
             self._update_left(i)
             self.center = i + 1
         elif direction == "left" and i > 0:
-            for n in self.harmonics:
-                q, rmat = _qr_left(self.blocks[n][i])
-                self.blocks[n][i] = q
-                self.blocks[n][i - 1] = np.tensordot(
-                    self.blocks[n][i - 1], rmat, axes=([2], [1])
-                )
+            q, rmat = np.linalg.qr(self.sites[i].transpose(0, 1, 3, 2).reshape(nh, p * r, l))
+            self.sites[i] = q.reshape(nh, p, r, -1).transpose(0, 1, 3, 2)
+            _, p, l, r = self.sites[i - 1].shape
+            t = self.sites[i - 1].reshape(nh, p * l, r) @ rmat.swapaxes(1, 2)
+            self.sites[i - 1] = t.reshape(nh, p, l, -1)
             self._update_right(i)
             self.center = i - 1
 
@@ -375,13 +359,12 @@ class SweepEngine:
 class SiteProblem:
     """Local eigenproblem at one active site, all harmonics at once.
 
-    The flat local vector holds the unpadded site tensors of every harmonic
-    block in turn, each ``[p, l, r]`` (see `shapes`). `matvec` scatters it
-    into the padded layout ``[n, l, p, r]``, applies the projected generator
-    of every live pair ``(q, n)`` (``|n - q| <= n_c``; the others are zero)
-    in one batched contraction per environment and one for the site's MPO
-    tensor, sums the pairs of each harmonic in order of ``q`` and adds the
-    frequency ramp; it takes one vector or a ``(dim, k)`` block of columns.
+    The flat local vector is the site stack ``[n, p, l, r]`` of the engine,
+    of `shape` ``[p, l, r]`` per harmonic. `matvec` applies the projected
+    generator of every live pair ``(q, n)`` in one batched contraction per
+    environment and one for the site's MPO tensor, sums the pairs of each
+    harmonic in order of ``q`` and adds the frequency ramp; it takes one
+    vector or a ``(dim, k)`` block of columns.
 
     A nonzero `deflation` ``s`` adds ``-s x0 x0^H / ||x0||^2`` with ``x0``
     the current centre vector, as one low-rank update ``back @ (rows @ x)``
@@ -393,11 +376,10 @@ class SiteProblem:
     `dense_matrix` assembles the same operator without `matvec`: for every
     live pair ``(q, n)`` it contracts
     ``L[q, n, a, w, b] W_q[w, p', p, w'] R[q, n, a', w', b']`` in two
-    batched products, and gathers the unpadded entries into block
-    ``(n, n - q)`` of the ``(dim, dim)`` matrix. The ramp goes on the
-    diagonal and the low-rank update ``back @ rows`` is added once. Both
-    methods validate the environments against the engine version, so a
-    stale problem object fails loudly.
+    batched products into block ``(n, n - q)`` of the ``(dim, dim)``
+    matrix. The ramp goes on the diagonal and the low-rank update
+    ``back @ rows`` is added once. Both methods validate the environments
+    against the engine version, so a stale problem object fails loudly.
     """
 
     def __init__(self, engine: SweepEngine, site, deflation=0.0):
@@ -405,27 +387,14 @@ class SiteProblem:
         self.site = site
         self.deflation = deflation
         self.version = engine.version
-        nh, p = len(engine.harmonics), engine.phys
-        l = max(engine.blocks[n][site].shape[1] for n in engine.harmonics)
-        r = max(engine.blocks[n][site].shape[2] for n in engine.harmonics)
-        self._size = l * p * r
-        positions = np.arange(nh * self._size).reshape(nh, l, p, r)
-        self.shapes, index, diag = {}, [], []
-        for h, n in enumerate(engine.harmonics):
-            shape = self.shapes[n] = engine.blocks[n][site].shape
-            # padded positions of the block's entries, in flat [p, l, r] order
-            index.append(positions[h, : shape[1], :, : shape[2]].transpose(1, 0, 2).ravel())
-            diag.append(np.full(index[-1].size, engine.mpo.diagonal_coefficient(n)))
-        self._index = np.concatenate(index)
-        self._diag = np.concatenate(diag)
-        self.dim = self._index.size
-        nq = len(engine.transfers)
-        # operands of the live pairs (q, n), and the stack position of block n - q
-        q, n = engine._live
-        self._left = engine.env_left[site].reshape(nq, nh, -1, l)[q, n]  # [pair, (a w), b]
-        self._w = engine._wstack[site][q]  # [pair, (p' w'), (w p)]
-        self._right = engine.env_right[site].reshape(nq, nh, r, -1)[q, n]  # [pair, a', (w b')]
-        self._source = engine._shift[q, n]
+        nh, p, l, r = engine.sites[site].shape
+        self.shape = (p, l, r)
+        self.dim = nh * p * l * r
+        self._diag = np.repeat([engine.mpo.diagonal_coefficient(n) for n in engine.harmonics], p * l * r)
+        pairs = len(engine._source)
+        self._left = engine.env_left[site].reshape(pairs, -1, l)  # [pair, (a w), b]
+        self._w = engine._wstack[site]  # [pair, (p' w'), (w p)]
+        self._right = engine.env_right[site].reshape(pairs, r, -1)  # [pair, a', (w b')]
         self._rows = np.zeros((0, self.dim), dtype=complex)  # low-rank update back @ rows
         self._back = self._rows.T
         if deflation:
@@ -434,13 +403,11 @@ class SiteProblem:
             self._back = x0[:, None] * (-deflation / np.vdot(x0, x0).real)
 
     def unpack(self, vec):
-        """Per-harmonic site tensors of a flat local vector."""
-        sizes = [int(np.prod(s)) for s in self.shapes.values()]
-        parts = np.split(np.asarray(vec), np.cumsum(sizes)[:-1])
-        return {n: part.reshape(s) for (n, s), part in zip(self.shapes.items(), parts)}
+        """Site stack ``[n, p, l, r]`` of a flat local vector."""
+        return np.asarray(vec).reshape(-1, *self.shape)
 
     def current_vector(self):
-        return self.engine.site_stack(self.site)[:-1].reshape(-1)[self._index]
+        return self.engine.sites[self.site].reshape(-1)
 
     def matvec(self, vec):
         if self.version != self.engine.version:
@@ -448,18 +415,17 @@ class SiteProblem:
         vec = np.asarray(vec, dtype=complex)
         cols = vec.reshape(self.dim, -1)
         k = cols.shape[1]
-        pairs, _, l = self._left.shape
-        nh = len(self.engine.harmonics)
-        x = np.zeros((nh * self._size, k), dtype=complex)
-        x[self._index] = cols
-        x = x.reshape(nh, l, -1)[self._source]  # [pair, b, (p b' k)]
+        p, l, _ = self.shape
+        pairs, nh = len(self._left), len(self.engine.harmonics)
+        x = cols.reshape(nh, p, l, -1).swapaxes(1, 2).reshape(nh, l, -1)  # [n, b, (p b' k)]
+        x = x[self.engine._source]  # [pair, b, (p b' k)] of block n - q
         t = self._left @ x  # [pair, (a w), (p b' k)]
         t = self._w[:, None] @ t.reshape(pairs, l, self._w.shape[-1], -1)  # [pair, a, (p' w'), (b' k)]
-        t = self._right[:, None] @ t.reshape(pairs, l * self.engine.phys, self._right.shape[-1], k)  # [pair, (a p'), a', k]
+        t = self._right[:, None] @ t.reshape(pairs, l * p, self._right.shape[-1], k)  # [pair, (a p'), a', k]
         y = np.zeros((nh, *t.shape[1:]), dtype=complex)
         for group, harmonics in self.engine._groups:  # each harmonic's pairs in order of q
             y[harmonics] += t[group]
-        y = y.reshape(-1, k)[self._index] + self._diag[:, None] * cols
+        y = y.reshape(nh, l, p, -1).swapaxes(1, 2).reshape(-1, k) + self._diag[:, None] * cols
         if self._rows.size:
             y += self._back @ (self._rows @ cols)
         return y.reshape(vec.shape)
@@ -469,24 +435,19 @@ class SiteProblem:
         if self.version != self.engine.version:
             raise StaleEnvironmentError("site problem built against an older sweep state")
         nh = len(self.engine.harmonics)
-        k, _, l = self._left.shape
-        r, p = self._right.shape[1], self.engine.phys
+        k = len(self._left)
+        p, l, r = self.shape
         # the pairs' [(p' w'), (w p)] matrices as [w, p', p, w'] tensors
         mpo = self._w.reshape(k, p, -1, self._w.shape[-1] // p, p).transpose(0, 3, 1, 4, 2)
         wl, wr = mpo.shape[1], mpo.shape[4]
         left = self._left.reshape(k, l, wl, l).transpose(0, 1, 3, 2)  # [k, a, b, w]
         t = left.reshape(k, l * l, wl) @ mpo.reshape(k, wl, -1)  # [k, (a b), (p' p w')]
         right = self._right.reshape(k, r, wr, r).transpose(0, 2, 1, 3)  # [k, w', a', b']
-        blocks = (t.reshape(k, -1, wr) @ right.reshape(k, wr, r * r)).reshape(k, -1)  # [k, (a b p' p a' b')]
-        # flat offsets into one block of every local row (a, p', a') and column (b, p, b')
-        harmonic, a, s, a2 = np.unravel_index(self._index, (nh, l, p, r))
-        rows = (a * l * p + s) * p * r * r + a2 * r
-        cols = (a * p * p + s) * r * r + a2
-        bounds = np.searchsorted(harmonic, np.arange(nh + 1))  # local range of each harmonic
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for block, row, col in zip(blocks, self.engine._live[1], self._source):  # block (n, n - q)
-            rs, cs = slice(bounds[row], bounds[row + 1]), slice(bounds[col], bounds[col + 1])
-            out[rs, cs] = block[rows[rs, None] + cols[None, cs]]
+        blocks = (t.reshape(k, -1, wr) @ right.reshape(k, wr, r * r)).reshape(k, l, l, p, p, r, r)
+        out = np.zeros((nh, p, l, r, nh, p, l, r), dtype=complex)
+        # block (n, n - q) of every pair, rows (p', a, a') and columns (p, b, b')
+        out[self.engine._live[1], :, :, :, self.engine._source] = blocks.transpose(0, 3, 1, 5, 4, 2, 6)
+        out = out.reshape(self.dim, self.dim)
         out.flat[:: self.dim + 1] += self._diag
         if self._rows.size:
             out += self._back @ self._rows
@@ -687,7 +648,7 @@ def _run_sweeps(engine, cfg, stage, target, label):
         else:
             resid = max(abs(t - target) for t in sweep_thetas)
         log["sweep_residuals"].append(float(resid))
-        log["max_bond"].append(max(max(t.shape[1:]) for ts in engine.blocks.values() for t in ts))
+        log["max_bond"].append(max(max(s.shape[2:]) for s in engine.sites))
         logger.debug("%s sweep %d: residual %.3e", label, sweep + 1, resid)
         # the first sweeps only rotate a random start into place
         if resid <= cfg.eig_tol and sweep >= 2:
@@ -991,6 +952,8 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
     rng = np.random.default_rng(cfg.seed + 1)
     seed = _orthogonalized_noise(model, n_c, stage.chi, rng, eye_mps)
     engine, lam = _sweep_schedule(_trace_penalized(mpo, w), seed, cfg, report, "slowest_central", "decay right")
+    if lam.real > 1e-6:
+        raise SolverError(f"decay eigenvalue has positive real part: {lam}")
     right = engine.state()
     residuals["decay right"] = report.sweep_residuals[-1]
     repair = TruncationSpec(max_rank=stage.chi)
@@ -1023,8 +986,6 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
         raise SolverError("left and right modes are numerically orthogonal")
     left = left.scaled(1.0 / np.conj(pairing))
 
-    if lam.real > 1e-6:
-        raise SolverError(f"decay eigenvalue has positive real part: {lam}")
     ident_overlap = abs(eye_mps.inner(right.blocks[0]))
     steady_overlap = abs(left.inner(ness))
     if ident_overlap > 1e-6:

@@ -30,6 +30,7 @@ from floquet_ness.solver import (
     transient_observable,
 )
 from floquet_ness.superops import PAULI, LocalOperator
+from floquet_ness.tensors import TruncationSpec
 from test_liouvillian import single_qubit_model as damped_qubit, small_driven_model, time_dependent_jump_model
 
 SM = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -96,13 +97,14 @@ def frame_map(engine, problem):
     """
     site = problem.site
     d = engine.phys**engine.length
+    nh = len(engine.harmonics)
     columns = []
-    for h, (n, shape) in enumerate(problem.shapes.items()):
-        for idx in np.ndindex(shape):
-            basis = np.zeros(shape, dtype=complex)
+    for h in range(nh):
+        for idx in np.ndindex(problem.shape):
+            basis = np.zeros(problem.shape, dtype=complex)
             basis[idx] = 1.0
-            tensors = engine.blocks[n][:site] + [basis] + engine.blocks[n][site + 1 :]
-            column = np.zeros(len(problem.shapes) * d, dtype=complex)
+            tensors = [s[h] for s in engine.sites[:site]] + [basis] + [s[h] for s in engine.sites[site + 1 :]]
+            column = np.zeros(nh * d, dtype=complex)
             column[h * d : (h + 1) * d] = Mps(tensors).to_dense()
             columns.append(column)
     return np.array(columns).T
@@ -122,11 +124,11 @@ def test_local_operator_matches_dense_projection(adjoint, terms):
     # L, the decay solve's penalized L + c sum_n |I_n><I_n| (one identity
     # projector per harmonic, in the q = 0 MPO component), or for the
     # deflated problem L - s |rho><rho| / ||rho||^2 with rho the engine's
-    # state; blocks carry different bond dimensions per harmonic
+    # state
     model = driven_three_site_model()
     n_c, length = 1, 3
     rng = np.random.default_rng(5)
-    blocks = {n: Mps.random(length, 4, chi, rng, norm=1.0) for n, chi in ((-1, 1), (0, 3), (1, 2))}
+    blocks = {n: Mps.random(length, 4, 3, rng, norm=1.0) for n in (-1, 0, 1)}
     state = FloquetDensityMatrix(blocks, model.omega, n_c, length)
     mpo = build_extended_lindbladian(model, n_c)
     dense = dense_extended_lindbladian(model, n_c)
@@ -157,9 +159,9 @@ def test_local_operator_matches_dense_projection(adjoint, terms):
 @pytest.mark.parametrize("adjoint", [False, True], ids=["one-forward", "one-adjoint"])  # one-site problems
 def test_dense_matrix_assembles_matvec_without_calling_it(adjoint, terms, monkeypatch):
     # DTC at n_c = 1 keeps 5 transfer components (q = -2..2), so pairs (q, n)
-    # with |n - q| > n_c are dead; blocks carry different bonds per harmonic;
-    # the decay solve's identity projectors widen the q = 0 component, and
-    # the degeneracy check's deflation adds a low-rank update
+    # with |n - q| > n_c are dead; the decay solve's identity projectors
+    # widen the q = 0 component, and the degeneracy check's deflation adds a
+    # low-rank update
     model = build_dtc_model(DTCParams(chain_length=3), n_c=1)
     n_c, length = 1, 3
     mpo = build_extended_lindbladian(model, n_c)
@@ -170,7 +172,7 @@ def test_dense_matrix_assembles_matvec_without_calling_it(adjoint, terms, monkey
         mpo = solver._trace_penalized(mpo, 2.5 * 2**length)
     deflation = solver.DEFLATION_SHIFT if terms == "deflated" else 0.0
     rng = np.random.default_rng(8)
-    blocks = {n: Mps.random(length, 4, chi, rng, norm=1.0) for n, chi in ((-1, 2), (0, 4), (1, 3))}
+    blocks = {n: Mps.random(length, 4, 4, rng, norm=1.0) for n in (-1, 0, 1)}
     state = FloquetDensityMatrix(blocks, model.omega, n_c, length)
     for site in range(length):
         engine = SweepEngine(mpo, state)
@@ -185,6 +187,29 @@ def test_dense_matrix_assembles_matvec_without_calling_it(adjoint, terms, monkey
         local = problem.dense_matrix()
         assert local.shape == (problem.dim, problem.dim)
         assert np.max(np.abs(local - columns)) <= 1e-13 * np.max(np.abs(columns))
+
+
+def test_engine_refuses_blocks_of_different_bonds():
+    # the engine stacks the site tensors of all harmonic blocks, so they must
+    # share their bonds; a solve canonicalizes its start at one bond
+    model = driven_three_site_model()
+    mpo = build_extended_lindbladian(model, 1)
+    rng = np.random.default_rng(5)
+    blocks = {n: Mps.random(3, 4, chi, rng, norm=1.0) for n, chi in ((-1, 1), (0, 3), (1, 2))}
+    state = FloquetDensityMatrix(blocks, model.omega, 1, 3)
+    with pytest.raises(ValueError, match=r"share their bonds.*-1: \[1, 1\], 0: \[3, 3\], 1: \[2, 2\]"):
+        SweepEngine(mpo, state)
+    blocks = {n: Mps.random(3, 4, 2, rng, norm=1.0) for n in (-1, 0, 1)}
+    engine = SweepEngine(mpo, FloquetDensityMatrix(blocks, model.omega, 1, 3))
+    assert [s.shape for s in engine.sites] == [(3, 4, 1, 2), (3, 4, 2, 2), (3, 4, 2, 1)]
+    # an exactly zero block has no bonds of its own: it is not refused, but
+    # takes orthonormal frames at the shared bonds and stays zero
+    blocks[1] = Mps.zeros(3, 4)
+    engine = SweepEngine(mpo, FloquetDensityMatrix(blocks, model.omega, 1, 3))
+    assert [s.shape for s in engine.sites] == [(3, 4, 1, 2), (3, 4, 2, 2), (3, 4, 2, 1)]
+    assert engine.state().block(1).norm() == 0.0
+    phi = frame_map(engine, engine.site_problem(0))
+    assert np.max(np.abs(phi.conj().T @ phi - np.eye(phi.shape[1]))) < 1e-12
 
 
 def test_stale_problem_rejected():
@@ -382,6 +407,13 @@ def ising_l3():
     return build_driven_ising(IsingBenchmarkParams(chain_length=3, omega=5.0))
 
 
+def at_one_bond(state, chi):
+    """`state` with every block canonicalized at bond `chi`, as a solve's start is."""
+    spec = TruncationSpec(max_rank=chi)
+    blocks = {n: state.block(n).canonicalize(spec)[0] for n in state.harmonics}
+    return FloquetDensityMatrix(blocks, state.omega, state.cutoff, state.chain_length, state.site_dim)
+
+
 def counted(**counts):
     return {**dict.fromkeys(solver.LOCAL_METHODS, 0), **counts}
 
@@ -398,7 +430,7 @@ def test_shift_invert_matches_dense_eig(start, penalties):
     n_c = 1
     mpo = build_extended_lindbladian(model, n_c)
     if start == "guess":
-        state = initial_guess(3, 2, n_c, model.omega, noise_amplitude=1e-2, seed=3)
+        state = at_one_bond(initial_guess(3, 2, n_c, model.omega, noise_amplitude=1e-2, seed=3), 2)
     else:
         rng = np.random.default_rng(5)
         blocks = {n: Mps.random(3, 4, 4, rng, norm=1.0) for n in range(-n_c, n_c + 1)}
@@ -422,10 +454,15 @@ def test_shift_invert_matches_dense_eig(start, penalties):
 @pytest.mark.parametrize("case", ["singular", "zero_start", "budget"])
 def test_refused_shift_invert_returns_the_eig_answer(case, monkeypatch, caplog):
     # an exactly singular matrix, a zero start vector and a step budget the
-    # noisy guess cannot meet each fall back to np.linalg.eig and say so
+    # noisy guess cannot meet each fall back to np.linalg.eig and say so; the
+    # guess's block 0 (bond 3) keeps the identity in its frames, so the
+    # local problem has an eigenvalue at zero to rounding
     model = ising_l3()
     mpo = build_extended_lindbladian(model, 1)
-    state = initial_guess(3, 2, 1, model.omega, noise_amplitude=1e-2, seed=3)
+    guess = initial_guess(3, 2, 1, model.omega, noise_amplitude=1e-2, seed=3)
+    rng = np.random.default_rng(3)
+    blocks = {n: Mps.random(3, 4, 3, rng, norm=1e-2) for n in (-1, 1)}
+    state = FloquetDensityMatrix({**blocks, 0: guess.block(0)}, model.omega, 1, 3, 2)
     engine = SweepEngine(mpo, state)
     problem = engine.site_problem(0)
     mat = problem.dense_matrix()
@@ -631,6 +668,46 @@ def test_decay_mode_amplitude_damping():
             assert entry["local_solves"]["dense_eig"] == 0
             assert entry["local_solves"]["shift_invert"] + entry["local_solves"]["dense_fallback"] == solves > 0
     assert logged["fixed_point_residual"] == decay.report.fixed_point_residual < 1e-10
+
+
+def test_decay_mode_with_positive_real_part_fails_before_the_left_solve(monkeypatch):
+    # a growing right mode is refused as soon as the right solve returns it:
+    # neither the left solve nor either repair runs
+    model = single_qubit_model(gamma=0.8)
+    cfg = quick_config(0, 4)
+    ness, _ = solve_ness(model, cfg)
+    original, labels = solver._sweep_schedule, []
+
+    def growing(*args):
+        labels.append(args[-1])
+        engine, _ = original(*args)
+        return engine, 0.25 + 0.5j
+
+    monkeypatch.setattr(solver, "_sweep_schedule", growing)
+    with pytest.raises(solver.SolverError, match="positive real part"):
+        solve_first_decay_mode(model, ness, cfg)
+    assert labels == ["decay right"]
+
+
+def test_decay_mode_of_undriven_chain_above_cutoff_zero():
+    # without a drive the harmonic blocks decouple, so the right mode's first
+    # eig leaves the blocks n != 0 exactly zero; the left solve starts from
+    # them and must give the cutoff-0 answer
+    zz = np.kron(PAULI["Z"], PAULI["Z"])
+    model = ModelSpec(
+        2,
+        5.0,
+        {0: [LocalOperator(0, 0.7 * zz), LocalOperator(0, 0.4 * PAULI["X"]), LocalOperator(1, 0.3 * PAULI["X"])]},
+        {"a": {0: LocalOperator(0, 0.8 * SM)}, "b": {0: LocalOperator(1, 0.5 * SM)}},
+    ).validate()
+    lams = []
+    for n_c in (0, 1):
+        cfg = quick_config(n_c, 4)
+        decay = solve_first_decay_mode(model, solve_ness(model, cfg)[0], cfg)
+        assert decay.report.converged
+        lams.append(decay.eigenvalue)
+    assert all(decay.right.block(n).norm() == 0.0 for n in (-1, 1))
+    assert abs(lams[1] - lams[0]) < 1e-10
 
 
 def test_decay_mode_conjugate_pair():
@@ -915,6 +992,12 @@ def test_config_validation():
         SweepConfig(warmup=[SweepStage(1, 4, 0)]).validate()
     with pytest.raises(ValueError, match="eig_tol"):
         SweepConfig(warmup=[SweepStage(1, 4, 2)], eig_tol=0.0).validate()
+    # above the hard cap a dense problem would be too large to factor
+    for cutoff in (-1, solver.DENSE_LOCAL_HARD_CAP + 1, 5000):
+        with pytest.raises(ValueError, match="dense_local_cutoff"):
+            SweepConfig(warmup=[SweepStage(1, 4, 2)], dense_local_cutoff=cutoff).validate()
+    for cutoff in (0, 4, 40, 150, solver.DENSE_LOCAL_HARD_CAP):
+        SweepConfig(warmup=[SweepStage(1, 4, 2)], dense_local_cutoff=cutoff).validate()
 
 
 @pytest.mark.parametrize("amplitude", [0.0, -1e-6])
