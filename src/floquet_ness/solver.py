@@ -16,9 +16,14 @@ no ladder, every value counts). Local problems up to
 shift-invert (one LU factorization of ``A - sigma I`` and a short Arnoldi run
 on its inverse, accepted only on a small true residual), every refused one and
 ``"slowest_central"`` (the right decay solve's first sweep; later sweeps track
-that mode at a shift) by a full LAPACK diagonalization. Larger problems go to
-restarted Arnoldi (ARPACK ``"SM"``), with a logged dense fallback when it
-fails. Sweeping relaxes the state onto the targeted eigenvector: every
+that mode at a shift) by a full LAPACK diagonalization. Above the cutoff a
+sweep's shift, which is (nearly) a local eigenvalue, is solved as the
+tethered linear system ``(A - sigma I + u u^H) x = u`` (``u`` the current
+centre vector) by GMRES, preconditioned by one LU per harmonic diagonal
+block, without densifying; the degeneracy check's deflated problem, which has
+no eigenvalue at its shift, goes to restarted Arnoldi (ARPACK ``"SM"``).
+Either falls back to the dense path, with a WARNING log, when it fails.
+Sweeping relaxes the state onto the targeted eigenvector: every
 solve (steady state, right and left decay mode) canonicalizes its start at
 the one bond dimension of the schedule, ``SweepConfig.warmup``, and runs
 single-site sweeps at that bond and one harmonic cutoff. Bonds are fixed at
@@ -116,15 +121,20 @@ class SweepStage:
 
 CONVERGENCE_TOL = 1e-3  # edge-harmonic weight and Hermiticity defect that warn
 WEIGHT_CUTOFF = 1e-12  # relative Schmidt value kept by compression and counted as saturating a bond
-KRYLOV_DIM = 36  # ARPACK "SM" basis of a first attempt (a retry doubles it); shift-invert step budget
+KRYLOV_DIM = 36  # shift-invert steps; GMRES restart length; first ARPACK basis (a retry doubles it)
+GMRES_CYCLES = 8  # GMRES restart cycles of one tethered solve
+TETHER_ATTEMPTS = 5  # tethered solves of one local problem, each from the last one's answer
 ARPACK_MAXITER = 600  # ARPACK restarts of a first attempt; a retry doubles them
-DENSE_LOCAL_HARD_CAP = 4096  # largest local problem densified: a slowest-central solve, or a shift after ARPACK fails
+# largest local problem densified (slowest central, or a shift after GMRES or
+# ARPACK failed), and largest harmonic block that tethered GMRES factorizes
+DENSE_LOCAL_HARD_CAP = 4096
 DEGENERACY_TOL = 1e-7  # a deflated local eigenvalue this close to 0 is degenerate
 DEFLATION_SHIFT = 1000.0  # the degeneracy check moves the converged state's eigenvalue to -this
 # Methods a local solve is counted under in `SweepEngine.local_solves`: at a
-# shift, shift-invert below the dense cutoff, ARPACK above it, and a dense `eig`
-# (or shift-invert) after either failed; `eig` for the slowest central value.
-LOCAL_METHODS = ("shift_invert", "dense_eig", "arnoldi", "dense_fallback")
+# shift, shift-invert below the dense cutoff; above it, tethered GMRES for the
+# sweeps and ARPACK for the deflated degeneracy check; a dense `eig` (or
+# shift-invert) after any of them failed; `eig` for the slowest central value.
+LOCAL_METHODS = ("shift_invert", "dense_eig", "arnoldi", "gmres", "dense_fallback")
 
 
 @dataclass
@@ -138,8 +148,9 @@ class SweepConfig:
     `dense_local_cutoff` (at most DENSE_LOCAL_HARD_CAP) are densified: solves
     at a shift (every solve but the right decay mode's first sweep, which
     uses `eig`) use shift-invert (LU plus a short Arnoldi on the inverse) and
-    fall back to a full `eig` when it is refused. Larger problems at a shift
-    go to ARPACK.
+    fall back to a full `eig` when it is refused. Larger sweep problems at a
+    shift are solved by tethered GMRES with one LU per harmonic block, and
+    the degeneracy check's deflated problem by ARPACK.
     """
 
     warmup: list = field(default_factory=list)
@@ -233,7 +244,8 @@ class SweepEngine:
     are the pairs' MPO matrices in `_wstack`.
 
     `local_solves` counts the engine's local solves by method (keys
-    `LOCAL_METHODS`).
+    `LOCAL_METHODS`), and `gmres_iterations` the GMRES iterations of its
+    tethered solves.
     """
 
     def __init__(self, mpo: FloquetMPO, state: FloquetDensityMatrix):
@@ -266,6 +278,7 @@ class SweepEngine:
             w = _padded([mpo.components[self.transfers[k]].tensors[i].transpose(1, 3, 0, 2) for k in q])
             self._wstack.append(w.reshape(w.shape[0], w.shape[1] * w.shape[2], -1))
         self.local_solves = dict.fromkeys(LOCAL_METHODS, 0)
+        self.gmres_iterations = 0
         self.version = 0
         self.center = 0
         # environments, the right ones absorbed from the last site inward
@@ -378,8 +391,10 @@ class SiteProblem:
     ``L[q, n, a, w, b] W_q[w, p', p, w'] R[q, n, a', w', b']`` in two
     batched products into block ``(n, n - q)`` of the ``(dim, dim)``
     matrix. The ramp goes on the diagonal and the low-rank update
-    ``back @ rows`` is added once. Both methods validate the environments
-    against the engine version, so a stale problem object fails loudly.
+    ``back @ rows`` is added once. `diagonal_blocks` assembles the same way
+    only the harmonic diagonal blocks ``(n, n)``, from the ``q = 0`` pairs.
+    All three validate the environments against the engine version, so a
+    stale problem object fails loudly.
     """
 
     def __init__(self, engine: SweepEngine, site, deflation=0.0):
@@ -430,27 +445,46 @@ class SiteProblem:
             y += self._back @ (self._rows @ cols)
         return y.reshape(vec.shape)
 
-    def dense_matrix(self):
-        """Materialize the local operator from the environments and MPO tensors."""
+    def _pair_blocks(self, pairs=slice(None)):
+        """Block ``(n, n - q)`` of each live pair in the slice `pairs`, rows
+        ``(p', a, a')`` and columns ``(p, b, b')``, as ``[pair, p', a, a', p, b, b']``."""
         if self.version != self.engine.version:
             raise StaleEnvironmentError("site problem built against an older sweep state")
-        nh = len(self.engine.harmonics)
-        k = len(self._left)
+        w = self._w[pairs]
+        k = len(w)
         p, l, r = self.shape
         # the pairs' [(p' w'), (w p)] matrices as [w, p', p, w'] tensors
-        mpo = self._w.reshape(k, p, -1, self._w.shape[-1] // p, p).transpose(0, 3, 1, 4, 2)
+        mpo = w.reshape(k, p, -1, w.shape[-1] // p, p).transpose(0, 3, 1, 4, 2)
         wl, wr = mpo.shape[1], mpo.shape[4]
-        left = self._left.reshape(k, l, wl, l).transpose(0, 1, 3, 2)  # [k, a, b, w]
+        left = self._left[pairs].reshape(k, l, wl, l).transpose(0, 1, 3, 2)  # [k, a, b, w]
         t = left.reshape(k, l * l, wl) @ mpo.reshape(k, wl, -1)  # [k, (a b), (p' p w')]
-        right = self._right.reshape(k, r, wr, r).transpose(0, 2, 1, 3)  # [k, w', a', b']
+        right = self._right[pairs].reshape(k, r, wr, r).transpose(0, 2, 1, 3)  # [k, w', a', b']
         blocks = (t.reshape(k, -1, wr) @ right.reshape(k, wr, r * r)).reshape(k, l, l, p, p, r, r)
+        return blocks.transpose(0, 3, 1, 5, 4, 2, 6)
+
+    def dense_matrix(self):
+        """Materialize the local operator from the environments and MPO tensors."""
+        nh = len(self.engine.harmonics)
+        p, l, r = self.shape
         out = np.zeros((nh, p, l, r, nh, p, l, r), dtype=complex)
-        # block (n, n - q) of every pair, rows (p', a, a') and columns (p, b, b')
-        out[self.engine._live[1], :, :, :, self.engine._source] = blocks.transpose(0, 3, 1, 5, 4, 2, 6)
+        out[self.engine._live[1], :, :, :, self.engine._source] = self._pair_blocks()
         out = out.reshape(self.dim, self.dim)
         out.flat[:: self.dim + 1] += self._diag
         if self._rows.size:
             out += self._back @ self._rows
+        return out
+
+    def diagonal_blocks(self):
+        """Diagonal block ``(n, n)`` of every harmonic, ``[n, m, m]`` with
+        ``m = p l r``: the ``q = 0`` pairs, one contiguous range of the stack
+        over all harmonics, plus the ramp and the low-rank update's blocks."""
+        nh = len(self.engine.harmonics)
+        m = self.dim // nh
+        pairs, _ = self.engine._groups[self.engine.transfers.index(0)]
+        out = self._pair_blocks(pairs).reshape(nh, m, m)
+        out[:, np.arange(m), np.arange(m)] += self._diag.reshape(nh, m)
+        if self._rows.size:
+            out += self._back.reshape(nh, m, -1) @ self._rows.reshape(-1, nh, m).swapaxes(0, 1)
         return out
 
 
@@ -466,13 +500,27 @@ def _slowest_central(values, vectors, engine):
     return values[best], vectors[:, best]
 
 
+def _lu(mat):
+    """``(lu, None)``, the LU factors of `mat` (overwritten), or ``(None,
+    reason)`` when they are unusable: a zero pivot, which scipy reports with
+    a ``LinAlgWarning``, or non-finite factors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", sla.LinAlgWarning)
+        try:
+            lu = sla.lu_factor(mat, overwrite_a=True, check_finite=False)
+        except sla.LinAlgWarning as err:
+            return None, str(err)
+    if not np.all(np.isfinite(lu[0])):
+        return None, "non-finite LU factors"
+    return lu, None
+
+
 def _shift_invert(mat, v0, tol, sigma):
     """Eigenpair of `mat` nearest `sigma`, from Arnoldi on ``(mat - sigma I)^-1``,
     whose eigenvalue ``mu`` gives ``theta = sigma + 1 / mu``.
 
     Returns ``((theta, vector), None)``, or ``(None, reason)`` when the start
-    vector is zero, the LU factorization is unusable (a zero pivot, which
-    scipy reports with a ``LinAlgWarning``, or non-finite factors; so when
+    vector is zero, the LU factorization is unusable (:func:`_lu`; so when
     `sigma` is an exact eigenvalue) or no Ritz pair of largest ``|mu|``
     reaches ``||mat v - theta v|| <= tol ||mat||`` within KRYLOV_DIM steps.
     An accepted vector is polished by one inverse-iteration step.
@@ -483,14 +531,9 @@ def _shift_invert(mat, v0, tol, sigma):
     dim = mat.shape[0]
     shifted = mat.copy()
     shifted.flat[:: dim + 1] -= sigma
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", sla.LinAlgWarning)
-        try:
-            lu = sla.lu_factor(shifted, overwrite_a=True, check_finite=False)
-        except sla.LinAlgWarning as err:
-            return None, str(err)
-    if not np.all(np.isfinite(lu[0])):
-        return None, "non-finite LU factors"
+    lu, reason = _lu(shifted)
+    if lu is None:
+        return None, reason
     bound = tol * np.linalg.norm(mat)
     steps = min(KRYLOV_DIM, dim)
     basis = np.zeros((dim, steps + 1), dtype=complex)
@@ -521,6 +564,121 @@ def _shift_invert(mat, v0, tol, sigma):
     return None, f"no Ritz pair accepted within {j + 1} steps"
 
 
+def _tethered_solve(problem: SiteProblem, v0, sigma, tol):
+    """Eigenpair of the local problem at a shift `sigma` that is (nearly) one
+    of its eigenvalues, from the tethered linear system
+    ``(A - sigma I + u u^H) x = u`` with ``u = v0 / ||v0||``.
+
+    When `sigma` is an exact eigenvalue, its left null vector ``w`` turns the
+    system into ``(w^H u)(1 - u^H x) = 0``, so ``u^H x = 1`` and
+    ``(A - sigma I) x = 0``: any tether that makes the matrix nonsingular
+    gives the eigenvector. Near an eigenvalue ``theta`` it is one step of
+    inverse iteration, which shrinks the other components by
+    ``|theta - sigma| / gap``. GMRES (restarts of KRYLOV_DIM, up to
+    GMRES_CYCLES of them, from zero) solves the system on
+    ``problem.matvec``, preconditioned by one LU per harmonic diagonal block
+    of the tethered matrix (block Jacobi, :meth:`SiteProblem.diagonal_blocks`);
+    the ``(dim, dim)`` matrix is never built. The eigenvalue is the Rayleigh
+    quotient of ``x``, accepted only on a true residual
+    ``||A x - theta x|| <= tol ||D|| ||x||``, ``D`` the diagonal blocks of
+    ``A`` (``||D|| <= ||A||`` in the Frobenius norm, so the test is never
+    looser than :func:`_shift_invert`'s). A refused answer is retethered at
+    ``x``, and the shift moves to its Rayleigh quotient (so a shift well off
+    the eigenvalue converges as Rayleigh-quotient iteration), TETHER_ATTEMPTS
+    solves in all.
+
+    Returns ``((theta, vector), None)``, or ``(None, reason)`` for a zero
+    start vector, a harmonic block above DENSE_LOCAL_HARD_CAP, an unusable
+    block LU (:func:`_lu`), a GMRES run that does not converge, or no
+    accepted pair. Every GMRES iteration is added to
+    ``problem.engine.gmres_iterations``.
+    """
+    norm0 = np.linalg.norm(v0)
+    if not norm0 > 0:
+        return None, "zero start vector"
+    engine = problem.engine
+    dim, nh = problem.dim, len(engine.harmonics)
+    m = dim // nh
+    if m > DENSE_LOCAL_HARD_CAP:
+        return None, f"harmonic block of dim {m} above the dense cap"
+    blocks = problem.diagonal_blocks()
+    bound = tol * np.linalg.norm(blocks)
+    diagonal = np.arange(m), np.arange(m)
+
+    def count(_):
+        engine.gmres_iterations += 1
+
+    u = v0 / norm0
+    for _ in range(TETHER_ATTEMPTS):
+        lus = []
+        for block, part in zip(blocks, u.reshape(nh, m)):
+            shifted = block + np.outer(part, part.conj())
+            shifted[diagonal] -= sigma
+            lu, reason = _lu(shifted)
+            if lu is None:
+                return None, f"block LU: {reason}"
+            lus.append(lu)
+        tethered = spla.LinearOperator(
+            (dim, dim), matvec=lambda x: problem.matvec(x) - sigma * x + u * np.vdot(u, x), dtype=complex
+        )
+        jacobi = spla.LinearOperator(
+            (dim, dim),
+            matvec=lambda x: np.concatenate(
+                [sla.lu_solve(lu, part, check_finite=False) for lu, part in zip(lus, x.reshape(nh, m))]
+            ),
+            dtype=complex,
+        )
+        x, info = spla.gmres(
+            tethered,
+            u,
+            rtol=0.0,
+            atol=0.1 * bound,  # below the acceptance bound, which the eigen-residual must meet
+            restart=KRYLOV_DIM,
+            maxiter=GMRES_CYCLES,
+            M=jacobi,
+            callback=count,
+            callback_type="pr_norm",
+        )
+        if info != 0:
+            return None, f"GMRES did not converge (info {info})"
+        ax = problem.matvec(x)
+        norm = np.linalg.norm(x)
+        theta = np.vdot(x, ax) / norm**2
+        if np.linalg.norm(ax - theta * x) <= bound * norm:
+            return (theta, x / norm), None
+        u, sigma = x / norm, theta
+    return None, f"no pair accepted in {TETHER_ATTEMPTS} tethered solves"
+
+
+def _arnoldi(problem: SiteProblem, v0, sigma, tol):
+    """Eigenpair nearest `sigma` by ARPACK ``"SM"`` with ``k = 1`` on
+    ``A - sigma I`` from `v0`, on KRYLOV_DIM vectors. A failed attempt is
+    retried once with twice the Krylov space and restarts; a partial,
+    unconverged result is never used. Returns ``((theta, vector), None)`` or
+    ``(None, reason)``."""
+    dim = problem.dim
+    shifted = problem.matvec if sigma == 0 else lambda x: problem.matvec(x) - sigma * x
+    op = spla.LinearOperator((dim, dim), matvec=shifted, dtype=complex)
+    norm0 = np.linalg.norm(v0)
+    start = None if norm0 == 0 else v0 / norm0
+    for factor in (1, 2):
+        try:
+            values, vectors = spla.eigs(
+                op,
+                k=1,
+                which="SM",
+                v0=start,
+                ncv=min(dim, KRYLOV_DIM * factor),
+                maxiter=ARPACK_MAXITER * factor,
+                tol=tol,
+            )
+        except spla.ArpackError as err:  # includes ArpackNoConvergence
+            error = err
+            continue
+        return (sigma + values[0], vectors[:, 0]), None
+    return None, str(error)
+
+
 def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff):
     """Solve the local eigenproblem, returning ``(theta, vector)``.
 
@@ -534,10 +692,11 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff):
     start vector, no accepted pair) is logged at DEBUG and falls back to a
     full ``np.linalg.eig``, taking the value nearest ``sigma`` (of values
     within the shift-invert residual bound of it, the one whose vector
-    overlaps `v0` most). Larger problems go to ARPACK ``"SM"`` with ``k = 1``
-    on ``A - sigma I`` from `v0`, on KRYLOV_DIM vectors. A failed attempt is
-    retried once with twice the Krylov space and restarts; a partial,
-    unconverged result is never used. After two failures, problems up to
+    overlaps `v0` most). Larger problems are not densified. A sweep's shift
+    is (nearly) a local eigenvalue, whose vector :func:`_tethered_solve`
+    finds from `v0`. A deflated problem (the degeneracy check, from a random
+    start) has no eigenvalue at its shift, so ARPACK solves it
+    (:func:`_arnoldi`). When either method refuses, problems up to
     DENSE_LOCAL_HARD_CAP are solved densely as above, with a WARNING log,
     and larger ones raise :class:`EigensolverBreakdown`.
 
@@ -559,29 +718,16 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff):
     sigma = target
     fallback = False
     if dim > max(dense_cutoff, 2):  # ARPACK needs k = 1 < dim - 1
-        shifted = problem.matvec if sigma == 0 else lambda x: problem.matvec(x) - sigma * x
-        op = spla.LinearOperator((dim, dim), matvec=shifted, dtype=complex)
-        norm0 = np.linalg.norm(v0)
-        start = None if norm0 == 0 else v0 / norm0
-        for factor in (1, 2):
-            try:
-                values, vectors = spla.eigs(
-                    op,
-                    k=1,
-                    which="SM",
-                    v0=start,
-                    ncv=min(dim, KRYLOV_DIM * factor),
-                    maxiter=ARPACK_MAXITER * factor,
-                    tol=tol,
-                )
-            except spla.ArpackError as err:  # includes ArpackNoConvergence
-                error = err
-                continue
-            counts["arnoldi"] += 1
-            return sigma + values[0], vectors[:, 0]
+        if problem.deflation:
+            method, name, (found, reason) = "arnoldi", "Arnoldi", _arnoldi(problem, v0, sigma, tol)
+        else:
+            method, name, (found, reason) = "gmres", "tethered GMRES", _tethered_solve(problem, v0, sigma, tol)
+        if found is not None:
+            counts[method] += 1
+            return found
         if dim > DENSE_LOCAL_HARD_CAP:
-            raise EigensolverBreakdown(f"Arnoldi failed at dim {dim}: {error}")
-        logger.warning("Arnoldi failed at dim %d (%s); solving densely", dim, error)
+            raise EigensolverBreakdown(f"{name} failed at dim {dim}: {reason}")
+        logger.warning("%s failed at dim %d (%s); solving densely", name, dim, reason)
         fallback = True
     mat = problem.dense_matrix()
     found, reason = _shift_invert(mat, v0, tol, sigma)
@@ -599,7 +745,7 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff):
 
 
 def _local_tol(cfg):
-    """ARPACK tolerance and shift-invert residual bound of every local solve."""
+    """Residual bound of every local solve (shift-invert, tethered GMRES) and ARPACK tolerance."""
     return min(cfg.eig_tol * 1e-1, 1e-9)
 
 
@@ -623,8 +769,9 @@ def _run_sweeps(engine, cfg, stage, target, label):
     local solve writes a unit-norm centre vector into orthonormal frames, so
     the state keeps unit norm and its bond dimensions. `log` records one entry
     per sweep under ``"sweep_residuals"`` and ``"max_bond"`` (after the
-    sweep), and under ``"local_solves"`` the stage's local solves counted by
-    method (`SweepEngine.local_solves`).
+    sweep), under ``"local_solves"`` the stage's local solves counted by
+    method (`SweepEngine.local_solves`), and under ``"gmres_iterations"``
+    the iterations of its tethered GMRES solves.
     """
     log = {"sweep_residuals": [], "max_bond": []}
     local_target = target
@@ -654,6 +801,7 @@ def _run_sweeps(engine, cfg, stage, target, label):
         if resid <= cfg.eig_tol and sweep >= 2:
             break
     log["local_solves"] = dict(engine.local_solves)
+    log["gmres_iterations"] = engine.gmres_iterations
     return log, sweep_thetas[-1]
 
 

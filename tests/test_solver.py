@@ -187,6 +187,12 @@ def test_dense_matrix_assembles_matvec_without_calling_it(adjoint, terms, monkey
         local = problem.dense_matrix()
         assert local.shape == (problem.dim, problem.dim)
         assert np.max(np.abs(local - columns)) <= 1e-13 * np.max(np.abs(columns))
+        # the tethered solve's preconditioner takes the harmonic diagonal
+        # blocks from the q = 0 pairs alone
+        nh = len(engine.harmonics)
+        m = problem.dim // nh
+        diagonal = np.array([columns[h * m : (h + 1) * m, h * m : (h + 1) * m] for h in range(nh)])
+        assert np.max(np.abs(problem.diagonal_blocks() - diagonal)) <= 1e-13 * np.max(np.abs(columns))
 
 
 def test_engine_refuses_blocks_of_different_bonds():
@@ -376,13 +382,18 @@ def test_breakdown_in_production_stage_propagates(monkeypatch):
 
 
 def test_partial_arpack_result_is_not_accepted(monkeypatch, caplog):
-    # ARPACK that gives up with a wrong partial eigenvalue: both attempts
-    # fail, the dense fallback answers and says so; above the hard cap the
-    # solve breaks down instead
+    # above the dense cutoff ARPACK solves only the degeneracy check's
+    # deflated problem (the converged state deflated out); here it gives up
+    # with a wrong partial eigenvalue: both attempts fail, the dense fallback
+    # answers with the undeflated runner-up and says so; above the hard cap
+    # the solve breaks down instead
     model = single_qubit_model(gamma=0.7, omega_z=1.1, drive=4.0)
-    mpo = build_extended_lindbladian(model, 1)
-    state = initial_guess(1, 2, 1, model.omega, noise_amplitude=1e-2, seed=3)
-    problem = SweepEngine(mpo, state).site_problem(0)
+    ness, _ = solve_ness(model, quick_config(1, 4))
+    engine = SweepEngine(build_extended_lindbladian(model, 1), ness)
+    values = np.linalg.eigvals(engine.site_problem(0).dense_matrix())
+    steady, runner_up = values[np.argsort(np.abs(values))[:2]]
+    assert abs(steady) < 1e-10
+    problem = engine.site_problem(0, deflation=solver.DEFLATION_SHIFT)
     attempts = []
 
     def partial(op, k=1, **kwargs):
@@ -390,12 +401,15 @@ def test_partial_arpack_result_is_not_accepted(monkeypatch, caplog):
         raise ArpackNoConvergence("injected", np.array([0.5 + 0j]), np.ones((op.shape[0], 1), complex))
 
     monkeypatch.setattr(solver.spla, "eigs", partial)
-    solve = dict(v0=problem.current_vector(), target=0.0, tol=1e-10, dense_cutoff=4)
+    rng = np.random.default_rng(3)  # the check starts from a random vector
+    v0 = rng.standard_normal(problem.dim) + 1j * rng.standard_normal(problem.dim)
+    solve = dict(v0=v0, target=0.0, tol=1e-10, dense_cutoff=4)
     with caplog.at_level(logging.WARNING, logger="floquet_ness.solver"):
         theta, _ = solver._local_eigensolve(problem, **solve)
     values = np.linalg.eigvals(problem.dense_matrix())
     assert abs(theta - values[np.argmin(np.abs(values))]) < 1e-12
-    assert abs(theta) < 1e-10
+    assert abs(theta - runner_up) < 1e-10
+    assert engine.local_solves == counted(dense_fallback=1)
     assert attempts == [solver.ARPACK_MAXITER, 2 * solver.ARPACK_MAXITER]
     assert any(r.levelno == logging.WARNING and "Arnoldi failed" in r.getMessage() for r in caplog.records)
     monkeypatch.setattr(solver, "DENSE_LOCAL_HARD_CAP", problem.dim - 1)
@@ -491,6 +505,101 @@ def test_refused_shift_invert_returns_the_eig_answer(case, monkeypatch, caplog):
 
 
 @pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # DTC harmonics exceed n_c = 1
+@pytest.mark.parametrize("offset", [0.0, 1e-2], ids=["zero", "tracked"])
+@pytest.mark.parametrize("chain", ["ising", "dtc"])
+def test_tethered_solve_matches_dense_eig(chain, offset, caplog):
+    # above the dense cutoff a sweep's shift solve is the tethered GMRES one:
+    # at every site of the noisy guess its pair is LAPACK's eigenpair nearest
+    # the shift, both at the steady state's shift 0 and at a tracked shift
+    # 1e-2 off the local eigenvalue, which takes repeated tethered solves
+    model = ising_l3() if chain == "ising" else build_dtc_model(DTCParams(chain_length=3), n_c=1)
+    mpo = build_extended_lindbladian(model, 1)
+    state = at_one_bond(initial_guess(3, 2, 1, model.omega, noise_amplitude=1e-2, seed=3, noise_bond=4), 4)
+    for site in range(3):
+        engine = SweepEngine(mpo, state)
+        engine.advance_to(site)
+        problem = engine.site_problem(site)
+        mat = problem.dense_matrix()
+        values, vectors = np.linalg.eig(mat)
+        sigma = values[np.argmin(np.abs(values))] + offset if offset else 0.0
+        best = np.argmin(np.abs(values - sigma))
+        with caplog.at_level(logging.WARNING, logger="floquet_ness.solver"):
+            theta, vec = solver._local_eigensolve(problem, problem.current_vector(), sigma, tol=1e-11, dense_cutoff=0)
+        assert engine.local_solves == counted(gmres=1)
+        assert engine.gmres_iterations > 0
+        assert abs(theta - values[best]) <= 1e-12 * np.linalg.norm(mat)
+        assert abs(np.vdot(vectors[:, best], vec)) >= 1 - 1e-10
+    assert not caplog.records
+
+
+@pytest.mark.parametrize("case", ["gmres", "singular_block"])
+def test_refused_tethered_solve_returns_the_dense_answer(case, monkeypatch, caplog):
+    # a GMRES run that does not converge and a harmonic block whose LU meets
+    # an exact zero pivot are refused loudly: a WARNING, a count under
+    # dense_fallback and the dense shift-invert answer; above the hard cap
+    # the solve breaks down instead, and so it does when one harmonic block
+    # exceeds the cap
+    model = ising_l3()
+    mpo = build_extended_lindbladian(model, 1)
+    state = at_one_bond(initial_guess(3, 2, 1, model.omega, noise_amplitude=1e-2, seed=3, noise_bond=4), 4)
+    engine = SweepEngine(mpo, state)
+    engine.advance_to(1)
+    problem = engine.site_problem(1)  # the centre site, dimension 192 in three harmonic blocks
+    v0 = problem.current_vector()
+    runs = []
+    if case == "gmres":
+
+        def stalls(op, b, **kwargs):
+            runs.append(kwargs["maxiter"])
+            return np.zeros_like(b), kwargs["maxiter"]
+
+        monkeypatch.setattr(solver.spla, "gmres", stalls)
+    else:
+        # block 0 of D - sigma I + u u^H is exactly zero
+        blocks = problem.diagonal_blocks()
+        part = v0.reshape(len(blocks), -1)[0] / np.linalg.norm(v0)
+        blocks[0] = -np.outer(part, part.conj())
+        monkeypatch.setattr(problem, "diagonal_blocks", blocks.copy)
+    solve = dict(v0=v0, target=0.0, tol=1e-11, dense_cutoff=0)
+    with caplog.at_level(logging.WARNING, logger="floquet_ness.solver"):
+        theta, vec = solver._local_eigensolve(problem, **solve)
+    mat = problem.dense_matrix()
+    values, vectors = np.linalg.eig(mat)
+    best = np.argmin(np.abs(values))
+    assert abs(theta - values[best]) <= 1e-12 * np.linalg.norm(mat)
+    assert abs(np.vdot(vectors[:, best], vec)) >= 1 - 1e-10
+    assert engine.local_solves == counted(dense_fallback=1)
+    assert runs == ([solver.GMRES_CYCLES] if case == "gmres" else [])
+    reason = "GMRES did not converge" if case == "gmres" else "block LU"
+    assert any(
+        r.levelno == logging.WARNING and "tethered GMRES failed" in r.getMessage() and reason in r.getMessage()
+        for r in caplog.records
+    )
+    monkeypatch.setattr(solver, "DENSE_LOCAL_HARD_CAP", problem.dim - 1)
+    with pytest.raises(EigensolverBreakdown, match=reason):
+        solver._local_eigensolve(problem, **solve)
+    monkeypatch.setattr(solver, "DENSE_LOCAL_HARD_CAP", problem.dim // 3 - 1)
+    with pytest.raises(EigensolverBreakdown, match="harmonic block of dim 64 above the dense cap"):
+        solver._local_eigensolve(problem, **solve)
+
+
+@pytest.mark.parametrize("n_c", [1, 2])
+def test_solve_ness_tethered_gmres_matches_oracle(n_c):
+    # at cutoff 100 the centre site (dimension 192 at n_c = 1, 320 at n_c = 2)
+    # is solved by tethered GMRES, and only the degeneracy check by ARPACK;
+    # the stage log sums the GMRES iterations
+    model = ising_l3()
+    state, report = solve_ness(model, quick_config(n_c, 8, noise_amplitude=1e-5, dense_local_cutoff=100))
+    assert report.converged
+    assert block_error(state, model, n_c) < 1e-7
+    (entry,) = report.stage_log
+    sweeps = len(entry["sweep_residuals"])
+    assert entry["local_solves"] == counted(shift_invert=2 * sweeps, gmres=2 * sweeps, arnoldi=1)
+    logged = json.loads(json.dumps(report.to_dict()))["stage_log"]
+    assert logged[0]["gmres_iterations"] == entry["gmres_iterations"] > 0
+
+
+@pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # DTC harmonics exceed n_c = 1
 @pytest.mark.parametrize("chain", ["ising", "dtc"])
 def test_stage_log_counts_local_solves_by_method(chain):
     # every local solve is counted once, under the method that answered it:
@@ -506,6 +615,7 @@ def test_stage_log_counts_local_solves_by_method(chain):
         check = 1 if idx == last else 0
         solves = sweeps * 4 + check  # 2 (L - 1) solves per sweep at L = 3
         assert counts == counted(shift_invert=solves)
+        assert entry["gmres_iterations"] == 0
         assert ("degeneracy_gap" in entry) == bool(check)
     assert report.stage_log[-1]["degeneracy_gap"] > solver.DEGENERACY_TOL
     logged = json.loads(json.dumps(report.to_dict()))["stage_log"]
@@ -579,7 +689,7 @@ def test_stage_log_entries_carry_label_and_target():
     ness, report = solve_ness(model, cfg)
     decay = solve_first_decay_mode(model, ness, cfg)
     keys = {"label", "target", "n_c", "chi", "seconds", "start_discarded_weight"}
-    keys |= {"sweep_residuals", "max_bond", "local_solves"}
+    keys |= {"sweep_residuals", "max_bond", "local_solves", "gmres_iterations"}
     assert [(e["label"], e["target"]) for e in report.stage_log] == [("ness", [0.0, 0.0])]
     assert [e["label"] for e in decay.report.stage_log] == ["decay right", "decay left"]
     for rep in (report, decay.report):
@@ -784,10 +894,11 @@ def test_decay_mode_dtc_l3_central_zone():
     assert decay.report.converged and not decay.report.warnings
 
 
-def test_decay_mode_arpack_central_zone():
+def test_decay_mode_tethered_gmres_central_zone():
     # the right mode's first sweep is a dense eig (largest local dimension
-    # 192, above the cutoff); its later sweeps use ARPACK "SM" at the tracked
-    # shift, and the left mode ARPACK "SM" at its shift
+    # 192, above the cutoff); its later sweeps solve the tethered system at
+    # the tracked shift by GMRES, and so does the left mode at its shift;
+    # ARPACK never runs
     model = ising_l3()
     ness, _ = solve_ness(model, quick_config(1, 8))
     decay = solve_first_decay_mode(model, ness, quick_config(1, 8, dense_local_cutoff=150))
@@ -796,7 +907,8 @@ def test_decay_mode_arpack_central_zone():
     assert decay.report.converged
     for label in ("decay right", "decay left"):
         entries = [e for e in decay.report.stage_log if e["label"] == label]
-        assert sum(e["local_solves"]["arnoldi"] for e in entries) > 0
+        assert sum(e["local_solves"]["gmres"] for e in entries) > 0
+        assert sum(e["local_solves"]["arnoldi"] + e["local_solves"]["dense_fallback"] for e in entries) == 0
 
 
 @pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # Ising harmonics exceed n_c = 0
