@@ -21,8 +21,9 @@ sweep's shift, which is (nearly) a local eigenvalue, is solved as the
 tethered linear system ``(A - sigma I + u u^H) x = u`` (``u`` the current
 centre vector) by GMRES, preconditioned by one LU per harmonic diagonal
 block, without densifying; the degeneracy check's deflated problem, which has
-no eigenvalue at its shift, goes to restarted Arnoldi (ARPACK ``"SM"``).
-Either falls back to the dense path, with a WARNING log, when it fails.
+no eigenvalue at its shift, goes to ARPACK in shift-invert mode, whose inverse
+is GMRES with the same block preconditioner. Either falls back to the dense
+path, with a WARNING log, when it fails.
 Sweeping relaxes the state onto the targeted eigenvector: every
 solve (steady state, right and left decay mode) canonicalizes its start at
 the one bond dimension of the schedule, ``SweepConfig.warmup``, and runs
@@ -121,19 +122,24 @@ class SweepStage:
 
 CONVERGENCE_TOL = 1e-3  # edge-harmonic weight and Hermiticity defect that warn
 WEIGHT_CUTOFF = 1e-12  # relative Schmidt value kept by compression and counted as saturating a bond
-KRYLOV_DIM = 36  # shift-invert steps; GMRES restart length; first ARPACK basis (a retry doubles it)
-GMRES_CYCLES = 8  # GMRES restart cycles of one tethered solve
+KRYLOV_DIM = 36  # shift-invert steps; GMRES restart length
+GMRES_CYCLES = 8  # GMRES restart cycles of one tethered solve or one inverse application
 TETHER_ATTEMPTS = 5  # tethered solves of one local problem, each from the last one's answer
-ARPACK_MAXITER = 600  # ARPACK restarts of a first attempt; a retry doubles them
+# first basis and restarts of the degeneracy check's shift-invert ARPACK run
+# (a retry doubles both): the wanted value leads the inverse's spectrum and
+# converges within a few restarts, and every basis vector costs a GMRES solve
+ARNOLDI_DIM = 12
+ARPACK_MAXITER = 50
 # largest local problem densified (slowest central, or a shift after GMRES or
-# ARPACK failed), and largest harmonic block that tethered GMRES factorizes
+# ARPACK failed), and largest harmonic block that GMRES preconditioning factorizes
 DENSE_LOCAL_HARD_CAP = 4096
 DEGENERACY_TOL = 1e-7  # a deflated local eigenvalue this close to 0 is degenerate
 DEFLATION_SHIFT = 1000.0  # the degeneracy check moves the converged state's eigenvalue to -this
 # Methods a local solve is counted under in `SweepEngine.local_solves`: at a
 # shift, shift-invert below the dense cutoff; above it, tethered GMRES for the
-# sweeps and ARPACK for the deflated degeneracy check; a dense `eig` (or
-# shift-invert) after any of them failed; `eig` for the slowest central value.
+# sweeps and shift-invert ARPACK (inverse by block-Jacobi GMRES) for the
+# deflated degeneracy check; a dense `eig` (or shift-invert) after any of them
+# failed; `eig` for the slowest central value.
 LOCAL_METHODS = ("shift_invert", "dense_eig", "arnoldi", "gmres", "dense_fallback")
 
 
@@ -150,7 +156,8 @@ class SweepConfig:
     uses `eig`) use shift-invert (LU plus a short Arnoldi on the inverse) and
     fall back to a full `eig` when it is refused. Larger sweep problems at a
     shift are solved by tethered GMRES with one LU per harmonic block, and
-    the degeneracy check's deflated problem by ARPACK.
+    the degeneracy check's deflated problem by shift-invert ARPACK, whose
+    inverse is GMRES with the same block LUs.
     """
 
     warmup: list = field(default_factory=list)
@@ -244,8 +251,9 @@ class SweepEngine:
     are the pairs' MPO matrices in `_wstack`.
 
     `local_solves` counts the engine's local solves by method (keys
-    `LOCAL_METHODS`), and `gmres_iterations` the GMRES iterations of its
-    tethered solves.
+    `LOCAL_METHODS`), `gmres_iterations` the GMRES iterations of its
+    tethered solves and of the degeneracy check's inverse, and
+    `inverse_solves` the applications of that inverse.
     """
 
     def __init__(self, mpo: FloquetMPO, state: FloquetDensityMatrix):
@@ -279,6 +287,7 @@ class SweepEngine:
             self._wstack.append(w.reshape(w.shape[0], w.shape[1] * w.shape[2], -1))
         self.local_solves = dict.fromkeys(LOCAL_METHODS, 0)
         self.gmres_iterations = 0
+        self.inverse_solves = 0
         self.version = 0
         self.center = 0
         # environments, the right ones absorbed from the last site inward
@@ -564,6 +573,60 @@ def _shift_invert(mat, v0, tol, sigma):
     return None, f"no Ritz pair accepted within {j + 1} steps"
 
 
+def _block_jacobi(blocks, sigma, tether=None):
+    """Block-Jacobi preconditioner of ``A - sigma I`` (plus ``u u^H`` for a
+    flat `tether` ``u``): one LU per harmonic diagonal block ``[n, m, m]`` of
+    `blocks` (:meth:`SiteProblem.diagonal_blocks`), each shifted and given
+    its part of the tether. Returns ``(operator, None)``, the inverse of the
+    block diagonal as a ``LinearOperator``, or ``(None, reason)`` when a block
+    LU is unusable (:func:`_lu`)."""
+    nh, m, _ = blocks.shape
+    diagonal = np.arange(m), np.arange(m)
+    parts = [None] * nh if tether is None else tether.reshape(nh, m)
+    lus = []
+    for block, part in zip(blocks, parts):
+        shifted = block.copy() if part is None else block + np.outer(part, part.conj())
+        shifted[diagonal] -= sigma
+        lu, reason = _lu(shifted)
+        if lu is None:
+            return None, f"block LU: {reason}"
+        lus.append(lu)
+
+    def solve(x):
+        return np.concatenate([sla.lu_solve(lu, part, check_finite=False) for lu, part in zip(lus, x.reshape(nh, m))])
+
+    return spla.LinearOperator((nh * m, nh * m), matvec=solve, dtype=complex), None
+
+
+def _gmres(problem: SiteProblem, matvec, rhs, jacobi, atol, x0=None):
+    """Solution of ``matvec(x) = rhs`` by GMRES (restarts of KRYLOV_DIM, up to
+    GMRES_CYCLES of them) preconditioned by `jacobi` (:func:`_block_jacobi`),
+    from `x0` (zero when None), to a residual of at most `atol`. Every
+    iteration is added to ``problem.engine.gmres_iterations``. Returns
+    ``(x, None)``, or ``(None, reason)`` when GMRES does not converge."""
+    engine = problem.engine
+    dim = problem.dim
+
+    def count(_):
+        engine.gmres_iterations += 1
+
+    x, info = spla.gmres(
+        spla.LinearOperator((dim, dim), matvec=matvec, dtype=complex),
+        rhs,
+        x0=x0,
+        rtol=0.0,
+        atol=atol,
+        restart=KRYLOV_DIM,
+        maxiter=GMRES_CYCLES,
+        M=jacobi,
+        callback=count,
+        callback_type="pr_norm",
+    )
+    if info != 0:
+        return None, f"GMRES did not converge (info {info})"
+    return x, None
+
+
 def _tethered_solve(problem: SiteProblem, v0, sigma, tol):
     """Eigenpair of the local problem at a shift `sigma` that is (nearly) one
     of its eigenvalues, from the tethered linear system
@@ -574,73 +637,40 @@ def _tethered_solve(problem: SiteProblem, v0, sigma, tol):
     ``(A - sigma I) x = 0``: any tether that makes the matrix nonsingular
     gives the eigenvector. Near an eigenvalue ``theta`` it is one step of
     inverse iteration, which shrinks the other components by
-    ``|theta - sigma| / gap``. GMRES (restarts of KRYLOV_DIM, up to
-    GMRES_CYCLES of them, from zero) solves the system on
-    ``problem.matvec``, preconditioned by one LU per harmonic diagonal block
-    of the tethered matrix (block Jacobi, :meth:`SiteProblem.diagonal_blocks`);
-    the ``(dim, dim)`` matrix is never built. The eigenvalue is the Rayleigh
-    quotient of ``x``, accepted only on a true residual
-    ``||A x - theta x|| <= tol ||D|| ||x||``, ``D`` the diagonal blocks of
-    ``A`` (``||D|| <= ||A||`` in the Frobenius norm, so the test is never
-    looser than :func:`_shift_invert`'s). A refused answer is retethered at
-    ``x``, and the shift moves to its Rayleigh quotient (so a shift well off
-    the eigenvalue converges as Rayleigh-quotient iteration), TETHER_ATTEMPTS
-    solves in all.
+    ``|theta - sigma| / gap``. :func:`_gmres`, from zero, solves the system
+    on ``problem.matvec``, preconditioned by one LU per harmonic diagonal
+    block of the tethered matrix (:func:`_block_jacobi`); the ``(dim, dim)``
+    matrix is never built. The eigenvalue is the Rayleigh quotient of ``x``,
+    accepted only on a true residual ``||A x - theta x|| <= tol ||D|| ||x||``,
+    ``D`` the diagonal blocks of ``A`` (``||D|| <= ||A||`` in the Frobenius
+    norm, so the test is never looser than :func:`_shift_invert`'s). A
+    refused answer is retethered at ``x``, and the shift moves to its
+    Rayleigh quotient (so a shift well off the eigenvalue converges as
+    Rayleigh-quotient iteration), TETHER_ATTEMPTS solves in all.
 
     Returns ``((theta, vector), None)``, or ``(None, reason)`` for a zero
-    start vector, a harmonic block above DENSE_LOCAL_HARD_CAP, an unusable
-    block LU (:func:`_lu`), a GMRES run that does not converge, or no
-    accepted pair. Every GMRES iteration is added to
-    ``problem.engine.gmres_iterations``.
+    start vector, an unusable block LU, a GMRES run that does not converge,
+    or no accepted pair.
     """
     norm0 = np.linalg.norm(v0)
     if not norm0 > 0:
         return None, "zero start vector"
-    engine = problem.engine
-    dim, nh = problem.dim, len(engine.harmonics)
-    m = dim // nh
-    if m > DENSE_LOCAL_HARD_CAP:
-        return None, f"harmonic block of dim {m} above the dense cap"
     blocks = problem.diagonal_blocks()
     bound = tol * np.linalg.norm(blocks)
-    diagonal = np.arange(m), np.arange(m)
-
-    def count(_):
-        engine.gmres_iterations += 1
-
     u = v0 / norm0
     for _ in range(TETHER_ATTEMPTS):
-        lus = []
-        for block, part in zip(blocks, u.reshape(nh, m)):
-            shifted = block + np.outer(part, part.conj())
-            shifted[diagonal] -= sigma
-            lu, reason = _lu(shifted)
-            if lu is None:
-                return None, f"block LU: {reason}"
-            lus.append(lu)
-        tethered = spla.LinearOperator(
-            (dim, dim), matvec=lambda x: problem.matvec(x) - sigma * x + u * np.vdot(u, x), dtype=complex
-        )
-        jacobi = spla.LinearOperator(
-            (dim, dim),
-            matvec=lambda x: np.concatenate(
-                [sla.lu_solve(lu, part, check_finite=False) for lu, part in zip(lus, x.reshape(nh, m))]
-            ),
-            dtype=complex,
-        )
-        x, info = spla.gmres(
-            tethered,
+        jacobi, reason = _block_jacobi(blocks, sigma, tether=u)
+        if jacobi is None:
+            return None, reason
+        x, reason = _gmres(
+            problem,
+            lambda x: problem.matvec(x) - sigma * x + u * np.vdot(u, x),
             u,
-            rtol=0.0,
+            jacobi,
             atol=0.1 * bound,  # below the acceptance bound, which the eigen-residual must meet
-            restart=KRYLOV_DIM,
-            maxiter=GMRES_CYCLES,
-            M=jacobi,
-            callback=count,
-            callback_type="pr_norm",
         )
-        if info != 0:
-            return None, f"GMRES did not converge (info {info})"
+        if x is None:
+            return None, reason
         ax = problem.matvec(x)
         norm = np.linalg.norm(x)
         theta = np.vdot(x, ax) / norm**2
@@ -651,14 +681,48 @@ def _tethered_solve(problem: SiteProblem, v0, sigma, tol):
 
 
 def _arnoldi(problem: SiteProblem, v0, sigma, tol):
-    """Eigenpair nearest `sigma` by ARPACK ``"SM"`` with ``k = 1`` on
-    ``A - sigma I`` from `v0`, on KRYLOV_DIM vectors. A failed attempt is
-    retried once with twice the Krylov space and restarts; a partial,
-    unconverged result is never used. Returns ``((theta, vector), None)`` or
-    ``(None, reason)``."""
+    """Eigenpair nearest `sigma` of a problem with no eigenvalue at `sigma`
+    (the degeneracy check's deflated one), by ARPACK in shift-invert mode
+    (Ericsson & Ruhe, Math. Comp. 35, 1251 (1980)): the eigenvalue ``mu`` of
+    ``(A - sigma I)^-1`` of largest modulus, with ``k = 1``, from `v0` on
+    ARNOLDI_DIM vectors, gives ``theta = sigma + 1 / mu``. The inverse is
+    applied by :func:`_gmres` on ``problem.matvec``, preconditioned by one
+    LU per harmonic diagonal block (:func:`_block_jacobi`, the deflation's
+    blocks included) and started from the preconditioned right-hand side
+    ``M b``; at cutoff 0 the one block is the whole problem, and GMRES
+    returns at its first residual check. Each solve stops at a residual of
+    ``0.1 tol ||D|| ||M b||``, so its answer ``x`` (of norm about
+    ``||M b||``) is exact for a perturbation of ``A`` about a tenth of the
+    acceptance bound below. Every application is added to
+    ``problem.engine.inverse_solves``.
+
+    The pair is accepted only on a true residual
+    ``||A v - theta v|| <= tol ||D|| ||v||``, ``D`` the diagonal blocks, as
+    in :func:`_tethered_solve`. A failed or refused attempt is retried once
+    with twice the Krylov space and restarts; a partial, unconverged result
+    is never used. Returns ``((theta, vector), None)``, or ``(None, reason)``
+    for an unusable block LU, an inner GMRES run that does not converge, or
+    no accepted pair.
+    """
     dim = problem.dim
+    blocks = problem.diagonal_blocks()
+    bound = tol * np.linalg.norm(blocks)
+    jacobi, reason = _block_jacobi(blocks, sigma)
+    if jacobi is None:
+        return None, reason
     shifted = problem.matvec if sigma == 0 else lambda x: problem.matvec(x) - sigma * x
-    op = spla.LinearOperator((dim, dim), matvec=shifted, dtype=complex)
+
+    def inverse(b):
+        problem.engine.inverse_solves += 1
+        x0 = jacobi.matvec(b)
+        x, reason = _gmres(problem, shifted, b, jacobi, atol=0.1 * bound * np.linalg.norm(x0), x0=x0)
+        if x is None:
+            raise EigensolverBreakdown(reason)
+        return x
+
+    # in shift-invert mode ARPACK applies only `opinv`; `op` gives shape and type
+    op = spla.LinearOperator((dim, dim), matvec=problem.matvec, dtype=complex)
+    opinv = spla.LinearOperator((dim, dim), matvec=inverse, dtype=complex)
     norm0 = np.linalg.norm(v0)
     start = None if norm0 == 0 else v0 / norm0
     for factor in (1, 2):
@@ -666,17 +730,25 @@ def _arnoldi(problem: SiteProblem, v0, sigma, tol):
             values, vectors = spla.eigs(
                 op,
                 k=1,
-                which="SM",
+                sigma=sigma,
+                OPinv=opinv,
+                which="LM",
                 v0=start,
-                ncv=min(dim, KRYLOV_DIM * factor),
+                ncv=min(dim, ARNOLDI_DIM * factor),
                 maxiter=ARPACK_MAXITER * factor,
                 tol=tol,
             )
         except spla.ArpackError as err:  # includes ArpackNoConvergence
-            error = err
+            reason = str(err)
             continue
-        return (sigma + values[0], vectors[:, 0]), None
-    return None, str(error)
+        except EigensolverBreakdown as err:  # the inverse failed: a retry would too
+            return None, f"inverse: {err}"
+        theta, vec = values[0], vectors[:, 0]
+        resid = np.linalg.norm(problem.matvec(vec) - theta * vec) / np.linalg.norm(vec)
+        if resid <= bound:
+            return (theta, vec), None
+        reason = f"Ritz pair refused: residual {resid:.2e} above {bound:.2e}"
+    return None, reason
 
 
 def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff):
@@ -695,10 +767,12 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff):
     overlaps `v0` most). Larger problems are not densified. A sweep's shift
     is (nearly) a local eigenvalue, whose vector :func:`_tethered_solve`
     finds from `v0`. A deflated problem (the degeneracy check, from a random
-    start) has no eigenvalue at its shift, so ARPACK solves it
-    (:func:`_arnoldi`). When either method refuses, problems up to
-    DENSE_LOCAL_HARD_CAP are solved densely as above, with a WARNING log,
-    and larger ones raise :class:`EigensolverBreakdown`.
+    start) has no eigenvalue at its shift, so shift-invert ARPACK solves it
+    (:func:`_arnoldi`). Both factorize the harmonic diagonal blocks, so a
+    block above DENSE_LOCAL_HARD_CAP refuses either. When either method
+    refuses, problems up to DENSE_LOCAL_HARD_CAP are solved densely as
+    above, with a WARNING log, and larger ones raise
+    :class:`EigensolverBreakdown`.
 
     Each solve is counted in ``problem.engine.local_solves`` under the
     method that answered it, or under ``"dense_fallback"`` when the method
@@ -718,10 +792,14 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff):
     sigma = target
     fallback = False
     if dim > max(dense_cutoff, 2):  # ARPACK needs k = 1 < dim - 1
-        if problem.deflation:
-            method, name, (found, reason) = "arnoldi", "Arnoldi", _arnoldi(problem, v0, sigma, tol)
+        method, name, solve = (
+            ("arnoldi", "Arnoldi", _arnoldi) if problem.deflation else ("gmres", "tethered GMRES", _tethered_solve)
+        )
+        block = dim // len(problem.engine.harmonics)
+        if block > DENSE_LOCAL_HARD_CAP:  # both factorize the harmonic blocks
+            found, reason = None, f"harmonic block of dim {block} above the dense cap"
         else:
-            method, name, (found, reason) = "gmres", "tethered GMRES", _tethered_solve(problem, v0, sigma, tol)
+            found, reason = solve(problem, v0, sigma, tol)
         if found is not None:
             counts[method] += 1
             return found
@@ -745,7 +823,7 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff):
 
 
 def _local_tol(cfg):
-    """Residual bound of every local solve (shift-invert, tethered GMRES) and ARPACK tolerance."""
+    """Residual bound of every local solve (shift-invert, tethered GMRES, shift-invert ARPACK) and ARPACK tolerance."""
     return min(cfg.eig_tol * 1e-1, 1e-9)
 
 
@@ -911,8 +989,10 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
     sweeps, the state is taken from the sweep engine, and
     :func:`_deflated_check` runs on that engine; it raises
     :class:`DegenerateSteadyStateError` when the steady state is degenerate;
-    the `stage_log` entry records its ``"degeneracy_gap"`` and counts its
-    local solve and its time. ``report.fixed_point_residual`` is
+    the `stage_log` entry records its ``"degeneracy_gap"``, counts its local
+    solve, its time and its GMRES iterations, and records under
+    ``"degeneracy_inverse_solves"`` how often it applied the shift-invert
+    inverse (0 when it ran densely). ``report.fixed_point_residual`` is
     :func:`_eigen_residual` of the normalized state. The report warns about
     weight in the edge harmonic, Hermiticity defects, a final residual above
     tolerance and a bond saturated at the bond dimension
@@ -944,6 +1024,8 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
     production["degeneracy_gap"] = float(abs(theta))
     for method, count in solves.items():
         production["local_solves"][method] += count
+    production["gmres_iterations"] = engine.gmres_iterations  # the check's inner solves too
+    production["degeneracy_inverse_solves"] = engine.inverse_solves
     # exact trace normalization (fixes the overall phase as well)
     t0 = state.block_trace(0)
     if abs(t0) < 1e-12:

@@ -417,6 +417,105 @@ def test_partial_arpack_result_is_not_accepted(monkeypatch, caplog):
         solver._local_eigensolve(problem, **solve)
 
 
+@pytest.mark.parametrize("case", ["wrong_pair", "inverse_stalls"])
+def test_refused_shift_invert_arpack_returns_the_dense_answer(case, monkeypatch, caplog):
+    # the degeneracy check's shift-invert ARPACK run is accepted only on a
+    # true residual: a made-up pair fails it on both attempts, and an inverse
+    # whose GMRES does not converge ends the run at once; each is refused
+    # loudly, the dense fallback answers with the undeflated runner-up, and
+    # above the hard cap the solve breaks down instead
+    model = single_qubit_model(gamma=0.7, omega_z=1.1, drive=4.0)
+    ness, _ = solve_ness(model, quick_config(1, 4))
+    engine = SweepEngine(build_extended_lindbladian(model, 1), ness)
+    values = np.linalg.eigvals(engine.site_problem(0).dense_matrix())
+    runner_up = values[np.argsort(np.abs(values))[1]]
+    problem = engine.site_problem(0, deflation=solver.DEFLATION_SHIFT)
+    attempts = []
+    if case == "wrong_pair":
+
+        def wrong(op, k=1, **kwargs):
+            attempts.append(kwargs["maxiter"])
+            return np.array([0.5 + 0j]), np.ones((op.shape[0], 1), complex) / np.sqrt(op.shape[0])
+
+        monkeypatch.setattr(solver.spla, "eigs", wrong)
+        reason = "Ritz pair refused"
+    else:
+
+        def stalls(op, b, **kwargs):
+            attempts.append(kwargs["maxiter"])
+            return np.zeros_like(b), kwargs["maxiter"]
+
+        monkeypatch.setattr(solver.spla, "gmres", stalls)
+        reason = "inverse: GMRES did not converge"
+    rng = np.random.default_rng(3)
+    v0 = rng.standard_normal(problem.dim) + 1j * rng.standard_normal(problem.dim)
+    solve = dict(v0=v0, target=0.0, tol=1e-10, dense_cutoff=4)
+    with caplog.at_level(logging.WARNING, logger="floquet_ness.solver"):
+        theta, _ = solver._local_eigensolve(problem, **solve)
+    assert abs(theta - runner_up) < 1e-10
+    assert engine.local_solves == counted(dense_fallback=1)
+    if case == "wrong_pair":
+        assert attempts == [solver.ARPACK_MAXITER, 2 * solver.ARPACK_MAXITER]
+    else:
+        assert attempts == [solver.GMRES_CYCLES] and engine.inverse_solves == 1
+    assert any(
+        r.levelno == logging.WARNING and "Arnoldi failed" in r.getMessage() and reason in r.getMessage()
+        for r in caplog.records
+    )
+    monkeypatch.setattr(solver, "DENSE_LOCAL_HARD_CAP", problem.dim - 1)
+    with pytest.raises(EigensolverBreakdown, match=reason):
+        solver._local_eigensolve(problem, **solve)
+
+
+def keep_checked_engine(monkeypatch):
+    """Record the engine of every degeneracy check, with its GMRES count before the check."""
+    checked = []
+    original = solver._deflated_check
+
+    def keeps(engine, *args):
+        checked.append((engine, engine.gmres_iterations))
+        return original(engine, *args)
+
+    monkeypatch.setattr(solver, "_deflated_check", keeps)
+    return checked
+
+
+@pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # DTC harmonics exceed n_c = 1
+def test_degeneracy_check_above_cutoff_on_a_small_gap(monkeypatch, caplog):
+    # DTC L=3, n_c=1 at cutoff 100: the deflated centre problem (dim 192,
+    # norm ~1e3) has its eigenvalue nearest zero at 0.0123, where ARPACK
+    # "SM" without a shift-invert ran out of restarts after about 95000
+    # matvecs and fell back; shift-invert finds it within one short basis
+    checked = keep_checked_engine(monkeypatch)
+    model = build_dtc_model(DTCParams(chain_length=3), n_c=1)
+    with caplog.at_level(logging.WARNING, logger="floquet_ness.solver"):
+        _, report = solve_ness(model, quick_config(1, 8, noise_amplitude=1e-5, dense_local_cutoff=100))
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+    ((engine, _),) = checked
+    (entry,) = json.loads(json.dumps(report.to_dict()))["stage_log"]
+    assert entry["local_solves"]["arnoldi"] == 1
+    assert entry["local_solves"]["dense_fallback"] == 0
+    values = np.linalg.eigvals(engine.site_problem(1, deflation=solver.DEFLATION_SHIFT).dense_matrix())
+    assert abs(entry["degeneracy_gap"] - np.min(np.abs(values))) < 1e-8
+    assert 0 < entry["degeneracy_inverse_solves"] <= 2 * solver.ARNOLDI_DIM  # 13 when measured
+
+
+def test_stage_log_counts_the_degeneracy_checks_inner_solves(monkeypatch):
+    # above the cutoff the check's shift-invert inverse runs GMRES: the
+    # stage's GMRES iterations include the check's, and the report says how
+    # often the check applied its inverse; below the cutoff it applies none
+    checked = keep_checked_engine(monkeypatch)
+    model = ising_l3()
+    _, report = solve_ness(model, quick_config(1, 4, dense_local_cutoff=100))
+    ((engine, before),) = checked
+    (entry,) = json.loads(json.dumps(report.to_dict()))["stage_log"]
+    assert entry["gmres_iterations"] == engine.gmres_iterations > before > 0
+    assert entry["degeneracy_inverse_solves"] == engine.inverse_solves > 0
+    _, report = solve_ness(model, quick_config(1, 4))
+    (entry,) = json.loads(json.dumps(report.to_dict()))["stage_log"]
+    assert entry["degeneracy_inverse_solves"] == entry["gmres_iterations"] == 0
+
+
 def ising_l3():
     return build_driven_ising(IsingBenchmarkParams(chain_length=3, omega=5.0))
 
@@ -696,7 +795,7 @@ def test_stage_log_entries_carry_label_and_target():
         logged = json.loads(json.dumps(rep.to_dict()))["stage_log"]
         assert len(logged) == len(rep.stage_log)
         for entry, exported in zip(rep.stage_log, logged):
-            assert set(entry) - {"degeneracy_gap", "repair_discarded_weight"} == keys
+            assert set(entry) - {"degeneracy_gap", "degeneracy_inverse_solves", "repair_discarded_weight"} == keys
             assert exported["seconds"] > 0
             assert (exported["label"], exported["target"]) == (entry["label"], entry["target"])
 
