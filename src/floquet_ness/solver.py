@@ -38,7 +38,8 @@ is deflated out of the centre-site problem (Wielandt), and that problem's
 eigenvalue nearest zero must not vanish. The right decay solve moves the
 steady state and its copies away with a penalty that is part of its
 generator: a product operator added to the ``q = 0`` transfer component. So
-every sweep contracts one MPO and nothing else.
+every sweep contracts one MPO and nothing else. It is the only trace
+mechanism: the decay modes are returned as swept, never projected or truncated.
 
 Every solve ends with its true fixed-point residual ``||(L - theta) x|| /
 ||x||``, streamed through one QR sweep per output harmonic block, so the
@@ -67,7 +68,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from .freqspace import FloquetDensityMatrix, FloquetMPO, initial_guess
+from .freqspace import FloquetDensityMatrix, FloquetMPO, compress, initial_guess
 from .liouvillian import ModelSpec, build_extended_lindbladian
 from .mps import Mpo, Mps, product_sum_norm
 from .superops import LocalOperator, vectorize_choi
@@ -945,6 +946,12 @@ def _saturation_warnings(spectra, chi, phys, length):
     return [f"bond dimension {chi} saturated below the exact bond at bonds {saturated}; chi may truncate the state"]
 
 
+def _schmidt_spectra(state, chi):
+    """Schmidt values ``{n: [per bond]}`` of `state` compressed at bond `chi` and WEIGHT_CUTOFF."""
+    _, _, spectra = compress(state, TruncationSpec(max_rank=chi, weight_cutoff=WEIGHT_CUTOFF))
+    return spectra
+
+
 def _deflated_check(engine, cfg, rng):
     """Eigenvalue nearest zero of the centre-site problem with the engine's state deflated.
 
@@ -958,14 +965,12 @@ def _deflated_check(engine, cfg, rng):
     ``-DEFLATION_SHIFT`` and leaves every other local eigenvalue in place, so
     what remains nearest zero is the runner-up of the undeflated problem. It
     is found by the ordinary steady-state local solve from a random start
-    drawn from `rng`. Returns ``(theta, local_solves)``, the latter counting
-    this check's solve only (the change in ``engine.local_solves``, which
-    also holds the sweeps' solves); raises
-    :class:`DegenerateSteadyStateError` when ``|theta| < DEGENERACY_TOL``.
+    drawn from `rng`, counted in the engine's counters like the sweeps'
+    solves. Returns `theta`; raises :class:`DegenerateSteadyStateError` when
+    ``|theta| < DEGENERACY_TOL``.
     """
     centre = engine.length // 2
     engine.advance_to(centre)
-    before = dict(engine.local_solves)
     problem = engine.site_problem(centre, deflation=DEFLATION_SHIFT)
     v0 = rng.standard_normal(problem.dim) + 1j * rng.standard_normal(problem.dim)
     theta, _ = _local_eigensolve(problem, v0, 0.0, _local_tol(cfg), cfg.dense_local_cutoff)
@@ -974,7 +979,7 @@ def _deflated_check(engine, cfg, rng):
             f"deflated centre-site eigenvalue {theta:.2e} is near zero; "
             "steady space looks degenerate"
         )
-    return theta, {method: count - before[method] for method, count in engine.local_solves.items()}
+    return theta
 
 
 def solve_ness(model: ModelSpec, cfg: SweepConfig):
@@ -1018,13 +1023,13 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
     engine, final_theta = _sweep_schedule(mpo, state, cfg, report, 0.0, "ness")
     state = engine.state()  # before the check moves the centre
     check_start = time.perf_counter()
-    theta, solves = _deflated_check(engine, cfg, rng)
+    theta = _deflated_check(engine, cfg, rng)
     production = report.stage_log[-1]
     production["seconds"] += time.perf_counter() - check_start
     production["degeneracy_gap"] = float(abs(theta))
-    for method, count in solves.items():
-        production["local_solves"][method] += count
-    production["gmres_iterations"] = engine.gmres_iterations  # the check's inner solves too
+    # the engine's counters, the check's solve and inner GMRES iterations included
+    production["local_solves"] = dict(engine.local_solves)
+    production["gmres_iterations"] = engine.gmres_iterations
     production["degeneracy_inverse_solves"] = engine.inverse_solves
     # exact trace normalization (fixes the overall phase as well)
     t0 = state.block_trace(0)
@@ -1039,9 +1044,9 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
         )
     report.eigenvalue = final_theta
     # diagnostics
-    from .freqspace import block_norms, compress, hermiticity_defect, trace_components
+    from .freqspace import block_norms, hermiticity_defect, trace_components
 
-    _, _, spectra = compress(state, TruncationSpec(max_rank=stage.chi, weight_cutoff=WEIGHT_CUTOFF))
+    spectra = _schmidt_spectra(state, stage.chi)
     report.schmidt_spectra = {
         n: [list(map(float, s[:16])) for s in bonds] for n, bonds in spectra.items()
     }
@@ -1072,7 +1077,9 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
 
 @dataclass
 class DecayModeResult:
-    """Slowest decaying mode and its bi-orthogonal partner."""
+    """Slowest decaying mode and its bi-orthogonal partner, as swept (unit-norm
+    `right`, ``<<left|right>> = 1``). The overlaps ``|Tr right^0|`` and
+    ``|<<left|ness>>|`` measure the solve: an exact pair has both zero."""
 
     eigenvalue: complex
     right: FloquetDensityMatrix
@@ -1082,19 +1089,6 @@ class DecayModeResult:
     identity_overlap: float
     steady_overlap: float
     report: SolveReport
-
-
-def _orthogonalized_noise(model, n_c, chi, rng, eye):
-    """Random state at bond `chi` with the trace content of every block
-    projected out (`eye` is the vectorized identity MPS), which leaves bonds
-    up to ``chi + 1``."""
-    blocks = {}
-    eye_norm2 = eye.inner(eye).real
-    for n in range(-n_c, n_c + 1):
-        b = Mps.random(model.chain_length, eye.phys_dim, chi, rng, norm=1.0)
-        tr = eye.inner(b)
-        blocks[n] = b.add(eye.scaled(-tr / eye_norm2))
-    return FloquetDensityMatrix(blocks, model.omega, n_c, model.chain_length, model.site_dim)
 
 
 def _trace_penalized(mpo, strength):
@@ -1141,18 +1135,22 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
     trace content of every harmonic block is penalized alike), of strength
     ``w = 10 max(1, s)`` with ``s`` the largest sum of squared spectral
     norms of one jump operator's Fourier components. That moves all kernel
-    copies at once while leaving genuine decay modes (blockwise traceless)
-    alone, and the solve targets ``"slowest_central"``. The left partner is
-    the eigenvector of the bare adjoint generator at the known eigenvalue
-    ``conj(lambda)``, solved at that shift from the right mode. Both solves
-    sweep the stage of ``cfg.warmup`` (`stage_log` labels ``"decay right"``
-    and ``"decay left"``), the right one from trace-free noise at the
-    stage's bond dimension. Both modes are cleaned (trace content of the
-    right mode, steady-state overlap of the left one) at that bond and
-    bi-normalized; the `stage_log` entry of each solve records the weight
-    its cleaning truncates (``"repair_discarded_weight"``), and the report
-    warns when a cleaned block has a saturated bond
-    (:func:`_saturation_warnings`).
+    copies at once while leaving genuine decay modes alone, and the solve
+    targets ``"slowest_central"`` from random blocks at the stage's bond
+    dimension. The left partner is the eigenvector of the bare adjoint
+    generator at ``conj(lambda)``, solved at that shift from the right mode.
+    Both solves sweep the stage of ``cfg.warmup`` (`stage_log` labels
+    ``"decay right"`` and ``"decay left"``).
+
+    The exact modes need no repair, so none is made. Every Fourier component
+    of the generator preserves the trace, so ``<I_n|`` (the identity in block
+    ``n``) is a left eigenvector of the penalized generator at
+    ``-i n omega - w``, and every other right eigenvector is traceless in
+    every block; and ``lambda <<left|ness>> = <<left|L ness>> = 0``. The
+    modes are returned as swept, only the left one rescaled to
+    ``<<left|right>> = 1``, so the overlaps measure the solve: the report
+    warns when either exceeds 1e-6 and when a bond of either mode is
+    saturated (:func:`_saturation_warnings`).
 
     ``report.final_residual`` is the larger of the two solves' last sweep
     residuals (the left one bounds ``|theta_left - conj(lambda)|``), and
@@ -1165,63 +1163,39 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
     cfg.validate()
     model.validate()
     start = time.perf_counter()
-    scale = 0.0
-    for comps in model.jump_fourier.values():
-        scale = max(
-            scale, sum(np.linalg.norm(op.matrix, ord=2) ** 2 for op in comps.values())
-        )
-    w = 10.0 * max(scale, 1.0)
+    scales = [sum(np.linalg.norm(op.matrix, ord=2) ** 2 for op in ops.values()) for ops in model.jump_fourier.values()]
+    w = 10.0 * max(1.0, *scales)
     report = SolveReport()
     (stage,) = cfg.warmup
     n_c = stage.n_c
     residuals = {}  # last sweep residual of each solve
 
     mpo = build_extended_lindbladian(model, n_c)
-    eye_mps = Mps.from_product([vectorize_choi(np.eye(model.site_dim, dtype=complex))] * model.chain_length)
-    eye_norm2 = eye_mps.inner(eye_mps).real
     rng = np.random.default_rng(cfg.seed + 1)
-    seed = _orthogonalized_noise(model, n_c, stage.chi, rng, eye_mps)
+    blocks = {n: Mps.random(model.chain_length, model.site_dim**2, stage.chi, rng) for n in range(-n_c, n_c + 1)}
+    seed = FloquetDensityMatrix(blocks, model.omega, n_c, model.chain_length, model.site_dim)
     engine, lam = _sweep_schedule(_trace_penalized(mpo, w), seed, cfg, report, "slowest_central", "decay right")
     if lam.real > 1e-6:
         raise SolverError(f"decay eigenvalue has positive real part: {lam}")
     right = engine.state()
     residuals["decay right"] = report.sweep_residuals[-1]
-    repair = TruncationSpec(max_rank=stage.chi)
-    spectra = []  # Schmidt values of every cleaned block
-
-    # clean residual trace content in every block, then normalize
-    discarded = 0.0
-    for n in list(right.blocks):
-        tr = eye_mps.inner(right.blocks[n])
-        if abs(tr) == 0.0:
-            continue
-        right.blocks[n], info = right.blocks[n].add(eye_mps.scaled(-tr / eye_norm2)).canonicalize(repair)
-        discarded += info.total_discarded
-        spectra.append(info.spectra)
-    report.stage_log[-1]["repair_discarded_weight"] = discarded
-    right = right.scaled(1.0 / max(right.norm(), 1e-300))
 
     adjoint = mpo.adjoint()  # the left solve starts from the right mode, its pair
     engine, _ = _sweep_schedule(adjoint, right, cfg, report, lam.conjugate(), "decay left")
     left = engine.state()
     residuals["decay left"] = report.sweep_residuals[-1]
-    # project out the steady-state direction: <<L - beta I | ness>> = 0 with
-    # beta = conj(<<L|ness>>) because <<I|ness>> = Tr rho^0 = 1
-    overlap = left.inner(ness)
-    left.blocks[0], info = left.blocks[0].add(eye_mps.scaled(-np.conj(overlap))).canonicalize(repair)
-    report.stage_log[-1]["repair_discarded_weight"] = info.total_discarded
-    spectra.append(info.spectra)
     pairing = left.inner(right)
     if abs(pairing) < 1e-9 * max(left.norm() * right.norm(), 1e-300):
         raise SolverError("left and right modes are numerically orthogonal")
     left = left.scaled(1.0 / np.conj(pairing))
 
-    ident_overlap = abs(eye_mps.inner(right.blocks[0]))
-    steady_overlap = abs(left.inner(ness))
+    ident_overlap, steady_overlap = abs(right.block_trace(0)), abs(left.inner(ness))
     if ident_overlap > 1e-6:
         report.warnings.append(
-            f"identity overlap {ident_overlap:.2e} after projection; w may be too small"
+            f"identity overlap {ident_overlap:.2e} above 1e-6; w too small, or chi unconverged or binding"
         )
+    if steady_overlap > 1e-6:
+        report.warnings.append(f"steady-state overlap {steady_overlap:.2e} above 1e-6; chi unconverged or binding")
     pair = abs(lam.imag) > 1e-8 * max(1.0, abs(lam.real))
     failures = [
         f"{label}: last sweep residual {resid:.2e} above eig_tol {cfg.eig_tol:.0e}"
@@ -1229,6 +1203,7 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
         if resid > cfg.eig_tol
     ]
     report.warnings.extend(failures)
+    spectra = [*_schmidt_spectra(right, stage.chi).values(), *_schmidt_spectra(left, stage.chi).values()]
     report.warnings.extend(_saturation_warnings(spectra, stage.chi, right.phys_dim, model.chain_length))
     report.final_residual = max(residuals.values())
     report.converged = report.final_residual <= cfg.eig_tol

@@ -736,8 +736,9 @@ def test_deflated_check_matches_eig_runner_up(chain):
     engine, _ = solver._sweep_schedule(mpo, start, cfg, solver.SolveReport(), 0.0, "ness")
     state = engine.state()
     assert engine.local_solves["shift_invert"] > 1
-    theta, solves = solver._deflated_check(engine, cfg, np.random.default_rng(3))
-    assert solves == counted(shift_invert=1)
+    before = dict(engine.local_solves)
+    theta = solver._deflated_check(engine, cfg, np.random.default_rng(3))
+    assert {method: count - before[method] for method, count in engine.local_solves.items()} == counted(shift_invert=1)
     assert engine.center == 1
     for n, block in engine.state().blocks.items():
         assert np.max(np.abs(block.to_dense() - state.block(n).to_dense())) < 1e-13
@@ -795,7 +796,7 @@ def test_stage_log_entries_carry_label_and_target():
         logged = json.loads(json.dumps(rep.to_dict()))["stage_log"]
         assert len(logged) == len(rep.stage_log)
         for entry, exported in zip(rep.stage_log, logged):
-            assert set(entry) - {"degeneracy_gap", "degeneracy_inverse_solves", "repair_discarded_weight"} == keys
+            assert set(entry) - {"degeneracy_gap", "degeneracy_inverse_solves"} == keys
             assert exported["seconds"] > 0
             assert (exported["label"], exported["target"]) == (entry["label"], entry["target"])
 
@@ -881,7 +882,7 @@ def test_decay_mode_amplitude_damping():
 
 def test_decay_mode_with_positive_real_part_fails_before_the_left_solve(monkeypatch):
     # a growing right mode is refused as soon as the right solve returns it:
-    # neither the left solve nor either repair runs
+    # the left solve never runs
     model = single_qubit_model(gamma=0.8)
     cfg = quick_config(0, 4)
     ness, _ = solve_ness(model, cfg)
@@ -1013,8 +1014,8 @@ def test_decay_mode_tethered_gmres_central_zone():
 @pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # Ising harmonics exceed n_c = 0
 def test_decay_mode_binding_chi_is_not_converged():
     # chi=2 binds on L=4 (exact bond 16): the sweep residuals stay above
-    # eig_tol, the left eigenvalue misses conj(lambda) and the cleaned modes
-    # report saturated bonds
+    # eig_tol, the left eigenvalue misses conj(lambda) and the modes report
+    # saturated bonds
     model = build_driven_ising(IsingBenchmarkParams(chain_length=4, omega=5.0))
     cfg = quick_config(0, 2)
     ness, _ = solve_ness(model, cfg)
@@ -1061,22 +1062,32 @@ def test_decay_right_solve_tracks_a_shift_on_ising_l3(ising_l3_decay):
 
 
 @pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # Ising harmonics exceed n_c = 0
-def test_decay_repairs_report_discarded_weight(ising_l3_decay):
-    # the right mode's trace cleaning and the left mode's steady-state
-    # correction recompress to chi: both truncate when chi = 2 binds on L=4,
-    # and neither does on the converged L=3 run
+def test_decay_modes_are_returned_as_swept(ising_l3_decay, monkeypatch):
+    # the penalty is the only trace mechanism: the right mode is the right
+    # solve's swept state, untouched, and the overlaps measure the solve. On
+    # the converged L=3 run they vanish; where chi = 2 binds on L=4 they do
+    # not, and both warn
+    ness, _, decay = ising_l3_decay
+    assert all("repair_discarded_weight" not in e for e in decay.report.stage_log)
+    assert decay.identity_overlap < 1e-8 and decay.steady_overlap < 1e-6
+    original, engines = solver._sweep_schedule, {}
+
+    def keeps(*args):
+        engines[args[-1]], theta = original(*args)
+        return engines[args[-1]], theta
+
+    monkeypatch.setattr(solver, "_sweep_schedule", keeps)
+    again = solve_first_decay_mode(ising_l3(), ness, quick_config(1, 8))
+    assert again.eigenvalue == decay.eigenvalue
+    swept = engines["decay right"].state()
+    for n, block in again.right.blocks.items():
+        assert all(np.array_equal(a, b) for a, b in zip(block.tensors, swept.blocks[n].tensors))
     model = ising_l4()
     cfg = quick_config(0, 2)
-    ness, _ = solve_ness(model, cfg)
-    binding = solve_first_decay_mode(model, ness, cfg)
-    for decay, positive in ((binding, True), (ising_l3_decay[2], False)):
-        logged = json.loads(json.dumps(decay.report.to_dict()))["stage_log"]
-        for label in ("decay right", "decay left"):
-            index = max(i for i, e in enumerate(logged) if e["label"] == label)
-            weight = decay.report.stage_log[index]["repair_discarded_weight"]
-            assert logged[index]["repair_discarded_weight"] == weight
-            assert weight > 0 if positive else weight == 0.0
-            assert all("repair_discarded_weight" not in e for e in logged[:index] if e["label"] == label)
+    binding = solve_first_decay_mode(model, solve_ness(model, cfg)[0], cfg)
+    assert binding.identity_overlap > 1e-6 and binding.steady_overlap > 1e-6
+    assert any(w.startswith("identity overlap") for w in binding.report.warnings)
+    assert any(w.startswith("steady-state overlap") for w in binding.report.warnings)
 
 
 def test_slowest_central_is_always_dense(monkeypatch):
