@@ -16,7 +16,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .liouvillian import ModelSpec, dense_fourier_superoperator
 from .superops import choi_site_matrix, choi_site_vector
@@ -72,6 +71,8 @@ def evolve_master_equation(model: ModelSpec, rho0, t_grid, tol=1e-10, dense_dim=
     renormalized along the way, so trace drift is a genuine integration
     diagnostic. Raises if drift or Hermiticity violation exceed ``100 * tol``.
     """
+    from scipy.integrate import solve_ivp  # imported here: the solvers never integrate
+
     model.validate()
     dl = model.site_dim**model.chain_length
     if dl * dl > dense_dim:
@@ -143,6 +144,8 @@ def floquet_propagator_modes(
     multipliers within MULTIPLIER_DEGENERACY_TOL of it mark the steady mode
     degenerate.
     """
+    from scipy.integrate import solve_ivp  # imported here: the solvers never integrate
+
     model.validate()
     dl = model.site_dim**model.chain_length
     d2l = dl * dl

@@ -19,7 +19,6 @@ import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .liouvillian import ModelSpec
@@ -399,6 +398,8 @@ def effective_propagator_error(
     period of the fundamental) to tolerance `tol` and compares against
     ``exp(-iK(t)) exp(-iD(t-s)) exp(iK(s))`` from :func:`van_vleck`.
     """
+    from scipy.integrate import solve_ivp  # imported here: building a model never integrates
+
     dim = site_dim**chain_length
     if dim > 2**12:
         raise ValueError("window too large for dense exponentiation")

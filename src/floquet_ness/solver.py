@@ -16,14 +16,17 @@ no ladder, every value counts). Local problems up to
 shift-invert (one LU factorization of ``A - sigma I`` and a short Arnoldi run
 on its inverse, accepted only on a small true residual), every refused one and
 ``"slowest_central"`` (the right decay solve's first sweep; later sweeps track
-that mode at a shift) by a full LAPACK diagonalization. Above the cutoff a
-sweep's shift, which is (nearly) a local eigenvalue, is solved as the
-tethered linear system ``(A - sigma I + u u^H) x = u`` (``u`` the current
-centre vector) by GMRES, preconditioned by one LU per harmonic diagonal
-block, without densifying; the degeneracy check's deflated problem, which has
-no eigenvalue at its shift, goes to ARPACK in shift-invert mode, whose inverse
-is GMRES with the same block preconditioner. Either falls back to the dense
-path, with a WARNING log, when it fails.
+that mode at a shift) by a full LAPACK diagonalization. Above the cutoff
+nothing is densified. A sweep's shift, which is (nearly) a local eigenvalue,
+is solved as the tethered linear system ``(A - sigma I + u u^H) x = u``
+(``u`` the current centre vector); the degeneracy check's deflated problem,
+which has no eigenvalue at its shift, by ARPACK in shift-invert mode. Both
+solve their linear systems with this module's restarted GMRES
+(:func:`_gmres`), right-preconditioned by one LU per harmonic diagonal block
+(block Jacobi), so that its cheap residual estimate is the true residual.
+Every LU is LAPACK's getrf and getrs, called without scipy's wrappers, which
+cost more than the solves at these block sizes. Either method falls back to
+the dense path, with a WARNING log, when it fails.
 Sweeping relaxes the state onto the targeted eigenvector: every
 solve (steady state, right and left decay mode) canonicalizes its start at
 the one bond dimension of the schedule, ``SweepConfig.warmup``, and runs
@@ -60,15 +63,23 @@ the slowest mode is ``-1 / Re(lambda_1)``.
 from __future__ import annotations
 
 import logging
+import math
 import time
-import warnings
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from .freqspace import FloquetDensityMatrix, FloquetMPO, compress, initial_guess
+from .freqspace import (
+    FloquetDensityMatrix,
+    FloquetMPO,
+    block_norms,
+    compress,
+    hermiticity_defect,
+    initial_guess,
+    trace_components,
+)
 from .liouvillian import ModelSpec, build_extended_lindbladian
 from .mps import Mpo, Mps, product_sum_norm
 from .superops import LocalOperator, vectorize_choi
@@ -76,6 +87,10 @@ from .superops import LocalOperator, vectorize_choi
 from .tensors import TruncationSpec, truncated_svd
 
 logger = logging.getLogger(__name__)
+
+# complex LU by LAPACK, called directly: at the local problems' block sizes
+# scipy's lu_factor/lu_solve wrappers cost more than the factorization's solve
+_GETRF, _GETRS = sla.get_lapack_funcs(("getrf", "getrs"), dtype=complex)
 
 __all__ = [
     "SweepStage",
@@ -511,18 +526,24 @@ def _slowest_central(values, vectors, engine):
 
 
 def _lu(mat):
-    """``(lu, None)``, the LU factors of `mat` (overwritten), or ``(None,
-    reason)`` when they are unusable: a zero pivot, which scipy reports with
-    a ``LinAlgWarning``, or non-finite factors."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", sla.LinAlgWarning)
-        try:
-            lu = sla.lu_factor(mat, overwrite_a=True, check_finite=False)
-        except sla.LinAlgWarning as err:
-            return None, str(err)
-    if not np.all(np.isfinite(lu[0])):
+    """``(lu, None)``, the LAPACK factors ``(lu, piv)`` of complex `mat`, or
+    ``(None, reason)`` when they are unusable: a zero pivot (getrf's ``info >
+    0``) or non-finite factors. getrf is called directly, and its factors are
+    those of ``scipy.linalg.lu_factor``, bit for bit."""
+    lu, piv, info = _GETRF(mat, overwrite_a=True)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of getrf")
+    if info > 0:
+        return None, f"zero pivot {info}: singular matrix"
+    if not np.all(np.isfinite(lu)):
         return None, "non-finite LU factors"
-    return lu, None
+    return (lu, piv), None
+
+
+def _lu_solve(lu, b):
+    """Solution of ``mat x = b`` from the factors :func:`_lu` returned for `mat`."""
+    x, _ = _GETRS(*lu, b)  # info is nonzero only for an illegal argument
+    return x
 
 
 def _shift_invert(mat, v0, tol, sigma):
@@ -550,7 +571,7 @@ def _shift_invert(mat, v0, tol, sigma):
     hess = np.zeros((steps + 1, steps), dtype=complex)
     basis[:, 0] = v0 / norm0
     for j in range(steps):
-        w = sla.lu_solve(lu, basis[:, j], check_finite=False)
+        w = _lu_solve(lu, basis[:, j])
         span = basis[:, : j + 1]
         for _ in range(2):  # Gram-Schmidt, repeated to keep the basis orthonormal
             h = span.conj().T @ w
@@ -566,7 +587,7 @@ def _shift_invert(mat, v0, tol, sigma):
             vec = span @ ritz[:, top]
             vec /= np.linalg.norm(vec)
             if np.linalg.norm(mat @ vec - theta * vec) <= bound:
-                vec = sla.lu_solve(lu, vec, check_finite=False)
+                vec = _lu_solve(lu, vec)
                 return (theta, vec / np.linalg.norm(vec)), None
         if hess[j + 1, j] == 0:
             break  # invariant subspace: more steps add nothing
@@ -578,9 +599,10 @@ def _block_jacobi(blocks, sigma, tether=None):
     """Block-Jacobi preconditioner of ``A - sigma I`` (plus ``u u^H`` for a
     flat `tether` ``u``): one LU per harmonic diagonal block ``[n, m, m]`` of
     `blocks` (:meth:`SiteProblem.diagonal_blocks`), each shifted and given
-    its part of the tether. Returns ``(operator, None)``, the inverse of the
-    block diagonal as a ``LinearOperator``, or ``(None, reason)`` when a block
-    LU is unusable (:func:`_lu`)."""
+    its part of the tether. Returns ``(solve, None)``, where ``solve(x)``
+    applies the inverse of the block diagonal to a flat vector by one getrs
+    per block, or ``(None, reason)`` when a block LU is unusable
+    (:func:`_lu`)."""
     nh, m, _ = blocks.shape
     diagonal = np.arange(m), np.arange(m)
     parts = [None] * nh if tether is None else tether.reshape(nh, m)
@@ -594,38 +616,84 @@ def _block_jacobi(blocks, sigma, tether=None):
         lus.append(lu)
 
     def solve(x):
-        return np.concatenate([sla.lu_solve(lu, part, check_finite=False) for lu, part in zip(lus, x.reshape(nh, m))])
+        return np.concatenate([_lu_solve(lu, part) for lu, part in zip(lus, x.reshape(nh, m))])
 
-    return spla.LinearOperator((nh * m, nh * m), matvec=solve, dtype=complex), None
+    return solve, None
 
 
 def _gmres(problem: SiteProblem, matvec, rhs, jacobi, atol, x0=None):
-    """Solution of ``matvec(x) = rhs`` by GMRES (restarts of KRYLOV_DIM, up to
-    GMRES_CYCLES of them) preconditioned by `jacobi` (:func:`_block_jacobi`),
-    from `x0` (zero when None), to a residual of at most `atol`. Every
-    iteration is added to ``problem.engine.gmres_iterations``. Returns
-    ``(x, None)``, or ``(None, reason)`` when GMRES does not converge."""
+    """Solution of ``matvec(x) = rhs`` by restarted GMRES (Saad & Schultz,
+    SIAM J. Sci. Stat. Comput. 7, 856 (1986)), right-preconditioned by
+    `jacobi` (:func:`_block_jacobi`): ``A M y = b`` with ``x = x0 + M y``.
+
+    Right preconditioning leaves the residual unchanged, so the Givens
+    estimate ``beta |Q[j+1, 0]|`` of the Hessenberg least-squares problem is
+    the true residual ``||b - A x||`` in exact arithmetic, and each cycle
+    runs until it is at most `atol` or KRYLOV_DIM steps are taken. Every
+    cycle begins with the true residual at its starting point, which
+    confirms the previous cycle's answer: one that meets `atol` is returned
+    (so an `x0` that already does comes back with no iteration), and
+    otherwise the cycle runs from there, GMRES_CYCLES in all. The basis is orthogonalized by classical
+    Gram-Schmidt, repeated once; the preconditioned basis ``M v_j`` is kept,
+    so ``x`` is updated without applying `jacobi` again. A step whose
+    rotated column is zero on and below the diagonal (a zero Givens norm:
+    the column adds no direction, as every one does when the preconditioner
+    returns zeros) ends its cycle without that column.
+
+    Every Arnoldi step is added to ``problem.engine.gmres_iterations``.
+    Returns ``(x, None)``, or ``(None, reason)`` when no cycle met `atol`.
+    """
     engine = problem.engine
     dim = problem.dim
-
-    def count(_):
-        engine.gmres_iterations += 1
-
-    x, info = spla.gmres(
-        spla.LinearOperator((dim, dim), matvec=matvec, dtype=complex),
-        rhs,
-        x0=x0,
-        rtol=0.0,
-        atol=atol,
-        restart=KRYLOV_DIM,
-        maxiter=GMRES_CYCLES,
-        M=jacobi,
-        callback=count,
-        callback_type="pr_norm",
-    )
-    if info != 0:
-        return None, f"GMRES did not converge (info {info})"
-    return x, None
+    steps = min(KRYLOV_DIM, dim)
+    if x0 is None:
+        x = np.zeros(dim, dtype=complex)
+        resid = rhs
+    else:
+        x = np.array(x0, dtype=complex)
+        resid = rhs - matvec(x)
+    basis = np.zeros((steps + 1, dim), dtype=complex)  # rows v_j
+    images = np.zeros((steps, dim), dtype=complex)  # rows M v_j
+    tri = np.zeros((steps, steps), dtype=complex)  # R of the rotated Hessenberg matrix
+    for _ in range(GMRES_CYCLES):
+        beta = np.linalg.norm(resid)
+        if beta <= atol:
+            return x, None
+        basis[0] = resid / beta
+        rot = np.eye(steps + 1, dtype=complex)  # the Givens rotations so far, as one unitary Q
+        size = 0
+        for j in range(steps):
+            engine.gmres_iterations += 1
+            images[j] = jacobi(basis[j])
+            w = matvec(images[j])
+            span = basis[: j + 1]
+            h = np.zeros(j + 2, dtype=complex)
+            for _pass in range(2):  # Gram-Schmidt, repeated to keep the basis orthonormal
+                coef = np.conj(span @ np.conj(w))
+                w -= coef @ span
+                h[: j + 1] += coef
+            h[j + 1] = np.linalg.norm(w)
+            h[: j + 1] = rot[: j + 1, : j + 1] @ h[: j + 1]
+            a, b = complex(h[j]), h[j + 1].real
+            norm = math.hypot(abs(a), b)
+            if norm == 0:
+                break
+            phase = a / abs(a) if a else 1.0
+            c, s = abs(a) / norm, phase * b / norm  # the rotation zeroing b under a
+            rot[j : j + 2, : j + 2] = np.array([[c, s], [-s.conjugate(), c]]) @ rot[j : j + 2, : j + 2]
+            tri[:j, j] = h[:j]
+            tri[j, j] = phase * norm
+            size = j + 1
+            if beta * abs(rot[j + 1, 0]) <= atol or b == 0:
+                break
+            basis[j + 1] = w / b
+        if size:
+            y = np.linalg.solve(tri[:size, :size], beta * rot[:size, 0])
+            x += y @ images[:size]
+        resid = rhs - matvec(x)
+    if np.linalg.norm(resid) <= atol:
+        return x, None
+    return None, f"GMRES did not converge in {GMRES_CYCLES} cycles of {steps} steps"
 
 
 def _tethered_solve(problem: SiteProblem, v0, sigma, tol):
@@ -639,10 +707,12 @@ def _tethered_solve(problem: SiteProblem, v0, sigma, tol):
     gives the eigenvector. Near an eigenvalue ``theta`` it is one step of
     inverse iteration, which shrinks the other components by
     ``|theta - sigma| / gap``. :func:`_gmres`, from zero, solves the system
-    on ``problem.matvec``, preconditioned by one LU per harmonic diagonal
-    block of the tethered matrix (:func:`_block_jacobi`); the ``(dim, dim)``
-    matrix is never built. The eigenvalue is the Rayleigh quotient of ``x``,
-    accepted only on a true residual ``||A x - theta x|| <= tol ||D|| ||x||``,
+    on ``problem.matvec`` plus the tether, right-preconditioned by one LU per
+    harmonic diagonal block of the tethered matrix (:func:`_block_jacobi`),
+    until its true residual is a tenth of the acceptance bound below; the
+    ``(dim, dim)`` matrix is never built. The eigenvalue is the Rayleigh
+    quotient of ``x``, accepted only on a true residual
+    ``||A x - theta x|| <= tol ||D|| ||x||``,
     ``D`` the diagonal blocks of ``A`` (``||D|| <= ||A||`` in the Frobenius
     norm, so the test is never looser than :func:`_shift_invert`'s). A
     refused answer is retethered at ``x``, and the shift moves to its
@@ -686,12 +756,13 @@ def _arnoldi(problem: SiteProblem, v0, sigma, tol):
     (the degeneracy check's deflated one), by ARPACK in shift-invert mode
     (Ericsson & Ruhe, Math. Comp. 35, 1251 (1980)): the eigenvalue ``mu`` of
     ``(A - sigma I)^-1`` of largest modulus, with ``k = 1``, from `v0` on
-    ARNOLDI_DIM vectors, gives ``theta = sigma + 1 / mu``. The inverse is
-    applied by :func:`_gmres` on ``problem.matvec``, preconditioned by one
-    LU per harmonic diagonal block (:func:`_block_jacobi`, the deflation's
-    blocks included) and started from the preconditioned right-hand side
-    ``M b``; at cutoff 0 the one block is the whole problem, and GMRES
-    returns at its first residual check. Each solve stops at a residual of
+    ARNOLDI_DIM vectors, gives ``theta = sigma + 1 / mu``. ARPACK stays the
+    outer loop; each application of the inverse is one :func:`_gmres` solve
+    on ``problem.matvec``, right-preconditioned by one LU per harmonic
+    diagonal block (:func:`_block_jacobi`, the deflation's blocks included)
+    and started from the preconditioned right-hand side ``M b``. At cutoff 0
+    the one block is the whole problem, so ``M b`` meets the tolerance and
+    GMRES returns with no iteration. Each solve stops at a true residual of
     ``0.1 tol ||D|| ||M b||``, so its answer ``x`` (of norm about
     ``||M b||``) is exact for a perturbation of ``A`` about a tenth of the
     acceptance bound below. Every application is added to
@@ -715,7 +786,7 @@ def _arnoldi(problem: SiteProblem, v0, sigma, tol):
 
     def inverse(b):
         problem.engine.inverse_solves += 1
-        x0 = jacobi.matvec(b)
+        x0 = jacobi(b)
         x, reason = _gmres(problem, shifted, b, jacobi, atol=0.1 * bound * np.linalg.norm(x0), x0=x0)
         if x is None:
             raise EigensolverBreakdown(reason)
@@ -952,6 +1023,11 @@ def _schmidt_spectra(state, chi):
     return spectra
 
 
+def _reported_spectra(spectra):
+    """`spectra` as :attr:`SolveReport.schmidt_spectra`: the 16 largest values of every bond, as floats."""
+    return {n: [list(map(float, s[:16])) for s in bonds] for n, bonds in spectra.items()}
+
+
 def _deflated_check(engine, cfg, rng):
     """Eigenvalue nearest zero of the centre-site problem with the engine's state deflated.
 
@@ -1044,12 +1120,8 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
         )
     report.eigenvalue = final_theta
     # diagnostics
-    from .freqspace import block_norms, hermiticity_defect, trace_components
-
     spectra = _schmidt_spectra(state, stage.chi)
-    report.schmidt_spectra = {
-        n: [list(map(float, s[:16])) for s in bonds] for n, bonds in spectra.items()
-    }
+    report.schmidt_spectra = _reported_spectra(spectra)
     report.warnings.extend(_saturation_warnings(spectra.values(), stage.chi, state.phys_dim, model.chain_length))
     norms = block_norms(state)
     report.block_norm_profile = norms
@@ -1158,7 +1230,11 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
     failing solve adds a warning. Above cutoff 0, ``lambda`` is the central
     copy of its quasi-energy. The report's ``fixed_point_residual`` is the
     larger true residual of the two modes, and each `stage_log` entry
-    records its ``"target"``.
+    records its ``"target"``. ``report.schmidt_spectra`` and
+    ``report.block_norm_profile`` describe the right mode, as
+    :func:`solve_ness` describes its state; ``trace_defects`` and
+    ``hermiticity_defects`` stay empty, since a decay mode is traceless (the
+    identity overlap measures that) and need not be Hermitian.
     """
     cfg.validate()
     model.validate()
@@ -1203,7 +1279,10 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
         if resid > cfg.eig_tol
     ]
     report.warnings.extend(failures)
-    spectra = [*_schmidt_spectra(right, stage.chi).values(), *_schmidt_spectra(left, stage.chi).values()]
+    right_spectra = _schmidt_spectra(right, stage.chi)
+    report.schmidt_spectra = _reported_spectra(right_spectra)
+    report.block_norm_profile = block_norms(right)
+    spectra = [*right_spectra.values(), *_schmidt_spectra(left, stage.chi).values()]
     report.warnings.extend(_saturation_warnings(spectra, stage.chi, right.phys_dim, model.chain_length))
     report.final_residual = max(residuals.values())
     report.converged = report.final_residual <= cfg.eig_tol

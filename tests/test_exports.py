@@ -1,7 +1,10 @@
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -36,3 +39,14 @@ def test_package_reexports_exist():
         module = importlib.import_module(f"floquet_ness.{module_name}")
         assert hasattr(module, attr), f"floquet_ness.{module_name} has no {attr}"
         assert getattr(floquet_ness, attr) is getattr(module, attr)
+
+
+def test_solvers_import_without_scipy_integrate():
+    # only the dense time integrators use scipy.integrate, which imports
+    # scipy.optimize with it; building a model and solving stay without both
+    code = (
+        "import sys, floquet_ness, floquet_ness.models, floquet_ness.solver; "
+        "sys.exit('scipy.integrate' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(floquet_ness.__file__))}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
