@@ -11,7 +11,9 @@ left partner of a decay mode ``lambda``), or ``"slowest_central"``: the
 largest real part in the central Floquet zone ``|Im theta| < omega / 2``,
 since copies shifted by ``s`` harmonics sit at ``theta - i s omega`` and the
 truncated harmonic ladder carries spurious ones at its edge (at cutoff 0, with
-no ladder, every value counts). Local problems up to
+no ladder, every value counts). A shift target first tests its start: one
+whose Rayleigh quotient and residual already pass the acceptance test is
+returned with no method run. Otherwise local problems up to
 ``SweepConfig.dense_local_cutoff`` are densified: a shift target is found by
 shift-invert (one LU factorization of ``A - sigma I`` and a short Arnoldi run
 on its inverse, accepted only on a small true residual), every refused one and
@@ -28,9 +30,12 @@ Every LU is LAPACK's getrf and getrs, called without scipy's wrappers, which
 cost more than the solves at these block sizes. Either method falls back to
 the dense path, with a WARNING log, when it fails.
 Sweeping relaxes the state onto the targeted eigenvector: every
-solve (steady state, right and left decay mode) canonicalizes its start at
-the one bond dimension of the schedule, ``SweepConfig.warmup``, and runs
-single-site sweeps at that bond and one harmonic cutoff. Bonds are fixed at
+solve (steady state, right and left decay mode) canonicalizes its start once,
+at the one bond dimension of the schedule, ``SweepConfig.warmup``, and runs
+single-site sweeps at that bond and one harmonic cutoff, until the local
+eigenvalue settles or a sweep accepts every start (it only moved the gauge).
+The stage ends with one solve at the centre site ``L // 2`` that never
+accepts its start, and returns its eigenvalue. Bonds are fixed at
 the start, never grown, so the start must span them (a noisy start at the
 full bond); a bond held at the bond dimension below its exact size is
 reported. The steady state needs no trace constraint: its shifted copies sit
@@ -152,11 +157,12 @@ DENSE_LOCAL_HARD_CAP = 4096
 DEGENERACY_TOL = 1e-7  # a deflated local eigenvalue this close to 0 is degenerate
 DEFLATION_SHIFT = 1000.0  # the degeneracy check moves the converged state's eigenvalue to -this
 # Methods a local solve is counted under in `SweepEngine.local_solves`: at a
-# shift, shift-invert below the dense cutoff; above it, tethered GMRES for the
-# sweeps and shift-invert ARPACK (inverse by block-Jacobi GMRES) for the
-# deflated degeneracy check; a dense `eig` (or shift-invert) after any of them
-# failed; `eig` for the slowest central value.
-LOCAL_METHODS = ("shift_invert", "dense_eig", "arnoldi", "gmres", "dense_fallback")
+# shift, a start that already passes the acceptance test, returned with no
+# method run; shift-invert below the dense cutoff; above it, tethered GMRES
+# for the sweeps and shift-invert ARPACK (inverse by block-Jacobi GMRES) for
+# the deflated degeneracy check; a dense `eig` (or shift-invert) after any of
+# them failed; `eig` for the slowest central value.
+LOCAL_METHODS = ("converged_start", "shift_invert", "dense_eig", "arnoldi", "gmres", "dense_fallback")
 
 
 @dataclass
@@ -164,16 +170,19 @@ class SweepConfig:
     """Schedule and tolerances for the sweeping solver.
 
     `warmup` is the schedule every solve runs, exactly one
-    :class:`SweepStage` of at least one sweep. Single-site sweeps cannot grow
+    :class:`SweepStage` of at least one sweep; a sweep whose every start
+    passes the acceptance test ends it early, and one solve at the centre
+    site ``L // 2`` ends it. Single-site sweeps cannot grow
     a bond, so the start carries seeded noise of `noise_amplitude` at the
     full bond; it must be positive. Local problems up to
     `dense_local_cutoff` (at most DENSE_LOCAL_HARD_CAP) are densified: solves
     at a shift (every solve but the right decay mode's first sweep, which
-    uses `eig`) use shift-invert (LU plus a short Arnoldi on the inverse) and
-    fall back to a full `eig` when it is refused. Larger sweep problems at a
-    shift are solved by tethered GMRES with one LU per harmonic block, and
-    the degeneracy check's deflated problem by shift-invert ARPACK, whose
-    inverse is GMRES with the same block LUs.
+    uses `eig`) whose start does not already pass use shift-invert (LU plus
+    a short Arnoldi on the inverse) and fall back to a full `eig` when it is
+    refused. Larger sweep problems at a shift are solved by tethered GMRES
+    with one LU per harmonic block, and the degeneracy check's deflated
+    problem by shift-invert ARPACK, whose inverse is GMRES with the same
+    block LUs.
     """
 
     warmup: list = field(default_factory=list)
@@ -250,7 +259,9 @@ def _padded(arrays):
 class SweepEngine:
     """Mutable sweep state: site stacks and environments.
 
-    Every block is brought to mixed-canonical form at site 0, and all
+    Every block is canonicalized once, at site 0 with its bonds capped at
+    `chi` (no cap by default); `start_discarded_weight` is the relative
+    weight that dropped, summed over blocks and bonds. All
     blocks must then share their bonds (a ``ValueError`` names them
     otherwise; an exactly zero block takes the frames of a nonzero one; no
     sweep changes a bond). ``sites[i]`` stacks site `i` of
@@ -272,7 +283,7 @@ class SweepEngine:
     `inverse_solves` the applications of that inverse.
     """
 
-    def __init__(self, mpo: FloquetMPO, state: FloquetDensityMatrix):
+    def __init__(self, mpo: FloquetMPO, state: FloquetDensityMatrix, chi=None):
         self.mpo = mpo
         self.length = state.chain_length
         self.site_dim = state.site_dim
@@ -280,7 +291,12 @@ class SweepEngine:
         self.omega = state.omega
         self.cutoff = state.cutoff
         self.harmonics = list(range(-self.cutoff, self.cutoff + 1))
-        blocks = [state.block(n).mixed_canonical(0).tensors for n in self.harmonics]
+        spec = TruncationSpec() if chi is None else TruncationSpec(max_rank=chi)
+        blocks, self.start_discarded_weight = [], 0.0
+        for n in self.harmonics:
+            block, info = state.block(n).canonicalize(spec)
+            blocks.append(block.tensors)
+            self.start_discarded_weight += info.total_discarded
         # an exactly zero block (zero centre) canonicalizes to bond 1; it takes
         # the orthonormal frames of a nonzero block instead and stays zero
         frames = next((ts for ts in blocks if np.any(ts[0])), None)
@@ -370,7 +386,8 @@ class SweepEngine:
     def set_site(self, i, stack, direction="right"):
         """Write back the solved stack ``[n, p, l, r]`` (None keeps site `i`)
         and restore the gauge: one batched QR moves the orthogonality center
-        along `direction`, keeping every bond dimension."""
+        along `direction`, keeping every bond dimension. Any other
+        `direction` (None) leaves the center at `i`."""
         self.version += 1
         if stack is not None:
             self.sites[i] = stack
@@ -696,7 +713,7 @@ def _gmres(problem: SiteProblem, matvec, rhs, jacobi, atol, x0=None):
     return None, f"GMRES did not converge in {GMRES_CYCLES} cycles of {steps} steps"
 
 
-def _tethered_solve(problem: SiteProblem, v0, sigma, tol):
+def _tethered_solve(problem: SiteProblem, v0, sigma, tol, blocks):
     """Eigenpair of the local problem at a shift `sigma` that is (nearly) one
     of its eigenvalues, from the tethered linear system
     ``(A - sigma I + u u^H) x = u`` with ``u = v0 / ||v0||``.
@@ -712,8 +729,8 @@ def _tethered_solve(problem: SiteProblem, v0, sigma, tol):
     until its true residual is a tenth of the acceptance bound below; the
     ``(dim, dim)`` matrix is never built. The eigenvalue is the Rayleigh
     quotient of ``x``, accepted only on a true residual
-    ``||A x - theta x|| <= tol ||D|| ||x||``,
-    ``D`` the diagonal blocks of ``A`` (``||D|| <= ||A||`` in the Frobenius
+    ``||A x - theta x|| <= tol ||D|| ||x||``, ``D`` the diagonal blocks of
+    ``A``, given as `blocks` (``||D|| <= ||A||`` in the Frobenius
     norm, so the test is never looser than :func:`_shift_invert`'s). A
     refused answer is retethered at ``x``, and the shift moves to its
     Rayleigh quotient (so a shift well off the eigenvalue converges as
@@ -726,7 +743,6 @@ def _tethered_solve(problem: SiteProblem, v0, sigma, tol):
     norm0 = np.linalg.norm(v0)
     if not norm0 > 0:
         return None, "zero start vector"
-    blocks = problem.diagonal_blocks()
     bound = tol * np.linalg.norm(blocks)
     u = v0 / norm0
     for _ in range(TETHER_ATTEMPTS):
@@ -751,7 +767,7 @@ def _tethered_solve(problem: SiteProblem, v0, sigma, tol):
     return None, f"no pair accepted in {TETHER_ATTEMPTS} tethered solves"
 
 
-def _arnoldi(problem: SiteProblem, v0, sigma, tol):
+def _arnoldi(problem: SiteProblem, v0, sigma, tol, blocks):
     """Eigenpair nearest `sigma` of a problem with no eigenvalue at `sigma`
     (the degeneracy check's deflated one), by ARPACK in shift-invert mode
     (Ericsson & Ruhe, Math. Comp. 35, 1251 (1980)): the eigenvalue ``mu`` of
@@ -759,14 +775,14 @@ def _arnoldi(problem: SiteProblem, v0, sigma, tol):
     ARNOLDI_DIM vectors, gives ``theta = sigma + 1 / mu``. ARPACK stays the
     outer loop; each application of the inverse is one :func:`_gmres` solve
     on ``problem.matvec``, right-preconditioned by one LU per harmonic
-    diagonal block (:func:`_block_jacobi`, the deflation's blocks included)
-    and started from the preconditioned right-hand side ``M b``. At cutoff 0
-    the one block is the whole problem, so ``M b`` meets the tolerance and
-    GMRES returns with no iteration. Each solve stops at a true residual of
-    ``0.1 tol ||D|| ||M b||``, so its answer ``x`` (of norm about
-    ``||M b||``) is exact for a perturbation of ``A`` about a tenth of the
-    acceptance bound below. Every application is added to
-    ``problem.engine.inverse_solves``.
+    diagonal block (:func:`_block_jacobi` of `blocks`, the deflation's
+    included) and started from the preconditioned right-hand side ``M b``. At cutoff 0
+    the one block is the whole problem, so ``M b`` is the exact solution and
+    is returned without GMRES or a confirming matvec. Each GMRES solve
+    stops at a true residual of ``0.1 tol ||D|| ||M b||``, so its answer
+    ``x`` (of norm about ``||M b||``) is exact for a perturbation of ``A``
+    about a tenth of the acceptance bound below. Every application is added
+    to ``problem.engine.inverse_solves``.
 
     The pair is accepted only on a true residual
     ``||A v - theta v|| <= tol ||D|| ||v||``, ``D`` the diagonal blocks, as
@@ -777,16 +793,18 @@ def _arnoldi(problem: SiteProblem, v0, sigma, tol):
     no accepted pair.
     """
     dim = problem.dim
-    blocks = problem.diagonal_blocks()
     bound = tol * np.linalg.norm(blocks)
     jacobi, reason = _block_jacobi(blocks, sigma)
     if jacobi is None:
         return None, reason
     shifted = problem.matvec if sigma == 0 else lambda x: problem.matvec(x) - sigma * x
+    single_block = len(blocks) == 1  # its LU is that of the whole problem
 
     def inverse(b):
         problem.engine.inverse_solves += 1
         x0 = jacobi(b)
+        if single_block:
+            return x0
         x, reason = _gmres(problem, shifted, b, jacobi, atol=0.1 * bound * np.linalg.norm(x0), x0=x0)
         if x is None:
             raise EigensolverBreakdown(reason)
@@ -823,7 +841,35 @@ def _arnoldi(problem: SiteProblem, v0, sigma, tol):
     return None, reason
 
 
-def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff):
+def _tested_start(problem: SiteProblem, v0, sigma, bound):
+    """The start `v0` at the shift `sigma`, tested before any method runs:
+    ``(found, start)``.
+
+    ``theta`` is the Rayleigh quotient of `v0`, from one ``problem.matvec``.
+    `found` is ``(theta, v0 / ||v0||)`` when both ``|theta - sigma|`` and
+    ``||A v0 - theta v0|| / ||v0||`` are at most `bound`, else None.
+    `start` is the vector the methods start from: `v0`, unless `v0` is an
+    eigenvector (its residual within the bound) of an eigenvalue away from
+    `sigma`. Such a start spans an invariant subspace, from which
+    shift-invert and the tethered solve would return its own eigenvalue, so
+    `start` adds to it a random vector of its norm, seeded by the dimension.
+    """
+    norm0 = np.linalg.norm(v0)
+    if not norm0 > 0:
+        return None, v0
+    u = v0 / norm0
+    au = problem.matvec(u)
+    theta = np.vdot(u, au)
+    if np.linalg.norm(au - theta * u) > bound:
+        return None, v0
+    if abs(theta - sigma) <= bound:
+        return (theta, u), v0
+    rng = np.random.default_rng(problem.dim)
+    noise = rng.standard_normal(problem.dim) + 1j * rng.standard_normal(problem.dim)
+    return None, v0 + noise * (norm0 / np.linalg.norm(noise))
+
+
+def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff, accept_start=True):
     """Solve the local eigenproblem, returning ``(theta, vector)``.
 
     `target` is a shift ``sigma`` (the eigenvalue nearest it) or
@@ -831,10 +877,18 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff):
     full ``np.linalg.eig`` of the dense problem; above DENSE_LOCAL_HARD_CAP,
     or with no central eigenvalue, it raises :class:`EigensolverBreakdown`.
 
-    A shift target up to `dense_cutoff` is densified and solved by
-    :func:`_shift_invert`; a refused solve (singular or non-finite LU, zero
-    start vector, no accepted pair) is logged at DEBUG and falls back to a
-    full ``np.linalg.eig``, taking the value nearest ``sigma`` (of values
+    At a shift, the start `v0` is tested before any method runs
+    (:func:`_tested_start`) against ``tol ||D||``, ``D`` the harmonic
+    diagonal blocks (the bound of :func:`_tethered_solve` and
+    :func:`_arnoldi`, never looser than :func:`_shift_invert`'s; no test
+    when a block exceeds DENSE_LOCAL_HARD_CAP, which are not built): one
+    that already passes is returned as it is, normalized, unless
+    `accept_start` is false, and an eigenvector of an eigenvalue away from
+    the shift gets a random part added. Otherwise a shift target up to
+    `dense_cutoff` is densified and solved by :func:`_shift_invert`; a
+    refused solve (singular or non-finite LU, zero start vector, no
+    accepted pair) is logged at DEBUG and falls back to a full
+    ``np.linalg.eig``, taking the value nearest ``sigma`` (of values
     within the shift-invert residual bound of it, the one whose vector
     overlaps `v0` most). Larger problems are not densified. A sweep's shift
     is (nearly) a local eigenvalue, whose vector :func:`_tethered_solve`
@@ -847,8 +901,8 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff):
     :class:`EigensolverBreakdown`.
 
     Each solve is counted in ``problem.engine.local_solves`` under the
-    method that answered it, or under ``"dense_fallback"`` when the method
-    tried first failed.
+    method that answered it (``"converged_start"`` for an accepted start),
+    or under ``"dense_fallback"`` when the method tried first failed.
     """
     dim = problem.dim
     counts = problem.engine.local_solves
@@ -862,16 +916,22 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff):
             raise EigensolverBreakdown(f"no central local eigenvalue at dim {dim}")
         return found
     sigma = target
+    block = dim // len(problem.engine.harmonics)
+    blocks = problem.diagonal_blocks() if block <= DENSE_LOCAL_HARD_CAP else None
+    if blocks is not None:
+        found, v0 = _tested_start(problem, v0, sigma, tol * np.linalg.norm(blocks))
+        if found is not None and accept_start:
+            counts["converged_start"] += 1
+            return found
     fallback = False
     if dim > max(dense_cutoff, 2):  # ARPACK needs k = 1 < dim - 1
         method, name, solve = (
             ("arnoldi", "Arnoldi", _arnoldi) if problem.deflation else ("gmres", "tethered GMRES", _tethered_solve)
         )
-        block = dim // len(problem.engine.harmonics)
-        if block > DENSE_LOCAL_HARD_CAP:  # both factorize the harmonic blocks
+        if blocks is None:  # both factorize the harmonic blocks
             found, reason = None, f"harmonic block of dim {block} above the dense cap"
         else:
-            found, reason = solve(problem, v0, sigma, tol)
+            found, reason = solve(problem, v0, sigma, tol, blocks)
         if found is not None:
             counts[method] += 1
             return found
@@ -915,29 +975,40 @@ def _run_sweeps(engine, cfg, stage, target, label):
     (Yu, Pekker, Clark, PRL 118, 017201 (2017)). A sweep's residual is the
     largest distance of its local eigenvalues from a shift `target`, or for
     ``"slowest_central"`` their spread relative to the last one; a residual
-    within ``cfg.eig_tol`` stops the stage from the third sweep on. Every
+    within ``cfg.eig_tol`` stops the stage from the third sweep on. A sweep
+    whose every local solve accepted its start (``"converged_start"``) only
+    moved the gauge, and the next would do the same, so it stops the stage
+    at any sweep. The stage then ends with one solve at the centre site
+    ``L // 2`` at the last shift, which never accepts its start: `theta` is
+    its eigenvalue, and the engine's orthogonality centre stays there. Every
     local solve writes a unit-norm centre vector into orthonormal frames, so
     the state keeps unit norm and its bond dimensions. `log` records one entry
     per sweep under ``"sweep_residuals"`` and ``"max_bond"`` (after the
     sweep), under ``"local_solves"`` the stage's local solves counted by
-    method (`SweepEngine.local_solves`), and under ``"gmres_iterations"``
-    the iterations of its tethered GMRES solves.
+    method (`SweepEngine.local_solves`, the centre solve included), and
+    under ``"gmres_iterations"`` the iterations of its tethered GMRES solves.
     """
     log = {"sweep_residuals": [], "max_bond": []}
     local_target = target
+
+    def solve(site, direction, accept_start=True):
+        problem = engine.site_problem(site)
+        theta, vec = _local_eigensolve(
+            problem,
+            problem.current_vector(),
+            local_target,
+            tol=_local_tol(cfg),
+            dense_cutoff=cfg.dense_local_cutoff,
+            accept_start=accept_start,
+        )
+        engine.set_site(site, problem.unpack(vec), direction=direction)
+        return complex(theta)
+
+    sites = _sweep_sites(engine.length)
     for sweep in range(stage.sweeps):
-        sweep_thetas = []
-        for site, direction in _sweep_sites(engine.length):
-            problem = engine.site_problem(site)
-            theta, vec = _local_eigensolve(
-                problem,
-                problem.current_vector(),
-                local_target,
-                tol=_local_tol(cfg),
-                dense_cutoff=cfg.dense_local_cutoff,
-            )
-            engine.set_site(site, problem.unpack(vec), direction=direction)
-            sweep_thetas.append(complex(theta))
+        accepted = engine.local_solves["converged_start"]
+        sweep_thetas = [solve(site, direction) for site, direction in sites]
+        idle = engine.local_solves["converged_start"] - accepted == len(sites)
         if target == "slowest_central":
             spread = max(abs(t - sweep_thetas[-1]) for t in sweep_thetas)
             resid = spread / max(abs(sweep_thetas[-1]), 1e-30)
@@ -948,37 +1019,35 @@ def _run_sweeps(engine, cfg, stage, target, label):
         log["max_bond"].append(max(max(s.shape[2:]) for s in engine.sites))
         logger.debug("%s sweep %d: residual %.3e", label, sweep + 1, resid)
         # the first sweeps only rotate a random start into place
-        if resid <= cfg.eig_tol and sweep >= 2:
+        if idle or (resid <= cfg.eig_tol and sweep >= 2):
             break
+    centre = engine.length // 2
+    engine.advance_to(centre)
+    theta = solve(centre, None, accept_start=False)
     log["local_solves"] = dict(engine.local_solves)
     log["gmres_iterations"] = engine.gmres_iterations
-    return log, sweep_thetas[-1]
+    return log, theta
 
 
 def _sweep_schedule(mpo, state, cfg, report, target, label):
     """Sweep `state` through the stage of ``cfg.warmup`` towards `target`.
 
-    Every block of `state` is canonicalized at the stage's bond dimension,
-    with no weight cutoff; the sweeps keep those bonds. :func:`_run_sweeps`
-    then runs on an engine of `mpo`. Its log goes to ``report.stage_log``
-    with `label`, `target` (a shift as ``[re, im]``),
+    An engine of `mpo` canonicalizes every block of `state` once, at the
+    stage's bond dimension with no weight cutoff; the sweeps keep those
+    bonds. :func:`_run_sweeps` then runs on that engine. Its log goes to
+    ``report.stage_log`` with `label`, `target` (a shift as ``[re, im]``),
     cutoff, bond dimension, ``"start_discarded_weight"`` (the relative
     weight the start's canonicalization dropped, summed over blocks and
     bonds) and ``"seconds"``, the stage's wall time; its residuals extend
     ``report.sweep_residuals``. Returns ``(engine, theta)``: the engine,
     which holds the swept state (``engine.state()``) with its orthogonality
-    centre at site 0 and its environments, and the last local eigenvalue.
-    The degeneracy check goes on from that engine.
+    centre at the centre site ``L // 2`` and its environments, and the
+    eigenvalue of the stage's last solve, the one at that site. The
+    degeneracy check goes on from that engine.
     """
     (stage,) = cfg.warmup
     start = time.perf_counter()
-    spec = TruncationSpec(max_rank=stage.chi)
-    blocks, discarded = {}, 0.0
-    for n in state.harmonics:
-        blocks[n], info = state.block(n).canonicalize(spec)
-        discarded += info.total_discarded
-    state = FloquetDensityMatrix(blocks, state.omega, state.cutoff, state.chain_length, state.site_dim)
-    engine = SweepEngine(mpo, state)
+    engine = SweepEngine(mpo, state, chi=stage.chi)
     log, theta = _run_sweeps(engine, cfg, stage, target, label)
     logged = target if isinstance(target, str) else [target.real, target.imag]
     entry = {
@@ -986,7 +1055,7 @@ def _sweep_schedule(mpo, state, cfg, report, target, label):
         "target": logged,
         "n_c": stage.n_c,
         "chi": stage.chi,
-        "start_discarded_weight": float(discarded),
+        "start_discarded_weight": float(engine.start_discarded_weight),
         "seconds": time.perf_counter() - start,
     }
     report.stage_log.append({**entry, **log})
@@ -1031,11 +1100,11 @@ def _reported_spectra(spectra):
 def _deflated_check(engine, cfg, rng):
     """Eigenvalue nearest zero of the centre-site problem with the engine's state deflated.
 
-    `engine` is the sweep engine that converged the state (its centre at or
-    left of the centre site ``L // 2``). The check QR-moves its centre
-    rightward to that site, which changes the gauge but not the state, so
-    the state's local image in the orthonormal frames is the centre vector
-    ``x0``, and the local term ``-DEFLATION_SHIFT x0 x0^H / ||x0||^2``
+    `engine` is the sweep engine that converged the state, its centre at
+    the centre site ``L // 2``, where the stage's last solve left it (a
+    centre left of it is QR-moved there, which changes the gauge but not the
+    state). So the state's local image in the orthonormal frames is the
+    centre vector ``x0``, and the local term ``-DEFLATION_SHIFT x0 x0^H / ||x0||^2``
     (:class:`SiteProblem`) is the projected Wielandt deflation of the
     converged state. It moves the local eigenvalue of the state to about
     ``-DEFLATION_SHIFT`` and leaves every other local eigenvalue in place, so

@@ -220,6 +220,29 @@ def test_engine_refuses_blocks_of_different_bonds():
     assert np.max(np.abs(phi.conj().T @ phi - np.eye(phi.shape[1]))) < 1e-12
 
 
+def test_engine_canonicalizes_each_block_once(monkeypatch):
+    # a solve's engine canonicalizes every block once, at the stage's bond,
+    # and reports the weight that dropped, summed over blocks and bonds
+    model = driven_three_site_model()
+    mpo = build_extended_lindbladian(model, 1)
+    rng = np.random.default_rng(5)
+    blocks = {n: Mps.random(3, 4, 4, rng, norm=1.0) for n in (-1, 0, 1)}
+    state = FloquetDensityMatrix(blocks, model.omega, 1, 3)
+    dropped = sum(b.canonicalize(TruncationSpec(max_rank=2))[1].total_discarded for b in blocks.values())
+    calls = []
+    original = Mps.canonicalize
+
+    def counts(self, spec=None):
+        calls.append(spec)
+        return original(self, spec)
+
+    monkeypatch.setattr(Mps, "canonicalize", counts)
+    engine = SweepEngine(mpo, state, chi=2)
+    assert calls == [TruncationSpec(max_rank=2)] * 3
+    assert engine.start_discarded_weight == dropped > 0
+    assert [s.shape for s in engine.sites] == [(3, 4, 1, 2), (3, 4, 2, 2), (3, 4, 2, 1)]
+
+
 def test_stale_problem_rejected():
     model = single_qubit_model()
     mpo = build_extended_lindbladian(model, 0)
@@ -470,6 +493,28 @@ def test_refused_shift_invert_arpack_returns_the_dense_answer(case, monkeypatch,
         solver._local_eigensolve(problem, **solve)
 
 
+def test_single_block_inverse_is_the_block_lu(monkeypatch):
+    # at cutoff 0 the one harmonic block is the whole deflated problem, so
+    # its LU solve is the inverse: no GMRES runs and no matvec confirms it
+    model = single_qubit_model(gamma=0.7, omega_z=1.1, drive=4.0)
+    ness, _ = solve_ness(model, quick_config(0, 4))
+    engine = SweepEngine(build_extended_lindbladian(model, 0), ness)
+    values = np.linalg.eigvals(engine.site_problem(0).dense_matrix())
+    runner_up = values[np.argsort(np.abs(values))[1]]
+    problem = engine.site_problem(0, deflation=solver.DEFLATION_SHIFT)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("GMRES ran")
+
+    monkeypatch.setattr(solver, "_gmres", refuse)
+    rng = np.random.default_rng(3)
+    v0 = rng.standard_normal(problem.dim) + 1j * rng.standard_normal(problem.dim)
+    theta, _ = solver._local_eigensolve(problem, v0, 0.0, tol=1e-10, dense_cutoff=0)
+    assert abs(theta - runner_up) < 1e-10
+    assert engine.local_solves == counted(arnoldi=1)
+    assert engine.inverse_solves > 0 and engine.gmres_iterations == 0
+
+
 def keep_checked_engine(monkeypatch):
     """Record the engine of every degeneracy check, with its GMRES count before the check."""
     checked = []
@@ -676,6 +721,60 @@ def test_tethered_solve_matches_dense_eig(chain, offset, caplog):
     assert not caplog.records
 
 
+def converged_ising_l3():
+    """Converged steady state of Ising L=3, n_c=1, chi=8, and its generator."""
+    model = ising_l3()
+    ness, _ = solve_ness(model, quick_config(1, 8))
+    return ness, build_extended_lindbladian(model, 1)
+
+
+@pytest.mark.parametrize("cutoff", [700, 0], ids=["dense", "gmres"])
+def test_converged_starts_are_accepted_before_any_method(cutoff, monkeypatch):
+    # on a converged engine every site's start passes the acceptance test:
+    # with the LU, the dense matrix and the block-Jacobi preconditioner
+    # refusing to run, each solve returns its start, normalized, with its
+    # Rayleigh quotient
+    ness, mpo = converged_ising_l3()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a local method ran")
+
+    monkeypatch.setattr(solver, "_lu", refuse)
+    monkeypatch.setattr(solver, "_block_jacobi", refuse)
+    monkeypatch.setattr(solver.SiteProblem, "dense_matrix", refuse)
+    engine = SweepEngine(mpo, ness)
+    for site in range(3):
+        engine.advance_to(site)
+        problem = engine.site_problem(site)
+        v0 = problem.current_vector()
+        theta, vec = solver._local_eigensolve(problem, v0, 0.0, tol=1e-11, dense_cutoff=cutoff)
+        assert np.array_equal(vec, v0 / np.linalg.norm(v0))
+        assert theta == np.vdot(vec, problem.matvec(vec))
+        assert abs(theta) <= 1e-11 * np.linalg.norm(problem.diagonal_blocks())
+    assert engine.local_solves == counted(converged_start=3)
+
+
+@pytest.mark.parametrize("cutoff, method", [(700, "shift_invert"), (0, "gmres")], ids=["dense", "gmres"])
+def test_eigenvector_away_from_the_shift_is_not_accepted(cutoff, method):
+    # an exact eigenvector of the runner-up eigenvalue passes the residual
+    # test but not the shift test, so a method runs; from that start alone
+    # shift-invert and the tethered solve would return the runner-up, so the
+    # start gets a random part, and the solve returns the eigenpair nearest 0
+    ness, mpo = converged_ising_l3()
+    for site in range(3):
+        engine = SweepEngine(mpo, ness)
+        engine.advance_to(site)
+        problem = engine.site_problem(site)
+        mat = problem.dense_matrix()
+        values, vectors = np.linalg.eig(mat)
+        nearest, runner_up = np.argsort(np.abs(values))[:2]
+        assert abs(values[runner_up]) > 0.1
+        theta, vec = solver._local_eigensolve(problem, vectors[:, runner_up], 0.0, tol=1e-11, dense_cutoff=cutoff)
+        assert engine.local_solves == counted(**{method: 1})
+        assert abs(theta - values[nearest]) <= 1e-12 * np.linalg.norm(mat)
+        assert abs(np.vdot(vectors[:, nearest], vec)) >= 1 - 1e-10
+
+
 @pytest.mark.parametrize("case", ["gmres", "singular_block"])
 def test_refused_tethered_solve_returns_the_dense_answer(case, monkeypatch, caplog):
     # a GMRES run that does not converge and a harmonic block whose LU meets
@@ -717,7 +816,13 @@ def test_refused_tethered_solve_returns_the_dense_answer(case, monkeypatch, capl
     monkeypatch.setattr(solver, "DENSE_LOCAL_HARD_CAP", problem.dim - 1)
     with pytest.raises(EigensolverBreakdown, match=reason):
         solver._local_eigensolve(problem, **solve)
+    # blocks above the cap are never built, not even for the start test
     monkeypatch.setattr(solver, "DENSE_LOCAL_HARD_CAP", problem.dim // 3 - 1)
+
+    def refuse():
+        raise AssertionError("diagonal blocks built above the cap")
+
+    monkeypatch.setattr(problem, "diagonal_blocks", refuse)
     with pytest.raises(EigensolverBreakdown, match="harmonic block of dim 64 above the dense cap"):
         solver._local_eigensolve(problem, **solve)
 
@@ -726,14 +831,17 @@ def test_refused_tethered_solve_returns_the_dense_answer(case, monkeypatch, capl
 def test_solve_ness_tethered_gmres_matches_oracle(n_c):
     # at cutoff 100 the centre site (dimension 192 at n_c = 1, 320 at n_c = 2)
     # is solved by tethered GMRES, and only the degeneracy check by ARPACK;
-    # the stage log sums the GMRES iterations
+    # the stage log sums the GMRES iterations. The first sweep solves site 0
+    # by shift-invert and the centre by GMRES, after which every start
+    # passes: the second sweep is idle and ends the stage, whose last solve
+    # is GMRES at the centre
     model = ising_l3()
     state, report = solve_ness(model, quick_config(n_c, 8, noise_amplitude=1e-5, dense_local_cutoff=100))
     assert report.converged
     assert block_error(state, model, n_c) < 1e-7
     (entry,) = report.stage_log
-    sweeps = len(entry["sweep_residuals"])
-    assert entry["local_solves"] == counted(shift_invert=2 * sweeps, gmres=2 * sweeps, arnoldi=1)
+    assert len(entry["sweep_residuals"]) == 2
+    assert entry["local_solves"] == counted(converged_start=6, shift_invert=1, gmres=2, arnoldi=1)
     logged = json.loads(json.dumps(report.to_dict()))["stage_log"]
     assert logged[0]["gmres_iterations"] == entry["gmres_iterations"] > 0
 
@@ -742,24 +850,49 @@ def test_solve_ness_tethered_gmres_matches_oracle(n_c):
 @pytest.mark.parametrize("chain", ["ising", "dtc"])
 def test_stage_log_counts_local_solves_by_method(chain):
     # every local solve is counted once, under the method that answered it:
-    # all by shift-invert, the production stage's count including the one
-    # solve of the deflated degeneracy check (not the sweep engine's
-    # cumulative count, on which the check runs)
+    # the first sweep's first two by shift-invert, and every later start
+    # passes (4 solves per sweep at L = 3), so the second sweep is idle and
+    # ends the stage; then the centre solve and the deflated degeneracy
+    # check, both by shift-invert
     model = ising_l3() if chain == "ising" else build_dtc_model(DTCParams(chain_length=3), n_c=1)
     _, report = solve_ness(model, quick_config(1, 8))
-    last = len(report.stage_log) - 1
-    for idx, entry in enumerate(report.stage_log):
-        counts = entry["local_solves"]
-        sweeps = len(entry["sweep_residuals"])
-        check = 1 if idx == last else 0
-        solves = sweeps * 4 + check  # 2 (L - 1) solves per sweep at L = 3
-        assert counts == counted(shift_invert=solves)
-        assert entry["gmres_iterations"] == 0
-        assert ("degeneracy_gap" in entry) == bool(check)
-    assert report.stage_log[-1]["degeneracy_gap"] > solver.DEGENERACY_TOL
-    logged = json.loads(json.dumps(report.to_dict()))["stage_log"]
-    assert [e["local_solves"] for e in logged] == [e["local_solves"] for e in report.stage_log]
-    assert logged[-1]["degeneracy_gap"] == report.stage_log[-1]["degeneracy_gap"]
+    (entry,) = report.stage_log
+    assert len(entry["sweep_residuals"]) == 2
+    assert entry["local_solves"] == counted(converged_start=6, shift_invert=4)
+    assert entry["gmres_iterations"] == 0
+    assert entry["degeneracy_gap"] > solver.DEGENERACY_TOL
+    (logged,) = json.loads(json.dumps(report.to_dict()))["stage_log"]
+    assert logged["local_solves"] == entry["local_solves"]
+    assert logged["degeneracy_gap"] == entry["degeneracy_gap"]
+
+
+def test_idle_second_sweep_ends_the_stage_at_the_centre(monkeypatch):
+    # on Ising L=3 every start passes after the first sweep's first two
+    # solves, so the second sweep only moves the gauge and ends the stage
+    # before the third; one solve at the centre site L // 2 follows, which
+    # never accepts its start, and the stage returns its eigenvalue with the
+    # engine's centre left there
+    solves = []
+    original = solver._local_eigensolve
+
+    def records(problem, *args, **kwargs):
+        found = original(problem, *args, **kwargs)
+        solves.append((problem.site, kwargs.get("accept_start", True), found[0]))
+        return found
+
+    monkeypatch.setattr(solver, "_local_eigensolve", records)
+    model = ising_l3()
+    cfg = quick_config(1, 8)
+    start = initial_guess(3, 2, 1, model.omega, noise_amplitude=cfg.noise_amplitude, seed=cfg.seed, noise_bond=8)
+    report = solver.SolveReport()
+    engine, theta = solver._sweep_schedule(build_extended_lindbladian(model, 1), start, cfg, report, 0.0, "ness")
+    (entry,) = report.stage_log
+    assert len(entry["sweep_residuals"]) == 2 < cfg.warmup[0].sweeps
+    assert entry["local_solves"] == counted(converged_start=6, shift_invert=3)
+    assert [site for site, _, _ in solves] == [0, 1, 2, 1] * 2 + [1]
+    assert [accept for _, accept, _ in solves] == [True] * 8 + [False]
+    assert theta == solves[-1][2]
+    assert engine.center == 1
 
 
 @pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # DTC harmonics exceed n_c = 1
@@ -775,7 +908,7 @@ def test_deflated_check_matches_eig_runner_up(chain):
     start = initial_guess(3, 2, 1, model.omega, noise_amplitude=cfg.noise_amplitude, seed=cfg.seed, noise_bond=8)
     engine, _ = solver._sweep_schedule(mpo, start, cfg, solver.SolveReport(), 0.0, "ness")
     state = engine.state()
-    assert engine.local_solves["shift_invert"] > 1
+    assert engine.local_solves == counted(converged_start=6, shift_invert=3)
     before = dict(engine.local_solves)
     theta = solver._deflated_check(engine, cfg, np.random.default_rng(3))
     assert {method: count - before[method] for method, count in engine.local_solves.items()} == counted(shift_invert=1)
@@ -879,18 +1012,13 @@ def test_stage_log_reports_discarded_weight_and_bond():
     assert logged[0]["start_discarded_weight"] == entry["start_discarded_weight"]
 
 
-def assert_right_solve_tracks_after_one_eig_sweep(decay, per_sweep):
+def assert_right_solve_tracks_after_one_eig_sweep(decay, per_sweep, centre):
     # one dense eig per local solve of the first sweep (`per_sweep` of them);
-    # every later right solve at the tracked shift, by shift-invert or its
-    # eig fallback
+    # at the tracked shift every start of the second sweep passes, so it is
+    # idle and ends the stage, and the centre solve answers by `centre`
     (entry,) = [e for e in decay.report.stage_log if e["label"] == "decay right"]
-    counts = entry["local_solves"]
-    first = per_sweep
-    later = (len(entry["sweep_residuals"]) - 1) * first
-    assert later > 0
-    assert counts["dense_eig"] == first
-    assert counts["shift_invert"] + counts["dense_fallback"] == later
-    assert counts["arnoldi"] == 0
+    assert len(entry["sweep_residuals"]) == 2
+    assert entry["local_solves"] == counted(dense_eig=per_sweep, converged_start=per_sweep, **{centre: 1})
 
 
 def test_decay_mode_amplitude_damping():
@@ -904,19 +1032,20 @@ def test_decay_mode_amplitude_damping():
     assert decay.identity_overlap < 1e-8
     assert decay.steady_overlap < 1e-6
     assert decay.report.converged and not decay.report.warnings
-    # the right mode's first sweep is solved by eig, its later sweeps and the
-    # left mode at a shift, where the LU can be exactly singular on this qubit
-    # (the shift is an exact local eigenvalue) and the solve falls back to eig
-    assert_right_solve_tracks_after_one_eig_sweep(decay, 1)
+    # the right mode's first sweep is solved by eig, the centre solves of
+    # both modes at a shift, where the LU is exactly singular on this qubit
+    # (the shift is an exact local eigenvalue) and the solve falls back to
+    # eig; the right mode is also the left one, so the left solve's one
+    # sweep is idle
+    assert_right_solve_tracks_after_one_eig_sweep(decay, 1, "dense_fallback")
     logged = json.loads(json.dumps(decay.report.to_dict()))
     for entry, exported in zip(decay.report.stage_log, logged["stage_log"]):
-        solves = sum(entry["local_solves"].values())
         if entry["label"] == "decay right":
             assert exported["target"] == "slowest_central"
         else:
             assert exported["target"] == [decay.eigenvalue.real, -decay.eigenvalue.imag]
-            assert entry["local_solves"]["dense_eig"] == 0
-            assert entry["local_solves"]["shift_invert"] + entry["local_solves"]["dense_fallback"] == solves > 0
+            assert len(entry["sweep_residuals"]) == 1
+            assert entry["local_solves"] == counted(converged_start=1, dense_fallback=1)
     assert logged["fixed_point_residual"] == decay.report.fixed_point_residual < 1e-10
 
 
@@ -1111,7 +1240,7 @@ def test_decay_report_describes_the_right_mode(ising_l3_decay):
 
 
 def test_decay_right_solve_tracks_a_shift_on_ising_l3(ising_l3_decay):
-    assert_right_solve_tracks_after_one_eig_sweep(ising_l3_decay[2], 4)
+    assert_right_solve_tracks_after_one_eig_sweep(ising_l3_decay[2], 4, "shift_invert")
 
 
 @pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # Ising harmonics exceed n_c = 0
