@@ -18,7 +18,7 @@ import json
 
 import numpy as np
 
-from .mps import Mps
+from .mps import Mps, product_sum_norm
 from .superops import vectorize_choi
 from .tensors import TruncationSpec
 
@@ -171,10 +171,11 @@ def compress(state: FloquetDensityMatrix, spec: TruncationSpec):
 def hermiticity_defect(state: FloquetDensityMatrix):
     """Relative defect ``|rho^n - (rho^(-n))^dag| / |rho^0|`` per harmonic.
 
-    The norm is taken of the canonicalized difference MPS, so it does not
-    cancel the way ``|a|^2 + |b|^2 - 2 Re <a|b>`` does for nearly equal
-    terms. Raises for states with a vanishing static block, for which the
-    normalization is meaningless.
+    The norm of the difference is the zip-up norm of a sum
+    (:func:`~floquet_ness.mps.product_sum_norm`), one QR sweep that forms no
+    sum MPS and does not cancel the way ``|a|^2 + |b|^2 - 2 Re <a|b>`` does
+    for nearly equal terms. Raises for states with a vanishing static block,
+    for which the normalization is meaningless.
     """
     ref = state.block(0).norm()
     if ref == 0.0:
@@ -182,7 +183,7 @@ def hermiticity_defect(state: FloquetDensityMatrix):
     out = {}
     for n in state.harmonics:
         reflected = state.block(-n).dagger_reflect(state.site_dim).scaled(-1.0)
-        out[n] = state.block(n).add(reflected).canonicalize()[0].norm() / ref
+        out[n] = product_sum_norm([(None, state.block(n)), (None, reflected)]) / ref
     return out
 
 

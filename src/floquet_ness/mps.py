@@ -223,19 +223,6 @@ class Mps:
             tensors[i - 1] = np.tensordot(tensors[i - 1], us, axes=([2], [0]))
         return Mps(tensors), CompressionInfo(spectra, weights)
 
-    def mixed_canonical(self, center, spec=None):
-        """Gauge with left-orthonormal tensors < center and right-orthonormal > center."""
-        out, _ = self.canonicalize(spec)  # left gauge, center at 0
-        tensors = out.tensors
-        for i in range(center):
-            p, l, r = tensors[i].shape
-            q, rmat = np.linalg.qr(tensors[i].reshape(p * l, r))
-            tensors[i] = q.reshape(p, l, -1)
-            tensors[i + 1] = np.tensordot(rmat, tensors[i + 1], axes=([1], [1])).transpose(
-                1, 0, 2
-            )
-        return Mps(tensors)
-
     def apply_mpo(self, mpo, spec=None):
         """Apply an MPO and recompress with the given truncation."""
         if len(mpo) != len(self):

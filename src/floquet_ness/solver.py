@@ -32,10 +32,10 @@ the dense path, with a WARNING log, when it fails.
 Sweeping relaxes the state onto the targeted eigenvector: every
 solve (steady state, right and left decay mode) canonicalizes its start once,
 at the one bond dimension of the schedule, ``SweepConfig.warmup``, and runs
-single-site sweeps at that bond and one harmonic cutoff, until the local
-eigenvalue settles or a sweep accepts every start (it only moved the gauge).
-The stage ends with one solve at the centre site ``L // 2`` that never
-accepts its start, and returns its eigenvalue. Bonds are fixed at
+single-site sweeps at that bond and one harmonic cutoff, until a sweep
+accepts every start (it only moved the gauge) or the stage's sweep count is
+reached. The stage ends with one solve at the centre site ``L // 2`` that
+never accepts its start, and returns its eigenvalue. Bonds are fixed at
 the start, never grown, so the start must span them (a noisy start at the
 full bond); a bond held at the bond dimension below its exact size is
 reported. The steady state needs no trace constraint: its shifted copies sit
@@ -49,9 +49,12 @@ generator: a product operator added to the ``q = 0`` transfer component. So
 every sweep contracts one MPO and nothing else. It is the only trace
 mechanism: the decay modes are returned as swept, never projected or truncated.
 
-Every solve ends with its true fixed-point residual ``||(L - theta) x|| /
-||x||``, streamed through one QR sweep per output harmonic block, so the
-image ``L x`` is never built (:func:`_eigen_residual`).
+Both solves finish their report in one place (:func:`_finish_report`): the
+last sweep residuals against ``eig_tol``, the described mode's Schmidt
+spectra and block norms, saturated bonds of every mode, and the true
+fixed-point residual ``||(L - theta) x|| / ||x||`` of every mode, streamed
+through one QR sweep per output harmonic block, so the image ``L x`` is
+never built (:func:`_eigen_residual`).
 
 Harmonic blocks ``n`` couple only through the transfer components ``q``, so
 every local operation is one contraction batched over the live pairs
@@ -172,7 +175,9 @@ class SweepConfig:
     `warmup` is the schedule every solve runs, exactly one
     :class:`SweepStage` of at least one sweep; a sweep whose every start
     passes the acceptance test ends it early, and one solve at the centre
-    site ``L // 2`` ends it. Single-site sweeps cannot grow
+    site ``L // 2`` ends it. `eig_tol` stops no sweep: a stage whose last
+    sweep residual exceeds it is reported unconverged, with a warning, and
+    it sets the local solves' residual bound. Single-site sweeps cannot grow
     a bond, so the start carries seeded noise of `noise_amplitude` at the
     full bond; it must be positive. Local problems up to
     `dense_local_cutoff` (at most DENSE_LOCAL_HARD_CAP) are densified: solves
@@ -968,17 +973,17 @@ def _sweep_sites(length):
 
 
 def _run_sweeps(engine, cfg, stage, target, label):
-    """Sweep single sites until the local eigenvalue settles; returns ``(log, theta)``.
+    """Sweep single sites until a sweep only moves the gauge; returns ``(log, theta)``.
 
     For ``"slowest_central"`` only the first sweep solves for it; later sweeps
     track the mode at the sweep before's last local eigenvalue, as a shift
     (Yu, Pekker, Clark, PRL 118, 017201 (2017)). A sweep's residual is the
     largest distance of its local eigenvalues from a shift `target`, or for
-    ``"slowest_central"`` their spread relative to the last one; a residual
-    within ``cfg.eig_tol`` stops the stage from the third sweep on. A sweep
-    whose every local solve accepted its start (``"converged_start"``) only
-    moved the gauge, and the next would do the same, so it stops the stage
-    at any sweep. The stage then ends with one solve at the centre site
+    ``"slowest_central"`` their spread relative to the last one; it is
+    logged, and stops nothing. A sweep whose every local solve accepted its
+    start (``"converged_start"``) only moved the gauge, and the next would
+    do the same, so it ends the stage; otherwise the stage runs
+    ``stage.sweeps`` sweeps. The stage then ends with one solve at the centre site
     ``L // 2`` at the last shift, which never accepts its start: `theta` is
     its eigenvalue, and the engine's orthogonality centre stays there. Every
     local solve writes a unit-norm centre vector into orthonormal frames, so
@@ -1018,8 +1023,7 @@ def _run_sweeps(engine, cfg, stage, target, label):
         log["sweep_residuals"].append(float(resid))
         log["max_bond"].append(max(max(s.shape[2:]) for s in engine.sites))
         logger.debug("%s sweep %d: residual %.3e", label, sweep + 1, resid)
-        # the first sweeps only rotate a random start into place
-        if idle or (resid <= cfg.eig_tol and sweep >= 2):
+        if idle:
             break
     centre = engine.length // 2
     engine.advance_to(centre)
@@ -1086,15 +1090,36 @@ def _saturation_warnings(spectra, chi, phys, length):
     return [f"bond dimension {chi} saturated below the exact bond at bonds {saturated}; chi may truncate the state"]
 
 
-def _schmidt_spectra(state, chi):
-    """Schmidt values ``{n: [per bond]}`` of `state` compressed at bond `chi` and WEIGHT_CUTOFF."""
-    _, _, spectra = compress(state, TruncationSpec(max_rank=chi, weight_cutoff=WEIGHT_CUTOFF))
-    return spectra
+def _finish_report(report, cfg, modes, eigenvalue):
+    """Fill in what every solve reports, from ``report.stage_log`` and the
+    solve's `modes` ``[(mpo, state, theta), ...]``, the described mode first.
 
-
-def _reported_spectra(spectra):
-    """`spectra` as :attr:`SolveReport.schmidt_spectra`: the 16 largest values of every bond, as floats."""
-    return {n: [list(map(float, s[:16])) for s in bonds] for n, bonds in spectra.items()}
+    `final_residual` is the largest last sweep residual of the stages, and
+    `converged` holds when it is at most ``cfg.eig_tol``; each stage above it
+    adds a warning under its label. `eigenvalue` is reported as given.
+    `schmidt_spectra` (the 16 largest values of every bond, compressed at the
+    stage's bond dimension and WEIGHT_CUTOFF) and `block_norm_profile`
+    describe the first mode; :func:`_saturation_warnings` covers the bonds of
+    every mode, and `fixed_point_residual` is the largest
+    :func:`_eigen_residual` of a mode at its `theta`.
+    """
+    last = {entry["label"]: entry["sweep_residuals"][-1] for entry in report.stage_log}
+    report.warnings.extend(
+        f"{label}: last sweep residual {resid:.2e} above eig_tol {cfg.eig_tol:.1e}"
+        for label, resid in last.items()
+        if resid > cfg.eig_tol
+    )
+    report.final_residual = max(last.values())
+    report.converged = report.final_residual <= cfg.eig_tol
+    report.eigenvalue = eigenvalue
+    chi = cfg.warmup[0].chi
+    spectra = [compress(state, TruncationSpec(max_rank=chi, weight_cutoff=WEIGHT_CUTOFF))[2] for _, state, _ in modes]
+    first = modes[0][1]
+    report.schmidt_spectra = {n: [list(map(float, s[:16])) for s in bonds] for n, bonds in spectra[0].items()}
+    report.block_norm_profile = block_norms(first)
+    bonds = [b for spectrum in spectra for b in spectrum.values()]
+    report.warnings.extend(_saturation_warnings(bonds, chi, first.phys_dim, first.chain_length))
+    report.fixed_point_residual = max(_eigen_residual(*mode) for mode in modes)
 
 
 def _deflated_check(engine, cfg, rng):
@@ -1142,11 +1167,10 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
     the `stage_log` entry records its ``"degeneracy_gap"``, counts its local
     solve, its time and its GMRES iterations, and records under
     ``"degeneracy_inverse_solves"`` how often it applied the shift-invert
-    inverse (0 when it ran densely). ``report.fixed_point_residual`` is
-    :func:`_eigen_residual` of the normalized state. The report warns about
-    weight in the edge harmonic, Hermiticity defects, a final residual above
-    tolerance and a bond saturated at the bond dimension
-    (:func:`_saturation_warnings`).
+    inverse (0 when it ran densely). :func:`_finish_report` describes the
+    normalized state at ``theta = 0``, with the centre solve's eigenvalue;
+    only a steady state adds its trace and Hermiticity defects per harmonic
+    and warns about weight in the edge harmonic and Hermiticity defects.
     """
     cfg.validate()
     model.validate()
@@ -1181,24 +1205,13 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
     if abs(t0) < 1e-12:
         raise SolverError("converged state carries no trace in the static block")
     state = state.scaled(1.0 / t0)
-    report.final_residual = report.sweep_residuals[-1]
-    report.converged = report.final_residual <= cfg.eig_tol
-    if not report.converged:
-        report.warnings.append(
-            f"final residual {report.final_residual:.3e} above eig_tol {cfg.eig_tol:.1e}"
-        )
-    report.eigenvalue = final_theta
-    # diagnostics
-    spectra = _schmidt_spectra(state, stage.chi)
-    report.schmidt_spectra = _reported_spectra(spectra)
-    report.warnings.extend(_saturation_warnings(spectra.values(), stage.chi, state.phys_dim, model.chain_length))
-    norms = block_norms(state)
-    report.block_norm_profile = norms
+    _finish_report(report, cfg, [(mpo, state, 0.0)], final_theta)
     traces = trace_components(state)
     report.trace_defects = {
         n: abs(traces[n] - (1.0 if n == 0 else 0.0)) for n in traces
     }
     report.hermiticity_defects = hermiticity_defect(state)
+    norms = report.block_norm_profile
     ref = norms[0] if norms.get(0) else 1.0
     edge = norms.get(n_c, 0.0) / ref
     if edge > CONVERGENCE_TOL:
@@ -1211,7 +1224,6 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
         report.warnings.append(
             f"hermiticity defect {worst_defect:.2e} above tolerance {CONVERGENCE_TOL:.1e}"
         )
-    report.fixed_point_residual = _eigen_residual(mpo, state, 0.0)
     report.wall_time = time.perf_counter() - start
     return state, report
 
@@ -1290,31 +1302,26 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
     every block; and ``lambda <<left|ness>> = <<left|L ness>> = 0``. The
     modes are returned as swept, only the left one rescaled to
     ``<<left|right>> = 1``, so the overlaps measure the solve: the report
-    warns when either exceeds 1e-6 and when a bond of either mode is
-    saturated (:func:`_saturation_warnings`).
+    warns when either exceeds 1e-6. Above cutoff 0, ``lambda`` is the central
+    copy of its quasi-energy. A model without jump operators has ``w = 10``,
+    and its modes lie on the imaginary axis up to roundoff.
 
-    ``report.final_residual`` is the larger of the two solves' last sweep
-    residuals (the left one bounds ``|theta_left - conj(lambda)|``), and
-    ``report.converged`` holds when it is at most ``cfg.eig_tol``; each
-    failing solve adds a warning. Above cutoff 0, ``lambda`` is the central
-    copy of its quasi-energy. The report's ``fixed_point_residual`` is the
-    larger true residual of the two modes, and each `stage_log` entry
-    records its ``"target"``. ``report.schmidt_spectra`` and
-    ``report.block_norm_profile`` describe the right mode, as
-    :func:`solve_ness` describes its state; ``trace_defects`` and
-    ``hermiticity_defects`` stay empty, since a decay mode is traceless (the
-    identity overlap measures that) and need not be Hermitian.
+    :func:`_finish_report` describes the right mode at ``lambda``, with the
+    left one at ``conj(lambda)`` in the residuals and saturation warnings
+    (the left solve's last sweep residual bounds ``|theta_left -
+    conj(lambda)|``); each `stage_log` entry records its ``"target"``.
+    ``trace_defects`` and ``hermiticity_defects`` stay empty, since a decay
+    mode is traceless (the identity overlap measures that) and need not be
+    Hermitian.
     """
     cfg.validate()
     model.validate()
     start = time.perf_counter()
     scales = [sum(np.linalg.norm(op.matrix, ord=2) ** 2 for op in ops.values()) for ops in model.jump_fourier.values()]
-    w = 10.0 * max(1.0, *scales)
+    w = 10.0 * max([1.0, *scales])
     report = SolveReport()
     (stage,) = cfg.warmup
     n_c = stage.n_c
-    residuals = {}  # last sweep residual of each solve
-
     mpo = build_extended_lindbladian(model, n_c)
     rng = np.random.default_rng(cfg.seed + 1)
     blocks = {n: Mps.random(model.chain_length, model.site_dim**2, stage.chi, rng) for n in range(-n_c, n_c + 1)}
@@ -1323,12 +1330,10 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
     if lam.real > 1e-6:
         raise SolverError(f"decay eigenvalue has positive real part: {lam}")
     right = engine.state()
-    residuals["decay right"] = report.sweep_residuals[-1]
 
     adjoint = mpo.adjoint()  # the left solve starts from the right mode, its pair
     engine, _ = _sweep_schedule(adjoint, right, cfg, report, lam.conjugate(), "decay left")
     left = engine.state()
-    residuals["decay left"] = report.sweep_residuals[-1]
     pairing = left.inner(right)
     if abs(pairing) < 1e-9 * max(left.norm() * right.norm(), 1e-300):
         raise SolverError("left and right modes are numerically orthogonal")
@@ -1342,23 +1347,7 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
     if steady_overlap > 1e-6:
         report.warnings.append(f"steady-state overlap {steady_overlap:.2e} above 1e-6; chi unconverged or binding")
     pair = abs(lam.imag) > 1e-8 * max(1.0, abs(lam.real))
-    failures = [
-        f"{label}: last sweep residual {resid:.2e} above eig_tol {cfg.eig_tol:.0e}"
-        for label, resid in residuals.items()
-        if resid > cfg.eig_tol
-    ]
-    report.warnings.extend(failures)
-    right_spectra = _schmidt_spectra(right, stage.chi)
-    report.schmidt_spectra = _reported_spectra(right_spectra)
-    report.block_norm_profile = block_norms(right)
-    spectra = [*right_spectra.values(), *_schmidt_spectra(left, stage.chi).values()]
-    report.warnings.extend(_saturation_warnings(spectra, stage.chi, right.phys_dim, model.chain_length))
-    report.final_residual = max(residuals.values())
-    report.converged = report.final_residual <= cfg.eig_tol
-    report.eigenvalue = lam
-    report.fixed_point_residual = max(
-        _eigen_residual(mpo, right, lam), _eigen_residual(adjoint, left, lam.conjugate())
-    )
+    _finish_report(report, cfg, [(mpo, right, lam), (adjoint, left, lam.conjugate())], lam)
     report.wall_time = time.perf_counter() - start
     tau = -1.0 / lam.real if lam.real < 0 else np.inf
     return DecayModeResult(

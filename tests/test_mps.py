@@ -106,24 +106,6 @@ def test_contract_with_product_dual_evaluates_trace():
     assert abs(val - np.trace(op @ rho)) < 1e-12
 
 
-def test_mixed_canonical_gauges():
-    rng = np.random.default_rng(8)
-    m = random_mps(rng, length=5, phys=2, chi=6)
-    center = 2
-    g = m.mixed_canonical(center)
-    assert np.allclose(g.to_dense(), m.to_dense(), atol=1e-10)
-    for i in range(center):
-        t = g.tensors[i]
-        mat = t.reshape(-1, t.shape[2]) if False else t.transpose(1, 0, 2).reshape(-1, t.shape[2])
-        ident = mat.conj().T @ mat
-        assert np.allclose(ident, np.eye(t.shape[2]), atol=1e-10)
-    for i in range(center + 1, 5):
-        t = g.tensors[i]
-        mat = t.transpose(1, 0, 2).reshape(t.shape[1], -1)
-        ident = mat @ mat.conj().T
-        assert np.allclose(ident, np.eye(t.shape[1]), atol=1e-10)
-
-
 def test_mpo_from_local_terms_matches_dense_sum():
     rng = np.random.default_rng(9)
     length = 4

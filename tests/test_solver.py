@@ -895,6 +895,22 @@ def test_idle_second_sweep_ends_the_stage_at_the_centre(monkeypatch):
     assert engine.center == 1
 
 
+def test_small_sweep_residual_does_not_end_the_stage(monkeypatch):
+    # with no start ever accepted no sweep is idle, so the stage runs every
+    # sweep of its cap, although the residual is within eig_tol from the
+    # second sweep on
+    monkeypatch.setattr(solver, "_tested_start", lambda problem, v0, sigma, bound: (None, v0))
+    model = ising_l3()
+    cfg = quick_config(1, 8, warmup=[SweepStage(1, 8, 5)])
+    start = initial_guess(3, 2, 1, model.omega, noise_amplitude=cfg.noise_amplitude, seed=cfg.seed, noise_bond=8)
+    report = solver.SolveReport()
+    solver._sweep_schedule(build_extended_lindbladian(model, 1), start, cfg, report, 0.0, "ness")
+    (entry,) = report.stage_log
+    assert len(entry["sweep_residuals"]) == 5
+    assert max(entry["sweep_residuals"][1:]) <= cfg.eig_tol
+    assert entry["local_solves"]["converged_start"] == 0
+
+
 @pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # DTC harmonics exceed n_c = 1
 @pytest.mark.parametrize("chain", ["ising", "dtc"])
 def test_deflated_check_matches_eig_runner_up(chain):
@@ -1019,6 +1035,21 @@ def assert_right_solve_tracks_after_one_eig_sweep(decay, per_sweep, centre):
     (entry,) = [e for e in decay.report.stage_log if e["label"] == "decay right"]
     assert len(entry["sweep_residuals"]) == 2
     assert entry["local_solves"] == counted(dense_eig=per_sweep, converged_start=per_sweep, **{centre: 1})
+
+
+def test_decay_mode_of_a_closed_chain_does_not_decay():
+    # with no jump operator the penalty strength is 10, and every mode of
+    # -i[H, .] lies on the imaginary axis: the slowest is one of them, and
+    # only roundoff gives it a real part (whose sign sets tau_relax to
+    # infinity or to above 1e12)
+    ham = {0: [LocalOperator(0, -np.kron(PAULI["Z"], PAULI["Z"]))] + [LocalOperator(i, 0.7 * PAULI["X"]) for i in (0, 1)]}
+    model = ModelSpec(2, 4.0, ham, {}).validate()
+    decay = solve_first_decay_mode(model, initial_guess(2, 2, 1, model.omega), quick_config(1, 4))
+    lam = decay.eigenvalue
+    assert abs(lam.real) < 1e-12
+    assert decay.tau_relax > 1e12
+    assert np.min(np.abs(np.linalg.eigvals(dense_extended_lindbladian(model, 1)) - lam)) < 1e-8
+    assert decay.report.converged and not decay.report.warnings
 
 
 def test_decay_mode_amplitude_damping():
