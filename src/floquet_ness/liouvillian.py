@@ -130,23 +130,35 @@ class ModelSpec:
 
 
 def fourier_superoperator_terms(model: ModelSpec, q: int):
-    """Windowed superoperator terms of the transfer-``q`` component.
+    """The transfer-``q`` component as ``(start, matrix)`` pairs, one per
+    window ``(start, width)``, sorted by window.
 
-    Matrices come back in the site-major layout, ready for MPO assembly and
-    for site-major dense embedding.
+    The Hamiltonian terms ``H^q`` of a window are summed as operators before
+    their commutator superoperator is formed, and every jump pair
+    ``(L^(j+q), L^(j))`` on the window, over all channels and harmonics,
+    goes into one stacked :func:`~floquet_ness.superops.dissipator_super`
+    call; both steps are linear, so the window's matrix is the sum of its
+    terms' superoperators. Matrices come back in the site-major layout,
+    ready for MPO assembly and for site-major dense embedding.
     """
-    d = model.site_dim
-    terms = []
+    hams, pairs = {}, {}
     for t in model.hamiltonian_fourier.get(q, []):
-        sup = -1j * (left_mult_super(t.matrix) - right_mult_super(t.matrix))
-        terms.append((t.start, window_super_site_layout(sup, d)))
+        key = (t.start, t.width)
+        hams[key] = t.matrix if key not in hams else hams[key] + t.matrix
     for comps in model.jump_fourier.values():
         for j, op_j in comps.items():
             op_jq = comps.get(j + q)
-            if op_jq is None:
-                continue
-            sup = dissipator_super(op_jq.matrix, op_j.matrix)
-            terms.append((op_j.start, window_super_site_layout(sup, d)))
+            if op_jq is not None:
+                pairs.setdefault((op_j.start, op_j.width), []).append((op_jq.matrix, op_j.matrix))
+    terms = []
+    for key in sorted(hams.keys() | pairs.keys()):
+        sup = 0.0
+        if key in hams:
+            sup = -1j * (left_mult_super(hams[key]) - right_mult_super(hams[key]))
+        if key in pairs:
+            jumps, partners = zip(*pairs[key])
+            sup = sup + dissipator_super(np.stack(jumps), np.stack(partners))
+        terms.append((key[0], window_super_site_layout(sup, model.site_dim)))
     return terms
 
 

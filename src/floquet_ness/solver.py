@@ -892,7 +892,7 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff, accep
     the shift gets a random part added. Otherwise a shift target up to
     `dense_cutoff` is densified and solved by :func:`_shift_invert`; a
     refused solve (singular or non-finite LU, zero start vector, no
-    accepted pair) is logged at DEBUG and falls back to a full
+    accepted pair) is logged at WARNING and falls back to a full
     ``np.linalg.eig``, taking the value nearest ``sigma`` (of values
     within the shift-invert residual bound of it, the one whose vector
     overlaps `v0` most). Larger problems are not densified. A sweep's shift
@@ -949,7 +949,7 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff, accep
     if found is not None:
         counts["dense_fallback" if fallback else "shift_invert"] += 1
         return found
-    logger.debug("shift-invert refused at dim %d (%s); solving with eig", dim, reason)
+    logger.warning("shift-invert refused at dim %d (%s); solving with eig", dim, reason)
     counts["dense_fallback"] += 1
     values, vectors = np.linalg.eig(mat)
     # values within the residual bound of sigma are one eigenspace: take its vector nearest v0
@@ -1304,7 +1304,10 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
     ``<<left|right>> = 1``, so the overlaps measure the solve: the report
     warns when either exceeds 1e-6. Above cutoff 0, ``lambda`` is the central
     copy of its quasi-energy. A model without jump operators has ``w = 10``,
-    and its modes lie on the imaginary axis up to roundoff.
+    and its modes lie on the imaginary axis up to roundoff. So
+    ``tau_relax = -1 / Re lambda`` only when the rate ``-Re lambda`` exceeds
+    the report's certified ``fixed_point_residual``; a rate within it is
+    roundoff, and ``tau_relax`` is infinite.
 
     :func:`_finish_report` describes the right mode at ``lambda``, with the
     left one at ``conj(lambda)`` in the residuals and saturation warnings
@@ -1349,7 +1352,7 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
     pair = abs(lam.imag) > 1e-8 * max(1.0, abs(lam.real))
     _finish_report(report, cfg, [(mpo, right, lam), (adjoint, left, lam.conjugate())], lam)
     report.wall_time = time.perf_counter() - start
-    tau = -1.0 / lam.real if lam.real < 0 else np.inf
+    tau = -1.0 / lam.real if -lam.real > report.fixed_point_residual else np.inf
     return DecayModeResult(
         eigenvalue=lam,
         right=right,

@@ -133,7 +133,7 @@ def _kron(a, b):
 
     It forms the same elementwise products ``a[i, j] * b[k, l]`` that
     ``np.kron`` does, so the result is bit for bit the same, without its
-    generic shape handling (MPO assembly makes over a hundred such calls).
+    generic shape handling (MPO assembly makes dozens of such calls).
     """
     m, n = a.shape[0], b.shape[0]
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * n, m * n)
@@ -152,24 +152,30 @@ def right_mult_super(b):
 
 
 def dissipator_super(l1, l2=None):
-    """Vectorized ``rho -> L1 rho L2^dag - {L2^dag L1, rho}/2``.
+    """Vectorized ``rho -> sum_k L1_k rho L2_k^dag - {L2_k^dag L1_k, rho}/2``.
 
-    With a single argument this is the usual Lindblad dissipator of ``L1``;
-    the two-argument form composes the cross terms that appear when jump
-    operators carry several Fourier components.
+    `l1` and `l2` are one ``(n, n)`` pair or two ``(k, n, n)`` stacks of
+    pairs, whose dissipators come back summed as one ``(n^2, n^2)`` matrix:
+    ``sum_k A_k (x) conj(B_k) - 1/2 S (x) I - 1/2 I (x) S^T`` with
+    ``S = sum_k B_k^dag A_k`` (``A = L1``, ``B = L2``), so the anticommutator
+    parts cost two Kronecker products for the whole stack. A 2-D pair is
+    the stack of one and keeps ``np.kron``'s exact bits. With a single
+    argument this is the usual Lindblad dissipator of ``L1``; the pairs carry
+    the cross terms that appear when jump operators carry several Fourier
+    components.
     """
     l1 = np.asarray(l1, dtype=complex)
     l2 = l1 if l2 is None else np.asarray(l2, dtype=complex)
     if l1.shape != l2.shape:
         raise ValueError("jump operator pair must share a common shape")
-    d = l1.shape[0]
+    if l1.ndim not in (2, 3) or l1.shape[-1] != l1.shape[-2]:
+        raise ValueError("jump operators must be square matrices or a stack of them")
+    d = l1.shape[-1]
+    a, b = l1.reshape(-1, d, d), l2.reshape(-1, d, d)
     eye = np.eye(d, dtype=complex)
-    anti = l2.conj().T @ l1
-    return (
-        _kron(l1, l2.conj())
-        - 0.5 * _kron(anti, eye)
-        - 0.5 * _kron(eye, anti.T)
-    )
+    anti = b.reshape(-1, d).conj().T @ a.reshape(-1, d)  # S in one product over the stacked rows
+    jumps = (a[:, :, None, :, None] * b.conj()[:, None, :, None, :]).sum(axis=0)
+    return jumps.reshape(d * d, d * d) - 0.5 * _kron(anti, eye) - 0.5 * _kron(eye, anti.T)
 
 
 def identity_costate(length, site_dim=2):

@@ -4,12 +4,15 @@ import pytest
 from floquet_ness.freqspace import FloquetDensityMatrix
 from floquet_ness.liouvillian import (
     ModelSpec,
+    _embed_super,
     build_extended_lindbladian,
     dense_extended_lindbladian,
     dense_fourier_superoperator,
     extended_null_vector,
+    fourier_superoperator_terms,
     sparse_fourier_superoperator,
 )
+from floquet_ness.models import DTCParams, build_dtc_model
 from floquet_ness.mps import Mps
 from floquet_ness.superops import (
     PAULI,
@@ -17,6 +20,8 @@ from floquet_ness.superops import (
     choi_site_vector,
     dissipator_super,
     identity_costate,
+    left_mult_super,
+    right_mult_super,
     window_super_site_layout,
 )
 from floquet_ness.tensors import TruncationSpec
@@ -256,3 +261,40 @@ def test_null_vector_is_annihilated_and_normalized():
         [choi_site_vector(blocks[n], 2) for n in range(-n_c, n_c + 1)]
     )
     assert np.max(np.abs(dense @ vec)) < 1e-8
+
+
+def test_one_superoperator_per_window_is_the_sum_of_its_terms():
+    # the DTC chain puts several Hamiltonian terms and several jump pairs
+    # of one channel on a window; each window comes back once, and its
+    # matrix is the sum of the superoperators of its terms one by one
+    model = build_dtc_model(DTCParams(chain_length=3), n_c=1)
+    length, dim = model.chain_length, 4**model.chain_length
+    for q in model.transfers(1):
+        ref = np.zeros((dim, dim), dtype=complex)
+        windows = set()
+        for t in model.hamiltonian_fourier.get(q, []):
+            sup = -1j * (left_mult_super(t.matrix) - right_mult_super(t.matrix))
+            ref += _embed_super(t.start, window_super_site_layout(sup), length, 2)
+            windows.add((t.start, t.width))
+        for comps in model.jump_fourier.values():
+            for j, op in comps.items():
+                if j + q in comps:
+                    sup = dissipator_super(comps[j + q].matrix, op.matrix)
+                    ref += _embed_super(op.start, window_super_site_layout(sup), length, 2)
+                    windows.add((op.start, op.width))
+        terms = fourier_superoperator_terms(model, q)
+        assert len(terms) == len(windows)
+        assert np.max(np.abs(dense_fourier_superoperator(model, q) - ref)) < 1e-13
+
+
+@pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # DTC harmonics exceed n_c = 1
+@pytest.mark.parametrize("length, bonds", [(3, [16, 16]), (4, [16, 32, 16])])
+def test_dtc_generator_keeps_its_bonds(length, bonds):
+    # the exact window splits carry bond 16 per window and cut until the
+    # one compression, which must reach the generator's minimal bonds
+    model = build_dtc_model(DTCParams(chain_length=length), n_c=1)
+    mpo = build_extended_lindbladian(model, 1)
+    assert sorted(mpo.components) == [-2, -1, 0, 1, 2]
+    for q, component in mpo.components.items():
+        assert component.bond_dims == bonds
+        assert np.max(np.abs(component.to_dense() - dense_fourier_superoperator(model, q))) < 1e-13

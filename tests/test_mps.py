@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from floquet_ness.mps import Mpo, Mps
+from floquet_ness.mps import Mpo, Mps, _mpo_factors
 from floquet_ness.superops import PAULI, choi_site_matrix, pauli_string
 from floquet_ness.tensors import TruncationSpec
 
@@ -119,6 +119,38 @@ def test_mpo_from_local_terms_matches_dense_sum():
         dense += np.kron(np.kron(left, pauli_string(s)), right)
     mpo = Mpo.from_local_terms(length, 2, terms)
     assert np.max(np.abs(mpo.to_dense() - dense)) < 1e-10
+
+
+@pytest.mark.parametrize("width", [4, 5])
+def test_mpo_from_local_terms_wide_windows_match_dense_sum(width):
+    # past width 3 the identity carriers run over more than one site on a
+    # side of the window's middle site
+    rng = np.random.default_rng(width)
+    length = 6
+    dense = np.kron(np.kron(np.eye(4), pauli_string("ZZ")), np.eye(4))
+    terms = [(2, pauli_string("ZZ"))]
+    for start in (0, length - width):
+        mat = rng.standard_normal((2**width, 2**width)) + 1j * rng.standard_normal((2**width, 2**width))
+        factors = _mpo_factors(mat, width, 2)
+        assert [f.shape[2] for f in factors[:-1]] == [4 ** min(k, width - k) for k in range(1, width)]
+        terms.append((start, mat))
+        dense += np.kron(np.kron(np.eye(2**start), mat), np.eye(2 ** (length - start - width)))
+    mpo = Mpo.from_local_terms(length, 2, terms)
+    assert np.max(np.abs(mpo.to_dense() - dense)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "field, bonds", [(False, [2, 3, 4, 3, 2]), (True, [3, 4, 4, 4, 3])], ids=["zzz", "zzz_x"]
+)
+def test_mpo_compression_finds_low_rank_windows(field, bonds):
+    # a ZZZ window is a product operator, yet its exact split carries bond 4
+    # at both cuts; the compression reaches the chain's minimal bonds
+    length = 6
+    terms = [(i, pauli_string("ZZZ")) for i in range(length - 2)]
+    if field:
+        terms += [(i, pauli_string("X")) for i in range(length)]
+    mpo = Mpo.from_local_terms(length, 2, terms)
+    assert mpo.bond_dims == bonds
 
 
 def test_mpo_single_site_chain():

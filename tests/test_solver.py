@@ -647,8 +647,26 @@ def test_refused_shift_invert_returns_the_eig_answer(case, monkeypatch, caplog):
     assert np.array_equal(vec, vectors[:, best])
     assert engine.local_solves == counted(dense_fallback=1)
     assert any(
-        r.levelno == logging.DEBUG and "shift-invert refused" in r.getMessage() for r in caplog.records
+        r.levelno == logging.WARNING and "shift-invert refused" in r.getMessage() for r in caplog.records
     )
+
+
+def test_zero_pivot_at_an_exact_shift_falls_back_loudly(caplog):
+    # nothing leaves |0><0| of the damped qubit, so the generator's first
+    # column is exactly zero and the LU at the exact shift 0 meets a zero
+    # pivot without any patching; the eig fallback is a WARNING and is
+    # counted, and it returns the steady state
+    model = single_qubit_model(gamma=0.8)
+    engine = SweepEngine(build_extended_lindbladian(model, 0), initial_guess(1, 2, 0, model.omega))
+    problem = engine.site_problem(0)
+    with caplog.at_level(logging.DEBUG, logger="floquet_ness.solver"):
+        theta, vec = solver._local_eigensolve(problem, problem.current_vector(), 0.0, tol=1e-11, dense_cutoff=700)
+    assert engine.local_solves == counted(dense_fallback=1)
+    (record,) = [r for r in caplog.records if "shift-invert refused" in r.getMessage()]
+    assert record.levelno == logging.WARNING
+    assert "zero pivot 1" in record.getMessage()
+    assert abs(theta) < 1e-14
+    assert np.allclose(np.abs(vec), [1, 0, 0, 0], atol=1e-14)
 
 
 @pytest.mark.parametrize("coupling", [0.05, 0.3, 0.5])  # 0.5 takes a second cycle
@@ -1040,15 +1058,30 @@ def assert_right_solve_tracks_after_one_eig_sweep(decay, per_sweep, centre):
 def test_decay_mode_of_a_closed_chain_does_not_decay():
     # with no jump operator the penalty strength is 10, and every mode of
     # -i[H, .] lies on the imaginary axis: the slowest is one of them, and
-    # only roundoff gives it a real part (whose sign sets tau_relax to
-    # infinity or to above 1e12)
+    # only roundoff gives it a real part, within the certified residual, so
+    # tau_relax is infinite whatever that roundoff's sign
     ham = {0: [LocalOperator(0, -np.kron(PAULI["Z"], PAULI["Z"]))] + [LocalOperator(i, 0.7 * PAULI["X"]) for i in (0, 1)]}
     model = ModelSpec(2, 4.0, ham, {}).validate()
     decay = solve_first_decay_mode(model, initial_guess(2, 2, 1, model.omega), quick_config(1, 4))
     lam = decay.eigenvalue
     assert abs(lam.real) < 1e-12
-    assert decay.tau_relax > 1e12
+    assert decay.tau_relax == np.inf
     assert np.min(np.abs(np.linalg.eigvals(dense_extended_lindbladian(model, 1)) - lam)) < 1e-8
+    assert decay.report.converged and not decay.report.warnings
+
+
+@pytest.mark.parametrize("n_c", [1, 2])
+def test_decay_mode_of_a_closed_driven_chain_does_not_decay(n_c):
+    # the driven XZ chain without its jump: roundoff gives Re lambda of
+    # either sign here (about -3e-16 at n_c = 1, +1e-16 at n_c = 2), and
+    # neither sign may turn into a finite relaxation time
+    driven = small_driven_model()
+    model = ModelSpec(driven.chain_length, driven.omega, driven.hamiltonian_fourier, {}).validate()
+    decay = solve_first_decay_mode(model, initial_guess(2, 2, n_c, model.omega), quick_config(n_c, 4))
+    lam = decay.eigenvalue
+    assert abs(lam.real) <= decay.report.fixed_point_residual < 1e-12
+    assert decay.tau_relax == np.inf
+    assert np.min(np.abs(np.linalg.eigvals(dense_extended_lindbladian(model, n_c)) - lam)) < 1e-8
     assert decay.report.converged and not decay.report.warnings
 
 

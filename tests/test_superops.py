@@ -104,6 +104,20 @@ def test_superoperators_equal_kron_bit_for_bit(dim):
     assert np.array_equal(dissipator_super(a), dissipator_super(a, a))
 
 
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_stacked_dissipator_is_the_sum_of_its_pairs(dim):
+    # a window's jump pairs go into one call; the summed anticommutator
+    # reorders the sums, so the match is to rounding
+    rng = np.random.default_rng(20 + dim)
+    shape = (3, dim, dim)
+    a, b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
+    expected = sum(dissipator_super(x, y) for x, y in zip(a, b))
+    assert np.max(np.abs(dissipator_super(a, b) - expected)) < 1e-13 * np.max(np.abs(expected))
+    assert np.array_equal(dissipator_super(a[:1], b[:1]), dissipator_super(a[0], b[0]))
+    with pytest.raises(ValueError):
+        dissipator_super(a, b[:2])
+
+
 def test_identity_costate_traces():
     cost = identity_costate(1)
     assert np.allclose(cost, [1, 0, 0, 1])
