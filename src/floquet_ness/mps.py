@@ -281,11 +281,11 @@ class Mpo:
         Terms on one window are summed first. Each window is split exactly,
         without an SVD, by :func:`_mpo_factors` (identity carriers around the
         window's middle site), and the splits are joined by the standard
-        pending/done automaton over virtual bonds. One compression with the
-        relative cutoff MPO_COMPRESS_CUTOFF, which only removes numerically
-        zero directions, then decides every bond: the sum-then-compress
-        construction of Hubig, McCulloch and Schollwöck, PRB 95, 035129
-        (2017), with an SVD compression.
+        pending/done automaton over virtual bonds. One :meth:`compressed`
+        call with the relative cutoff MPO_COMPRESS_CUTOFF, which only removes
+        numerically zero directions, then decides every bond: the
+        sum-then-compress construction of Hubig, McCulloch and Schollwöck,
+        PRB 95, 035129 (2017), with an SVD compression.
         """
         merged = {}
         for start, matrix in terms:
@@ -364,9 +364,36 @@ class Mpo:
         return Mpo([t.reshape(p, p, t.shape[1], t.shape[2]).transpose(2, 0, 1, 3) for t in mps.tensors])
 
     def compressed(self, spec):
-        """SVD compression, treating the MPO as an MPS with fused physical legs."""
+        """SVD compression, treating the MPO as an MPS with fused physical legs.
+
+        When the compression leaves every bond at its maximum, the fused leg
+        dimension to the power ``min(k, L - k)`` at cut ``k`` (a three-site
+        generator whose couplings have full rank), the MPO is a dense
+        operator in MPO form, and the exact form of that operator comes
+        back instead of the rotated tensors: each site left of the middle
+        becomes an identity carrier that hands its matrix to the next site,
+        and likewise from the right. Its entries are the input's sums of
+        products, without the SVD's rounding of about machine epsilon times
+        the largest Schmidt value of each bond.
+        """
         comp, _ = self._fused().canonicalize(spec)
-        return self._unfused(comp)
+        p, n = comp.phys_dim, len(comp)
+        if comp.bond_dims != [p ** min(k, n - k) for k in range(1, n)]:
+            return self._unfused(comp)
+        tensors = [t.copy() for t in self._fused().tensors]  # [p, l, r]
+        for i in range(n - 1):
+            _, l, r = tensors[i].shape
+            if p * l < r:
+                mat = tensors[i].transpose(1, 0, 2).reshape(l * p, r)
+                tensors[i] = np.eye(l * p, dtype=complex).reshape(l, p, -1).transpose(1, 0, 2)
+                tensors[i + 1] = np.tensordot(mat, tensors[i + 1], axes=([1], [1])).transpose(1, 0, 2)
+        for i in range(n - 1, 0, -1):
+            _, l, r = tensors[i].shape
+            if p * r < l:
+                mat = tensors[i].transpose(1, 0, 2).reshape(l, p * r)
+                tensors[i] = np.eye(p * r, dtype=complex).reshape(-1, p, r).transpose(1, 0, 2)
+                tensors[i - 1] = np.tensordot(tensors[i - 1], mat, axes=([2], [0]))
+        return self._unfused(Mps(tensors))
 
     def add(self, other):
         """Direct-sum addition; bond dimensions add up."""
@@ -437,9 +464,6 @@ def _mpo_factors(matrix, width, phys_dim):
     :meth:`Mpo.from_local_terms` reduces it to the rank.
     """
     p2 = phys_dim * phys_dim
-    # Of an even window's two middle sites, the right one cost the compressed
-    # DTC generator's steady state 0.2 digits in the median over reorderings
-    # of its jump pairs; the left one matches an SVD split of each window.
     mid = (width - 1) // 2
     # Reorder [o1..ow, i1..iw] -> [(o1 i1), (o2 i2), ...]
     tensor = matrix.reshape((phys_dim,) * (2 * width))

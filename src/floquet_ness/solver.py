@@ -1304,10 +1304,13 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
     ``<<left|right>> = 1``, so the overlaps measure the solve: the report
     warns when either exceeds 1e-6. Above cutoff 0, ``lambda`` is the central
     copy of its quasi-energy. A model without jump operators has ``w = 10``,
-    and its modes lie on the imaginary axis up to roundoff. So
-    ``tau_relax = -1 / Re lambda`` only when the rate ``-Re lambda`` exceeds
-    the report's certified ``fixed_point_residual``; a rate within it is
-    roundoff, and ``tau_relax`` is infinite.
+    and its modes lie on the imaginary axis up to roundoff. So when the
+    solve converged and the rate ``-Re lambda`` is within the report's
+    ``fixed_point_residual``, the rate is roundoff and ``tau_relax`` is
+    infinite. Before convergence that residual bounds nothing about
+    ``Re lambda`` (the generator is not normal), so ``tau_relax`` stays
+    ``-1 / Re lambda`` for any ``Re lambda < 0``, next to the report's
+    unconverged warning.
 
     :func:`_finish_report` describes the right mode at ``lambda``, with the
     left one at ``conj(lambda)`` in the residuals and saturation warnings
@@ -1352,7 +1355,8 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
     pair = abs(lam.imag) > 1e-8 * max(1.0, abs(lam.real))
     _finish_report(report, cfg, [(mpo, right, lam), (adjoint, left, lam.conjugate())], lam)
     report.wall_time = time.perf_counter() - start
-    tau = -1.0 / lam.real if -lam.real > report.fixed_point_residual else np.inf
+    roundoff = report.converged and -lam.real <= report.fixed_point_residual
+    tau = -1.0 / lam.real if lam.real < 0 and not roundoff else np.inf
     return DecayModeResult(
         eigenvalue=lam,
         right=right,

@@ -298,3 +298,17 @@ def test_dtc_generator_keeps_its_bonds(length, bonds):
     for q, component in mpo.components.items():
         assert component.bond_dims == bonds
         assert np.max(np.abs(component.to_dense() - dense_fourier_superoperator(model, q))) < 1e-13
+
+
+@pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # DTC harmonics exceed n_c = 1
+def test_full_rank_generator_keeps_exact_entries():
+    # every bond of the DTC L=3 generator is at its full rank 16, so no SVD
+    # rotates its tensors: each component is its dense sum to roundoff of
+    # the terms, and its trace row <<I| L_q vanishes to that roundoff, where
+    # an SVD compression leaves both at about 5e-15 and 2e-15
+    model = build_dtc_model(DTCParams(chain_length=3), n_c=1)
+    costate = identity_costate(3)
+    for q, component in build_extended_lindbladian(model, 1).components.items():
+        dense = component.to_dense()
+        assert np.max(np.abs(dense - dense_fourier_superoperator(model, q))) < 1e-15
+        assert np.max(np.abs(costate @ dense)) < 5e-16

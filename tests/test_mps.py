@@ -153,6 +153,18 @@ def test_mpo_compression_finds_low_rank_windows(field, bonds):
     assert mpo.bond_dims == bonds
 
 
+def test_mpo_at_its_ranks_keeps_exact_entries():
+    # a random three-site window has full rank 4 at both cuts: the end
+    # carriers reach those bonds without a factorization, the compression
+    # then drops nothing, and the exact tensors come back, so the MPO
+    # rebuilds the window bit for bit
+    rng = np.random.default_rng(3)
+    mat = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    mpo = Mpo.from_local_terms(3, 2, [(0, mat), (1, pauli_string("ZZ"))])
+    assert mpo.bond_dims == [4, 4]
+    assert np.array_equal(mpo.to_dense(), mat + np.kron(PAULI["I"], pauli_string("ZZ")))
+
+
 def test_mpo_single_site_chain():
     mpo = Mpo.from_local_terms(1, 2, [(0, PAULI["X"]), (0, PAULI["Z"])])
     assert np.allclose(mpo.to_dense(), PAULI["X"] + PAULI["Z"])

@@ -1085,6 +1085,24 @@ def test_decay_mode_of_a_closed_driven_chain_does_not_decay(n_c):
     assert decay.report.converged and not decay.report.warnings
 
 
+@pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # DTC harmonics exceed n_c = 0
+def test_unconverged_slow_rate_keeps_its_relaxation_time():
+    # chi = 2 binds on the DTC chain: the solve finds the slow rate 0.0123
+    # (1/tau = 0.012347 at n_c = 1) with a fixed-point residual about twice
+    # as large, which bounds nothing about Re lambda before convergence, so
+    # tau_relax stays -1/Re lambda next to the unconverged warning
+    model = build_dtc_model(DTCParams(chain_length=3), n_c=1)
+    cfg = quick_config(0, 2)
+    ness, _ = solve_ness(model, cfg)
+    decay = solve_first_decay_mode(model, ness, cfg)
+    lam = decay.eigenvalue
+    assert not decay.report.converged
+    assert any("above eig_tol" in w for w in decay.report.warnings)
+    assert -lam.real < decay.report.fixed_point_residual
+    assert decay.tau_relax == -1.0 / lam.real
+    assert abs(decay.tau_relax * 0.012347015 - 1) < 0.01
+
+
 def test_decay_mode_amplitude_damping():
     gamma = 0.8
     model = single_qubit_model(gamma=gamma)
