@@ -30,12 +30,14 @@ Every LU is LAPACK's getrf and getrs, called without scipy's wrappers, which
 cost more than the solves at these block sizes. Either method falls back to
 the dense path, with a WARNING log, when it fails.
 Sweeping relaxes the state onto the targeted eigenvector: every
-solve (steady state, right and left decay mode) canonicalizes its start once,
-at the one bond dimension of the schedule, ``SweepConfig.warmup``, and runs
-single-site sweeps at that bond and one harmonic cutoff, until a sweep
-accepts every start (it only moved the gauge) or the stage's sweep count is
-reached. The stage ends with one solve at the centre site ``L // 2`` that
-never accepts its start, and returns its eigenvalue. Bonds are fixed at
+solve (steady state, right and left decay mode) runs the one sweep stage
+``SweepConfig.warmup`` (:func:`_sweep_schedule`). It canonicalizes its start
+once, at the stage's bond dimension, and runs single-site sweeps at that
+bond and one harmonic cutoff, until a sweep accepts every start (it only
+moved the gauge) or the stage's sweep count is reached. A sweep's residual
+is the largest distance of its local eigenvalues from the shift it solved
+at; the stage ends with one solve at the centre site ``L // 2`` that never
+accepts its start, and returns its eigenvalue. Bonds are fixed at
 the start, never grown, so the start must span them (a noisy start at the
 full bond); a bond held at the bond dimension below its exact size is
 reported. The steady state needs no trace constraint: its shifted copies sit
@@ -135,13 +137,13 @@ class StaleEnvironmentError(SolverError):
 
 @dataclass(frozen=True)
 class SweepStage:
-    """The sweep schedule: up to `sweeps` single-site sweeps at harmonic
-    cutoff `n_c` and bond dimension `chi`, the bond of the start and of the
-    result."""
+    """The sweep stage every solve runs: up to `sweeps` single-site sweeps
+    at harmonic cutoff `n_c` and bond dimension `chi`, the bond of the start
+    and of the result."""
 
     n_c: int
     chi: int
-    sweeps: int = 4
+    sweeps: int
 
 
 CONVERGENCE_TOL = 1e-3  # edge-harmonic weight and Hermiticity defect that warn
@@ -172,12 +174,13 @@ LOCAL_METHODS = ("converged_start", "shift_invert", "dense_eig", "arnoldi", "gmr
 class SweepConfig:
     """Schedule and tolerances for the sweeping solver.
 
-    `warmup` is the schedule every solve runs, exactly one
-    :class:`SweepStage` of at least one sweep; a sweep whose every start
-    passes the acceptance test ends it early, and one solve at the centre
-    site ``L // 2`` ends it. `eig_tol` stops no sweep: a stage whose last
-    sweep residual exceeds it is reported unconverged, with a warning, and
-    it sets the local solves' residual bound. Single-site sweeps cannot grow
+    `warmup` is the :class:`SweepStage` every solve runs, of at least one
+    sweep; a sweep whose every start passes the acceptance test ends it
+    early, and one solve at the centre site ``L // 2`` ends it. `eig_tol`
+    stops no sweep: a stage whose last sweep residual (the largest distance
+    of the sweep's local eigenvalues from its shift, :func:`_sweep_schedule`)
+    exceeds it is reported unconverged, with a warning, and it sets the
+    local solves' residual bound. Single-site sweeps cannot grow
     a bond, so the start carries seeded noise of `noise_amplitude` at the
     full bond; it must be positive. Local problems up to
     `dense_local_cutoff` (at most DENSE_LOCAL_HARD_CAP) are densified: solves
@@ -190,16 +193,14 @@ class SweepConfig:
     block LUs.
     """
 
-    warmup: list = field(default_factory=list)
+    warmup: SweepStage
     eig_tol: float = 1e-10
     noise_amplitude: float = 1e-6
     seed: int = 7
     dense_local_cutoff: int = DENSE_LOCAL_HARD_CAP
 
     def validate(self):
-        if len(self.warmup) != 1:
-            raise ValueError("the sweep schedule must be exactly one stage")
-        if self.warmup[0].sweeps < 1:
+        if self.warmup.sweeps < 1:
             raise ValueError("the stage must run at least one sweep")
         if self.eig_tol <= 0:
             raise ValueError("eig_tol must be positive")
@@ -211,9 +212,10 @@ class SweepConfig:
 
 
 def make_warmup_schedule(n_c, chi, warm_sweeps=3, final_sweeps=8):
-    """Standard schedule at cutoff `n_c` and bond `chi`: one stage of up to
-    ``warm_sweeps + final_sweeps`` single-site sweeps."""
-    return [SweepStage(n_c, chi, warm_sweeps + final_sweeps)]
+    """The stage at cutoff `n_c` and bond `chi` of up to ``warm_sweeps +
+    final_sweeps`` single-site sweeps. It only adds the two counts; it is
+    kept for the benchmark's workloads, which build their configs with it."""
+    return SweepStage(n_c, chi, warm_sweeps + final_sweeps)
 
 
 @dataclass
@@ -234,21 +236,12 @@ class SolveReport:
     eigenvalue: complex = None
 
     def to_dict(self):
+        """The report for ``json.dumps``: every field but the complex
+        eigenvalue, written as ``[re, im]``, is already plain numbers and
+        lists (its int keys are written as strings)."""
         out = asdict(self)
-        out["eigenvalue"] = (
-            None
-            if self.eigenvalue is None
-            else [float(np.real(self.eigenvalue)), float(np.imag(self.eigenvalue))]
-        )
-        out["schmidt_spectra"] = {
-            str(n): [[float(x) for x in bond] for bond in bonds]
-            for n, bonds in self.schmidt_spectra.items()
-        }
-        out["block_norm_profile"] = {str(n): float(v) for n, v in self.block_norm_profile.items()}
-        out["trace_defects"] = {str(n): float(v) for n, v in self.trace_defects.items()}
-        out["hermiticity_defects"] = {
-            str(n): float(v) for n, v in self.hermiticity_defects.items()
-        }
+        if self.eigenvalue is not None:
+            out["eigenvalue"] = [float(np.real(self.eigenvalue)), float(np.imag(self.eigenvalue))]
         return out
 
 
@@ -573,7 +566,8 @@ def _shift_invert(mat, v0, tol, sigma):
     whose eigenvalue ``mu`` gives ``theta = sigma + 1 / mu``.
 
     Returns ``((theta, vector), None)``, or ``(None, reason)`` when the start
-    vector is zero, the LU factorization is unusable (:func:`_lu`; so when
+    vector is zero, the LU factorization of ``mat - sigma I`` (by
+    :func:`_block_jacobi`, with `mat` its one block) is unusable (so when
     `sigma` is an exact eigenvalue) or no Ritz pair of largest ``|mu|``
     reaches ``||mat v - theta v|| <= tol ||mat||`` within KRYLOV_DIM steps.
     An accepted vector is polished by one inverse-iteration step.
@@ -582,10 +576,8 @@ def _shift_invert(mat, v0, tol, sigma):
     if not norm0 > 0:
         return None, "zero start vector"
     dim = mat.shape[0]
-    shifted = mat.copy()
-    shifted.flat[:: dim + 1] -= sigma
-    lu, reason = _lu(shifted)
-    if lu is None:
+    inverse, reason = _block_jacobi(mat[None], sigma)
+    if inverse is None:
         return None, reason
     bound = tol * np.linalg.norm(mat)
     steps = min(KRYLOV_DIM, dim)
@@ -593,7 +585,7 @@ def _shift_invert(mat, v0, tol, sigma):
     hess = np.zeros((steps + 1, steps), dtype=complex)
     basis[:, 0] = v0 / norm0
     for j in range(steps):
-        w = _lu_solve(lu, basis[:, j])
+        w = inverse(basis[:, j])
         span = basis[:, : j + 1]
         for _ in range(2):  # Gram-Schmidt, repeated to keep the basis orthonormal
             h = span.conj().T @ w
@@ -609,7 +601,7 @@ def _shift_invert(mat, v0, tol, sigma):
             vec = span @ ritz[:, top]
             vec /= np.linalg.norm(vec)
             if np.linalg.norm(mat @ vec - theta * vec) <= bound:
-                vec = _lu_solve(lu, vec)
+                vec = inverse(vec)
                 return (theta, vec / np.linalg.norm(vec)), None
         if hess[j + 1, j] == 0:
             break  # invariant subspace: more steps add nothing
@@ -885,9 +877,11 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff, accep
     At a shift, the start `v0` is tested before any method runs
     (:func:`_tested_start`) against ``tol ||D||``, ``D`` the harmonic
     diagonal blocks (the bound of :func:`_tethered_solve` and
-    :func:`_arnoldi`, never looser than :func:`_shift_invert`'s; no test
-    when a block exceeds DENSE_LOCAL_HARD_CAP, which are not built): one
-    that already passes is returned as it is, normalized, unless
+    :func:`_arnoldi`, never looser than :func:`_shift_invert`'s). A block
+    above DENSE_LOCAL_HARD_CAP raises :class:`EigensolverBreakdown` before
+    anything is built: both methods above the dense cutoff factorize the
+    blocks, and no dense solve runs above the cap. A start that already
+    passes is returned as it is, normalized, unless
     `accept_start` is false, and an eigenvector of an eigenvalue away from
     the shift gets a random part added. Otherwise a shift target up to
     `dense_cutoff` is densified and solved by :func:`_shift_invert`; a
@@ -899,11 +893,9 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff, accep
     is (nearly) a local eigenvalue, whose vector :func:`_tethered_solve`
     finds from `v0`. A deflated problem (the degeneracy check, from a random
     start) has no eigenvalue at its shift, so shift-invert ARPACK solves it
-    (:func:`_arnoldi`). Both factorize the harmonic diagonal blocks, so a
-    block above DENSE_LOCAL_HARD_CAP refuses either. When either method
-    refuses, problems up to DENSE_LOCAL_HARD_CAP are solved densely as
-    above, with a WARNING log, and larger ones raise
-    :class:`EigensolverBreakdown`.
+    (:func:`_arnoldi`). When either method refuses, problems up to
+    DENSE_LOCAL_HARD_CAP are solved densely as above, with a WARNING log,
+    and larger ones raise :class:`EigensolverBreakdown`.
 
     Each solve is counted in ``problem.engine.local_solves`` under the
     method that answered it (``"converged_start"`` for an accepted start),
@@ -922,21 +914,19 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff, accep
         return found
     sigma = target
     block = dim // len(problem.engine.harmonics)
-    blocks = problem.diagonal_blocks() if block <= DENSE_LOCAL_HARD_CAP else None
-    if blocks is not None:
-        found, v0 = _tested_start(problem, v0, sigma, tol * np.linalg.norm(blocks))
-        if found is not None and accept_start:
-            counts["converged_start"] += 1
-            return found
+    if block > DENSE_LOCAL_HARD_CAP:  # the methods above the cutoff factorize the blocks
+        raise EigensolverBreakdown(f"harmonic block of dim {block} above the dense cap, at dim {dim}")
+    blocks = problem.diagonal_blocks()
+    found, v0 = _tested_start(problem, v0, sigma, tol * np.linalg.norm(blocks))
+    if found is not None and accept_start:
+        counts["converged_start"] += 1
+        return found
     fallback = False
     if dim > max(dense_cutoff, 2):  # ARPACK needs k = 1 < dim - 1
         method, name, solve = (
             ("arnoldi", "Arnoldi", _arnoldi) if problem.deflation else ("gmres", "tethered GMRES", _tethered_solve)
         )
-        if blocks is None:  # both factorize the harmonic blocks
-            found, reason = None, f"harmonic block of dim {block} above the dense cap"
-        else:
-            found, reason = solve(problem, v0, sigma, tol, blocks)
+        found, reason = solve(problem, v0, sigma, tol, blocks)
         if found is not None:
             counts[method] += 1
             return found
@@ -966,42 +956,57 @@ def _local_tol(cfg):
 
 def _sweep_sites(length):
     """One sweep's ``(site, direction)`` solves: right over ``0..L-2``, left
-    over ``L-1..1``, so each end site is solved once, ``2 (L - 1)`` in all."""
-    if length == 1:
-        return [(0, "right")]
-    return [(i, "right") for i in range(length - 1)] + [(i, "left") for i in range(length - 1, 0, -1)]
+    over ``L-1..1``, so each end site is solved once, ``2 (L - 1)`` in all
+    (one at ``L = 1``)."""
+    return [(i, "right") for i in range(max(length - 1, 1))] + [(i, "left") for i in range(length - 1, 0, -1)]
 
 
-def _run_sweeps(engine, cfg, stage, target, label):
-    """Sweep single sites until a sweep only moves the gauge; returns ``(log, theta)``.
+def _sweep_schedule(mpo, state, cfg, report, target, label):
+    """Sweep `state` through the stage ``cfg.warmup`` towards `target`.
 
-    For ``"slowest_central"`` only the first sweep solves for it; later sweeps
-    track the mode at the sweep before's last local eigenvalue, as a shift
-    (Yu, Pekker, Clark, PRL 118, 017201 (2017)). A sweep's residual is the
-    largest distance of its local eigenvalues from a shift `target`, or for
-    ``"slowest_central"`` their spread relative to the last one; it is
-    logged, and stops nothing. A sweep whose every local solve accepted its
-    start (``"converged_start"``) only moved the gauge, and the next would
-    do the same, so it ends the stage; otherwise the stage runs
-    ``stage.sweeps`` sweeps. The stage then ends with one solve at the centre site
-    ``L // 2`` at the last shift, which never accepts its start: `theta` is
-    its eigenvalue, and the engine's orthogonality centre stays there. Every
-    local solve writes a unit-norm centre vector into orthonormal frames, so
-    the state keeps unit norm and its bond dimensions. `log` records one entry
-    per sweep under ``"sweep_residuals"`` and ``"max_bond"`` (after the
-    sweep), under ``"local_solves"`` the stage's local solves counted by
-    method (`SweepEngine.local_solves`, the centre solve included), and
-    under ``"gmres_iterations"`` the iterations of its tethered GMRES solves.
+    An engine of `mpo` canonicalizes every block of `state` once, at the
+    stage's bond dimension with no weight cutoff; the sweeps keep those
+    bonds. Single sites are swept until a sweep only moves the gauge: a
+    sweep whose every local solve accepted its start (``"converged_start"``)
+    would be followed by the same, so it ends the stage; otherwise the stage
+    runs ``stage.sweeps`` sweeps. For ``"slowest_central"`` only the first
+    sweep solves for it; later sweeps track the mode at the sweep before's
+    last local eigenvalue, as a shift (Yu, Pekker, Clark, PRL 118, 017201
+    (2017)). A sweep's residual is the largest distance of its local
+    eigenvalues from the shift it solved at (a shift `target`, or the
+    tracked value); the first ``"slowest_central"`` sweep, which has no
+    shift, measures its spread about its last value. It is logged and
+    stops nothing. The stage ends with one solve at the centre site
+    ``L // 2`` at the last shift, which never accepts its start. Every local
+    solve writes a unit-norm centre vector into orthonormal frames, so the
+    state keeps unit norm and its bond dimensions.
+
+    ``report.stage_log`` gains one entry: `label`, `target` (a shift as
+    ``[re, im]``), cutoff, bond dimension, ``"start_discarded_weight"``
+    (the relative weight the start's canonicalization dropped, summed over
+    blocks and bonds), ``"seconds"``, the stage's wall time, one value per
+    sweep under ``"sweep_residuals"`` and ``"max_bond"`` (after the sweep),
+    under ``"local_solves"`` the local solves counted by method
+    (`SweepEngine.local_solves`, the centre solve included) and under
+    ``"gmres_iterations"`` the iterations of the tethered GMRES solves. The
+    residuals also extend ``report.sweep_residuals``. Returns ``(engine,
+    theta)``: the engine, which holds the swept state (``engine.state()``)
+    with its orthogonality centre at the centre site and its environments,
+    and the eigenvalue of the centre solve. The degeneracy check goes on
+    from that engine.
     """
-    log = {"sweep_residuals": [], "max_bond": []}
-    local_target = target
+    stage = cfg.warmup
+    start = time.perf_counter()
+    engine = SweepEngine(mpo, state, chi=stage.chi)
+    residuals, bonds = [], []
+    shift = target
 
     def solve(site, direction, accept_start=True):
         problem = engine.site_problem(site)
         theta, vec = _local_eigensolve(
             problem,
             problem.current_vector(),
-            local_target,
+            shift,
             tol=_local_tol(cfg),
             dense_cutoff=cfg.dense_local_cutoff,
             accept_start=accept_start,
@@ -1012,58 +1017,35 @@ def _run_sweeps(engine, cfg, stage, target, label):
     sites = _sweep_sites(engine.length)
     for sweep in range(stage.sweeps):
         accepted = engine.local_solves["converged_start"]
-        sweep_thetas = [solve(site, direction) for site, direction in sites]
+        thetas = [solve(site, direction) for site, direction in sites]
         idle = engine.local_solves["converged_start"] - accepted == len(sites)
+        anchor = thetas[-1] if isinstance(shift, str) else shift
+        resid = max(abs(t - anchor) for t in thetas)
         if target == "slowest_central":
-            spread = max(abs(t - sweep_thetas[-1]) for t in sweep_thetas)
-            resid = spread / max(abs(sweep_thetas[-1]), 1e-30)
-            local_target = sweep_thetas[-1]
-        else:
-            resid = max(abs(t - target) for t in sweep_thetas)
-        log["sweep_residuals"].append(float(resid))
-        log["max_bond"].append(max(max(s.shape[2:]) for s in engine.sites))
+            shift = thetas[-1]
+        residuals.append(float(resid))
+        bonds.append(max(max(s.shape[2:]) for s in engine.sites))
         logger.debug("%s sweep %d: residual %.3e", label, sweep + 1, resid)
         if idle:
             break
     centre = engine.length // 2
     engine.advance_to(centre)
     theta = solve(centre, None, accept_start=False)
-    log["local_solves"] = dict(engine.local_solves)
-    log["gmres_iterations"] = engine.gmres_iterations
-    return log, theta
-
-
-def _sweep_schedule(mpo, state, cfg, report, target, label):
-    """Sweep `state` through the stage of ``cfg.warmup`` towards `target`.
-
-    An engine of `mpo` canonicalizes every block of `state` once, at the
-    stage's bond dimension with no weight cutoff; the sweeps keep those
-    bonds. :func:`_run_sweeps` then runs on that engine. Its log goes to
-    ``report.stage_log`` with `label`, `target` (a shift as ``[re, im]``),
-    cutoff, bond dimension, ``"start_discarded_weight"`` (the relative
-    weight the start's canonicalization dropped, summed over blocks and
-    bonds) and ``"seconds"``, the stage's wall time; its residuals extend
-    ``report.sweep_residuals``. Returns ``(engine, theta)``: the engine,
-    which holds the swept state (``engine.state()``) with its orthogonality
-    centre at the centre site ``L // 2`` and its environments, and the
-    eigenvalue of the stage's last solve, the one at that site. The
-    degeneracy check goes on from that engine.
-    """
-    (stage,) = cfg.warmup
-    start = time.perf_counter()
-    engine = SweepEngine(mpo, state, chi=stage.chi)
-    log, theta = _run_sweeps(engine, cfg, stage, target, label)
-    logged = target if isinstance(target, str) else [target.real, target.imag]
-    entry = {
-        "label": label,
-        "target": logged,
-        "n_c": stage.n_c,
-        "chi": stage.chi,
-        "start_discarded_weight": float(engine.start_discarded_weight),
-        "seconds": time.perf_counter() - start,
-    }
-    report.stage_log.append({**entry, **log})
-    report.sweep_residuals.extend(log["sweep_residuals"])
+    report.stage_log.append(
+        {
+            "label": label,
+            "target": target if isinstance(target, str) else [target.real, target.imag],
+            "n_c": stage.n_c,
+            "chi": stage.chi,
+            "start_discarded_weight": float(engine.start_discarded_weight),
+            "seconds": time.perf_counter() - start,
+            "sweep_residuals": residuals,
+            "max_bond": bonds,
+            "local_solves": dict(engine.local_solves),
+            "gmres_iterations": engine.gmres_iterations,
+        }
+    )
+    report.sweep_residuals.extend(residuals)
     return engine, theta
 
 
@@ -1112,7 +1094,7 @@ def _finish_report(report, cfg, modes, eigenvalue):
     report.final_residual = max(last.values())
     report.converged = report.final_residual <= cfg.eig_tol
     report.eigenvalue = eigenvalue
-    chi = cfg.warmup[0].chi
+    chi = cfg.warmup.chi
     spectra = [compress(state, TruncationSpec(max_rank=chi, weight_cutoff=WEIGHT_CUTOFF))[2] for _, state, _ in modes]
     first = modes[0][1]
     report.schmidt_spectra = {n: [list(map(float, s[:16])) for s in bonds] for n, bonds in spectra[0].items()}
@@ -1126,10 +1108,10 @@ def _deflated_check(engine, cfg, rng):
     """Eigenvalue nearest zero of the centre-site problem with the engine's state deflated.
 
     `engine` is the sweep engine that converged the state, its centre at
-    the centre site ``L // 2``, where the stage's last solve left it (a
-    centre left of it is QR-moved there, which changes the gauge but not the
-    state). So the state's local image in the orthonormal frames is the
-    centre vector ``x0``, and the local term ``-DEFLATION_SHIFT x0 x0^H / ||x0||^2``
+    the centre site ``L // 2``, where the stage's last solve left it
+    (:func:`_sweep_schedule`). So the state's local image in the orthonormal
+    frames is the centre vector ``x0``, and the local term
+    ``-DEFLATION_SHIFT x0 x0^H / ||x0||^2``
     (:class:`SiteProblem`) is the projected Wielandt deflation of the
     converged state. It moves the local eigenvalue of the state to about
     ``-DEFLATION_SHIFT`` and leaves every other local eigenvalue in place, so
@@ -1139,9 +1121,7 @@ def _deflated_check(engine, cfg, rng):
     solves. Returns `theta`; raises :class:`DegenerateSteadyStateError` when
     ``|theta| < DEGENERACY_TOL``.
     """
-    centre = engine.length // 2
-    engine.advance_to(centre)
-    problem = engine.site_problem(centre, deflation=DEFLATION_SHIFT)
+    problem = engine.site_problem(engine.length // 2, deflation=DEFLATION_SHIFT)
     v0 = rng.standard_normal(problem.dim) + 1j * rng.standard_normal(problem.dim)
     theta, _ = _local_eigensolve(problem, v0, 0.0, _local_tol(cfg), cfg.dense_local_cutoff)
     if abs(theta) < DEGENERACY_TOL:
@@ -1173,11 +1153,10 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
     and warns about weight in the edge harmonic and Hermiticity defects.
     """
     cfg.validate()
-    model.validate()
     start = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     report = SolveReport()
-    (stage,) = cfg.warmup
+    stage = cfg.warmup
     n_c = stage.n_c
     state = initial_guess(
         model.chain_length,
@@ -1188,7 +1167,7 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
         seed=cfg.seed,
         noise_bond=stage.chi,
     )
-    mpo = build_extended_lindbladian(model, n_c)
+    mpo = build_extended_lindbladian(model, n_c)  # validates the model
     engine, final_theta = _sweep_schedule(mpo, state, cfg, report, 0.0, "ness")
     state = engine.state()  # before the check moves the centre
     check_start = time.perf_counter()
@@ -1321,14 +1300,13 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
     Hermitian.
     """
     cfg.validate()
-    model.validate()
     start = time.perf_counter()
     scales = [sum(np.linalg.norm(op.matrix, ord=2) ** 2 for op in ops.values()) for ops in model.jump_fourier.values()]
     w = 10.0 * max([1.0, *scales])
     report = SolveReport()
-    (stage,) = cfg.warmup
+    stage = cfg.warmup
     n_c = stage.n_c
-    mpo = build_extended_lindbladian(model, n_c)
+    mpo = build_extended_lindbladian(model, n_c)  # validates the model
     rng = np.random.default_rng(cfg.seed + 1)
     blocks = {n: Mps.random(model.chain_length, model.site_dim**2, stage.chi, rng) for n in range(-n_c, n_c + 1)}
     seed = FloquetDensityMatrix(blocks, model.omega, n_c, model.chain_length, model.site_dim)
