@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .liouvillian import ModelSpec, dense_fourier_superoperator
-from .superops import choi_site_matrix, choi_site_vector
+from .superops import choi_site_matrix, choi_site_vector, fourier_sum
 
 logger = logging.getLogger(__name__)
 
@@ -46,10 +46,6 @@ class _DenseGenerator:
         self.omega = model.omega
         self.parts = {q: dense_fourier_superoperator(model, q) for q in model.transfers()}
 
-    @property
-    def dim(self):
-        return next(iter(self.parts.values())).shape[0]
-
     def apply(self, t, vec):
         out = np.zeros_like(vec)
         for q, mat in self.parts.items():
@@ -57,11 +53,25 @@ class _DenseGenerator:
             out += phase * (mat @ vec)
         return out
 
-    def matrix(self, t):
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for q, mat in self.parts.items():
-            out += np.exp(1j * q * self.omega * t) * mat
-        return out
+
+def _propagate(rhs, t_span, y0, tol, t_eval=None):
+    """States ``y(t)``, one column per time, of ``dy/dt = rhs(t, y)`` over
+    `t_span` by DOP853 at ``rtol = tol``, ``atol = tol * 1e-2``: at the
+    times `t_eval`, or at the solver's own steps. Raises if the
+    integration fails. scipy.integrate is imported here, as the solvers
+    never integrate."""
+    from scipy.integrate import solve_ivp
+
+    sol = solve_ivp(rhs, t_span, y0, method="DOP853", t_eval=t_eval, rtol=tol, atol=tol * 1e-2)
+    if not sol.success:
+        raise RuntimeError(f"integration failed: {sol.message}")
+    return sol.y
+
+
+def _shannon(p):
+    """Shannon entropy ``-sum p log p`` over the positive entries of `p`."""
+    p = p[p > 0]
+    return float(-np.sum(p * np.log(p)))
 
 
 def evolve_master_equation(model: ModelSpec, rho0, t_grid, tol=1e-10, dense_dim=DEFAULT_DENSE_DIM):
@@ -71,8 +81,6 @@ def evolve_master_equation(model: ModelSpec, rho0, t_grid, tol=1e-10, dense_dim=
     renormalized along the way, so trace drift is a genuine integration
     diagnostic. Raises if drift or Hermiticity violation exceed ``100 * tol``.
     """
-    from scipy.integrate import solve_ivp  # imported here: the solvers never integrate
-
     model.validate()
     dl = model.site_dim**model.chain_length
     if dl * dl > dense_dim:
@@ -81,22 +89,8 @@ def evolve_master_equation(model: ModelSpec, rho0, t_grid, tol=1e-10, dense_dim=
     gen = _DenseGenerator(model)
     t_grid = np.asarray(t_grid, dtype=float)
     y0 = choi_site_vector(rho0, model.chain_length, model.site_dim)
-    sol = solve_ivp(
-        gen.apply,
-        (t_grid[0], t_grid[-1]),
-        y0,
-        method="DOP853",
-        t_eval=t_grid,
-        rtol=tol,
-        atol=tol * 1e-2,
-    )
-    if not sol.success:
-        raise RuntimeError(f"master-equation integration failed: {sol.message}")
-    out = []
-    for k in range(sol.y.shape[1]):
-        rho = choi_site_matrix(sol.y[:, k], model.chain_length, model.site_dim)
-        out.append(rho)
-    out = np.array(out)
+    states = _propagate(gen.apply, (t_grid[0], t_grid[-1]), y0, tol, t_eval=t_grid)
+    out = np.array([choi_site_matrix(y, model.chain_length, model.site_dim) for y in states.T])
     trace_drift = max(abs(np.trace(r) - np.trace(rho0)) for r in out)
     herm_drift = max(np.max(np.abs(r - r.conj().T)) for r in out)
     herm0 = np.max(np.abs(rho0 - rho0.conj().T))
@@ -144,8 +138,6 @@ def floquet_propagator_modes(
     multipliers within MULTIPLIER_DEGENERACY_TOL of it mark the steady mode
     degenerate.
     """
-    from scipy.integrate import solve_ivp  # imported here: the solvers never integrate
-
     model.validate()
     dl = model.site_dim**model.chain_length
     d2l = dl * dl
@@ -156,15 +148,10 @@ def floquet_propagator_modes(
 
     def rhs(t, y):
         mat = y.reshape(d2l, d2l)
-        return (gen.matrix(t) @ mat).reshape(-1)
+        return (fourier_sum(gen.parts, gen.omega, t) @ mat).reshape(-1)
 
     y0 = np.eye(d2l, dtype=complex).reshape(-1)
-    sol = solve_ivp(
-        rhs, (t0, t0 + period), y0, method="DOP853", rtol=tol, atol=tol * 1e-2
-    )
-    if not sol.success:
-        raise RuntimeError(f"propagator integration failed: {sol.message}")
-    propagator = sol.y[:, -1].reshape(d2l, d2l)
+    propagator = _propagate(rhs, (t0, t0 + period), y0, tol)[:, -1].reshape(d2l, d2l)
     multipliers, vecs = np.linalg.eig(propagator)
     # principal log, folded so Im(rate) lies in (-omega/2, omega/2]
     rates = np.log(multipliers) / period
@@ -271,7 +258,7 @@ def solve_fre(d_matrix, y_fourier, bath, fundamental):
     residual = np.max(np.abs(balance @ pops))
     if residual > 1e-10 * max(1.0, np.max(np.abs(rates))):
         raise RuntimeError(f"stationarity residual too large: {residual:.2e}")
-    entropy = float(-np.sum(pops[pops > 0] * np.log(pops[pops > 0])))
+    entropy = _shannon(pops)
     beta_eff = beta_from_entropy(entropy, energies)
     return RateEquationResult(
         populations=pops,
@@ -291,7 +278,7 @@ def gibbs_state(d_matrix, beta):
     z = weights.sum()
     probs = weights / z
     rho = (basis * probs[None, :]) @ basis.conj().T
-    entropy = float(-np.sum(probs[probs > 0] * np.log(probs[probs > 0])))
+    entropy = _shannon(probs)
     energy = float(np.real(np.sum(probs * energies)))
     return rho, entropy, energy
 
@@ -299,9 +286,7 @@ def gibbs_state(d_matrix, beta):
 def gibbs_entropy(energies, beta):
     shifted = np.asarray(energies) - np.min(energies)
     weights = np.exp(-beta * shifted)
-    probs = weights / weights.sum()
-    mask = probs > 0
-    return float(-np.sum(probs[mask] * np.log(probs[mask])))
+    return _shannon(weights / weights.sum())
 
 
 def entropy_of_density(rho, clip_report=None):
@@ -320,9 +305,7 @@ def entropy_of_density(rho, clip_report=None):
     total = vals.sum()
     if total <= 0:
         raise ValueError("density matrix has no positive weight")
-    vals = vals / total
-    mask = vals > 0
-    return float(-np.sum(vals[mask] * np.log(vals[mask])))
+    return _shannon(vals / total)
 
 
 def beta_from_entropy(target_entropy, energies):

@@ -8,7 +8,8 @@ construction of spatially truncated, time-periodic jump operators from the
 bath spectral function.
 
 Fourier conventions: every periodic operator is expanded as
-``O(t) = sum_k O^k exp(i k nu t)`` in its model's fundamental ``nu``. The
+``O(t) = sum_k O^k exp(i k nu t)`` in its model's fundamental ``nu``, and
+:func:`.superops.fourier_sum` is the one implementation of that sum. The
 rotating-frame models run at ``nu = omega / 2`` because absorbing the pulses
 doubles the period.
 """
@@ -22,7 +23,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .liouvillian import ModelSpec
-from .superops import PAULI, LocalOperator, sum_local_terms
+from .superops import PAULI, LocalOperator, fourier_sum, sum_local_terms
 
 logger = logging.getLogger(__name__)
 
@@ -288,12 +289,9 @@ class EffectivePair:
         }
 
     def k_at_time(self, t, chain_length, site_dim=2):
-        dense = self.dense_k(chain_length, site_dim)
-        dim = site_dim**chain_length
-        out = np.zeros((dim, dim), dtype=complex)
-        for k, mat in dense.items():
-            out += mat * np.exp(1j * k * self.fundamental * t)
-        return out
+        """``K(t)``; a zero matrix at order 0, which has no kicking harmonics."""
+        zero = np.zeros((site_dim**chain_length,) * 2, dtype=complex)
+        return zero + fourier_sum(self.dense_k(chain_length, site_dim), self.fundamental, t)
 
 
 def _merge_terms(terms, tol=1e-14):
@@ -398,7 +396,7 @@ def effective_propagator_error(
     period of the fundamental) to tolerance `tol` and compares against
     ``exp(-iK(t)) exp(-iD(t-s)) exp(iK(s))`` from :func:`van_vleck`.
     """
-    from scipy.integrate import solve_ivp  # imported here: building a model never integrates
+    from .exact import _propagate  # imported here: building a model never integrates
 
     dim = site_dim**chain_length
     if dim > 2**12:
@@ -411,27 +409,12 @@ def effective_propagator_error(
         if terms
     }
 
-    def hamiltonian(t):
-        out = np.zeros((dim, dim), dtype=complex)
-        for k, mat in dense.items():
-            out += mat * np.exp(1j * k * nu * t)
-        return out
-
     def rhs(t, y):
         u = y.reshape(dim, dim)
-        return (-1j * hamiltonian(t) @ u).reshape(-1)
+        return (-1j * fourier_sum(dense, nu, t) @ u).reshape(-1)
 
-    sol = solve_ivp(
-        rhs,
-        (0.0, duration),
-        np.eye(dim, dtype=complex).reshape(-1),
-        method="DOP853",
-        rtol=tol,
-        atol=tol * 1e-2,
-    )
-    if not sol.success:
-        raise RuntimeError(f"propagator integration failed: {sol.message}")
-    exact = sol.y[:, -1].reshape(dim, dim)
+    exact = _propagate(rhs, (0.0, duration), np.eye(dim, dtype=complex).reshape(-1), tol)
+    exact = exact[:, -1].reshape(dim, dim)
     pair = van_vleck(h_fourier, nu, order)
     d_mat = pair.dense_d(chain_length, site_dim)
     k_start = pair.k_at_time(0.0, chain_length, site_dim)
@@ -662,15 +645,12 @@ def truncation_diagnostic(p: DTCParams, r_small, r_large, site=None, n_times=32,
     start, stop = ref.start, ref.stop
     period = 2 * np.pi / p.fundamental
     times = period * np.arange(n_times) / n_times
+    large = {k: op.matrix for k, op in large.items()}
+    small = {k: op.on_window(start, stop).matrix for k, op in small.items()}
     worst = 0.0
     for t in times:
-        acc = np.zeros((2 ** (stop - start),) * 2, dtype=complex)
-        for k, op in large.items():
-            acc += op.matrix * np.exp(1j * k * p.fundamental * t)
-        for k, op in small.items():
-            emb = op.on_window(start, stop).matrix
-            acc -= emb * np.exp(1j * k * p.fundamental * t)
-        worst = max(worst, float(np.linalg.norm(acc, ord=2)))
+        diff = fourier_sum(large, p.fundamental, t) - fourier_sum(small, p.fundamental, t)
+        worst = max(worst, float(np.linalg.norm(diff, ord=2)))
     return worst
 
 

@@ -1,8 +1,10 @@
 """Physical observables from harmonic-resolved states.
 
 Time series reconstruct ``<O(t)> = sum_n exp(i n omega t) Tr(O rho^n)`` with
-the harmonic traces evaluated by MPS contraction. Correlation profiles and
-the entropy-based effective temperature use the static harmonic ``rho^0``.
+the harmonic traces evaluated by MPS contraction; the sum is
+:func:`.superops.fourier_sum`, the package's one resummation. Correlation
+profiles and the entropy-based effective temperature use the static harmonic
+``rho^0``.
 Small CSV/JSON writers store series, profiles and reports (for instance
 ``SolveReport.to_dict()``) with a provenance record.
 """
@@ -18,7 +20,8 @@ import numpy as np
 
 from .exact import beta_from_entropy, entropy_of_density
 from .freqspace import FloquetDensityMatrix
-from .superops import PAULI, LocalOperator, vectorize_choi
+from .mps import Mps
+from .superops import PAULI, LocalOperator, choi_site_vector, fourier_sum, vectorize_choi
 
 logger = logging.getLogger(__name__)
 
@@ -70,39 +73,19 @@ class CorrelationProfile:
 def harmonic_expectations(state: FloquetDensityMatrix, op: LocalOperator):
     """``{n: Tr(O rho^n)}`` for a windowed observable.
 
-    The dual of the trace pairing is ``vec(O^T)`` in the site-major layout;
-    its window part is factorized into a small MPS once and contracted with
-    every harmonic block.
+    ``Tr(O rho) = <<O^dag|rho>>``, so the dual is the site-major ``vec(O^dag)``
+    of the window, factorized into a small MPS once and padded with the
+    vectorized identity, and each harmonic block is paired with it by
+    :meth:`Mps.inner`.
     """
     if op.start < 0 or op.stop > state.chain_length:
         raise ValueError("observable window leaves the chain")
     d = state.site_dim
-    eye_dual = vectorize_choi(np.eye(d, dtype=complex)).reshape(-1, 1, 1)
-    w = op.width
-    mat = np.asarray(op.matrix, dtype=complex).reshape((d,) * (2 * w))
-    # site-major vector of O^T: per site the Choi pair of the transpose
-    perm = []
-    for i in range(w):
-        perm.extend((w + i, i))
-    transposed = mat.transpose(perm).reshape(-1)
-    from .mps import Mps
-
-    window = Mps.from_dense(transposed, w, d * d)
-    duals = []
-    for i in range(state.chain_length):
-        if op.start <= i < op.stop:
-            duals.append(window.tensors[i - op.start])
-        else:
-            duals.append(eye_dual)
-    out = {}
-    for n in state.harmonics:
-        block = state.block(n)
-        env = np.ones((1, 1), dtype=complex)  # [dual bond, state bond]
-        for dual, t in zip(duals, block.tensors):
-            both = np.tensordot(dual, t, axes=([0], [0]))  # [wl, wr, l, r]
-            env = np.tensordot(env, both, axes=([0, 1], [0, 2]))  # [wr, r]
-        out[n] = complex(env.reshape(-1)[0])
-    return out
+    eye = vectorize_choi(np.eye(d, dtype=complex)).reshape(-1, 1, 1)
+    adjoint = choi_site_vector(op.matrix.conj().T, op.width, d)
+    window = Mps.from_dense(adjoint, op.width, d * d).tensors
+    dual = Mps([eye] * op.start + window + [eye] * (state.chain_length - op.stop))
+    return {n: dual.inner(state.block(n)) for n in state.harmonics}
 
 
 def expectation_series(state: FloquetDensityMatrix, op: LocalOperator, times, hermitize=True):
@@ -114,10 +97,7 @@ def expectation_series(state: FloquetDensityMatrix, op: LocalOperator, times, he
     (used for non-Hermitian modes in transient reconstruction).
     """
     times = np.asarray(times, dtype=float)
-    coeffs = harmonic_expectations(state, op)
-    values = np.zeros(times.shape, dtype=complex)
-    for n, c in coeffs.items():
-        values += c * np.exp(1j * n * state.omega * times)
+    values = fourier_sum(harmonic_expectations(state, op), state.omega, times)
     period = 2 * np.pi / state.omega
     max_imag = float(np.max(np.abs(values.imag))) if values.size else 0.0
     label = f"O[{op.start}:{op.stop}]"

@@ -561,7 +561,7 @@ def _lu_solve(lu, b):
     return x
 
 
-def _shift_invert(mat, v0, tol, sigma):
+def _shift_invert(mat, v0, sigma, bound):
     """Eigenpair of `mat` nearest `sigma`, from Arnoldi on ``(mat - sigma I)^-1``,
     whose eigenvalue ``mu`` gives ``theta = sigma + 1 / mu``.
 
@@ -569,7 +569,7 @@ def _shift_invert(mat, v0, tol, sigma):
     vector is zero, the LU factorization of ``mat - sigma I`` (by
     :func:`_block_jacobi`, with `mat` its one block) is unusable (so when
     `sigma` is an exact eigenvalue) or no Ritz pair of largest ``|mu|``
-    reaches ``||mat v - theta v|| <= tol ||mat||`` within KRYLOV_DIM steps.
+    reaches ``||mat v - theta v|| <= bound`` within KRYLOV_DIM steps.
     An accepted vector is polished by one inverse-iteration step.
     """
     norm0 = np.linalg.norm(v0)
@@ -579,7 +579,6 @@ def _shift_invert(mat, v0, tol, sigma):
     inverse, reason = _block_jacobi(mat[None], sigma)
     if inverse is None:
         return None, reason
-    bound = tol * np.linalg.norm(mat)
     steps = min(KRYLOV_DIM, dim)
     basis = np.zeros((dim, steps + 1), dtype=complex)
     hess = np.zeros((steps + 1, steps), dtype=complex)
@@ -710,7 +709,7 @@ def _gmres(problem: SiteProblem, matvec, rhs, jacobi, atol, x0=None):
     return None, f"GMRES did not converge in {GMRES_CYCLES} cycles of {steps} steps"
 
 
-def _tethered_solve(problem: SiteProblem, v0, sigma, tol, blocks):
+def _tethered_solve(problem: SiteProblem, v0, sigma, blocks, bound):
     """Eigenpair of the local problem at a shift `sigma` that is (nearly) one
     of its eigenvalues, from the tethered linear system
     ``(A - sigma I + u u^H) x = u`` with ``u = v0 / ||v0||``.
@@ -726,11 +725,11 @@ def _tethered_solve(problem: SiteProblem, v0, sigma, tol, blocks):
     until its true residual is a tenth of the acceptance bound below; the
     ``(dim, dim)`` matrix is never built. The eigenvalue is the Rayleigh
     quotient of ``x``, accepted only on a true residual
-    ``||A x - theta x|| <= tol ||D|| ||x||``, ``D`` the diagonal blocks of
-    ``A``, given as `blocks` (``||D|| <= ||A||`` in the Frobenius
-    norm, so the test is never looser than :func:`_shift_invert`'s). A
-    refused answer is retethered at ``x``, and the shift moves to its
-    Rayleigh quotient (so a shift well off the eigenvalue converges as
+    ``||A x - theta x|| <= bound ||x||``, with `bound` ``tol ||D||``,
+    ``D`` the diagonal blocks of ``A`` given as `blocks`: the same bound
+    as :func:`_shift_invert`'s (:func:`_local_eigensolve`). A refused
+    answer is retethered at ``x``, and the shift moves to its Rayleigh
+    quotient (so a shift well off the eigenvalue converges as
     Rayleigh-quotient iteration), TETHER_ATTEMPTS solves in all.
 
     Returns ``((theta, vector), None)``, or ``(None, reason)`` for a zero
@@ -740,7 +739,6 @@ def _tethered_solve(problem: SiteProblem, v0, sigma, tol, blocks):
     norm0 = np.linalg.norm(v0)
     if not norm0 > 0:
         return None, "zero start vector"
-    bound = tol * np.linalg.norm(blocks)
     u = v0 / norm0
     for _ in range(TETHER_ATTEMPTS):
         jacobi, reason = _block_jacobi(blocks, sigma, tether=u)
@@ -764,7 +762,7 @@ def _tethered_solve(problem: SiteProblem, v0, sigma, tol, blocks):
     return None, f"no pair accepted in {TETHER_ATTEMPTS} tethered solves"
 
 
-def _arnoldi(problem: SiteProblem, v0, sigma, tol, blocks):
+def _arnoldi(problem: SiteProblem, v0, sigma, blocks, bound, tol):
     """Eigenpair nearest `sigma` of a problem with no eigenvalue at `sigma`
     (the degeneracy check's deflated one), by ARPACK in shift-invert mode
     (Ericsson & Ruhe, Math. Comp. 35, 1251 (1980)): the eigenvalue ``mu`` of
@@ -776,21 +774,21 @@ def _arnoldi(problem: SiteProblem, v0, sigma, tol, blocks):
     included) and started from the preconditioned right-hand side ``M b``. At cutoff 0
     the one block is the whole problem, so ``M b`` is the exact solution and
     is returned without GMRES or a confirming matvec. Each GMRES solve
-    stops at a true residual of ``0.1 tol ||D|| ||M b||``, so its answer
+    stops at a true residual of ``0.1 bound ||M b||``, so its answer
     ``x`` (of norm about ``||M b||``) is exact for a perturbation of ``A``
     about a tenth of the acceptance bound below. Every application is added
-    to ``problem.engine.inverse_solves``.
+    to ``problem.engine.inverse_solves``. `tol` is ARPACK's own stopping
+    tolerance.
 
     The pair is accepted only on a true residual
-    ``||A v - theta v|| <= tol ||D|| ||v||``, ``D`` the diagonal blocks, as
-    in :func:`_tethered_solve`. A failed or refused attempt is retried once
-    with twice the Krylov space and restarts; a partial, unconverged result
-    is never used. Returns ``((theta, vector), None)``, or ``(None, reason)``
+    ``||A v - theta v|| <= bound ||v||``, ``bound = tol ||D||`` with ``D``
+    the diagonal blocks, as in :func:`_tethered_solve`. A failed or refused
+    attempt is retried once with twice the Krylov space and restarts; a
+    partial, unconverged result is never used. Returns ``((theta, vector), None)``, or ``(None, reason)``
     for an unusable block LU, an inner GMRES run that does not converge, or
     no accepted pair.
     """
     dim = problem.dim
-    bound = tol * np.linalg.norm(blocks)
     jacobi, reason = _block_jacobi(blocks, sigma)
     if jacobi is None:
         return None, reason
@@ -874,11 +872,11 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff, accep
     full ``np.linalg.eig`` of the dense problem; above DENSE_LOCAL_HARD_CAP,
     or with no central eigenvalue, it raises :class:`EigensolverBreakdown`.
 
-    At a shift, the start `v0` is tested before any method runs
-    (:func:`_tested_start`) against ``tol ||D||``, ``D`` the harmonic
-    diagonal blocks (the bound of :func:`_tethered_solve` and
-    :func:`_arnoldi`, never looser than :func:`_shift_invert`'s). A block
-    above DENSE_LOCAL_HARD_CAP raises :class:`EigensolverBreakdown` before
+    At a shift, one residual bound ``tol ||D||``, ``D`` the harmonic
+    diagonal blocks (Frobenius norm), is computed once: the start `v0` is
+    tested against it before any method runs (:func:`_tested_start`), and
+    :func:`_tethered_solve`, :func:`_arnoldi`, :func:`_shift_invert` and the
+    ``eig`` tie-break accept at it. A block above DENSE_LOCAL_HARD_CAP raises :class:`EigensolverBreakdown` before
     anything is built: both methods above the dense cutoff factorize the
     blocks, and no dense solve runs above the cap. A start that already
     passes is returned as it is, normalized, unless
@@ -888,7 +886,7 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff, accep
     refused solve (singular or non-finite LU, zero start vector, no
     accepted pair) is logged at WARNING and falls back to a full
     ``np.linalg.eig``, taking the value nearest ``sigma`` (of values
-    within the shift-invert residual bound of it, the one whose vector
+    within the residual bound of it, the one whose vector
     overlaps `v0` most). Larger problems are not densified. A sweep's shift
     is (nearly) a local eigenvalue, whose vector :func:`_tethered_solve`
     finds from `v0`. A deflated problem (the degeneracy check, from a random
@@ -917,16 +915,19 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff, accep
     if block > DENSE_LOCAL_HARD_CAP:  # the methods above the cutoff factorize the blocks
         raise EigensolverBreakdown(f"harmonic block of dim {block} above the dense cap, at dim {dim}")
     blocks = problem.diagonal_blocks()
-    found, v0 = _tested_start(problem, v0, sigma, tol * np.linalg.norm(blocks))
+    bound = tol * np.linalg.norm(blocks)
+    found, v0 = _tested_start(problem, v0, sigma, bound)
     if found is not None and accept_start:
         counts["converged_start"] += 1
         return found
     fallback = False
     if dim > max(dense_cutoff, 2):  # ARPACK needs k = 1 < dim - 1
-        method, name, solve = (
-            ("arnoldi", "Arnoldi", _arnoldi) if problem.deflation else ("gmres", "tethered GMRES", _tethered_solve)
-        )
-        found, reason = solve(problem, v0, sigma, tol, blocks)
+        if problem.deflation:
+            method, name = "arnoldi", "Arnoldi"
+            found, reason = _arnoldi(problem, v0, sigma, blocks, bound, tol)
+        else:
+            method, name = "gmres", "tethered GMRES"
+            found, reason = _tethered_solve(problem, v0, sigma, blocks, bound)
         if found is not None:
             counts[method] += 1
             return found
@@ -935,7 +936,7 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff, accep
         logger.warning("%s failed at dim %d (%s); solving densely", name, dim, reason)
         fallback = True
     mat = problem.dense_matrix()
-    found, reason = _shift_invert(mat, v0, tol, sigma)
+    found, reason = _shift_invert(mat, v0, sigma, bound)
     if found is not None:
         counts["dense_fallback" if fallback else "shift_invert"] += 1
         return found
@@ -944,7 +945,7 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff, accep
     values, vectors = np.linalg.eig(mat)
     # values within the residual bound of sigma are one eigenspace: take its vector nearest v0
     dist = np.abs(values - sigma)
-    near = np.flatnonzero(dist <= dist.min() + tol * np.linalg.norm(mat))
+    near = np.flatnonzero(dist <= dist.min() + bound)
     best = near[np.argmax(np.abs(vectors[:, near].conj().T @ v0))]
     return values[best], vectors[:, best]
 
@@ -1370,18 +1371,9 @@ def transient_observable(
         vecs = [np.asarray(m, dtype=complex).reshape(-1) for m in rho_initial]
         init_blocks = [Mps.from_product(vecs)]
     # physical (t = 0) pairing: sum over all harmonics on both sides
-    def collapsed_overlap(state_a, mps_list):
-        total = 0.0 + 0.0j
-        for n in state_a.harmonics:
-            if n not in state_a.blocks:
-                continue
-            for b in mps_list:
-                total += state_a.blocks[n].inner(b)
-        return total
-
-    coeff_num = collapsed_overlap(decay.left, init_blocks)
-    right_collapsed = [decay.right.blocks[n] for n in decay.right.blocks]
-    coeff_den = collapsed_overlap(decay.left, right_collapsed)
+    left = decay.left.blocks.values()
+    coeff_num = sum(a.inner(b) for a in left for b in init_blocks)
+    coeff_den = sum(a.inner(b) for a in left for b in decay.right.blocks.values())
     if abs(coeff_den) < 1e-12:
         raise SolverError("collapsed bi-orthogonal pairing vanished")
     coeff = coeff_num / coeff_den
@@ -1392,10 +1384,7 @@ def transient_observable(
     lam = decay.eigenvalue
     envelope = np.exp(lam * times)
     contrib = envelope * coeff * mode.complex_values
-    if decay.conjugate_pair:
-        values = base.values + 2.0 * np.real(contrib)
-    else:
-        values = base.values + np.real(contrib)
+    values = base.values + (2.0 if decay.conjugate_pair else 1.0) * np.real(contrib)
     return ObservableSeries(
         times=times,
         values=values,

@@ -39,6 +39,7 @@ __all__ = [
     "window_super_site_layout",
     "embed_local",
     "sum_local_terms",
+    "fourier_sum",
     "pauli_string",
     "pauli_decompose",
 ]
@@ -240,6 +241,17 @@ def sum_local_terms(terms, chain_length, site_dim=2):
     for t in terms:
         total += embed_local(t, chain_length)
     return total
+
+
+def fourier_sum(components, nu, t):
+    """``sum_k O^k exp(i k nu t)`` over ``components = {k: O^k}``, added in
+    their order: matrices at one time `t`, or scalars on an array of times.
+    Every resummation of a harmonic expansion in the package is this one;
+    with no components the sum is 0."""
+    out = 0.0
+    for k, comp in components.items():
+        out += np.exp(1j * k * nu * t) * comp
+    return out
 
 
 def pauli_string(spec: str):

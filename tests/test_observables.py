@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from floquet_ness.exact import beta_from_entropy, entropy_of_density
+from floquet_ness.exact import beta_from_entropy, entropy_of_density, evolve_master_equation
 from floquet_ness.freqspace import FloquetDensityMatrix
 from floquet_ness.liouvillian import extended_null_vector
 from floquet_ness.models import IsingBenchmarkParams, build_driven_ising
@@ -97,6 +97,26 @@ def read_commented_csv(path):
         rows = list(csv.reader(fh))
     assert first.startswith("# ")
     return json.loads(first[2:]), rows
+
+
+def test_expectation_series_micro_motion_matches_time_evolution():
+    # e^{+i n omega t} against independent dynamics: the steady harmonics summed
+    # at t = 0 start the master equation, whose trajectory is the periodic state
+    model = build_driven_ising(IsingBenchmarkParams(chain_length=L, omega=5.0))
+    n_c = 4
+    exact = extended_null_vector(model, n_c)
+    blocks = {n: Mps.from_dense(choi_site_vector(rho, L), L, 4) for n, rho in exact.items()}
+    state = FloquetDensityMatrix(blocks, model.omega, n_c, L)
+    op = LocalOperator(1, np.kron(PAULI["X"], PAULI["Z"]))
+    times = np.linspace(0.0, 2 * np.pi / model.omega, 17)
+    traj = evolve_master_equation(model, sum(exact.values()), times, tol=1e-12)
+    dense_op = op.on_window(0, L).matrix
+    expect = np.real([np.trace(dense_op @ rho) for rho in traj])
+    series = expectation_series(state, op, times)
+    assert np.max(np.abs(series.values - expect)) <= 1e-4
+    # the micro-motion (about 0.05 peak to peak) tells the sign: e^{-i n omega t} is far off
+    flipped = expectation_series(state, op, -times)
+    assert np.max(np.abs(flipped.values - expect)) > 1e-2
 
 
 def test_period_averaged_error_matches_analytic_mean():

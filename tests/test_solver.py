@@ -1482,6 +1482,32 @@ def test_transient_matches_master_equation_after_fast_modes():
     assert np.max(np.abs(recon.values - exact_vals)) < 1e-6
 
 
+def test_transient_matches_master_equation_on_driven_qubit():
+    # a driven qubit: the decaying mode carries micro-motion, and the t = 0
+    # pairing sums several harmonics
+    x = LocalOperator(0, PAULI["X"])
+    ham = {0: [LocalOperator(0, 0.5 * PAULI["Z"])], 1: [x.scaled(0.3)], -1: [x.scaled(0.3)]}
+    model = ModelSpec(1, 3.0, ham, {"d": {0: LocalOperator(0, np.sqrt(0.5) * SM)}}).validate()
+    cfg = quick_config(4, 4, seed=3)
+    ness, report = solve_ness(model, cfg)
+    decay = solve_first_decay_mode(model, ness, cfg)
+    assert report.converged and decay.report.converged
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    tau = decay.tau_relax
+    times = np.linspace(0.0, 12 * tau, 400)
+    from floquet_ness.exact import evolve_master_equation
+    from floquet_ness.observables import expectation_series
+
+    traj = evolve_master_equation(model, rho0, times, tol=1e-11)
+    expect = np.real([np.trace(PAULI["X"] @ rho) for rho in traj])
+    recon = transient_observable(ness, decay, [rho0], x, times)
+    steady = expectation_series(ness, x, times)
+    window = times >= 4 * tau
+    assert np.max(np.abs(recon.values[window] - expect[window])) <= 1e-5
+    # the slow mode still matters there: the steady series alone is far off
+    assert np.max(np.abs(steady.values[window] - expect[window])) > 1e-3
+
+
 def test_normalization_idempotence():
     model = single_qubit_model(gamma=0.5, omega_z=0.4)
     cfg = quick_config(1, 4)
