@@ -39,21 +39,6 @@ MULTIPLIER_DEGENERACY_TOL = 1e-8  # one-period multipliers this close to the ste
 BETA_BRACKET = (1e-6, 200.0)  # inverse temperatures searched by beta_from_entropy
 
 
-class _DenseGenerator:
-    """Callable ``t -> action`` of the time-dependent generator."""
-
-    def __init__(self, model: ModelSpec):
-        self.omega = model.omega
-        self.parts = {q: dense_fourier_superoperator(model, q) for q in model.transfers()}
-
-    def apply(self, t, vec):
-        out = np.zeros_like(vec)
-        for q, mat in self.parts.items():
-            phase = np.exp(1j * q * self.omega * t) if q else 1.0
-            out += phase * (mat @ vec)
-        return out
-
-
 def _propagate(rhs, t_span, y0, tol, t_eval=None):
     """States ``y(t)``, one column per time, of ``dy/dt = rhs(t, y)`` over
     `t_span` by DOP853 at ``rtol = tol``, ``atol = tol * 1e-2``: at the
@@ -86,10 +71,14 @@ def evolve_master_equation(model: ModelSpec, rho0, t_grid, tol=1e-10, dense_dim=
     if dl * dl > dense_dim:
         raise ValueError(f"dense dimension {dl * dl} exceeds limit {dense_dim}")
     rho0 = np.asarray(rho0, dtype=complex)
-    gen = _DenseGenerator(model)
+    parts = {q: dense_fourier_superoperator(model, q) for q in model.transfers()}
+
+    def rhs(t, y):
+        return fourier_sum({q: mat @ y for q, mat in parts.items()}, model.omega, t)
+
     t_grid = np.asarray(t_grid, dtype=float)
     y0 = choi_site_vector(rho0, model.chain_length, model.site_dim)
-    states = _propagate(gen.apply, (t_grid[0], t_grid[-1]), y0, tol, t_eval=t_grid)
+    states = _propagate(rhs, (t_grid[0], t_grid[-1]), y0, tol, t_eval=t_grid)
     out = np.array([choi_site_matrix(y, model.chain_length, model.site_dim) for y in states.T])
     trace_drift = max(abs(np.trace(r) - np.trace(rho0)) for r in out)
     herm_drift = max(np.max(np.abs(r - r.conj().T)) for r in out)
@@ -143,12 +132,11 @@ def floquet_propagator_modes(
     d2l = dl * dl
     if d2l > dense_dim:
         raise ValueError(f"dense dimension {d2l} exceeds limit {dense_dim}")
-    gen = _DenseGenerator(model)
+    parts = {q: dense_fourier_superoperator(model, q) for q in model.transfers()}
     period = 2 * np.pi / model.omega
 
     def rhs(t, y):
-        mat = y.reshape(d2l, d2l)
-        return (fourier_sum(gen.parts, gen.omega, t) @ mat).reshape(-1)
+        return (fourier_sum(parts, model.omega, t) @ y.reshape(d2l, d2l)).reshape(-1)
 
     y0 = np.eye(d2l, dtype=complex).reshape(-1)
     propagator = _propagate(rhs, (t0, t0 + period), y0, tol)[:, -1].reshape(d2l, d2l)

@@ -12,6 +12,10 @@ of the generator acting on vectorized density matrices is
 summed over every harmonic ``j`` for which both factors exist. The full
 frequency-space operator is ``sum_q K^q`` shifted block-to-block plus the
 ``-i n Omega`` ramp handled by :class:`~floquet_ness.freqspace.FloquetMPO`.
+
+One sparse block assembly of that operator serves every dense reference:
+``dense_fourier_superoperator``, ``dense_extended_lindbladian`` and
+``extended_null_vector`` all read it.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import scipy.sparse.linalg as spla
 from .freqspace import FloquetMPO
 from .mps import Mpo
 from .superops import (
+    choi_site_matrix,
     dissipator_super,
     identity_costate,
     left_mult_super,
@@ -48,6 +53,7 @@ __all__ = [
 ]
 
 DEFAULT_DENSE_LIMIT = 2**20
+DENSE_SOLVE_LIMIT = 4096  # extended dimensions up to this go to np.linalg.solve, larger ones to splu
 
 
 @dataclass
@@ -201,33 +207,48 @@ def build_extended_lindbladian(model: ModelSpec, n_c: int) -> FloquetMPO:
     return out
 
 
-def _embed_super(start, matrix, chain_length, site_dim, sparse=False):
+def _embed_super(start, matrix, chain_length, site_dim):
+    """Sparse embedding of a site-major window superoperator into the chain."""
     d2 = site_dim**2
     width = int(round(np.log(matrix.shape[0]) / np.log(d2)))
-    if sparse:
-        left = sp.identity(d2**start, dtype=complex, format="csr")
-        right = sp.identity(d2 ** (chain_length - start - width), dtype=complex, format="csr")
-        return sp.kron(sp.kron(left, sp.csr_matrix(matrix)), right, format="csr")
-    left = np.eye(d2**start, dtype=complex)
-    right = np.eye(d2 ** (chain_length - start - width), dtype=complex)
-    return np.kron(np.kron(left, matrix), right)
+    left = sp.identity(d2**start, dtype=complex, format="csr")
+    right = sp.identity(d2 ** (chain_length - start - width), dtype=complex, format="csr")
+    return sp.kron(sp.kron(left, sp.csr_matrix(matrix)), right, format="csr")
+
+
+def sparse_fourier_superoperator(model: ModelSpec, q: int):
+    """Sparse matrix of the transfer-``q`` component on the full chain."""
+    dim = model.site_dim ** (2 * model.chain_length)
+    out = sp.csr_matrix((dim, dim), dtype=complex)
+    for start, matrix in fourier_superoperator_terms(model, q):
+        out = out + _embed_super(start, matrix, model.chain_length, model.site_dim)
+    return out
 
 
 def dense_fourier_superoperator(model: ModelSpec, q: int):
     """Dense matrix of the transfer-``q`` component on the full chain."""
-    dim = model.site_dim ** (2 * model.chain_length)
-    out = np.zeros((dim, dim), dtype=complex)
-    for start, matrix in fourier_superoperator_terms(model, q):
-        out += _embed_super(start, matrix, model.chain_length, model.site_dim)
-    return out
+    return sparse_fourier_superoperator(model, q).toarray()
 
 
-def sparse_fourier_superoperator(model: ModelSpec, q: int):
-    dim = model.site_dim ** (2 * model.chain_length)
-    out = sp.csr_matrix((dim, dim), dtype=complex)
-    for start, matrix in fourier_superoperator_terms(model, q):
-        out = out + _embed_super(start, matrix, model.chain_length, model.site_dim, sparse=True)
-    return out
+def _sparse_extended(model: ModelSpec, n_c: int, dense_limit: int):
+    """Sparse (CSC) frequency-space generator in the block-major layout.
+
+    Block ``(n, m)`` is the transfer-``(n - m)`` component; each diagonal
+    block gets the ``-i n Omega`` ramp added after its component.
+    """
+    model.validate()
+    d2l = model.site_dim ** (2 * model.chain_length)
+    total = (2 * n_c + 1) * d2l
+    if total > dense_limit:
+        raise ValueError(f"extended dimension {total} exceeds dense limit {dense_limit}")
+    blocks = {q: sparse_fourier_superoperator(model, q) for q in model.transfers(n_c)}
+    eye = sp.identity(d2l, dtype=complex, format="csr")
+    rows = []
+    for n in range(-n_c, n_c + 1):
+        row = [blocks.get(n - m) for m in range(-n_c, n_c + 1)]
+        row[n + n_c] = row[n + n_c] + eye * (-1j * n * model.omega)
+        rows.append(row)
+    return sp.bmat(rows, format="csc")
 
 
 def dense_extended_lindbladian(
@@ -237,83 +258,34 @@ def dense_extended_lindbladian(
 
     Block-major layout: row/column index is ``(n + n_c) * d**(2L) + choi``.
     """
-    model.validate()
-    d2l = model.site_dim ** (2 * model.chain_length)
-    total = (2 * n_c + 1) * d2l
-    if total > dense_limit:
-        raise ValueError(f"extended dimension {total} exceeds dense limit {dense_limit}")
-    blocks = {q: dense_fourier_superoperator(model, q) for q in model.transfers(n_c)}
-    out = np.zeros((total, total), dtype=complex)
-    eye = np.eye(d2l, dtype=complex)
-    for n in range(-n_c, n_c + 1):
-        for m in range(-n_c, n_c + 1):
-            q = n - m
-            blk = blocks.get(q)
-            row = (n + n_c) * d2l
-            col = (m + n_c) * d2l
-            if blk is not None:
-                out[row : row + d2l, col : col + d2l] += blk
-            if n == m:
-                out[row : row + d2l, col : col + d2l] += -1j * n * model.omega * eye
-    return out
+    return _sparse_extended(model, n_c, dense_limit).toarray()
 
 
-def extended_null_vector(
-    model: ModelSpec,
-    n_c: int,
-    dense_limit: int = DEFAULT_DENSE_LIMIT,
-    method: str = "auto",
-):
+def extended_null_vector(model: ModelSpec, n_c: int, dense_limit: int = DEFAULT_DENSE_LIMIT):
     """Trace-normalized steady solution of the frequency-space generator.
 
     Solves ``L x = 0`` with ``Tr x^0 = 1`` by adding a rank-one trace tether
     inside the static block, which removes the kernel without moving the
     solution, and returns the harmonic blocks as dense matrices ``{n: rho^n}``.
-    `method` 'dense' materializes the full matrix; 'sparse' assembles the
-    block structure sparsely and LU-factorizes it (preferred for L >= 4).
+    Extended dimensions up to DENSE_SOLVE_LIMIT are solved densely (Ising
+    L=4 up to n_c=2, L=5 at n_c=1), larger ones by a sparse LU.
     """
-    model.validate()
+    mat = _sparse_extended(model, n_c, dense_limit)
     d = model.site_dim
     dl = d**model.chain_length
     d2l = dl * dl
-    total = (2 * n_c + 1) * d2l
-    if total > dense_limit:
-        raise ValueError(f"extended dimension {total} exceeds dense limit {dense_limit}")
-    if method == "auto":
-        method = "dense" if total <= 4096 else "sparse"
     costate = identity_costate(model.chain_length, d)
-    unit = costate / dl  # vec of the maximally mixed state, trace 1
-    rhs = np.zeros(total, dtype=complex)
-    zero_row = n_c * d2l
-    rhs[zero_row : zero_row + d2l] = unit
-    if method == "dense":
-        mat = dense_extended_lindbladian(model, n_c, dense_limit)
-        mat[zero_row : zero_row + d2l, zero_row : zero_row + d2l] += np.outer(unit, costate)
-        x = np.linalg.solve(mat, rhs)
+    zero = slice(n_c * d2l, (n_c + 1) * d2l)
+    rhs = np.zeros(mat.shape[0], dtype=complex)
+    rhs[zero] = costate / dl  # vec of the maximally mixed state, trace 1
+    trace = np.zeros(mat.shape[0], dtype=complex)
+    trace[zero] = costate
+    mat = mat + sp.csr_matrix(rhs[:, None]) @ sp.csr_matrix(trace[None, :])  # the tether
+    if mat.shape[0] <= DENSE_SOLVE_LIMIT:
+        x = np.linalg.solve(mat.toarray(), rhs)
     else:
-        blocks = {q: sparse_fourier_superoperator(model, q) for q in model.transfers(n_c)}
-        tether = sp.csr_matrix(np.outer(unit, costate))
-        rows = []
-        for n in range(-n_c, n_c + 1):
-            row = []
-            for m in range(-n_c, n_c + 1):
-                q = n - m
-                blk = blocks.get(q)
-                entry = blk.copy() if blk is not None else None
-                if n == m:
-                    ramp = sp.identity(d2l, dtype=complex, format="csr") * (-1j * n * model.omega)
-                    entry = ramp if entry is None else entry + ramp
-                    if n == 0:
-                        entry = entry + tether
-                row.append(entry)
-            rows.append(row)
-        mat = sp.bmat(rows, format="csc")
-        lu = spla.splu(mat)
-        x = lu.solve(rhs)
-    from .superops import choi_site_matrix
-
-    out = {}
-    for n in range(-n_c, n_c + 1):
-        seg = x[(n + n_c) * d2l : (n + n_c + 1) * d2l]
-        out[n] = choi_site_matrix(seg, model.chain_length, d)
-    return out
+        x = spla.splu(mat).solve(rhs)
+    return {
+        n: choi_site_matrix(x[(n + n_c) * d2l : (n + n_c + 1) * d2l], model.chain_length, d)
+        for n in range(-n_c, n_c + 1)
+    }

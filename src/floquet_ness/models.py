@@ -165,7 +165,6 @@ class OhmicBath:
 
     def spectral_density(self, eps):
         eps = np.asarray(eps, dtype=float)
-        out = np.empty_like(eps)
         small = np.abs(self.beta * eps) < 1e-12
         safe = np.where(small, 1.0, eps)
         with np.errstate(over="ignore"):
@@ -209,6 +208,17 @@ class JumpCorrelator:
     support_cut: float
 
 
+def _settle_time(abs_t, mags, level):
+    """First ``|t|`` from which on every ``mags`` entry stays below `level`;
+    the largest ``|t|`` if none does. The suffix maximum over sorted ``|t|``,
+    read at the first of equal times, covers every sample at or beyond it."""
+    order = np.argsort(abs_t, kind="stable")
+    tail = np.maximum.accumulate(mags[order][::-1])[::-1]
+    times, first = np.unique(abs_t[order], return_index=True)
+    below = tail[first] < level
+    return float(times[np.argmax(below)] if below.any() else times[-1])
+
+
 def jump_correlator(bath: OhmicBath, freq_grid=None, time_grid=None):
     """Fourier transform of ``sqrt(J)`` sampled on a time grid.
 
@@ -238,25 +248,9 @@ def jump_correlator(bath: OhmicBath, freq_grid=None, time_grid=None):
     phases = np.exp(-1j * np.outer(times, freq))
     values = np.trapezoid(phases * amp[None, :], freq, axis=1) / (2 * np.pi)
     peak = float(np.max(np.abs(values)))
-    target = peak / np.e
-    tau_b = float(np.max(np.abs(times)))
-    # first |t| beyond which |g| stays below peak/e
-    abs_t = np.abs(times)
-    candidates = sorted(set(abs_t))
-    for cand in candidates:
-        outside = abs_t >= cand
-        if np.all(np.abs(values[outside]) < target):
-            tau_b = float(cand)
-            break
-    cut = 0.0
-    floor = 1e-6 * peak
-    for cand in candidates:
-        outside = abs_t >= cand
-        if np.all(np.abs(values[outside]) < floor):
-            cut = float(cand)
-            break
-    else:
-        cut = float(np.max(abs_t))
+    abs_t, mags = np.abs(times), np.abs(values)
+    tau_b = _settle_time(abs_t, mags, peak / np.e)
+    cut = _settle_time(abs_t, mags, 1e-6 * peak)
     return JumpCorrelator(times=times, values=values, tau_b=tau_b, support_cut=cut)
 
 
@@ -518,24 +512,16 @@ def _conjugation_series(generator_fourier, target_fourier, order, sign):
     `target_fourier` those of O. Order n keeps n nested commutators.
     """
     out = {k: m.copy() for k, m in target_fourier.items()}
-    if order >= 1:
-        first = {}
+    nested = target_fourier
+    for n in range(1, order + 1):
+        term = {}
         for k1, kmat in generator_fourier.items():
-            for k2, omat in target_fourier.items():
-                c = (1j * sign) * (kmat @ omat - omat @ kmat)
-                key = k1 + k2
-                first[key] = first.get(key, 0) + c
-        for k, m in first.items():
+            for k2, omat in nested.items():
+                c = (1j * sign) / n * (kmat @ omat - omat @ kmat)
+                term[k1 + k2] = term.get(k1 + k2, 0) + c
+        for k, m in term.items():
             out[k] = out.get(k, 0) + m
-        if order >= 2:
-            second = {}
-            for k1, kmat in generator_fourier.items():
-                for k2, fmat in first.items():
-                    c = 0.5 * (1j * sign) * (kmat @ fmat - fmat @ kmat)
-                    key = k1 + k2
-                    second[key] = second.get(key, 0) + c
-            for k, m in second.items():
-                out[k] = out.get(k, 0) + m
+        nested = term
     return {k: np.asarray(m) for k, m in out.items() if np.max(np.abs(m)) > 1e-15}
 
 

@@ -37,7 +37,6 @@ __all__ = [
     "choi_site_vector",
     "choi_site_matrix",
     "window_super_site_layout",
-    "embed_local",
     "sum_local_terms",
     "fourier_sum",
     "pauli_string",
@@ -229,17 +228,12 @@ def window_super_site_layout(matrix, site_dim=2):
     return t.transpose(perm).reshape(matrix.shape)
 
 
-def embed_local(op: LocalOperator, chain_length: int):
-    """Embed a local operator into the full chain (dense; small chains only)."""
-    return op.on_window(0, chain_length).matrix
-
-
 def sum_local_terms(terms, chain_length, site_dim=2):
     """Dense sum of local terms over the full chain."""
     dim = site_dim**chain_length
     total = np.zeros((dim, dim), dtype=complex)
     for t in terms:
-        total += embed_local(t, chain_length)
+        total += t.on_window(0, chain_length).matrix
     return total
 
 

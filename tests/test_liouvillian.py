@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from floquet_ness import liouvillian
 from floquet_ness.freqspace import FloquetDensityMatrix
 from floquet_ness.liouvillian import (
     ModelSpec,
@@ -10,7 +11,6 @@ from floquet_ness.liouvillian import (
     dense_fourier_superoperator,
     extended_null_vector,
     fourier_superoperator_terms,
-    sparse_fourier_superoperator,
 )
 from floquet_ness.models import DTCParams, build_dtc_model
 from floquet_ness.mps import Mps
@@ -167,14 +167,6 @@ def test_hermiticity_covariance_of_generator():
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
-def test_sparse_matches_dense():
-    model = small_driven_model()
-    for q in model.transfers():
-        sparse = sparse_fourier_superoperator(model, q).toarray()
-        dense = dense_fourier_superoperator(model, q)
-        assert np.max(np.abs(sparse - dense)) < 1e-12
-
-
 def test_mpo_action_matches_dense_action():
     rng = np.random.default_rng(1)
     for model, n_c in [
@@ -243,10 +235,13 @@ def test_dense_limit_enforced():
         dense_extended_lindbladian(model, 1, dense_limit=10)
 
 
-def test_null_vector_sparse_and_dense_agree():
+def test_null_vector_sparse_lu_agrees_with_dense_solve(monkeypatch):
+    # the default sizes all fall under DENSE_SOLVE_LIMIT; a zero limit sends
+    # the same model through the sparse LU
     model = small_driven_model(length=2, omega=4.0)
-    a = extended_null_vector(model, 2, method="dense")
-    b = extended_null_vector(model, 2, method="sparse")
+    a = extended_null_vector(model, 2)
+    monkeypatch.setattr(liouvillian, "DENSE_SOLVE_LIMIT", 0)
+    b = extended_null_vector(model, 2)
     for n in a:
         assert np.max(np.abs(a[n] - b[n])) < 1e-8
 
@@ -274,13 +269,13 @@ def test_one_superoperator_per_window_is_the_sum_of_its_terms():
         windows = set()
         for t in model.hamiltonian_fourier.get(q, []):
             sup = -1j * (left_mult_super(t.matrix) - right_mult_super(t.matrix))
-            ref += _embed_super(t.start, window_super_site_layout(sup), length, 2)
+            ref += _embed_super(t.start, window_super_site_layout(sup), length, 2).toarray()
             windows.add((t.start, t.width))
         for comps in model.jump_fourier.values():
             for j, op in comps.items():
                 if j + q in comps:
                     sup = dissipator_super(comps[j + q].matrix, op.matrix)
-                    ref += _embed_super(op.start, window_super_site_layout(sup), length, 2)
+                    ref += _embed_super(op.start, window_super_site_layout(sup), length, 2).toarray()
                     windows.add((op.start, op.width))
         terms = fourier_superoperator_terms(model, q)
         assert len(terms) == len(windows)
