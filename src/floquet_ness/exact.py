@@ -70,8 +70,13 @@ def evolve_master_equation(model: ModelSpec, rho0, t_grid, tol=1e-10, dense_dim=
     dl = model.site_dim**model.chain_length
     if dl * dl > dense_dim:
         raise ValueError(f"dense dimension {dl * dl} exceeds limit {dense_dim}")
-    rho0 = np.asarray(rho0, dtype=complex)
     parts = {q: dense_fourier_superoperator(model, q) for q in model.transfers()}
+    return _evolve(model, parts, rho0, t_grid, tol)
+
+
+def _evolve(model, parts, rho0, t_grid, tol):
+    """:func:`evolve_master_equation` on the dense transfer components `parts`."""
+    rho0 = np.asarray(rho0, dtype=complex)
 
     def rhs(t, y):
         return fourier_sum({q: mat @ y for q, mat in parts.items()}, model.omega, t)
@@ -158,7 +163,7 @@ def floquet_propagator_modes(
     rho0 = rho0 / np.trace(rho0)
 
     times = t0 + period * np.arange(n_time_samples) / n_time_samples
-    samples = evolve_master_equation(model, rho0, times, tol=max(tol, 1e-12), dense_dim=dense_dim)
+    samples = _evolve(model, parts, rho0, times, max(tol, 1e-12))
     harmonics = {}
     for n in range(-n_c, n_c + 1):
         phases = np.exp(-1j * n * model.omega * times)

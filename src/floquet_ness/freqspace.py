@@ -93,15 +93,13 @@ class FloquetDensityMatrix:
     def norm(self):
         return float(np.sqrt(max(self.inner(self).real, 0.0)))
 
-    def identity_dual_vectors(self):
-        """Per-site dual vectors evaluating the trace of a block."""
-        eye = vectorize_choi(np.eye(self.site_dim, dtype=complex))
-        return [eye] * self.chain_length
-
     def block_trace(self, n):
+        """``Tr rho^n``: the block paired by :meth:`Mps.inner` with the
+        vectorized identity, a product state."""
         if n not in self.blocks:
             return 0.0 + 0.0j
-        return self.blocks[n].contract_with_product_dual(self.identity_dual_vectors())
+        eye = vectorize_choi(np.eye(self.site_dim, dtype=complex))
+        return Mps.from_product([eye] * self.chain_length).inner(self.blocks[n])
 
     def to_dense_blocks(self):
         """Dense ``{n: matrix}`` of all stored blocks (small chains only)."""

@@ -37,6 +37,7 @@ from .superops import (
     left_mult_super,
     right_mult_super,
     window_super_site_layout,
+    window_sums,
 )
 
 logger = logging.getLogger(__name__)
@@ -74,29 +75,21 @@ class ModelSpec:
     site_dim: int = 2
 
     def validate(self, tol=1e-10):
-        def windows(terms):
-            agg = {}
-            for t in terms:
-                key = (t.start, t.width)
-                agg[key] = t.matrix if key not in agg else agg[key] + t.matrix
-            return agg
-
         for k, terms in self.hamiltonian_fourier.items():
             for t in terms:
                 if t.start < 0 or t.stop > self.chain_length:
                     raise ValueError(f"H^{k} term leaves the chain: {t.support}")
-            mine = windows(terms)
-            partners = windows(self.hamiltonian_fourier.get(-k, []))
-            for key, mat in mine.items():
+            partners = window_sums(self.hamiltonian_fourier.get(-k, []))
+            for key, mat in window_sums(terms).items():
                 partner = partners.get(key)
                 if partner is None:
                     raise ValueError(f"H^{k} term at {key} has no H^{-k} partner")
                 if np.max(np.abs(partner - mat.conj().T)) > tol:
                     raise ValueError(f"H^{-k} at {key} is not the adjoint of H^{k}")
         for alpha, comps in self.jump_fourier.items():
-            windows = {(op.start, op.width) for op in comps.values()}
-            if len(windows) > 1:
-                raise ValueError(f"jump channel {alpha!r} mixes windows {windows}")
+            supports = {(op.start, op.width) for op in comps.values()}
+            if len(supports) > 1:
+                raise ValueError(f"jump channel {alpha!r} mixes windows {supports}")
             for op in comps.values():
                 if op.start < 0 or op.stop > self.chain_length:
                     raise ValueError(f"jump channel {alpha!r} leaves the chain")
@@ -136,21 +129,19 @@ class ModelSpec:
 
 
 def fourier_superoperator_terms(model: ModelSpec, q: int):
-    """The transfer-``q`` component as ``(start, matrix)`` pairs, one per
-    window ``(start, width)``, sorted by window.
+    """The transfer-``q`` component as site-major window superoperators:
+    one :class:`~floquet_ness.superops.LocalOperator` on sites of dimension
+    ``d**2`` per window ``(start, width)``, sorted by window.
 
     The Hamiltonian terms ``H^q`` of a window are summed as operators before
     their commutator superoperator is formed, and every jump pair
     ``(L^(j+q), L^(j))`` on the window, over all channels and harmonics,
     goes into one stacked :func:`~floquet_ness.superops.dissipator_super`
     call; both steps are linear, so the window's matrix is the sum of its
-    terms' superoperators. Matrices come back in the site-major layout,
-    ready for MPO assembly and for site-major dense embedding.
+    terms' superoperators. The site-major layout is the one of MPO assembly
+    and of site-major dense embedding.
     """
-    hams, pairs = {}, {}
-    for t in model.hamiltonian_fourier.get(q, []):
-        key = (t.start, t.width)
-        hams[key] = t.matrix if key not in hams else hams[key] + t.matrix
+    hams, pairs = window_sums(model.hamiltonian_fourier.get(q, [])), {}
     for comps in model.jump_fourier.values():
         for j, op_j in comps.items():
             op_jq = comps.get(j + q)
@@ -164,7 +155,7 @@ def fourier_superoperator_terms(model: ModelSpec, q: int):
         if key in pairs:
             jumps, partners = zip(*pairs[key])
             sup = sup + dissipator_super(np.stack(jumps), np.stack(partners))
-        terms.append((key[0], window_super_site_layout(sup, model.site_dim)))
+        terms.append(window_super_site_layout(key[0], sup, model.site_dim))
     return terms
 
 
@@ -207,21 +198,21 @@ def build_extended_lindbladian(model: ModelSpec, n_c: int) -> FloquetMPO:
     return out
 
 
-def _embed_super(start, matrix, chain_length, site_dim):
-    """Sparse embedding of a site-major window superoperator into the chain."""
-    d2 = site_dim**2
-    width = int(round(np.log(matrix.shape[0]) / np.log(d2)))
-    left = sp.identity(d2**start, dtype=complex, format="csr")
-    right = sp.identity(d2 ** (chain_length - start - width), dtype=complex, format="csr")
-    return sp.kron(sp.kron(left, sp.csr_matrix(matrix)), right, format="csr")
+def _embed_super(term, chain_length):
+    """Sparse embedding of a site-major window superoperator, a LocalOperator
+    on sites of dimension ``d**2``, into the chain."""
+    p = term.site_dim
+    left = sp.identity(p**term.start, dtype=complex, format="csr")
+    right = sp.identity(p ** (chain_length - term.stop), dtype=complex, format="csr")
+    return sp.kron(sp.kron(left, sp.csr_matrix(term.matrix)), right, format="csr")
 
 
 def sparse_fourier_superoperator(model: ModelSpec, q: int):
     """Sparse matrix of the transfer-``q`` component on the full chain."""
     dim = model.site_dim ** (2 * model.chain_length)
     out = sp.csr_matrix((dim, dim), dtype=complex)
-    for start, matrix in fourier_superoperator_terms(model, q):
-        out = out + _embed_super(start, matrix, model.chain_length, model.site_dim)
+    for term in fourier_superoperator_terms(model, q):
+        out = out + _embed_super(term, model.chain_length)
     return out
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .liouvillian import ModelSpec
-from .superops import PAULI, LocalOperator, fourier_sum, sum_local_terms
+from .superops import PAULI, LocalOperator, fourier_sum, sum_local_terms, window_sums
 
 logger = logging.getLogger(__name__)
 
@@ -289,15 +289,11 @@ class EffectivePair:
 
 
 def _merge_terms(terms, tol=1e-14):
-    merged = {}
-    for t in terms:
-        key = (t.start, t.width)
-        merged[key] = t.matrix if key not in merged else merged[key] + t.matrix
-    out = []
-    for (start, _w), mat in sorted(merged.items()):
-        if np.max(np.abs(mat)) > tol:
-            out.append(LocalOperator(start, mat))
-    return out
+    return [
+        LocalOperator(start, mat)
+        for (start, _w), mat in sorted(window_sums(terms).items())
+        if np.max(np.abs(mat)) > tol
+    ]
 
 
 def _commutator_terms(terms_a, terms_b):

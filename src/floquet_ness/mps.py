@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .superops import choi_site_vector, window_sums
 from .tensors import TruncationSpec, truncated_svd
 
 __all__ = ["Mps", "Mpo", "CompressionInfo", "product_sum_norm"]
@@ -156,20 +157,6 @@ class Mps:
             out.append(t)
         return Mps(out)
 
-    def contract_with_product_dual(self, vectors):
-        """Chain contraction with one dual vector per site (no conjugation).
-
-        For a vectorized density matrix and per-site vectors ``vec(A_i^T)``
-        this evaluates ``Tr((A_1 (x) ... (x) A_L) rho)``.
-        """
-        if len(vectors) != len(self):
-            raise ValueError("need one dual vector per site")
-        env = np.ones((1,), dtype=complex)
-        for v, t in zip(vectors, self.tensors):
-            site = np.tensordot(np.asarray(v, dtype=complex), t, axes=([0], [0]))
-            env = env @ site
-        return complex(env[0])
-
     def dagger_reflect(self, site_dim):
         """Adjoint of the represented operator: swap Choi sublegs and conjugate."""
         d = site_dim
@@ -276,32 +263,29 @@ class Mpo:
     def from_local_terms(cls, length, phys_dim, terms):
         """Assemble ``sum_k O_k`` from windowed dense terms.
 
-        `terms` is an iterable of ``(start, matrix)`` with `matrix` acting on
-        ``width = log_{phys_dim} extent`` consecutive sites from `start`.
-        Terms on one window are summed first. Each window is split exactly,
-        without an SVD, by :func:`_mpo_factors` (identity carriers around the
-        window's middle site), and the splits are joined by the standard
-        pending/done automaton over virtual bonds. One :meth:`compressed`
-        call with the relative cutoff MPO_COMPRESS_CUTOFF, which only removes
-        numerically zero directions, then decides every bond: the
-        sum-then-compress construction of Hubig, McCulloch and Schollwöck,
-        PRB 95, 035129 (2017), with an SVD compression.
+        `terms` is an iterable of :class:`~floquet_ness.superops.LocalOperator`
+        on sites of dimension `phys_dim`; for the generator these are the
+        window superoperators on ``d**2``-dimensional sites. Terms on one
+        window are summed first, by
+        :func:`~floquet_ness.superops.window_sums`. Each window is split
+        exactly, without an SVD, by :func:`_mpo_factors` (identity carriers
+        around the window's middle site), and the splits are joined by the
+        standard pending/done automaton over virtual bonds. One
+        :meth:`compressed` call with the relative cutoff
+        MPO_COMPRESS_CUTOFF, which only removes numerically zero directions,
+        then decides every bond: the sum-then-compress construction of Hubig,
+        McCulloch and Schollwöck, PRB 95, 035129 (2017), with an SVD
+        compression.
         """
-        merged = {}
-        for start, matrix in terms:
-            matrix = np.asarray(matrix, dtype=complex)
-            width = int(round(np.log(matrix.shape[0]) / np.log(phys_dim)))
-            if phys_dim**width != matrix.shape[0]:
-                raise ValueError("term extent is not a power of phys_dim")
-            if start < 0 or start + width > length:
-                raise ValueError(
-                    f"term on sites [{start}, {start + width}) leaves the chain"
-                )
-            key = (start, width)
-            merged[key] = matrix if key not in merged else merged[key] + matrix
+        terms = list(terms)
+        for t in terms:
+            if t.site_dim != phys_dim:
+                raise ValueError(f"term on sites of dimension {t.site_dim}, chain of {phys_dim}")
+            if t.start < 0 or t.stop > length:
+                raise ValueError(f"term on sites [{t.start}, {t.stop}) leaves the chain")
         factor_lists = [
             (start, _mpo_factors(matrix, width, phys_dim))
-            for (start, width), matrix in sorted(merged.items())
+            for (start, width), matrix in sorted(window_sums(terms).items())
         ]
         if not factor_lists:
             return cls(
@@ -465,10 +449,8 @@ def _mpo_factors(matrix, width, phys_dim):
     """
     p2 = phys_dim * phys_dim
     mid = (width - 1) // 2
-    # Reorder [o1..ow, i1..iw] -> [(o1 i1), (o2 i2), ...]
-    tensor = matrix.reshape((phys_dim,) * (2 * width))
-    perm = [x for k in range(width) for x in (k, width + k)]
-    tensor = tensor.transpose(perm).reshape(p2**mid, p2, p2 ** (width - mid - 1))
+    # [o1..ow, i1..iw] -> [(o1 i1), (o2 i2), ...], the site-major interleave
+    tensor = choi_site_vector(matrix, width, phys_dim).reshape(p2**mid, p2, p2 ** (width - mid - 1))
     left = [np.eye(p2 ** (k + 1), dtype=complex).reshape(p2**k, p2, -1) for k in range(mid)]
     right = [
         np.eye(p2 ** (width - k), dtype=complex).reshape(-1, p2, p2 ** (width - k - 1))

@@ -141,17 +141,17 @@ def correlation_profile(
     `floor`; the fit has a free intercept, making it scale invariant.
     """
     obs = PAULI["Z"] if observable is None else np.asarray(observable, dtype=complex)
-    j = reference_site
+    j, d = reference_site, state.site_dim
     if j + x_max >= state.chain_length:
         raise ValueError("displacement range leaves the chain")
     values = []
     for x in range(1, x_max + 1):
-        window = np.kron(np.kron(obs, np.eye(2 ** (x - 1), dtype=complex)), obs)
-        pair = LocalOperator(j, window)
+        window = np.kron(np.kron(obs, np.eye(d ** (x - 1), dtype=complex)), obs)
+        pair = LocalOperator(j, window, d)
         coeff = harmonic_expectations(state, pair)[0]
         if connected:
-            a = harmonic_expectations(state, LocalOperator(j, obs))[0]
-            b = harmonic_expectations(state, LocalOperator(j + x, obs))[0]
+            a = harmonic_expectations(state, LocalOperator(j, obs, d))[0]
+            b = harmonic_expectations(state, LocalOperator(j + x, obs, d))[0]
             coeff = coeff - a * b
         values.append(coeff)
     displacements = np.arange(1, x_max + 1)

@@ -16,6 +16,13 @@ vectorizes into a product state. ``choi_site_vector`` / ``choi_site_matrix``
 convert between a chain matrix and the site-major layout, and
 ``window_super_site_layout`` rewrites a window superoperator into it.
 
+Each window decision has one owner: :class:`LocalOperator` is the one
+windowed-matrix type (a site-major window superoperator is one on sites of
+dimension ``d**2``) and alone infers a window's width; :func:`window_sums`
+alone sums the terms of a window; ``_interleaved`` is the one site-major
+interleave, behind the Choi layouts, ``window_super_site_layout`` and MPO
+assembly's window split.
+
 Spin-1/2 basis: index 0 is "up" (Z eigenvalue +1), index 1 is "down".
 """
 
@@ -37,6 +44,7 @@ __all__ = [
     "choi_site_vector",
     "choi_site_matrix",
     "window_super_site_layout",
+    "window_sums",
     "sum_local_terms",
     "fourier_sum",
     "pauli_string",
@@ -56,7 +64,9 @@ class LocalOperator:
     """Operator on a contiguous window of sites, stored as a dense matrix.
 
     `start` is the 0-based index of the leftmost site; the window width is
-    inferred from the matrix extent.
+    inferred from the matrix extent, here and nowhere else. A window
+    superoperator in the site-major layout is a LocalOperator whose
+    `site_dim` is ``d**2``.
     """
 
     start: int
@@ -194,38 +204,48 @@ def identity_costate(length, site_dim=2):
     return out
 
 
+def _interleaved(length):
+    """Axis order ``(a_1 b_1)(a_2 b_2)...`` of the axes ``(a_1..a_n b_1..b_n)``."""
+    return [x for i in range(length) for x in (i, length + i)]
+
+
 def choi_site_vector(matrix, length, site_dim=2):
     """Site-major Choi vector of a chain operator (matches MPS physical legs)."""
     d = site_dim
     t = np.asarray(matrix, dtype=complex).reshape((d,) * (2 * length))
-    perm = [x for i in range(length) for x in (i, length + i)]
-    return t.transpose(perm).reshape(-1)
+    return t.transpose(_interleaved(length)).reshape(-1)
 
 
 def choi_site_matrix(vec, length, site_dim=2):
     """Inverse of :func:`choi_site_vector`."""
     d = site_dim
     t = np.asarray(vec, dtype=complex).reshape((d, d) * length)
-    perm = [2 * i for i in range(length)] + [2 * i + 1 for i in range(length)]
-    return t.transpose(perm).reshape(d**length, d**length)
+    return t.transpose(np.argsort(_interleaved(length))).reshape(d**length, d**length)
 
 
-def window_super_site_layout(matrix, site_dim=2):
-    """Rewrite a window superoperator into the site-major index layout.
+def window_super_site_layout(start, matrix, site_dim=2):
+    """A window superoperator as a LocalOperator in the site-major layout.
 
     Input rows/columns are vec-of-window indices ``(a_1..a_w b_1..b_w)``;
-    output rows/columns interleave per site as ``(a_1 b_1)...(a_w b_w)``.
+    output rows/columns interleave per site as ``(a_1 b_1)...(a_w b_w)``,
+    both halves by the interleave of :func:`choi_site_vector`. The result
+    lives on sites of dimension ``site_dim**2`` from `start`.
     """
-    d = site_dim
-    matrix = np.asarray(matrix, dtype=complex)
-    d2 = d * d
-    w = int(round(np.log(matrix.shape[0]) / np.log(d2)))
-    if d2**w != matrix.shape[0]:
-        raise ValueError("superoperator extent must be a power of site_dim**2")
-    t = matrix.reshape((d,) * (2 * w) + (d,) * (2 * w))
-    perm_half = [x for i in range(w) for x in (i, w + i)]
-    perm = perm_half + [2 * w + x for x in perm_half]
-    return t.transpose(perm).reshape(matrix.shape)
+    op = LocalOperator(start, matrix, site_dim**2)  # one extent in both layouts, so one width
+    half = _interleaved(op.width)
+    t = op.matrix.reshape((site_dim,) * (4 * op.width))
+    t = t.transpose(half + [2 * op.width + x for x in half]).reshape(op.matrix.shape)
+    return LocalOperator(start, t, op.site_dim)
+
+
+def window_sums(terms):
+    """``{(start, width): matrix}``, each window's terms added left to right
+    in input order; windows keep their first-seen order."""
+    out = {}
+    for t in terms:
+        key = (t.start, t.width)
+        out[key] = t.matrix if key not in out else out[key] + t.matrix
+    return out
 
 
 def sum_local_terms(terms, chain_length, site_dim=2):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from floquet_ness import exact
 from floquet_ness.exact import (
     beta_from_entropy,
     entropy_of_density,
@@ -83,6 +84,20 @@ def test_propagator_modes_match_null_vector_blocks():
     blocks = extended_null_vector(model, n_c=6)
     for n in range(-n_c, n_c + 1):
         assert np.max(np.abs(modes.steady_mode_fourier[n] - blocks[n])) < 1e-7
+
+
+def test_propagator_modes_build_each_transfer_once(monkeypatch):
+    # the propagator and the sampled steady mode share one dense build per transfer
+    drive = [LocalOperator(0, 0.3 * PAULI["X"])]
+    ham = {0: [LocalOperator(0, PAULI["Z"] / 2)], 1: drive, -1: drive}
+    model = ModelSpec(1, 3.0, ham, {"d": {0: LocalOperator(0, SM)}}).validate()
+    calls = []
+    build = exact.dense_fourier_superoperator
+    monkeypatch.setattr(
+        exact, "dense_fourier_superoperator", lambda m, q: calls.append(q) or build(m, q)
+    )
+    floquet_propagator_modes(model, n_c=1, n_time_samples=8)
+    assert sorted(calls) == model.transfers()
 
 
 def test_propagator_flags_degenerate_steady_space():

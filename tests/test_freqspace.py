@@ -12,6 +12,8 @@ from floquet_ness.freqspace import (
     trace_components,
 )
 from floquet_ness.mps import Mps
+from floquet_ness.observables import harmonic_expectations
+from floquet_ness.superops import PAULI, LocalOperator, choi_site_matrix
 from floquet_ness.tensors import TruncationSpec
 
 
@@ -35,6 +37,15 @@ def test_initial_guess_traces():
     traces = trace_components(state)
     for n, t in traces.items():
         assert abs(t - (1.0 if n == 0 else 0.0)) < 1e-12
+
+
+def test_block_trace_evaluates_trace():
+    rng = np.random.default_rng(7)
+    state = random_state(rng, length=2, cutoff=1, chi=3)
+    for n in state.harmonics:
+        rho = choi_site_matrix(state.block(n).to_dense(), 2, 2)
+        assert abs(state.block_trace(n) - np.trace(rho)) < 1e-12
+    assert state.block_trace(2) == 0
 
 
 def test_initial_guess_determinism():
@@ -143,9 +154,7 @@ def test_save_load_round_trip(tmp_path):
 def test_time_reconstruction_periodicity():
     rng = np.random.default_rng(10)
     state = random_state(rng, length=2, cutoff=2, omega=3.7)
-    z = np.diag([1.0, -1.0]).astype(complex)
-    duals = [z.T.reshape(-1), np.eye(2, dtype=complex).reshape(-1)]
-    coeffs = {n: state.block(n).contract_with_product_dual(duals) for n in state.harmonics}
+    coeffs = harmonic_expectations(state, LocalOperator(0, PAULI["Z"]))
 
     def value(t):
         return sum(c * np.exp(1j * n * state.omega * t) for n, c in coeffs.items())

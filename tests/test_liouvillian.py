@@ -139,7 +139,7 @@ def test_static_null_vector_lives_in_zero_block():
 def test_single_qubit_reduction_to_dissipator():
     model = single_qubit_model(gamma=0.9, omega_z=0.0)
     dense = dense_extended_lindbladian(model, 0)
-    ref = window_super_site_layout(dissipator_super(np.sqrt(0.9) * SM))
+    ref = window_super_site_layout(0, dissipator_super(np.sqrt(0.9) * SM)).matrix
     assert np.max(np.abs(dense - ref)) < 1e-12
 
 
@@ -269,16 +269,17 @@ def test_one_superoperator_per_window_is_the_sum_of_its_terms():
         windows = set()
         for t in model.hamiltonian_fourier.get(q, []):
             sup = -1j * (left_mult_super(t.matrix) - right_mult_super(t.matrix))
-            ref += _embed_super(t.start, window_super_site_layout(sup), length, 2).toarray()
+            ref += _embed_super(window_super_site_layout(t.start, sup), length).toarray()
             windows.add((t.start, t.width))
         for comps in model.jump_fourier.values():
             for j, op in comps.items():
                 if j + q in comps:
                     sup = dissipator_super(comps[j + q].matrix, op.matrix)
-                    ref += _embed_super(op.start, window_super_site_layout(sup), length, 2).toarray()
+                    ref += _embed_super(window_super_site_layout(op.start, sup), length).toarray()
                     windows.add((op.start, op.width))
         terms = fourier_superoperator_terms(model, q)
-        assert len(terms) == len(windows)
+        layout = [(t.start, t.width, t.site_dim) for t in terms]
+        assert layout == [(start, width, 4) for start, width in sorted(windows)]
         assert np.max(np.abs(dense_fourier_superoperator(model, q) - ref)) < 1e-13
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from floquet_ness.mps import Mpo, Mps, _mpo_factors
-from floquet_ness.superops import PAULI, choi_site_matrix, pauli_string
+from floquet_ness.superops import PAULI, LocalOperator, choi_site_matrix, pauli_string
 from floquet_ness.tensors import TruncationSpec
 
 
@@ -96,16 +96,6 @@ def test_dagger_reflect_matches_dense_adjoint():
     assert np.allclose(choi_site_matrix(refl.to_dense(), 3, 2), dense.conj().T)
 
 
-def test_contract_with_product_dual_evaluates_trace():
-    rng = np.random.default_rng(7)
-    m = random_mps(rng, length=2, phys=4, chi=3)
-    rho = choi_site_matrix(m.to_dense(), 2, 2)
-    op = np.kron(PAULI["Z"], PAULI["X"])
-    duals = [PAULI["Z"].T.reshape(-1), PAULI["X"].T.reshape(-1)]
-    val = m.contract_with_product_dual(duals)
-    assert abs(val - np.trace(op @ rho)) < 1e-12
-
-
 def test_mpo_from_local_terms_matches_dense_sum():
     rng = np.random.default_rng(9)
     length = 4
@@ -113,7 +103,7 @@ def test_mpo_from_local_terms_matches_dense_sum():
     dense = np.zeros((2**length, 2**length), dtype=complex)
     specs = [(0, "ZZ"), (2, "XY"), (1, "Z"), (3, "X"), (1, "YYZ")]
     for start, s in specs:
-        terms.append((start, pauli_string(s)))
+        terms.append(LocalOperator(start, pauli_string(s)))
         left = np.eye(2**start)
         right = np.eye(2 ** (length - start - len(s)))
         dense += np.kron(np.kron(left, pauli_string(s)), right)
@@ -128,12 +118,12 @@ def test_mpo_from_local_terms_wide_windows_match_dense_sum(width):
     rng = np.random.default_rng(width)
     length = 6
     dense = np.kron(np.kron(np.eye(4), pauli_string("ZZ")), np.eye(4))
-    terms = [(2, pauli_string("ZZ"))]
+    terms = [LocalOperator(2, pauli_string("ZZ"))]
     for start in (0, length - width):
         mat = rng.standard_normal((2**width, 2**width)) + 1j * rng.standard_normal((2**width, 2**width))
         factors = _mpo_factors(mat, width, 2)
         assert [f.shape[2] for f in factors[:-1]] == [4 ** min(k, width - k) for k in range(1, width)]
-        terms.append((start, mat))
+        terms.append(LocalOperator(start, mat))
         dense += np.kron(np.kron(np.eye(2**start), mat), np.eye(2 ** (length - start - width)))
     mpo = Mpo.from_local_terms(length, 2, terms)
     assert np.max(np.abs(mpo.to_dense() - dense)) < 1e-12
@@ -146,9 +136,9 @@ def test_mpo_compression_finds_low_rank_windows(field, bonds):
     # a ZZZ window is a product operator, yet its exact split carries bond 4
     # at both cuts; the compression reaches the chain's minimal bonds
     length = 6
-    terms = [(i, pauli_string("ZZZ")) for i in range(length - 2)]
+    terms = [LocalOperator(i, pauli_string("ZZZ")) for i in range(length - 2)]
     if field:
-        terms += [(i, pauli_string("X")) for i in range(length)]
+        terms += [LocalOperator(i, pauli_string("X")) for i in range(length)]
     mpo = Mpo.from_local_terms(length, 2, terms)
     assert mpo.bond_dims == bonds
 
@@ -160,20 +150,32 @@ def test_mpo_at_its_ranks_keeps_exact_entries():
     # rebuilds the window bit for bit
     rng = np.random.default_rng(3)
     mat = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    mpo = Mpo.from_local_terms(3, 2, [(0, mat), (1, pauli_string("ZZ"))])
+    mpo = Mpo.from_local_terms(3, 2, [LocalOperator(0, mat), LocalOperator(1, pauli_string("ZZ"))])
     assert mpo.bond_dims == [4, 4]
     assert np.array_equal(mpo.to_dense(), mat + np.kron(PAULI["I"], pauli_string("ZZ")))
 
 
+def test_mpo_from_local_terms_rejects_foreign_terms():
+    # a term's window is read from the operator, so its sites must be the chain's
+    with pytest.raises(ValueError, match="dimension"):
+        Mpo.from_local_terms(2, 4, [LocalOperator(0, pauli_string("ZZ"))])
+    with pytest.raises(ValueError, match="leaves the chain"):
+        Mpo.from_local_terms(2, 2, [LocalOperator(1, pauli_string("ZZ"))])
+
+
 def test_mpo_single_site_chain():
-    mpo = Mpo.from_local_terms(1, 2, [(0, PAULI["X"]), (0, PAULI["Z"])])
+    mpo = Mpo.from_local_terms(1, 2, [LocalOperator(0, PAULI["X"]), LocalOperator(0, PAULI["Z"])])
     assert np.allclose(mpo.to_dense(), PAULI["X"] + PAULI["Z"])
 
 
 def test_mpo_apply_matches_dense():
     rng = np.random.default_rng(10)
     length = 3
-    terms = [(0, pauli_string("XX")), (1, pauli_string("ZZ")), (0, pauli_string("Y"))]
+    terms = [
+        LocalOperator(0, pauli_string("XX")),
+        LocalOperator(1, pauli_string("ZZ")),
+        LocalOperator(0, pauli_string("Y")),
+    ]
     mpo = Mpo.from_local_terms(length, 2, terms)
     state = random_mps(rng, length=length, phys=2, chi=4)
     out = state.apply_mpo(mpo, TruncationSpec())
@@ -181,7 +183,7 @@ def test_mpo_apply_matches_dense():
 
 
 def test_mpo_adjoint():
-    terms = [(0, pauli_string("XY")), (1, pauli_string("ZX"))]
+    terms = [LocalOperator(0, pauli_string("XY")), LocalOperator(1, pauli_string("ZX"))]
     mpo = Mpo.from_local_terms(3, 2, terms)
     adj = mpo.adjoint()
     assert np.max(np.abs(adj.to_dense() - mpo.to_dense().conj().T)) < 1e-12
@@ -190,8 +192,8 @@ def test_mpo_adjoint():
 def test_mpo_compression_reduces_bond():
     # A sum of many overlapping terms assembles with inflated bonds.
     length = 6
-    terms = [(i, pauli_string("ZZ")) for i in range(length - 1)]
-    terms += [(i, pauli_string("X")) for i in range(length)]
+    terms = [LocalOperator(i, pauli_string("ZZ")) for i in range(length - 1)]
+    terms += [LocalOperator(i, pauli_string("X")) for i in range(length)]
     mpo = Mpo.from_local_terms(length, 2, terms)
     # Ising MPO compresses to bond dimension 3.
     assert mpo.max_bond <= 3 + 1e-9

@@ -78,6 +78,20 @@ def test_averaged_correlation_profile_matches_dense(ising, connected):
     assert abs(prof.values[0] - expect) < 1e-12
 
 
+@pytest.mark.parametrize("connected", [False, True])
+def test_correlation_profile_on_qutrits(connected):
+    # a product state of diag(0.5, 0.3, 0.2): <O_j O_(j+x)> = <O>^2 = 0.3^2
+    # at every displacement, and the connected part vanishes
+    length, obs = 4, np.diag([1.0, 0.0, -1.0])
+    site = np.diag([0.5, 0.3, 0.2]).astype(complex).reshape(-1)
+    state = FloquetDensityMatrix({0: Mps.from_product([site] * length)}, 5.0, 0, length, site_dim=3)
+    expect = 0.0 if connected else 0.09
+    prof = correlation_profile(state, 0, 3, observable=obs, connected=connected)
+    assert np.max(np.abs(prof.values - expect)) < 1e-14
+    avg = averaged_correlation_profile(state, 2, observable=obs, connected=connected)
+    assert np.max(np.abs(avg.values - expect)) < 1e-14
+
+
 def test_ness_entropy_and_beta_eff_matches_dense(ising):
     model, exact, state = ising
     d_matrix = sum_local_terms(model.hamiltonian_fourier[0], L)

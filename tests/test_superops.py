@@ -15,6 +15,7 @@ from floquet_ness.superops import (
     right_mult_super,
     vectorize_choi,
     window_super_site_layout,
+    window_sums,
 )
 
 SM = np.array([[0, 1], [0, 0]], dtype=complex)  # sigma^- : |0><1|
@@ -148,8 +149,30 @@ def test_window_super_site_layout_consistency():
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     sup = left_mult_super(a)
     direct = choi_site_vector(a @ rho, 2)
-    routed = window_super_site_layout(sup) @ choi_site_vector(rho, 2)
+    layout = window_super_site_layout(0, sup)
+    assert (layout.start, layout.width, layout.site_dim) == (0, 2, 4)
+    routed = layout.matrix @ choi_site_vector(rho, 2)
     assert np.allclose(direct, routed)
+
+
+def test_window_sums_add_in_input_order():
+    # one window's terms are added left to right, and windows keep their
+    # first-seen order: MPO assembly's bits depend on both
+    rng = np.random.default_rng(16)
+    a, b, c = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(3))
+    z = PAULI["Z"]
+    terms = [
+        LocalOperator(2, a),
+        LocalOperator(0, z),
+        LocalOperator(2, b),
+        LocalOperator(1, z),
+        LocalOperator(2, c),
+    ]
+    sums = window_sums(terms)
+    assert list(sums) == [(2, 2), (0, 1), (1, 1)]
+    assert np.array_equal(sums[(2, 2)], a + b + c)
+    assert np.array_equal(sums[(0, 1)], z)
+    assert window_sums([]) == {}
 
 
 def test_local_operator_embedding():
