@@ -7,7 +7,11 @@ solver, and Gibbs reference states.
 
 Chain-long vectorized quantities use the site-major Choi layout of
 :mod:`.superops`; density matrices cross that boundary via
-``choi_site_vector`` / ``choi_site_matrix``.
+``choi_site_vector`` / ``choi_site_matrix``, which read ``d`` from the
+array sizes; the model fixes every other dimension. The one dense guard is
+the module constant DEFAULT_DENSE_DIM, which tests monkeypatch: the largest
+dense extent a reference forms (``d**(2L)`` here, ``d**L`` for
+``ness_entropy_and_beta_eff`` and ``effective_propagator_error``).
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ __all__ = [
     "entropy_of_density",
 ]
 
-DEFAULT_DENSE_DIM = 2**12
+DEFAULT_DENSE_DIM = 2**12  # largest dense matrix extent of a reference; larger ones are refused
 MULTIPLIER_DEGENERACY_TOL = 1e-8  # one-period multipliers this close to the steady one are degenerate
 BETA_BRACKET = (1e-6, 200.0)  # inverse temperatures searched by beta_from_entropy
 
@@ -59,7 +63,7 @@ def _shannon(p):
     return float(-np.sum(p * np.log(p)))
 
 
-def evolve_master_equation(model: ModelSpec, rho0, t_grid, tol=1e-10, dense_dim=DEFAULT_DENSE_DIM):
+def evolve_master_equation(model: ModelSpec, rho0, t_grid, tol=1e-10):
     """Integrate ``d rho / dt = L(t)[rho]`` and return ``rho(t)`` on `t_grid`.
 
     Uses an adaptive 8th-order Runge-Kutta scheme; the trace is *not*
@@ -68,8 +72,8 @@ def evolve_master_equation(model: ModelSpec, rho0, t_grid, tol=1e-10, dense_dim=
     """
     model.validate()
     dl = model.site_dim**model.chain_length
-    if dl * dl > dense_dim:
-        raise ValueError(f"dense dimension {dl * dl} exceeds limit {dense_dim}")
+    if dl * dl > DEFAULT_DENSE_DIM:
+        raise ValueError(f"dense dimension {dl * dl} exceeds limit {DEFAULT_DENSE_DIM}")
     parts = {q: dense_fourier_superoperator(model, q) for q in model.transfers()}
     return _evolve(model, parts, rho0, t_grid, tol)
 
@@ -82,9 +86,9 @@ def _evolve(model, parts, rho0, t_grid, tol):
         return fourier_sum({q: mat @ y for q, mat in parts.items()}, model.omega, t)
 
     t_grid = np.asarray(t_grid, dtype=float)
-    y0 = choi_site_vector(rho0, model.chain_length, model.site_dim)
+    y0 = choi_site_vector(rho0, model.chain_length)
     states = _propagate(rhs, (t_grid[0], t_grid[-1]), y0, tol, t_eval=t_grid)
-    out = np.array([choi_site_matrix(y, model.chain_length, model.site_dim) for y in states.T])
+    out = np.array([choi_site_matrix(y, model.chain_length) for y in states.T])
     trace_drift = max(abs(np.trace(r) - np.trace(rho0)) for r in out)
     herm_drift = max(np.max(np.abs(r - r.conj().T)) for r in out)
     herm0 = np.max(np.abs(rho0 - rho0.conj().T))
@@ -121,7 +125,6 @@ def floquet_propagator_modes(
     t0: float = 0.0,
     n_time_samples: int = 128,
     tol: float = 1e-12,
-    dense_dim: int = DEFAULT_DENSE_DIM,
 ):
     """Diagnose the one-period map and Fourier-resolve its steady mode.
 
@@ -135,8 +138,8 @@ def floquet_propagator_modes(
     model.validate()
     dl = model.site_dim**model.chain_length
     d2l = dl * dl
-    if d2l > dense_dim:
-        raise ValueError(f"dense dimension {d2l} exceeds limit {dense_dim}")
+    if d2l > DEFAULT_DENSE_DIM:
+        raise ValueError(f"dense dimension {d2l} exceeds limit {DEFAULT_DENSE_DIM}")
     parts = {q: dense_fourier_superoperator(model, q) for q in model.transfers()}
     period = 2 * np.pi / model.omega
 
@@ -159,7 +162,7 @@ def floquet_propagator_modes(
     if degenerate:
         logger.warning("one-period map has %d near-unit multipliers", near_unit.size)
     steady = vecs[:, steady_idx]
-    rho0 = choi_site_matrix(steady, model.chain_length, model.site_dim)
+    rho0 = choi_site_matrix(steady, model.chain_length)
     rho0 = rho0 / np.trace(rho0)
 
     times = t0 + period * np.arange(n_time_samples) / n_time_samples
@@ -168,11 +171,7 @@ def floquet_propagator_modes(
     for n in range(-n_c, n_c + 1):
         phases = np.exp(-1j * n * model.omega * times)
         harmonics[n] = np.tensordot(phases, samples, axes=(0, 0)) / n_time_samples
-    extra = [
-        choi_site_matrix(vecs[:, i], model.chain_length, model.site_dim)
-        for i in near_unit
-        if i != steady_idx
-    ]
+    extra = [choi_site_matrix(vecs[:, i], model.chain_length) for i in near_unit if i != steady_idx]
     return DensePropagatorModes(
         multipliers=multipliers,
         rates=rates,

@@ -10,6 +10,10 @@ same way: one MPO per Fourier transfer ``q``, acting as
 which is the matrix form of the time-dependent generator after inserting the
 harmonic expansion. The block-diagonal ``-i n Omega`` ramp is kept symbolic
 (it is a scalar per block) rather than baked into MPO tensors.
+
+The data owns its dimensions: both containers read their chain length and
+site dimension from their (at least one) blocks or components. Each dense
+guard is a module constant of the module that forms the dense matrix.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import json
 import numpy as np
 
 from .mps import Mps, product_sum_norm
-from .superops import vectorize_choi
+from .superops import _site_dim, choi_site_matrix, vectorize_choi
 from .tensors import TruncationSpec
 
 __all__ = [
@@ -40,24 +44,21 @@ FORMAT_VERSION = 1
 class FloquetDensityMatrix:
     """Vectorized density matrix resolved into drive harmonics.
 
-    Blocks are MPS of physical dimension ``site_dim**2``; missing harmonics
-    inside ``[-cutoff, cutoff]`` are treated as exact zeros.
+    Blocks are MPS of physical dimension ``site_dim**2``; they fix
+    `chain_length` and `site_dim`, so at least one is stored. Missing
+    harmonics inside ``[-cutoff, cutoff]`` are treated as exact zeros.
     """
 
     __slots__ = ("blocks", "omega", "cutoff", "chain_length", "site_dim")
 
-    def __init__(self, blocks, omega, cutoff, chain_length, site_dim=2):
+    def __init__(self, blocks, omega, cutoff):
         self.blocks = dict(blocks)
         self.omega = float(omega)
         self.cutoff = int(cutoff)
-        self.chain_length = int(chain_length)
-        self.site_dim = int(site_dim)
-        p = site_dim * site_dim
-        for n, b in self.blocks.items():
+        self.chain_length, self.site_dim = _geometry(self.blocks, "block")
+        for n in self.blocks:
             if abs(n) > self.cutoff:
                 raise ValueError(f"block {n} outside cutoff {self.cutoff}")
-            if len(b) != chain_length or b.phys_dim != p:
-                raise ValueError(f"block {n} has wrong geometry")
 
     @property
     def harmonics(self):
@@ -74,13 +75,7 @@ class FloquetDensityMatrix:
         return Mps.zeros(self.chain_length, self.phys_dim)
 
     def scaled(self, alpha):
-        return FloquetDensityMatrix(
-            {n: b.scaled(alpha) for n, b in self.blocks.items()},
-            self.omega,
-            self.cutoff,
-            self.chain_length,
-            self.site_dim,
-        )
+        return FloquetDensityMatrix({n: b.scaled(alpha) for n, b in self.blocks.items()}, self.omega, self.cutoff)
 
     def inner(self, other):
         """Extended-space pairing ``sum_n <self^n|other^n>``."""
@@ -103,12 +98,19 @@ class FloquetDensityMatrix:
 
     def to_dense_blocks(self):
         """Dense ``{n: matrix}`` of all stored blocks (small chains only)."""
-        from .superops import choi_site_matrix
+        return {n: choi_site_matrix(b.to_dense(), self.chain_length) for n, b in self.blocks.items()}
 
-        return {
-            n: choi_site_matrix(b.to_dense(), self.chain_length, self.site_dim)
-            for n, b in self.blocks.items()
-        }
+
+def _geometry(mps_by_key, what):
+    """``(chain_length, site_dim)`` shared by the MPS or MPO values of a
+    non-empty dict, whose physical dimension is ``site_dim**2``."""
+    if not mps_by_key:
+        raise ValueError(f"a frequency-space container needs at least one {what}")
+    first = next(iter(mps_by_key.values()))
+    for key, x in mps_by_key.items():
+        if len(x) != len(first) or x.phys_dim != first.phys_dim:
+            raise ValueError(f"{what} {key} has wrong geometry")
+    return len(first), _site_dim(first.phys_dim, 2)
 
 
 def initial_guess(chain_length, site_dim, cutoff, omega, noise_amplitude=0.0, seed=0, noise_bond=2):
@@ -134,7 +136,7 @@ def initial_guess(chain_length, site_dim, cutoff, omega, noise_amplitude=0.0, se
         for n in range(-cutoff, cutoff + 1):
             if n != 0:
                 blocks[n] = Mps.zeros(chain_length, p)
-    return FloquetDensityMatrix(blocks, omega, cutoff, chain_length, site_dim)
+    return FloquetDensityMatrix(blocks, omega, cutoff)
 
 
 def block_norms(state: FloquetDensityMatrix):
@@ -160,10 +162,7 @@ def compress(state: FloquetDensityMatrix, spec: TruncationSpec):
         blocks[n] = comp
         discarded[n] = list(info.discarded_weights)
         spectra[n] = [np.asarray(s) for s in info.spectra]
-    new_state = FloquetDensityMatrix(
-        blocks, state.omega, state.cutoff, state.chain_length, state.site_dim
-    )
-    return new_state, discarded, spectra
+    return FloquetDensityMatrix(blocks, state.omega, state.cutoff), discarded, spectra
 
 
 def hermiticity_defect(state: FloquetDensityMatrix):
@@ -180,7 +179,7 @@ def hermiticity_defect(state: FloquetDensityMatrix):
         raise ValueError("hermiticity defect undefined for a state with |rho^0| = 0")
     out = {}
     for n in state.harmonics:
-        reflected = state.block(-n).dagger_reflect(state.site_dim).scaled(-1.0)
+        reflected = state.block(-n).dagger_reflect().scaled(-1.0)
         out[n] = product_sum_norm([(None, state.block(n)), (None, reflected)]) / ref
     return out
 
@@ -191,22 +190,17 @@ class FloquetMPO:
     ``components[q]`` is the MPO of the Fourier transfer-``q`` part of the
     generator; the action on block ``n`` additionally picks up
     ``diag_sign * i * n * omega`` times the identity. ``diag_sign = -1`` for
-    the forward generator and ``+1`` for its adjoint.
+    the forward generator and ``+1`` for its adjoint. The components fix
+    `chain_length` and `site_dim`, so at least one is stored.
     """
 
-    __slots__ = ("components", "omega", "cutoff", "chain_length", "site_dim", "diag_sign")
+    __slots__ = ("components", "omega", "chain_length", "site_dim", "diag_sign")
 
-    def __init__(self, components, omega, cutoff, chain_length, site_dim=2, diag_sign=-1.0):
+    def __init__(self, components, omega, diag_sign=-1.0):
         self.components = dict(components)
         self.omega = float(omega)
-        self.cutoff = int(cutoff)
-        self.chain_length = int(chain_length)
-        self.site_dim = int(site_dim)
         self.diag_sign = float(diag_sign)
-        p = site_dim * site_dim
-        for q, w in self.components.items():
-            if len(w) != chain_length or w.phys_dim != p:
-                raise ValueError(f"component {q} has wrong geometry")
+        self.chain_length, self.site_dim = _geometry(self.components, "component")
 
     @property
     def phys_dim(self):
@@ -221,14 +215,7 @@ class FloquetMPO:
 
     def adjoint(self):
         comps = {-q: w.adjoint() for q, w in self.components.items()}
-        return FloquetMPO(
-            comps,
-            self.omega,
-            self.cutoff,
-            self.chain_length,
-            self.site_dim,
-            diag_sign=-self.diag_sign,
-        )
+        return FloquetMPO(comps, self.omega, diag_sign=-self.diag_sign)
 
     def apply(self, state: FloquetDensityMatrix, spec=None):
         """Apply to a state, compressing each output block with `spec`.
@@ -257,9 +244,7 @@ class FloquetMPO:
                 acc = acc.add(extra)
             acc, _ = acc.canonicalize(spec)
             out[n] = acc
-        return FloquetDensityMatrix(
-            out, state.omega, state.cutoff, state.chain_length, state.site_dim
-        )
+        return FloquetDensityMatrix(out, state.omega, state.cutoff)
 
 
 def save_state(state: FloquetDensityMatrix, path):
@@ -281,6 +266,8 @@ def save_state(state: FloquetDensityMatrix, path):
 
 
 def load_state(path):
+    """Read a :func:`save_state` checkpoint; raises when the header's chain
+    length or site dimension disagrees with the stored tensors."""
     with np.load(path) as data:
         header = json.loads(bytes(data["header"]).decode())
         if header["format_version"] != FORMAT_VERSION:
@@ -294,10 +281,11 @@ def load_state(path):
                 tensors.append(data[f"block_{n + cutoff}_site_{i}"])
                 i += 1
             blocks[n] = Mps(tensors)
-    return FloquetDensityMatrix(
-        blocks,
-        header["omega"],
-        cutoff,
-        header["chain_length"],
-        header["site_dim"],
-    )
+    state = FloquetDensityMatrix(blocks, header["omega"], cutoff)
+    stored = (state.chain_length, state.site_dim)
+    if stored != (header["chain_length"], header["site_dim"]):
+        raise ValueError(
+            f"checkpoint header says chain_length={header['chain_length']}, site_dim={header['site_dim']}; "
+            f"its tensors hold {stored[0]} sites of dimension {stored[1]}"
+        )
+    return state

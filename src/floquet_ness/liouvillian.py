@@ -16,6 +16,10 @@ frequency-space operator is ``sum_q K^q`` shifted block-to-block plus the
 One sparse block assembly of that operator serves every dense reference:
 ``dense_fourier_superoperator``, ``dense_extended_lindbladian`` and
 ``extended_null_vector`` all read it.
+
+The data owns its dimensions: :meth:`ModelSpec.validate` holds every term to
+the model's ``site_dim``. Each dense guard is a module constant, which tests
+monkeypatch: DEFAULT_DENSE_LIMIT, and DENSE_SOLVE_LIMIT for the solve.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ __all__ = [
     "DEFAULT_DENSE_LIMIT",
 ]
 
-DEFAULT_DENSE_LIMIT = 2**20
+DEFAULT_DENSE_LIMIT = 2**20  # extended dimensions above this are refused by every dense reference
 DENSE_SOLVE_LIMIT = 4096  # extended dimensions up to this go to np.linalg.solve, larger ones to splu
 
 
@@ -65,7 +69,7 @@ class ModelSpec:
     ``H^k``; Hermiticity of ``H(t)`` requires ``H^-k = (H^k)^dag`` termwise,
     which :meth:`validate` checks. `jump_fourier` maps a channel label to the
     harmonic map of one jump operator; all harmonics of a channel must share
-    a single support window.
+    a single support window. Every term is on sites of dimension `site_dim`.
     """
 
     chain_length: int
@@ -79,6 +83,8 @@ class ModelSpec:
             for t in terms:
                 if t.start < 0 or t.stop > self.chain_length:
                     raise ValueError(f"H^{k} term leaves the chain: {t.support}")
+                if t.site_dim != self.site_dim:
+                    raise ValueError(f"H^{k} term at {t.support} has site_dim {t.site_dim}, the model {self.site_dim}")
             partners = window_sums(self.hamiltonian_fourier.get(-k, []))
             for key, mat in window_sums(terms).items():
                 partner = partners.get(key)
@@ -90,9 +96,13 @@ class ModelSpec:
             supports = {(op.start, op.width) for op in comps.values()}
             if len(supports) > 1:
                 raise ValueError(f"jump channel {alpha!r} mixes windows {supports}")
-            for op in comps.values():
+            for j, op in comps.items():
                 if op.start < 0 or op.stop > self.chain_length:
                     raise ValueError(f"jump channel {alpha!r} leaves the chain")
+                if op.site_dim != self.site_dim:
+                    raise ValueError(
+                        f"jump channel {alpha!r} harmonic {j} has site_dim {op.site_dim}, the model {self.site_dim}"
+                    )
         return self
 
     @property
@@ -182,14 +192,7 @@ def build_extended_lindbladian(model: ModelSpec, n_c: int) -> FloquetMPO:
         if not terms and q != 0:
             continue
         components[q] = Mpo.from_local_terms(model.chain_length, p, terms)
-    out = FloquetMPO(
-        components,
-        model.omega,
-        n_c,
-        model.chain_length,
-        model.site_dim,
-        diag_sign=-1.0,
-    )
+    out = FloquetMPO(components, model.omega)
     logger.info(
         "extended generator: %d transfer components, operator bond <= %d",
         len(components),
@@ -221,17 +224,18 @@ def dense_fourier_superoperator(model: ModelSpec, q: int):
     return sparse_fourier_superoperator(model, q).toarray()
 
 
-def _sparse_extended(model: ModelSpec, n_c: int, dense_limit: int):
+def _sparse_extended(model: ModelSpec, n_c: int):
     """Sparse (CSC) frequency-space generator in the block-major layout.
 
     Block ``(n, m)`` is the transfer-``(n - m)`` component; each diagonal
-    block gets the ``-i n Omega`` ramp added after its component.
+    block gets the ``-i n Omega`` ramp added after its component. Extended
+    dimensions above DEFAULT_DENSE_LIMIT are refused.
     """
     model.validate()
     d2l = model.site_dim ** (2 * model.chain_length)
     total = (2 * n_c + 1) * d2l
-    if total > dense_limit:
-        raise ValueError(f"extended dimension {total} exceeds dense limit {dense_limit}")
+    if total > DEFAULT_DENSE_LIMIT:
+        raise ValueError(f"extended dimension {total} exceeds dense limit {DEFAULT_DENSE_LIMIT}")
     blocks = {q: sparse_fourier_superoperator(model, q) for q in model.transfers(n_c)}
     eye = sp.identity(d2l, dtype=complex, format="csr")
     rows = []
@@ -242,17 +246,15 @@ def _sparse_extended(model: ModelSpec, n_c: int, dense_limit: int):
     return sp.bmat(rows, format="csc")
 
 
-def dense_extended_lindbladian(
-    model: ModelSpec, n_c: int, dense_limit: int = DEFAULT_DENSE_LIMIT
-):
+def dense_extended_lindbladian(model: ModelSpec, n_c: int):
     """Exact dense matrix of the frequency-space generator.
 
     Block-major layout: row/column index is ``(n + n_c) * d**(2L) + choi``.
     """
-    return _sparse_extended(model, n_c, dense_limit).toarray()
+    return _sparse_extended(model, n_c).toarray()
 
 
-def extended_null_vector(model: ModelSpec, n_c: int, dense_limit: int = DEFAULT_DENSE_LIMIT):
+def extended_null_vector(model: ModelSpec, n_c: int):
     """Trace-normalized steady solution of the frequency-space generator.
 
     Solves ``L x = 0`` with ``Tr x^0 = 1`` by adding a rank-one trace tether
@@ -261,7 +263,7 @@ def extended_null_vector(model: ModelSpec, n_c: int, dense_limit: int = DEFAULT_
     Extended dimensions up to DENSE_SOLVE_LIMIT are solved densely (Ising
     L=4 up to n_c=2, L=5 at n_c=1), larger ones by a sparse LU.
     """
-    mat = _sparse_extended(model, n_c, dense_limit)
+    mat = _sparse_extended(model, n_c)
     d = model.site_dim
     dl = d**model.chain_length
     d2l = dl * dl
@@ -277,6 +279,6 @@ def extended_null_vector(model: ModelSpec, n_c: int, dense_limit: int = DEFAULT_
     else:
         x = spla.splu(mat).solve(rhs)
     return {
-        n: choi_site_matrix(x[(n + n_c) * d2l : (n + n_c + 1) * d2l], model.chain_length, d)
+        n: choi_site_matrix(x[(n + n_c) * d2l : (n + n_c + 1) * d2l], model.chain_length)
         for n in range(-n_c, n_c + 1)
     }

@@ -266,6 +266,7 @@ class EffectivePair:
     ``d_terms`` is the local-term list of the static Hamiltonian;
     ``k_fourier`` maps the harmonic to the local-term list of the kicking
     operator, with ``K(t) = sum_k K^k exp(i k nu t)`` Hermitian at every t.
+    Dense forms are on the terms' sites; either list may be empty.
     """
 
     d_terms: list
@@ -273,24 +274,24 @@ class EffectivePair:
     fundamental: float
     order: int
 
-    def dense_d(self, chain_length, site_dim=2):
-        return sum_local_terms(self.d_terms, chain_length, site_dim)
+    def _zero(self, chain_length):
+        (site_dim,) = {t.site_dim for terms in (self.d_terms, *self.k_fourier.values()) for t in terms}
+        return np.zeros((site_dim**chain_length,) * 2, dtype=complex)
 
-    def dense_k(self, chain_length, site_dim=2):
-        return {
-            k: sum_local_terms(terms, chain_length, site_dim)
-            for k, terms in self.k_fourier.items()
-        }
+    def dense_d(self, chain_length):
+        return sum_local_terms(self.d_terms, chain_length) if self.d_terms else self._zero(chain_length)
 
-    def k_at_time(self, t, chain_length, site_dim=2):
+    def dense_k(self, chain_length):
+        return {k: sum_local_terms(terms, chain_length) for k, terms in self.k_fourier.items()}
+
+    def k_at_time(self, t, chain_length):
         """``K(t)``; a zero matrix at order 0, which has no kicking harmonics."""
-        zero = np.zeros((site_dim**chain_length,) * 2, dtype=complex)
-        return zero + fourier_sum(self.dense_k(chain_length, site_dim), self.fundamental, t)
+        return self._zero(chain_length) + fourier_sum(self.dense_k(chain_length), self.fundamental, t)
 
 
 def _merge_terms(terms, tol=1e-14):
     return [
-        LocalOperator(start, mat)
+        LocalOperator(start, mat, terms[0].site_dim)
         for (start, _w), mat in sorted(window_sums(terms).items())
         if np.max(np.abs(mat)) > tol
     ]
@@ -371,33 +372,24 @@ def van_vleck(h_fourier, fundamental, order=2):
     return EffectivePair(d_terms=d_terms, k_fourier=k_fourier, fundamental=nu, order=order)
 
 
-def effective_propagator_error(
-    h_fourier,
-    fundamental,
-    order,
-    chain_length,
-    duration=None,
-    site_dim=2,
-    tol=1e-12,
-):
+def effective_propagator_error(h_fourier, fundamental, order, chain_length, duration=None, tol=1e-12):
     """Norm distance between the exact and kick-dressed effective propagator.
 
     Integrates the time-ordered propagator over `duration` (default: one
     period of the fundamental) to tolerance `tol` and compares against
-    ``exp(-iK(t)) exp(-iD(t-s)) exp(iK(s))`` from :func:`van_vleck`.
+    ``exp(-iK(t)) exp(-iD(t-s)) exp(iK(s))`` from :func:`van_vleck`, on the
+    sites of the terms of `h_fourier`. Chains of more than
+    :data:`~floquet_ness.exact.DEFAULT_DENSE_DIM` states are refused.
     """
-    from .exact import _propagate  # imported here: building a model never integrates
+    from .exact import DEFAULT_DENSE_DIM, _propagate  # imported here: building a model never integrates
 
+    (site_dim,) = {t.site_dim for terms in h_fourier.values() for t in terms}
     dim = site_dim**chain_length
-    if dim > 2**12:
+    if dim > DEFAULT_DENSE_DIM:
         raise ValueError("window too large for dense exponentiation")
     nu = float(fundamental)
     duration = 2 * np.pi / nu if duration is None else float(duration)
-    dense = {
-        k: sum_local_terms(terms, chain_length, site_dim)
-        for k, terms in h_fourier.items()
-        if terms
-    }
+    dense = {k: sum_local_terms(terms, chain_length) for k, terms in h_fourier.items() if terms}
 
     def rhs(t, y):
         u = y.reshape(dim, dim)
@@ -406,9 +398,9 @@ def effective_propagator_error(
     exact = _propagate(rhs, (0.0, duration), np.eye(dim, dtype=complex).reshape(-1), tol)
     exact = exact[:, -1].reshape(dim, dim)
     pair = van_vleck(h_fourier, nu, order)
-    d_mat = pair.dense_d(chain_length, site_dim)
-    k_start = pair.k_at_time(0.0, chain_length, site_dim)
-    k_end = pair.k_at_time(duration, chain_length, site_dim)
+    d_mat = pair.dense_d(chain_length)
+    k_start = pair.k_at_time(0.0, chain_length)
+    k_end = pair.k_at_time(duration, chain_length)
     approx = expm(-1j * k_end) @ expm(-1j * d_mat * duration) @ expm(1j * k_start)
     return float(np.linalg.norm(exact - approx, ord=2))
 
@@ -491,11 +483,7 @@ def _restrict_terms(comps, start, stop):
     """Keep the terms fully inside ``[start, stop)`` and rebase to the window."""
     out = {}
     for k, terms in comps.items():
-        kept = [
-            LocalOperator(t.start - start, t.matrix)
-            for t in terms
-            if t.start >= start and t.stop <= stop
-        ]
+        kept = [LocalOperator(t.start - start, t.matrix, t.site_dim) for t in terms if t.start >= start and t.stop <= stop]
         if kept:
             out[k] = kept
     return out

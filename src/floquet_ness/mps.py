@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .superops import choi_site_vector, window_sums
+from .superops import _site_dim, choi_site_vector, window_sums
 from .tensors import TruncationSpec, truncated_svd
 
 __all__ = ["Mps", "Mpo", "CompressionInfo", "product_sum_norm"]
@@ -77,11 +77,11 @@ class Mps:
         return out
 
     @classmethod
-    def from_dense(cls, vec, length, phys_dim, spec=None):
-        """Exact (or truncated) MPS factorization of a dense vector."""
+    def from_dense(cls, vec, length, spec=None):
+        """Exact (or truncated) MPS factorization of a dense vector of
+        `length` sites, whose size fixes the physical dimension."""
         vec = np.asarray(vec, dtype=complex)
-        if vec.size != phys_dim**length:
-            raise ValueError("dense vector length does not match chain")
+        phys_dim = _site_dim(vec.size, length)
         tensors = []
         rest = vec.reshape(1, -1)
         for _ in range(length - 1):
@@ -157,11 +157,9 @@ class Mps:
             out.append(t)
         return Mps(out)
 
-    def dagger_reflect(self, site_dim):
+    def dagger_reflect(self):
         """Adjoint of the represented operator: swap Choi sublegs and conjugate."""
-        d = site_dim
-        if d * d != self.phys_dim:
-            raise ValueError("phys_dim is not a perfect square")
+        d = _site_dim(self.phys_dim, 2)
         out = []
         for t in self.tensors:
             r = t.reshape(d, d, t.shape[1], t.shape[2])
@@ -450,7 +448,7 @@ def _mpo_factors(matrix, width, phys_dim):
     p2 = phys_dim * phys_dim
     mid = (width - 1) // 2
     # [o1..ow, i1..iw] -> [(o1 i1), (o2 i2), ...], the site-major interleave
-    tensor = choi_site_vector(matrix, width, phys_dim).reshape(p2**mid, p2, p2 ** (width - mid - 1))
+    tensor = choi_site_vector(matrix, width).reshape(p2**mid, p2, p2 ** (width - mid - 1))
     left = [np.eye(p2 ** (k + 1), dtype=complex).reshape(p2**k, p2, -1) for k in range(mid)]
     right = [
         np.eye(p2 ** (width - k), dtype=complex).reshape(-1, p2, p2 ** (width - k - 1))

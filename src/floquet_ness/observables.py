@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import beta_from_entropy, entropy_of_density
+from .exact import DEFAULT_DENSE_DIM, beta_from_entropy, entropy_of_density
 from .freqspace import FloquetDensityMatrix
 from .mps import Mps
 from .superops import PAULI, LocalOperator, choi_site_vector, fourier_sum, vectorize_choi
@@ -80,10 +80,10 @@ def harmonic_expectations(state: FloquetDensityMatrix, op: LocalOperator):
     """
     if op.start < 0 or op.stop > state.chain_length:
         raise ValueError("observable window leaves the chain")
-    d = state.site_dim
-    eye = vectorize_choi(np.eye(d, dtype=complex)).reshape(-1, 1, 1)
-    adjoint = choi_site_vector(op.matrix.conj().T, op.width, d)
-    window = Mps.from_dense(adjoint, op.width, d * d).tensors
+    if op.site_dim != state.site_dim:
+        raise ValueError(f"observable on sites of dimension {op.site_dim}, state on {state.site_dim}")
+    eye = vectorize_choi(np.eye(state.site_dim, dtype=complex)).reshape(-1, 1, 1)
+    window = Mps.from_dense(choi_site_vector(op.matrix.conj().T, op.width), op.width).tensors
     dual = Mps([eye] * op.start + window + [eye] * (state.chain_length - op.stop))
     return {n: dual.inner(state.block(n)) for n in state.harmonics}
 
@@ -206,16 +206,17 @@ def averaged_correlation_profile(state, x_max, observable=None, connected=False,
     )
 
 
-def ness_entropy_and_beta_eff(state: FloquetDensityMatrix, d_matrix, dense_limit=2**12):
+def ness_entropy_and_beta_eff(state: FloquetDensityMatrix, d_matrix):
     """Entropy of the period-averaged state and the matching Gibbs temperature.
 
-    Reconstructs ``rho^0`` densely (only possible on short chains), clips the
+    Reconstructs ``rho^0`` densely (refused above the extent
+    :data:`~floquet_ness.exact.DEFAULT_DENSE_DIM`), clips the
     negative eigenvalues that truncation can produce, and bisects the Gibbs
     entropy curve of `d_matrix` for the effective inverse temperature.
     Returns ``(entropy, beta_eff, clipped_weight)``.
     """
     dl = state.site_dim**state.chain_length
-    if dl > dense_limit:
+    if dl > DEFAULT_DENSE_DIM:
         raise ValueError(f"dense reconstruction of dimension {dl} refused")
     rho0 = state.to_dense_blocks()[0]
     report = {}

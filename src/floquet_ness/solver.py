@@ -284,7 +284,6 @@ class SweepEngine:
     def __init__(self, mpo: FloquetMPO, state: FloquetDensityMatrix, chi=None):
         self.mpo = mpo
         self.length = state.chain_length
-        self.site_dim = state.site_dim
         self.phys = state.phys_dim
         self.omega = state.omega
         self.cutoff = state.cutoff
@@ -330,13 +329,8 @@ class SweepEngine:
     # -- state access --------------------------------------------------------
 
     def state(self):
-        return FloquetDensityMatrix(
-            {n: Mps([s[h].copy() for s in self.sites]) for h, n in enumerate(self.harmonics)},
-            self.omega,
-            self.cutoff,
-            self.length,
-            self.site_dim,
-        )
+        blocks = {n: Mps([s[h].copy() for s in self.sites]) for h, n in enumerate(self.harmonics)}
+        return FloquetDensityMatrix(blocks, self.omega, self.cutoff)
 
     # -- environments ---------------------------------------------------------
 
@@ -1235,7 +1229,7 @@ def _trace_penalized(mpo, strength):
     projector = np.outer(eye, eye.conj())[None, :, :, None] / mpo.site_dim  # <I|I> = d per site
     penalty = Mpo([-strength * projector] + [projector] * (mpo.chain_length - 1))
     components = {**mpo.components, 0: mpo.components[0].add(penalty)}
-    return FloquetMPO(components, mpo.omega, mpo.cutoff, mpo.chain_length, mpo.site_dim, mpo.diag_sign)
+    return FloquetMPO(components, mpo.omega, mpo.diag_sign)
 
 
 def _eigen_residual(mpo, vec, theta):
@@ -1310,7 +1304,7 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
     mpo = build_extended_lindbladian(model, n_c)  # validates the model
     rng = np.random.default_rng(cfg.seed + 1)
     blocks = {n: Mps.random(model.chain_length, model.site_dim**2, stage.chi, rng) for n in range(-n_c, n_c + 1)}
-    seed = FloquetDensityMatrix(blocks, model.omega, n_c, model.chain_length, model.site_dim)
+    seed = FloquetDensityMatrix(blocks, model.omega, n_c)
     engine, lam = _sweep_schedule(_trace_penalized(mpo, w), seed, cfg, report, "slowest_central", "decay right")
     if lam.real > 1e-6:
         raise SolverError(f"decay eigenvalue has positive real part: {lam}")

@@ -23,6 +23,13 @@ alone sums the terms of a window; ``_interleaved`` is the one site-major
 interleave, behind the Choi layouts, ``window_super_site_layout`` and MPO
 assembly's window split.
 
+Two rules hold package-wide. The data owns its dimensions: what is handed
+arrays or terms reads ``d`` from their sizes (``_site_dim``) or ``site_dim``;
+only builders from nothing, such as :func:`identity_costate`, take it (and
+:func:`window_super_site_layout`, whose extent cannot separate ``d`` from
+the width). Each dense-size guard is a module constant, which tests
+monkeypatch.
+
 Spin-1/2 basis: index 0 is "up" (Z eigenvalue +1), index 1 is "down".
 """
 
@@ -209,17 +216,27 @@ def _interleaved(length):
     return [x for i in range(length) for x in (i, length + i)]
 
 
-def choi_site_vector(matrix, length, site_dim=2):
+def _site_dim(extent, sites):
+    """The site dimension ``d`` of `sites` sites of joint extent ``d**sites``."""
+    d = int(round(extent ** (1.0 / sites)))
+    if d**sites != extent:
+        raise ValueError(f"extent {extent} is not the power {sites} of a site dimension")
+    return d
+
+
+def choi_site_vector(matrix, length):
     """Site-major Choi vector of a chain operator (matches MPS physical legs)."""
-    d = site_dim
-    t = np.asarray(matrix, dtype=complex).reshape((d,) * (2 * length))
+    matrix = np.asarray(matrix, dtype=complex)
+    d = _site_dim(matrix.shape[0], length)
+    t = matrix.reshape((d,) * (2 * length))
     return t.transpose(_interleaved(length)).reshape(-1)
 
 
-def choi_site_matrix(vec, length, site_dim=2):
+def choi_site_matrix(vec, length):
     """Inverse of :func:`choi_site_vector`."""
-    d = site_dim
-    t = np.asarray(vec, dtype=complex).reshape((d, d) * length)
+    vec = np.asarray(vec, dtype=complex)
+    d = _site_dim(vec.size, 2 * length)
+    t = vec.reshape((d, d) * length)
     return t.transpose(np.argsort(_interleaved(length))).reshape(d**length, d**length)
 
 
@@ -248,8 +265,10 @@ def window_sums(terms):
     return out
 
 
-def sum_local_terms(terms, chain_length, site_dim=2):
-    """Dense sum of local terms over the full chain."""
+def sum_local_terms(terms, chain_length):
+    """Dense sum of local terms over the full chain, on the terms' sites."""
+    terms = list(terms)
+    (site_dim,) = {t.site_dim for t in terms}  # raises for no terms or mixed sites
     dim = site_dim**chain_length
     total = np.zeros((dim, dim), dtype=complex)
     for t in terms:

@@ -202,7 +202,8 @@ def test_fre_rejects_disconnected_rates():
         solve_fre(d, {0: [coupling]}, bath, fundamental=0.0)
 
 
-def test_dense_dimension_guard():
+def test_dense_dimension_guard(monkeypatch):
     model = build_driven_ising(IsingBenchmarkParams(chain_length=4))
+    monkeypatch.setattr(exact, "DEFAULT_DENSE_DIM", 10)
     with pytest.raises(ValueError):
-        evolve_master_equation(model, np.eye(16) / 16, [0, 1], dense_dim=10)
+        evolve_master_equation(model, np.eye(16) / 16, [0, 1])

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from floquet_ness.freqspace import (
     FloquetDensityMatrix,
+    FloquetMPO,
     block_norms,
     compress,
     hermiticity_defect,
@@ -21,7 +24,7 @@ def random_state(rng, length=3, cutoff=2, chi=4, omega=5.0):
     blocks = {
         n: Mps.random(length, 4, chi, rng, norm=None) for n in range(-cutoff, cutoff + 1)
     }
-    return FloquetDensityMatrix(blocks, omega, cutoff, length)
+    return FloquetDensityMatrix(blocks, omega, cutoff)
 
 
 def test_initial_guess_noise_free():
@@ -43,7 +46,7 @@ def test_block_trace_evaluates_trace():
     rng = np.random.default_rng(7)
     state = random_state(rng, length=2, cutoff=1, chi=3)
     for n in state.harmonics:
-        rho = choi_site_matrix(state.block(n).to_dense(), 2, 2)
+        rho = choi_site_matrix(state.block(n).to_dense(), 2)
         assert abs(state.block_trace(n) - np.trace(rho)) < 1e-12
     assert state.block_trace(2) == 0
 
@@ -71,8 +74,8 @@ def test_trace_pair_property_for_hermitian_state():
     half = {n: Mps.random(3, 4, 3, rng, norm=None) for n in range(0, 3)}
     blocks = dict(half)
     for n in range(1, 3):
-        blocks[-n] = half[n].dagger_reflect(2)
-    state = FloquetDensityMatrix(blocks, 2.0, 2, 3)
+        blocks[-n] = half[n].dagger_reflect()
+    state = FloquetDensityMatrix(blocks, 2.0, 2)
     traces = trace_components(state)
     for n in range(1, 3):
         assert abs(traces[-n] - np.conj(traces[n])) < 1e-10
@@ -110,9 +113,9 @@ def test_compress_never_increases_norms():
 def test_hermiticity_defect_zero_for_reflected_state():
     rng = np.random.default_rng(5)
     half = {n: Mps.random(2, 4, 2, rng, norm=None) for n in range(0, 2)}
-    sym = half[0].add(half[0].dagger_reflect(2)).scaled(0.5)
-    blocks = {0: sym, 1: half[1], -1: half[1].dagger_reflect(2)}
-    state = FloquetDensityMatrix(blocks, 1.0, 1, 2)
+    sym = half[0].add(half[0].dagger_reflect()).scaled(0.5)
+    blocks = {0: sym, 1: half[1], -1: half[1].dagger_reflect()}
+    state = FloquetDensityMatrix(blocks, 1.0, 1)
     defects = hermiticity_defect(state)
     assert all(v < 1e-7 for v in defects.values())
 
@@ -126,7 +129,7 @@ def test_hermiticity_defect_detects_asymmetry():
 
 def test_hermiticity_defect_zero_state_raises():
     blocks = {0: Mps.zeros(2, 4)}
-    state = FloquetDensityMatrix(blocks, 1.0, 0, 2)
+    state = FloquetDensityMatrix(blocks, 1.0, 0)
     with pytest.raises(ValueError):
         hermiticity_defect(state)
 
@@ -149,6 +152,32 @@ def test_save_load_round_trip(tmp_path):
     for n in state.harmonics:
         for a, b in zip(state.block(n).tensors, back.block(n).tensors):
             assert np.array_equal(a, b)
+
+
+def test_load_state_rejects_a_header_that_disagrees_with_the_tensors(tmp_path):
+    state = random_state(np.random.default_rng(9), length=3, cutoff=1)
+    path = tmp_path / "state.npz"
+    save_state(state, path)
+    with np.load(path) as data:
+        arrays = dict(data)
+    for key, value in (("chain_length", 4), ("site_dim", 3)):
+        header = json.loads(bytes(arrays["header"]).decode()) | {key: value}
+        tampered = tmp_path / f"{key}.npz"
+        np.savez(tampered, **arrays | {"header": np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)})
+        with pytest.raises(ValueError, match=f"{key}={value}"):
+            load_state(tampered)
+
+
+def test_containers_read_their_dimensions_and_are_never_empty():
+    rng = np.random.default_rng(11)
+    state = FloquetDensityMatrix({0: Mps.random(3, 9, 2, rng)}, 1.0, 1)
+    assert (state.chain_length, state.site_dim) == (3, 3)
+    with pytest.raises(ValueError):
+        FloquetDensityMatrix({}, 1.0, 0)
+    with pytest.raises(ValueError):
+        FloquetDensityMatrix({0: Mps.random(3, 4, 2, rng), 1: Mps.random(2, 4, 2, rng)}, 1.0, 1)
+    with pytest.raises(ValueError):
+        FloquetMPO({}, 1.0)
 
 
 def test_time_reconstruction_periodicity():

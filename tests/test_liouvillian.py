@@ -77,12 +77,12 @@ def random_freq_state(model, n_c, rng, chi=4):
         n: Mps.random(model.chain_length, 4, chi, rng, norm=None)
         for n in range(-n_c, n_c + 1)
     }
-    return FloquetDensityMatrix(blocks, model.omega, n_c, model.chain_length)
+    return FloquetDensityMatrix(blocks, model.omega, n_c)
 
 
 def extended_dense_vector(state):
     segs = [
-        choi_site_vector(m, state.chain_length, state.site_dim)
+        choi_site_vector(m, state.chain_length)
         for m in (state.to_dense_blocks() | {}).values()
     ]
     # to_dense_blocks only holds stored blocks; rebuild in harmonic order
@@ -107,6 +107,18 @@ def test_validate_rejects_mixed_jump_windows():
     jumps = {"a": {0: LocalOperator(0, SM), 1: LocalOperator(1, SM)}}
     with pytest.raises(ValueError):
         ModelSpec(3, 1.0, {}, jumps).validate()
+
+
+def test_validate_rejects_a_term_off_the_model_site_dim():
+    # a qutrit model left at the default site_dim=2 is refused by validate,
+    # with the harmonic or channel named, instead of failing in assembly
+    sz = LocalOperator(0, np.diag([1.0, 0.0, -1.0]), 3)
+    lower = LocalOperator(0, np.diag([1.0, np.sqrt(2.0)], k=1), 3)
+    with pytest.raises(ValueError, match=r"H\^0 term .* site_dim 3"):
+        ModelSpec(1, 2.0, {0: [sz]}).validate()
+    with pytest.raises(ValueError, match="jump channel 'a' harmonic 0 .* site_dim 3"):
+        ModelSpec(1, 2.0, {}, {"a": {0: lower}}).validate()
+    ModelSpec(1, 2.0, {0: [sz]}, {"a": {0: lower}}, site_dim=3).validate()
 
 
 def test_static_single_qubit_dense_spectrum():
@@ -190,7 +202,7 @@ def test_static_model_action_is_block_diagonal():
     mpo = build_extended_lindbladian(model, 2)
     rng = np.random.default_rng(2)
     state = FloquetDensityMatrix(
-        {1: Mps.random(1, 4, 1, rng, norm=None)}, model.omega, 2, 1
+        {1: Mps.random(1, 4, 1, rng, norm=None)}, model.omega, 2
     )
     out = mpo.apply(state, TruncationSpec())
     for n in out.harmonics:
@@ -229,10 +241,11 @@ def test_operator_bond_dimension_is_documented_scale():
     assert mpo.components[0].max_bond <= 16 + 2
 
 
-def test_dense_limit_enforced():
+def test_dense_limit_enforced(monkeypatch):
     model = small_driven_model(length=2)
+    monkeypatch.setattr(liouvillian, "DEFAULT_DENSE_LIMIT", 10)
     with pytest.raises(ValueError):
-        dense_extended_lindbladian(model, 1, dense_limit=10)
+        dense_extended_lindbladian(model, 1)
 
 
 def test_null_vector_sparse_lu_agrees_with_dense_solve(monkeypatch):

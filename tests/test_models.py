@@ -188,6 +188,20 @@ def test_van_vleck_d_hermitian_and_k_consistent():
         assert np.max(np.abs(dense_k.get(-k, np.zeros_like(mat)) - mat.conj().T)) < 1e-12
 
 
+def test_van_vleck_keeps_the_site_dim_of_a_qutrit_drive():
+    shift = np.roll(np.eye(3), 1, axis=0)  # |i> -> |i + 1 mod 3>
+    comps = {
+        0: [LocalOperator(0, np.diag([1.0, 0.0, -1.0]), 3)],
+        1: [LocalOperator(0, shift, 3)],
+        -1: [LocalOperator(0, shift.T, 3)],
+    }
+    pair = van_vleck(comps, fundamental=5.0, order=2)
+    terms = pair.d_terms + [t for ts in pair.k_fourier.values() for t in ts]
+    assert pair.k_fourier and all(t.site_dim == 3 for t in terms)
+    errs = [effective_propagator_error(comps, 5.0, order, chain_length=1) for order in (0, 1, 2)]
+    assert errs[0] > 2 * errs[1] > 4 * errs[2]  # measured 0.55, 0.19, 0.049
+
+
 def scaling_model():
     rng = np.random.default_rng(7)
     h0 = [
@@ -260,9 +274,6 @@ def test_rotating_frame_dynamical_symmetry():
     comps = build_dtc_rotating_frame(p)
     nu = p.fundamental
     half_period = 2 * np.pi / p.omega
-    flip = sum_local_terms(
-        [LocalOperator(i, PAULI["X"]) for i in range(0, 0)], p.chain_length
-    )
     flip = np.eye(2**p.chain_length, dtype=complex)
     for i in range(p.chain_length):
         flip = flip @ LocalOperator(i, PAULI["X"]).on_window(0, p.chain_length).matrix

@@ -84,16 +84,16 @@ def test_zero_state_is_harmless():
 def test_from_dense_round_trip():
     rng = np.random.default_rng(5)
     vec = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    m = Mps.from_dense(vec, 4, 2)
+    m = Mps.from_dense(vec, 4)
     assert np.allclose(m.to_dense(), vec)
 
 
 def test_dagger_reflect_matches_dense_adjoint():
     rng = np.random.default_rng(6)
     m = random_mps(rng, length=3, phys=4, chi=4)
-    dense = choi_site_matrix(m.to_dense(), 3, 2)
-    refl = m.dagger_reflect(2)
-    assert np.allclose(choi_site_matrix(refl.to_dense(), 3, 2), dense.conj().T)
+    dense = choi_site_matrix(m.to_dense(), 3)
+    refl = m.dagger_reflect()
+    assert np.allclose(choi_site_matrix(refl.to_dense(), 3), dense.conj().T)
 
 
 def test_mpo_from_local_terms_matches_dense_sum():

@@ -32,9 +32,9 @@ def ising():
     model = build_driven_ising(IsingBenchmarkParams(chain_length=L, omega=5.0))
     exact = extended_null_vector(model, N_C)
     blocks = {
-        n: Mps.from_dense(choi_site_vector(rho, L), L, 4) for n, rho in exact.items()
+        n: Mps.from_dense(choi_site_vector(rho, L), L) for n, rho in exact.items()
     }
-    state = FloquetDensityMatrix(blocks, model.omega, N_C, L)
+    state = FloquetDensityMatrix(blocks, model.omega, N_C)
     return model, exact, state
 
 
@@ -84,12 +84,20 @@ def test_correlation_profile_on_qutrits(connected):
     # at every displacement, and the connected part vanishes
     length, obs = 4, np.diag([1.0, 0.0, -1.0])
     site = np.diag([0.5, 0.3, 0.2]).astype(complex).reshape(-1)
-    state = FloquetDensityMatrix({0: Mps.from_product([site] * length)}, 5.0, 0, length, site_dim=3)
+    state = FloquetDensityMatrix({0: Mps.from_product([site] * length)}, 5.0, 0)
     expect = 0.0 if connected else 0.09
     prof = correlation_profile(state, 0, 3, observable=obs, connected=connected)
     assert np.max(np.abs(prof.values - expect)) < 1e-14
     avg = averaged_correlation_profile(state, 2, observable=obs, connected=connected)
     assert np.max(np.abs(avg.values - expect)) < 1e-14
+
+
+def test_observable_off_the_state_site_dim_is_refused():
+    # a qubit observable (site_dim left at 2) on a qutrit state
+    site = np.diag([0.5, 0.3, 0.2]).astype(complex).reshape(-1)
+    state = FloquetDensityMatrix({0: Mps.from_product([site] * 2)}, 5.0, 0)
+    with pytest.raises(ValueError, match="dimension 2, state on 3"):
+        expectation_series(state, LocalOperator(0, PAULI["Z"]), [0.0])
 
 
 def test_ness_entropy_and_beta_eff_matches_dense(ising):
@@ -119,8 +127,8 @@ def test_expectation_series_micro_motion_matches_time_evolution():
     model = build_driven_ising(IsingBenchmarkParams(chain_length=L, omega=5.0))
     n_c = 4
     exact = extended_null_vector(model, n_c)
-    blocks = {n: Mps.from_dense(choi_site_vector(rho, L), L, 4) for n, rho in exact.items()}
-    state = FloquetDensityMatrix(blocks, model.omega, n_c, L)
+    blocks = {n: Mps.from_dense(choi_site_vector(rho, L), L) for n, rho in exact.items()}
+    state = FloquetDensityMatrix(blocks, model.omega, n_c)
     op = LocalOperator(1, np.kron(PAULI["X"], PAULI["Z"]))
     times = np.linspace(0.0, 2 * np.pi / model.omega, 17)
     traj = evolve_master_equation(model, sum(exact.values()), times, tol=1e-12)

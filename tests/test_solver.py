@@ -131,7 +131,7 @@ def test_local_operator_matches_dense_projection(adjoint, terms):
     n_c, length = 1, 3
     rng = np.random.default_rng(5)
     blocks = {n: Mps.random(length, 4, 3, rng, norm=1.0) for n in (-1, 0, 1)}
-    state = FloquetDensityMatrix(blocks, model.omega, n_c, length)
+    state = FloquetDensityMatrix(blocks, model.omega, n_c)
     mpo = build_extended_lindbladian(model, n_c)
     dense = dense_extended_lindbladian(model, n_c)
     if adjoint:
@@ -175,7 +175,7 @@ def test_dense_matrix_assembles_matvec_without_calling_it(adjoint, terms, monkey
     deflation = solver.DEFLATION_SHIFT if terms == "deflated" else 0.0
     rng = np.random.default_rng(8)
     blocks = {n: Mps.random(length, 4, 4, rng, norm=1.0) for n in (-1, 0, 1)}
-    state = FloquetDensityMatrix(blocks, model.omega, n_c, length)
+    state = FloquetDensityMatrix(blocks, model.omega, n_c)
     for site in range(length):
         engine = SweepEngine(mpo, state)
         engine.advance_to(site)
@@ -204,16 +204,16 @@ def test_engine_refuses_blocks_of_different_bonds():
     mpo = build_extended_lindbladian(model, 1)
     rng = np.random.default_rng(5)
     blocks = {n: Mps.random(3, 4, chi, rng, norm=1.0) for n, chi in ((-1, 1), (0, 3), (1, 2))}
-    state = FloquetDensityMatrix(blocks, model.omega, 1, 3)
+    state = FloquetDensityMatrix(blocks, model.omega, 1)
     with pytest.raises(ValueError, match=r"share their bonds.*-1: \[1, 1\], 0: \[3, 3\], 1: \[2, 2\]"):
         SweepEngine(mpo, state)
     blocks = {n: Mps.random(3, 4, 2, rng, norm=1.0) for n in (-1, 0, 1)}
-    engine = SweepEngine(mpo, FloquetDensityMatrix(blocks, model.omega, 1, 3))
+    engine = SweepEngine(mpo, FloquetDensityMatrix(blocks, model.omega, 1))
     assert [s.shape for s in engine.sites] == [(3, 4, 1, 2), (3, 4, 2, 2), (3, 4, 2, 1)]
     # an exactly zero block has no bonds of its own: it is not refused, but
     # takes orthonormal frames at the shared bonds and stays zero
     blocks[1] = Mps.zeros(3, 4)
-    engine = SweepEngine(mpo, FloquetDensityMatrix(blocks, model.omega, 1, 3))
+    engine = SweepEngine(mpo, FloquetDensityMatrix(blocks, model.omega, 1))
     assert [s.shape for s in engine.sites] == [(3, 4, 1, 2), (3, 4, 2, 2), (3, 4, 2, 1)]
     assert engine.state().block(1).norm() == 0.0
     phi = frame_map(engine, engine.site_problem(0))
@@ -227,7 +227,7 @@ def test_engine_canonicalizes_each_block_once(monkeypatch):
     mpo = build_extended_lindbladian(model, 1)
     rng = np.random.default_rng(5)
     blocks = {n: Mps.random(3, 4, 4, rng, norm=1.0) for n in (-1, 0, 1)}
-    state = FloquetDensityMatrix(blocks, model.omega, 1, 3)
+    state = FloquetDensityMatrix(blocks, model.omega, 1)
     dropped = sum(b.canonicalize(TruncationSpec(max_rank=2))[1].total_discarded for b in blocks.values())
     calls = []
     original = Mps.canonicalize
@@ -572,7 +572,7 @@ def at_one_bond(state, chi):
     """`state` with every block canonicalized at bond `chi`, as a solve's start is."""
     spec = TruncationSpec(max_rank=chi)
     blocks = {n: state.block(n).canonicalize(spec)[0] for n in state.harmonics}
-    return FloquetDensityMatrix(blocks, state.omega, state.cutoff, state.chain_length, state.site_dim)
+    return FloquetDensityMatrix(blocks, state.omega, state.cutoff)
 
 
 def counted(**counts):
@@ -595,7 +595,7 @@ def test_shift_invert_matches_dense_eig(start, penalties):
     else:
         rng = np.random.default_rng(5)
         blocks = {n: Mps.random(3, 4, 4, rng, norm=1.0) for n in range(-n_c, n_c + 1)}
-        state = FloquetDensityMatrix(blocks, model.omega, n_c, 3, 2)
+        state = FloquetDensityMatrix(blocks, model.omega, n_c)
     deflation = solver.DEFLATION_SHIFT if penalties else 0.0
     for site in range(3):
         engine = SweepEngine(mpo, state)
@@ -623,7 +623,7 @@ def test_refused_shift_invert_returns_the_eig_answer(case, monkeypatch, caplog):
     guess = initial_guess(3, 2, 1, model.omega, noise_amplitude=1e-2, seed=3)
     rng = np.random.default_rng(3)
     blocks = {n: Mps.random(3, 4, 3, rng, norm=1e-2) for n in (-1, 1)}
-    state = FloquetDensityMatrix({**blocks, 0: guess.block(0)}, model.omega, 1, 3, 2)
+    state = FloquetDensityMatrix({**blocks, 0: guess.block(0)}, model.omega, 1)
     engine = SweepEngine(mpo, state)
     problem = engine.site_problem(0)
     mat = problem.dense_matrix()
@@ -982,7 +982,7 @@ def test_eigen_residual_matches_dense(adjoint, theta):
         edge_pairs += sum(abs(n - q) > n_c for q in mpo.components for n in harmonics)
         blocks = {n: Mps.random(model.chain_length, 4, 3, rng, norm=1.0) for n in harmonics}
         for stored in (blocks, {n: b for n, b in blocks.items() if n != -n_c}):
-            state = FloquetDensityMatrix(stored, model.omega, n_c, model.chain_length)
+            state = FloquetDensityMatrix(stored, model.omega, n_c)
             vec = np.concatenate([state.block(n).to_dense() for n in harmonics])
             expect = np.linalg.norm(dense @ vec - theta * vec) / np.linalg.norm(vec)
             assert abs(solver._eigen_residual(mpo, state, theta) - expect) <= 1e-12 * expect
@@ -1245,6 +1245,28 @@ def central_slowest(model, n_c):
 
 def pair_error(lam, exact):
     return min(abs(lam - exact), abs(np.conj(lam) - exact)) / abs(exact)
+
+
+def test_damped_driven_qutrit_chain_matches_the_dense_references():
+    # no other solver test runs at d != 2: two driven, damped qutrits
+    lower = np.diag([1.0, np.sqrt(2.0)], k=1)
+    sz, drive = np.diag([1.0, 0.0, -1.0]), 0.3 * (lower + lower.T)
+    ham = {
+        0: [LocalOperator(0, 0.4 * np.kron(sz, sz), 3)] + [LocalOperator(i, 0.7 * sz, 3) for i in range(2)],
+        1: [LocalOperator(i, drive, 3) for i in range(2)],
+        -1: [LocalOperator(i, drive, 3) for i in range(2)],
+    }
+    jumps = {i: {0: LocalOperator(i, np.sqrt(0.3) * lower, 3)} for i in range(2)}
+    model = ModelSpec(2, 3.0, ham, jumps, site_dim=3).validate()
+    cfg = quick_config(1, 9)
+    ness, report = solve_ness(model, cfg)
+    got, exact = ness.to_dense_blocks(), extended_null_vector(model, 1)
+    assert ness.site_dim == 3 and report.converged
+    assert max(np.max(np.abs(got[n] - exact[n])) for n in exact) < 1e-10
+    decay = solve_first_decay_mode(model, ness, cfg)
+    lam_exact, _ = central_slowest(model, 1)
+    assert pair_error(decay.eigenvalue, lam_exact) < 1e-8
+    assert decay.report.converged
 
 
 def test_decay_mode_l3_ising_vs_dense_spectrum():
