@@ -16,16 +16,19 @@ whose Rayleigh quotient and residual already pass the acceptance test is
 returned with no method run. Otherwise local problems up to
 ``SweepConfig.dense_local_cutoff`` are densified: a shift target is found by
 shift-invert (one LU factorization of ``A - sigma I`` and a short Arnoldi run
-on its inverse, accepted only on a small true residual), every refused one and
-``"slowest_central"`` (the right decay solve's first sweep; later sweeps track
-that mode at a shift) by a full LAPACK diagonalization. Above the cutoff
-nothing is densified. A sweep's shift, which is (nearly) a local eigenvalue,
-is solved as the tethered linear system ``(A - sigma I + u u^H) x = u``
-(``u`` the current centre vector); the degeneracy check's deflated problem,
-which has no eigenvalue at its shift, by ARPACK in shift-invert mode. Both
-solve their linear systems with this module's restarted GMRES
-(:func:`_gmres`), right-preconditioned by one LU per harmonic diagonal block
-(block Jacobi), so that its cheap residual estimate is the true residual.
+on its inverse, whose top Ritz pair is tested at steps 1 and 2, then where its
+residual, extrapolated from the last two tests, meets the acceptance bound,
+and at the last step, and accepted only on a small true residual), every
+refused one and ``"slowest_central"`` (the right decay solve's first sweep;
+later sweeps track that mode at a shift) by a full LAPACK diagonalization.
+Above the cutoff nothing is densified. A sweep's shift, which is (nearly) a
+local eigenvalue, is solved as the tethered linear system
+``(A - sigma I + u u^H) x = u`` (``u`` the current centre vector); the
+degeneracy check's deflated problem, which has no eigenvalue at its shift,
+by ARPACK in shift-invert mode. Both solve their linear systems with this
+module's restarted GMRES (:func:`_gmres`), right-preconditioned by one LU per
+harmonic diagonal block (block Jacobi), so that its cheap residual estimate
+is the true residual.
 Every LU is LAPACK's getrf and getrs, called without scipy's wrappers, which
 cost more than the solves at these block sizes. Either method falls back to
 the dense path, with a WARNING log, when it fails.
@@ -186,11 +189,12 @@ class SweepConfig:
     `dense_local_cutoff` (at most DENSE_LOCAL_HARD_CAP) are densified: solves
     at a shift (every solve but the right decay mode's first sweep, which
     uses `eig`) whose start does not already pass use shift-invert (LU plus
-    a short Arnoldi on the inverse) and fall back to a full `eig` when it is
-    refused. Larger sweep problems at a shift are solved by tethered GMRES
-    with one LU per harmonic block, and the degeneracy check's deflated
-    problem by shift-invert ARPACK, whose inverse is GMRES with the same
-    block LUs.
+    a short Arnoldi on the inverse, its Ritz pair tested at steps 1 and 2 and
+    then only at the steps its residual's decay predicts, and at the last)
+    and fall back to a full `eig` when it is refused. Larger sweep problems
+    at a shift are solved by tethered GMRES with one LU per harmonic block,
+    and the degeneracy check's deflated problem by shift-invert ARPACK,
+    whose inverse is GMRES with the same block LUs.
     """
 
     warmup: SweepStage
@@ -278,7 +282,8 @@ class SweepEngine:
     `local_solves` counts the engine's local solves by method (keys
     `LOCAL_METHODS`), `gmres_iterations` the GMRES iterations of its
     tethered solves and of the degeneracy check's inverse, and
-    `inverse_solves` the applications of that inverse.
+    `inverse_solves` the applications of the degeneracy check's inverse,
+    GMRES solves above the dense cutoff and LU solves below it.
     """
 
     def __init__(self, mpo: FloquetMPO, state: FloquetDensityMatrix, chi=None):
@@ -559,24 +564,32 @@ def _shift_invert(mat, v0, sigma, bound):
     """Eigenpair of `mat` nearest `sigma`, from Arnoldi on ``(mat - sigma I)^-1``,
     whose eigenvalue ``mu`` gives ``theta = sigma + 1 / mu``.
 
-    Returns ``((theta, vector), None)``, or ``(None, reason)`` when the start
-    vector is zero, the LU factorization of ``mat - sigma I`` (by
-    :func:`_block_jacobi`, with `mat` its one block) is unusable (so when
-    `sigma` is an exact eigenvalue) or no Ritz pair of largest ``|mu|``
-    reaches ``||mat v - theta v|| <= bound`` within KRYLOV_DIM steps.
+    Returns ``((theta, vector), None, applied)``, or ``(None, reason,
+    applied)`` when the start vector is zero, the LU factorization of
+    ``mat - sigma I`` (by :func:`_block_jacobi`, with `mat` its one block)
+    is unusable (so when `sigma` is an exact eigenvalue) or no Ritz pair of
+    largest ``|mu|`` reaches ``||mat v - theta v|| <= bound`` within
+    KRYLOV_DIM steps; `applied` counts the applications of the inverse.
     An accepted vector is polished by one inverse-iteration step.
+
+    A test of the top Ritz pair (a Hessenberg ``eig`` and one true residual)
+    runs at steps 1 and 2, then at the step where the true residual,
+    extrapolated geometrically from the last two tests, reaches `bound`
+    (:func:`_next_test`), and always at the last step and before the basis
+    closes on an invariant subspace.
     """
     norm0 = np.linalg.norm(v0)
     if not norm0 > 0:
-        return None, "zero start vector"
+        return None, "zero start vector", 0
     dim = mat.shape[0]
     inverse, reason = _block_jacobi(mat[None], sigma)
     if inverse is None:
-        return None, reason
+        return None, reason, 0
     steps = min(KRYLOV_DIM, dim)
     basis = np.zeros((dim, steps + 1), dtype=complex)
     hess = np.zeros((steps + 1, steps), dtype=complex)
     basis[:, 0] = v0 / norm0
+    tests, due = [], 1  # (step, true residual) of the tests so far; the next test's step
     for j in range(steps):
         w = inverse(basis[:, j])
         span = basis[:, : j + 1]
@@ -586,20 +599,39 @@ def _shift_invert(mat, v0, sigma, bound):
             hess[: j + 1, j] += h
         hess[j + 1, j] = np.linalg.norm(w)
         if not np.isfinite(hess[j + 1, j]):
-            return None, "non-finite inverse step"
-        mu, ritz = sla.eig(hess[: j + 1, : j + 1])
-        top = np.argmax(np.abs(mu))
-        if mu[top] != 0:
-            theta = sigma + 1.0 / mu[top]
-            vec = span @ ritz[:, top]
-            vec /= np.linalg.norm(vec)
-            if np.linalg.norm(mat @ vec - theta * vec) <= bound:
-                vec = inverse(vec)
-                return (theta, vec / np.linalg.norm(vec)), None
+            return None, "non-finite inverse step", j + 1
+        if j + 1 >= due or hess[j + 1, j] == 0:
+            mu, ritz = sla.eig(hess[: j + 1, : j + 1])
+            top = np.argmax(np.abs(mu))
+            if mu[top] != 0:  # else the next step is tested too
+                theta = sigma + 1.0 / mu[top]
+                vec = span @ ritz[:, top]
+                vec /= np.linalg.norm(vec)
+                resid = np.linalg.norm(mat @ vec - theta * vec)
+                if resid <= bound:
+                    vec = inverse(vec)
+                    return (theta, vec / np.linalg.norm(vec)), None, j + 2
+                tests.append((j + 1, resid))
+                due = _next_test(tests, bound, steps)
         if hess[j + 1, j] == 0:
             break  # invariant subspace: more steps add nothing
         basis[:, j + 1] = w / hess[j + 1, j]
-    return None, f"no Ritz pair accepted within {j + 1} steps"
+    return None, f"no Ritz pair accepted within {j + 1} steps", j + 1
+
+
+def _next_test(tests, bound, steps):
+    """Step of :func:`_shift_invert`'s next Ritz test, after the refused
+    `tests` ``[(step, residual), ...]``: the next step until two tests ran,
+    then the first step at which the residual, falling geometrically at the
+    rate of the last two tests, is at most `bound`; `steps`, the last step,
+    when that rate does not fall or the extrapolated step lies beyond it."""
+    if len(tests) < 2:
+        return tests[-1][0] + 1
+    (k1, r1), (k2, r2) = tests[-2:]
+    if not r2 < r1:
+        return steps
+    need = math.log(r2 / bound) / math.log(r1 / r2) * (k2 - k1)
+    return min(steps, k2 + max(1, math.ceil(need)))
 
 
 def _block_jacobi(blocks, sigma, tether=None):
@@ -891,7 +923,9 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff, accep
 
     Each solve is counted in ``problem.engine.local_solves`` under the
     method that answered it (``"converged_start"`` for an accepted start),
-    or under ``"dense_fallback"`` when the method tried first failed.
+    or under ``"dense_fallback"`` when the method tried first failed. A
+    deflated problem's dense shift-invert adds its inverse applications to
+    ``problem.engine.inverse_solves``, as :func:`_arnoldi` does.
     """
     dim = problem.dim
     counts = problem.engine.local_solves
@@ -930,7 +964,9 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff, accep
         logger.warning("%s failed at dim %d (%s); solving densely", name, dim, reason)
         fallback = True
     mat = problem.dense_matrix()
-    found, reason = _shift_invert(mat, v0, sigma, bound)
+    found, reason, applied = _shift_invert(mat, v0, sigma, bound)
+    if problem.deflation:  # the degeneracy check's inverse applications
+        problem.engine.inverse_solves += applied
     if found is not None:
         counts["dense_fallback" if fallback else "shift_invert"] += 1
         return found
@@ -1141,8 +1177,8 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
     :class:`DegenerateSteadyStateError` when the steady state is degenerate;
     the `stage_log` entry records its ``"degeneracy_gap"``, counts its local
     solve, its time and its GMRES iterations, and records under
-    ``"degeneracy_inverse_solves"`` how often it applied the shift-invert
-    inverse (0 when it ran densely). :func:`_finish_report` describes the
+    ``"degeneracy_inverse_solves"`` how often it applied its shift-invert
+    inverse, on the dense path its Arnoldi steps and polishing step. :func:`_finish_report` describes the
     normalized state at ``theta = 0``, with the centre solve's eigenvalue;
     only a steady state adds its trace and Hermiticity defects per harmonic
     and warns about weight in the edge harmonic and Hermiticity defects.

@@ -482,8 +482,9 @@ def test_refused_shift_invert_arpack_returns_the_dense_answer(case, monkeypatch,
     if case == "wrong_pair":
         assert attempts == [solver.ARPACK_MAXITER, 2 * solver.ARPACK_MAXITER]
     else:
-        # each cycle stops at its first step, whose image is zero
-        assert engine.gmres_iterations == solver.GMRES_CYCLES and engine.inverse_solves == 1
+        # each cycle stops at its first step, whose image is zero; the dense
+        # shift-invert then applies its stalled inverse once and closes its basis
+        assert engine.gmres_iterations == solver.GMRES_CYCLES and engine.inverse_solves == 2
     assert any(
         r.levelno == logging.WARNING and "Arnoldi failed" in r.getMessage() and reason in r.getMessage()
         for r in caplog.records
@@ -551,7 +552,8 @@ def test_degeneracy_check_above_cutoff_on_a_small_gap(monkeypatch, caplog):
 def test_stage_log_counts_the_degeneracy_checks_inner_solves(monkeypatch):
     # above the cutoff the check's shift-invert inverse runs GMRES: the
     # stage's GMRES iterations include the check's, and the report says how
-    # often the check applied its inverse; below the cutoff it applies none
+    # often the check applied its inverse; below the cutoff its dense
+    # shift-invert applies one LU inverse per Arnoldi step and one to polish
     checked = keep_checked_engine(monkeypatch)
     model = ising_l3()
     _, report = solve_ness(model, quick_config(1, 4, dense_local_cutoff=100))
@@ -561,7 +563,8 @@ def test_stage_log_counts_the_degeneracy_checks_inner_solves(monkeypatch):
     assert entry["degeneracy_inverse_solves"] == engine.inverse_solves > 0
     _, report = solve_ness(model, quick_config(1, 4))
     (entry,) = json.loads(json.dumps(report.to_dict()))["stage_log"]
-    assert entry["degeneracy_inverse_solves"] == entry["gmres_iterations"] == 0
+    assert entry["gmres_iterations"] == 0
+    assert entry["degeneracy_inverse_solves"] == 28  # 27 steps and the polishing one
 
 
 def ising_l3():
@@ -929,6 +932,28 @@ def test_small_sweep_residual_does_not_end_the_stage(monkeypatch):
     assert entry["local_solves"]["converged_start"] == 0
 
 
+def swept_engine(model, cfg):
+    """The sweep engine of `solve_ness` on `model` at cutoff 1, bond 8, as the degeneracy check finds it."""
+    start = initial_guess(3, 2, 1, model.omega, noise_amplitude=cfg.noise_amplitude, seed=cfg.seed, noise_bond=8)
+    engine, _ = solver._sweep_schedule(
+        build_extended_lindbladian(model, 1), start, cfg, solver.SolveReport(), 0.0, "ness"
+    )
+    return engine
+
+
+def hessenberg_eig_sizes(monkeypatch):
+    """The size of every matrix passed to ``scipy.linalg.eig`` from now on, as a list that grows."""
+    sizes = []
+    original = solver.sla.eig
+
+    def counting(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(solver.sla, "eig", counting)
+    return sizes
+
+
 @pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # DTC harmonics exceed n_c = 1
 @pytest.mark.parametrize("chain", ["ising", "dtc"])
 def test_deflated_check_matches_eig_runner_up(chain):
@@ -938,9 +963,7 @@ def test_deflated_check_matches_eig_runner_up(chain):
     # engine's centre there leaves the state as it was
     model = ising_l3() if chain == "ising" else build_dtc_model(DTCParams(chain_length=3), n_c=1)
     cfg = quick_config(1, 8)
-    mpo = build_extended_lindbladian(model, 1)
-    start = initial_guess(3, 2, 1, model.omega, noise_amplitude=cfg.noise_amplitude, seed=cfg.seed, noise_bond=8)
-    engine, _ = solver._sweep_schedule(mpo, start, cfg, solver.SolveReport(), 0.0, "ness")
+    engine = swept_engine(model, cfg)
     state = engine.state()
     assert engine.local_solves == counted(converged_start=6, shift_invert=3)
     before = dict(engine.local_solves)
@@ -958,6 +981,43 @@ def test_deflated_check_matches_eig_runner_up(chain):
     assert abs(theta - runner_up) <= 1e-8 * scale
     _, report = solve_ness(model, cfg)
     assert abs(report.stage_log[-1]["degeneracy_gap"] - abs(runner_up)) <= 1e-8 * scale
+
+
+def test_dense_degeneracy_check_tests_few_ritz_pairs(monkeypatch):
+    # the check's shift-invert tests its top Ritz pair (a Hessenberg eig and
+    # a true residual) at steps 1 and 2 and then at the step where the
+    # residual, extrapolated from the last two tests, meets the bound: on
+    # the Ising chain above 3 eig calls where a test at every step took 22
+    cfg = quick_config(1, 8)
+    engine = swept_engine(ising_l3(), cfg)
+    sizes = hessenberg_eig_sizes(monkeypatch)
+    theta = solver._deflated_check(engine, cfg, np.random.default_rng(3))
+    assert sizes[:2] == [1, 2] and len(sizes) <= 8  # steps 1, 2 and 24 when measured
+    assert engine.inverse_solves == sizes[-1] + 1  # every step's and one polishing application
+    mat = engine.site_problem(1).dense_matrix()
+    values = np.linalg.eigvals(mat)
+    runner_up = values[np.argsort(np.abs(values))[1]]
+    assert abs(theta - runner_up) <= 1e-8 * np.linalg.norm(mat)
+
+
+def test_shift_invert_tests_its_last_step(monkeypatch, caplog):
+    # the check above accepts at step 22 when every step is tested, and its
+    # extrapolated test lies beyond; with KRYLOV_DIM at 22 the schedule still
+    # tests the last step and accepts there, and one step fewer is refused
+    cfg = quick_config(1, 8)
+    engine = swept_engine(ising_l3(), cfg)
+    sizes = hessenberg_eig_sizes(monkeypatch)
+    monkeypatch.setattr(solver, "KRYLOV_DIM", 22)
+    before = dict(engine.local_solves)
+    solver._deflated_check(engine, cfg, np.random.default_rng(3))
+    assert {method: count - before[method] for method, count in engine.local_solves.items()} == counted(shift_invert=1)
+    assert sizes[:2] == [1, 2] and sizes[-1] == 22
+    assert engine.inverse_solves == 23
+    monkeypatch.setattr(solver, "KRYLOV_DIM", 21)
+    with caplog.at_level(logging.WARNING, logger="floquet_ness.solver"):
+        solver._deflated_check(engine, cfg, np.random.default_rng(3))
+    assert engine.local_solves["dense_fallback"] == before["dense_fallback"] + 1
+    assert "no Ritz pair accepted within 21 steps" in caplog.text
 
 
 @pytest.mark.parametrize("theta", [0.0, -0.3 + 1.2j], ids=["zero", "complex"])
@@ -1247,8 +1307,7 @@ def pair_error(lam, exact):
     return min(abs(lam - exact), abs(np.conj(lam) - exact)) / abs(exact)
 
 
-def test_damped_driven_qutrit_chain_matches_the_dense_references():
-    # no other solver test runs at d != 2: two driven, damped qutrits
+def damped_driven_qutrits(omega=3.0, gamma=0.3):
     lower = np.diag([1.0, np.sqrt(2.0)], k=1)
     sz, drive = np.diag([1.0, 0.0, -1.0]), 0.3 * (lower + lower.T)
     ham = {
@@ -1256,8 +1315,13 @@ def test_damped_driven_qutrit_chain_matches_the_dense_references():
         1: [LocalOperator(i, drive, 3) for i in range(2)],
         -1: [LocalOperator(i, drive, 3) for i in range(2)],
     }
-    jumps = {i: {0: LocalOperator(i, np.sqrt(0.3) * lower, 3)} for i in range(2)}
-    model = ModelSpec(2, 3.0, ham, jumps, site_dim=3).validate()
+    jumps = {i: {0: LocalOperator(i, np.sqrt(gamma) * lower, 3)} for i in range(2)}
+    return ModelSpec(2, omega, ham, jumps, site_dim=3).validate()
+
+
+def test_damped_driven_qutrit_chain_matches_the_dense_references():
+    # no other solver test runs at d != 2: two driven, damped qutrits
+    model = damped_driven_qutrits()
     cfg = quick_config(1, 9)
     ness, report = solve_ness(model, cfg)
     got, exact = ness.to_dense_blocks(), extended_null_vector(model, 1)
@@ -1267,6 +1331,25 @@ def test_damped_driven_qutrit_chain_matches_the_dense_references():
     lam_exact, _ = central_slowest(model, 1)
     assert pair_error(decay.eigenvalue, lam_exact) < 1e-8
     assert decay.report.converged
+
+
+def test_degeneracy_check_falls_back_on_a_cluster_of_qutrit_values(caplog):
+    # at omega=4, gamma=0.5 the deflated centre problem (dim 243) has four
+    # values within 5e-4 of its runner-up -0.49939, which Arnoldi on the
+    # inverse does not separate to the acceptance bound: the dense check
+    # refuses after KRYLOV_DIM steps and the eig fallback gives the gap
+    model = damped_driven_qutrits(omega=4.0, gamma=0.5)
+    with caplog.at_level(logging.WARNING, logger="floquet_ness.solver"):
+        _, report = solve_ness(model, quick_config(1, 9))
+    (record,) = [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert f"no Ritz pair accepted within {solver.KRYLOV_DIM} steps" in record.getMessage()
+    (entry,) = report.stage_log
+    assert entry["local_solves"]["dense_fallback"] == 1
+    assert entry["degeneracy_inverse_solves"] == solver.KRYLOV_DIM
+    values = np.linalg.eigvals(dense_extended_lindbladian(model, 1))
+    runner_up = values[np.argsort(np.abs(values))[1]]
+    assert abs(entry["degeneracy_gap"] - 0.499393) < 1e-6
+    assert abs(entry["degeneracy_gap"] - abs(runner_up)) < 1e-10
 
 
 def test_decay_mode_l3_ising_vs_dense_spectrum():
