@@ -25,10 +25,11 @@ Above the cutoff nothing is densified. A sweep's shift, which is (nearly) a
 local eigenvalue, is solved as the tethered linear system
 ``(A - sigma I + u u^H) x = u`` (``u`` the current centre vector); the
 degeneracy check's deflated problem, which has no eigenvalue at its shift,
-by ARPACK in shift-invert mode. Both solve their linear systems with this
-module's restarted GMRES (:func:`_gmres`), right-preconditioned by one LU per
-harmonic diagonal block (block Jacobi), so that its cheap residual estimate
-is the true residual.
+by ARPACK in shift-invert mode. Every method applies the inverse of
+:func:`_shifted_inverse`: one LU per harmonic diagonal block (a dense matrix
+is one block), exact with one block and otherwise this module's restarted
+GMRES (:func:`_gmres`), right-preconditioned by those LUs (block Jacobi), so
+that its cheap residual estimate is the true residual.
 Every LU is LAPACK's getrf and getrs, called without scipy's wrappers, which
 cost more than the solves at these block sizes. Either method falls back to
 the dense path, with a WARNING log, when it fails.
@@ -152,7 +153,7 @@ class SweepStage:
 CONVERGENCE_TOL = 1e-3  # edge-harmonic weight and Hermiticity defect that warn
 WEIGHT_CUTOFF = 1e-12  # relative Schmidt value kept by compression and counted as saturating a bond
 KRYLOV_DIM = 36  # shift-invert steps; GMRES restart length
-GMRES_CYCLES = 8  # GMRES restart cycles of one tethered solve or one inverse application
+GMRES_CYCLES = 8  # GMRES restart cycles of one inverse application (a tethered solve is one)
 TETHER_ATTEMPTS = 5  # tethered solves of one local problem, each from the last one's answer
 # first basis and restarts of the degeneracy check's shift-invert ARPACK run
 # (a retry doubles both): the wanted value leads the inverse's spectrum and
@@ -167,9 +168,9 @@ DEFLATION_SHIFT = 1000.0  # the degeneracy check moves the converged state's eig
 # Methods a local solve is counted under in `SweepEngine.local_solves`: at a
 # shift, a start that already passes the acceptance test, returned with no
 # method run; shift-invert below the dense cutoff; above it, tethered GMRES
-# for the sweeps and shift-invert ARPACK (inverse by block-Jacobi GMRES) for
-# the deflated degeneracy check; a dense `eig` (or shift-invert) after any of
-# them failed; `eig` for the slowest central value.
+# for the sweeps and shift-invert ARPACK for the deflated degeneracy check;
+# a dense `eig` (or shift-invert) after any of them failed, or for a zero
+# start; `eig` for the slowest central value.
 LOCAL_METHODS = ("converged_start", "shift_invert", "dense_eig", "arnoldi", "gmres", "dense_fallback")
 
 
@@ -177,9 +178,9 @@ LOCAL_METHODS = ("converged_start", "shift_invert", "dense_eig", "arnoldi", "gmr
 class SweepConfig:
     """Schedule and tolerances for the sweeping solver.
 
-    `warmup` is the :class:`SweepStage` every solve runs, of at least one
-    sweep; a sweep whose every start passes the acceptance test ends it
-    early, and one solve at the centre site ``L // 2`` ends it. `eig_tol`
+    `warmup` is the :class:`SweepStage` every solve runs (``n_c >= 0``,
+    ``chi >= 1``, at least one sweep); a sweep whose every start passes the
+    acceptance test ends it early, and one solve at the centre site ``L // 2`` ends it. `eig_tol`
     stops no sweep: a stage whose last sweep residual (the largest distance
     of the sweep's local eigenvalues from its shift, :func:`_sweep_schedule`)
     exceeds it is reported unconverged, with a warning, and it sets the
@@ -192,9 +193,9 @@ class SweepConfig:
     a short Arnoldi on the inverse, its Ritz pair tested at steps 1 and 2 and
     then only at the steps its residual's decay predicts, and at the last)
     and fall back to a full `eig` when it is refused. Larger sweep problems
-    at a shift are solved by tethered GMRES with one LU per harmonic block,
-    and the degeneracy check's deflated problem by shift-invert ARPACK,
-    whose inverse is GMRES with the same block LUs.
+    at a shift are solved by tethered GMRES, and the degeneracy check's
+    deflated problem by shift-invert ARPACK; both invert with one LU per
+    harmonic block, exactly when there is one block and by GMRES otherwise.
     """
 
     warmup: SweepStage
@@ -206,6 +207,10 @@ class SweepConfig:
     def validate(self):
         if self.warmup.sweeps < 1:
             raise ValueError("the stage must run at least one sweep")
+        if self.warmup.n_c < 0:
+            raise ValueError("the stage's harmonic cutoff n_c must be at least 0")
+        if self.warmup.chi < 1:
+            raise ValueError("the stage's bond dimension chi must be at least 1")
         if self.eig_tol <= 0:
             raise ValueError("eig_tol must be positive")
         if not self.noise_amplitude > 0:
@@ -282,8 +287,8 @@ class SweepEngine:
     `local_solves` counts the engine's local solves by method (keys
     `LOCAL_METHODS`), `gmres_iterations` the GMRES iterations of its
     tethered solves and of the degeneracy check's inverse, and
-    `inverse_solves` the applications of the degeneracy check's inverse,
-    GMRES solves above the dense cutoff and LU solves below it.
+    `inverse_solves` the applications of the degeneracy check's inverse
+    (:func:`_shifted_inverse`), by GMRES or by the LU of its one block.
     """
 
     def __init__(self, mpo: FloquetMPO, state: FloquetDensityMatrix, chi=None):
@@ -560,17 +565,33 @@ def _lu_solve(lu, b):
     return x
 
 
-def _shift_invert(mat, v0, sigma, bound):
-    """Eigenpair of `mat` nearest `sigma`, from Arnoldi on ``(mat - sigma I)^-1``,
-    whose eigenvalue ``mu`` gives ``theta = sigma + 1 / mu``.
+def _arnoldi_step(basis, j, w):
+    """Extend the orthonormal columns ``0..j`` of `basis` by `w` (classical
+    Gram-Schmidt, twice) as column ``j + 1``, unless the remainder's norm is
+    zero or not finite. Returns the Hessenberg column: coefficients, norm."""
+    span = basis[:, : j + 1]
+    h = np.zeros(j + 2, dtype=complex)
+    for _ in range(2):
+        coef = span.conj().T @ w
+        w -= span @ coef
+        h[: j + 1] += coef
+    h[j + 1] = np.linalg.norm(w)
+    if 0 < h[j + 1].real < np.inf:
+        basis[:, j + 1] = w / h[j + 1]
+    return h
 
-    Returns ``((theta, vector), None, applied)``, or ``(None, reason,
-    applied)`` when the start vector is zero, the LU factorization of
-    ``mat - sigma I`` (by :func:`_block_jacobi`, with `mat` its one block)
-    is unusable (so when `sigma` is an exact eigenvalue) or no Ritz pair of
-    largest ``|mu|`` reaches ``||mat v - theta v|| <= bound`` within
-    KRYLOV_DIM steps; `applied` counts the applications of the inverse.
-    An accepted vector is polished by one inverse-iteration step.
+
+def _shift_invert(problem: SiteProblem, matvec, blocks, v0, sigma, bound):
+    """Eigenpair nearest `sigma` of the operator ``A`` that `matvec` applies,
+    from Arnoldi on ``(A - sigma I)^-1`` (:func:`_shifted_inverse` of its
+    harmonic diagonal `blocks`; the dense path passes ``mat @ x`` and
+    ``mat[None]``), whose eigenvalue ``mu`` gives ``theta = sigma + 1 / mu``.
+
+    Returns ``((theta, vector), None)``, or ``(None, reason)`` when the LU
+    factorization is unusable (so when `sigma` is an exact eigenvalue) or
+    no Ritz pair of largest ``|mu|`` reaches ``||A v - theta v|| <= bound``
+    within KRYLOV_DIM steps. `v0` is nonzero. An accepted vector is
+    polished by one inverse-iteration step.
 
     A test of the top Ritz pair (a Hessenberg ``eig`` and one true residual)
     runs at steps 1 and 2, then at the step where the true residual,
@@ -578,45 +599,34 @@ def _shift_invert(mat, v0, sigma, bound):
     (:func:`_next_test`), and always at the last step and before the basis
     closes on an invariant subspace.
     """
-    norm0 = np.linalg.norm(v0)
-    if not norm0 > 0:
-        return None, "zero start vector", 0
-    dim = mat.shape[0]
-    inverse, reason = _block_jacobi(mat[None], sigma)
+    inverse, reason = _shifted_inverse(problem, blocks, sigma, bound)
     if inverse is None:
-        return None, reason, 0
-    steps = min(KRYLOV_DIM, dim)
-    basis = np.zeros((dim, steps + 1), dtype=complex)
+        return None, reason
+    steps = min(KRYLOV_DIM, problem.dim)
+    basis = np.zeros((problem.dim, steps + 1), dtype=complex)
     hess = np.zeros((steps + 1, steps), dtype=complex)
-    basis[:, 0] = v0 / norm0
+    basis[:, 0] = v0 / np.linalg.norm(v0)
     tests, due = [], 1  # (step, true residual) of the tests so far; the next test's step
     for j in range(steps):
-        w = inverse(basis[:, j])
-        span = basis[:, : j + 1]
-        for _ in range(2):  # Gram-Schmidt, repeated to keep the basis orthonormal
-            h = span.conj().T @ w
-            w -= span @ h
-            hess[: j + 1, j] += h
-        hess[j + 1, j] = np.linalg.norm(w)
+        hess[: j + 2, j] = _arnoldi_step(basis, j, inverse(basis[:, j]))
         if not np.isfinite(hess[j + 1, j]):
-            return None, "non-finite inverse step", j + 1
+            return None, "non-finite inverse step"
         if j + 1 >= due or hess[j + 1, j] == 0:
             mu, ritz = sla.eig(hess[: j + 1, : j + 1])
             top = np.argmax(np.abs(mu))
             if mu[top] != 0:  # else the next step is tested too
                 theta = sigma + 1.0 / mu[top]
-                vec = span @ ritz[:, top]
+                vec = basis[:, : j + 1] @ ritz[:, top]
                 vec /= np.linalg.norm(vec)
-                resid = np.linalg.norm(mat @ vec - theta * vec)
+                resid = np.linalg.norm(matvec(vec) - theta * vec)
                 if resid <= bound:
                     vec = inverse(vec)
-                    return (theta, vec / np.linalg.norm(vec)), None, j + 2
+                    return (theta, vec / np.linalg.norm(vec)), None
                 tests.append((j + 1, resid))
                 due = _next_test(tests, bound, steps)
         if hess[j + 1, j] == 0:
             break  # invariant subspace: more steps add nothing
-        basis[:, j + 1] = w / hess[j + 1, j]
-    return None, f"no Ritz pair accepted within {j + 1} steps", j + 1
+    return None, f"no Ritz pair accepted within {j + 1} steps"
 
 
 def _next_test(tests, bound, steps):
@@ -660,10 +670,10 @@ def _block_jacobi(blocks, sigma, tether=None):
     return solve, None
 
 
-def _gmres(problem: SiteProblem, matvec, rhs, jacobi, atol, x0=None):
+def _gmres(problem: SiteProblem, matvec, rhs, jacobi, atol, x0):
     """Solution of ``matvec(x) = rhs`` by restarted GMRES (Saad & Schultz,
-    SIAM J. Sci. Stat. Comput. 7, 856 (1986)), right-preconditioned by
-    `jacobi` (:func:`_block_jacobi`): ``A M y = b`` with ``x = x0 + M y``.
+    SIAM J. Sci. Stat. Comput. 7, 856 (1986)) from `x0`, right-preconditioned
+    by `jacobi` (:func:`_block_jacobi`): ``A M y = b`` with ``x = x0 + M y``.
 
     Right preconditioning leaves the residual unchanged, so the Givens
     estimate ``beta |Q[j+1, 0]|`` of the Hessenberg least-squares problem is
@@ -672,9 +682,9 @@ def _gmres(problem: SiteProblem, matvec, rhs, jacobi, atol, x0=None):
     cycle begins with the true residual at its starting point, which
     confirms the previous cycle's answer: one that meets `atol` is returned
     (so an `x0` that already does comes back with no iteration), and
-    otherwise the cycle runs from there, GMRES_CYCLES in all. The basis is orthogonalized by classical
-    Gram-Schmidt, repeated once; the preconditioned basis ``M v_j`` is kept,
-    so ``x`` is updated without applying `jacobi` again. A step whose
+    otherwise the cycle runs from there, GMRES_CYCLES in all. The basis
+    grows by :func:`_arnoldi_step`; the preconditioned basis ``M v_j`` is
+    kept, so ``x`` is updated without applying `jacobi` again. A step whose
     rotated column is zero on and below the diagonal (a zero Givens norm:
     the column adds no direction, as every one does when the preconditioner
     returns zeros) ends its cycle without that column.
@@ -685,33 +695,22 @@ def _gmres(problem: SiteProblem, matvec, rhs, jacobi, atol, x0=None):
     engine = problem.engine
     dim = problem.dim
     steps = min(KRYLOV_DIM, dim)
-    if x0 is None:
-        x = np.zeros(dim, dtype=complex)
-        resid = rhs
-    else:
-        x = np.array(x0, dtype=complex)
-        resid = rhs - matvec(x)
-    basis = np.zeros((steps + 1, dim), dtype=complex)  # rows v_j
+    x = np.array(x0, dtype=complex)
+    resid = rhs - matvec(x)
+    basis = np.zeros((dim, steps + 1), dtype=complex)  # columns v_j
     images = np.zeros((steps, dim), dtype=complex)  # rows M v_j
     tri = np.zeros((steps, steps), dtype=complex)  # R of the rotated Hessenberg matrix
     for _ in range(GMRES_CYCLES):
         beta = np.linalg.norm(resid)
         if beta <= atol:
             return x, None
-        basis[0] = resid / beta
+        basis[:, 0] = resid / beta
         rot = np.eye(steps + 1, dtype=complex)  # the Givens rotations so far, as one unitary Q
         size = 0
         for j in range(steps):
             engine.gmres_iterations += 1
-            images[j] = jacobi(basis[j])
-            w = matvec(images[j])
-            span = basis[: j + 1]
-            h = np.zeros(j + 2, dtype=complex)
-            for _pass in range(2):  # Gram-Schmidt, repeated to keep the basis orthonormal
-                coef = np.conj(span @ np.conj(w))
-                w -= coef @ span
-                h[: j + 1] += coef
-            h[j + 1] = np.linalg.norm(w)
+            images[j] = jacobi(basis[:, j])
+            h = _arnoldi_step(basis, j, matvec(images[j]))
             h[: j + 1] = rot[: j + 1, : j + 1] @ h[: j + 1]
             a, b = complex(h[j]), h[j + 1].real
             norm = math.hypot(abs(a), b)
@@ -725,7 +724,6 @@ def _gmres(problem: SiteProblem, matvec, rhs, jacobi, atol, x0=None):
             size = j + 1
             if beta * abs(rot[j + 1, 0]) <= atol or b == 0:
                 break
-            basis[j + 1] = w / b
         if size:
             y = np.linalg.solve(tri[:size, :size], beta * rot[:size, 0])
             x += y @ images[:size]
@@ -735,50 +733,73 @@ def _gmres(problem: SiteProblem, matvec, rhs, jacobi, atol, x0=None):
     return None, f"GMRES did not converge in {GMRES_CYCLES} cycles of {steps} steps"
 
 
+def _shifted_inverse(problem: SiteProblem, blocks, sigma, bound, tether=None):
+    """The inverse of ``A - sigma I`` (plus ``u u^H`` for a flat `tether`
+    ``u``), ``A`` the operator of ``problem.matvec``, that every local solve
+    applies: ``(inverse, None)``, or ``(None, reason)`` for an unusable LU.
+
+    One LU is factored per harmonic diagonal block of `blocks`
+    (:func:`_block_jacobi`; a dense matrix is its own one block
+    ``mat[None]``). With one block, ``inverse(b)`` is its LU solve: no GMRES
+    runs and no matvec confirms it. Otherwise it is one :func:`_gmres` solve,
+    right-preconditioned by the block LUs ``M``, from ``M b`` to a true
+    residual of ``0.1 bound ||M b||``: its answer (of norm about ``||M b||``)
+    is exact for a perturbation of ``A`` a tenth of the acceptance bound
+    below (Simoncini & Szyld, SIAM J. Sci. Comput. 25, 454 (2003)), and the
+    ``(dim, dim)`` matrix is never built. A GMRES run that does not converge
+    raises :class:`EigensolverBreakdown`. Each application to a deflated
+    problem (the degeneracy check's) is added to
+    ``problem.engine.inverse_solves``.
+    """
+    jacobi, reason = _block_jacobi(blocks, sigma, tether)
+    if jacobi is None:
+        return None, reason
+
+    def shifted(x):
+        y = problem.matvec(x) - sigma * x
+        return y if tether is None else y + tether * np.vdot(tether, x)
+
+    def inverse(b):
+        if problem.deflation:
+            problem.engine.inverse_solves += 1
+        x0 = jacobi(b)
+        if len(blocks) == 1:
+            return x0
+        x, reason = _gmres(problem, shifted, b, jacobi, atol=0.1 * bound * np.linalg.norm(x0), x0=x0)
+        if x is None:
+            raise EigensolverBreakdown(f"inverse: {reason}")
+        return x
+
+    return inverse, None
+
+
 def _tethered_solve(problem: SiteProblem, v0, sigma, blocks, bound):
     """Eigenpair of the local problem at a shift `sigma` that is (nearly) one
     of its eigenvalues, from the tethered linear system
-    ``(A - sigma I + u u^H) x = u`` with ``u = v0 / ||v0||``.
+    ``(A - sigma I + u u^H) x = u`` with ``u = v0 / ||v0||``, solved by the
+    tethered inverse of :func:`_shifted_inverse`.
 
     When `sigma` is an exact eigenvalue, its left null vector ``w`` turns the
     system into ``(w^H u)(1 - u^H x) = 0``, so ``u^H x = 1`` and
     ``(A - sigma I) x = 0``: any tether that makes the matrix nonsingular
     gives the eigenvector. Near an eigenvalue ``theta`` it is one step of
     inverse iteration, which shrinks the other components by
-    ``|theta - sigma| / gap``. :func:`_gmres`, from zero, solves the system
-    on ``problem.matvec`` plus the tether, right-preconditioned by one LU per
-    harmonic diagonal block of the tethered matrix (:func:`_block_jacobi`),
-    until its true residual is a tenth of the acceptance bound below; the
-    ``(dim, dim)`` matrix is never built. The eigenvalue is the Rayleigh
-    quotient of ``x``, accepted only on a true residual
-    ``||A x - theta x|| <= bound ||x||``, with `bound` ``tol ||D||``,
-    ``D`` the diagonal blocks of ``A`` given as `blocks`: the same bound
-    as :func:`_shift_invert`'s (:func:`_local_eigensolve`). A refused
-    answer is retethered at ``x``, and the shift moves to its Rayleigh
-    quotient (so a shift well off the eigenvalue converges as
-    Rayleigh-quotient iteration), TETHER_ATTEMPTS solves in all.
+    ``|theta - sigma| / gap``. The eigenvalue is the Rayleigh quotient of
+    ``x``, accepted only on a true residual ``||A x - theta x|| <= bound
+    ||x||``, the bound of :func:`_local_eigensolve`. A refused answer is
+    retethered at ``x``, and the shift moves to its Rayleigh quotient (so a
+    shift well off the eigenvalue converges as Rayleigh-quotient
+    iteration), TETHER_ATTEMPTS solves in all.
 
-    Returns ``((theta, vector), None)``, or ``(None, reason)`` for a zero
-    start vector, an unusable block LU, a GMRES run that does not converge,
-    or no accepted pair.
+    Returns ``((theta, vector), None)``, or ``(None, reason)`` for an
+    unusable block LU or no accepted pair; a failed inverse raises.
     """
-    norm0 = np.linalg.norm(v0)
-    if not norm0 > 0:
-        return None, "zero start vector"
-    u = v0 / norm0
+    u = v0 / np.linalg.norm(v0)
     for _ in range(TETHER_ATTEMPTS):
-        jacobi, reason = _block_jacobi(blocks, sigma, tether=u)
-        if jacobi is None:
+        inverse, reason = _shifted_inverse(problem, blocks, sigma, bound, tether=u)
+        if inverse is None:
             return None, reason
-        x, reason = _gmres(
-            problem,
-            lambda x: problem.matvec(x) - sigma * x + u * np.vdot(u, x),
-            u,
-            jacobi,
-            atol=0.1 * bound,  # below the acceptance bound, which the eigen-residual must meet
-        )
-        if x is None:
-            return None, reason
+        x = inverse(u)
         ax = problem.matvec(x)
         norm = np.linalg.norm(x)
         theta = np.vdot(x, ax) / norm**2
@@ -794,48 +815,24 @@ def _arnoldi(problem: SiteProblem, v0, sigma, blocks, bound, tol):
     (Ericsson & Ruhe, Math. Comp. 35, 1251 (1980)): the eigenvalue ``mu`` of
     ``(A - sigma I)^-1`` of largest modulus, with ``k = 1``, from `v0` on
     ARNOLDI_DIM vectors, gives ``theta = sigma + 1 / mu``. ARPACK stays the
-    outer loop; each application of the inverse is one :func:`_gmres` solve
-    on ``problem.matvec``, right-preconditioned by one LU per harmonic
-    diagonal block (:func:`_block_jacobi` of `blocks`, the deflation's
-    included) and started from the preconditioned right-hand side ``M b``. At cutoff 0
-    the one block is the whole problem, so ``M b`` is the exact solution and
-    is returned without GMRES or a confirming matvec. Each GMRES solve
-    stops at a true residual of ``0.1 bound ||M b||``, so its answer
-    ``x`` (of norm about ``||M b||``) is exact for a perturbation of ``A``
-    about a tenth of the acceptance bound below. Every application is added
-    to ``problem.engine.inverse_solves``. `tol` is ARPACK's own stopping
+    outer loop; it applies the inverse of :func:`_shifted_inverse` of
+    `blocks` (the deflation's included). `tol` is ARPACK's own stopping
     tolerance.
 
     The pair is accepted only on a true residual
-    ``||A v - theta v|| <= bound ||v||``, ``bound = tol ||D||`` with ``D``
-    the diagonal blocks, as in :func:`_tethered_solve`. A failed or refused
-    attempt is retried once with twice the Krylov space and restarts; a
-    partial, unconverged result is never used. Returns ``((theta, vector), None)``, or ``(None, reason)``
-    for an unusable block LU, an inner GMRES run that does not converge, or
-    no accepted pair.
+    ``||A v - theta v|| <= bound ||v||``, as in :func:`_tethered_solve`. A
+    failed or refused attempt is retried once with twice the Krylov space
+    and restarts; a partial, unconverged result is never used. Returns
+    ``((theta, vector), None)``, or ``(None, reason)`` for an unusable block
+    LU or no accepted pair; a failed inverse raises, and is not retried.
     """
-    dim = problem.dim
-    jacobi, reason = _block_jacobi(blocks, sigma)
-    if jacobi is None:
+    inverse, reason = _shifted_inverse(problem, blocks, sigma, bound)
+    if inverse is None:
         return None, reason
-    shifted = problem.matvec if sigma == 0 else lambda x: problem.matvec(x) - sigma * x
-    single_block = len(blocks) == 1  # its LU is that of the whole problem
-
-    def inverse(b):
-        problem.engine.inverse_solves += 1
-        x0 = jacobi(b)
-        if single_block:
-            return x0
-        x, reason = _gmres(problem, shifted, b, jacobi, atol=0.1 * bound * np.linalg.norm(x0), x0=x0)
-        if x is None:
-            raise EigensolverBreakdown(reason)
-        return x
-
+    dim = problem.dim
     # in shift-invert mode ARPACK applies only `opinv`; `op` gives shape and type
     op = spla.LinearOperator((dim, dim), matvec=problem.matvec, dtype=complex)
     opinv = spla.LinearOperator((dim, dim), matvec=inverse, dtype=complex)
-    norm0 = np.linalg.norm(v0)
-    start = None if norm0 == 0 else v0 / norm0
     for factor in (1, 2):
         try:
             values, vectors = spla.eigs(
@@ -844,7 +841,7 @@ def _arnoldi(problem: SiteProblem, v0, sigma, blocks, bound, tol):
                 sigma=sigma,
                 OPinv=opinv,
                 which="LM",
-                v0=start,
+                v0=v0 / np.linalg.norm(v0),
                 ncv=min(dim, ARNOLDI_DIM * factor),
                 maxiter=ARPACK_MAXITER * factor,
                 tol=tol,
@@ -852,8 +849,6 @@ def _arnoldi(problem: SiteProblem, v0, sigma, blocks, bound, tol):
         except spla.ArpackError as err:  # includes ArpackNoConvergence
             reason = str(err)
             continue
-        except EigensolverBreakdown as err:  # the inverse failed: a retry would too
-            return None, f"inverse: {err}"
         theta, vec = values[0], vectors[:, 0]
         resid = np.linalg.norm(problem.matvec(vec) - theta * vec) / np.linalg.norm(vec)
         if resid <= bound:
@@ -863,8 +858,8 @@ def _arnoldi(problem: SiteProblem, v0, sigma, blocks, bound, tol):
 
 
 def _tested_start(problem: SiteProblem, v0, sigma, bound):
-    """The start `v0` at the shift `sigma`, tested before any method runs:
-    ``(found, start)``.
+    """The nonzero start `v0` at the shift `sigma`, tested before any method
+    runs: ``(found, start)``.
 
     ``theta`` is the Rayleigh quotient of `v0`, from one ``problem.matvec``.
     `found` is ``(theta, v0 / ||v0||)`` when both ``|theta - sigma|`` and
@@ -876,8 +871,6 @@ def _tested_start(problem: SiteProblem, v0, sigma, bound):
     `start` adds to it a random vector of its norm, seeded by the dimension.
     """
     norm0 = np.linalg.norm(v0)
-    if not norm0 > 0:
-        return None, v0
     u = v0 / norm0
     au = problem.matvec(u)
     theta = np.vdot(u, au)
@@ -890,6 +883,16 @@ def _tested_start(problem: SiteProblem, v0, sigma, bound):
     return None, v0 + noise * (norm0 / np.linalg.norm(noise))
 
 
+def _nearest_eig(mat, sigma, v0, bound):
+    """Eigenpair of `mat` nearest `sigma` by ``np.linalg.eig``; of values within
+    `bound` of the nearest (one eigenspace), the one whose vector overlaps `v0` most."""
+    values, vectors = np.linalg.eig(mat)
+    dist = np.abs(values - sigma)
+    near = np.flatnonzero(dist <= dist.min() + bound)
+    best = near[np.argmax(np.abs(vectors[:, near].conj().T @ v0))]
+    return values[best], vectors[:, best]
+
+
 def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff, accept_start=True):
     """Solve the local eigenproblem, returning ``(theta, vector)``.
 
@@ -898,34 +901,30 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff, accep
     full ``np.linalg.eig`` of the dense problem; above DENSE_LOCAL_HARD_CAP,
     or with no central eigenvalue, it raises :class:`EigensolverBreakdown`.
 
-    At a shift, one residual bound ``tol ||D||``, ``D`` the harmonic
-    diagonal blocks (Frobenius norm), is computed once: the start `v0` is
-    tested against it before any method runs (:func:`_tested_start`), and
-    :func:`_tethered_solve`, :func:`_arnoldi`, :func:`_shift_invert` and the
-    ``eig`` tie-break accept at it. A block above DENSE_LOCAL_HARD_CAP raises :class:`EigensolverBreakdown` before
-    anything is built: both methods above the dense cutoff factorize the
-    blocks, and no dense solve runs above the cap. A start that already
-    passes is returned as it is, normalized, unless
-    `accept_start` is false, and an eigenvector of an eigenvalue away from
-    the shift gets a random part added. Otherwise a shift target up to
-    `dense_cutoff` is densified and solved by :func:`_shift_invert`; a
-    refused solve (singular or non-finite LU, zero start vector, no
-    accepted pair) is logged at WARNING and falls back to a full
-    ``np.linalg.eig``, taking the value nearest ``sigma`` (of values
-    within the residual bound of it, the one whose vector
-    overlaps `v0` most). Larger problems are not densified. A sweep's shift
-    is (nearly) a local eigenvalue, whose vector :func:`_tethered_solve`
-    finds from `v0`. A deflated problem (the degeneracy check, from a random
-    start) has no eigenvalue at its shift, so shift-invert ARPACK solves it
-    (:func:`_arnoldi`). When either method refuses, problems up to
-    DENSE_LOCAL_HARD_CAP are solved densely as above, with a WARNING log,
-    and larger ones raise :class:`EigensolverBreakdown`.
+    At a shift, a harmonic block above DENSE_LOCAL_HARD_CAP raises
+    :class:`EigensolverBreakdown` before anything is built: every method
+    factorizes the blocks (:func:`_shifted_inverse`). One residual bound
+    ``tol ||D||``, ``D`` the harmonic diagonal blocks (Frobenius norm), is
+    computed once, and every method and the ``eig`` tie-break
+    (:func:`_nearest_eig`) accept at it. No method starts from a zero `v0`,
+    so ``eig`` answers it, with one WARNING log. Otherwise the start is
+    tested first (:func:`_tested_start`): one that passes is returned,
+    normalized, unless `accept_start` is false, and an eigenvector of an
+    eigenvalue away from the shift gets a random part added. Then a problem
+    up to `dense_cutoff` is densified and solved by :func:`_shift_invert`.
+    A larger one is not: a sweep's shift is (nearly) a local eigenvalue,
+    whose vector :func:`_tethered_solve` finds from `v0`, and a deflated
+    problem (the degeneracy check, from a random start) has no eigenvalue
+    at its shift, so shift-invert ARPACK solves it (:func:`_arnoldi`). A
+    refused method (unusable LU, failed inverse, no accepted pair) is
+    logged at WARNING and falls back: either method above the cutoff to the
+    dense shift-invert, and that to :func:`_nearest_eig`. Above
+    DENSE_LOCAL_HARD_CAP a zero start or a refused method raises
+    :class:`EigensolverBreakdown` instead.
 
     Each solve is counted in ``problem.engine.local_solves`` under the
     method that answered it (``"converged_start"`` for an accepted start),
-    or under ``"dense_fallback"`` when the method tried first failed. A
-    deflated problem's dense shift-invert adds its inverse applications to
-    ``problem.engine.inverse_solves``, as :func:`_arnoldi` does.
+    or under ``"dense_fallback"`` after a zero start or a refusal.
     """
     dim = problem.dim
     counts = problem.engine.local_solves
@@ -944,18 +943,26 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff, accep
         raise EigensolverBreakdown(f"harmonic block of dim {block} above the dense cap, at dim {dim}")
     blocks = problem.diagonal_blocks()
     bound = tol * np.linalg.norm(blocks)
+    if not np.linalg.norm(v0) > 0:  # no method starts from a zero vector
+        if dim > DENSE_LOCAL_HARD_CAP:
+            raise EigensolverBreakdown(f"zero start vector at dim {dim}, above the dense cap")
+        logger.warning("zero start vector at dim %d; solving with eig", dim)
+        counts["dense_fallback"] += 1
+        return _nearest_eig(problem.dense_matrix(), sigma, v0, bound)
     found, v0 = _tested_start(problem, v0, sigma, bound)
     if found is not None and accept_start:
         counts["converged_start"] += 1
         return found
     fallback = False
     if dim > max(dense_cutoff, 2):  # ARPACK needs k = 1 < dim - 1
-        if problem.deflation:
-            method, name = "arnoldi", "Arnoldi"
-            found, reason = _arnoldi(problem, v0, sigma, blocks, bound, tol)
-        else:
-            method, name = "gmres", "tethered GMRES"
-            found, reason = _tethered_solve(problem, v0, sigma, blocks, bound)
+        method, name = ("arnoldi", "Arnoldi") if problem.deflation else ("gmres", "tethered GMRES")
+        try:
+            if problem.deflation:
+                found, reason = _arnoldi(problem, v0, sigma, blocks, bound, tol)
+            else:
+                found, reason = _tethered_solve(problem, v0, sigma, blocks, bound)
+        except EigensolverBreakdown as err:  # the inverse's GMRES failed: a retry would too
+            found, reason = None, str(err)
         if found is not None:
             counts[method] += 1
             return found
@@ -964,20 +971,13 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff, accep
         logger.warning("%s failed at dim %d (%s); solving densely", name, dim, reason)
         fallback = True
     mat = problem.dense_matrix()
-    found, reason, applied = _shift_invert(mat, v0, sigma, bound)
-    if problem.deflation:  # the degeneracy check's inverse applications
-        problem.engine.inverse_solves += applied
+    found, reason = _shift_invert(problem, mat.__matmul__, mat[None], v0, sigma, bound)
     if found is not None:
         counts["dense_fallback" if fallback else "shift_invert"] += 1
         return found
     logger.warning("shift-invert refused at dim %d (%s); solving with eig", dim, reason)
     counts["dense_fallback"] += 1
-    values, vectors = np.linalg.eig(mat)
-    # values within the residual bound of sigma are one eigenspace: take its vector nearest v0
-    dist = np.abs(values - sigma)
-    near = np.flatnonzero(dist <= dist.min() + bound)
-    best = near[np.argmax(np.abs(vectors[:, near].conj().T @ v0))]
-    return values[best], vectors[:, best]
+    return _nearest_eig(mat, sigma, v0, bound)
 
 
 def _local_tol(cfg):

@@ -494,15 +494,22 @@ def test_refused_shift_invert_arpack_returns_the_dense_answer(case, monkeypatch,
         solver._local_eigensolve(problem, **solve)
 
 
-def test_single_block_inverse_is_the_block_lu(monkeypatch):
-    # at cutoff 0 the one harmonic block is the whole deflated problem, so
-    # its LU solve is the inverse: no GMRES runs and no matvec confirms it
+@pytest.mark.parametrize("deflated", [True, False], ids=["check", "sweep"])
+def test_single_block_inverse_is_the_block_lu(deflated, monkeypatch):
+    # at cutoff 0 the one harmonic block is the whole local problem, so its
+    # LU solve is the inverse: no GMRES runs and no matvec confirms it, both
+    # in the degeneracy check's shift-invert ARPACK run on the deflated
+    # problem (whose value nearest 0 is the undeflated runner-up) and in a
+    # sweep's tethered solve
     model = single_qubit_model(gamma=0.7, omega_z=1.1, drive=4.0)
     ness, _ = solve_ness(model, quick_config(0, 4))
     engine = SweepEngine(build_extended_lindbladian(model, 0), ness)
     values = np.linalg.eigvals(engine.site_problem(0).dense_matrix())
     runner_up = values[np.argsort(np.abs(values))[1]]
-    problem = engine.site_problem(0, deflation=solver.DEFLATION_SHIFT)
+    problem = engine.site_problem(0, deflation=solver.DEFLATION_SHIFT if deflated else 0.0)
+    values, vectors = np.linalg.eig(problem.dense_matrix())
+    best = np.argmin(np.abs(values))
+    assert abs(values[best] - runner_up) < 1e-10 if deflated else abs(values[best]) < 1e-12
 
     def refuse(*args, **kwargs):
         raise AssertionError("GMRES ran")
@@ -510,10 +517,12 @@ def test_single_block_inverse_is_the_block_lu(monkeypatch):
     monkeypatch.setattr(solver, "_gmres", refuse)
     rng = np.random.default_rng(3)
     v0 = rng.standard_normal(problem.dim) + 1j * rng.standard_normal(problem.dim)
-    theta, _ = solver._local_eigensolve(problem, v0, 0.0, tol=1e-10, dense_cutoff=0)
-    assert abs(theta - runner_up) < 1e-10
-    assert engine.local_solves == counted(arnoldi=1)
-    assert engine.inverse_solves > 0 and engine.gmres_iterations == 0
+    theta, vec = solver._local_eigensolve(problem, v0, 0.0, tol=1e-10, dense_cutoff=0)
+    assert abs(theta - values[best]) < 1e-10
+    assert abs(np.vdot(vectors[:, best], vec)) / np.linalg.norm(vec) >= 1 - 1e-10
+    assert engine.local_solves == counted(**{"arnoldi" if deflated else "gmres": 1})
+    assert engine.gmres_iterations == 0
+    assert (engine.inverse_solves > 0) == deflated
 
 
 def keep_checked_engine(monkeypatch):
@@ -615,12 +624,24 @@ def test_shift_invert_matches_dense_eig(start, penalties):
         assert abs(np.vdot(vectors[:, best], vec)) >= 1 - 1e-10
 
 
-@pytest.mark.parametrize("case", ["singular", "zero_start", "budget"])
-def test_refused_shift_invert_returns_the_eig_answer(case, monkeypatch, caplog):
+@pytest.mark.parametrize(
+    "case, cutoff, deflation",
+    [
+        pytest.param("singular", 700, 0.0, id="singular"),
+        pytest.param("zero_start", 700, 0.0, id="zero_start"),
+        pytest.param("zero_start", 0, 0.0, id="zero_start-tethered"),
+        pytest.param("zero_start", 0, solver.DEFLATION_SHIFT, id="zero_start-deflated"),
+        pytest.param("budget", 700, 0.0, id="budget"),
+    ],
+)
+def test_refused_shift_invert_returns_the_eig_answer(case, cutoff, deflation, monkeypatch, caplog):
     # an exactly singular matrix, a zero start vector and a step budget the
-    # noisy guess cannot meet each fall back to np.linalg.eig and say so; the
-    # guess's block 0 (bond 3) keeps the identity in its frames, so the
-    # local problem has an eigenvalue at zero to rounding
+    # noisy guess cannot meet each fall back to np.linalg.eig and say so in
+    # one WARNING; the guess's block 0 (bond 3) keeps the identity in its
+    # frames, so the local problem has an eigenvalue at zero to rounding. A
+    # zero start is refused before any method, on the dense path, by the
+    # tethered solve's path and by the degeneracy check's above the cutoff
+    # alike, and above the hard cap it breaks the solve down
     model = ising_l3()
     mpo = build_extended_lindbladian(model, 1)
     guess = initial_guess(3, 2, 1, model.omega, noise_amplitude=1e-2, seed=3)
@@ -628,7 +649,7 @@ def test_refused_shift_invert_returns_the_eig_answer(case, monkeypatch, caplog):
     blocks = {n: Mps.random(3, 4, 3, rng, norm=1e-2) for n in (-1, 1)}
     state = FloquetDensityMatrix({**blocks, 0: guess.block(0)}, model.omega, 1)
     engine = SweepEngine(mpo, state)
-    problem = engine.site_problem(0)
+    problem = engine.site_problem(0, deflation=deflation)
     mat = problem.dense_matrix()
     v0 = problem.current_vector()
     if case == "singular":
@@ -639,7 +660,7 @@ def test_refused_shift_invert_returns_the_eig_answer(case, monkeypatch, caplog):
     else:
         monkeypatch.setattr(solver, "KRYLOV_DIM", 1)
     with caplog.at_level(logging.DEBUG, logger="floquet_ness.solver"):
-        theta, vec = solver._local_eigensolve(problem, v0, 0.0, tol=1e-11, dense_cutoff=700)
+        theta, vec = solver._local_eigensolve(problem, v0, 0.0, tol=1e-11, dense_cutoff=cutoff)
     # the eig value nearest zero; the singular case has two within the
     # residual bound, one eigenspace, whose vector nearest v0 is taken
     values, vectors = np.linalg.eig(mat)
@@ -649,9 +670,13 @@ def test_refused_shift_invert_returns_the_eig_answer(case, monkeypatch, caplog):
     assert theta == values[best]
     assert np.array_equal(vec, vectors[:, best])
     assert engine.local_solves == counted(dense_fallback=1)
-    assert any(
-        r.levelno == logging.WARNING and "shift-invert refused" in r.getMessage() for r in caplog.records
-    )
+    (warning,) = [r for r in caplog.records if r.levelno >= logging.WARNING]
+    reason = "zero start vector" if case == "zero_start" else "shift-invert refused"
+    assert reason in warning.getMessage()
+    if case == "zero_start":
+        monkeypatch.setattr(solver, "DENSE_LOCAL_HARD_CAP", problem.dim - 1)
+        with pytest.raises(EigensolverBreakdown, match="zero start vector"):
+            solver._local_eigensolve(problem, v0, 0.0, tol=1e-11, dense_cutoff=cutoff)
 
 
 def test_zero_pivot_at_an_exact_shift_falls_back_loudly(caplog):
@@ -691,7 +716,7 @@ def test_gmres_meets_atol_in_scipys_iterations(coupling):
     atol = 1e-10 * np.linalg.norm(rhs)
     jacobi, _ = solver._block_jacobi(blocks, 0.0)
     problem = types.SimpleNamespace(dim=dim, engine=types.SimpleNamespace(gmres_iterations=0))
-    x, reason = solver._gmres(problem, mat.__matmul__, rhs, jacobi, atol)
+    x, reason = solver._gmres(problem, mat.__matmul__, rhs, jacobi, atol, x0=np.zeros(dim, dtype=complex))
     assert reason is None
     assert np.linalg.norm(rhs - mat @ x) <= atol
     ours = problem.engine.gmres_iterations
@@ -1638,6 +1663,11 @@ def test_config_validation():
         SweepConfig(warmup=SweepStage(1, 4, 0)).validate()
     with pytest.raises(ValueError, match="eig_tol"):
         SweepConfig(warmup=SweepStage(1, 4, 2), eig_tol=0.0).validate()
+    # a negative cutoff or an empty bond would fail deep inside the solve
+    with pytest.raises(ValueError, match="n_c"):
+        SweepConfig(warmup=SweepStage(-1, 4, 3)).validate()
+    with pytest.raises(ValueError, match="chi"):
+        SweepConfig(warmup=SweepStage(1, 0, 3)).validate()
     # above the hard cap a dense problem would be too large to factor
     for cutoff in (-1, solver.DENSE_LOCAL_HARD_CAP + 1, 5000):
         with pytest.raises(ValueError, match="dense_local_cutoff"):
