@@ -70,6 +70,8 @@ class ModelSpec:
     which :meth:`validate` checks. `jump_fourier` maps a channel label to the
     harmonic map of one jump operator; all harmonics of a channel must share
     a single support window. Every term is on sites of dimension `site_dim`.
+    :meth:`validate` also requires at least one site and a positive, finite
+    drive frequency `omega`.
     """
 
     chain_length: int
@@ -79,6 +81,10 @@ class ModelSpec:
     site_dim: int = 2
 
     def validate(self, tol=1e-10):
+        if self.chain_length < 1:
+            raise ValueError(f"chain_length must be at least 1, got {self.chain_length}")
+        if not 0 < self.omega < np.inf:
+            raise ValueError(f"omega must be positive and finite, got {self.omega}")
         for k, terms in self.hamiltonian_fourier.items():
             for t in terms:
                 if t.start < 0 or t.stop > self.chain_length:

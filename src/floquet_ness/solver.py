@@ -31,8 +31,10 @@ is one block), exact with one block and otherwise this module's restarted
 GMRES (:func:`_gmres`), right-preconditioned by those LUs (block Jacobi), so
 that its cheap residual estimate is the true residual.
 Every LU is LAPACK's getrf and getrs, called without scipy's wrappers, which
-cost more than the solves at these block sizes. Either method falls back to
-the dense path, with a WARNING log, when it fails.
+cost more than the solves at these block sizes. A method that cannot answer
+raises :class:`EigensolverBreakdown` with its reason, and only
+:func:`_local_eigensolve` catches it: it logs a WARNING and falls back to the
+dense path, or re-raises above ``DENSE_LOCAL_HARD_CAP``.
 Sweeping relaxes the state onto the targeted eigenvector: every
 solve (steady state, right and left decay mode) runs the one sweep stage
 ``SweepConfig.warmup`` (:func:`_sweep_schedule`). It canonicalizes its start
@@ -211,10 +213,13 @@ class SweepConfig:
             raise ValueError("the stage's harmonic cutoff n_c must be at least 0")
         if self.warmup.chi < 1:
             raise ValueError("the stage's bond dimension chi must be at least 1")
-        if self.eig_tol <= 0:
-            raise ValueError("eig_tol must be positive")
-        if not self.noise_amplitude > 0:
-            raise ValueError("noise_amplitude must be positive: a noiseless start stays at bond 1")
+        if not 0 < self.eig_tol < np.inf:
+            raise ValueError(f"eig_tol must be positive and finite, got {self.eig_tol}")
+        if not 0 < self.noise_amplitude < np.inf:
+            raise ValueError(
+                f"noise_amplitude must be positive and finite, got {self.noise_amplitude}: "
+                "a noiseless start stays at bond 1"
+            )
         if not 0 <= self.dense_local_cutoff <= DENSE_LOCAL_HARD_CAP:
             raise ValueError(f"dense_local_cutoff must lie in [0, {DENSE_LOCAL_HARD_CAP}]")
         return self
@@ -533,30 +538,32 @@ class SiteProblem:
 
 
 def _slowest_central(values, vectors, engine):
-    """Largest-real-part eigenpair (Im >= 0 of a pair), or None; with a
-    harmonic ladder (cutoff >= 1) only values with ``|Im theta| < omega / 2``."""
+    """Largest-real-part eigenpair (Im >= 0 of a pair); with a harmonic
+    ladder (cutoff >= 1) only values with ``|Im theta| < omega / 2``. Raises
+    :class:`EigensolverBreakdown` when no value is central."""
     central = values.imag > -1e-10 * np.abs(values)
     if engine.cutoff:
         central &= np.abs(values.imag) < engine.omega / 2
     if not central.any():
-        return None
+        raise EigensolverBreakdown(f"no central local eigenvalue at dim {len(values)}")
     best = np.flatnonzero(central)[np.argmax(values.real[central])]
     return values[best], vectors[:, best]
 
 
 def _lu(mat):
-    """``(lu, None)``, the LAPACK factors ``(lu, piv)`` of complex `mat`, or
-    ``(None, reason)`` when they are unusable: a zero pivot (getrf's ``info >
-    0``) or non-finite factors. getrf is called directly, and its factors are
-    those of ``scipy.linalg.lu_factor``, bit for bit."""
+    """The LAPACK factors ``(lu, piv)`` of complex `mat`, a block of
+    :func:`_block_jacobi`, its only caller. Unusable factors, a zero pivot
+    (getrf's ``info > 0``) or non-finite ones, raise
+    :class:`EigensolverBreakdown`. getrf is called directly, and its factors
+    are those of ``scipy.linalg.lu_factor``, bit for bit."""
     lu, piv, info = _GETRF(mat, overwrite_a=True)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of getrf")
     if info > 0:
-        return None, f"zero pivot {info}: singular matrix"
+        raise EigensolverBreakdown(f"block LU: zero pivot {info}: singular matrix")
     if not np.all(np.isfinite(lu)):
-        return None, "non-finite LU factors"
-    return (lu, piv), None
+        raise EigensolverBreakdown("block LU: non-finite LU factors")
+    return lu, piv
 
 
 def _lu_solve(lu, b):
@@ -587,11 +594,11 @@ def _shift_invert(problem: SiteProblem, matvec, blocks, v0, sigma, bound):
     harmonic diagonal `blocks`; the dense path passes ``mat @ x`` and
     ``mat[None]``), whose eigenvalue ``mu`` gives ``theta = sigma + 1 / mu``.
 
-    Returns ``((theta, vector), None)``, or ``(None, reason)`` when the LU
-    factorization is unusable (so when `sigma` is an exact eigenvalue) or
-    no Ritz pair of largest ``|mu|`` reaches ``||A v - theta v|| <= bound``
-    within KRYLOV_DIM steps. `v0` is nonzero. An accepted vector is
-    polished by one inverse-iteration step.
+    Returns ``(theta, vector)``. It raises :class:`EigensolverBreakdown`
+    when the LU factorization is unusable (so when `sigma` is an exact
+    eigenvalue) or no Ritz pair of largest ``|mu|`` reaches ``||A v - theta
+    v|| <= bound`` within KRYLOV_DIM steps. `v0` is nonzero. An accepted
+    vector is polished by one inverse-iteration step.
 
     A test of the top Ritz pair (a Hessenberg ``eig`` and one true residual)
     runs at steps 1 and 2, then at the step where the true residual,
@@ -599,9 +606,7 @@ def _shift_invert(problem: SiteProblem, matvec, blocks, v0, sigma, bound):
     (:func:`_next_test`), and always at the last step and before the basis
     closes on an invariant subspace.
     """
-    inverse, reason = _shifted_inverse(problem, blocks, sigma, bound)
-    if inverse is None:
-        return None, reason
+    inverse = _shifted_inverse(problem, blocks, sigma, bound)
     steps = min(KRYLOV_DIM, problem.dim)
     basis = np.zeros((problem.dim, steps + 1), dtype=complex)
     hess = np.zeros((steps + 1, steps), dtype=complex)
@@ -610,7 +615,7 @@ def _shift_invert(problem: SiteProblem, matvec, blocks, v0, sigma, bound):
     for j in range(steps):
         hess[: j + 2, j] = _arnoldi_step(basis, j, inverse(basis[:, j]))
         if not np.isfinite(hess[j + 1, j]):
-            return None, "non-finite inverse step"
+            raise EigensolverBreakdown("non-finite inverse step")
         if j + 1 >= due or hess[j + 1, j] == 0:
             mu, ritz = sla.eig(hess[: j + 1, : j + 1])
             top = np.argmax(np.abs(mu))
@@ -621,12 +626,12 @@ def _shift_invert(problem: SiteProblem, matvec, blocks, v0, sigma, bound):
                 resid = np.linalg.norm(matvec(vec) - theta * vec)
                 if resid <= bound:
                     vec = inverse(vec)
-                    return (theta, vec / np.linalg.norm(vec)), None
+                    return theta, vec / np.linalg.norm(vec)
                 tests.append((j + 1, resid))
                 due = _next_test(tests, bound, steps)
         if hess[j + 1, j] == 0:
             break  # invariant subspace: more steps add nothing
-    return None, f"no Ritz pair accepted within {j + 1} steps"
+    raise EigensolverBreakdown(f"no Ritz pair accepted within {j + 1} steps")
 
 
 def _next_test(tests, bound, steps):
@@ -648,10 +653,9 @@ def _block_jacobi(blocks, sigma, tether=None):
     """Block-Jacobi preconditioner of ``A - sigma I`` (plus ``u u^H`` for a
     flat `tether` ``u``): one LU per harmonic diagonal block ``[n, m, m]`` of
     `blocks` (:meth:`SiteProblem.diagonal_blocks`), each shifted and given
-    its part of the tether. Returns ``(solve, None)``, where ``solve(x)``
-    applies the inverse of the block diagonal to a flat vector by one getrs
-    per block, or ``(None, reason)`` when a block LU is unusable
-    (:func:`_lu`)."""
+    its part of the tether. Returns ``solve``, where ``solve(x)`` applies the
+    inverse of the block diagonal to a flat vector by one getrs per block; an
+    unusable block LU raises (:func:`_lu`)."""
     nh, m, _ = blocks.shape
     diagonal = np.arange(m), np.arange(m)
     parts = [None] * nh if tether is None else tether.reshape(nh, m)
@@ -659,15 +663,12 @@ def _block_jacobi(blocks, sigma, tether=None):
     for block, part in zip(blocks, parts):
         shifted = block.copy() if part is None else block + np.outer(part, part.conj())
         shifted[diagonal] -= sigma
-        lu, reason = _lu(shifted)
-        if lu is None:
-            return None, f"block LU: {reason}"
-        lus.append(lu)
+        lus.append(_lu(shifted))
 
     def solve(x):
         return np.concatenate([_lu_solve(lu, part) for lu, part in zip(lus, x.reshape(nh, m))])
 
-    return solve, None
+    return solve
 
 
 def _gmres(problem: SiteProblem, matvec, rhs, jacobi, atol, x0):
@@ -690,7 +691,9 @@ def _gmres(problem: SiteProblem, matvec, rhs, jacobi, atol, x0):
     returns zeros) ends its cycle without that column.
 
     Every Arnoldi step is added to ``problem.engine.gmres_iterations``.
-    Returns ``(x, None)``, or ``(None, reason)`` when no cycle met `atol`.
+    Returns `x`; when no cycle met `atol` it raises
+    :class:`EigensolverBreakdown`, whose reason names the inverse of
+    :func:`_shifted_inverse`, its only caller.
     """
     engine = problem.engine
     dim = problem.dim
@@ -703,7 +706,7 @@ def _gmres(problem: SiteProblem, matvec, rhs, jacobi, atol, x0):
     for _ in range(GMRES_CYCLES):
         beta = np.linalg.norm(resid)
         if beta <= atol:
-            return x, None
+            return x
         basis[:, 0] = resid / beta
         rot = np.eye(steps + 1, dtype=complex)  # the Givens rotations so far, as one unitary Q
         size = 0
@@ -729,14 +732,14 @@ def _gmres(problem: SiteProblem, matvec, rhs, jacobi, atol, x0):
             x += y @ images[:size]
         resid = rhs - matvec(x)
     if np.linalg.norm(resid) <= atol:
-        return x, None
-    return None, f"GMRES did not converge in {GMRES_CYCLES} cycles of {steps} steps"
+        return x
+    raise EigensolverBreakdown(f"inverse: GMRES did not converge in {GMRES_CYCLES} cycles of {steps} steps")
 
 
 def _shifted_inverse(problem: SiteProblem, blocks, sigma, bound, tether=None):
     """The inverse of ``A - sigma I`` (plus ``u u^H`` for a flat `tether`
     ``u``), ``A`` the operator of ``problem.matvec``, that every local solve
-    applies: ``(inverse, None)``, or ``(None, reason)`` for an unusable LU.
+    applies; an unusable LU raises :class:`EigensolverBreakdown`.
 
     One LU is factored per harmonic diagonal block of `blocks`
     (:func:`_block_jacobi`; a dense matrix is its own one block
@@ -751,9 +754,7 @@ def _shifted_inverse(problem: SiteProblem, blocks, sigma, bound, tether=None):
     problem (the degeneracy check's) is added to
     ``problem.engine.inverse_solves``.
     """
-    jacobi, reason = _block_jacobi(blocks, sigma, tether)
-    if jacobi is None:
-        return None, reason
+    jacobi = _block_jacobi(blocks, sigma, tether)
 
     def shifted(x):
         y = problem.matvec(x) - sigma * x
@@ -765,12 +766,9 @@ def _shifted_inverse(problem: SiteProblem, blocks, sigma, bound, tether=None):
         x0 = jacobi(b)
         if len(blocks) == 1:
             return x0
-        x, reason = _gmres(problem, shifted, b, jacobi, atol=0.1 * bound * np.linalg.norm(x0), x0=x0)
-        if x is None:
-            raise EigensolverBreakdown(f"inverse: {reason}")
-        return x
+        return _gmres(problem, shifted, b, jacobi, atol=0.1 * bound * np.linalg.norm(x0), x0=x0)
 
-    return inverse, None
+    return inverse
 
 
 def _tethered_solve(problem: SiteProblem, v0, sigma, blocks, bound):
@@ -791,22 +789,19 @@ def _tethered_solve(problem: SiteProblem, v0, sigma, blocks, bound):
     shift well off the eigenvalue converges as Rayleigh-quotient
     iteration), TETHER_ATTEMPTS solves in all.
 
-    Returns ``((theta, vector), None)``, or ``(None, reason)`` for an
-    unusable block LU or no accepted pair; a failed inverse raises.
+    Returns ``(theta, vector)``; an unusable block LU, a failed inverse or no
+    accepted pair raises :class:`EigensolverBreakdown`.
     """
     u = v0 / np.linalg.norm(v0)
     for _ in range(TETHER_ATTEMPTS):
-        inverse, reason = _shifted_inverse(problem, blocks, sigma, bound, tether=u)
-        if inverse is None:
-            return None, reason
-        x = inverse(u)
+        x = _shifted_inverse(problem, blocks, sigma, bound, tether=u)(u)
         ax = problem.matvec(x)
         norm = np.linalg.norm(x)
         theta = np.vdot(x, ax) / norm**2
         if np.linalg.norm(ax - theta * x) <= bound * norm:
-            return (theta, x / norm), None
+            return theta, x / norm
         u, sigma = x / norm, theta
-    return None, f"no pair accepted in {TETHER_ATTEMPTS} tethered solves"
+    raise EigensolverBreakdown(f"no pair accepted in {TETHER_ATTEMPTS} tethered solves")
 
 
 def _arnoldi(problem: SiteProblem, v0, sigma, blocks, bound, tol):
@@ -823,12 +818,11 @@ def _arnoldi(problem: SiteProblem, v0, sigma, blocks, bound, tol):
     ``||A v - theta v|| <= bound ||v||``, as in :func:`_tethered_solve`. A
     failed or refused attempt is retried once with twice the Krylov space
     and restarts; a partial, unconverged result is never used. Returns
-    ``((theta, vector), None)``, or ``(None, reason)`` for an unusable block
-    LU or no accepted pair; a failed inverse raises, and is not retried.
+    ``(theta, vector)``; an unusable block LU or no accepted pair raises
+    :class:`EigensolverBreakdown`, and so does a failed inverse, which is not
+    retried.
     """
-    inverse, reason = _shifted_inverse(problem, blocks, sigma, bound)
-    if inverse is None:
-        return None, reason
+    inverse = _shifted_inverse(problem, blocks, sigma, bound)
     dim = problem.dim
     # in shift-invert mode ARPACK applies only `opinv`; `op` gives shape and type
     op = spla.LinearOperator((dim, dim), matvec=problem.matvec, dtype=complex)
@@ -852,9 +846,9 @@ def _arnoldi(problem: SiteProblem, v0, sigma, blocks, bound, tol):
         theta, vec = values[0], vectors[:, 0]
         resid = np.linalg.norm(problem.matvec(vec) - theta * vec) / np.linalg.norm(vec)
         if resid <= bound:
-            return (theta, vec), None
+            return theta, vec
         reason = f"Ritz pair refused: residual {resid:.2e} above {bound:.2e}"
-    return None, reason
+    raise EigensolverBreakdown(reason)
 
 
 def _tested_start(problem: SiteProblem, v0, sigma, bound):
@@ -916,11 +910,12 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff, accep
     whose vector :func:`_tethered_solve` finds from `v0`, and a deflated
     problem (the degeneracy check, from a random start) has no eigenvalue
     at its shift, so shift-invert ARPACK solves it (:func:`_arnoldi`). A
-    refused method (unusable LU, failed inverse, no accepted pair) is
-    logged at WARNING and falls back: either method above the cutoff to the
-    dense shift-invert, and that to :func:`_nearest_eig`. Above
-    DENSE_LOCAL_HARD_CAP a zero start or a refused method raises
-    :class:`EigensolverBreakdown` instead.
+    method refuses (unusable LU, failed inverse, no accepted pair) by
+    raising :class:`EigensolverBreakdown` with its reason, and this is the
+    one place that catches it: the refusal is logged at WARNING and falls
+    back, either method above the cutoff to the dense shift-invert, and that
+    to :func:`_nearest_eig`. Above DENSE_LOCAL_HARD_CAP a zero start or a
+    refused method raises :class:`EigensolverBreakdown` instead.
 
     Each solve is counted in ``problem.engine.local_solves`` under the
     method that answered it (``"converged_start"`` for an accepted start),
@@ -933,10 +928,7 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff, accep
             raise EigensolverBreakdown(f"slowest central value wanted at dim {dim}, above the dense cap")
         counts["dense_eig"] += 1
         values, vectors = np.linalg.eig(problem.dense_matrix())
-        found = _slowest_central(values, vectors, problem.engine)
-        if found is None:
-            raise EigensolverBreakdown(f"no central local eigenvalue at dim {dim}")
-        return found
+        return _slowest_central(values, vectors, problem.engine)
     sigma = target
     block = dim // len(problem.engine.harmonics)
     if block > DENSE_LOCAL_HARD_CAP:  # the methods above the cutoff factorize the blocks
@@ -958,26 +950,25 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff, accep
         method, name = ("arnoldi", "Arnoldi") if problem.deflation else ("gmres", "tethered GMRES")
         try:
             if problem.deflation:
-                found, reason = _arnoldi(problem, v0, sigma, blocks, bound, tol)
+                found = _arnoldi(problem, v0, sigma, blocks, bound, tol)
             else:
-                found, reason = _tethered_solve(problem, v0, sigma, blocks, bound)
-        except EigensolverBreakdown as err:  # the inverse's GMRES failed: a retry would too
-            found, reason = None, str(err)
-        if found is not None:
+                found = _tethered_solve(problem, v0, sigma, blocks, bound)
             counts[method] += 1
             return found
-        if dim > DENSE_LOCAL_HARD_CAP:
-            raise EigensolverBreakdown(f"{name} failed at dim {dim}: {reason}")
-        logger.warning("%s failed at dim %d (%s); solving densely", name, dim, reason)
+        except EigensolverBreakdown as err:
+            if dim > DENSE_LOCAL_HARD_CAP:
+                raise EigensolverBreakdown(f"{name} failed at dim {dim}: {err}") from err
+            logger.warning("%s failed at dim %d (%s); solving densely", name, dim, err)
         fallback = True
     mat = problem.dense_matrix()
-    found, reason = _shift_invert(problem, mat.__matmul__, mat[None], v0, sigma, bound)
-    if found is not None:
-        counts["dense_fallback" if fallback else "shift_invert"] += 1
-        return found
-    logger.warning("shift-invert refused at dim %d (%s); solving with eig", dim, reason)
-    counts["dense_fallback"] += 1
-    return _nearest_eig(mat, sigma, v0, bound)
+    try:
+        found = _shift_invert(problem, mat.__matmul__, mat[None], v0, sigma, bound)
+    except EigensolverBreakdown as err:
+        logger.warning("shift-invert refused at dim %d (%s); solving with eig", dim, err)
+        counts["dense_fallback"] += 1
+        return _nearest_eig(mat, sigma, v0, bound)
+    counts["dense_fallback" if fallback else "shift_invert"] += 1
+    return found
 
 
 def _local_tol(cfg):
@@ -1189,6 +1180,7 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
     report = SolveReport()
     stage = cfg.warmup
     n_c = stage.n_c
+    mpo = build_extended_lindbladian(model, n_c)  # validates the model
     state = initial_guess(
         model.chain_length,
         model.site_dim,
@@ -1198,7 +1190,6 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
         seed=cfg.seed,
         noise_bond=stage.chi,
     )
-    mpo = build_extended_lindbladian(model, n_c)  # validates the model
     engine, final_theta = _sweep_schedule(mpo, state, cfg, report, 0.0, "ness")
     state = engine.state()  # before the check moves the centre
     check_start = time.perf_counter()
@@ -1302,6 +1293,9 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
     targets ``"slowest_central"`` from random blocks at the stage's bond
     dimension. The left partner is the eigenvector of the bare adjoint
     generator at ``conj(lambda)``, solved at that shift from the right mode.
+    `ness` must be the model's steady state at the stage's cutoff: a chain
+    length, site dimension, ``omega`` or cutoff that differs from the
+    model's raises ``ValueError`` before any sweep.
     Both solves sweep the stage of ``cfg.warmup`` (`stage_log` labels
     ``"decay right"`` and ``"decay left"``).
 
@@ -1338,6 +1332,13 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
     stage = cfg.warmup
     n_c = stage.n_c
     mpo = build_extended_lindbladian(model, n_c)  # validates the model
+    found = (ness.chain_length, ness.site_dim, ness.omega, ness.cutoff)
+    wanted = (model.chain_length, model.site_dim, model.omega, n_c)
+    if found != wanted:
+        raise ValueError(
+            f"ness has (chain_length, site_dim, omega, n_c) {found}, "
+            f"but the model at the stage's cutoff has {wanted}"
+        )
     rng = np.random.default_rng(cfg.seed + 1)
     blocks = {n: Mps.random(model.chain_length, model.site_dim**2, stage.chi, rng) for n in range(-n_c, n_c + 1)}
     seed = FloquetDensityMatrix(blocks, model.omega, n_c)

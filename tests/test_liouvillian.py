@@ -121,6 +121,17 @@ def test_validate_rejects_a_term_off_the_model_site_dim():
     ModelSpec(1, 2.0, {0: [sz]}, {"a": {0: lower}}, site_dim=3).validate()
 
 
+@pytest.mark.parametrize(
+    "length, omega, name",
+    [(0, 2.0, "chain_length"), (1, 0.0, "omega"), (1, -2.0, "omega"), (1, np.nan, "omega"), (1, np.inf, "omega")],
+)
+def test_validate_rejects_an_empty_chain_or_a_bad_frequency(length, omega, name):
+    # an empty chain failed in the start's MPS, and a drive frequency that is
+    # zero, negative or NaN as a degenerate steady state or a LinAlgError
+    with pytest.raises(ValueError, match=name):
+        ModelSpec(length, omega).validate()
+
+
 def test_static_single_qubit_dense_spectrum():
     gamma, wz = 0.8, 1.3
     model = single_qubit_model(gamma=gamma, omega_z=wz)

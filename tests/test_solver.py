@@ -444,7 +444,7 @@ def test_partial_arpack_result_is_not_accepted(monkeypatch, caplog):
 
 def stalled_preconditioner(blocks, sigma, tether=None):
     """A block-Jacobi stand-in whose inverse returns zeros, so GMRES makes no progress."""
-    return np.zeros_like, None
+    return np.zeros_like
 
 
 @pytest.mark.parametrize("case", ["wrong_pair", "inverse_stalls"])
@@ -697,6 +697,52 @@ def test_zero_pivot_at_an_exact_shift_falls_back_loudly(caplog):
     assert np.allclose(np.abs(vec), [1, 0, 0, 0], atol=1e-14)
 
 
+@pytest.mark.parametrize(
+    "method, reason",
+    [
+        ("_shift_invert", "no Ritz pair accepted"),
+        ("_tethered_solve", "block LU: zero pivot"),
+        ("_arnoldi", "Ritz pair refused"),
+        ("_gmres", "GMRES did not converge"),
+    ],
+)
+def test_every_method_raises_its_refusal(method, reason, monkeypatch):
+    # a local-solve method that cannot answer raises EigensolverBreakdown
+    # with its reason, which _local_eigensolve alone catches: shift-invert
+    # with a budget of one Krylov step, the tethered solve on an exactly
+    # singular harmonic block, ARPACK returning a made-up pair and GMRES
+    # behind a preconditioner that returns zeros, all on the noisy guess's
+    # centre problem (dimension 192 in three harmonic blocks)
+    model = ising_l3()
+    mpo = build_extended_lindbladian(model, 1)
+    state = at_one_bond(initial_guess(3, 2, 1, model.omega, noise_amplitude=1e-2, seed=3, noise_bond=4), 4)
+    engine = SweepEngine(mpo, state)
+    engine.advance_to(1)
+    problem = engine.site_problem(1, deflation=solver.DEFLATION_SHIFT if method == "_arnoldi" else 0.0)
+    v0 = problem.current_vector()
+    blocks = problem.diagonal_blocks()
+    bound = 1e-11 * np.linalg.norm(blocks)
+    if method == "_shift_invert":
+        monkeypatch.setattr(solver, "KRYLOV_DIM", 1)
+        mat = problem.dense_matrix()
+        args = (problem, mat.__matmul__, mat[None], v0, 0.0, bound)
+    elif method == "_tethered_solve":
+        part = v0.reshape(len(blocks), -1)[0] / np.linalg.norm(v0)
+        blocks[0] = -np.outer(part, part.conj())  # block 0 of D - sigma I + u u^H is exactly zero
+        args = (problem, v0, 0.0, blocks, bound)
+    elif method == "_arnoldi":
+
+        def wrong(op, k=1, **kwargs):
+            return np.array([0.5 + 0j]), np.ones((op.shape[0], 1), complex) / np.sqrt(op.shape[0])
+
+        monkeypatch.setattr(solver.spla, "eigs", wrong)
+        args = (problem, v0, 0.0, blocks, bound, 1e-11)
+    else:
+        args = (problem, problem.matvec, v0, stalled_preconditioner(blocks, 0.0), bound, np.zeros_like(v0))
+    with pytest.raises(EigensolverBreakdown, match=reason):
+        getattr(solver, method)(*args)
+
+
 @pytest.mark.parametrize("coupling", [0.05, 0.3, 0.5])  # 0.5 takes a second cycle
 def test_gmres_meets_atol_in_scipys_iterations(coupling):
     # on a random system whose harmonic-like diagonal blocks dominate, the
@@ -714,10 +760,9 @@ def test_gmres_meets_atol_in_scipys_iterations(coupling):
         mat[n * m : (n + 1) * m, n * m : (n + 1) * m] = blocks[n]
     rhs = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     atol = 1e-10 * np.linalg.norm(rhs)
-    jacobi, _ = solver._block_jacobi(blocks, 0.0)
+    jacobi = solver._block_jacobi(blocks, 0.0)
     problem = types.SimpleNamespace(dim=dim, engine=types.SimpleNamespace(gmres_iterations=0))
-    x, reason = solver._gmres(problem, mat.__matmul__, rhs, jacobi, atol, x0=np.zeros(dim, dtype=complex))
-    assert reason is None
+    x = solver._gmres(problem, mat.__matmul__, rhs, jacobi, atol, x0=np.zeros(dim, dtype=complex))
     assert np.linalg.norm(rhs - mat @ x) <= atol
     ours = problem.engine.gmres_iterations
     theirs = []
@@ -734,8 +779,8 @@ def test_gmres_meets_atol_in_scipys_iterations(coupling):
     )
     assert info == 0
     assert ours <= len(theirs) + 1
-    again, reason = solver._gmres(problem, mat.__matmul__, rhs, jacobi, atol, x0=x)
-    assert reason is None and np.array_equal(again, x)
+    again = solver._gmres(problem, mat.__matmul__, rhs, jacobi, atol, x0=x)
+    assert np.array_equal(again, x)
     assert problem.engine.gmres_iterations == ours
 
 
@@ -1269,6 +1314,24 @@ def test_decay_mode_with_positive_real_part_fails_before_the_left_solve(monkeypa
     assert labels == ["decay right"]
 
 
+def test_decay_mode_refuses_a_foreign_steady_state(monkeypatch):
+    # the steady state must be the model's at the stage's cutoff: a state on
+    # a longer chain, of another site dimension, at another drive frequency
+    # or at another cutoff is refused before any sweep, where its
+    # steady-state overlap warning would blame chi
+    model = single_qubit_model(gamma=0.8)
+    cfg = quick_config(0, 4)
+    solve_first_decay_mode(model, initial_guess(1, 2, 0, 5.0), cfg)  # the model's geometry sweeps
+
+    def refuse(*args):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(solver, "_sweep_schedule", refuse)
+    for foreign in [initial_guess(2, 2, 0, 5.0), initial_guess(1, 3, 0, 5.0), initial_guess(1, 2, 0, 7.0), initial_guess(1, 2, 1, 5.0)]:
+        with pytest.raises(ValueError, match=r"ness has \(chain_length, site_dim, omega, n_c\)"):
+            solve_first_decay_mode(model, foreign, cfg)
+
+
 def test_decay_mode_of_undriven_chain_above_cutoff_zero():
     # without a drive the harmonic blocks decouple, so the right mode's first
     # eig leaves the blocks n != 0 exactly zero; the left solve starts from
@@ -1663,6 +1726,11 @@ def test_config_validation():
         SweepConfig(warmup=SweepStage(1, 4, 0)).validate()
     with pytest.raises(ValueError, match="eig_tol"):
         SweepConfig(warmup=SweepStage(1, 4, 2), eig_tol=0.0).validate()
+    # a NaN tolerance failed deep inside the local solve, an infinite one
+    # reported every solve converged, and infinite noise failed in scipy
+    for name, value in [("eig_tol", np.nan), ("eig_tol", np.inf), ("noise_amplitude", np.nan), ("noise_amplitude", np.inf)]:
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            SweepConfig(warmup=SweepStage(1, 4, 2), **{name: value}).validate()
     # a negative cutoff or an empty bond would fail deep inside the solve
     with pytest.raises(ValueError, match="n_c"):
         SweepConfig(warmup=SweepStage(-1, 4, 3)).validate()
@@ -1685,6 +1753,13 @@ def test_config_rejects_noiseless_start(amplitude):
         cfg.validate()
     with pytest.raises(ValueError, match="noise_amplitude"):
         solve_ness(single_qubit_model(), cfg)
+
+
+def test_solve_ness_refuses_an_empty_chain_before_building_its_start():
+    # the model is validated before the start is built, so an empty chain is
+    # named as such instead of failing in the start's MPS
+    with pytest.raises(ValueError, match="chain_length must be at least 1"):
+        solve_ness(ModelSpec(0, 5.0), quick_config(1, 4))
 
 
 def test_schedule_builder_monotone():
