@@ -44,9 +44,11 @@ FORMAT_VERSION = 1
 class FloquetDensityMatrix:
     """Vectorized density matrix resolved into drive harmonics.
 
-    Blocks are MPS of physical dimension ``site_dim**2``; they fix
-    `chain_length` and `site_dim`, so at least one is stored. Missing
-    harmonics inside ``[-cutoff, cutoff]`` are treated as exact zeros.
+    `blocks` maps every harmonic ``n`` in ``[-cutoff, cutoff]``, and no other
+    key, to an MPS of physical dimension ``site_dim**2``; a harmonic the state
+    lacks is stored as :meth:`Mps.zeros`. The blocks fix `chain_length` and
+    `site_dim`, so ``cutoff >= 0``. Any other set of keys raises
+    ``ValueError`` naming the expected and the given harmonics.
     """
 
     __slots__ = ("blocks", "omega", "cutoff", "chain_length", "site_dim")
@@ -55,10 +57,9 @@ class FloquetDensityMatrix:
         self.blocks = dict(blocks)
         self.omega = float(omega)
         self.cutoff = int(cutoff)
+        if sorted(self.blocks) != list(self.harmonics):
+            raise ValueError(f"blocks must be the harmonics {list(self.harmonics)}, got {sorted(self.blocks)}")
         self.chain_length, self.site_dim = _geometry(self.blocks, "block")
-        for n in self.blocks:
-            if abs(n) > self.cutoff:
-                raise ValueError(f"block {n} outside cutoff {self.cutoff}")
 
     @property
     def harmonics(self):
@@ -68,21 +69,14 @@ class FloquetDensityMatrix:
     def phys_dim(self):
         return self.site_dim * self.site_dim
 
-    def block(self, n):
-        """Block `n`, materializing zeros for absent harmonics."""
-        if n in self.blocks:
-            return self.blocks[n]
-        return Mps.zeros(self.chain_length, self.phys_dim)
-
     def scaled(self, alpha):
-        return FloquetDensityMatrix({n: b.scaled(alpha) for n, b in self.blocks.items()}, self.omega, self.cutoff)
+        return FloquetDensityMatrix({n: self.blocks[n].scaled(alpha) for n in self.harmonics}, self.omega, self.cutoff)
 
     def inner(self, other):
         """Extended-space pairing ``sum_n <self^n|other^n>``."""
         total = 0.0 + 0.0j
         for n in self.harmonics:
-            if n in self.blocks and n in other.blocks:
-                total += self.blocks[n].inner(other.blocks[n])
+            total += self.blocks[n].inner(other.blocks[n])
         return total
 
     def norm(self):
@@ -91,14 +85,13 @@ class FloquetDensityMatrix:
     def block_trace(self, n):
         """``Tr rho^n``: the block paired by :meth:`Mps.inner` with the
         vectorized identity, a product state."""
-        if n not in self.blocks:
-            return 0.0 + 0.0j
         eye = vectorize_choi(np.eye(self.site_dim, dtype=complex))
         return Mps.from_product([eye] * self.chain_length).inner(self.blocks[n])
 
     def to_dense_blocks(self):
-        """Dense ``{n: matrix}`` of all stored blocks (small chains only)."""
-        return {n: choi_site_matrix(b.to_dense(), self.chain_length) for n, b in self.blocks.items()}
+        """Dense ``{n: matrix}`` of every harmonic block, in harmonic order
+        (small chains only)."""
+        return {n: choi_site_matrix(self.blocks[n].to_dense(), self.chain_length) for n in self.harmonics}
 
 
 def _geometry(mps_by_key, what):
@@ -141,7 +134,7 @@ def initial_guess(chain_length, site_dim, cutoff, omega, noise_amplitude=0.0, se
 
 def block_norms(state: FloquetDensityMatrix):
     """Frobenius norm of every harmonic block."""
-    return {n: state.block(n).norm() for n in state.harmonics}
+    return {n: state.blocks[n].norm() for n in state.harmonics}
 
 
 def trace_components(state: FloquetDensityMatrix):
@@ -157,8 +150,8 @@ def compress(state: FloquetDensityMatrix, spec: TruncationSpec):
     to the per-bond Schmidt values (sorted non-increasing).
     """
     blocks, discarded, spectra = {}, {}, {}
-    for n, b in state.blocks.items():
-        comp, info = b.canonicalize(spec)
+    for n in state.harmonics:
+        comp, info = state.blocks[n].canonicalize(spec)
         blocks[n] = comp
         discarded[n] = list(info.discarded_weights)
         spectra[n] = [np.asarray(s) for s in info.spectra]
@@ -174,13 +167,13 @@ def hermiticity_defect(state: FloquetDensityMatrix):
     for nearly equal terms. Raises for states with a vanishing static block,
     for which the normalization is meaningless.
     """
-    ref = state.block(0).norm()
+    ref = state.blocks[0].norm()
     if ref == 0.0:
         raise ValueError("hermiticity defect undefined for a state with |rho^0| = 0")
     out = {}
     for n in state.harmonics:
-        reflected = state.block(-n).dagger_reflect().scaled(-1.0)
-        out[n] = product_sum_norm([(None, state.block(n)), (None, reflected)]) / ref
+        reflected = state.blocks[-n].dagger_reflect().scaled(-1.0)
+        out[n] = product_sum_norm([(None, state.blocks[n]), (None, reflected)]) / ref
     return out
 
 
@@ -203,10 +196,6 @@ class FloquetMPO:
         self.chain_length, self.site_dim = _geometry(self.components, "component")
 
     @property
-    def phys_dim(self):
-        return self.site_dim * self.site_dim
-
-    @property
     def max_bond(self):
         return max((w.max_bond for w in self.components.values()), default=1)
 
@@ -218,7 +207,8 @@ class FloquetMPO:
         return FloquetMPO(comps, self.omega, diag_sign=-self.diag_sign)
 
     def apply(self, state: FloquetDensityMatrix, spec=None):
-        """Apply to a state, compressing each output block with `spec`.
+        """Apply to a state, compressing each output block with `spec`; an
+        output block that no term reaches is :meth:`Mps.zeros`.
 
         This is the tested reference for the generator's action (tests
         compare it with the dense generator). The solver does not call it:
@@ -226,24 +216,19 @@ class FloquetMPO:
         sweep per block without building them (``solver._eigen_residual``).
         """
         spec = spec or TruncationSpec(weight_cutoff=1e-14)
-        out = {}
+        blocks, out = state.blocks, {}
         for n in state.harmonics:
-            pieces = []
-            for q, w in self.components.items():
-                m = n - q
-                if abs(m) > state.cutoff or m not in state.blocks:
-                    continue
-                pieces.append(state.blocks[m].apply_mpo(w))
+            pieces = [blocks[n - q].apply_mpo(w) for q, w in self.components.items() if abs(n - q) <= state.cutoff]
             coeff = self.diagonal_coefficient(n)
-            if n in state.blocks and coeff != 0:
-                pieces.append(state.blocks[n].scaled(coeff))
+            if coeff != 0:
+                pieces.append(blocks[n].scaled(coeff))
             if not pieces:
+                out[n] = Mps.zeros(state.chain_length, state.phys_dim)
                 continue
             acc = pieces[0]
             for extra in pieces[1:]:
                 acc = acc.add(extra)
-            acc, _ = acc.canonicalize(spec)
-            out[n] = acc
+            out[n], _ = acc.canonicalize(spec)
         return FloquetDensityMatrix(out, state.omega, state.cutoff)
 
 
@@ -255,10 +240,10 @@ def save_state(state: FloquetDensityMatrix, path):
         "cutoff": state.cutoff,
         "chain_length": state.chain_length,
         "site_dim": state.site_dim,
-        "harmonics": sorted(state.blocks),
+        "harmonics": list(state.harmonics),
     }
     arrays = {}
-    for n in sorted(state.blocks):
+    for n in state.harmonics:
         for i, t in enumerate(state.blocks[n].tensors):
             arrays[f"block_{n + state.cutoff}_site_{i}"] = t
     with open(path, "wb") as fh:

@@ -181,7 +181,8 @@ def build_extended_lindbladian(model: ModelSpec, n_c: int) -> FloquetMPO:
     Components with ``|q| > 2 n_c`` cannot connect any retained blocks and
     are dropped; if the model carries harmonics beyond ``n_c`` a warning is
     emitted since part of the drive then acts only through folded paths.
-    Each component is compressed as :meth:`Mpo.from_local_terms` assembles it.
+    Each component is compressed as :meth:`Mpo.from_local_terms` assembles it;
+    a ``q = 0`` component without terms is the zero MPO of bond 1.
     """
     model.validate()
     if model.max_transfer > 2 * n_c or model.max_hamiltonian_harmonic > n_c:
@@ -195,9 +196,10 @@ def build_extended_lindbladian(model: ModelSpec, n_c: int) -> FloquetMPO:
     components = {}
     for q in model.transfers(n_c):
         terms = fourier_superoperator_terms(model, q)
-        if not terms and q != 0:
-            continue
-        components[q] = Mpo.from_local_terms(model.chain_length, p, terms)
+        if terms:
+            components[q] = Mpo.from_local_terms(model.chain_length, terms)
+        else:  # only q = 0 of a chain with no jumps and no static Hamiltonian
+            components[q] = Mpo([np.zeros((1, p, p, 1), dtype=complex) for _ in range(model.chain_length)])
     out = FloquetMPO(components, model.omega)
     logger.info(
         "extended generator: %d transfer components, operator bond <= %d",

@@ -106,13 +106,6 @@ class Mps:
     def bond_dims(self):
         return [t.shape[2] for t in self.tensors[:-1]]
 
-    @property
-    def max_bond(self):
-        return max(self.bond_dims, default=1)
-
-    def copy(self):
-        return Mps([t.copy() for t in self.tensors])
-
     def scaled(self, alpha):
         out = [t.copy() for t in self.tensors]
         out[0] = alpha * out[0]
@@ -258,13 +251,15 @@ class Mpo:
         return max(self.bond_dims, default=1)
 
     @classmethod
-    def from_local_terms(cls, length, phys_dim, terms):
+    def from_local_terms(cls, length, terms):
         """Assemble ``sum_k O_k`` from windowed dense terms.
 
-        `terms` is an iterable of :class:`~floquet_ness.superops.LocalOperator`
-        on sites of dimension `phys_dim`; for the generator these are the
-        window superoperators on ``d**2``-dimensional sites. Terms on one
-        window are summed first, by
+        `terms` is a non-empty iterable of
+        :class:`~floquet_ness.superops.LocalOperator` on sites of one
+        dimension, which the MPO takes; for the generator these are the
+        window superoperators on ``d**2``-dimensional sites. No terms, or
+        terms on different site dimensions, raise one ``ValueError``. Terms
+        on one window are summed first, by
         :func:`~floquet_ness.superops.window_sums`. Each window is split
         exactly, without an SVD, by :func:`_mpo_factors` (identity carriers
         around the window's middle site), and the splits are joined by the
@@ -276,19 +271,17 @@ class Mpo:
         compression.
         """
         terms = list(terms)
+        dims = sorted({t.site_dim for t in terms})
+        if len(dims) != 1:
+            raise ValueError(f"an MPO needs terms on one site dimension, got dimensions {dims}")
+        (phys_dim,) = dims
         for t in terms:
-            if t.site_dim != phys_dim:
-                raise ValueError(f"term on sites of dimension {t.site_dim}, chain of {phys_dim}")
             if t.start < 0 or t.stop > length:
                 raise ValueError(f"term on sites [{t.start}, {t.stop}) leaves the chain")
         factor_lists = [
-            (start, _mpo_factors(matrix, width, phys_dim))
+            (start, _mpo_factors(matrix, width))
             for (start, width), matrix in sorted(window_sums(terms).items())
         ]
-        if not factor_lists:
-            return cls(
-                [np.zeros((1, phys_dim, phys_dim, 1), dtype=complex) for _ in range(length)]
-            )
         # Bond layout per cut: slot 0 = "no term started", slot 1 = "term done",
         # then one block per term currently crossing the cut.
         crossing = [[] for _ in range(length + 1)]  # cut i sits left of site i
@@ -433,7 +426,7 @@ def product_sum_norm(terms):
         slices = np.split(rmat, np.cumsum([piece.shape[1] for piece in pieces])[:-1], axis=1)
 
 
-def _mpo_factors(matrix, width, phys_dim):
+def _mpo_factors(matrix, width):
     """Exact split of a windowed operator into per-site MPO factors, no SVD.
 
     Returns factors of shape ``[bl, out*in, br]`` whose bond product rebuilds
@@ -443,9 +436,10 @@ def _mpo_factors(matrix, width, phys_dim):
     the bond as an identity, and each site right of it carries its index
     left, so the bond at cut ``k`` (between window sites ``k - 1`` and ``k``)
     is ``(out*in)^min(k, width - k)``. The compression of
-    :meth:`Mpo.from_local_terms` reduces it to the rank.
+    :meth:`Mpo.from_local_terms` reduces it to the rank. The site dimension
+    is the `width`-th root of the matrix extent.
     """
-    p2 = phys_dim * phys_dim
+    p2 = _site_dim(matrix.shape[0], width) ** 2
     mid = (width - 1) // 2
     # [o1..ow, i1..iw] -> [(o1 i1), (o2 i2), ...], the site-major interleave
     tensor = choi_site_vector(matrix, width).reshape(p2**mid, p2, p2 ** (width - mid - 1))

@@ -85,7 +85,7 @@ def harmonic_expectations(state: FloquetDensityMatrix, op: LocalOperator):
     eye = vectorize_choi(np.eye(state.site_dim, dtype=complex)).reshape(-1, 1, 1)
     window = Mps.from_dense(choi_site_vector(op.matrix.conj().T, op.width), op.width).tensors
     dual = Mps([eye] * op.start + window + [eye] * (state.chain_length - op.stop))
-    return {n: dual.inner(state.block(n)) for n in state.harmonics}
+    return {n: dual.inner(state.blocks[n]) for n in state.harmonics}
 
 
 def expectation_series(state: FloquetDensityMatrix, op: LocalOperator, times, hermitize=True):

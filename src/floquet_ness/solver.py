@@ -169,35 +169,38 @@ DEGENERACY_TOL = 1e-7  # a deflated local eigenvalue this close to 0 is degenera
 DEFLATION_SHIFT = 1000.0  # the degeneracy check moves the converged state's eigenvalue to -this
 # Methods a local solve is counted under in `SweepEngine.local_solves`: at a
 # shift, a start that already passes the acceptance test, returned with no
-# method run; shift-invert below the dense cutoff; above it, tethered GMRES
-# for the sweeps and shift-invert ARPACK for the deflated degeneracy check;
-# a dense `eig` (or shift-invert) after any of them failed, or for a zero
-# start; `eig` for the slowest central value.
-LOCAL_METHODS = ("converged_start", "shift_invert", "dense_eig", "arnoldi", "gmres", "dense_fallback")
+# method run; shift-invert below the dense cutoff; `eig` for the slowest
+# central value; above the cutoff, shift-invert ARPACK for the deflated
+# degeneracy check and the tethered solve for the sweeps, whose inverse is an
+# exact LU solve at one harmonic block and GMRES at more (the engine's
+# `gmres_iterations` counts that work); a dense `eig` (or shift-invert) after
+# any of them failed, or for a zero start.
+LOCAL_METHODS = ("converged_start", "shift_invert", "dense_eig", "arnoldi", "tethered", "dense_fallback")
 
 
 @dataclass
 class SweepConfig:
     """Schedule and tolerances for the sweeping solver.
 
-    `warmup` is the :class:`SweepStage` every solve runs (``n_c >= 0``,
-    ``chi >= 1``, at least one sweep); a sweep whose every start passes the
-    acceptance test ends it early, and one solve at the centre site ``L // 2`` ends it. `eig_tol`
-    stops no sweep: a stage whose last sweep residual (the largest distance
-    of the sweep's local eigenvalues from its shift, :func:`_sweep_schedule`)
-    exceeds it is reported unconverged, with a warning, and it sets the
-    local solves' residual bound. Single-site sweeps cannot grow
-    a bond, so the start carries seeded noise of `noise_amplitude` at the
-    full bond; it must be positive. Local problems up to
-    `dense_local_cutoff` (at most DENSE_LOCAL_HARD_CAP) are densified: solves
-    at a shift (every solve but the right decay mode's first sweep, which
-    uses `eig`) whose start does not already pass use shift-invert (LU plus
-    a short Arnoldi on the inverse, its Ritz pair tested at steps 1 and 2 and
-    then only at the steps its residual's decay predicts, and at the last)
-    and fall back to a full `eig` when it is refused. Larger sweep problems
-    at a shift are solved by tethered GMRES, and the degeneracy check's
-    deflated problem by shift-invert ARPACK; both invert with one LU per
-    harmonic block, exactly when there is one block and by GMRES otherwise.
+    `warmup` is the :class:`SweepStage` every solve runs (integers, not
+    ``bool``: ``n_c >= 0``, ``chi >= 1``, at least one sweep); a sweep whose
+    every start passes the acceptance test ends it early, and one solve at
+    the centre site ``L // 2`` ends it. `eig_tol` stops no sweep: a stage
+    whose last sweep residual (the largest distance of the sweep's local
+    eigenvalues from its shift, :func:`_sweep_schedule`) exceeds it is
+    reported unconverged, with a warning, and it sets the local solves'
+    residual bound. Single-site sweeps cannot grow a bond, so the start
+    carries seeded noise of `noise_amplitude` at the full bond; it must be
+    positive. Local problems up to `dense_local_cutoff` (an integer, at most
+    DENSE_LOCAL_HARD_CAP) are densified: solves at a shift (every solve but
+    the right decay mode's first sweep, which uses `eig`) whose start does
+    not already pass use shift-invert (LU plus a short Arnoldi on the
+    inverse, its Ritz pair tested at steps 1 and 2 and then only at the
+    steps its residual's decay predicts, and at the last) and fall back to a
+    full `eig` when it is refused. Larger sweep problems at a shift are
+    solved by the tethered solve, and the degeneracy check's deflated
+    problem by shift-invert ARPACK; both invert with one LU per harmonic
+    block, exactly when there is one block and by GMRES otherwise.
     """
 
     warmup: SweepStage
@@ -207,6 +210,9 @@ class SweepConfig:
     dense_local_cutoff: int = DENSE_LOCAL_HARD_CAP
 
     def validate(self):
+        for name, value in {**asdict(self.warmup), "dense_local_cutoff": self.dense_local_cutoff}.items():
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.warmup.sweeps < 1:
             raise ValueError("the stage must run at least one sweep")
         if self.warmup.n_c < 0:
@@ -306,7 +312,7 @@ class SweepEngine:
         spec = TruncationSpec() if chi is None else TruncationSpec(max_rank=chi)
         blocks, self.start_discarded_weight = [], 0.0
         for n in self.harmonics:
-            block, info = state.block(n).canonicalize(spec)
+            block, info = state.blocks[n].canonicalize(spec)
             blocks.append(block.tensors)
             self.start_discarded_weight += info.total_discarded
         # an exactly zero block (zero centre) canonicalizes to bond 1; it takes
@@ -947,7 +953,7 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff, accep
         return found
     fallback = False
     if dim > max(dense_cutoff, 2):  # ARPACK needs k = 1 < dim - 1
-        method, name = ("arnoldi", "Arnoldi") if problem.deflation else ("gmres", "tethered GMRES")
+        method, name = ("arnoldi", "Arnoldi") if problem.deflation else ("tethered", "tethered GMRES")
         try:
             if problem.deflation:
                 found = _arnoldi(problem, v0, sigma, blocks, bound, tol)
@@ -1262,17 +1268,18 @@ def _trace_penalized(mpo, strength):
 def _eigen_residual(mpo, vec, theta):
     """True residual ``||(mpo - theta) vec|| / ||vec||``, streamed block by block.
 
-    Output block ``n`` sums ``W_q x_(n-q)`` over the transfers ``q`` whose
-    block ``n - q`` is stored, and ``(c_n - theta) x_n`` with ``c_n`` the
-    ramp coefficient (dropped when zero); :func:`~floquet_ness.mps.product_sum_norm`
-    takes its norm without building the products. :meth:`FloquetMPO.apply`
-    is the tested reference for the same action.
+    Output block ``n`` sums ``W_q x_(n-q)`` over the transfers ``q`` with
+    ``|n - q| <= cutoff`` and ``(c_n - theta) x_n``, with ``c_n`` the ramp
+    coefficient (dropped when zero);
+    :func:`~floquet_ness.mps.product_sum_norm` takes its norm without
+    building the products. :meth:`FloquetMPO.apply` is the tested reference
+    for the same action.
     """
     norms = []
     for n in vec.harmonics:
-        terms = [(w, vec.blocks[n - q]) for q, w in mpo.components.items() if n - q in vec.blocks]
+        terms = [(w, vec.blocks[n - q]) for q, w in mpo.components.items() if abs(n - q) <= vec.cutoff]
         coeff = mpo.diagonal_coefficient(n) - theta
-        if n in vec.blocks and coeff != 0:
+        if coeff != 0:
             terms.append((None, vec.blocks[n].scaled(coeff)))
         norms.append(product_sum_norm(terms))
     return float(np.linalg.norm(norms)) / max(vec.norm(), 1e-300)

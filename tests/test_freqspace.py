@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -31,8 +32,8 @@ def test_initial_guess_noise_free():
     state = initial_guess(1, 2, 1, omega=3.0)
     dense = state.blocks[0].to_dense()
     assert np.allclose(dense, [0.5, 0, 0, 0.5])
-    assert state.block(1).norm() == 0.0
-    assert state.block(-1).norm() == 0.0
+    assert state.blocks[1].norm() == 0.0
+    assert state.blocks[-1].norm() == 0.0
 
 
 def test_initial_guess_traces():
@@ -46,16 +47,15 @@ def test_block_trace_evaluates_trace():
     rng = np.random.default_rng(7)
     state = random_state(rng, length=2, cutoff=1, chi=3)
     for n in state.harmonics:
-        rho = choi_site_matrix(state.block(n).to_dense(), 2)
+        rho = choi_site_matrix(state.blocks[n].to_dense(), 2)
         assert abs(state.block_trace(n) - np.trace(rho)) < 1e-12
-    assert state.block_trace(2) == 0
 
 
 def test_initial_guess_determinism():
     a = initial_guess(3, 2, 1, omega=1.0, noise_amplitude=1e-3, seed=42)
     b = initial_guess(3, 2, 1, omega=1.0, noise_amplitude=1e-3, seed=42)
     for n in a.harmonics:
-        for ta, tb in zip(a.block(n).tensors, b.block(n).tensors):
+        for ta, tb in zip(a.blocks[n].tensors, b.blocks[n].tensors):
             assert np.array_equal(ta, tb)
 
 
@@ -150,7 +150,7 @@ def test_save_load_round_trip(tmp_path):
     assert back.omega == state.omega
     assert back.cutoff == state.cutoff
     for n in state.harmonics:
-        for a, b in zip(state.block(n).tensors, back.block(n).tensors):
+        for a, b in zip(state.blocks[n].tensors, back.blocks[n].tensors):
             assert np.array_equal(a, b)
 
 
@@ -170,14 +170,37 @@ def test_load_state_rejects_a_header_that_disagrees_with_the_tensors(tmp_path):
 
 def test_containers_read_their_dimensions_and_are_never_empty():
     rng = np.random.default_rng(11)
-    state = FloquetDensityMatrix({0: Mps.random(3, 9, 2, rng)}, 1.0, 1)
+    state = FloquetDensityMatrix({-1: Mps.zeros(3, 9), 0: Mps.random(3, 9, 2, rng), 1: Mps.zeros(3, 9)}, 1.0, 1)
     assert (state.chain_length, state.site_dim) == (3, 3)
     with pytest.raises(ValueError):
         FloquetDensityMatrix({}, 1.0, 0)
-    with pytest.raises(ValueError):
-        FloquetDensityMatrix({0: Mps.random(3, 4, 2, rng), 1: Mps.random(2, 4, 2, rng)}, 1.0, 1)
+    with pytest.raises(ValueError, match="geometry"):
+        FloquetDensityMatrix({-1: Mps.zeros(3, 4), 0: Mps.random(3, 4, 2, rng), 1: Mps.random(2, 4, 2, rng)}, 1.0, 1)
     with pytest.raises(ValueError):
         FloquetMPO({}, 1.0)
+
+
+def test_states_hold_exactly_the_harmonic_ladder(tmp_path):
+    # the keys must be -cutoff..cutoff: a missing, an extra or an
+    # out-of-range harmonic is refused, naming both sets, and so is a
+    # checkpoint that lost one block
+    state = random_state(np.random.default_rng(12), length=2, cutoff=1)
+    full = state.blocks
+    missing, extra = {n: full[n] for n in (-1, 0)}, {**full, 2: full[1]}
+    out_of_range = {-1: full[-1], 0: full[0], 2: full[1]}
+    for blocks in (missing, extra, out_of_range):
+        with pytest.raises(ValueError, match=re.escape(f"harmonics [-1, 0, 1], got {sorted(blocks)}")):
+            FloquetDensityMatrix(blocks, state.omega, 1)
+    path = tmp_path / "state.npz"
+    save_state(state, path)
+    with np.load(path) as data:
+        arrays = {k: v for k, v in data.items() if not k.startswith("block_2_")}  # block 1, stored at n + cutoff
+    header = json.loads(bytes(arrays["header"]).decode())
+    header["harmonics"].remove(1)
+    arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+    np.savez(tmp_path / "lost.npz", **arrays)
+    with pytest.raises(ValueError, match=r"got \[-1, 0\]"):
+        load_state(tmp_path / "lost.npz")
 
 
 def test_time_reconstruction_periodicity():

@@ -81,19 +81,7 @@ def random_freq_state(model, n_c, rng, chi=4):
 
 
 def extended_dense_vector(state):
-    segs = [
-        choi_site_vector(m, state.chain_length)
-        for m in (state.to_dense_blocks() | {}).values()
-    ]
-    # to_dense_blocks only holds stored blocks; rebuild in harmonic order
-    d2l = state.phys_dim**state.chain_length
-    out = np.zeros((2 * state.cutoff + 1) * d2l, dtype=complex)
-    for n in state.harmonics:
-        if n in state.blocks:
-            out[(n + state.cutoff) * d2l : (n + state.cutoff + 1) * d2l] = state.blocks[
-                n
-            ].to_dense()
-    return out
+    return np.concatenate([state.blocks[n].to_dense() for n in state.harmonics])
 
 
 def test_validate_rejects_broken_hermiticity():
@@ -212,13 +200,34 @@ def test_static_model_action_is_block_diagonal():
     model = single_qubit_model(gamma=0.3, omega_z=0.7)
     mpo = build_extended_lindbladian(model, 2)
     rng = np.random.default_rng(2)
-    state = FloquetDensityMatrix(
-        {1: Mps.random(1, 4, 1, rng, norm=None)}, model.omega, 2
-    )
+    blocks = {n: Mps.zeros(1, 4) for n in range(-2, 3)}
+    state = FloquetDensityMatrix({**blocks, 1: Mps.random(1, 4, 1, rng, norm=None)}, model.omega, 2)
     out = mpo.apply(state, TruncationSpec())
     for n in out.harmonics:
-        if n != 1 and n in out.blocks:
+        if n != 1:
             assert out.blocks[n].norm() < 1e-14
+
+
+def test_closed_chain_without_static_terms_has_a_zero_static_component():
+    # no jumps and only H^(+-1): the q = 0 component has no terms, so it is
+    # the zero MPO, and the generator still matches the dense reference
+    h1 = [LocalOperator(0, 0.3j * np.kron(PAULI["X"], PAULI["Z"])), LocalOperator(1, 0.5 * PAULI["Y"])]
+    hm1 = [LocalOperator(t.start, t.matrix.conj().T) for t in h1]
+    model = ModelSpec(2, 3.0, {1: h1, -1: hm1}).validate()
+    n_c = 1
+    mpo = build_extended_lindbladian(model, n_c)
+    assert sorted(mpo.components) == [-1, 0, 1] and not fourier_superoperator_terms(model, 0)
+    assert mpo.components[0].bond_dims == [1] and not np.any(mpo.components[0].to_dense())
+    d2l = 4**model.chain_length
+    harmonics = range(-n_c, n_c + 1)
+    generator = np.block([
+        [
+            mpo.components[n - m].to_dense() if n - m in mpo.components else np.zeros((d2l, d2l))
+            for m in harmonics
+        ]
+        for n in harmonics
+    ]) + np.diag(np.repeat([mpo.diagonal_coefficient(n) for n in harmonics], d2l))
+    assert np.max(np.abs(generator - dense_extended_lindbladian(model, n_c))) < 1e-15
 
 
 def test_time_independent_blocks_are_generator_minus_ramp():

@@ -107,7 +107,7 @@ def test_mpo_from_local_terms_matches_dense_sum():
         left = np.eye(2**start)
         right = np.eye(2 ** (length - start - len(s)))
         dense += np.kron(np.kron(left, pauli_string(s)), right)
-    mpo = Mpo.from_local_terms(length, 2, terms)
+    mpo = Mpo.from_local_terms(length, terms)
     assert np.max(np.abs(mpo.to_dense() - dense)) < 1e-10
 
 
@@ -121,11 +121,11 @@ def test_mpo_from_local_terms_wide_windows_match_dense_sum(width):
     terms = [LocalOperator(2, pauli_string("ZZ"))]
     for start in (0, length - width):
         mat = rng.standard_normal((2**width, 2**width)) + 1j * rng.standard_normal((2**width, 2**width))
-        factors = _mpo_factors(mat, width, 2)
+        factors = _mpo_factors(mat, width)
         assert [f.shape[2] for f in factors[:-1]] == [4 ** min(k, width - k) for k in range(1, width)]
         terms.append(LocalOperator(start, mat))
         dense += np.kron(np.kron(np.eye(2**start), mat), np.eye(2 ** (length - start - width)))
-    mpo = Mpo.from_local_terms(length, 2, terms)
+    mpo = Mpo.from_local_terms(length, terms)
     assert np.max(np.abs(mpo.to_dense() - dense)) < 1e-12
 
 
@@ -139,7 +139,7 @@ def test_mpo_compression_finds_low_rank_windows(field, bonds):
     terms = [LocalOperator(i, pauli_string("ZZZ")) for i in range(length - 2)]
     if field:
         terms += [LocalOperator(i, pauli_string("X")) for i in range(length)]
-    mpo = Mpo.from_local_terms(length, 2, terms)
+    mpo = Mpo.from_local_terms(length, terms)
     assert mpo.bond_dims == bonds
 
 
@@ -150,21 +150,24 @@ def test_mpo_at_its_ranks_keeps_exact_entries():
     # rebuilds the window bit for bit
     rng = np.random.default_rng(3)
     mat = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    mpo = Mpo.from_local_terms(3, 2, [LocalOperator(0, mat), LocalOperator(1, pauli_string("ZZ"))])
+    mpo = Mpo.from_local_terms(3, [LocalOperator(0, mat), LocalOperator(1, pauli_string("ZZ"))])
     assert mpo.bond_dims == [4, 4]
     assert np.array_equal(mpo.to_dense(), mat + np.kron(PAULI["I"], pauli_string("ZZ")))
 
 
 def test_mpo_from_local_terms_rejects_foreign_terms():
-    # a term's window is read from the operator, so its sites must be the chain's
-    with pytest.raises(ValueError, match="dimension"):
-        Mpo.from_local_terms(2, 4, [LocalOperator(0, pauli_string("ZZ"))])
+    # the terms fix the site dimension, so they must share one, and a term's
+    # window is read from the operator, so it must lie on the chain
+    qutrit = LocalOperator(0, np.eye(9), site_dim=3)
+    for terms, dims in [([LocalOperator(0, pauli_string("ZZ")), qutrit], r"\[2, 3\]"), ([], r"\[\]")]:
+        with pytest.raises(ValueError, match=f"one site dimension, got dimensions {dims}"):
+            Mpo.from_local_terms(2, terms)
     with pytest.raises(ValueError, match="leaves the chain"):
-        Mpo.from_local_terms(2, 2, [LocalOperator(1, pauli_string("ZZ"))])
+        Mpo.from_local_terms(2, [LocalOperator(1, pauli_string("ZZ"))])
 
 
 def test_mpo_single_site_chain():
-    mpo = Mpo.from_local_terms(1, 2, [LocalOperator(0, PAULI["X"]), LocalOperator(0, PAULI["Z"])])
+    mpo = Mpo.from_local_terms(1, [LocalOperator(0, PAULI["X"]), LocalOperator(0, PAULI["Z"])])
     assert np.allclose(mpo.to_dense(), PAULI["X"] + PAULI["Z"])
 
 
@@ -176,7 +179,7 @@ def test_mpo_apply_matches_dense():
         LocalOperator(1, pauli_string("ZZ")),
         LocalOperator(0, pauli_string("Y")),
     ]
-    mpo = Mpo.from_local_terms(length, 2, terms)
+    mpo = Mpo.from_local_terms(length, terms)
     state = random_mps(rng, length=length, phys=2, chi=4)
     out = state.apply_mpo(mpo, TruncationSpec())
     assert np.allclose(out.to_dense(), mpo.to_dense() @ state.to_dense(), atol=1e-10)
@@ -184,7 +187,7 @@ def test_mpo_apply_matches_dense():
 
 def test_mpo_adjoint():
     terms = [LocalOperator(0, pauli_string("XY")), LocalOperator(1, pauli_string("ZX"))]
-    mpo = Mpo.from_local_terms(3, 2, terms)
+    mpo = Mpo.from_local_terms(3, terms)
     adj = mpo.adjoint()
     assert np.max(np.abs(adj.to_dense() - mpo.to_dense().conj().T)) < 1e-12
 
@@ -194,7 +197,7 @@ def test_mpo_compression_reduces_bond():
     length = 6
     terms = [LocalOperator(i, pauli_string("ZZ")) for i in range(length - 1)]
     terms += [LocalOperator(i, pauli_string("X")) for i in range(length)]
-    mpo = Mpo.from_local_terms(length, 2, terms)
+    mpo = Mpo.from_local_terms(length, terms)
     # Ising MPO compresses to bond dimension 3.
     assert mpo.max_bond <= 3 + 1e-9
 

@@ -136,7 +136,7 @@ def test_local_operator_matches_dense_projection(adjoint, terms):
     dense = dense_extended_lindbladian(model, n_c)
     if adjoint:
         mpo, dense = mpo.adjoint(), dense.conj().T
-    stacked = np.concatenate([state.block(n).to_dense() for n in (-1, 0, 1)])
+    stacked = np.concatenate([state.blocks[n].to_dense() for n in (-1, 0, 1)])
     deflation = 0.0
     if terms == "uncoupled":
         mpo = solver._trace_penalized(mpo, 3.0)
@@ -215,7 +215,7 @@ def test_engine_refuses_blocks_of_different_bonds():
     blocks[1] = Mps.zeros(3, 4)
     engine = SweepEngine(mpo, FloquetDensityMatrix(blocks, model.omega, 1))
     assert [s.shape for s in engine.sites] == [(3, 4, 1, 2), (3, 4, 2, 2), (3, 4, 2, 1)]
-    assert engine.state().block(1).norm() == 0.0
+    assert engine.state().blocks[1].norm() == 0.0
     phi = frame_map(engine, engine.site_problem(0))
     assert np.max(np.abs(phi.conj().T @ phi - np.eye(phi.shape[1]))) < 1e-12
 
@@ -520,7 +520,7 @@ def test_single_block_inverse_is_the_block_lu(deflated, monkeypatch):
     theta, vec = solver._local_eigensolve(problem, v0, 0.0, tol=1e-10, dense_cutoff=0)
     assert abs(theta - values[best]) < 1e-10
     assert abs(np.vdot(vectors[:, best], vec)) / np.linalg.norm(vec) >= 1 - 1e-10
-    assert engine.local_solves == counted(**{"arnoldi" if deflated else "gmres": 1})
+    assert engine.local_solves == counted(**{"arnoldi" if deflated else "tethered": 1})
     assert engine.gmres_iterations == 0
     assert (engine.inverse_solves > 0) == deflated
 
@@ -583,7 +583,7 @@ def ising_l3():
 def at_one_bond(state, chi):
     """`state` with every block canonicalized at bond `chi`, as a solve's start is."""
     spec = TruncationSpec(max_rank=chi)
-    blocks = {n: state.block(n).canonicalize(spec)[0] for n in state.harmonics}
+    blocks = {n: state.blocks[n].canonicalize(spec)[0] for n in state.harmonics}
     return FloquetDensityMatrix(blocks, state.omega, state.cutoff)
 
 
@@ -647,7 +647,7 @@ def test_refused_shift_invert_returns_the_eig_answer(case, cutoff, deflation, mo
     guess = initial_guess(3, 2, 1, model.omega, noise_amplitude=1e-2, seed=3)
     rng = np.random.default_rng(3)
     blocks = {n: Mps.random(3, 4, 3, rng, norm=1e-2) for n in (-1, 1)}
-    state = FloquetDensityMatrix({**blocks, 0: guess.block(0)}, model.omega, 1)
+    state = FloquetDensityMatrix({**blocks, 0: guess.blocks[0]}, model.omega, 1)
     engine = SweepEngine(mpo, state)
     problem = engine.site_problem(0, deflation=deflation)
     mat = problem.dense_matrix()
@@ -805,7 +805,7 @@ def test_tethered_solve_matches_dense_eig(chain, offset, caplog):
         best = np.argmin(np.abs(values - sigma))
         with caplog.at_level(logging.WARNING, logger="floquet_ness.solver"):
             theta, vec = solver._local_eigensolve(problem, problem.current_vector(), sigma, tol=1e-11, dense_cutoff=0)
-        assert engine.local_solves == counted(gmres=1)
+        assert engine.local_solves == counted(tethered=1)
         assert engine.gmres_iterations > 0
         assert abs(theta - values[best]) <= 1e-12 * np.linalg.norm(mat)
         assert abs(np.vdot(vectors[:, best], vec)) >= 1 - 1e-10
@@ -845,7 +845,7 @@ def test_converged_starts_are_accepted_before_any_method(cutoff, monkeypatch):
     assert engine.local_solves == counted(converged_start=3)
 
 
-@pytest.mark.parametrize("cutoff, method", [(700, "shift_invert"), (0, "gmres")], ids=["dense", "gmres"])
+@pytest.mark.parametrize("cutoff, method", [(700, "shift_invert"), (0, "tethered")], ids=["dense", "gmres"])
 def test_eigenvector_away_from_the_shift_is_not_accepted(cutoff, method):
     # an exact eigenvector of the runner-up eigenvalue passes the residual
     # test but not the shift test, so a method runs; from that start alone
@@ -932,7 +932,7 @@ def test_solve_ness_tethered_gmres_matches_oracle(n_c):
     assert block_error(state, model, n_c) < 1e-7
     (entry,) = report.stage_log
     assert len(entry["sweep_residuals"]) == 2
-    assert entry["local_solves"] == counted(converged_start=6, shift_invert=1, gmres=2, arnoldi=1)
+    assert entry["local_solves"] == counted(converged_start=6, shift_invert=1, tethered=2, arnoldi=1)
     logged = json.loads(json.dumps(report.to_dict()))["stage_log"]
     assert logged[0]["gmres_iterations"] == entry["gmres_iterations"] > 0
 
@@ -1041,7 +1041,7 @@ def test_deflated_check_matches_eig_runner_up(chain):
     assert {method: count - before[method] for method, count in engine.local_solves.items()} == counted(shift_invert=1)
     assert engine.center == 1
     for n, block in engine.state().blocks.items():
-        assert np.max(np.abs(block.to_dense() - state.block(n).to_dense())) < 1e-13
+        assert np.max(np.abs(block.to_dense() - state.blocks[n].to_dense())) < 1e-13
     mat = engine.site_problem(1).dense_matrix()
     values = np.linalg.eig(mat)[0]
     steady, runner_up = values[np.argsort(np.abs(values))[:2]]
@@ -1094,7 +1094,7 @@ def test_shift_invert_tests_its_last_step(monkeypatch, caplog):
 @pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
 def test_eigen_residual_matches_dense(adjoint, theta):
     # the streamed residual ||(L - theta) x|| / ||x|| equals the dense one on
-    # random states, with every block stored and with the lowest one absent,
+    # random states, with every block random and with the lowest one zero,
     # for the models of test_mpo_action_matches_dense_action; the driven ones
     # have output blocks n with a transfer q whose n - q lies outside the cutoff
     rng = np.random.default_rng(17)
@@ -1111,9 +1111,9 @@ def test_eigen_residual_matches_dense(adjoint, theta):
         harmonics = range(-n_c, n_c + 1)
         edge_pairs += sum(abs(n - q) > n_c for q in mpo.components for n in harmonics)
         blocks = {n: Mps.random(model.chain_length, 4, 3, rng, norm=1.0) for n in harmonics}
-        for stored in (blocks, {n: b for n, b in blocks.items() if n != -n_c}):
+        for stored in (blocks, {**blocks, -n_c: Mps.zeros(model.chain_length, 4)}):
             state = FloquetDensityMatrix(stored, model.omega, n_c)
-            vec = np.concatenate([state.block(n).to_dense() for n in harmonics])
+            vec = np.concatenate([state.blocks[n].to_dense() for n in harmonics])
             expect = np.linalg.norm(dense @ vec - theta * vec) / np.linalg.norm(vec)
             assert abs(solver._eigen_residual(mpo, state, theta) - expect) <= 1e-12 * expect
     assert edge_pairs > 0
@@ -1349,7 +1349,7 @@ def test_decay_mode_of_undriven_chain_above_cutoff_zero():
         decay = solve_first_decay_mode(model, solve_ness(model, cfg)[0], cfg)
         assert decay.report.converged
         lams.append(decay.eigenvalue)
-    assert all(decay.right.block(n).norm() == 0.0 for n in (-1, 1))
+    assert all(decay.right.blocks[n].norm() == 0.0 for n in (-1, 1))
     assert abs(lams[1] - lams[0]) < 1e-10
 
 
@@ -1485,7 +1485,7 @@ def test_decay_mode_tethered_gmres_central_zone():
     assert decay.report.converged
     for label in ("decay right", "decay left"):
         entries = [e for e in decay.report.stage_log if e["label"] == label]
-        assert sum(e["local_solves"]["gmres"] for e in entries) > 0
+        assert sum(e["local_solves"]["tethered"] for e in entries) > 0
         assert sum(e["local_solves"]["arnoldi"] + e["local_solves"]["dense_fallback"] for e in entries) == 0
 
 
@@ -1742,6 +1742,20 @@ def test_config_validation():
             SweepConfig(warmup=SweepStage(1, 4, 2), dense_local_cutoff=cutoff).validate()
     for cutoff in (0, 4, 40, 150, solver.DENSE_LOCAL_HARD_CAP):
         SweepConfig(warmup=SweepStage(1, 4, 2), dense_local_cutoff=cutoff).validate()
+    # a float chi ran and was logged as a float, a float dense cutoff ran,
+    # and a float n_c or sweep count failed deep inside the solve
+    # (a bool is refused too)
+    for name, stage in [
+        ("n_c", SweepStage(1.0, 4, 2)),
+        ("chi", SweepStage(1, 8.0, 3)),
+        ("sweeps", SweepStage(1, 4, 3.0)),
+        ("sweeps", SweepStage(1, 4, True)),
+    ]:
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SweepConfig(warmup=stage).validate()
+    with pytest.raises(ValueError, match="dense_local_cutoff must be an integer"):
+        SweepConfig(warmup=SweepStage(1, 4, 2), dense_local_cutoff=40.5).validate()
+    SweepConfig(warmup=SweepStage(np.int64(1), np.int32(4), np.int64(2)), dense_local_cutoff=np.int64(40)).validate()
 
 
 @pytest.mark.parametrize("amplitude", [0.0, -1e-6])
