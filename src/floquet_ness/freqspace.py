@@ -48,7 +48,9 @@ class FloquetDensityMatrix:
     key, to an MPS of physical dimension ``site_dim**2``; a harmonic the state
     lacks is stored as :meth:`Mps.zeros`. The blocks fix `chain_length` and
     `site_dim`, so ``cutoff >= 0``. Any other set of keys raises
-    ``ValueError`` naming the expected and the given harmonics.
+    ``ValueError`` naming the expected and the given harmonics, and so does
+    a `cutoff` that is not an integer (a numpy integer counts, ``bool``
+    does not).
     """
 
     __slots__ = ("blocks", "omega", "cutoff", "chain_length", "site_dim")
@@ -56,7 +58,7 @@ class FloquetDensityMatrix:
     def __init__(self, blocks, omega, cutoff):
         self.blocks = dict(blocks)
         self.omega = float(omega)
-        self.cutoff = int(cutoff)
+        self.cutoff = _integer("cutoff", cutoff)
         if sorted(self.blocks) != list(self.harmonics):
             raise ValueError(f"blocks must be the harmonics {list(self.harmonics)}, got {sorted(self.blocks)}")
         self.chain_length, self.site_dim = _geometry(self.blocks, "block")
@@ -106,14 +108,24 @@ def _geometry(mps_by_key, what):
     return len(first), _site_dim(first.phys_dim, 2)
 
 
+def _integer(name, value):
+    """`value` as an int; anything else, ``bool`` included, raises a
+    ``ValueError`` naming `name` (the rule of ``SweepConfig.validate``)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def initial_guess(chain_length, site_dim, cutoff, omega, noise_amplitude=0.0, seed=0, noise_bond=2):
     """Maximally mixed state in the static block plus seeded noise everywhere.
 
     With zero noise, block 0 is exactly the vectorized ``I / d**L`` and all
     other harmonics vanish. Noise blocks are random MPS of bond dimension
     `noise_bond` (capped by the chain), scaled to norm `noise_amplitude`;
-    the same seed reproduces the same tensors.
+    the same seed reproduces the same tensors. `cutoff` must be an integer,
+    as for :class:`FloquetDensityMatrix`.
     """
+    cutoff = _integer("cutoff", cutoff)
     p = site_dim * site_dim
     rng = np.random.default_rng(seed)
     mixed = [vectorize_choi(np.eye(site_dim)) / site_dim] * chain_length

@@ -182,7 +182,12 @@ def build_extended_lindbladian(model: ModelSpec, n_c: int) -> FloquetMPO:
     are dropped; if the model carries harmonics beyond ``n_c`` a warning is
     emitted since part of the drive then acts only through folded paths.
     Each component is compressed as :meth:`Mpo.from_local_terms` assembles it;
-    a ``q = 0`` component without terms is the zero MPO of bond 1.
+    a ``q = 0`` component without terms is the zero MPO of bond 1. A
+    component of a chain of up to three sites whose couplings have full rank
+    (the pulse-driven DTC chain at L=3) passes the rank test of
+    :meth:`Mpo.compressed`, a Cholesky factorization with a margin of 1e-6
+    in relative Schmidt value, and is kept exact with no SVD; one below full
+    rank (every Ising component) fails it and is cut by the SVD sweep.
     """
     model.validate()
     if model.max_transfer > 2 * n_c or model.max_hamiltonian_harmonic > n_c:

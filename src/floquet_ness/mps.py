@@ -10,6 +10,7 @@ already absorbed, so end bonds also have extent 1.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .superops import _site_dim, choi_site_vector, window_sums
 from .tensors import TruncationSpec, truncated_svd
@@ -268,7 +269,11 @@ class Mpo:
         MPO_COMPRESS_CUTOFF, which only removes numerically zero directions,
         then decides every bond: the sum-then-compress construction of Hubig,
         McCulloch and Schollwöck, PRB 95, 035129 (2017), with an SVD
-        compression.
+        compression. A sum that can have full rank at every cut (three sites
+        of a generator at most) is first tested for it without an SVD; a
+        sum with a smallest Schmidt value above 1e-6 of the largest at every
+        cut passes, skips the SVD sweep and comes back in its exact form,
+        which the SVD would also have kept. Any other sum is compressed.
         """
         terms = list(terms)
         dims = sorted({t.site_dim for t in terms})
@@ -341,34 +346,39 @@ class Mpo:
     def compressed(self, spec):
         """SVD compression, treating the MPO as an MPS with fused physical legs.
 
-        When the compression leaves every bond at its maximum, the fused leg
-        dimension to the power ``min(k, L - k)`` at cut ``k`` (a three-site
-        generator whose couplings have full rank), the MPO is a dense
-        operator in MPO form, and the exact form of that operator comes
-        back instead of the rotated tensors: each site left of the middle
-        becomes an identity carrier that hands its matrix to the next site,
-        and likewise from the right. Its entries are the input's sums of
-        products, without the SVD's rounding of about machine epsilon times
-        the largest Schmidt value of each bond.
+        An MPO that can keep every bond at its maximum, the fused leg
+        dimension ``p`` to the power ``min(k, L - k)`` at cut ``k`` (a
+        three-site generator whose couplings have full rank), is first
+        tested for full rank without an SVD. This runs only where every raw
+        bond reaches that maximum and `spec.max_rank` allows it, so the
+        operator's site-major vector, of size ``p**L``, is small: the raw
+        tensors are contracted into it, and a Cholesky factorization of the
+        Gram matrix of each cut's unfolding, less ``max(1e-12,
+        spec.weight_cutoff)`` times its trace, must succeed. That certifies
+        a smallest Schmidt value above the square root of that factor times
+        the largest (1e-6 at MPO_COMPRESS_CUTOFF), well above the cutoff the
+        SVD applies, so the test refuses some MPOs that the SVD keeps whole
+        but accepts none that it cuts; it stops at the first cut that fails. A
+        certified MPO, or one whose compression keeps every bond at its
+        maximum, is a dense operator in MPO form, and its exact form comes
+        back instead of rotated tensors: the contracted vector at site
+        ``L // 2``, with identity carriers around it (:func:`_carrier_split`).
+        Its entries are the input's sums of products, without the SVD's
+        rounding of about machine epsilon times the largest Schmidt value of
+        each bond. Any other MPO gets the compressed tensors.
         """
-        comp, _ = self._fused().canonicalize(spec)
-        p, n = comp.phys_dim, len(comp)
-        if comp.bond_dims != [p ** min(k, n - k) for k in range(1, n)]:
-            return self._unfused(comp)
-        tensors = [t.copy() for t in self._fused().tensors]  # [p, l, r]
-        for i in range(n - 1):
-            _, l, r = tensors[i].shape
-            if p * l < r:
-                mat = tensors[i].transpose(1, 0, 2).reshape(l * p, r)
-                tensors[i] = np.eye(l * p, dtype=complex).reshape(l, p, -1).transpose(1, 0, 2)
-                tensors[i + 1] = np.tensordot(mat, tensors[i + 1], axes=([1], [1])).transpose(1, 0, 2)
-        for i in range(n - 1, 0, -1):
-            _, l, r = tensors[i].shape
-            if p * r < l:
-                mat = tensors[i].transpose(1, 0, 2).reshape(l, p * r)
-                tensors[i] = np.eye(p * r, dtype=complex).reshape(-1, p, r).transpose(1, 0, 2)
-                tensors[i - 1] = np.tensordot(tensors[i - 1], mat, axes=([2], [0]))
-        return self._unfused(Mps(tensors))
+        fused = self._fused()
+        p, n = fused.phys_dim, len(fused)
+        full = [p ** min(k, n - k) for k in range(1, n)]
+        if any(b < f for b, f in zip(fused.bond_dims, full)) or spec.max_rank < max(full, default=1):
+            return self._unfused(fused.canonicalize(spec)[0])
+        vector = fused.to_dense()
+        if not _full_rank(vector, p, n, max(1e-12, spec.weight_cutoff)):
+            comp, _ = fused.canonicalize(spec)
+            if comp.bond_dims != full:
+                return self._unfused(comp)
+        d = self.phys_dim
+        return Mpo([f.reshape(f.shape[0], d, d, f.shape[2]) for f in _carrier_split(vector, p, n, n // 2)])
 
     def add(self, other):
         """Direct-sum addition; bond dimensions add up."""
@@ -430,22 +440,43 @@ def _mpo_factors(matrix, width):
     """Exact split of a windowed operator into per-site MPO factors, no SVD.
 
     Returns factors of shape ``[bl, out*in, br]`` whose bond product rebuilds
-    the matrix bit for bit. The window's middle site ``m = (width - 1) // 2``
-    (the left one of an even window's two) holds the whole window tensor;
-    each site left of it carries its fused ``(out, in)`` index right along
-    the bond as an identity, and each site right of it carries its index
-    left, so the bond at cut ``k`` (between window sites ``k - 1`` and ``k``)
-    is ``(out*in)^min(k, width - k)``. The compression of
-    :meth:`Mpo.from_local_terms` reduces it to the rank. The site dimension
-    is the `width`-th root of the matrix extent.
+    the matrix bit for bit: :func:`_carrier_split` of its site-major vector
+    at the window's middle site ``m = (width - 1) // 2`` (the left one of an
+    even window's two), so the bond at cut ``k`` (between window sites
+    ``k - 1`` and ``k``) is ``(out*in)^min(k, width - k)``. The compression
+    of :meth:`Mpo.from_local_terms` reduces it to the rank. The site
+    dimension is the `width`-th root of the matrix extent.
     """
     p2 = _site_dim(matrix.shape[0], width) ** 2
-    mid = (width - 1) // 2
     # [o1..ow, i1..iw] -> [(o1 i1), (o2 i2), ...], the site-major interleave
-    tensor = choi_site_vector(matrix, width).reshape(p2**mid, p2, p2 ** (width - mid - 1))
-    left = [np.eye(p2 ** (k + 1), dtype=complex).reshape(p2**k, p2, -1) for k in range(mid)]
+    return _carrier_split(choi_site_vector(matrix, width), p2, width, (width - 1) // 2)
+
+
+def _carrier_split(vector, phys, length, mid):
+    """Site-major `vector` of `length` sites of dimension `phys` as factors
+    ``[bl, phys, br]`` with no SVD: site `mid` holds the whole vector, each
+    site left of it carries its index right along the bond as an identity,
+    and each site right of it carries its index left."""
+    left = [np.eye(phys ** (k + 1), dtype=complex).reshape(phys**k, phys, -1) for k in range(mid)]
     right = [
-        np.eye(p2 ** (width - k), dtype=complex).reshape(-1, p2, p2 ** (width - k - 1))
-        for k in range(mid + 1, width)
+        np.eye(phys ** (length - k), dtype=complex).reshape(-1, phys, phys ** (length - k - 1))
+        for k in range(mid + 1, length)
     ]
-    return left + [tensor] + right
+    return left + [vector.reshape(phys**mid, phys, -1)] + right
+
+
+def _full_rank(vector, phys, length, margin):
+    """Whether every cut of a site-major `vector` of `length` sites has full
+    rank with room to spare: the Gram matrix of each cut's unfolding, on
+    its smaller side, less `margin` times its trace, has a Cholesky factor
+    (LAPACK ``potrf``), so its smallest Schmidt value exceeds
+    ``sqrt(margin)`` times the largest. A zero or non-finite vector fails;
+    the first cut that fails stops the test."""
+    for k in range(1, length):
+        mat = vector.reshape(phys**k, -1)
+        if mat.shape[0] > mat.shape[1]:
+            mat = mat.T
+        gram = mat @ mat.conj().T
+        if lapack.zpotrf(gram - margin * np.trace(gram).real * np.eye(len(gram)))[1] != 0:
+            return False
+    return True

@@ -183,7 +183,7 @@ def test_containers_read_their_dimensions_and_are_never_empty():
 def test_states_hold_exactly_the_harmonic_ladder(tmp_path):
     # the keys must be -cutoff..cutoff: a missing, an extra or an
     # out-of-range harmonic is refused, naming both sets, and so is a
-    # checkpoint that lost one block
+    # checkpoint that lost one block and a cutoff that is not an integer
     state = random_state(np.random.default_rng(12), length=2, cutoff=1)
     full = state.blocks
     missing, extra = {n: full[n] for n in (-1, 0)}, {**full, 2: full[1]}
@@ -201,6 +201,14 @@ def test_states_hold_exactly_the_harmonic_ladder(tmp_path):
     np.savez(tmp_path / "lost.npz", **arrays)
     with pytest.raises(ValueError, match=r"got \[-1, 0\]"):
         load_state(tmp_path / "lost.npz")
+    # the cutoff is an integer (a numpy one too), never a float or a bool
+    for cutoff in (1.7, 1.0, True):
+        with pytest.raises(ValueError, match=re.escape(f"cutoff must be an integer, got {cutoff!r}")):
+            FloquetDensityMatrix(full, state.omega, cutoff)
+    with pytest.raises(ValueError, match="cutoff must be an integer, got 1.5"):
+        initial_guess(2, 2, 1.5, 1.0)
+    assert FloquetDensityMatrix(full, state.omega, np.int64(1)).cutoff == 1
+    assert initial_guess(2, 2, np.int32(1), 1.0).cutoff == 1
 
 
 def test_time_reconstruction_periodicity():

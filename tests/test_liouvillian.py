@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from floquet_ness import liouvillian
+from floquet_ness import liouvillian, mps
 from floquet_ness.freqspace import FloquetDensityMatrix
 from floquet_ness.liouvillian import (
     ModelSpec,
@@ -12,7 +12,7 @@ from floquet_ness.liouvillian import (
     extended_null_vector,
     fourier_superoperator_terms,
 )
-from floquet_ness.models import DTCParams, build_dtc_model
+from floquet_ness.models import DTCParams, IsingBenchmarkParams, build_driven_ising, build_dtc_model
 from floquet_ness.mps import Mps
 from floquet_ness.superops import (
     PAULI,
@@ -24,7 +24,7 @@ from floquet_ness.superops import (
     right_mult_super,
     window_super_site_layout,
 )
-from floquet_ness.tensors import TruncationSpec
+from floquet_ness.tensors import TruncationSpec, truncated_svd
 
 SM = np.array([[0, 1], [0, 0]], dtype=complex)
 
@@ -331,13 +331,40 @@ def test_dtc_generator_keeps_its_bonds(length, bonds):
 
 @pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # DTC harmonics exceed n_c = 1
 def test_full_rank_generator_keeps_exact_entries():
-    # every bond of the DTC L=3 generator is at its full rank 16, so no SVD
-    # rotates its tensors: each component is its dense sum to roundoff of
-    # the terms, and its trace row <<I| L_q vanishes to that roundoff, where
-    # an SVD compression leaves both at about 5e-15 and 2e-15
+    # every bond of the DTC L=3 generator is at its full rank 16, which the
+    # build certifies without an SVD, so no SVD rotates its tensors: each
+    # component is its dense sum to roundoff of the terms, and its trace row
+    # <<I| L_q vanishes to that roundoff, where an SVD compression leaves
+    # both at about 5e-15 and 2e-15
     model = build_dtc_model(DTCParams(chain_length=3), n_c=1)
     costate = identity_costate(3)
     for q, component in build_extended_lindbladian(model, 1).components.items():
         dense = component.to_dense()
         assert np.max(np.abs(dense - dense_fourier_superoperator(model, q))) < 1e-15
         assert np.max(np.abs(costate @ dense)) < 5e-16
+
+
+@pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # DTC harmonics exceed n_c = 1
+@pytest.mark.parametrize(
+    "build, svds, bonds",
+    [
+        (lambda: build_dtc_model(DTCParams(chain_length=3), n_c=1), 0, {q: [16, 16] for q in range(-2, 3)}),
+        (lambda: build_driven_ising(IsingBenchmarkParams(chain_length=3, omega=5.0)), 6, {-1: [4, 4], 0: [8, 8], 1: [4, 4]}),
+    ],
+    ids=["dtc", "ising"],
+)
+def test_generator_build_svd_count(monkeypatch, build, svds, bonds):
+    # the full-rank DTC components are certified without an SVD (a QR and
+    # SVD sweep would make 2 per component), while the rank-deficient Ising
+    # ones fail the certificate and are compressed by 2 SVDs each, as before
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return truncated_svd(*args)
+
+    model = build()
+    monkeypatch.setattr(mps, "truncated_svd", counted)
+    mpo = build_extended_lindbladian(model, 1)
+    assert len(calls) == svds
+    assert {q: c.bond_dims for q, c in mpo.components.items()} == bonds

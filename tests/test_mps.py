@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from floquet_ness import mps
 from floquet_ness.mps import Mpo, Mps, _mpo_factors
 from floquet_ness.superops import PAULI, LocalOperator, choi_site_matrix, pauli_string
-from floquet_ness.tensors import TruncationSpec
+from floquet_ness.tensors import TruncationSpec, truncated_svd
 
 
 def random_mps(rng, length=4, phys=4, chi=6):
@@ -153,6 +154,73 @@ def test_mpo_at_its_ranks_keeps_exact_entries():
     mpo = Mpo.from_local_terms(3, [LocalOperator(0, mat), LocalOperator(1, pauli_string("ZZ"))])
     assert mpo.bond_dims == [4, 4]
     assert np.array_equal(mpo.to_dense(), mat + np.kron(PAULI["I"], pauli_string("ZZ")))
+
+
+def counted_svds(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return truncated_svd(*args)
+
+    monkeypatch.setattr(mps, "truncated_svd", counted)
+    return calls
+
+
+def window_with_spectrum(rng, values):
+    """A three-qubit operator whose unfolding at the first cut has the
+    given singular values."""
+    u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    v = np.linalg.qr(rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4)))[0]
+    return choi_site_matrix((u * values) @ v.conj().T, 3)
+
+
+def test_rank_certificate_never_overrules_the_compression(monkeypatch):
+    # the certificate accepts only a smallest Schmidt value above about 1e-6
+    # of the largest, the compression cuts below 1e-13: a value between the
+    # two is refused, yet the compression keeps it and the exact entries
+    # come back (a Cholesky factor without the margin would accept 1e-7);
+    # windows below full rank are cut as the SVD decides
+    rng = np.random.default_rng(7)
+    calls = counted_svds(monkeypatch)
+    for small in (1e-11, 1e-7):
+        calls.clear()
+        near = window_with_spectrum(rng, [1.0, 0.6, 0.3, small])
+        mpo = Mpo.from_local_terms(3, [LocalOperator(0, near)])
+        assert len(calls) == 2 and mpo.bond_dims == [4, 4]
+        assert np.array_equal(mpo.to_dense(), near)
+
+    product = np.kron(np.kron(PAULI["X"], PAULI["Y"]), PAULI["Z"])
+    mpo = Mpo.from_local_terms(3, [LocalOperator(0, product)])
+    assert mpo.bond_dims == [1, 1]
+    assert np.max(np.abs(mpo.to_dense() - product)) < 1e-15
+
+    pieces = [rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2)) for _ in range(2)]
+    rank2 = sum(np.kron(np.kron(a[0], a[1]), a[2]) for a in pieces)
+    noisy = rank2 + 1e-15 * rng.standard_normal((8, 8))
+    mpo = Mpo.from_local_terms(3, [LocalOperator(0, noisy)])
+    assert mpo.bond_dims == [2, 2]
+    assert np.max(np.abs(mpo.to_dense() - noisy)) < 1e-13
+
+    calls.clear()
+    mpo = Mpo.from_local_terms(3, [LocalOperator(0, near), LocalOperator(0, -near)])
+    assert len(calls) == 2 and mpo.bond_dims == [1, 1]
+    assert not np.any(mpo.to_dense())
+
+
+@pytest.mark.parametrize("length", [1, 2])
+def test_short_chains_at_full_rank_skip_the_svd(monkeypatch, length):
+    # one and two sites: a full-rank sum comes back exact with no SVD, and a
+    # product term is still cut to bond 1
+    rng = np.random.default_rng(8)
+    mat = rng.standard_normal((2**length, 2**length)) + 1j * rng.standard_normal((2**length, 2**length))
+    calls = counted_svds(monkeypatch)
+    mpo = Mpo.from_local_terms(length, [LocalOperator(0, mat), LocalOperator(length - 1, PAULI["Z"])])
+    assert len(calls) == 0 and mpo.bond_dims == [4] * (length - 1)
+    eye = np.eye(2 ** (length - 1))
+    assert np.array_equal(mpo.to_dense(), mat + np.kron(eye, PAULI["Z"]))
+    product = pauli_string("XY"[:length])
+    assert Mpo.from_local_terms(length, [LocalOperator(0, product)]).bond_dims == [1] * (length - 1)
 
 
 def test_mpo_from_local_terms_rejects_foreign_terms():
