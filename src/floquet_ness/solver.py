@@ -16,11 +16,10 @@ whose Rayleigh quotient and residual already pass the acceptance test is
 returned with no method run. Otherwise local problems up to
 ``SweepConfig.dense_local_cutoff`` are densified: a shift target is found by
 shift-invert (one LU factorization of ``A - sigma I`` and a short Arnoldi run
-on its inverse, whose top Ritz pair is tested at steps 1 and 2, then where its
-residual, extrapolated from the last two tests, meets the acceptance bound,
-and at the last step, and accepted only on a small true residual), every
-refused one and ``"slowest_central"`` (the right decay solve's first sweep;
-later sweeps track that mode at a shift) by a full LAPACK diagonalization.
+on its inverse, whose top Ritz pair is tested after every step and accepted
+only on a small true residual), every refused one and ``"slowest_central"``
+(the right decay solve's first sweep; later sweeps track that mode at a
+shift) by a full LAPACK diagonalization.
 Above the cutoff nothing is densified. A sweep's shift, which is (nearly) a
 local eigenvalue, is solved as the tethered linear system
 ``(A - sigma I + u u^H) x = u`` (``u`` the current centre vector); the
@@ -51,7 +50,10 @@ at ``i s omega``, ``|s| omega`` away from zero. Its degeneracy is checked
 once, after the sweeps, on the sweep engine itself: the converged state,
 whose local image in the engine's orthonormal frames is the centre vector,
 is deflated out of the centre-site problem (Wielandt), and that problem's
-eigenvalue nearest zero must not vanish. The right decay solve moves the
+eigenvalue nearest zero must not vanish. That comparison with
+``DEGENERACY_TOL`` is the check's only decision, so its local solve accepts
+at ``DEGENERACY_TOL`` rather than at the sweeps' tolerance, and reports the
+true residual of its answer. The right decay solve moves the
 steady state and its copies away with a penalty that is part of its
 generator: a product operator added to the ``q = 0`` transfer component. So
 every sweep contracts one MPO and nothing else. It is the only trace
@@ -195,12 +197,14 @@ class SweepConfig:
     DENSE_LOCAL_HARD_CAP) are densified: solves at a shift (every solve but
     the right decay mode's first sweep, which uses `eig`) whose start does
     not already pass use shift-invert (LU plus a short Arnoldi on the
-    inverse, its Ritz pair tested at steps 1 and 2 and then only at the
-    steps its residual's decay predicts, and at the last) and fall back to a
-    full `eig` when it is refused. Larger sweep problems at a shift are
-    solved by the tethered solve, and the degeneracy check's deflated
-    problem by shift-invert ARPACK; both invert with one LU per harmonic
-    block, exactly when there is one block and by GMRES otherwise.
+    inverse, its Ritz pair tested after every step) and fall back to a full
+    `eig` when it is refused. Larger sweep problems at a shift are solved by
+    the tethered solve, and the degeneracy check's deflated problem by
+    shift-invert ARPACK; both invert with one LU per harmonic block, exactly
+    when there is one block and by GMRES otherwise. The sweeps' local solves
+    accept at :func:`_local_tol`, the degeneracy check's at DEGENERACY_TOL,
+    the only tolerance it decides at. `seed` (an integer, at least 0, not
+    ``bool``) seeds the start's noise and the check's random start.
     """
 
     warmup: SweepStage
@@ -210,7 +214,8 @@ class SweepConfig:
     dense_local_cutoff: int = DENSE_LOCAL_HARD_CAP
 
     def validate(self):
-        for name, value in {**asdict(self.warmup), "dense_local_cutoff": self.dense_local_cutoff}.items():
+        integers = {**asdict(self.warmup), "dense_local_cutoff": self.dense_local_cutoff, "seed": self.seed}
+        for name, value in integers.items():
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.warmup.sweeps < 1:
@@ -219,6 +224,8 @@ class SweepConfig:
             raise ValueError("the stage's harmonic cutoff n_c must be at least 0")
         if self.warmup.chi < 1:
             raise ValueError("the stage's bond dimension chi must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
         if not 0 < self.eig_tol < np.inf:
             raise ValueError(f"eig_tol must be positive and finite, got {self.eig_tol}")
         if not 0 < self.noise_amplitude < np.inf:
@@ -240,7 +247,37 @@ def make_warmup_schedule(n_c, chi, warm_sweeps=3, final_sweeps=8):
 
 @dataclass
 class SolveReport:
-    """Diagnostics of one steady-state or decay-mode solve."""
+    """Diagnostics of one steady-state or decay-mode solve.
+
+    `stage_log` holds one entry per sweep stage (:func:`_sweep_schedule`):
+    ``"ness"`` for a steady state, ``"decay right"`` and ``"decay left"``
+    for a decay mode. Every entry has these keys:
+
+    - ``"label"``: the stage's name, as above;
+    - ``"target"``: the shift it solved at as ``[re, im]``, or
+      ``"slowest_central"``;
+    - ``"n_c"``, ``"chi"``: the stage's harmonic cutoff and bond dimension;
+    - ``"start_discarded_weight"``: the relative weight the start's
+      canonicalization at ``chi`` dropped, summed over blocks and bonds;
+    - ``"seconds"``: the stage's wall time (a steady state's includes its
+      degeneracy check);
+    - ``"sweep_residuals"``: per sweep, the largest distance of its local
+      eigenvalues from the shift;
+    - ``"max_bond"``: per sweep, the largest bond after it;
+    - ``"local_solves"``: the local solves counted by method (keys
+      `LOCAL_METHODS`);
+    - ``"gmres_iterations"``: the GMRES iterations of every inverse.
+
+    A steady state's entry adds its degeneracy check (:func:`_deflated_check`):
+
+    - ``"degeneracy_gap"``: ``|theta|`` of the deflated centre problem's
+      eigenvalue nearest zero, above DEGENERACY_TOL;
+    - ``"degeneracy_residual"``: the true residual ``||A v - theta v||`` of
+      that unit eigenvector, accepted at DEGENERACY_TOL: ``theta`` is an
+      exact eigenvalue of a problem within this distance of ``A``;
+    - ``"degeneracy_inverse_solves"``: how often the check applied its
+      shift-invert inverse.
+    """
 
     sweep_residuals: list = field(default_factory=list)
     final_residual: float = np.inf
@@ -606,53 +643,33 @@ def _shift_invert(problem: SiteProblem, matvec, blocks, v0, sigma, bound):
     v|| <= bound`` within KRYLOV_DIM steps. `v0` is nonzero. An accepted
     vector is polished by one inverse-iteration step.
 
-    A test of the top Ritz pair (a Hessenberg ``eig`` and one true residual)
-    runs at steps 1 and 2, then at the step where the true residual,
-    extrapolated geometrically from the last two tests, reaches `bound`
-    (:func:`_next_test`), and always at the last step and before the basis
-    closes on an invariant subspace.
+    The top Ritz pair is tested after every step (a Hessenberg ``eig`` and
+    one true residual), and the loop stops early when the basis closes on an
+    invariant subspace. `bound` sets how many steps run: the sweeps pass
+    their :func:`_local_tol`, the degeneracy check the looser
+    DEGENERACY_TOL (:func:`_deflated_check`).
     """
     inverse = _shifted_inverse(problem, blocks, sigma, bound)
     steps = min(KRYLOV_DIM, problem.dim)
     basis = np.zeros((problem.dim, steps + 1), dtype=complex)
     hess = np.zeros((steps + 1, steps), dtype=complex)
     basis[:, 0] = v0 / np.linalg.norm(v0)
-    tests, due = [], 1  # (step, true residual) of the tests so far; the next test's step
     for j in range(steps):
         hess[: j + 2, j] = _arnoldi_step(basis, j, inverse(basis[:, j]))
         if not np.isfinite(hess[j + 1, j]):
             raise EigensolverBreakdown("non-finite inverse step")
-        if j + 1 >= due or hess[j + 1, j] == 0:
-            mu, ritz = sla.eig(hess[: j + 1, : j + 1])
-            top = np.argmax(np.abs(mu))
-            if mu[top] != 0:  # else the next step is tested too
-                theta = sigma + 1.0 / mu[top]
-                vec = basis[:, : j + 1] @ ritz[:, top]
-                vec /= np.linalg.norm(vec)
-                resid = np.linalg.norm(matvec(vec) - theta * vec)
-                if resid <= bound:
-                    vec = inverse(vec)
-                    return theta, vec / np.linalg.norm(vec)
-                tests.append((j + 1, resid))
-                due = _next_test(tests, bound, steps)
+        mu, ritz = sla.eig(hess[: j + 1, : j + 1])
+        top = np.argmax(np.abs(mu))
+        if mu[top] != 0:
+            theta = sigma + 1.0 / mu[top]
+            vec = basis[:, : j + 1] @ ritz[:, top]
+            vec /= np.linalg.norm(vec)
+            if np.linalg.norm(matvec(vec) - theta * vec) <= bound:
+                vec = inverse(vec)
+                return theta, vec / np.linalg.norm(vec)
         if hess[j + 1, j] == 0:
             break  # invariant subspace: more steps add nothing
     raise EigensolverBreakdown(f"no Ritz pair accepted within {j + 1} steps")
-
-
-def _next_test(tests, bound, steps):
-    """Step of :func:`_shift_invert`'s next Ritz test, after the refused
-    `tests` ``[(step, residual), ...]``: the next step until two tests ran,
-    then the first step at which the residual, falling geometrically at the
-    rate of the last two tests, is at most `bound`; `steps`, the last step,
-    when that rate does not fall or the extrapolated step lies beyond it."""
-    if len(tests) < 2:
-        return tests[-1][0] + 1
-    (k1, r1), (k2, r2) = tests[-2:]
-    if not r2 < r1:
-        return steps
-    need = math.log(r2 / bound) / math.log(r1 / r2) * (k2 - k1)
-    return min(steps, k2 + max(1, math.ceil(need)))
 
 
 def _block_jacobi(blocks, sigma, tether=None):
@@ -978,7 +995,9 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff, accep
 
 
 def _local_tol(cfg):
-    """Residual bound of every local solve (shift-invert, tethered GMRES, shift-invert ARPACK) and ARPACK tolerance."""
+    """Tolerance of the sweeps' local solves (the residual bound of shift-invert
+    and the tethered solve, relative to ``||D||``). The degeneracy check
+    accepts at DEGENERACY_TOL instead (:func:`_deflated_check`)."""
     return min(cfg.eig_tol * 1e-1, 1e-9)
 
 
@@ -1009,15 +1028,10 @@ def _sweep_schedule(mpo, state, cfg, report, target, label):
     solve writes a unit-norm centre vector into orthonormal frames, so the
     state keeps unit norm and its bond dimensions.
 
-    ``report.stage_log`` gains one entry: `label`, `target` (a shift as
-    ``[re, im]``), cutoff, bond dimension, ``"start_discarded_weight"``
-    (the relative weight the start's canonicalization dropped, summed over
-    blocks and bonds), ``"seconds"``, the stage's wall time, one value per
-    sweep under ``"sweep_residuals"`` and ``"max_bond"`` (after the sweep),
-    under ``"local_solves"`` the local solves counted by method
-    (`SweepEngine.local_solves`, the centre solve included) and under
-    ``"gmres_iterations"`` the iterations of the tethered GMRES solves. The
-    residuals also extend ``report.sweep_residuals``. Returns ``(engine,
+    ``report.stage_log`` gains one entry, `label`, with the keys that
+    :class:`SolveReport` lists for every stage (its counts are the engine's,
+    the centre solve included). The residuals also extend
+    ``report.sweep_residuals``. Returns ``(engine,
     theta)``: the engine, which holds the swept state (``engine.state()``)
     with its orthogonality centre at the centre site and its environments,
     and the eigenvalue of the centre solve. The degeneracy check goes on
@@ -1146,18 +1160,27 @@ def _deflated_check(engine, cfg, rng):
     what remains nearest zero is the runner-up of the undeflated problem. It
     is found by the ordinary steady-state local solve from a random start
     drawn from `rng`, counted in the engine's counters like the sweeps'
-    solves. Returns `theta`; raises :class:`DegenerateSteadyStateError` when
-    ``|theta| < DEGENERACY_TOL``.
+    solves. Its only decision is ``|theta| < DEGENERACY_TOL``, so the solve
+    accepts at that tolerance (``DEGENERACY_TOL ||D||`` on every path,
+    :func:`_local_eigensolve`), not at the sweeps' :func:`_local_tol`.
+
+    Returns ``(theta, residual)``, ``residual`` the true residual
+    ``||A v - theta v||`` of the returned unit vector ``v`` (one matvec):
+    `theta` is an exact eigenvalue of ``A - (A v - theta v) v^H``, a problem
+    within `residual` of ``A`` in norm; raises
+    :class:`DegenerateSteadyStateError` when ``|theta| < DEGENERACY_TOL``.
     """
     problem = engine.site_problem(engine.length // 2, deflation=DEFLATION_SHIFT)
     v0 = rng.standard_normal(problem.dim) + 1j * rng.standard_normal(problem.dim)
-    theta, _ = _local_eigensolve(problem, v0, 0.0, _local_tol(cfg), cfg.dense_local_cutoff)
+    theta, vec = _local_eigensolve(problem, v0, 0.0, DEGENERACY_TOL, cfg.dense_local_cutoff)
+    vec = vec / np.linalg.norm(vec)
+    residual = np.linalg.norm(problem.matvec(vec) - theta * vec)
     if abs(theta) < DEGENERACY_TOL:
         raise DegenerateSteadyStateError(
             f"deflated centre-site eigenvalue {theta:.2e} is near zero; "
             "steady space looks degenerate"
         )
-    return theta
+    return theta, float(residual)
 
 
 def solve_ness(model: ModelSpec, cfg: SweepConfig):
@@ -1172,10 +1195,12 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
     sweeps, the state is taken from the sweep engine, and
     :func:`_deflated_check` runs on that engine; it raises
     :class:`DegenerateSteadyStateError` when the steady state is degenerate;
-    the `stage_log` entry records its ``"degeneracy_gap"``, counts its local
-    solve, its time and its GMRES iterations, and records under
-    ``"degeneracy_inverse_solves"`` how often it applied its shift-invert
-    inverse, on the dense path its Arnoldi steps and polishing step. :func:`_finish_report` describes the
+    the check accepts its eigenvalue at DEGENERACY_TOL, and the `stage_log`
+    entry records its ``"degeneracy_gap"`` and ``"degeneracy_residual"``,
+    counts its local solve, its time and its GMRES iterations, and records
+    under ``"degeneracy_inverse_solves"`` how often it applied its
+    shift-invert inverse, on the dense path its Arnoldi steps and polishing
+    step (:class:`SolveReport` lists every key). :func:`_finish_report` describes the
     normalized state at ``theta = 0``, with the centre solve's eigenvalue;
     only a steady state adds its trace and Hermiticity defects per harmonic
     and warns about weight in the edge harmonic and Hermiticity defects.
@@ -1199,10 +1224,11 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
     engine, final_theta = _sweep_schedule(mpo, state, cfg, report, 0.0, "ness")
     state = engine.state()  # before the check moves the centre
     check_start = time.perf_counter()
-    theta = _deflated_check(engine, cfg, rng)
+    theta, residual = _deflated_check(engine, cfg, rng)
     production = report.stage_log[-1]
     production["seconds"] += time.perf_counter() - check_start
     production["degeneracy_gap"] = float(abs(theta))
+    production["degeneracy_residual"] = residual
     # the engine's counters, the check's solve and inner GMRES iterations included
     production["local_solves"] = dict(engine.local_solves)
     production["gmres_iterations"] = engine.gmres_iterations
