@@ -22,7 +22,7 @@ import json
 
 import numpy as np
 
-from .mps import Mps, product_sum_norm
+from .mps import Mps, _reflected
 from .superops import _site_dim, choi_site_matrix, vectorize_choi
 from .tensors import TruncationSpec
 
@@ -144,14 +144,44 @@ def initial_guess(chain_length, site_dim, cutoff, omega, noise_amplitude=0.0, se
     return FloquetDensityMatrix(blocks, omega, cutoff)
 
 
+def _padded(arrays):
+    """Stack of equal-rank arrays, zero-padded to the largest extent of each axis."""
+    shape = np.max([a.shape for a in arrays], axis=0)
+    out = np.zeros((len(arrays), *shape), dtype=complex)
+    for k, a in enumerate(arrays):
+        out[(k, *map(slice, a.shape))] = a
+    return out
+
+
+def _stacks(state: FloquetDensityMatrix):
+    """Site ``i`` of every harmonic block as one stack ``[n, p, l, r]``, in
+    harmonic order, zero-padded to the largest bonds (:func:`_padded`): the
+    padding adds zero rows and columns, which change no contraction."""
+    return [_padded(sites) for sites in zip(*(state.blocks[n].tensors for n in state.harmonics))]
+
+
+def _overlaps(bras, kets):
+    """``<bra_n|ket_n>`` of every harmonic ``n``, from site stacks ``[n, p,
+    l, r]`` (a stack of one broadcasts over all): one batched contraction of
+    the transfer matrices per site."""
+    env = np.ones((1, 1, 1), dtype=complex)  # [n, a, b]
+    for bra, ket in zip(bras, kets):
+        t = env[:, None] @ ket  # [n, p, a, b']
+        env = bra.conj().reshape(len(bra), -1, bra.shape[-1]).swapaxes(1, 2) @ t.reshape(len(t), -1, t.shape[-1])
+    return env[:, 0, 0]
+
+
 def block_norms(state: FloquetDensityMatrix):
-    """Frobenius norm of every harmonic block."""
-    return {n: state.blocks[n].norm() for n in state.harmonics}
+    """Frobenius norm of every harmonic block, all blocks at once (:func:`_overlaps`)."""
+    overlaps = _overlaps(*[_stacks(state)] * 2)
+    return {n: float(np.sqrt(max(v.real, 0.0))) for n, v in zip(state.harmonics, overlaps)}
 
 
 def trace_components(state: FloquetDensityMatrix):
-    """Trace of every harmonic block via the identity costate."""
-    return {n: state.block_trace(n) for n in state.harmonics}
+    """Trace of every harmonic block, its overlap with the identity costate,
+    all blocks at once (:func:`_overlaps`)."""
+    eye = vectorize_choi(np.eye(state.site_dim, dtype=complex)).reshape(1, -1, 1, 1)
+    return dict(zip(state.harmonics, map(complex, _overlaps([eye] * state.chain_length, _stacks(state)))))
 
 
 def compress(state: FloquetDensityMatrix, spec: TruncationSpec):
@@ -173,20 +203,27 @@ def compress(state: FloquetDensityMatrix, spec: TruncationSpec):
 def hermiticity_defect(state: FloquetDensityMatrix):
     """Relative defect ``|rho^n - (rho^(-n))^dag| / |rho^0|`` per harmonic.
 
-    The norm of the difference is the zip-up norm of a sum
-    (:func:`~floquet_ness.mps.product_sum_norm`), one QR sweep that forms no
+    The norm of each difference is a zip-up norm of a sum, as in
+    :func:`~floquet_ness.mps.product_sum_norm`: one QR sweep that forms no
     sum MPS and does not cancel the way ``|a|^2 + |b|^2 - 2 Re <a|b>`` does
-    for nearly equal terms. Raises for states with a vanishing static block,
-    for which the normalization is meaningless.
+    for nearly equal terms. All harmonics go at once: block ``n`` and the
+    reflected block ``-n`` of each site stack (:func:`_stacks`) are the two
+    column slices of one batched QR per site, and the running factor starts
+    as ``[1, -1]``, the terms' coefficients. Raises for states with a
+    vanishing static block, for which the normalization is meaningless.
     """
-    ref = state.blocks[0].norm()
+    ref = block_norms(state)[0]
     if ref == 0.0:
         raise ValueError("hermiticity defect undefined for a state with |rho^0| = 0")
-    out = {}
-    for n in state.harmonics:
-        reflected = state.blocks[-n].dagger_reflect().scaled(-1.0)
-        out[n] = product_sum_norm([(None, state.blocks[n]), (None, reflected)]) / ref
-    return out
+    factor = np.array([[[1.0, -1.0]]], dtype=complex)  # [n, D, (term l)], first the terms' coefficients
+    for site in _stacks(state):
+        nh, p, l, r = site.shape
+        # block n and the reflected block -n as [n, term, l, (p r)]
+        terms = np.stack([site, _reflected(site[::-1])], axis=1).swapaxes(2, 3).reshape(nh, 2, l, p * r)
+        t = (factor.reshape(len(factor), -1, 2, l).swapaxes(1, 2) @ terms).reshape(nh, 2, -1, r)  # [n, term, (D p), r']
+        t = t.swapaxes(1, 2).reshape(nh, -1, 2 * r)  # [n, (D p), (term r')]
+        factor = np.linalg.qr(t, mode="r")
+    return {n: float(v) / ref for n, v in zip(state.harmonics, np.linalg.norm(t.sum(axis=2), axis=1))}
 
 
 class FloquetMPO:

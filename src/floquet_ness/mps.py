@@ -152,13 +152,8 @@ class Mps:
         return Mps(out)
 
     def dagger_reflect(self):
-        """Adjoint of the represented operator: swap Choi sublegs and conjugate."""
-        d = _site_dim(self.phys_dim, 2)
-        out = []
-        for t in self.tensors:
-            r = t.reshape(d, d, t.shape[1], t.shape[2])
-            out.append(r.transpose(1, 0, 2, 3).conj().reshape(d * d, t.shape[1], t.shape[2]))
-        return Mps(out)
+        """Adjoint of the represented operator: swap Choi sublegs and conjugate (:func:`_reflected`)."""
+        return Mps([_reflected(t) for t in self.tensors])
 
     def to_dense(self):
         """Dense vector of the full state (exponential; small chains only)."""
@@ -399,6 +394,14 @@ class Mpo:
             dim_i *= t.shape[2]
             acc = acc.reshape(dim_o, dim_i, t.shape[3])
         return acc[:, :, 0]
+
+
+def _reflected(tensor):
+    """Site tensor ``[..., p, l, r]`` of the adjoint operator, ``p = d**2`` a
+    Choi site: its sublegs swapped and conjugated, for any leading axes (a
+    stack of sites too)."""
+    d = _site_dim(tensor.shape[-3], 2)
+    return tensor.reshape(*tensor.shape[:-3], d, d, *tensor.shape[-2:]).swapaxes(-4, -3).conj().reshape(tensor.shape)
 
 
 def product_sum_norm(terms):

@@ -50,7 +50,11 @@ at ``i s omega``, ``|s| omega`` away from zero. Its degeneracy is checked
 once, after the sweeps, on the sweep engine itself: the converged state,
 whose local image in the engine's orthonormal frames is the centre vector,
 is deflated out of the centre-site problem (Wielandt), and that problem's
-eigenvalue nearest zero must not vanish. That comparison with
+eigenvalue nearest zero must not vanish. The centre solve wrote with
+``direction=None``, which keeps that site's environments, so the check's
+problem takes over the centre solve's assembled operator (or, above the
+dense cutoff, its harmonic diagonal blocks) and adds only the rank-one
+term. That comparison with
 ``DEGENERACY_TOL`` is the check's only decision, so its local solve accepts
 at ``DEGENERACY_TOL`` rather than at the sweeps' tolerance, and reports the
 true residual of its answer. The right decay solve moves the
@@ -64,7 +68,13 @@ last sweep residuals against ``eig_tol``, the described mode's Schmidt
 spectra and block norms, saturated bonds of every mode, and the true
 fixed-point residual ``||(L - theta) x|| / ||x||`` of every mode, streamed
 through one QR sweep per output harmonic block, so the image ``L x`` is
-never built (:func:`_eigen_residual`).
+never built (:func:`_eigen_residual`). No block is canonicalized again for
+it: the Schmidt spectra come from the engine's site stacks, still in
+mixed-canonical gauge about the centre site, by one batched SVD per bond
+walking out from it (:func:`_schmidt_spectra`), and the block norms, a
+steady state's traces and Hermiticity defects from the public
+:mod:`~floquet_ness.freqspace` routines, each one batched contraction or
+zip-up QR per site over all harmonics.
 
 Harmonic blocks ``n`` couple only through the transfer components ``q``, so
 every local operation is one contraction batched over the live pairs
@@ -92,8 +102,8 @@ import scipy.sparse.linalg as spla
 from .freqspace import (
     FloquetDensityMatrix,
     FloquetMPO,
+    _padded,
     block_norms,
-    compress,
     hermiticity_defect,
     initial_guess,
     trace_components,
@@ -102,13 +112,14 @@ from .liouvillian import ModelSpec, build_extended_lindbladian
 from .mps import Mpo, Mps, product_sum_norm
 from .superops import LocalOperator, vectorize_choi
 # perfbench/tracing.py wraps solver.truncated_svd, so the name stays bound here
-from .tensors import TruncationSpec, truncated_svd
+from .tensors import TruncationSpec, _kept, truncated_svd
 
 logger = logging.getLogger(__name__)
 
-# complex LU by LAPACK, called directly: at the local problems' block sizes
-# scipy's lu_factor/lu_solve wrappers cost more than the factorization's solve
-_GETRF, _GETRS = sla.get_lapack_funcs(("getrf", "getrs"), dtype=complex)
+# complex LU and eig by LAPACK, called directly: at the local problems' block
+# sizes and the Hessenberg sizes of shift-invert, scipy's lu_factor/lu_solve
+# and eig wrappers cost more than the factorization's solve
+_GETRF, _GETRS, _GEEV, _GEEV_LWORK = sla.get_lapack_funcs(("getrf", "getrs", "geev", "geev_lwork"), dtype=complex)
 
 __all__ = [
     "SweepStage",
@@ -277,6 +288,14 @@ class SolveReport:
       exact eigenvalue of a problem within this distance of ``A``;
     - ``"degeneracy_inverse_solves"``: how often the check applied its
       shift-invert inverse.
+
+    `schmidt_spectra` (up to 16 values per bond) come from the sweep
+    engine's site stacks (:func:`_schmidt_spectra`), and
+    `block_norm_profile`, `trace_defects` and `hermiticity_defects` from
+    :func:`~floquet_ness.freqspace.block_norms`,
+    :func:`~floquet_ness.freqspace.trace_components` and
+    :func:`~floquet_ness.freqspace.hermiticity_defect` of the returned
+    state (:func:`_finish_report`).
     """
 
     sweep_residuals: list = field(default_factory=list)
@@ -300,15 +319,6 @@ class SolveReport:
         if self.eigenvalue is not None:
             out["eigenvalue"] = [float(np.real(self.eigenvalue)), float(np.imag(self.eigenvalue))]
         return out
-
-
-def _padded(arrays):
-    """Stack of equal-rank arrays, zero-padded to the largest extent of each axis."""
-    shape = np.max([a.shape for a in arrays], axis=0)
-    out = np.zeros((len(arrays), *shape), dtype=complex)
-    for k, a in enumerate(arrays):
-        out[(k, *map(slice, a.shape))] = a
-    return out
 
 
 class SweepEngine:
@@ -337,6 +347,13 @@ class SweepEngine:
     tethered solves and of the degeneracy check's inverse, and
     `inverse_solves` the applications of the degeneracy check's inverse
     (:func:`_shifted_inverse`), by GMRES or by the LU of its one block.
+    `centre_assembled` holds what the problem of a stage's last solve
+    assembled (:func:`_sweep_schedule`; the `_assembled` of
+    :class:`SiteProblem`) until the degeneracy check takes it over or an
+    environment update drops it; it is empty otherwise. It holds arrays
+    only, no problem, whose reference back to the engine would make a
+    cycle that keeps a dropped engine and its dense operator alive until
+    the garbage collector runs.
     """
 
     def __init__(self, mpo: FloquetMPO, state: FloquetDensityMatrix, chi=None):
@@ -375,6 +392,7 @@ class SweepEngine:
         self.local_solves = dict.fromkeys(LOCAL_METHODS, 0)
         self.gmres_iterations = 0
         self.inverse_solves = 0
+        self.centre_assembled = {}
         self.version = 0
         self.center = 0
         # environments, the right ones absorbed from the last site inward
@@ -403,6 +421,7 @@ class SweepEngine:
 
     def _update_left(self, i):
         """Absorb site `i` into the left environments (valid at i+1)."""
+        self.centre_assembled = {}  # built on the environments this replaces
         bra, ket, mpo, (l, p, r) = self._operands(i)
         env = self.env_left[i]
         pairs, w = env.shape[0], env.shape[2]
@@ -413,6 +432,7 @@ class SweepEngine:
 
     def _update_right(self, i):
         """Absorb site `i` into the right environments (valid at i-1)."""
+        self.centre_assembled = {}
         bra, ket, mpo, (l, p, r) = self._operands(i)
         env = self.env_right[i]
         pairs = env.shape[0]
@@ -485,8 +505,11 @@ class SiteProblem:
     matrix. The ramp goes on the diagonal and the low-rank update
     ``back @ rows`` is added once. `diagonal_blocks` assembles the same way
     only the harmonic diagonal blocks ``(n, n)``, from the ``q = 0`` pairs.
-    All three validate the environments against the engine version, so a
-    stale problem object fails loudly.
+    Each is assembled once per problem and kept with it (`_assembled`), so
+    callers must not write to them; the degeneracy check takes over those
+    of the centre solve's problem (:func:`_deflated_check`). `matvec` and
+    every assembly validate the environments against the engine version,
+    so a stale problem object fails loudly.
     """
 
     def __init__(self, engine: SweepEngine, site, deflation=0.0):
@@ -502,6 +525,7 @@ class SiteProblem:
         self._left = engine.env_left[site].reshape(pairs, -1, l)  # [pair, (a w), b]
         self._w = engine._wstack[site]  # [pair, (p' w'), (w p)]
         self._right = engine.env_right[site].reshape(pairs, r, -1)  # [pair, a', (w b')]
+        self._assembled = {}  # "dense" [1, dim, dim] and "blocks" [n, m, m], each built once
         self._rows = np.zeros((0, self.dim), dtype=complex)  # low-rank update back @ rows
         self._back = self._rows.T
         if deflation:
@@ -554,37 +578,48 @@ class SiteProblem:
         blocks = (t.reshape(k, -1, wr) @ right.reshape(k, wr, r * r)).reshape(k, l, l, p, p, r, r)
         return blocks.transpose(0, 3, 1, 5, 4, 2, 6)
 
+    def _add_low_rank(self, out):
+        """`out` ``[k, m, m]`` plus the blocks ``(j, j)`` of the low-rank
+        update ``back @ rows`` cut into k x k blocks, in place (k = 1: the
+        whole update)."""
+        if self._rows.size:
+            k, m, _ = out.shape
+            out += self._back.reshape(k, m, -1) @ self._rows.reshape(-1, k, m).swapaxes(0, 1)
+        return out
+
     def dense_matrix(self):
         """Materialize the local operator from the environments and MPO tensors."""
-        nh = len(self.engine.harmonics)
-        p, l, r = self.shape
-        out = np.zeros((nh, p, l, r, nh, p, l, r), dtype=complex)
-        out[self.engine._live[1], :, :, :, self.engine._source] = self._pair_blocks()
-        out = out.reshape(self.dim, self.dim)
-        out.flat[:: self.dim + 1] += self._diag
-        if self._rows.size:
-            out += self._back @ self._rows
-        return out
+        if "dense" not in self._assembled:
+            nh = len(self.engine.harmonics)
+            p, l, r = self.shape
+            out = np.zeros((nh, p, l, r, nh, p, l, r), dtype=complex)
+            out[self.engine._live[1], :, :, :, self.engine._source] = self._pair_blocks()
+            out = out.reshape(self.dim, self.dim)
+            out.flat[:: self.dim + 1] += self._diag
+            self._assembled["dense"] = self._add_low_rank(out[None])
+        return self._assembled["dense"][0]
 
     def diagonal_blocks(self):
         """Diagonal block ``(n, n)`` of every harmonic, ``[n, m, m]`` with
         ``m = p l r``: the ``q = 0`` pairs, one contiguous range of the stack
         over all harmonics, plus the ramp and the low-rank update's blocks."""
-        nh = len(self.engine.harmonics)
-        m = self.dim // nh
-        pairs, _ = self.engine._groups[self.engine.transfers.index(0)]
-        out = self._pair_blocks(pairs).reshape(nh, m, m)
-        out[:, np.arange(m), np.arange(m)] += self._diag.reshape(nh, m)
-        if self._rows.size:
-            out += self._back.reshape(nh, m, -1) @ self._rows.reshape(-1, nh, m).swapaxes(0, 1)
-        return out
+        if "blocks" not in self._assembled:
+            nh = len(self.engine.harmonics)
+            m = self.dim // nh
+            pairs, _ = self.engine._groups[self.engine.transfers.index(0)]
+            out = self._pair_blocks(pairs).reshape(nh, m, m)
+            out[:, np.arange(m), np.arange(m)] += self._diag.reshape(nh, m)
+            self._assembled["blocks"] = self._add_low_rank(out)
+        return self._assembled["blocks"]
 
 
 def _slowest_central(values, vectors, engine):
-    """Largest-real-part eigenpair (Im >= 0 of a pair); with a harmonic
-    ladder (cutoff >= 1) only values with ``|Im theta| < omega / 2``. Raises
-    :class:`EigensolverBreakdown` when no value is central."""
-    central = values.imag > -1e-10 * np.abs(values)
+    """Largest-real-part eigenpair (Im >= 0 of a pair, up to 1e-10 of the
+    spectrum's largest modulus, so a real value keeps its roundoff of either
+    sign); with a harmonic ladder (cutoff >= 1) only values with
+    ``|Im theta| < omega / 2``. Raises :class:`EigensolverBreakdown` when no
+    value is central."""
+    central = values.imag > -1e-10 * np.abs(values).max()
     if engine.cutoff:
         central &= np.abs(values.imag) < engine.omega / 2
     if not central.any():
@@ -658,7 +693,9 @@ def _shift_invert(problem: SiteProblem, matvec, blocks, v0, sigma, bound):
         hess[: j + 2, j] = _arnoldi_step(basis, j, inverse(basis[:, j]))
         if not np.isfinite(hess[j + 1, j]):
             raise EigensolverBreakdown("non-finite inverse step")
-        mu, ritz = sla.eig(hess[: j + 1, : j + 1])
+        # LAPACK geev at the workspace scipy's eig queries, so the Ritz pairs are its own; a failed
+        # geev (info > 0) leaves pairs that the true residual below refuses
+        mu, _, ritz, _ = _GEEV(hess[: j + 1, : j + 1], compute_vl=0, lwork=int(_GEEV_LWORK(j + 1, compute_vl=0)[0].real))
         top = np.argmax(np.abs(mu))
         if mu[top] != 0:
             theta = sigma + 1.0 / mu[top]
@@ -1034,8 +1071,10 @@ def _sweep_schedule(mpo, state, cfg, report, target, label):
     ``report.sweep_residuals``. Returns ``(engine,
     theta)``: the engine, which holds the swept state (``engine.state()``)
     with its orthogonality centre at the centre site and its environments,
-    and the eigenvalue of the centre solve. The degeneracy check goes on
-    from that engine.
+    and the eigenvalue of the centre solve. The centre solve writes with
+    ``direction=None``, which keeps the environments, and what its problem
+    assembled stays as ``engine.centre_assembled``: the degeneracy check
+    goes on from that engine and takes that over.
     """
     stage = cfg.warmup
     start = time.perf_counter()
@@ -1043,23 +1082,17 @@ def _sweep_schedule(mpo, state, cfg, report, target, label):
     residuals, bonds = [], []
     shift = target
 
-    def solve(site, direction, accept_start=True):
-        problem = engine.site_problem(site)
+    def solve(problem, direction, accept_start=True):
         theta, vec = _local_eigensolve(
-            problem,
-            problem.current_vector(),
-            shift,
-            tol=_local_tol(cfg),
-            dense_cutoff=cfg.dense_local_cutoff,
-            accept_start=accept_start,
+            problem, problem.current_vector(), shift, _local_tol(cfg), cfg.dense_local_cutoff, accept_start=accept_start
         )
-        engine.set_site(site, problem.unpack(vec), direction=direction)
+        engine.set_site(problem.site, problem.unpack(vec), direction=direction)
         return complex(theta)
 
     sites = _sweep_sites(engine.length)
     for sweep in range(stage.sweeps):
         accepted = engine.local_solves["converged_start"]
-        thetas = [solve(site, direction) for site, direction in sites]
+        thetas = [solve(engine.site_problem(site), direction) for site, direction in sites]
         idle = engine.local_solves["converged_start"] - accepted == len(sites)
         anchor = thetas[-1] if isinstance(shift, str) else shift
         resid = max(abs(t - anchor) for t in thetas)
@@ -1072,7 +1105,9 @@ def _sweep_schedule(mpo, state, cfg, report, target, label):
             break
     centre = engine.length // 2
     engine.advance_to(centre)
-    theta = solve(centre, None, accept_start=False)
+    problem = engine.site_problem(centre)
+    theta = solve(problem, None, accept_start=False)
+    engine.centre_assembled = problem._assembled
     report.stage_log.append(
         {
             "label": label,
@@ -1114,15 +1149,46 @@ def _saturation_warnings(spectra, chi, phys, length):
     return [f"bond dimension {chi} saturated below the exact bond at bonds {saturated}; chi may truncate the state"]
 
 
+def _walk_spectra(sites):
+    """Singular values ``[n, k]`` of each bond right of ``sites[0]``, the
+    orthogonality centre of site stacks ``[n, p, l, r]`` whose later sites
+    are right-orthonormal: one batched SVD of the centre per bond, whose
+    ``s vh`` then moves the centre into the next site."""
+    out, centre = [], sites[0]
+    for site in sites[1:]:
+        _, s, vh = np.linalg.svd(centre.reshape(len(centre), -1, centre.shape[-1]), full_matrices=False)
+        out.append(s)
+        centre = (s[:, :, None] * vh)[:, None] @ site  # [n, p', k, r']
+    return out
+
+
+def _schmidt_spectra(engine, chi, scale):
+    """Schmidt values of every bond of every block of the engine's state,
+    times `scale`, as :func:`~floquet_ness.freqspace.compress` at bond `chi`
+    and WEIGHT_CUTOFF reports them: ``{n: [bond 0, ..., bond L-2]}``.
+
+    The site stacks are already in mixed-canonical gauge about
+    ``engine.center``, so no block is canonicalized again:
+    :func:`_walk_spectra` walks out from the centre to the right, and on
+    the mirrored stacks to the left, and each block's values are cut by the
+    truncation rule of :func:`~floquet_ness.tensors.truncated_svd`.
+    """
+    mirrored = [site.swapaxes(2, 3) for site in engine.sites[engine.center :: -1]]
+    bonds = [scale * s for s in _walk_spectra(mirrored)[::-1] + _walk_spectra(engine.sites[engine.center :])]
+    spec = TruncationSpec(max_rank=chi, weight_cutoff=WEIGHT_CUTOFF)
+    return {n: [s[h, : _kept(s[h], spec)] for s in bonds] for h, n in enumerate(engine.harmonics)}
+
+
 def _finish_report(report, cfg, modes, eigenvalue):
     """Fill in what every solve reports, from ``report.stage_log`` and the
-    solve's `modes` ``[(mpo, state, theta), ...]``, the described mode first.
+    solve's `modes` ``[(mpo, state, theta, spectra), ...]``, the described
+    mode first, each with its :func:`_schmidt_spectra`.
 
     `final_residual` is the largest last sweep residual of the stages, and
     `converged` holds when it is at most ``cfg.eig_tol``; each stage above it
     adds a warning under its label. `eigenvalue` is reported as given.
-    `schmidt_spectra` (the 16 largest values of every bond, compressed at the
-    stage's bond dimension and WEIGHT_CUTOFF) and `block_norm_profile`
+    `schmidt_spectra` (the 16 largest values of every bond) and
+    `block_norm_profile` (:func:`~floquet_ness.freqspace.block_norms`)
     describe the first mode; :func:`_saturation_warnings` covers the bonds of
     every mode, and `fixed_point_residual` is the largest
     :func:`_eigen_residual` of a mode at its `theta`.
@@ -1136,14 +1202,12 @@ def _finish_report(report, cfg, modes, eigenvalue):
     report.final_residual = max(last.values())
     report.converged = report.final_residual <= cfg.eig_tol
     report.eigenvalue = eigenvalue
-    chi = cfg.warmup.chi
-    spectra = [compress(state, TruncationSpec(max_rank=chi, weight_cutoff=WEIGHT_CUTOFF))[2] for _, state, _ in modes]
-    first = modes[0][1]
-    report.schmidt_spectra = {n: [list(map(float, s[:16])) for s in bonds] for n, bonds in spectra[0].items()}
+    _, first, _, spectra = modes[0]
+    report.schmidt_spectra = {n: [list(map(float, s[:16])) for s in bonds] for n, bonds in spectra.items()}
     report.block_norm_profile = block_norms(first)
-    bonds = [b for spectrum in spectra for b in spectrum.values()]
-    report.warnings.extend(_saturation_warnings(bonds, chi, first.phys_dim, first.chain_length))
-    report.fixed_point_residual = max(_eigen_residual(*mode) for mode in modes)
+    bonds = [b for *_, spectra in modes for b in spectra.values()]
+    report.warnings.extend(_saturation_warnings(bonds, cfg.warmup.chi, first.phys_dim, first.chain_length))
+    report.fixed_point_residual = max(_eigen_residual(mpo, state, theta) for mpo, state, theta, _ in modes)
 
 
 def _deflated_check(engine, cfg, rng):
@@ -1152,7 +1216,14 @@ def _deflated_check(engine, cfg, rng):
     `engine` is the sweep engine that converged the state, its centre at
     the centre site ``L // 2``, where the stage's last solve left it
     (:func:`_sweep_schedule`). So the state's local image in the orthonormal
-    frames is the centre vector ``x0``, and the local term
+    frames is the centre vector ``x0``. That solve wrote with
+    ``direction=None``, so the environments at the site are those of its
+    problem: the check's problem takes over what that one assembled,
+    ``engine.centre_assembled`` (the dense operator, the diagonal blocks),
+    and adds only the rank-one term, in place, bit for bit a fresh
+    assembly, so that no dense operator is built twice and at most one is
+    alive. An engine that holds none (a second check) assembles anew. The
+    local term
     ``-DEFLATION_SHIFT x0 x0^H / ||x0||^2``
     (:class:`SiteProblem`) is the projected Wielandt deflation of the
     converged state. It moves the local eigenvalue of the state to about
@@ -1171,6 +1242,9 @@ def _deflated_check(engine, cfg, rng):
     :class:`DegenerateSteadyStateError` when ``|theta| < DEGENERACY_TOL``.
     """
     problem = engine.site_problem(engine.length // 2, deflation=DEFLATION_SHIFT)
+    # same site and environments: add only the low-rank term, in place
+    problem._assembled = {key: problem._add_low_rank(a) for key, a in engine.centre_assembled.items()}
+    engine.centre_assembled = {}
     v0 = rng.standard_normal(problem.dim) + 1j * rng.standard_normal(problem.dim)
     theta, vec = _local_eigensolve(problem, v0, 0.0, DEGENERACY_TOL, cfg.dense_local_cutoff)
     vec = vec / np.linalg.norm(vec)
@@ -1222,7 +1296,7 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
         noise_bond=stage.chi,
     )
     engine, final_theta = _sweep_schedule(mpo, state, cfg, report, 0.0, "ness")
-    state = engine.state()  # before the check moves the centre
+    state = engine.state()
     check_start = time.perf_counter()
     theta, residual = _deflated_check(engine, cfg, rng)
     production = report.stage_log[-1]
@@ -1238,25 +1312,15 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
     if abs(t0) < 1e-12:
         raise SolverError("converged state carries no trace in the static block")
     state = state.scaled(1.0 / t0)
-    _finish_report(report, cfg, [(mpo, state, 0.0)], final_theta)
-    traces = trace_components(state)
-    report.trace_defects = {
-        n: abs(traces[n] - (1.0 if n == 0 else 0.0)) for n in traces
-    }
+    _finish_report(report, cfg, [(mpo, state, 0.0, _schmidt_spectra(engine, stage.chi, 1.0 / abs(t0)))], final_theta)
+    report.trace_defects = {n: abs(t - (1.0 if n == 0 else 0.0)) for n, t in trace_components(state).items()}
     report.hermiticity_defects = hermiticity_defect(state)
-    norms = report.block_norm_profile
-    ref = norms[0] if norms.get(0) else 1.0
-    edge = norms.get(n_c, 0.0) / ref
+    edge = report.block_norm_profile[n_c] / (report.block_norm_profile[0] or 1.0)
     if edge > CONVERGENCE_TOL:
-        report.warnings.append(
-            f"edge harmonic weight {edge:.2e} above tolerance {CONVERGENCE_TOL:.1e}; "
-            "cutoff too small"
-        )
+        report.warnings.append(f"edge harmonic weight {edge:.2e} above tolerance {CONVERGENCE_TOL:.1e}; cutoff too small")
     worst_defect = max(report.hermiticity_defects.values())
     if worst_defect > CONVERGENCE_TOL:
-        report.warnings.append(
-            f"hermiticity defect {worst_defect:.2e} above tolerance {CONVERGENCE_TOL:.1e}"
-        )
+        report.warnings.append(f"hermiticity defect {worst_defect:.2e} above tolerance {CONVERGENCE_TOL:.1e}")
     report.wall_time = time.perf_counter() - start
     return state, report
 
@@ -1339,8 +1403,11 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
     every block; and ``lambda <<left|ness>> = <<left|L ness>> = 0``. The
     modes are returned as swept, only the left one rescaled to
     ``<<left|right>> = 1``, so the overlaps measure the solve: the report
-    warns when either exceeds 1e-6. Above cutoff 0, ``lambda`` is the central
-    copy of its quasi-energy. A model without jump operators has ``w = 10``,
+    warns when either exceeds 1e-6, the steady-state one only for a
+    ``lambda`` that is not zero within the converged solve's
+    ``fixed_point_residual``: a zero ``lambda``, a mode of a degenerate
+    kernel, leaves ``<<left|ness>>`` free. Above cutoff 0, ``lambda`` is the
+    central copy of its quasi-energy. A model without jump operators has ``w = 10``,
     and its modes lie on the imaginary axis up to roundoff. So when the
     solve converged and the rate ``-Re lambda`` is within the report's
     ``fixed_point_residual``, the rate is roundoff and ``tau_relax`` is
@@ -1378,7 +1445,8 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
     engine, lam = _sweep_schedule(_trace_penalized(mpo, w), seed, cfg, report, "slowest_central", "decay right")
     if lam.real > 1e-6:
         raise SolverError(f"decay eigenvalue has positive real part: {lam}")
-    right = engine.state()
+    right, right_spectra = engine.state(), _schmidt_spectra(engine, stage.chi, 1.0)
+    del engine  # and the operator its centre solve assembled
 
     adjoint = mpo.adjoint()  # the left solve starts from the right mode, its pair
     engine, _ = _sweep_schedule(adjoint, right, cfg, report, lam.conjugate(), "decay left")
@@ -1387,16 +1455,17 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
     if abs(pairing) < 1e-9 * max(left.norm() * right.norm(), 1e-300):
         raise SolverError("left and right modes are numerically orthogonal")
     left = left.scaled(1.0 / np.conj(pairing))
+    left_spectra = _schmidt_spectra(engine, stage.chi, 1.0 / abs(pairing))
 
+    _finish_report(report, cfg, [(mpo, right, lam, right_spectra), (adjoint, left, lam.conjugate(), left_spectra)], lam)
     ident_overlap, steady_overlap = abs(right.block_trace(0)), abs(left.inner(ness))
     if ident_overlap > 1e-6:
         report.warnings.append(
             f"identity overlap {ident_overlap:.2e} above 1e-6; w too small, or chi unconverged or binding"
         )
-    if steady_overlap > 1e-6:
+    if steady_overlap > 1e-6 and not (report.converged and abs(lam) <= report.fixed_point_residual):
         report.warnings.append(f"steady-state overlap {steady_overlap:.2e} above 1e-6; chi unconverged or binding")
     pair = abs(lam.imag) > 1e-8 * max(1.0, abs(lam.real))
-    _finish_report(report, cfg, [(mpo, right, lam), (adjoint, left, lam.conjugate())], lam)
     report.wall_time = time.perf_counter() - start
     roundoff = report.converged and -lam.real <= report.fixed_point_residual
     tau = -1.0 / lam.real if lam.real < 0 and not roundoff else np.inf

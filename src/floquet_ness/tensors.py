@@ -50,11 +50,15 @@ def truncated_svd(matrix, spec=None):
 
         u, s, vh = scipy.linalg.svd(matrix, full_matrices=False, lapack_driver="gesvd")
     total = float(np.sum(s**2))
-    if total == 0.0:
-        keep = 1
-    else:
-        keep = int(np.sum(s >= spec.weight_cutoff * s[0]))
-        keep = max(1, min(keep, spec.max_rank))
+    keep = _kept(s, spec)
     discarded = float(np.sum(s[keep:] ** 2))
     weight = discarded / total if total > 0.0 else 0.0
     return u[:, :keep], s[:keep], vh[:keep, :], weight
+
+
+def _kept(s, spec):
+    """How many of the non-increasing singular values `s` the policy `spec`
+    keeps: at least one, and one of an all-zero `s`."""
+    if float(np.sum(s**2)) == 0.0:
+        return 1
+    return max(1, min(int(np.sum(s >= spec.weight_cutoff * s[0])), spec.max_rank))

@@ -127,6 +127,26 @@ def test_hermiticity_defect_detects_asymmetry():
     assert max(defects.values()) > 0.1
 
 
+@pytest.mark.parametrize("length", [1, 2, 3])
+def test_batched_diagnostics_match_each_block_with_unequal_bonds(length):
+    # block_norms, trace_components and hermiticity_defect treat every
+    # harmonic at once, on site stacks zero-padded to the largest bonds: on
+    # blocks of bonds 1, 2 and 3 (and a zero block) each agrees with its
+    # block-by-block or dense value
+    rng = np.random.default_rng(length)
+    blocks = {n: Mps.random(length, 4, chi, rng, norm=None) for n, chi in zip(range(-2, 3), (2, 1, 3, 2, 1))}
+    blocks[2] = Mps.zeros(length, 4)
+    state = FloquetDensityMatrix(blocks, 5.0, 2)
+    dense = state.to_dense_blocks()
+    norms, traces, defects = block_norms(state), trace_components(state), hermiticity_defect(state)
+    for n in state.harmonics:
+        assert abs(norms[n] - np.linalg.norm(dense[n])) < 1e-12 * max(1.0, norms[n])
+        assert abs(traces[n] - np.trace(dense[n])) < 1e-12 * max(1.0, abs(traces[n]))
+        exact = np.linalg.norm(dense[n] - dense[-n].conj().T) / np.linalg.norm(dense[0])
+        assert abs(defects[n] - exact) < 1e-12 * max(1.0, exact)
+    assert norms[2] == 0.0 and traces[2] == 0.0
+
+
 def test_hermiticity_defect_zero_state_raises():
     blocks = {0: Mps.zeros(2, 4)}
     state = FloquetDensityMatrix(blocks, 1.0, 0)

@@ -1,15 +1,17 @@
 import functools
+import gc
 import json
 import logging
 import types
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from floquet_ness.freqspace import FloquetDensityMatrix, block_norms, initial_guess, trace_components
+from floquet_ness.freqspace import FloquetDensityMatrix, block_norms, compress, initial_guess, trace_components
 from floquet_ness.liouvillian import (
     ModelSpec,
     build_extended_lindbladian,
@@ -1039,15 +1041,15 @@ def swept_engine(model, cfg):
 
 
 def hessenberg_eig_sizes(monkeypatch):
-    """The size of every matrix passed to ``scipy.linalg.eig`` from now on, as a list that grows."""
+    """The size of every Hessenberg matrix passed to LAPACK geev from now on, as a list that grows."""
     sizes = []
-    original = solver.sla.eig
+    original = solver._GEEV
 
     def counting(a, *args, **kwargs):
         sizes.append(a.shape[0])
         return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(solver.sla, "eig", counting)
+    monkeypatch.setattr(solver, "_GEEV", counting)
     return sizes
 
 
@@ -1577,6 +1579,122 @@ def test_decay_report_describes_the_right_mode(ising_l3_decay):
     assert logged["trace_defects"] == logged["hermiticity_defects"] == {}
 
 
+def driven_damped_pair():
+    """Two driven qubits with a ZZ coupling, each damped: a unique steady state on L = 2."""
+    h1 = [LocalOperator(i, 0.175j * PAULI["X"]) for i in (0, 1)]
+    ham = {0: [LocalOperator(0, -np.kron(PAULI["Z"], PAULI["Z"]))], 1: h1, -1: [LocalOperator(t.start, t.matrix.conj().T) for t in h1]}
+    return ModelSpec(2, 4.0, ham, {i: {0: LocalOperator(i, np.sqrt(0.4) * SM)} for i in (0, 1)}).validate()
+
+
+@pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # Ising harmonics exceed the cutoff
+@pytest.mark.parametrize(("length", "n_c"), [(1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1), (5, 0)])
+def test_report_numbers_come_from_the_engine(length, n_c, monkeypatch):
+    # the spectra of every mode (steady state, right and left decay mode)
+    # come from the engine's site stacks, walked out from the centre, and
+    # agree with compress of the mode at the stage's bond and WEIGHT_CUTOFF;
+    # the reported norms, traces and Hermiticity defects agree with their
+    # block-by-block and dense values
+    # at L = 5 the spectra walk two bonds out on each side of the centre
+    models = {1: lambda: single_qubit_model(gamma=0.7, omega_z=1.1, drive=4.0), 2: driven_damped_pair, 3: ising_l3}
+    model = models.get(length, lambda: build_driven_ising(IsingBenchmarkParams(chain_length=length)))()
+    found, original = [], solver._schmidt_spectra
+
+    def records(engine, chi, scale):
+        spectra = original(engine, chi, scale)
+        found.append((engine.state(), scale, spectra))
+        return spectra
+
+    monkeypatch.setattr(solver, "_schmidt_spectra", records)
+    cfg = quick_config(n_c, 4)
+    ness, report = solve_ness(model, cfg)
+    decay = solve_first_decay_mode(model, ness, cfg)
+    assert len(found) == 3  # the steady state, the right and the left decay mode
+    spec = TruncationSpec(max_rank=4, weight_cutoff=solver.WEIGHT_CUTOFF)
+    for state, scale, spectra in found:
+        _, _, expected = compress(state.scaled(scale), spec)
+        for n in state.harmonics:
+            assert [len(s) for s in spectra[n]] == [len(s) for s in expected[n]] and len(spectra[n]) == length - 1
+            assert all(np.max(np.abs(s - e)) < 1e-12 for s, e in zip(spectra[n], expected[n]))
+    for rep, state, (_, _, spectra) in ((report, ness, found[0]), (decay.report, decay.right, found[1])):
+        assert rep.schmidt_spectra == {n: [list(map(float, s[:16])) for s in bonds] for n, bonds in spectra.items()}
+        assert all(abs(rep.block_norm_profile[n] - state.blocks[n].norm()) < 1e-12 for n in state.harmonics)
+    dense = ness.to_dense_blocks()
+    for n in ness.harmonics:
+        assert abs(report.trace_defects[n] - abs(ness.block_trace(n) - (n == 0))) < 1e-12
+        exact = np.linalg.norm(dense[n] - dense[-n].conj().T) / np.linalg.norm(dense[0])
+        assert abs(report.hermiticity_defects[n] - exact) < 1e-12
+
+
+@pytest.mark.parametrize("cutoff", [solver.DENSE_LOCAL_HARD_CAP, 0], ids=["dense", "krylov"])
+def test_degeneracy_check_takes_over_the_centre_operator(cutoff, monkeypatch):
+    # the centre solve writes with direction=None, so the check's problem
+    # takes over what the centre problem assembled (the dense operator, or
+    # above the cutoff the diagonal blocks) and adds only the rank-one term:
+    # the check assembles nothing, and its operator, gap and residual are
+    # bit for bit those of a freshly assembled deflated problem, which a
+    # second check (the centre assembly then consumed) builds
+    cfg = quick_config(1, 8, dense_local_cutoff=cutoff)
+    engine = swept_engine(ising_l3(), cfg)
+    kinds = ("dense", "blocks") if cutoff else ("blocks",)
+    assert engine.center == 1 and sorted(engine.centre_assembled) == sorted(kinds)
+    assemblies, problems = [], []
+    pair_blocks, local_eigensolve = solver.SiteProblem._pair_blocks, solver._local_eigensolve
+
+    def assembles(problem, *args):
+        assemblies.append(problem.deflation)
+        return pair_blocks(problem, *args)
+
+    def keeps(problem, *args, **kwargs):
+        problems.append(problem)
+        return local_eigensolve(problem, *args, **kwargs)
+
+    monkeypatch.setattr(solver.SiteProblem, "_pair_blocks", assembles)
+    monkeypatch.setattr(solver, "_local_eigensolve", keeps)
+    shared = solver._deflated_check(engine, cfg, np.random.default_rng(3))
+    assert assemblies == [] and engine.centre_assembled == {}
+    fresh = solver._deflated_check(engine, cfg, np.random.default_rng(3))
+    assert shared == fresh
+    assert assemblies == [solver.DEFLATION_SHIFT] * len(kinds)
+    taken, built = problems
+    assert sorted(taken._assembled) == sorted(built._assembled) == sorted(kinds)
+    assert all(np.array_equal(taken._assembled[kind], built._assembled[kind]) for kind in kinds)
+
+
+def test_solves_free_their_engines_without_the_garbage_collector(monkeypatch):
+    # an engine keeps its centre solve's assembled arrays, not that problem,
+    # which refers back to it: so no reference cycle holds an engine, and
+    # with it a dense operator, once a solve is done with it
+    engines, original = [], solver._sweep_schedule
+
+    def keeps(*args):
+        engine, theta = original(*args)
+        engines.append(weakref.ref(engine))
+        return engine, theta
+
+    monkeypatch.setattr(solver, "_sweep_schedule", keeps)
+    model, cfg = ising_l3(), quick_config(1, 8)
+    gc.disable()
+    try:
+        ness, _ = solve_ness(model, cfg)
+        solve_first_decay_mode(model, ness, cfg)
+        assert len(engines) == 3 and all(engine() is None for engine in engines)
+    finally:
+        gc.enable()
+
+
+def test_slowest_central_keeps_a_real_value_with_negative_roundoff():
+    # a real value at about 0 whose imaginary roundoff is negative is central:
+    # the pair rule compares Im with the spectrum's largest modulus, not with
+    # the value's own, which dropped it for -0.6 + 0.9i; of a conjugate pair
+    # only the upper member counts
+    values = np.array([-0.6 + 0.9j, -0.6 - 0.9j, 6.3e-17 - 5.1e-17j, -1.0])
+    engine = types.SimpleNamespace(cutoff=1, omega=4.0)
+    theta, vec = solver._slowest_central(values, np.eye(4), engine)
+    assert theta == values[2] and vec[2] == 1
+    theta, vec = solver._slowest_central(values[[1, 0, 3]], np.eye(3), engine)
+    assert theta == values[0] and vec[1] == 1
+
+
 def test_decay_right_solve_tracks_a_shift_on_ising_l3(ising_l3_decay):
     assert_right_solve_tracks_after_one_eig_sweep(ising_l3_decay[2], 4, "shift_invert")
 
@@ -1628,7 +1746,7 @@ def test_slowest_central_is_always_dense(monkeypatch):
     )
     assert problem.dim == 12
     values = np.linalg.eigvals(problem.dense_matrix())
-    central = values[(np.abs(values.imag) < model.omega / 2) & (values.imag > -1e-10 * np.abs(values))]
+    central = values[(np.abs(values.imag) < model.omega / 2) & (values.imag > -1e-10 * np.abs(values).max())]
     assert abs(theta - central[np.argmax(central.real)]) < 1e-12
     assert engine.local_solves == counted(dense_eig=1)
     monkeypatch.setattr(solver, "DENSE_LOCAL_HARD_CAP", problem.dim - 1)
