@@ -110,7 +110,8 @@ def _geometry(mps_by_key, what):
 
 def _integer(name, value):
     """`value` as an int; anything else, ``bool`` included, raises a
-    ``ValueError`` naming `name` (the rule of ``SweepConfig.validate``)."""
+    ``ValueError`` naming `name`. The one integer rule, which
+    ``SweepConfig.validate`` applies too."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)

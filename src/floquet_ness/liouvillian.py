@@ -115,18 +115,6 @@ class ModelSpec:
     def max_hamiltonian_harmonic(self):
         return max((abs(k) for k, v in self.hamiltonian_fourier.items() if v), default=0)
 
-    @property
-    def max_jump_harmonic(self):
-        out = 0
-        for comps in self.jump_fourier.values():
-            out = max(out, max((abs(k) for k in comps), default=0))
-        return out
-
-    @property
-    def max_transfer(self):
-        """Largest harmonic transfer the generator can produce."""
-        return max(self.max_hamiltonian_harmonic, 2 * self.max_jump_harmonic)
-
     def transfers(self, n_c=None):
         """Sorted transfer harmonics with nonzero content, optionally clipped."""
         qs = set()
@@ -179,8 +167,10 @@ def build_extended_lindbladian(model: ModelSpec, n_c: int) -> FloquetMPO:
     """Harmonic-resolved MPO of the generator for states cut off at ``n_c``.
 
     Components with ``|q| > 2 n_c`` cannot connect any retained blocks and
-    are dropped; if the model carries harmonics beyond ``n_c`` a warning is
-    emitted since part of the drive then acts only through folded paths.
+    are dropped. A warning is emitted when this drops one of the model's
+    transfers (:meth:`ModelSpec.transfers`) or its Hamiltonian carries
+    harmonics beyond ``n_c``, since part of the drive then acts only through
+    folded paths.
     Each component is compressed as :meth:`Mpo.from_local_terms` assembles it;
     a ``q = 0`` component without terms is the zero MPO of bond 1. A
     component of a chain of up to three sites whose couplings have full rank
@@ -190,10 +180,11 @@ def build_extended_lindbladian(model: ModelSpec, n_c: int) -> FloquetMPO:
     rank (every Ising component) fails it and is cut by the SVD sweep.
     """
     model.validate()
-    if model.max_transfer > 2 * n_c or model.max_hamiltonian_harmonic > n_c:
+    largest = max(abs(q) for q in model.transfers())
+    if largest > 2 * n_c or model.max_hamiltonian_harmonic > n_c:
         warnings.warn(
             f"model harmonics (H up to {model.max_hamiltonian_harmonic}, transfers up to "
-            f"{model.max_transfer}) exceed the frequency cutoff n_c={n_c}; "
+            f"{largest}) exceed the frequency cutoff n_c={n_c}; "
             "out-of-range components are dropped",
             stacklevel=2,
         )

@@ -47,14 +47,13 @@ the start, never grown, so the start must span them (a noisy start at the
 full bond); a bond held at the bond dimension below its exact size is
 reported. The steady state needs no trace constraint: its shifted copies sit
 at ``i s omega``, ``|s| omega`` away from zero. Its degeneracy is checked
-once, after the sweeps, on the sweep engine itself: the converged state,
-whose local image in the engine's orthonormal frames is the centre vector,
-is deflated out of the centre-site problem (Wielandt), and that problem's
-eigenvalue nearest zero must not vanish. The centre solve wrote with
-``direction=None``, which keeps that site's environments, so the check's
-problem takes over the centre solve's assembled operator (or, above the
-dense cutoff, its harmonic diagonal blocks) and adds only the rank-one
-term. That comparison with
+once, after the sweeps, on the centre solve's own problem: the converged
+state, whose local image in the engine's orthonormal frames is the centre
+vector, is deflated out of it (Wielandt, :meth:`SiteProblem.deflate`), and
+its eigenvalue nearest zero must not vanish. The centre solve's write
+moved no environment, so that problem is still valid, and the deflation
+adds only the rank-one term to what it assembled (the dense operator or,
+above the dense cutoff, the harmonic diagonal blocks). That comparison with
 ``DEGENERACY_TOL`` is the check's only decision, so its local solve accepts
 at ``DEGENERACY_TOL`` rather than at the sweeps' tolerance, and reports the
 true residual of its answer. The right decay solve moves the
@@ -81,7 +80,9 @@ every local operation is one contraction batched over the live pairs
 ``(q, n)``, whose block ``n - q`` lies within the cutoff. All blocks share
 their bonds, so the sweep engine holds each site as one stack over
 harmonics, and that stack is the flat local vector of :class:`SiteProblem`
-(layout in :class:`SweepEngine`).
+(layout in :class:`SweepEngine`). The engine acts only at its orthogonality
+centre: its problem is built there, and a solved stack is written there
+before the centre moves.
 
 Sign conventions: eigenvalues are those of the frequency-space generator
 (``Re <= 0``); a mode decays as ``exp(lambda t)`` and the relaxation time of
@@ -102,6 +103,7 @@ import scipy.sparse.linalg as spla
 from .freqspace import (
     FloquetDensityMatrix,
     FloquetMPO,
+    _integer,
     _padded,
     block_norms,
     hermiticity_defect,
@@ -195,8 +197,9 @@ LOCAL_METHODS = ("converged_start", "shift_invert", "dense_eig", "arnoldi", "tet
 class SweepConfig:
     """Schedule and tolerances for the sweeping solver.
 
-    `warmup` is the :class:`SweepStage` every solve runs (integers, not
-    ``bool``: ``n_c >= 0``, ``chi >= 1``, at least one sweep); a sweep whose
+    `warmup` is the :class:`SweepStage` every solve runs, nothing else
+    (integers, not ``bool``: ``n_c >= 0``, ``chi >= 1``, at least one
+    sweep); a sweep whose
     every start passes the acceptance test ends it early, and one solve at
     the centre site ``L // 2`` ends it. `eig_tol` stops no sweep: a stage
     whose last sweep residual (the largest distance of the sweep's local
@@ -225,10 +228,11 @@ class SweepConfig:
     dense_local_cutoff: int = DENSE_LOCAL_HARD_CAP
 
     def validate(self):
+        if not isinstance(self.warmup, SweepStage):
+            raise ValueError(f"warmup must be a SweepStage, got {self.warmup!r}")
         integers = {**asdict(self.warmup), "dense_local_cutoff": self.dense_local_cutoff, "seed": self.seed}
         for name, value in integers.items():
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _integer(name, value)
         if self.warmup.sweeps < 1:
             raise ValueError("the stage must run at least one sweep")
         if self.warmup.n_c < 0:
@@ -347,13 +351,13 @@ class SweepEngine:
     tethered solves and of the degeneracy check's inverse, and
     `inverse_solves` the applications of the degeneracy check's inverse
     (:func:`_shifted_inverse`), by GMRES or by the LU of its one block.
-    `centre_assembled` holds what the problem of a stage's last solve
-    assembled (:func:`_sweep_schedule`; the `_assembled` of
-    :class:`SiteProblem`) until the degeneracy check takes it over or an
-    environment update drops it; it is empty otherwise. It holds arrays
-    only, no problem, whose reference back to the engine would make a
-    cycle that keeps a dropped engine and its dense operator alive until
-    the garbage collector runs.
+
+    The engine acts only at its orthogonality centre `center`: no method
+    takes a site. :meth:`site_problem` builds the problem there, and
+    :meth:`set_site` writes there and moves the centre. `version` changes
+    only when an environment does (:meth:`_update_left`,
+    :meth:`_update_right`), that is, when the centre moves: a problem built
+    before a move is stale, one kept across a write in place is not.
     """
 
     def __init__(self, mpo: FloquetMPO, state: FloquetDensityMatrix, chi=None):
@@ -392,7 +396,6 @@ class SweepEngine:
         self.local_solves = dict.fromkeys(LOCAL_METHODS, 0)
         self.gmres_iterations = 0
         self.inverse_solves = 0
-        self.centre_assembled = {}
         self.version = 0
         self.center = 0
         # environments, the right ones absorbed from the last site inward
@@ -421,7 +424,7 @@ class SweepEngine:
 
     def _update_left(self, i):
         """Absorb site `i` into the left environments (valid at i+1)."""
-        self.centre_assembled = {}  # built on the environments this replaces
+        self.version += 1
         bra, ket, mpo, (l, p, r) = self._operands(i)
         env = self.env_left[i]
         pairs, w = env.shape[0], env.shape[2]
@@ -432,7 +435,7 @@ class SweepEngine:
 
     def _update_right(self, i):
         """Absorb site `i` into the right environments (valid at i-1)."""
-        self.centre_assembled = {}
+        self.version += 1
         bra, ket, mpo, (l, p, r) = self._operands(i)
         env = self.env_right[i]
         pairs = env.shape[0]
@@ -446,22 +449,23 @@ class SweepEngine:
         if site < self.center:
             raise ValueError("advance_to only moves the center rightward")
         while self.center < site:
-            self.set_site(self.center, None, direction="right")
+            self.set_site(None, direction="right")
 
     # -- local problem ---------------------------------------------------------
 
-    def site_problem(self, i, deflation=0.0):
-        return SiteProblem(self, i, deflation)
+    def site_problem(self):
+        """The local eigenproblem at the centre (:class:`SiteProblem`)."""
+        return SiteProblem(self)
 
-    def set_site(self, i, stack, direction="right"):
-        """Write back the solved stack ``[n, p, l, r]`` (None keeps site `i`)
-        and restore the gauge: one batched QR moves the orthogonality center
+    def set_site(self, stack, direction="right"):
+        """Write back the solved stack ``[n, p, l, r]`` at the centre (None
+        keeps it) and restore the gauge: one batched QR moves the centre
         along `direction`, keeping every bond dimension. Any other
-        `direction` (None) leaves the center at `i`."""
-        self.version += 1
+        `direction` (None), or one off the chain's end, leaves the centre and
+        every environment in place."""
+        i = self.center
         if stack is not None:
             self.sites[i] = stack
-        self.center = i
         nh, p, l, r = self.sites[i].shape
         if direction == "right" and i < self.length - 1:
             q, rmat = np.linalg.qr(self.sites[i].reshape(nh, p * l, r))
@@ -482,40 +486,34 @@ class SweepEngine:
 
 
 class SiteProblem:
-    """Local eigenproblem at one active site, all harmonics at once.
+    """Local eigenproblem at the engine's centre, all harmonics at once.
 
-    The flat local vector is the site stack ``[n, p, l, r]`` of the engine,
-    of `shape` ``[p, l, r]`` per harmonic. `matvec` applies the projected
+    The flat local vector is the centre's site stack ``[n, p, l, r]``, of
+    `shape` ``[p, l, r]`` per harmonic. `matvec` applies the projected
     generator of every live pair ``(q, n)`` in one batched contraction per
     environment and one for the site's MPO tensor, sums the pairs of each
     harmonic in order of ``q`` and adds the frequency ramp; it takes one
     vector or a ``(dim, k)`` block of columns.
-
-    A nonzero `deflation` ``s`` adds ``-s x0 x0^H / ||x0||^2`` with ``x0``
-    the current centre vector, as one low-rank update ``back @ (rows @ x)``
-    (``rows = x0^H``). In orthonormal frames ``x0`` is the local image of
-    the engine's whole state, so this is the projection of the global
-    Wielandt deflation ``-s |rho><rho| / ||rho||^2``: the degeneracy check
-    deflates the converged state this way, on one problem.
 
     `dense_matrix` assembles the same operator without `matvec`: for every
     live pair ``(q, n)`` it contracts
     ``L[q, n, a, w, b] W_q[w, p', p, w'] R[q, n, a', w', b']`` in two
     batched products into block ``(n, n - q)`` of the ``(dim, dim)``
     matrix. The ramp goes on the diagonal and the low-rank update
-    ``back @ rows`` is added once. `diagonal_blocks` assembles the same way
-    only the harmonic diagonal blocks ``(n, n)``, from the ``q = 0`` pairs.
-    Each is assembled once per problem and kept with it (`_assembled`), so
-    callers must not write to them; the degeneracy check takes over those
-    of the centre solve's problem (:func:`_deflated_check`). `matvec` and
-    every assembly validate the environments against the engine version,
-    so a stale problem object fails loudly.
+    ``back @ rows`` (:meth:`deflate`) is added once. `diagonal_blocks`
+    assembles the same way only the harmonic diagonal blocks ``(n, n)``,
+    from the ``q = 0`` pairs. Each is assembled once per problem and kept
+    with it (`_assembled`), so callers must not write to them. `matvec`,
+    `dense_matrix` and `diagonal_blocks`, assembled or kept, validate the
+    environments against the engine version, so a problem kept across a
+    move of the centre fails loudly; a write at the centre leaves it valid,
+    and `current_vector` reads the written stack.
     """
 
-    def __init__(self, engine: SweepEngine, site, deflation=0.0):
+    def __init__(self, engine: SweepEngine):
         self.engine = engine
-        self.site = site
-        self.deflation = deflation
+        self.site = site = engine.center
+        self.deflation = 0.0
         self.version = engine.version
         nh, p, l, r = engine.sites[site].shape
         self.shape = (p, l, r)
@@ -528,10 +526,31 @@ class SiteProblem:
         self._assembled = {}  # "dense" [1, dim, dim] and "blocks" [n, m, m], each built once
         self._rows = np.zeros((0, self.dim), dtype=complex)  # low-rank update back @ rows
         self._back = self._rows.T
-        if deflation:
-            x0 = self.current_vector()
-            self._rows = x0.conj()[None]
-            self._back = x0[:, None] * (-deflation / np.vdot(x0, x0).real)
+
+    def _require_current(self):
+        if self.version != self.engine.version:
+            raise StaleEnvironmentError("site problem built against an older sweep state")
+
+    def deflate(self, shift):
+        """Add ``-shift x0 x0^H / ||x0||^2``, ``x0`` the current centre
+        vector, as the low-rank update ``back @ (rows @ x)`` (``rows =
+        x0^H``), also to what the problem already assembled, in place.
+
+        In orthonormal frames ``x0`` is the local image of the engine's whole
+        state, so this is the projection of the global Wielandt deflation
+        ``-shift |rho><rho| / ||rho||^2``: the degeneracy check deflates the
+        converged state this way, on the centre solve's problem
+        (:func:`_deflated_check`). A problem is deflated once; a second call
+        raises ``ValueError``.
+        """
+        if self.deflation:
+            raise ValueError("the site problem is already deflated")
+        x0 = self.current_vector()
+        self.deflation = shift
+        self._rows = x0.conj()[None]
+        self._back = x0[:, None] * (-shift / np.vdot(x0, x0).real)
+        for assembled in self._assembled.values():
+            self._add_low_rank(assembled)
 
     def unpack(self, vec):
         """Site stack ``[n, p, l, r]`` of a flat local vector."""
@@ -541,8 +560,7 @@ class SiteProblem:
         return self.engine.sites[self.site].reshape(-1)
 
     def matvec(self, vec):
-        if self.version != self.engine.version:
-            raise StaleEnvironmentError("site problem built against an older sweep state")
+        self._require_current()
         vec = np.asarray(vec, dtype=complex)
         cols = vec.reshape(self.dim, -1)
         k = cols.shape[1]
@@ -564,8 +582,6 @@ class SiteProblem:
     def _pair_blocks(self, pairs=slice(None)):
         """Block ``(n, n - q)`` of each live pair in the slice `pairs`, rows
         ``(p', a, a')`` and columns ``(p, b, b')``, as ``[pair, p', a, a', p, b, b']``."""
-        if self.version != self.engine.version:
-            raise StaleEnvironmentError("site problem built against an older sweep state")
         w = self._w[pairs]
         k = len(w)
         p, l, r = self.shape
@@ -589,6 +605,7 @@ class SiteProblem:
 
     def dense_matrix(self):
         """Materialize the local operator from the environments and MPO tensors."""
+        self._require_current()
         if "dense" not in self._assembled:
             nh = len(self.engine.harmonics)
             p, l, r = self.shape
@@ -603,6 +620,7 @@ class SiteProblem:
         """Diagonal block ``(n, n)`` of every harmonic, ``[n, m, m]`` with
         ``m = p l r``: the ``q = 0`` pairs, one contiguous range of the stack
         over all harmonics, plus the ramp and the low-rank update's blocks."""
+        self._require_current()
         if "blocks" not in self._assembled:
             nh = len(self.engine.harmonics)
             m = self.dim // nh
@@ -1038,13 +1056,6 @@ def _local_tol(cfg):
     return min(cfg.eig_tol * 1e-1, 1e-9)
 
 
-def _sweep_sites(length):
-    """One sweep's ``(site, direction)`` solves: right over ``0..L-2``, left
-    over ``L-1..1``, so each end site is solved once, ``2 (L - 1)`` in all
-    (one at ``L = 1``)."""
-    return [(i, "right") for i in range(max(length - 1, 1))] + [(i, "left") for i in range(length - 1, 0, -1)]
-
-
 def _sweep_schedule(mpo, state, cfg, report, target, label):
     """Sweep `state` through the stage ``cfg.warmup`` towards `target`.
 
@@ -1068,13 +1079,14 @@ def _sweep_schedule(mpo, state, cfg, report, target, label):
     ``report.stage_log`` gains one entry, `label`, with the keys that
     :class:`SolveReport` lists for every stage (its counts are the engine's,
     the centre solve included). The residuals also extend
-    ``report.sweep_residuals``. Returns ``(engine,
-    theta)``: the engine, which holds the swept state (``engine.state()``)
-    with its orthogonality centre at the centre site and its environments,
-    and the eigenvalue of the centre solve. The centre solve writes with
-    ``direction=None``, which keeps the environments, and what its problem
-    assembled stays as ``engine.centre_assembled``: the degeneracy check
-    goes on from that engine and takes that over.
+    ``report.sweep_residuals``. Returns ``(engine, problem, theta)``: the
+    engine, which holds the swept state (``engine.state()``) with its
+    orthogonality centre at the centre site and its environments, the
+    centre solve's problem and its eigenvalue. The centre solve writes with
+    ``direction=None``, which moves no environment, so that problem stays
+    valid, with what it assembled: the degeneracy check deflates it
+    (:func:`_deflated_check`). It refers to the engine, so a caller that
+    drops the engine drops the problem too.
     """
     stage = cfg.warmup
     start = time.perf_counter()
@@ -1086,14 +1098,16 @@ def _sweep_schedule(mpo, state, cfg, report, target, label):
         theta, vec = _local_eigensolve(
             problem, problem.current_vector(), shift, _local_tol(cfg), cfg.dense_local_cutoff, accept_start=accept_start
         )
-        engine.set_site(problem.site, problem.unpack(vec), direction=direction)
+        engine.set_site(problem.unpack(vec), direction=direction)
         return complex(theta)
 
-    sites = _sweep_sites(engine.length)
+    # from the centre at 0: right from 0..L-2, left from L-1..1, so each end
+    # site is solved once, 2 (L - 1) in all (one at L = 1), and back at 0
+    moves = ["right"] * max(engine.length - 1, 1) + ["left"] * (engine.length - 1)
     for sweep in range(stage.sweeps):
         accepted = engine.local_solves["converged_start"]
-        thetas = [solve(engine.site_problem(site), direction) for site, direction in sites]
-        idle = engine.local_solves["converged_start"] - accepted == len(sites)
+        thetas = [solve(engine.site_problem(), direction) for direction in moves]
+        idle = engine.local_solves["converged_start"] - accepted == len(moves)
         anchor = thetas[-1] if isinstance(shift, str) else shift
         resid = max(abs(t - anchor) for t in thetas)
         if target == "slowest_central":
@@ -1103,11 +1117,9 @@ def _sweep_schedule(mpo, state, cfg, report, target, label):
         logger.debug("%s sweep %d: residual %.3e", label, sweep + 1, resid)
         if idle:
             break
-    centre = engine.length // 2
-    engine.advance_to(centre)
-    problem = engine.site_problem(centre)
+    engine.advance_to(engine.length // 2)
+    problem = engine.site_problem()
     theta = solve(problem, None, accept_start=False)
-    engine.centre_assembled = problem._assembled
     report.stage_log.append(
         {
             "label": label,
@@ -1123,7 +1135,7 @@ def _sweep_schedule(mpo, state, cfg, report, target, label):
         }
     )
     report.sweep_residuals.extend(residuals)
-    return engine, theta
+    return engine, problem, theta
 
 
 def _saturation_warnings(spectra, chi, phys, length):
@@ -1210,23 +1222,19 @@ def _finish_report(report, cfg, modes, eigenvalue):
     report.fixed_point_residual = max(_eigen_residual(mpo, state, theta) for mpo, state, theta, _ in modes)
 
 
-def _deflated_check(engine, cfg, rng):
-    """Eigenvalue nearest zero of the centre-site problem with the engine's state deflated.
+def _deflated_check(problem, cfg, rng):
+    """Eigenvalue nearest zero of the centre solve's `problem` with the engine's state deflated.
 
-    `engine` is the sweep engine that converged the state, its centre at
-    the centre site ``L // 2``, where the stage's last solve left it
-    (:func:`_sweep_schedule`). So the state's local image in the orthonormal
-    frames is the centre vector ``x0``. That solve wrote with
-    ``direction=None``, so the environments at the site are those of its
-    problem: the check's problem takes over what that one assembled,
-    ``engine.centre_assembled`` (the dense operator, the diagonal blocks),
-    and adds only the rank-one term, in place, bit for bit a fresh
-    assembly, so that no dense operator is built twice and at most one is
-    alive. An engine that holds none (a second check) assembles anew. The
-    local term
-    ``-DEFLATION_SHIFT x0 x0^H / ||x0||^2``
-    (:class:`SiteProblem`) is the projected Wielandt deflation of the
-    converged state. It moves the local eigenvalue of the state to about
+    `problem` is the last solve of the stage that converged the state
+    (:func:`_sweep_schedule`), at the centre site ``L // 2``, whose write
+    moved no environment, so it is still valid; the state's local image in
+    the orthonormal frames is the centre vector ``x0``. The check deflates
+    that problem in place (:meth:`SiteProblem.deflate`), so it adds only the
+    rank-one term ``-DEFLATION_SHIFT x0 x0^H / ||x0||^2`` to what the centre
+    solve assembled (the dense operator, the diagonal blocks), and no
+    operator is built twice. A problem is checked once: a second call
+    raises ``ValueError``. The term is the projected Wielandt deflation of
+    the converged state. It moves the local eigenvalue of the state to about
     ``-DEFLATION_SHIFT`` and leaves every other local eigenvalue in place, so
     what remains nearest zero is the runner-up of the undeflated problem. It
     is found by the ordinary steady-state local solve from a random start
@@ -1241,10 +1249,7 @@ def _deflated_check(engine, cfg, rng):
     within `residual` of ``A`` in norm; raises
     :class:`DegenerateSteadyStateError` when ``|theta| < DEGENERACY_TOL``.
     """
-    problem = engine.site_problem(engine.length // 2, deflation=DEFLATION_SHIFT)
-    # same site and environments: add only the low-rank term, in place
-    problem._assembled = {key: problem._add_low_rank(a) for key, a in engine.centre_assembled.items()}
-    engine.centre_assembled = {}
+    problem.deflate(DEFLATION_SHIFT)
     v0 = rng.standard_normal(problem.dim) + 1j * rng.standard_normal(problem.dim)
     theta, vec = _local_eigensolve(problem, v0, 0.0, DEGENERACY_TOL, cfg.dense_local_cutoff)
     vec = vec / np.linalg.norm(vec)
@@ -1267,7 +1272,7 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
     trace-normalized state with a :class:`SolveReport`. An
     :class:`EigensolverBreakdown` of a local solve propagates. After the
     sweeps, the state is taken from the sweep engine, and
-    :func:`_deflated_check` runs on that engine; it raises
+    :func:`_deflated_check` deflates the centre solve's problem; it raises
     :class:`DegenerateSteadyStateError` when the steady state is degenerate;
     the check accepts its eigenvalue at DEGENERACY_TOL, and the `stage_log`
     entry records its ``"degeneracy_gap"`` and ``"degeneracy_residual"``,
@@ -1295,10 +1300,10 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
         seed=cfg.seed,
         noise_bond=stage.chi,
     )
-    engine, final_theta = _sweep_schedule(mpo, state, cfg, report, 0.0, "ness")
+    engine, problem, final_theta = _sweep_schedule(mpo, state, cfg, report, 0.0, "ness")
     state = engine.state()
     check_start = time.perf_counter()
-    theta, residual = _deflated_check(engine, cfg, rng)
+    theta, residual = _deflated_check(problem, cfg, rng)
     production = report.stage_log[-1]
     production["seconds"] += time.perf_counter() - check_start
     production["degeneracy_gap"] = float(abs(theta))
@@ -1406,9 +1411,12 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
     warns when either exceeds 1e-6, the steady-state one only for a
     ``lambda`` that is not zero within the converged solve's
     ``fixed_point_residual``: a zero ``lambda``, a mode of a degenerate
-    kernel, leaves ``<<left|ness>>`` free. Above cutoff 0, ``lambda`` is the
-    central copy of its quasi-energy. A model without jump operators has ``w = 10``,
-    and its modes lie on the imaginary axis up to roundoff. So when the
+    kernel, leaves ``<<left|ness>>`` free, and the report warns instead
+    that it is such a mode, which does not decay (``solve_ness`` raises
+    :class:`DegenerateSteadyStateError` on the same model). Above cutoff 0,
+    ``lambda`` is the central copy of its quasi-energy. A model without jump
+    operators has ``w = 10``, and its modes lie on the imaginary axis up to
+    roundoff. So when the
     solve converged and the rate ``-Re lambda`` is within the report's
     ``fixed_point_residual``, the rate is roundoff and ``tau_relax`` is
     infinite. Before convergence that residual bounds nothing about
@@ -1442,14 +1450,14 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
     rng = np.random.default_rng(cfg.seed + 1)
     blocks = {n: Mps.random(model.chain_length, model.site_dim**2, stage.chi, rng) for n in range(-n_c, n_c + 1)}
     seed = FloquetDensityMatrix(blocks, model.omega, n_c)
-    engine, lam = _sweep_schedule(_trace_penalized(mpo, w), seed, cfg, report, "slowest_central", "decay right")
+    engine, problem, lam = _sweep_schedule(_trace_penalized(mpo, w), seed, cfg, report, "slowest_central", "decay right")
     if lam.real > 1e-6:
         raise SolverError(f"decay eigenvalue has positive real part: {lam}")
     right, right_spectra = engine.state(), _schmidt_spectra(engine, stage.chi, 1.0)
-    del engine  # and the operator its centre solve assembled
+    del engine, problem  # and the operator its centre solve assembled
 
     adjoint = mpo.adjoint()  # the left solve starts from the right mode, its pair
-    engine, _ = _sweep_schedule(adjoint, right, cfg, report, lam.conjugate(), "decay left")
+    engine, _, _ = _sweep_schedule(adjoint, right, cfg, report, lam.conjugate(), "decay left")
     left = engine.state()
     pairing = left.inner(right)
     if abs(pairing) < 1e-9 * max(left.norm() * right.norm(), 1e-300):
@@ -1463,7 +1471,11 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
         report.warnings.append(
             f"identity overlap {ident_overlap:.2e} above 1e-6; w too small, or chi unconverged or binding"
         )
-    if steady_overlap > 1e-6 and not (report.converged and abs(lam) <= report.fixed_point_residual):
+    if report.converged and abs(lam) <= report.fixed_point_residual:
+        report.warnings.append(
+            f"decay eigenvalue {lam:.2e} is 0 within its residual: a mode of a degenerate kernel, which does not decay"
+        )
+    elif steady_overlap > 1e-6:
         report.warnings.append(f"steady-state overlap {steady_overlap:.2e} above 1e-6; chi unconverged or binding")
     pair = abs(lam.imag) > 1e-8 * max(1.0, abs(lam.real))
     report.wall_time = time.perf_counter() - start

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -246,6 +248,20 @@ def test_cutoff_warning_for_under_resolved_model():
     model = time_dependent_jump_model()
     with pytest.warns(UserWarning):
         build_extended_lindbladian(model, 0)
+
+
+def test_cutoff_warning_reads_the_real_transfers():
+    # a jump channel with harmonics {0, 3} transfers only -3, 0 and 3, so at
+    # n_c = 2 nothing is dropped (twice its largest harmonic, 6, was warned
+    # about); at n_c = 1 the transfers +-3 are dropped, and that warns
+    jumps = {"d": {0: LocalOperator(0, SM), 3: LocalOperator(0, 0.5 * SM)}}
+    model = ModelSpec(1, 4.0, {}, jumps).validate()
+    assert model.transfers() == [-3, 0, 3]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        build_extended_lindbladian(model, 2)
+    with pytest.warns(UserWarning, match=r"transfers up to 3\) exceed the frequency cutoff n_c=1"):
+        build_extended_lindbladian(model, 1)
 
 
 def test_operator_bond_dimension_is_documented_scale():

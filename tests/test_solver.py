@@ -68,7 +68,7 @@ def test_local_operator_single_site_equals_dense():
     mpo = build_extended_lindbladian(model, n_c)
     state = initial_guess(1, 2, n_c, model.omega, noise_amplitude=1e-2, seed=3)
     engine = SweepEngine(mpo, state)
-    problem = engine.site_problem(0)
+    problem = engine.site_problem()
     local = densify_problem(problem)
     dense = dense_extended_lindbladian(model, n_c)
     assert np.max(np.abs(local - dense)) < 1e-10
@@ -149,7 +149,9 @@ def test_local_operator_matches_dense_projection(adjoint, terms):
     for site in range(length):
         engine = SweepEngine(mpo, state)
         engine.advance_to(site)
-        problem = engine.site_problem(site, deflation=deflation)
+        problem = engine.site_problem()
+        if deflation:
+            problem.deflate(deflation)
         local = problem.dense_matrix()
         phi = frame_map(engine, problem)
         assert np.max(np.abs(phi.conj().T @ dense @ phi - local)) < 1e-10
@@ -181,7 +183,9 @@ def test_dense_matrix_assembles_matvec_without_calling_it(adjoint, terms, monkey
     for site in range(length):
         engine = SweepEngine(mpo, state)
         engine.advance_to(site)
-        problem = engine.site_problem(site, deflation=deflation)
+        problem = engine.site_problem()
+        if deflation:
+            problem.deflate(deflation)
         columns = problem.matvec(np.eye(problem.dim))
 
         def refuse(_):
@@ -218,7 +222,7 @@ def test_engine_refuses_blocks_of_different_bonds():
     engine = SweepEngine(mpo, FloquetDensityMatrix(blocks, model.omega, 1))
     assert [s.shape for s in engine.sites] == [(3, 4, 1, 2), (3, 4, 2, 2), (3, 4, 2, 1)]
     assert engine.state().blocks[1].norm() == 0.0
-    phi = frame_map(engine, engine.site_problem(0))
+    phi = frame_map(engine, engine.site_problem())
     assert np.max(np.abs(phi.conj().T @ phi - np.eye(phi.shape[1]))) < 1e-12
 
 
@@ -246,15 +250,52 @@ def test_engine_canonicalizes_each_block_once(monkeypatch):
 
 
 def test_stale_problem_rejected():
-    model = single_qubit_model()
-    mpo = build_extended_lindbladian(model, 0)
-    state = initial_guess(1, 2, 0, model.omega, noise_amplitude=1e-3, seed=1)
-    engine = SweepEngine(mpo, state)
-    problem = engine.site_problem(0)
-    vec = problem.current_vector()
-    engine.set_site(0, problem.unpack(vec))
-    with pytest.raises(StaleEnvironmentError):
-        problem.matvec(vec)
+    # a problem's environments change only when the centre moves: a write at
+    # the centre (direction None, or a move off the chain's end) leaves the
+    # problem valid, reading the written stack, and a move makes it stale,
+    # what it already assembled included
+    model = driven_three_site_model()
+    rng = np.random.default_rng(5)
+    blocks = {n: Mps.random(3, 4, 3, rng, norm=1.0) for n in (-1, 0, 1)}
+    engine = SweepEngine(build_extended_lindbladian(model, 1), FloquetDensityMatrix(blocks, model.omega, 1))
+    engine.advance_to(2)
+    problem = engine.site_problem()
+    x = rng.standard_normal(problem.dim) + 1j * rng.standard_normal(problem.dim)
+    expected = problem.matvec(x)
+    problem.dense_matrix(), problem.diagonal_blocks()
+    for direction in (None, "right"):
+        stack = problem.unpack(rng.standard_normal(problem.dim) + 0j)
+        engine.set_site(stack, direction=direction)
+        assert engine.center == 2 and np.array_equal(problem.current_vector(), stack.reshape(-1))
+        assert np.array_equal(problem.matvec(x), expected)
+    engine.set_site(None, direction="left")
+    assert engine.center == 1
+    for use in (lambda: problem.matvec(x), problem.dense_matrix, problem.diagonal_blocks):
+        with pytest.raises(StaleEnvironmentError):
+            use()
+
+
+def test_a_problem_is_deflated_once():
+    # deflate adds the rank-one term to what the problem already assembled,
+    # bit for bit what a problem deflated before assembling builds, and
+    # refuses a second call
+    model = driven_three_site_model()
+    rng = np.random.default_rng(5)
+    blocks = {n: Mps.random(3, 4, 3, rng, norm=1.0) for n in (-1, 0, 1)}
+    engine = SweepEngine(build_extended_lindbladian(model, 1), FloquetDensityMatrix(blocks, model.omega, 1))
+    engine.advance_to(1)
+    assembled, early = engine.site_problem(), engine.site_problem()
+    undeflated = assembled.dense_matrix().copy()
+    assembled.diagonal_blocks()
+    for problem in (assembled, early):
+        problem.deflate(solver.DEFLATION_SHIFT)
+    assert np.array_equal(assembled.dense_matrix(), early.dense_matrix())
+    assert np.array_equal(assembled.diagonal_blocks(), early.diagonal_blocks())
+    x0 = assembled.current_vector()
+    rank_one = solver.DEFLATION_SHIFT * np.outer(x0, x0.conj()) / np.vdot(x0, x0).real
+    assert np.max(np.abs(undeflated - rank_one - assembled.dense_matrix())) < 1e-12
+    with pytest.raises(ValueError, match="already deflated"):
+        assembled.deflate(solver.DEFLATION_SHIFT)
 
 
 def test_solve_ness_amplitude_damping():
@@ -417,10 +458,11 @@ def test_partial_arpack_result_is_not_accepted(monkeypatch, caplog):
     model = single_qubit_model(gamma=0.7, omega_z=1.1, drive=4.0)
     ness, _ = solve_ness(model, quick_config(1, 4))
     engine = SweepEngine(build_extended_lindbladian(model, 1), ness)
-    values = np.linalg.eigvals(engine.site_problem(0).dense_matrix())
+    values = np.linalg.eigvals(engine.site_problem().dense_matrix())
     steady, runner_up = values[np.argsort(np.abs(values))[:2]]
     assert abs(steady) < 1e-10
-    problem = engine.site_problem(0, deflation=solver.DEFLATION_SHIFT)
+    problem = engine.site_problem()
+    problem.deflate(solver.DEFLATION_SHIFT)
     attempts = []
 
     def partial(op, k=1, **kwargs):
@@ -459,9 +501,10 @@ def test_refused_shift_invert_arpack_returns_the_dense_answer(case, monkeypatch,
     model = single_qubit_model(gamma=0.7, omega_z=1.1, drive=4.0)
     ness, _ = solve_ness(model, quick_config(1, 4))
     engine = SweepEngine(build_extended_lindbladian(model, 1), ness)
-    values = np.linalg.eigvals(engine.site_problem(0).dense_matrix())
+    values = np.linalg.eigvals(engine.site_problem().dense_matrix())
     runner_up = values[np.argsort(np.abs(values))[1]]
-    problem = engine.site_problem(0, deflation=solver.DEFLATION_SHIFT)
+    problem = engine.site_problem()
+    problem.deflate(solver.DEFLATION_SHIFT)
     attempts = []
     if case == "wrong_pair":
 
@@ -506,9 +549,11 @@ def test_single_block_inverse_is_the_block_lu(deflated, monkeypatch):
     model = single_qubit_model(gamma=0.7, omega_z=1.1, drive=4.0)
     ness, _ = solve_ness(model, quick_config(0, 4))
     engine = SweepEngine(build_extended_lindbladian(model, 0), ness)
-    values = np.linalg.eigvals(engine.site_problem(0).dense_matrix())
+    values = np.linalg.eigvals(engine.site_problem().dense_matrix())
     runner_up = values[np.argsort(np.abs(values))[1]]
-    problem = engine.site_problem(0, deflation=solver.DEFLATION_SHIFT if deflated else 0.0)
+    problem = engine.site_problem()
+    if deflated:
+        problem.deflate(solver.DEFLATION_SHIFT)
     values, vectors = np.linalg.eig(problem.dense_matrix())
     best = np.argmin(np.abs(values))
     assert abs(values[best] - runner_up) < 1e-10 if deflated else abs(values[best]) < 1e-12
@@ -532,9 +577,10 @@ def keep_checked_engine(monkeypatch):
     checked = []
     original = solver._deflated_check
 
-    def keeps(engine, *args):
+    def keeps(problem, *args):
+        engine = problem.engine
         checked.append((engine, engine.gmres_iterations, dict(engine.local_solves)))
-        return original(engine, *args)
+        return original(problem, *args)
 
     monkeypatch.setattr(solver, "_deflated_check", keeps)
     return checked
@@ -557,7 +603,9 @@ def test_degeneracy_check_above_cutoff_on_a_small_gap(monkeypatch, caplog):
     (entry,) = json.loads(json.dumps(report.to_dict()))["stage_log"]
     assert entry["local_solves"]["arnoldi"] == 1
     assert entry["local_solves"]["dense_fallback"] == 0
-    values = np.linalg.eigvals(engine.site_problem(1, deflation=solver.DEFLATION_SHIFT).dense_matrix())
+    problem = engine.site_problem()
+    problem.deflate(solver.DEFLATION_SHIFT)
+    values = np.linalg.eigvals(problem.dense_matrix())
     assert abs(entry["degeneracy_gap"] - np.min(np.abs(values))) <= entry["degeneracy_residual"]
     assert 0 < entry["degeneracy_inverse_solves"] <= 2 * solver.ARNOLDI_DIM  # 13 when measured
 
@@ -581,7 +629,7 @@ def test_degeneracy_check_certifies_its_gap_on_every_inverse(monkeypatch, chain,
     check = {name: count - before[name] for name, count in entry["local_solves"].items()}
     assert check == counted(**{"shift_invert" if method == "dense LU" else "arnoldi": 1})
     assert (entry["gmres_iterations"] > gmres_before) == (method == "GMRES")
-    values = np.linalg.eigvals(engine.site_problem(1).dense_matrix())
+    values = np.linalg.eigvals(engine.site_problem().dense_matrix())
     runner_up = values[np.argsort(np.abs(values))[1]]
     assert abs(entry["degeneracy_gap"] - abs(runner_up)) <= entry["degeneracy_residual"]
     assert entry["degeneracy_gap"] > solver.DEGENERACY_TOL
@@ -641,7 +689,9 @@ def test_shift_invert_matches_dense_eig(start, penalties):
     for site in range(3):
         engine = SweepEngine(mpo, state)
         engine.advance_to(site)
-        problem = engine.site_problem(site, deflation=deflation)
+        problem = engine.site_problem()
+        if deflation:
+            problem.deflate(deflation)
         mat = problem.dense_matrix()
         values, vectors = np.linalg.eig(mat)
         best = np.argmin(np.abs(values))
@@ -678,7 +728,9 @@ def test_refused_shift_invert_returns_the_eig_answer(case, cutoff, deflation, mo
     blocks = {n: Mps.random(3, 4, 3, rng, norm=1e-2) for n in (-1, 1)}
     state = FloquetDensityMatrix({**blocks, 0: guess.blocks[0]}, model.omega, 1)
     engine = SweepEngine(mpo, state)
-    problem = engine.site_problem(0, deflation=deflation)
+    problem = engine.site_problem()
+    if deflation:
+        problem.deflate(deflation)
     mat = problem.dense_matrix()
     v0 = problem.current_vector()
     if case == "singular":
@@ -715,7 +767,7 @@ def test_zero_pivot_at_an_exact_shift_falls_back_loudly(caplog):
     # counted, and it returns the steady state
     model = single_qubit_model(gamma=0.8)
     engine = SweepEngine(build_extended_lindbladian(model, 0), initial_guess(1, 2, 0, model.omega))
-    problem = engine.site_problem(0)
+    problem = engine.site_problem()
     with caplog.at_level(logging.DEBUG, logger="floquet_ness.solver"):
         theta, vec = solver._local_eigensolve(problem, problem.current_vector(), 0.0, tol=1e-11, dense_cutoff=700)
     assert engine.local_solves == counted(dense_fallback=1)
@@ -747,7 +799,9 @@ def test_every_method_raises_its_refusal(method, reason, monkeypatch):
     state = at_one_bond(initial_guess(3, 2, 1, model.omega, noise_amplitude=1e-2, seed=3, noise_bond=4), 4)
     engine = SweepEngine(mpo, state)
     engine.advance_to(1)
-    problem = engine.site_problem(1, deflation=solver.DEFLATION_SHIFT if method == "_arnoldi" else 0.0)
+    problem = engine.site_problem()
+    if method == "_arnoldi":
+        problem.deflate(solver.DEFLATION_SHIFT)
     v0 = problem.current_vector()
     blocks = problem.diagonal_blocks()
     bound = 1e-11 * np.linalg.norm(blocks)
@@ -827,7 +881,7 @@ def test_tethered_solve_matches_dense_eig(chain, offset, caplog):
     for site in range(3):
         engine = SweepEngine(mpo, state)
         engine.advance_to(site)
-        problem = engine.site_problem(site)
+        problem = engine.site_problem()
         mat = problem.dense_matrix()
         values, vectors = np.linalg.eig(mat)
         sigma = values[np.argmin(np.abs(values))] + offset if offset else 0.0
@@ -865,7 +919,7 @@ def test_converged_starts_are_accepted_before_any_method(cutoff, monkeypatch):
     engine = SweepEngine(mpo, ness)
     for site in range(3):
         engine.advance_to(site)
-        problem = engine.site_problem(site)
+        problem = engine.site_problem()
         v0 = problem.current_vector()
         theta, vec = solver._local_eigensolve(problem, v0, 0.0, tol=1e-11, dense_cutoff=cutoff)
         assert np.array_equal(vec, v0 / np.linalg.norm(v0))
@@ -884,7 +938,7 @@ def test_eigenvector_away_from_the_shift_is_not_accepted(cutoff, method):
     for site in range(3):
         engine = SweepEngine(mpo, ness)
         engine.advance_to(site)
-        problem = engine.site_problem(site)
+        problem = engine.site_problem()
         mat = problem.dense_matrix()
         values, vectors = np.linalg.eig(mat)
         nearest, runner_up = np.argsort(np.abs(values))[:2]
@@ -907,7 +961,7 @@ def test_refused_tethered_solve_returns_the_dense_answer(case, monkeypatch, capl
     state = at_one_bond(initial_guess(3, 2, 1, model.omega, noise_amplitude=1e-2, seed=3, noise_bond=4), 4)
     engine = SweepEngine(mpo, state)
     engine.advance_to(1)
-    problem = engine.site_problem(1)  # the centre site, dimension 192 in three harmonic blocks
+    problem = engine.site_problem()  # the centre site, dimension 192 in three harmonic blocks
     v0 = problem.current_vector()
     if case == "gmres":
         monkeypatch.setattr(solver, "_block_jacobi", stalled_preconditioner)
@@ -1005,14 +1059,14 @@ def test_idle_second_sweep_ends_the_stage_at_the_centre(monkeypatch):
     cfg = quick_config(1, 8)
     start = initial_guess(3, 2, 1, model.omega, noise_amplitude=cfg.noise_amplitude, seed=cfg.seed, noise_bond=8)
     report = solver.SolveReport()
-    engine, theta = solver._sweep_schedule(build_extended_lindbladian(model, 1), start, cfg, report, 0.0, "ness")
+    engine, problem, theta = solver._sweep_schedule(build_extended_lindbladian(model, 1), start, cfg, report, 0.0, "ness")
     (entry,) = report.stage_log
     assert len(entry["sweep_residuals"]) == 2 < cfg.warmup.sweeps
     assert entry["local_solves"] == counted(converged_start=6, shift_invert=3)
     assert [site for site, _, _ in solves] == [0, 1, 2, 1] * 2 + [1]
     assert [accept for _, accept, _ in solves] == [True] * 8 + [False]
     assert theta == solves[-1][2]
-    assert engine.center == 1
+    assert engine.center == problem.site == 1
 
 
 def test_small_sweep_residual_does_not_end_the_stage(monkeypatch):
@@ -1032,12 +1086,13 @@ def test_small_sweep_residual_does_not_end_the_stage(monkeypatch):
 
 
 def swept_engine(model, cfg):
-    """The sweep engine of `solve_ness` on `model` at cutoff 1, bond 8, as the degeneracy check finds it."""
+    """The sweep engine of `solve_ness` on `model` at cutoff 1, bond 8, and its centre solve's problem,
+    as the degeneracy check finds them."""
     start = initial_guess(3, 2, 1, model.omega, noise_amplitude=cfg.noise_amplitude, seed=cfg.seed, noise_bond=8)
-    engine, _ = solver._sweep_schedule(
+    engine, problem, _ = solver._sweep_schedule(
         build_extended_lindbladian(model, 1), start, cfg, solver.SolveReport(), 0.0, "ness"
     )
-    return engine
+    return engine, problem
 
 
 def hessenberg_eig_sizes(monkeypatch):
@@ -1063,16 +1118,16 @@ def test_deflated_check_matches_eig_runner_up(chain):
     # engine's centre there leaves the state as it was
     model = ising_l3() if chain == "ising" else build_dtc_model(DTCParams(chain_length=3), n_c=1)
     cfg = quick_config(1, 8)
-    engine = swept_engine(model, cfg)
+    engine, problem = swept_engine(model, cfg)
     state = engine.state()
     assert engine.local_solves == counted(converged_start=6, shift_invert=3)
     before = dict(engine.local_solves)
-    theta, residual = solver._deflated_check(engine, cfg, np.random.default_rng(3))
+    theta, residual = solver._deflated_check(problem, cfg, np.random.default_rng(3))
     assert {method: count - before[method] for method, count in engine.local_solves.items()} == counted(shift_invert=1)
     assert engine.center == 1
     for n, block in engine.state().blocks.items():
         assert np.max(np.abs(block.to_dense() - state.blocks[n].to_dense())) < 1e-13
-    mat = engine.site_problem(1).dense_matrix()
+    mat = engine.site_problem().dense_matrix()
     values = np.linalg.eig(mat)[0]
     steady, runner_up = values[np.argsort(np.abs(values))[:2]]
     scale = np.linalg.norm(mat)
@@ -1090,12 +1145,12 @@ def test_dense_degeneracy_check_tests_few_ritz_pairs(monkeypatch):
     # stops after few: 14 steps on the Ising chain, where converging the
     # pair to the sweeps' tolerance took 22
     cfg = quick_config(1, 8)
-    engine = swept_engine(ising_l3(), cfg)
+    engine, problem = swept_engine(ising_l3(), cfg)
     sizes = hessenberg_eig_sizes(monkeypatch)
-    theta, residual = solver._deflated_check(engine, cfg, np.random.default_rng(3))
+    theta, residual = solver._deflated_check(problem, cfg, np.random.default_rng(3))
     assert sizes == list(range(1, len(sizes) + 1)) and len(sizes) <= 16  # 14 when measured
     assert engine.inverse_solves == sizes[-1] + 1  # every step's and one polishing application
-    mat = engine.site_problem(1).dense_matrix()
+    mat = engine.site_problem().dense_matrix()
     values = np.linalg.eigvals(mat)
     runner_up = values[np.argsort(np.abs(values))[1]]
     assert abs(theta - runner_up) <= residual
@@ -1106,17 +1161,17 @@ def test_shift_invert_tests_its_last_step(monkeypatch, caplog):
     # accepts there, at its last step, and one step fewer is refused and
     # falls back to eig
     cfg = quick_config(1, 8)
-    engine = swept_engine(ising_l3(), cfg)
+    engine, problem = swept_engine(ising_l3(), cfg)
     sizes = hessenberg_eig_sizes(monkeypatch)
     monkeypatch.setattr(solver, "KRYLOV_DIM", 14)
     before = dict(engine.local_solves)
-    solver._deflated_check(engine, cfg, np.random.default_rng(3))
+    solver._deflated_check(problem, cfg, np.random.default_rng(3))
     assert {method: count - before[method] for method, count in engine.local_solves.items()} == counted(shift_invert=1)
     assert sizes == list(range(1, 15))
     assert engine.inverse_solves == 15
     monkeypatch.setattr(solver, "KRYLOV_DIM", 13)
     with caplog.at_level(logging.WARNING, logger="floquet_ness.solver"):
-        solver._deflated_check(engine, cfg, np.random.default_rng(3))
+        solver._deflated_check(engine.site_problem(), cfg, np.random.default_rng(3))
     assert engine.local_solves["dense_fallback"] == before["dense_fallback"] + 1
     assert "no Ritz pair accepted within 13 steps" in caplog.text
 
@@ -1170,13 +1225,27 @@ def test_stage_log_entries_carry_label_and_target():
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 5])
-def test_sweep_sites_solve_each_end_site_once(length):
-    # a sweep solves every site, each end site once: 2 (L - 1) solves (one at
-    # L = 1), each next to the one before, so the centre never jumps
-    sites = solver._sweep_sites(length)
-    assert {site for site, _ in sites} == set(range(length))
-    assert len(sites) == max(2 * (length - 1), 1)
-    assert all(abs(a - b) == 1 for (a, _), (b, _) in zip(sites, sites[1:]))
+def test_sweep_sites_solve_each_end_site_once(length, monkeypatch):
+    # a sweep solves at the engine's centre and then moves it: from site 0 it
+    # solves every site, each end site once, 2 (L - 1) solves (one at L = 1),
+    # each next to the one before, so the centre never jumps; the stage's
+    # last solve is at the centre site L // 2
+    sites = []
+
+    def records(problem, v0, *args, **kwargs):
+        sites.append(problem.site)
+        return 0.0, v0
+
+    monkeypatch.setattr(solver, "_local_eigensolve", records)
+    jumps = {f"d{i}": {0: LocalOperator(i, SM)} for i in range(length)}
+    model = ModelSpec(length, 2.0, {}, jumps).validate()
+    state = initial_guess(length, 2, 0, model.omega, noise_amplitude=1e-2, seed=1)
+    cfg = quick_config(0, 2, warmup=SweepStage(0, 2, 1))
+    solver._sweep_schedule(build_extended_lindbladian(model, 0), state, cfg, solver.SolveReport(), 0.0, "sites")
+    *sweep, centre = sites
+    assert set(sweep) == set(range(length)) and centre == length // 2
+    assert len(sweep) == max(2 * (length - 1), 1)
+    assert all(abs(a - b) == 1 for a, b in zip(sweep, sweep[1:]))
 
 
 def test_sweeps_keep_unit_norm():
@@ -1187,7 +1256,7 @@ def test_sweeps_keep_unit_norm():
     state = initial_guess(3, 2, 1, model.omega, noise_amplitude=1e-4, seed=2, noise_bond=8)
     assert abs(state.norm() - 1.0) > 0.1
     cfg = quick_config(1, 8, warmup=make_warmup_schedule(1, 8, warm_sweeps=1, final_sweeps=1))
-    engine, _ = solver._sweep_schedule(mpo, state, cfg, solver.SolveReport(), 0.0, "norm")
+    engine, _, _ = solver._sweep_schedule(mpo, state, cfg, solver.SolveReport(), 0.0, "norm")
     assert abs(engine.state().norm() - 1.0) < 1e-12
 
 
@@ -1219,7 +1288,9 @@ def test_decay_mode_of_a_closed_chain_does_not_decay():
     # with no jump operator the penalty strength is 10, and every mode of
     # -i[H, .] lies on the imaginary axis: the slowest is one of them, and
     # only roundoff gives it a real part, within the certified residual, so
-    # tau_relax is infinite whatever that roundoff's sign
+    # tau_relax is infinite whatever that roundoff's sign. Here it is a
+    # conserved traceless mode at lambda = 0 (about 1e-16), a mode of the
+    # degenerate kernel on which solve_ness raises, and the report says so
     ham = {0: [LocalOperator(0, -np.kron(PAULI["Z"], PAULI["Z"]))] + [LocalOperator(i, 0.7 * PAULI["X"]) for i in (0, 1)]}
     model = ModelSpec(2, 4.0, ham, {}).validate()
     decay = solve_first_decay_mode(model, initial_guess(2, 2, 1, model.omega), quick_config(1, 4))
@@ -1227,19 +1298,30 @@ def test_decay_mode_of_a_closed_chain_does_not_decay():
     assert abs(lam.real) < 1e-12
     assert decay.tau_relax == np.inf
     assert np.min(np.abs(np.linalg.eigvals(dense_extended_lindbladian(model, 1)) - lam)) < 1e-8
-    assert decay.report.converged and not decay.report.warnings
+    assert decay.report.converged and abs(lam) <= decay.report.fixed_point_residual
+    assert_kernel_mode_warning(decay)
+    with pytest.raises(DegenerateSteadyStateError):
+        solve_ness(model, quick_config(1, 4))
+
+
+def assert_kernel_mode_warning(decay):
+    # a converged lambda within its fixed-point residual of 0 is reported
+    # as a mode of a degenerate kernel, and nothing else is warned about
+    (warning,) = decay.report.warnings
+    assert warning.startswith("decay eigenvalue") and "a mode of a degenerate kernel, which does not decay" in warning
 
 
 @pytest.mark.parametrize("n_c", [1, 2])
 def test_decay_mode_of_a_closed_driven_chain_does_not_decay(n_c):
     # the driven XZ chain without its jump: roundoff gives Re lambda of
     # either sign here (about -3e-16 at n_c = 1, +1e-16 at n_c = 2), and
-    # neither sign may turn into a finite relaxation time
+    # neither sign may turn into a finite relaxation time; lambda itself
+    # (about 1.96i) is no kernel mode, so nothing is warned about
     driven = small_driven_model()
     model = ModelSpec(driven.chain_length, driven.omega, driven.hamiltonian_fourier, {}).validate()
     decay = solve_first_decay_mode(model, initial_guess(2, 2, n_c, model.omega), quick_config(n_c, 4))
     lam = decay.eigenvalue
-    assert abs(lam.real) <= decay.report.fixed_point_residual < 1e-12
+    assert abs(lam.real) <= decay.report.fixed_point_residual < 1e-12 < abs(lam)
     assert decay.tau_relax == np.inf
     assert np.min(np.abs(np.linalg.eigvals(dense_extended_lindbladian(model, n_c)) - lam)) < 1e-8
     assert decay.report.converged and not decay.report.warnings
@@ -1259,6 +1341,7 @@ def test_decay_mode_at_zero_converges():
     assert decay.report.converged
     assert abs(decay.eigenvalue) < 1e-12
     assert decay.tau_relax == np.inf
+    assert_kernel_mode_warning(decay)
 
 
 def test_solves_are_deterministic_for_a_seed():
@@ -1336,8 +1419,8 @@ def test_decay_mode_with_positive_real_part_fails_before_the_left_solve(monkeypa
 
     def growing(*args):
         labels.append(args[-1])
-        engine, _ = original(*args)
-        return engine, 0.25 + 0.5j
+        engine, problem, _ = original(*args)
+        return engine, problem, 0.25 + 0.5j
 
     monkeypatch.setattr(solver, "_sweep_schedule", growing)
     with pytest.raises(solver.SolverError, match="positive real part"):
@@ -1627,49 +1710,59 @@ def test_report_numbers_come_from_the_engine(length, n_c, monkeypatch):
 
 @pytest.mark.parametrize("cutoff", [solver.DENSE_LOCAL_HARD_CAP, 0], ids=["dense", "krylov"])
 def test_degeneracy_check_takes_over_the_centre_operator(cutoff, monkeypatch):
-    # the centre solve writes with direction=None, so the check's problem
-    # takes over what the centre problem assembled (the dense operator, or
-    # above the cutoff the diagonal blocks) and adds only the rank-one term:
-    # the check assembles nothing, and its operator, gap and residual are
-    # bit for bit those of a freshly assembled deflated problem, which a
-    # second check (the centre assembly then consumed) builds
+    # the centre solve's write moves no environment, so the check deflates
+    # that solve's own problem: it builds no second problem, and it assembles
+    # nothing, since the centre solve assembled the dense operator (or above
+    # the cutoff the diagonal blocks) that the deflation only adds to
     cfg = quick_config(1, 8, dense_local_cutoff=cutoff)
-    engine = swept_engine(ising_l3(), cfg)
-    kinds = ("dense", "blocks") if cutoff else ("blocks",)
-    assert engine.center == 1 and sorted(engine.centre_assembled) == sorted(kinds)
-    assemblies, problems = [], []
-    pair_blocks, local_eigensolve = solver.SiteProblem._pair_blocks, solver._local_eigensolve
-
-    def assembles(problem, *args):
-        assemblies.append(problem.deflation)
-        return pair_blocks(problem, *args)
+    solved, local_eigensolve = [], solver._local_eigensolve
 
     def keeps(problem, *args, **kwargs):
-        problems.append(problem)
+        solved.append(problem)
         return local_eigensolve(problem, *args, **kwargs)
 
-    monkeypatch.setattr(solver.SiteProblem, "_pair_blocks", assembles)
     monkeypatch.setattr(solver, "_local_eigensolve", keeps)
-    shared = solver._deflated_check(engine, cfg, np.random.default_rng(3))
-    assert assemblies == [] and engine.centre_assembled == {}
-    fresh = solver._deflated_check(engine, cfg, np.random.default_rng(3))
-    assert shared == fresh
-    assert assemblies == [solver.DEFLATION_SHIFT] * len(kinds)
-    taken, built = problems
-    assert sorted(taken._assembled) == sorted(built._assembled) == sorted(kinds)
-    assert all(np.array_equal(taken._assembled[kind], built._assembled[kind]) for kind in kinds)
+    model = ising_l3()
+    start = initial_guess(3, 2, 1, model.omega, noise_amplitude=cfg.noise_amplitude, seed=cfg.seed, noise_bond=8)
+    engine, problem, _ = solver._sweep_schedule(
+        build_extended_lindbladian(model, 1), start, cfg, solver.SolveReport(), 0.0, "ness"
+    )
+    assert problem is solved.pop() and problem.site == engine.center == 1
+    kinds = ("dense", "blocks") if cutoff else ("blocks",)
+    assert sorted(problem._assembled) == sorted(kinds)
+    assemblies, built = [], []
+    pair_blocks, init = solver.SiteProblem._pair_blocks, solver.SiteProblem.__init__
+
+    def assembles(problem, *args):
+        assemblies.append(problem)
+        return pair_blocks(problem, *args)
+
+    def builds(problem, *args):
+        built.append(problem)
+        init(problem, *args)
+
+    monkeypatch.setattr(solver.SiteProblem, "_pair_blocks", assembles)
+    monkeypatch.setattr(solver.SiteProblem, "__init__", builds)
+    solved.clear()
+    theta, _ = solver._deflated_check(problem, cfg, np.random.default_rng(3))
+    assert solved == [problem] and built == [] and assemblies == []
+    assert problem.deflation == solver.DEFLATION_SHIFT and sorted(problem._assembled) == sorted(kinds)
+    assert abs(theta) > solver.DEGENERACY_TOL
+    with pytest.raises(ValueError, match="already deflated"):
+        solver._deflated_check(problem, cfg, np.random.default_rng(3))
 
 
 def test_solves_free_their_engines_without_the_garbage_collector(monkeypatch):
-    # an engine keeps its centre solve's assembled arrays, not that problem,
-    # which refers back to it: so no reference cycle holds an engine, and
-    # with it a dense operator, once a solve is done with it
-    engines, original = [], solver._sweep_schedule
+    # a centre problem refers to its engine, but no engine refers to a
+    # problem: so no reference cycle holds an engine, and with it a dense
+    # operator, once a solve is done with it and its centre problem
+    engines, problems, original = [], [], solver._sweep_schedule
 
     def keeps(*args):
-        engine, theta = original(*args)
+        engine, problem, theta = original(*args)
         engines.append(weakref.ref(engine))
-        return engine, theta
+        problems.append(weakref.ref(problem))
+        return engine, problem, theta
 
     monkeypatch.setattr(solver, "_sweep_schedule", keeps)
     model, cfg = ising_l3(), quick_config(1, 8)
@@ -1677,7 +1770,8 @@ def test_solves_free_their_engines_without_the_garbage_collector(monkeypatch):
     try:
         ness, _ = solve_ness(model, cfg)
         solve_first_decay_mode(model, ness, cfg)
-        assert len(engines) == 3 and all(engine() is None for engine in engines)
+        assert len(engines) == len(problems) == 3
+        assert all(ref() is None for ref in engines + problems)
     finally:
         gc.enable()
 
@@ -1711,8 +1805,8 @@ def test_decay_modes_are_returned_as_swept(ising_l3_decay, monkeypatch):
     original, engines = solver._sweep_schedule, {}
 
     def keeps(*args):
-        engines[args[-1]], theta = original(*args)
-        return engines[args[-1]], theta
+        engines[args[-1]], *rest = original(*args)
+        return engines[args[-1]], *rest
 
     monkeypatch.setattr(solver, "_sweep_schedule", keeps)
     again = solve_first_decay_mode(ising_l3(), ness, quick_config(1, 8))
@@ -1735,7 +1829,7 @@ def test_slowest_central_is_always_dense(monkeypatch):
     mpo = build_extended_lindbladian(model, 1)
     state = initial_guess(1, 2, 1, model.omega, noise_amplitude=1e-2, seed=3)
     engine = SweepEngine(mpo, state)
-    problem = engine.site_problem(0)
+    problem = engine.site_problem()
 
     def refuse(*args, **kwargs):
         raise AssertionError("ARPACK called")
@@ -1763,7 +1857,7 @@ def test_slowest_central_without_central_value_breaks_down(monkeypatch):
     model = single_qubit_model(gamma=0.7, omega_z=1.1, drive=4.0)
     mpo = build_extended_lindbladian(model, 1)
     state = initial_guess(1, 2, 1, model.omega, noise_amplitude=1e-2, seed=3)
-    problem = SweepEngine(mpo, state).site_problem(0)
+    problem = SweepEngine(mpo, state).site_problem()
 
     def edge_copies(mat):
         values = np.full(mat.shape[0], -0.35 + 1j * model.omega)
@@ -1855,7 +1949,7 @@ def test_normalization_idempotence():
     # one extra production sweep must not move the observables
     mpo = build_extended_lindbladian(model, 1)
     extra = quick_config(1, 4, warmup=SweepStage(n_c=1, chi=4, sweeps=1))
-    engine, _ = solver._sweep_schedule(mpo, state, extra, solver.SolveReport(), 0.0, "extra")
+    engine, _, _ = solver._sweep_schedule(mpo, state, extra, solver.SolveReport(), 0.0, "extra")
     again = engine.state()
     t0 = again.block_trace(0)
     again = again.scaled(1.0 / t0)
@@ -1910,6 +2004,10 @@ def test_config_validation():
     with pytest.raises(ValueError, match="seed must be at least 0"):
         SweepConfig(warmup=SweepStage(1, 4, 2), seed=-1).validate()
     SweepConfig(warmup=SweepStage(1, 4, 2), seed=0).validate()
+    # a warmup that is no SweepStage failed inside dataclasses.asdict
+    for warmup in (None, (1, 4, 2)):
+        with pytest.raises(ValueError, match=r"warmup must be a SweepStage, got (None|\(1, 4, 2\))"):
+            SweepConfig(warmup=warmup).validate()
     SweepConfig(
         warmup=SweepStage(np.int64(1), np.int32(4), np.int64(2)), dense_local_cutoff=np.int64(40), seed=np.int64(5)
     ).validate()
