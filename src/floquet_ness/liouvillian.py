@@ -168,9 +168,11 @@ def build_extended_lindbladian(model: ModelSpec, n_c: int) -> FloquetMPO:
 
     Components with ``|q| > 2 n_c`` cannot connect any retained blocks and
     are dropped. A warning is emitted when this drops one of the model's
-    transfers (:meth:`ModelSpec.transfers`) or its Hamiltonian carries
-    harmonics beyond ``n_c``, since part of the drive then acts only through
-    folded paths.
+    transfers (:meth:`ModelSpec.transfers`), and another when nothing is
+    dropped but its Hamiltonian carries harmonics beyond ``n_c``: their
+    transfers are kept, but they never reach the static block ``0``, so
+    part of the drive acts only through folded paths. Both begin
+    ``model harmonics``.
     Each component is compressed as :meth:`Mpo.from_local_terms` assembles it;
     a ``q = 0`` component without terms is the zero MPO of bond 1. A
     component of a chain of up to three sites whose couplings have full rank
@@ -185,7 +187,11 @@ def build_extended_lindbladian(model: ModelSpec, n_c: int) -> FloquetMPO:
         warnings.warn(
             f"model harmonics (H up to {model.max_hamiltonian_harmonic}, transfers up to "
             f"{largest}) exceed the frequency cutoff n_c={n_c}; "
-            "out-of-range components are dropped",
+            + (
+                f"transfers above 2 n_c = {2 * n_c} are dropped"
+                if largest > 2 * n_c
+                else "every transfer is kept, but those above n_c never reach the static block"
+            ),
             stacklevel=2,
         )
     p = model.site_dim**2

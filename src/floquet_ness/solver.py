@@ -17,9 +17,13 @@ returned with no method run. Otherwise local problems up to
 ``SweepConfig.dense_local_cutoff`` are densified: a shift target is found by
 shift-invert (one LU factorization of ``A - sigma I`` and a short Arnoldi run
 on its inverse, whose top Ritz pair is tested after every step and accepted
-only on a small true residual), every refused one and ``"slowest_central"``
-(the right decay solve's first sweep; later sweeps track that mode at a
-shift) by a full LAPACK diagonalization.
+only on a small true residual), and every refused one by a full LAPACK
+diagonalization. ``"slowest_central"`` (the right decay solve's first sweep;
+later sweeps track that mode at a shift) takes the eigenvalues, then one
+tethered LU: LAPACK's eigenvalues alone (no eigenvectors) pick ``theta``,
+and the tethered system below at ``sigma = theta`` gives its vector,
+accepted only on a true residual; a refused one (a value of multiplicity
+above one) falls back to the full diagonalization.
 Above the cutoff nothing is densified. A sweep's shift, which is (nearly) a
 local eigenvalue, is solved as the tethered linear system
 ``(A - sigma I + u u^H) x = u`` (``u`` the current centre vector); the
@@ -184,8 +188,9 @@ DEGENERACY_TOL = 1e-7  # a deflated local eigenvalue this close to 0 is degenera
 DEFLATION_SHIFT = 1000.0  # the degeneracy check moves the converged state's eigenvalue to -this
 # Methods a local solve is counted under in `SweepEngine.local_solves`: at a
 # shift, a start that already passes the acceptance test, returned with no
-# method run; shift-invert below the dense cutoff; `eig` for the slowest
-# central value; above the cutoff, shift-invert ARPACK for the deflated
+# method run; shift-invert below the dense cutoff; `dense_eig` for the
+# slowest central value, from the eigenvalues, then one tethered LU of the
+# dense problem; above the cutoff, shift-invert ARPACK for the deflated
 # degeneracy check and the tethered solve for the sweeps, whose inverse is an
 # exact LU solve at one harmonic block and GMRES at more (the engine's
 # `gmres_iterations` counts that work); a dense `eig` (or shift-invert) after
@@ -209,8 +214,9 @@ class SweepConfig:
     carries seeded noise of `noise_amplitude` at the full bond; it must be
     positive. Local problems up to `dense_local_cutoff` (an integer, at most
     DENSE_LOCAL_HARD_CAP) are densified: solves at a shift (every solve but
-    the right decay mode's first sweep, which uses `eig`) whose start does
-    not already pass use shift-invert (LU plus a short Arnoldi on the
+    the right decay mode's first sweep, which takes the eigenvalues, then
+    one tethered LU, at any size up to the cap) whose start does not
+    already pass use shift-invert (LU plus a short Arnoldi on the
     inverse, its Ritz pair tested after every step) and fall back to a full
     `eig` when it is refused. Larger sweep problems at a shift are solved by
     the tethered solve, and the degeneracy check's deflated problem by
@@ -631,8 +637,8 @@ class SiteProblem:
         return self._assembled["blocks"]
 
 
-def _slowest_central(values, vectors, engine):
-    """Largest-real-part eigenpair (Im >= 0 of a pair, up to 1e-10 of the
+def _slowest_central(values, engine):
+    """Largest-real-part eigenvalue (Im >= 0 of a pair, up to 1e-10 of the
     spectrum's largest modulus, so a real value keeps its roundoff of either
     sign); with a harmonic ladder (cutoff >= 1) only values with
     ``|Im theta| < omega / 2``. Raises :class:`EigensolverBreakdown` when no
@@ -642,8 +648,7 @@ def _slowest_central(values, vectors, engine):
         central &= np.abs(values.imag) < engine.omega / 2
     if not central.any():
         raise EigensolverBreakdown(f"no central local eigenvalue at dim {len(values)}")
-    best = np.flatnonzero(central)[np.argmax(values.real[central])]
-    return values[best], vectors[:, best]
+    return values[np.flatnonzero(central)[np.argmax(values.real[central])]]
 
 
 def _lu(mat):
@@ -694,7 +699,9 @@ def _shift_invert(problem: SiteProblem, matvec, blocks, v0, sigma, bound):
     when the LU factorization is unusable (so when `sigma` is an exact
     eigenvalue) or no Ritz pair of largest ``|mu|`` reaches ``||A v - theta
     v|| <= bound`` within KRYLOV_DIM steps. `v0` is nonzero. An accepted
-    vector is polished by one inverse-iteration step.
+    vector is polished by one inverse-iteration step, for the sweeps; on a
+    deflated problem (the degeneracy check, which reads only ``theta`` and
+    the residual) the accepted Ritz vector is returned.
 
     The top Ritz pair is tested after every step (a Hessenberg ``eig`` and
     one true residual), and the loop stops early when the basis closes on an
@@ -720,6 +727,8 @@ def _shift_invert(problem: SiteProblem, matvec, blocks, v0, sigma, bound):
             vec = basis[:, : j + 1] @ ritz[:, top]
             vec /= np.linalg.norm(vec)
             if np.linalg.norm(matvec(vec) - theta * vec) <= bound:
+                if problem.deflation:  # the degeneracy check reads only theta and the residual
+                    return theta, vec
                 vec = inverse(vec)
                 return theta, vec / np.linalg.norm(vec)
         if hess[j + 1, j] == 0:
@@ -851,9 +860,10 @@ def _shifted_inverse(problem: SiteProblem, blocks, sigma, bound, tether=None):
 
 def _tethered_solve(problem: SiteProblem, v0, sigma, blocks, bound):
     """Eigenpair of the local problem at a shift `sigma` that is (nearly) one
-    of its eigenvalues, from the tethered linear system
-    ``(A - sigma I + u u^H) x = u`` with ``u = v0 / ||v0||``, solved by the
-    tethered inverse of :func:`_shifted_inverse`.
+    of its eigenvalues (a sweep's shift above the dense cutoff, or the
+    slowest central value on the dense matrix), from the tethered linear
+    system ``(A - sigma I + u u^H) x = u`` with ``u = v0 / ||v0||``, solved
+    by the tethered inverse of :func:`_shifted_inverse`.
 
     When `sigma` is an exact eigenvalue, its left null vector ``w`` turns the
     system into ``(w^H u)(1 - u^H x) = 0``, so ``u^H x = 1`` and
@@ -969,9 +979,17 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff, accep
     """Solve the local eigenproblem, returning ``(theta, vector)``.
 
     `target` is a shift ``sigma`` (the eigenvalue nearest it) or
-    ``"slowest_central"`` (:func:`_slowest_central`), always taken from a
-    full ``np.linalg.eig`` of the dense problem; above DENSE_LOCAL_HARD_CAP,
-    or with no central eigenvalue, it raises :class:`EigensolverBreakdown`.
+    ``"slowest_central"`` (:func:`_slowest_central`), always taken from the
+    dense problem at any size up to DENSE_LOCAL_HARD_CAP: the eigenvalues,
+    then one tethered LU. ``np.linalg.eigvals`` (no eigenvectors) picks
+    ``sigma``, and :func:`_tethered_solve` of the dense matrix at it (one
+    LU of ``A - sigma I + u u^H``, ``u`` the unit `v0`) gives its vector,
+    accepted only on a true residual and at ``|theta - sigma|`` within the
+    bound below: after a refused solve its Rayleigh-quotient retries may
+    reach another value, which is not the pick. Above DENSE_LOCAL_HARD_CAP, or with no
+    central eigenvalue, it raises :class:`EigensolverBreakdown`; a refused
+    tethered LU (a value of multiplicity above one) falls back to
+    :func:`_nearest_eig` at ``sigma``, with one WARNING log.
 
     At a shift, a harmonic block above DENSE_LOCAL_HARD_CAP raises
     :class:`EigensolverBreakdown` before anything is built: every method
@@ -979,7 +997,8 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff, accep
     ``tol ||D||``, ``D`` the harmonic diagonal blocks (Frobenius norm), is
     computed once, and every method and the ``eig`` tie-break
     (:func:`_nearest_eig`) accept at it. No method starts from a zero `v0`,
-    so ``eig`` answers it, with one WARNING log. Otherwise the start is
+    so ``eig`` answers it (at the slowest central value, for that target),
+    with one WARNING log. Otherwise the start is
     tested first (:func:`_tested_start`): one that passes is returned,
     normalized, unless `accept_start` is false, and an eigenvector of an
     eigenvalue away from the shift gets a random part added. Then a problem
@@ -996,56 +1015,61 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff, accep
     refused method raises :class:`EigensolverBreakdown` instead.
 
     Each solve is counted in ``problem.engine.local_solves`` under the
-    method that answered it (``"converged_start"`` for an accepted start),
-    or under ``"dense_fallback"`` after a zero start or a refusal.
+    method that answered it (``"converged_start"`` for an accepted start,
+    ``"dense_eig"`` for the slowest central pick), or under
+    ``"dense_fallback"`` after a zero start or a refusal.
     """
     dim = problem.dim
     counts = problem.engine.local_solves
-    if target == "slowest_central":
-        if dim > DENSE_LOCAL_HARD_CAP:
-            raise EigensolverBreakdown(f"slowest central value wanted at dim {dim}, above the dense cap")
-        counts["dense_eig"] += 1
-        values, vectors = np.linalg.eig(problem.dense_matrix())
-        return _slowest_central(values, vectors, problem.engine)
-    sigma = target
+    central = target == "slowest_central"
+    if central and dim > DENSE_LOCAL_HARD_CAP:
+        raise EigensolverBreakdown(f"slowest central value wanted at dim {dim}, above the dense cap")
     block = dim // len(problem.engine.harmonics)
     if block > DENSE_LOCAL_HARD_CAP:  # the methods above the cutoff factorize the blocks
         raise EigensolverBreakdown(f"harmonic block of dim {block} above the dense cap, at dim {dim}")
     blocks = problem.diagonal_blocks()
     bound = tol * np.linalg.norm(blocks)
+    sigma = _slowest_central(np.linalg.eigvals(problem.dense_matrix()), problem.engine) if central else target
     if not np.linalg.norm(v0) > 0:  # no method starts from a zero vector
         if dim > DENSE_LOCAL_HARD_CAP:
             raise EigensolverBreakdown(f"zero start vector at dim {dim}, above the dense cap")
         logger.warning("zero start vector at dim %d; solving with eig", dim)
         counts["dense_fallback"] += 1
         return _nearest_eig(problem.dense_matrix(), sigma, v0, bound)
-    found, v0 = _tested_start(problem, v0, sigma, bound)
-    if found is not None and accept_start:
-        counts["converged_start"] += 1
-        return found
     fallback = False
-    if dim > max(dense_cutoff, 2):  # ARPACK needs k = 1 < dim - 1
-        method, name = ("arnoldi", "Arnoldi") if problem.deflation else ("tethered", "tethered GMRES")
-        try:
-            if problem.deflation:
-                found = _arnoldi(problem, v0, sigma, blocks, bound, tol)
-            else:
-                found = _tethered_solve(problem, v0, sigma, blocks, bound)
-            counts[method] += 1
+    if not central:
+        found, v0 = _tested_start(problem, v0, sigma, bound)
+        if found is not None and accept_start:
+            counts["converged_start"] += 1
             return found
-        except EigensolverBreakdown as err:
-            if dim > DENSE_LOCAL_HARD_CAP:
-                raise EigensolverBreakdown(f"{name} failed at dim {dim}: {err}") from err
-            logger.warning("%s failed at dim %d (%s); solving densely", name, dim, err)
-        fallback = True
+        if dim > max(dense_cutoff, 2):  # ARPACK needs k = 1 < dim - 1
+            method, name = ("arnoldi", "Arnoldi") if problem.deflation else ("tethered", "tethered GMRES")
+            try:
+                if problem.deflation:
+                    found = _arnoldi(problem, v0, sigma, blocks, bound, tol)
+                else:
+                    found = _tethered_solve(problem, v0, sigma, blocks, bound)
+                counts[method] += 1
+                return found
+            except EigensolverBreakdown as err:
+                if dim > DENSE_LOCAL_HARD_CAP:
+                    raise EigensolverBreakdown(f"{name} failed at dim {dim}: {err}") from err
+                logger.warning("%s failed at dim %d (%s); solving densely", name, dim, err)
+            fallback = True
     mat = problem.dense_matrix()
+    method, name = ("dense_eig", "tethered LU") if central else ("shift_invert", "shift-invert")
     try:
-        found = _shift_invert(problem, mat.__matmul__, mat[None], v0, sigma, bound)
+        if central:  # sigma is an eigenvalue: one tethered LU gives its vector
+            found = _tethered_solve(problem, v0, sigma, mat[None], bound)
+            if not abs(found[0] - sigma) <= bound:  # a retry reached another value
+                raise EigensolverBreakdown(f"tethered pair at {found[0]:.6g}, not at {sigma:.6g}")
+        else:
+            found = _shift_invert(problem, mat.__matmul__, mat[None], v0, sigma, bound)
     except EigensolverBreakdown as err:
-        logger.warning("shift-invert refused at dim %d (%s); solving with eig", dim, err)
+        logger.warning("%s refused at dim %d (%s); solving with eig", name, dim, err)
         counts["dense_fallback"] += 1
         return _nearest_eig(mat, sigma, v0, bound)
-    counts["dense_fallback" if fallback else "shift_invert"] += 1
+    counts["dense_fallback" if fallback else method] += 1
     return found
 
 
@@ -1065,11 +1089,12 @@ def _sweep_schedule(mpo, state, cfg, report, target, label):
     sweep whose every local solve accepted its start (``"converged_start"``)
     would be followed by the same, so it ends the stage; otherwise the stage
     runs ``stage.sweeps`` sweeps. For ``"slowest_central"`` only the first
-    sweep solves for it; later sweeps track the mode at the sweep before's
-    last local eigenvalue, as a shift (Yu, Pekker, Clark, PRL 118, 017201
-    (2017)). A sweep's residual is the largest distance of its local
-    eigenvalues from the shift it solved at (a shift `target`, or the
-    tracked value); the first ``"slowest_central"`` sweep, which has no
+    sweep solves for it, from the dense eigenvalues, then one tethered LU
+    per site (:func:`_local_eigensolve`); later sweeps track the mode at the
+    sweep before's last local eigenvalue, as a shift (Yu, Pekker, Clark,
+    PRL 118, 017201 (2017)). A sweep's residual is the largest distance of
+    its local eigenvalues from the shift it solved at (a shift `target`, or
+    the tracked value); the first ``"slowest_central"`` sweep, which has no
     shift, measures its spread about its last value. It is logged and
     stops nothing. The stage ends with one solve at the centre site
     ``L // 2`` at the last shift, which never accepts its start. Every local
@@ -1278,8 +1303,8 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
     entry records its ``"degeneracy_gap"`` and ``"degeneracy_residual"``,
     counts its local solve, its time and its GMRES iterations, and records
     under ``"degeneracy_inverse_solves"`` how often it applied its
-    shift-invert inverse, on the dense path its Arnoldi steps and polishing
-    step (:class:`SolveReport` lists every key). :func:`_finish_report` describes the
+    shift-invert inverse, on the dense path its Arnoldi steps
+    (:class:`SolveReport` lists every key). :func:`_finish_report` describes the
     normalized state at ``theta = 0``, with the centre solve's eigenvalue;
     only a steady state adds its trace and Hermiticity defects per harmonic
     and warns about weight in the edge harmonic and Hermiticity defects.
@@ -1393,8 +1418,11 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
     norms of one jump operator's Fourier components. That moves all kernel
     copies at once while leaving genuine decay modes alone, and the solve
     targets ``"slowest_central"`` from random blocks at the stage's bond
-    dimension. The left partner is the eigenvector of the bare adjoint
-    generator at ``conj(lambda)``, solved at that shift from the right mode.
+    dimension: its first sweep takes each site's eigenvalues, then one
+    tethered LU for the vector of the slowest central one
+    (:func:`_local_eigensolve`). The left partner is the eigenvector of the
+    bare adjoint generator at ``conj(lambda)``, solved at that shift from
+    the right mode.
     `ness` must be the model's steady state at the stage's cutoff: a chain
     length, site dimension, ``omega`` or cutoff that differs from the
     model's raises ``ValueError`` before any sweep.

@@ -264,6 +264,24 @@ def test_cutoff_warning_reads_the_real_transfers():
         build_extended_lindbladian(model, 1)
 
 
+def test_cutoff_warning_says_dropped_only_when_a_transfer_is_dropped():
+    # a drive at harmonics +-2 keeps its transfers -2, 0 and 2 at n_c = 1
+    # (at most 2 n_c), so that warning drops nothing; at n_c = 0 the
+    # transfers +-2 are dropped, and only that warning says so
+    drive = {n: [LocalOperator(0, 0.3 * PAULI["X"])] for n in (-2, 2)}
+    model = ModelSpec(1, 4.0, drive, {"d": {0: LocalOperator(0, SM)}}).validate()
+    for n_c, kept, ending in [
+        (1, [-2, 0, 2], "n_c=1; every transfer is kept, but those above n_c never reach the static block"),
+        (0, [0], "n_c=0; transfers above 2 n_c = 0 are dropped"),
+    ]:
+        with pytest.warns(UserWarning, match="model harmonics") as caught:
+            mpo = build_extended_lindbladian(model, n_c)
+        (message,) = [str(w.message) for w in caught]
+        assert sorted(mpo.components) == kept
+        assert message.endswith(ending)
+        assert ("dropped" in message) == (n_c == 0)
+
+
 def test_operator_bond_dimension_is_documented_scale():
     # One three-site (radius-1) jump window: operator bond dimension <= 16.
     window = np.kron(np.kron(SM, PAULI["Z"]), PAULI["X"])

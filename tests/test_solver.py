@@ -639,7 +639,8 @@ def test_stage_log_counts_the_degeneracy_checks_inner_solves(monkeypatch):
     # above the cutoff the check's shift-invert inverse runs GMRES: the
     # stage's GMRES iterations include the check's, and the report says how
     # often the check applied its inverse; below the cutoff its dense
-    # shift-invert applies one LU inverse per Arnoldi step and one to polish
+    # shift-invert applies one LU inverse per Arnoldi step and none to polish
+    # the accepted vector, which the check does not use
     checked = keep_checked_engine(monkeypatch)
     model = ising_l3()
     _, report = solve_ness(model, quick_config(1, 4, dense_local_cutoff=100))
@@ -650,7 +651,7 @@ def test_stage_log_counts_the_degeneracy_checks_inner_solves(monkeypatch):
     _, report = solve_ness(model, quick_config(1, 4))
     (entry,) = json.loads(json.dumps(report.to_dict()))["stage_log"]
     assert entry["gmres_iterations"] == 0
-    assert entry["degeneracy_inverse_solves"] == 16  # 15 steps and the polishing one
+    assert entry["degeneracy_inverse_solves"] == 15  # 15 steps, no polishing one
 
 
 def ising_l3():
@@ -1133,7 +1134,9 @@ def test_deflated_check_matches_eig_runner_up(chain):
     scale = np.linalg.norm(mat)
     assert abs(steady) <= 1e-8 * scale
     assert abs(runner_up) > solver.DEGENERACY_TOL
-    assert abs(theta - runner_up) <= residual <= solver.DEGENERACY_TOL * scale
+    # the check returns its accepted Ritz vector, unpolished: its residual
+    # is bounded by the acceptance bound of the deflated problem
+    assert abs(theta - runner_up) <= residual <= solver.DEGENERACY_TOL * np.linalg.norm(problem.diagonal_blocks())
     _, report = solve_ness(model, cfg)
     entry = report.stage_log[-1]
     assert abs(entry["degeneracy_gap"] - abs(runner_up)) <= entry["degeneracy_residual"]
@@ -1149,7 +1152,7 @@ def test_dense_degeneracy_check_tests_few_ritz_pairs(monkeypatch):
     sizes = hessenberg_eig_sizes(monkeypatch)
     theta, residual = solver._deflated_check(problem, cfg, np.random.default_rng(3))
     assert sizes == list(range(1, len(sizes) + 1)) and len(sizes) <= 16  # 14 when measured
-    assert engine.inverse_solves == sizes[-1] + 1  # every step's and one polishing application
+    assert engine.inverse_solves == sizes[-1]  # every step's, and no polishing application
     mat = engine.site_problem().dense_matrix()
     values = np.linalg.eigvals(mat)
     runner_up = values[np.argsort(np.abs(values))[1]]
@@ -1168,7 +1171,7 @@ def test_shift_invert_tests_its_last_step(monkeypatch, caplog):
     solver._deflated_check(problem, cfg, np.random.default_rng(3))
     assert {method: count - before[method] for method, count in engine.local_solves.items()} == counted(shift_invert=1)
     assert sizes == list(range(1, 15))
-    assert engine.inverse_solves == 15
+    assert engine.inverse_solves == 14  # one per step, no polishing one
     monkeypatch.setattr(solver, "KRYLOV_DIM", 13)
     with caplog.at_level(logging.WARNING, logger="floquet_ness.solver"):
         solver._deflated_check(engine.site_problem(), cfg, np.random.default_rng(3))
@@ -1276,7 +1279,8 @@ def test_stage_log_reports_discarded_weight_and_bond():
 
 
 def assert_right_solve_tracks_after_one_eig_sweep(decay, per_sweep, centre):
-    # one dense eig per local solve of the first sweep (`per_sweep` of them);
+    # one dense pick (eigenvalues, then a tethered LU) per local solve of the
+    # first sweep (`per_sweep` of them);
     # at the tracked shift every start of the second sweep passes, so it is
     # idle and ends the stage, and the centre solve answers by `centre`
     (entry,) = [e for e in decay.report.stage_log if e["label"] == "decay right"]
@@ -1284,24 +1288,67 @@ def assert_right_solve_tracks_after_one_eig_sweep(decay, per_sweep, centre):
     assert entry["local_solves"] == counted(dense_eig=per_sweep, converged_start=per_sweep, **{centre: 1})
 
 
+def closed_two_site_chain():
+    """Two sites, -ZZ + 0.7 (X_0 + X_1), at omega 4, with no jump operator."""
+    ham = {0: [LocalOperator(0, -np.kron(PAULI["Z"], PAULI["Z"]))] + [LocalOperator(i, 0.7 * PAULI["X"]) for i in (0, 1)]}
+    return ModelSpec(2, 4.0, ham, {}).validate()
+
+
 def test_decay_mode_of_a_closed_chain_does_not_decay():
     # with no jump operator the penalty strength is 10, and every mode of
     # -i[H, .] lies on the imaginary axis: the slowest is one of them, and
     # only roundoff gives it a real part, within the certified residual, so
-    # tau_relax is infinite whatever that roundoff's sign. Here it is a
-    # conserved traceless mode at lambda = 0 (about 1e-16), a mode of the
-    # degenerate kernel on which solve_ness raises, and the report says so
-    ham = {0: [LocalOperator(0, -np.kron(PAULI["Z"], PAULI["Z"]))] + [LocalOperator(i, 0.7 * PAULI["X"]) for i in (0, 1)]}
-    model = ModelSpec(2, 4.0, ham, {}).validate()
+    # tau_relax is infinite whatever that roundoff's sign. Which mode is the
+    # slowest is a roundoff tie (a conserved traceless mode at lambda = 0,
+    # or one at 1.2795i), so the test takes either: the report calls the
+    # mode one of the degenerate kernel on which solve_ness raises exactly
+    # when lambda is 0 within its residual, and warns of nothing else
+    model = closed_two_site_chain()
     decay = solve_first_decay_mode(model, initial_guess(2, 2, 1, model.omega), quick_config(1, 4))
     lam = decay.eigenvalue
     assert abs(lam.real) < 1e-12
     assert decay.tau_relax == np.inf
     assert np.min(np.abs(np.linalg.eigvals(dense_extended_lindbladian(model, 1)) - lam)) < 1e-8
-    assert decay.report.converged and abs(lam) <= decay.report.fixed_point_residual
-    assert_kernel_mode_warning(decay)
+    assert decay.report.converged
+    if abs(lam) <= decay.report.fixed_point_residual:
+        assert_kernel_mode_warning(decay)
+    else:
+        assert not decay.report.warnings
     with pytest.raises(DegenerateSteadyStateError):
         solve_ness(model, quick_config(1, 4))
+
+
+def test_refused_tethered_pick_returns_the_eig_answer(monkeypatch, caplog):
+    # after the penalty the closed chain's central values include 0 three
+    # times and +-1.2795i twice each; the first sweep's second problem (dim
+    # 48, the whole space at L = 2) picks 1.2795i, whose tethered matrix is
+    # singular to roundoff, so the pick is refused and falls back to eig
+    # loudly: one WARNING, one dense_fallback count, and a pair of the dense
+    # spectrum
+    model = closed_two_site_chain()
+    original, refused = solver._local_eigensolve, []
+
+    def recording(problem, v0, target, *args, **kwargs):
+        before = problem.engine.local_solves["dense_fallback"]
+        theta, vec = original(problem, v0, target, *args, **kwargs)
+        if problem.engine.local_solves["dense_fallback"] > before:
+            refused.append((target, problem.dense_matrix(), theta, vec))
+        return theta, vec
+
+    monkeypatch.setattr(solver, "_local_eigensolve", recording)
+    with caplog.at_level(logging.WARNING, logger="floquet_ness.solver"):
+        decay = solve_first_decay_mode(model, initial_guess(2, 2, 1, model.omega), quick_config(1, 4))
+    (record,) = [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert record.getMessage().startswith("tethered LU refused at dim 48")
+    (entry, _) = decay.report.stage_log
+    assert entry["label"] == "decay right" and entry["local_solves"]["dense_fallback"] == 1
+    ((target, mat, theta, vec),) = refused
+    assert target == "slowest_central" and mat.shape == (48, 48)
+    values = np.linalg.eigvals(mat)
+    for value, count in [(0, 3), (1.2795349466j, 2), (-1.2795349466j, 2)]:
+        assert np.sum(np.abs(values - value) < 1e-8) == count
+    assert np.min(np.abs(values - theta)) < 1e-10 * np.linalg.norm(mat)
+    assert np.linalg.norm(mat @ vec - theta * vec) < 1e-10 * np.linalg.norm(mat)
 
 
 def assert_kernel_mode_warning(decay):
@@ -1392,7 +1439,7 @@ def test_decay_mode_amplitude_damping():
     assert decay.identity_overlap < 1e-8
     assert decay.steady_overlap < 1e-6
     assert decay.report.converged and not decay.report.warnings
-    # the right mode's first sweep is solved by eig, the centre solves of
+    # the right mode's first sweep is a dense pick, the centre solves of
     # both modes at a shift, where the LU is exactly singular on this qubit
     # (the shift is an exact local eigenvalue) and the solve falls back to
     # eig; the right mode is also the left one, so the left solve's one
@@ -1448,8 +1495,8 @@ def test_decay_mode_refuses_a_foreign_steady_state(monkeypatch):
 
 def test_decay_mode_of_undriven_chain_above_cutoff_zero():
     # without a drive the harmonic blocks decouple, so the right mode's first
-    # eig leaves the blocks n != 0 exactly zero; the left solve starts from
-    # them and must give the cutoff-0 answer
+    # sweep leaves the blocks n != 0 at roundoff (about 1e-45); the left
+    # solve starts from them and must give the cutoff-0 answer
     zz = np.kron(PAULI["Z"], PAULI["Z"])
     model = ModelSpec(
         2,
@@ -1463,7 +1510,7 @@ def test_decay_mode_of_undriven_chain_above_cutoff_zero():
         decay = solve_first_decay_mode(model, solve_ness(model, cfg)[0], cfg)
         assert decay.report.converged
         lams.append(decay.eigenvalue)
-    assert all(decay.right.blocks[n].norm() == 0.0 for n in (-1, 1))
+    assert all(decay.right.blocks[n].norm() < 1e-30 for n in (-1, 1))
     assert abs(lams[1] - lams[0]) < 1e-10
 
 
@@ -1587,7 +1634,7 @@ def test_decay_mode_dtc_l3_central_zone():
 
 
 def test_decay_mode_tethered_gmres_central_zone():
-    # the right mode's first sweep is a dense eig (largest local dimension
+    # the right mode's first sweep is a dense pick (largest local dimension
     # 192, above the cutoff); its later sweeps solve the tethered system at
     # the tracked shift by GMRES, and so does the left mode at its shift;
     # ARPACK never runs
@@ -1783,10 +1830,8 @@ def test_slowest_central_keeps_a_real_value_with_negative_roundoff():
     # only the upper member counts
     values = np.array([-0.6 + 0.9j, -0.6 - 0.9j, 6.3e-17 - 5.1e-17j, -1.0])
     engine = types.SimpleNamespace(cutoff=1, omega=4.0)
-    theta, vec = solver._slowest_central(values, np.eye(4), engine)
-    assert theta == values[2] and vec[2] == 1
-    theta, vec = solver._slowest_central(values[[1, 0, 3]], np.eye(3), engine)
-    assert theta == values[0] and vec[1] == 1
+    assert solver._slowest_central(values, engine) == values[2]
+    assert solver._slowest_central(values[[1, 0, 3]], engine) == values[0]
 
 
 def test_decay_right_solve_tracks_a_shift_on_ising_l3(ising_l3_decay):
@@ -1823,8 +1868,8 @@ def test_decay_modes_are_returned_as_swept(ising_l3_decay, monkeypatch):
 
 
 def test_slowest_central_is_always_dense(monkeypatch):
-    # above the dense cutoff the slowest central value still comes from a
-    # dense eig; above the hard cap it raises; ARPACK is never called
+    # above the dense cutoff the slowest central value still comes from the
+    # dense eigenvalues; above the hard cap it raises; ARPACK is never called
     model = single_qubit_model(gamma=0.7, omega_z=1.1, drive=4.0)
     mpo = build_extended_lindbladian(model, 1)
     state = initial_guess(1, 2, 1, model.omega, noise_amplitude=1e-2, seed=3)
@@ -1851,6 +1896,64 @@ def test_slowest_central_is_always_dense(monkeypatch):
     assert engine.local_solves == counted(dense_eig=1)
 
 
+def test_slowest_central_pick_refuses_a_tethered_pair_at_another_value(monkeypatch, caplog):
+    # the pick keeps its value: a tethered pair of another eigenvalue (forced
+    # here; the Rayleigh-quotient retries after a refused solve can reach
+    # one) is refused loudly, and the eig fallback answers at the picked value
+    model = single_qubit_model(gamma=0.7, omega_z=1.1, drive=4.0)
+    mpo = solver._trace_penalized(build_extended_lindbladian(model, 1), 10.0)
+    engine = SweepEngine(mpo, initial_guess(1, 2, 1, model.omega, noise_amplitude=1e-2, seed=3))
+    problem = engine.site_problem()
+    values, vectors = np.linalg.eig(problem.dense_matrix())
+    other = np.argmin(np.abs(values + 0.7))  # the slowest is -0.35 + 1.1i
+    monkeypatch.setattr(solver, "_tethered_solve", lambda *args: (values[other], vectors[:, other]))
+    with caplog.at_level(logging.WARNING, logger="floquet_ness.solver"):
+        theta, vec = solver._local_eigensolve(
+            problem, problem.current_vector(), "slowest_central", tol=1e-10, dense_cutoff=100
+        )
+    assert abs(theta - (-0.35 + 1.1j)) < 1e-12
+    assert np.linalg.norm(problem.matvec(vec) - theta * vec) < 1e-12
+    (record,) = caplog.records
+    assert record.getMessage().startswith("tethered LU refused at dim 12 (tethered pair at -0.7")
+    assert engine.local_solves == counted(dense_fallback=1)
+
+
+class FirstSweepDone(Exception):
+    pass
+
+
+@pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # DTC harmonics exceed n_c = 1
+@pytest.mark.parametrize("chain", ["ising", "dtc"])
+def test_slowest_central_pick_is_the_dense_eig_value(chain, monkeypatch, caplog):
+    # the right decay solve's first sweep takes the slowest central value
+    # from the eigenvalues alone and its vector from one tethered LU: on each
+    # problem of that sweep (the next sweep tracks a shift, and the test
+    # stops there) the value is a dense eig's slowest central one, and the
+    # vector meets the local solve's residual bound, with no fallback
+    model = ising_l3() if chain == "ising" else build_dtc_model(DTCParams(chain_length=3), n_c=1)
+    cfg = quick_config(1, 8)
+    original, picks, counts = solver._local_eigensolve, [], {}
+
+    def recording(problem, v0, target, tol, dense_cutoff, accept_start=True):
+        if target != "slowest_central":
+            raise FirstSweepDone
+        theta, vec = original(problem, v0, target, tol, dense_cutoff, accept_start)
+        picks.append((problem.dense_matrix(), tol * np.linalg.norm(problem.diagonal_blocks()), theta, vec))
+        counts.update(problem.engine.local_solves)
+        return theta, vec
+
+    monkeypatch.setattr(solver, "_local_eigensolve", recording)
+    with caplog.at_level(logging.WARNING, logger="floquet_ness.solver"), pytest.raises(FirstSweepDone):
+        solve_first_decay_mode(model, initial_guess(3, 2, 1, model.omega), cfg)
+    assert not caplog.records
+    assert len(picks) == 4 and counts == counted(dense_eig=4)
+    for mat, bound, theta, vec in picks:
+        values = np.linalg.eig(mat)[0]
+        central = values[(np.abs(values.imag) < model.omega / 2) & (values.imag > -1e-10 * np.abs(values).max())]
+        assert abs(theta - central[np.argmax(central.real)]) <= 1e-10 * np.linalg.norm(mat)
+        assert np.linalg.norm(mat @ vec - theta * vec) <= bound
+
+
 def test_slowest_central_without_central_value_breaks_down(monkeypatch):
     # a dense spectrum of edge copies only (|Im theta| > omega / 2) has no
     # slowest central value: the solve raises instead of taking an edge copy
@@ -1862,9 +1965,9 @@ def test_slowest_central_without_central_value_breaks_down(monkeypatch):
     def edge_copies(mat):
         values = np.full(mat.shape[0], -0.35 + 1j * model.omega)
         values[::2] = values[::2].conj()
-        return values, np.eye(mat.shape[0], dtype=complex)
+        return values
 
-    monkeypatch.setattr(solver.np.linalg, "eig", edge_copies)
+    monkeypatch.setattr(solver.np.linalg, "eigvals", edge_copies)
     with pytest.raises(EigensolverBreakdown, match="no central local eigenvalue"):
         solver._local_eigensolve(
             problem, problem.current_vector(), "slowest_central", tol=1e-10, dense_cutoff=100
