@@ -699,9 +699,7 @@ def _shift_invert(problem: SiteProblem, matvec, blocks, v0, sigma, bound):
     when the LU factorization is unusable (so when `sigma` is an exact
     eigenvalue) or no Ritz pair of largest ``|mu|`` reaches ``||A v - theta
     v|| <= bound`` within KRYLOV_DIM steps. `v0` is nonzero. An accepted
-    vector is polished by one inverse-iteration step, for the sweeps; on a
-    deflated problem (the degeneracy check, which reads only ``theta`` and
-    the residual) the accepted Ritz vector is returned.
+    vector is polished by one inverse-iteration step.
 
     The top Ritz pair is tested after every step (a Hessenberg ``eig`` and
     one true residual), and the loop stops early when the basis closes on an
@@ -727,8 +725,6 @@ def _shift_invert(problem: SiteProblem, matvec, blocks, v0, sigma, bound):
             vec = basis[:, : j + 1] @ ritz[:, top]
             vec /= np.linalg.norm(vec)
             if np.linalg.norm(matvec(vec) - theta * vec) <= bound:
-                if problem.deflation:  # the degeneracy check reads only theta and the residual
-                    return theta, vec
                 vec = inverse(vec)
                 return theta, vec / np.linalg.norm(vec)
         if hess[j + 1, j] == 0:
@@ -980,16 +976,17 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff, accep
 
     `target` is a shift ``sigma`` (the eigenvalue nearest it) or
     ``"slowest_central"`` (:func:`_slowest_central`), always taken from the
-    dense problem at any size up to DENSE_LOCAL_HARD_CAP: the eigenvalues,
-    then one tethered LU. ``np.linalg.eigvals`` (no eigenvectors) picks
-    ``sigma``, and :func:`_tethered_solve` of the dense matrix at it (one
-    LU of ``A - sigma I + u u^H``, ``u`` the unit `v0`) gives its vector,
-    accepted only on a true residual and at ``|theta - sigma|`` within the
-    bound below: after a refused solve its Rayleigh-quotient retries may
-    reach another value, which is not the pick. Above DENSE_LOCAL_HARD_CAP, or with no
-    central eigenvalue, it raises :class:`EigensolverBreakdown`; a refused
-    tethered LU (a value of multiplicity above one) falls back to
-    :func:`_nearest_eig` at ``sigma``, with one WARNING log.
+    dense problem at any size up to DENSE_LOCAL_HARD_CAP (above it, or with
+    no central eigenvalue, it raises :class:`EigensolverBreakdown`): the
+    eigenvalues, then one tethered LU. ``np.linalg.eigvals`` (no
+    eigenvectors) picks ``sigma``, and :func:`_tethered_solve` of the dense
+    matrix at it (one LU of ``A - sigma I + u u^H``, ``u`` the unit `v0`)
+    gives its vector, accepted only on a true residual and at ``|theta -
+    sigma|`` within the bound below (after a refused solve its
+    Rayleigh-quotient retries may reach another value, which is not the
+    pick). A refused tethered LU (a value of multiplicity above one) or a
+    zero `v0` falls back to :func:`_nearest_eig` at ``sigma``, with one
+    WARNING log.
 
     At a shift, a harmonic block above DENSE_LOCAL_HARD_CAP raises
     :class:`EigensolverBreakdown` before anything is built: every method
@@ -997,8 +994,7 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff, accep
     ``tol ||D||``, ``D`` the harmonic diagonal blocks (Frobenius norm), is
     computed once, and every method and the ``eig`` tie-break
     (:func:`_nearest_eig`) accept at it. No method starts from a zero `v0`,
-    so ``eig`` answers it (at the slowest central value, for that target),
-    with one WARNING log. Otherwise the start is
+    so ``eig`` answers it, with one WARNING log. Otherwise the start is
     tested first (:func:`_tested_start`): one that passes is returned,
     normalized, unless `accept_start` is false, and an eigenvector of an
     eigenvalue away from the shift gets a random part added. Then a problem
@@ -1021,55 +1017,63 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff, accep
     """
     dim = problem.dim
     counts = problem.engine.local_solves
-    central = target == "slowest_central"
-    if central and dim > DENSE_LOCAL_HARD_CAP:
-        raise EigensolverBreakdown(f"slowest central value wanted at dim {dim}, above the dense cap")
+    if target == "slowest_central":
+        if dim > DENSE_LOCAL_HARD_CAP:
+            raise EigensolverBreakdown(f"slowest central value wanted at dim {dim}, above the dense cap")
+        mat = problem.dense_matrix()
+        sigma = _slowest_central(np.linalg.eigvals(mat), problem.engine)
+        bound = tol * np.linalg.norm(problem.diagonal_blocks())
+        try:  # sigma is an eigenvalue: one tethered LU gives its vector
+            if not np.linalg.norm(v0) > 0:
+                raise EigensolverBreakdown("zero start vector")
+            found = _tethered_solve(problem, v0, sigma, mat[None], bound)
+            if not abs(found[0] - sigma) <= bound:  # a retry reached another value
+                raise EigensolverBreakdown(f"tethered pair at {found[0]:.6g}, not at {sigma:.6g}")
+        except EigensolverBreakdown as err:
+            logger.warning("tethered LU refused at dim %d (%s); solving with eig", dim, err)
+            counts["dense_fallback"] += 1
+            return _nearest_eig(mat, sigma, v0, bound)
+        counts["dense_eig"] += 1
+        return found
+    sigma = target
     block = dim // len(problem.engine.harmonics)
     if block > DENSE_LOCAL_HARD_CAP:  # the methods above the cutoff factorize the blocks
         raise EigensolverBreakdown(f"harmonic block of dim {block} above the dense cap, at dim {dim}")
     blocks = problem.diagonal_blocks()
     bound = tol * np.linalg.norm(blocks)
-    sigma = _slowest_central(np.linalg.eigvals(problem.dense_matrix()), problem.engine) if central else target
     if not np.linalg.norm(v0) > 0:  # no method starts from a zero vector
         if dim > DENSE_LOCAL_HARD_CAP:
             raise EigensolverBreakdown(f"zero start vector at dim {dim}, above the dense cap")
         logger.warning("zero start vector at dim %d; solving with eig", dim)
         counts["dense_fallback"] += 1
         return _nearest_eig(problem.dense_matrix(), sigma, v0, bound)
+    found, v0 = _tested_start(problem, v0, sigma, bound)
+    if found is not None and accept_start:
+        counts["converged_start"] += 1
+        return found
     fallback = False
-    if not central:
-        found, v0 = _tested_start(problem, v0, sigma, bound)
-        if found is not None and accept_start:
-            counts["converged_start"] += 1
+    if dim > max(dense_cutoff, 2):  # ARPACK needs k = 1 < dim - 1
+        method, name = ("arnoldi", "Arnoldi") if problem.deflation else ("tethered", "tethered GMRES")
+        try:
+            if problem.deflation:
+                found = _arnoldi(problem, v0, sigma, blocks, bound, tol)
+            else:
+                found = _tethered_solve(problem, v0, sigma, blocks, bound)
+            counts[method] += 1
             return found
-        if dim > max(dense_cutoff, 2):  # ARPACK needs k = 1 < dim - 1
-            method, name = ("arnoldi", "Arnoldi") if problem.deflation else ("tethered", "tethered GMRES")
-            try:
-                if problem.deflation:
-                    found = _arnoldi(problem, v0, sigma, blocks, bound, tol)
-                else:
-                    found = _tethered_solve(problem, v0, sigma, blocks, bound)
-                counts[method] += 1
-                return found
-            except EigensolverBreakdown as err:
-                if dim > DENSE_LOCAL_HARD_CAP:
-                    raise EigensolverBreakdown(f"{name} failed at dim {dim}: {err}") from err
-                logger.warning("%s failed at dim %d (%s); solving densely", name, dim, err)
-            fallback = True
+        except EigensolverBreakdown as err:
+            if dim > DENSE_LOCAL_HARD_CAP:
+                raise EigensolverBreakdown(f"{name} failed at dim {dim}: {err}") from err
+            logger.warning("%s failed at dim %d (%s); solving densely", name, dim, err)
+        fallback = True
     mat = problem.dense_matrix()
-    method, name = ("dense_eig", "tethered LU") if central else ("shift_invert", "shift-invert")
     try:
-        if central:  # sigma is an eigenvalue: one tethered LU gives its vector
-            found = _tethered_solve(problem, v0, sigma, mat[None], bound)
-            if not abs(found[0] - sigma) <= bound:  # a retry reached another value
-                raise EigensolverBreakdown(f"tethered pair at {found[0]:.6g}, not at {sigma:.6g}")
-        else:
-            found = _shift_invert(problem, mat.__matmul__, mat[None], v0, sigma, bound)
+        found = _shift_invert(problem, mat.__matmul__, mat[None], v0, sigma, bound)
     except EigensolverBreakdown as err:
-        logger.warning("%s refused at dim %d (%s); solving with eig", name, dim, err)
+        logger.warning("shift-invert refused at dim %d (%s); solving with eig", dim, err)
         counts["dense_fallback"] += 1
         return _nearest_eig(mat, sigma, v0, bound)
-    counts["dense_fallback" if fallback else method] += 1
+    counts["dense_fallback" if fallback else "shift_invert"] += 1
     return found
 
 
@@ -1303,8 +1307,8 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
     entry records its ``"degeneracy_gap"`` and ``"degeneracy_residual"``,
     counts its local solve, its time and its GMRES iterations, and records
     under ``"degeneracy_inverse_solves"`` how often it applied its
-    shift-invert inverse, on the dense path its Arnoldi steps
-    (:class:`SolveReport` lists every key). :func:`_finish_report` describes the
+    shift-invert inverse, on the dense path its Arnoldi steps and polishing
+    step (:class:`SolveReport` lists every key). :func:`_finish_report` describes the
     normalized state at ``theta = 0``, with the centre solve's eigenvalue;
     only a steady state adds its trace and Hermiticity defects per harmonic
     and warns about weight in the edge harmonic and Hermiticity defects.

@@ -639,8 +639,7 @@ def test_stage_log_counts_the_degeneracy_checks_inner_solves(monkeypatch):
     # above the cutoff the check's shift-invert inverse runs GMRES: the
     # stage's GMRES iterations include the check's, and the report says how
     # often the check applied its inverse; below the cutoff its dense
-    # shift-invert applies one LU inverse per Arnoldi step and none to polish
-    # the accepted vector, which the check does not use
+    # shift-invert applies one LU inverse per Arnoldi step and one to polish
     checked = keep_checked_engine(monkeypatch)
     model = ising_l3()
     _, report = solve_ness(model, quick_config(1, 4, dense_local_cutoff=100))
@@ -651,7 +650,7 @@ def test_stage_log_counts_the_degeneracy_checks_inner_solves(monkeypatch):
     _, report = solve_ness(model, quick_config(1, 4))
     (entry,) = json.loads(json.dumps(report.to_dict()))["stage_log"]
     assert entry["gmres_iterations"] == 0
-    assert entry["degeneracy_inverse_solves"] == 15  # 15 steps, no polishing one
+    assert entry["degeneracy_inverse_solves"] == 16  # 15 steps and the polishing one
 
 
 def ising_l3():
@@ -1134,9 +1133,7 @@ def test_deflated_check_matches_eig_runner_up(chain):
     scale = np.linalg.norm(mat)
     assert abs(steady) <= 1e-8 * scale
     assert abs(runner_up) > solver.DEGENERACY_TOL
-    # the check returns its accepted Ritz vector, unpolished: its residual
-    # is bounded by the acceptance bound of the deflated problem
-    assert abs(theta - runner_up) <= residual <= solver.DEGENERACY_TOL * np.linalg.norm(problem.diagonal_blocks())
+    assert abs(theta - runner_up) <= residual <= solver.DEGENERACY_TOL * scale
     _, report = solve_ness(model, cfg)
     entry = report.stage_log[-1]
     assert abs(entry["degeneracy_gap"] - abs(runner_up)) <= entry["degeneracy_residual"]
@@ -1152,7 +1149,7 @@ def test_dense_degeneracy_check_tests_few_ritz_pairs(monkeypatch):
     sizes = hessenberg_eig_sizes(monkeypatch)
     theta, residual = solver._deflated_check(problem, cfg, np.random.default_rng(3))
     assert sizes == list(range(1, len(sizes) + 1)) and len(sizes) <= 16  # 14 when measured
-    assert engine.inverse_solves == sizes[-1]  # every step's, and no polishing application
+    assert engine.inverse_solves == sizes[-1] + 1  # every step's and one polishing application
     mat = engine.site_problem().dense_matrix()
     values = np.linalg.eigvals(mat)
     runner_up = values[np.argsort(np.abs(values))[1]]
@@ -1171,7 +1168,7 @@ def test_shift_invert_tests_its_last_step(monkeypatch, caplog):
     solver._deflated_check(problem, cfg, np.random.default_rng(3))
     assert {method: count - before[method] for method, count in engine.local_solves.items()} == counted(shift_invert=1)
     assert sizes == list(range(1, 15))
-    assert engine.inverse_solves == 14  # one per step, no polishing one
+    assert engine.inverse_solves == 15
     monkeypatch.setattr(solver, "KRYLOV_DIM", 13)
     with caplog.at_level(logging.WARNING, logger="floquet_ness.solver"):
         solver._deflated_check(engine.site_problem(), cfg, np.random.default_rng(3))
@@ -1320,35 +1317,40 @@ def test_decay_mode_of_a_closed_chain_does_not_decay():
 
 def test_refused_tethered_pick_returns_the_eig_answer(monkeypatch, caplog):
     # after the penalty the closed chain's central values include 0 three
-    # times and +-1.2795i twice each; the first sweep's second problem (dim
-    # 48, the whole space at L = 2) picks 1.2795i, whose tethered matrix is
-    # singular to roundoff, so the pick is refused and falls back to eig
-    # loudly: one WARNING, one dense_fallback count, and a pair of the dense
-    # spectrum
+    # times and +-1.2795i twice each, where the tethered matrix is singular;
+    # whether LAPACK's LU sees that is roundoff, so the refusal is forced
+    # here. Each pick of the first sweep then falls back to eig loudly (one
+    # WARNING and one dense_fallback count) and still returns a pair of the
+    # dense spectrum; the next sweep tracks a shift, and the test stops there
     model = closed_two_site_chain()
-    original, refused = solver._local_eigensolve, []
+    original, picks, counts = solver._local_eigensolve, [], {}
+
+    def refused(*args):
+        raise EigensolverBreakdown("forced")
 
     def recording(problem, v0, target, *args, **kwargs):
-        before = problem.engine.local_solves["dense_fallback"]
+        if target != "slowest_central":
+            raise FirstSweepDone
         theta, vec = original(problem, v0, target, *args, **kwargs)
-        if problem.engine.local_solves["dense_fallback"] > before:
-            refused.append((target, problem.dense_matrix(), theta, vec))
+        picks.append((problem.dense_matrix(), theta, vec))
+        counts.update(problem.engine.local_solves)
         return theta, vec
 
+    monkeypatch.setattr(solver, "_tethered_solve", refused)
     monkeypatch.setattr(solver, "_local_eigensolve", recording)
-    with caplog.at_level(logging.WARNING, logger="floquet_ness.solver"):
-        decay = solve_first_decay_mode(model, initial_guess(2, 2, 1, model.omega), quick_config(1, 4))
-    (record,) = [r for r in caplog.records if r.levelno >= logging.WARNING]
-    assert record.getMessage().startswith("tethered LU refused at dim 48")
-    (entry, _) = decay.report.stage_log
-    assert entry["label"] == "decay right" and entry["local_solves"]["dense_fallback"] == 1
-    ((target, mat, theta, vec),) = refused
-    assert target == "slowest_central" and mat.shape == (48, 48)
-    values = np.linalg.eigvals(mat)
-    for value, count in [(0, 3), (1.2795349466j, 2), (-1.2795349466j, 2)]:
-        assert np.sum(np.abs(values - value) < 1e-8) == count
-    assert np.min(np.abs(values - theta)) < 1e-10 * np.linalg.norm(mat)
-    assert np.linalg.norm(mat @ vec - theta * vec) < 1e-10 * np.linalg.norm(mat)
+    with caplog.at_level(logging.WARNING, logger="floquet_ness.solver"), pytest.raises(FirstSweepDone):
+        solve_first_decay_mode(model, initial_guess(2, 2, 1, model.omega), quick_config(1, 4))
+    assert [r.getMessage() for r in caplog.records] == [
+        f"tethered LU refused at dim {mat.shape[0]} (forced); solving with eig" for mat, _, _ in picks
+    ]
+    assert counts == counted(dense_fallback=len(picks))
+    assert [mat.shape[0] for mat, _, _ in picks] == [48, 48]  # the whole space at L = 2
+    for mat, theta, vec in picks:
+        values = np.linalg.eigvals(mat)
+        for value, count in [(0, 3), (1.2795349466j, 2), (-1.2795349466j, 2)]:
+            assert np.sum(np.abs(values - value) < 1e-8) == count
+        assert np.min(np.abs(values - theta)) < 1e-10 * np.linalg.norm(mat)
+        assert np.linalg.norm(mat @ vec - theta * vec) < 1e-10 * np.linalg.norm(mat)
 
 
 def assert_kernel_mode_warning(decay):
@@ -1899,7 +1901,8 @@ def test_slowest_central_is_always_dense(monkeypatch):
 def test_slowest_central_pick_refuses_a_tethered_pair_at_another_value(monkeypatch, caplog):
     # the pick keeps its value: a tethered pair of another eigenvalue (forced
     # here; the Rayleigh-quotient retries after a refused solve can reach
-    # one) is refused loudly, and the eig fallback answers at the picked value
+    # one) is refused loudly, and the eig fallback answers at the picked
+    # value; so is a zero start, which cannot tether
     model = single_qubit_model(gamma=0.7, omega_z=1.1, drive=4.0)
     mpo = solver._trace_penalized(build_extended_lindbladian(model, 1), 10.0)
     engine = SweepEngine(mpo, initial_guess(1, 2, 1, model.omega, noise_amplitude=1e-2, seed=3))
@@ -1916,6 +1919,16 @@ def test_slowest_central_pick_refuses_a_tethered_pair_at_another_value(monkeypat
     (record,) = caplog.records
     assert record.getMessage().startswith("tethered LU refused at dim 12 (tethered pair at -0.7")
     assert engine.local_solves == counted(dense_fallback=1)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="floquet_ness.solver"):
+        theta, vec = solver._local_eigensolve(
+            problem, np.zeros(problem.dim, dtype=complex), "slowest_central", tol=1e-10, dense_cutoff=100
+        )
+    assert abs(theta - (-0.35 + 1.1j)) < 1e-12
+    assert np.linalg.norm(problem.matvec(vec) - theta * vec) < 1e-12
+    (record,) = caplog.records
+    assert record.getMessage() == "tethered LU refused at dim 12 (zero start vector); solving with eig"
+    assert engine.local_solves == counted(dense_fallback=2)
 
 
 class FirstSweepDone(Exception):
