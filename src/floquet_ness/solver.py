@@ -26,18 +26,19 @@ accepted only on a true residual; a refused one (a value of multiplicity
 above one) falls back to the full diagonalization.
 Above the cutoff nothing is densified. A sweep's shift, which is (nearly) a
 local eigenvalue, is solved as the tethered linear system
-``(A - sigma I + u u^H) x = u`` (``u`` the current centre vector); the
-degeneracy check's deflated problem, which has no eigenvalue at its shift,
-by ARPACK in shift-invert mode. Every method applies the inverse of
-:func:`_shifted_inverse`: one LU per harmonic diagonal block (a dense matrix
-is one block), exact with one block and otherwise this module's restarted
-GMRES (:func:`_gmres`), right-preconditioned by those LUs (block Jacobi), so
-that its cheap residual estimate is the true residual.
+``(A - sigma I + u u^H) x = u`` (``u`` the current centre vector). Every
+method factors one LU per harmonic diagonal block (:func:`_block_jacobi`; a
+dense matrix is one block), whose solve is the inverse with one block; with
+more, the inverse is this module's restarted GMRES
+(:func:`_shifted_inverse`, :func:`_gmres`), right-preconditioned by those
+LUs (block Jacobi), so that its cheap residual estimate is the true
+residual.
 Every LU is LAPACK's getrf and getrs, called without scipy's wrappers, which
 cost more than the solves at these block sizes. A method that cannot answer
 raises :class:`EigensolverBreakdown` with its reason, and only
-:func:`_local_eigensolve` catches it: it logs a WARNING and falls back to the
-dense path, or re-raises above ``DENSE_LOCAL_HARD_CAP``.
+:func:`_local_eigensolve` (and the degeneracy check, for its own) catches
+it: it logs a WARNING and falls back to the dense path, or re-raises above
+``DENSE_LOCAL_HARD_CAP``.
 Sweeping relaxes the state onto the targeted eigenvector: every
 solve (steady state, right and left decay mode) runs the one sweep stage
 ``SweepConfig.warmup`` (:func:`_sweep_schedule`). It canonicalizes its start
@@ -51,16 +52,20 @@ the start, never grown, so the start must span them (a noisy start at the
 full bond); a bond held at the bond dimension below its exact size is
 reported. The steady state needs no trace constraint: its shifted copies sit
 at ``i s omega``, ``|s| omega`` away from zero. Its degeneracy is checked
-once, after the sweeps, on the centre solve's own problem: the converged
-state, whose local image in the engine's orthonormal frames is the centre
-vector, is deflated out of it (Wielandt, :meth:`SiteProblem.deflate`), and
-its eigenvalue nearest zero must not vanish. The centre solve's write
-moved no environment, so that problem is still valid, and the deflation
-adds only the rank-one term to what it assembled (the dense operator or,
-above the dense cutoff, the harmonic diagonal blocks). That comparison with
-``DEGENERACY_TOL`` is the check's only decision, so its local solve accepts
-at ``DEGENERACY_TOL`` rather than at the sweeps' tolerance, and reports the
-true residual of its answer. The right decay solve moves the
+once, after the sweeps, on the centre solve's own problem and with that
+solve's own factorization, which it hands over by return value: the
+converged state, whose local image in the engine's orthonormal frames is
+the centre vector ``x0``, is projected out by ``P = I - x0 w0^H / (w0^H
+x0)``, and the eigenvalue nearest zero of what remains must not vanish
+(:func:`_deflated_check`). The centre solve's write moved no environment,
+so that problem is still valid, with what it assembled, and the check
+factors nothing: on the dense LU at ``sigma = 0`` one adjoint solve gives
+``w0``, and shift-invert runs on the projected inverse; on the tethered
+inverse above the cutoff ``w0 = x0``, and ARPACK runs on it. That
+comparison with ``DEGENERACY_TOL`` is the check's only decision, so it
+accepts at ``DEGENERACY_TOL`` rather than at the sweeps' tolerance, and
+reports the true residual of the projected operator at its answer. The
+right decay solve moves the
 steady state and its copies away with a penalty that is part of its
 generator: a product operator added to the ``q = 0`` transfer component. So
 every sweep contracts one MPO and nothing else. It is the only trace
@@ -177,24 +182,28 @@ KRYLOV_DIM = 36  # shift-invert steps; GMRES restart length
 GMRES_CYCLES = 8  # GMRES restart cycles of one inverse application (a tethered solve is one)
 TETHER_ATTEMPTS = 5  # tethered solves of one local problem, each from the last one's answer
 # first basis and restarts of the degeneracy check's shift-invert ARPACK run
-# (a retry doubles both): the wanted value leads the inverse's spectrum and
-# converges within a few restarts, and every basis vector costs a GMRES solve
+# above the dense cutoff (a retry doubles both): the wanted value leads the
+# projected inverse's spectrum and converges within a few restarts, and every
+# basis vector costs an application of the centre solve's tethered inverse
 ARNOLDI_DIM = 12
 ARPACK_MAXITER = 50
-# largest local problem densified (slowest central, or a shift after GMRES or
-# ARPACK failed), and largest harmonic block that GMRES preconditioning factorizes
+# largest local problem densified (slowest central, a shift after GMRES failed,
+# or the degeneracy check's eig), and largest harmonic block that GMRES
+# preconditioning factorizes
 DENSE_LOCAL_HARD_CAP = 4096
-DEGENERACY_TOL = 1e-7  # a deflated local eigenvalue this close to 0 is degenerate
-DEFLATION_SHIFT = 1000.0  # the degeneracy check moves the converged state's eigenvalue to -this
+# a centre eigenvalue this close to 0, with the converged state projected out, is degenerate
+DEGENERACY_TOL = 1e-7
 # Methods a local solve is counted under in `SweepEngine.local_solves`: at a
 # shift, a start that already passes the acceptance test, returned with no
 # method run; shift-invert below the dense cutoff; `dense_eig` for the
 # slowest central value, from the eigenvalues, then one tethered LU of the
-# dense problem; above the cutoff, shift-invert ARPACK for the deflated
-# degeneracy check and the tethered solve for the sweeps, whose inverse is an
-# exact LU solve at one harmonic block and GMRES at more (the engine's
-# `gmres_iterations` counts that work); a dense `eig` (or shift-invert) after
-# any of them failed, or for a zero start.
+# dense problem; above the cutoff the tethered solve for the sweeps, whose
+# inverse is an exact LU solve at one harmonic block and GMRES at more (the
+# engine's `gmres_iterations` counts that work); a dense `eig` (or
+# shift-invert) after any of them failed, or for a zero start. The degeneracy
+# check counts its own solve: `shift_invert` on the centre solve's dense LU,
+# shift-invert ARPACK (`arnoldi`) on its tethered inverse, `dense_fallback`
+# for its `eig`.
 LOCAL_METHODS = ("converged_start", "shift_invert", "dense_eig", "arnoldi", "tethered", "dense_fallback")
 
 
@@ -219,10 +228,12 @@ class SweepConfig:
     already pass use shift-invert (LU plus a short Arnoldi on the
     inverse, its Ritz pair tested after every step) and fall back to a full
     `eig` when it is refused. Larger sweep problems at a shift are solved by
-    the tethered solve, and the degeneracy check's deflated problem by
-    shift-invert ARPACK; both invert with one LU per harmonic block, exactly
-    when there is one block and by GMRES otherwise. The sweeps' local solves
-    accept at :func:`_local_tol`, the degeneracy check's at DEGENERACY_TOL,
+    the tethered solve, which inverts with one LU per harmonic block, exactly
+    when there is one block and by GMRES otherwise. The degeneracy check
+    factors nothing: it applies the steady-state centre solve's inverse with
+    the converged state projected out, by shift-invert on the dense LU and
+    by shift-invert ARPACK on the tethered inverse. The sweeps' local solves
+    accept at :func:`_local_tol`, the degeneracy check at DEGENERACY_TOL,
     the only tolerance it decides at. `seed` (an integer, at least 0, not
     ``bool``) seeds the start's noise and the check's random start.
     """
@@ -291,13 +302,17 @@ class SolveReport:
 
     A steady state's entry adds its degeneracy check (:func:`_deflated_check`):
 
-    - ``"degeneracy_gap"``: ``|theta|`` of the deflated centre problem's
-      eigenvalue nearest zero, above DEGENERACY_TOL;
-    - ``"degeneracy_residual"``: the true residual ``||A v - theta v||`` of
-      that unit eigenvector, accepted at DEGENERACY_TOL: ``theta`` is an
-      exact eigenvalue of a problem within this distance of ``A``;
-    - ``"degeneracy_inverse_solves"``: how often the check applied its
-      shift-invert inverse.
+    - ``"degeneracy_gap"``: ``|theta|`` of the centre problem's eigenvalue
+      nearest zero once the converged state is projected out (the
+      runner-up of the state's own value), above DEGENERACY_TOL;
+    - ``"degeneracy_residual"``: the true residual ``||P A v - theta v||``
+      of the projected operator at that unit eigenvector (``||A v - theta
+      v||`` when ``eig`` answered), accepted at DEGENERACY_TOL: ``theta`` is
+      an exact eigenvalue of a problem within this distance of ``P A``;
+    - ``"degeneracy_inverse_solves"``: how often the check applied the
+      centre solve's factorization as its projected inverse; the one
+      adjoint solve on the dense LU is not counted, and ``eig`` applies
+      none.
 
     `schmidt_spectra` (up to 16 values per bond) come from the sweep
     engine's site stacks (:func:`_schmidt_spectra`), and
@@ -354,9 +369,10 @@ class SweepEngine:
 
     `local_solves` counts the engine's local solves by method (keys
     `LOCAL_METHODS`), `gmres_iterations` the GMRES iterations of its
-    tethered solves and of the degeneracy check's inverse, and
-    `inverse_solves` the applications of the degeneracy check's inverse
-    (:func:`_shifted_inverse`), by GMRES or by the LU of its one block.
+    tethered solves, the degeneracy check's applications of the centre
+    solve's tethered inverse included, and `inverse_solves` the degeneracy
+    check's applications of the centre solve's inverse
+    (:func:`_deflated_check`), by GMRES or by the LU of its one block.
 
     The engine acts only at its orthogonality centre `center`: no method
     takes a site. :meth:`site_problem` builds the problem there, and
@@ -505,10 +521,9 @@ class SiteProblem:
     live pair ``(q, n)`` it contracts
     ``L[q, n, a, w, b] W_q[w, p', p, w'] R[q, n, a', w', b']`` in two
     batched products into block ``(n, n - q)`` of the ``(dim, dim)``
-    matrix. The ramp goes on the diagonal and the low-rank update
-    ``back @ rows`` (:meth:`deflate`) is added once. `diagonal_blocks`
-    assembles the same way only the harmonic diagonal blocks ``(n, n)``,
-    from the ``q = 0`` pairs. Each is assembled once per problem and kept
+    matrix, and the ramp goes on the diagonal. `diagonal_blocks` assembles
+    the same way only the harmonic diagonal blocks ``(n, n)``, from the
+    ``q = 0`` pairs. Each is assembled once per problem and kept
     with it (`_assembled`), so callers must not write to them. `matvec`,
     `dense_matrix` and `diagonal_blocks`, assembled or kept, validate the
     environments against the engine version, so a problem kept across a
@@ -519,7 +534,6 @@ class SiteProblem:
     def __init__(self, engine: SweepEngine):
         self.engine = engine
         self.site = site = engine.center
-        self.deflation = 0.0
         self.version = engine.version
         nh, p, l, r = engine.sites[site].shape
         self.shape = (p, l, r)
@@ -529,34 +543,11 @@ class SiteProblem:
         self._left = engine.env_left[site].reshape(pairs, -1, l)  # [pair, (a w), b]
         self._w = engine._wstack[site]  # [pair, (p' w'), (w p)]
         self._right = engine.env_right[site].reshape(pairs, r, -1)  # [pair, a', (w b')]
-        self._assembled = {}  # "dense" [1, dim, dim] and "blocks" [n, m, m], each built once
-        self._rows = np.zeros((0, self.dim), dtype=complex)  # low-rank update back @ rows
-        self._back = self._rows.T
+        self._assembled = {}  # "dense" [dim, dim] and "blocks" [n, m, m], each built once
 
     def _require_current(self):
         if self.version != self.engine.version:
             raise StaleEnvironmentError("site problem built against an older sweep state")
-
-    def deflate(self, shift):
-        """Add ``-shift x0 x0^H / ||x0||^2``, ``x0`` the current centre
-        vector, as the low-rank update ``back @ (rows @ x)`` (``rows =
-        x0^H``), also to what the problem already assembled, in place.
-
-        In orthonormal frames ``x0`` is the local image of the engine's whole
-        state, so this is the projection of the global Wielandt deflation
-        ``-shift |rho><rho| / ||rho||^2``: the degeneracy check deflates the
-        converged state this way, on the centre solve's problem
-        (:func:`_deflated_check`). A problem is deflated once; a second call
-        raises ``ValueError``.
-        """
-        if self.deflation:
-            raise ValueError("the site problem is already deflated")
-        x0 = self.current_vector()
-        self.deflation = shift
-        self._rows = x0.conj()[None]
-        self._back = x0[:, None] * (-shift / np.vdot(x0, x0).real)
-        for assembled in self._assembled.values():
-            self._add_low_rank(assembled)
 
     def unpack(self, vec):
         """Site stack ``[n, p, l, r]`` of a flat local vector."""
@@ -581,8 +572,6 @@ class SiteProblem:
         for group, harmonics in self.engine._groups:  # each harmonic's pairs in order of q
             y[harmonics] += t[group]
         y = y.reshape(nh, l, p, -1).swapaxes(1, 2).reshape(-1, k) + self._diag[:, None] * cols
-        if self._rows.size:
-            y += self._back @ (self._rows @ cols)
         return y.reshape(vec.shape)
 
     def _pair_blocks(self, pairs=slice(None)):
@@ -600,15 +589,6 @@ class SiteProblem:
         blocks = (t.reshape(k, -1, wr) @ right.reshape(k, wr, r * r)).reshape(k, l, l, p, p, r, r)
         return blocks.transpose(0, 3, 1, 5, 4, 2, 6)
 
-    def _add_low_rank(self, out):
-        """`out` ``[k, m, m]`` plus the blocks ``(j, j)`` of the low-rank
-        update ``back @ rows`` cut into k x k blocks, in place (k = 1: the
-        whole update)."""
-        if self._rows.size:
-            k, m, _ = out.shape
-            out += self._back.reshape(k, m, -1) @ self._rows.reshape(-1, k, m).swapaxes(0, 1)
-        return out
-
     def dense_matrix(self):
         """Materialize the local operator from the environments and MPO tensors."""
         self._require_current()
@@ -619,13 +599,13 @@ class SiteProblem:
             out[self.engine._live[1], :, :, :, self.engine._source] = self._pair_blocks()
             out = out.reshape(self.dim, self.dim)
             out.flat[:: self.dim + 1] += self._diag
-            self._assembled["dense"] = self._add_low_rank(out[None])
-        return self._assembled["dense"][0]
+            self._assembled["dense"] = out
+        return self._assembled["dense"]
 
     def diagonal_blocks(self):
         """Diagonal block ``(n, n)`` of every harmonic, ``[n, m, m]`` with
         ``m = p l r``: the ``q = 0`` pairs, one contiguous range of the stack
-        over all harmonics, plus the ramp and the low-rank update's blocks."""
+        over all harmonics, plus the ramp."""
         self._require_current()
         if "blocks" not in self._assembled:
             nh = len(self.engine.harmonics)
@@ -633,7 +613,7 @@ class SiteProblem:
             pairs, _ = self.engine._groups[self.engine.transfers.index(0)]
             out = self._pair_blocks(pairs).reshape(nh, m, m)
             out[:, np.arange(m), np.arange(m)] += self._diag.reshape(nh, m)
-            self._assembled["blocks"] = self._add_low_rank(out)
+            self._assembled["blocks"] = out
         return self._assembled["blocks"]
 
 
@@ -667,12 +647,6 @@ def _lu(mat):
     return lu, piv
 
 
-def _lu_solve(lu, b):
-    """Solution of ``mat x = b`` from the factors :func:`_lu` returned for `mat`."""
-    x, _ = _GETRS(*lu, b)  # info is nonzero only for an illegal argument
-    return x
-
-
 def _arnoldi_step(basis, j, w):
     """Extend the orthonormal columns ``0..j`` of `basis` by `w` (classical
     Gram-Schmidt, twice) as column ``j + 1``, unless the remainder's norm is
@@ -689,17 +663,17 @@ def _arnoldi_step(basis, j, w):
     return h
 
 
-def _shift_invert(problem: SiteProblem, matvec, blocks, v0, sigma, bound):
+def _shift_invert(matvec, inverse, v0, sigma, bound):
     """Eigenpair nearest `sigma` of the operator ``A`` that `matvec` applies,
-    from Arnoldi on ``(A - sigma I)^-1`` (:func:`_shifted_inverse` of its
-    harmonic diagonal `blocks`; the dense path passes ``mat @ x`` and
-    ``mat[None]``), whose eigenvalue ``mu`` gives ``theta = sigma + 1 / mu``.
+    from Arnoldi on `inverse`, which applies ``(A - sigma I)^-1`` (the dense
+    path's LU, :func:`_block_jacobi` of ``mat[None]``, or the degeneracy
+    check's projection of it), whose eigenvalue ``mu`` gives ``theta = sigma
+    + 1 / mu``.
 
     Returns ``(theta, vector)``. It raises :class:`EigensolverBreakdown`
-    when the LU factorization is unusable (so when `sigma` is an exact
-    eigenvalue) or no Ritz pair of largest ``|mu|`` reaches ``||A v - theta
-    v|| <= bound`` within KRYLOV_DIM steps. `v0` is nonzero. An accepted
-    vector is polished by one inverse-iteration step.
+    when no Ritz pair of largest ``|mu|`` reaches ``||A v - theta v|| <=
+    bound`` within KRYLOV_DIM steps. `v0` is nonzero. An accepted vector is
+    polished by one inverse-iteration step.
 
     The top Ritz pair is tested after every step (a Hessenberg ``eig`` and
     one true residual), and the loop stops early when the basis closes on an
@@ -707,9 +681,8 @@ def _shift_invert(problem: SiteProblem, matvec, blocks, v0, sigma, bound):
     their :func:`_local_tol`, the degeneracy check the looser
     DEGENERACY_TOL (:func:`_deflated_check`).
     """
-    inverse = _shifted_inverse(problem, blocks, sigma, bound)
-    steps = min(KRYLOV_DIM, problem.dim)
-    basis = np.zeros((problem.dim, steps + 1), dtype=complex)
+    steps = min(KRYLOV_DIM, len(v0))
+    basis = np.zeros((len(v0), steps + 1), dtype=complex)
     hess = np.zeros((steps + 1, steps), dtype=complex)
     basis[:, 0] = v0 / np.linalg.norm(v0)
     for j in range(steps):
@@ -737,8 +710,9 @@ def _block_jacobi(blocks, sigma, tether=None):
     flat `tether` ``u``): one LU per harmonic diagonal block ``[n, m, m]`` of
     `blocks` (:meth:`SiteProblem.diagonal_blocks`), each shifted and given
     its part of the tether. Returns ``solve``, where ``solve(x)`` applies the
-    inverse of the block diagonal to a flat vector by one getrs per block; an
-    unusable block LU raises (:func:`_lu`)."""
+    inverse of the block diagonal to a flat vector by one getrs per block on
+    the factors of :func:`_lu` (``solve(x, 2)`` the inverse of its adjoint);
+    an unusable block LU raises (:func:`_lu`)."""
     nh, m, _ = blocks.shape
     diagonal = np.arange(m), np.arange(m)
     parts = [None] * nh if tether is None else tether.reshape(nh, m)
@@ -748,8 +722,8 @@ def _block_jacobi(blocks, sigma, tether=None):
         shifted[diagonal] -= sigma
         lus.append(_lu(shifted))
 
-    def solve(x):
-        return np.concatenate([_lu_solve(lu, part) for lu, part in zip(lus, x.reshape(nh, m))])
+    def solve(x, trans=0):  # getrs's info is nonzero only for an illegal argument
+        return np.concatenate([_GETRS(*lu, part, trans=trans)[0] for lu, part in zip(lus, x.reshape(nh, m))])
 
     return solve
 
@@ -819,36 +793,29 @@ def _gmres(problem: SiteProblem, matvec, rhs, jacobi, atol, x0):
     raise EigensolverBreakdown(f"inverse: GMRES did not converge in {GMRES_CYCLES} cycles of {steps} steps")
 
 
-def _shifted_inverse(problem: SiteProblem, blocks, sigma, bound, tether=None):
-    """The inverse of ``A - sigma I`` (plus ``u u^H`` for a flat `tether`
-    ``u``), ``A`` the operator of ``problem.matvec``, that every local solve
-    applies; an unusable LU raises :class:`EigensolverBreakdown`.
+def _shifted_inverse(problem: SiteProblem, jacobi, sigma, bound, tether):
+    """The inverse of ``A - sigma I + u u^H`` (``u`` the flat `tether`),
+    ``A`` the operator of ``problem.matvec``, over several harmonic blocks,
+    from their factored, tethered LUs `jacobi` (:func:`_block_jacobi`).
 
-    One LU is factored per harmonic diagonal block of `blocks`
-    (:func:`_block_jacobi`; a dense matrix is its own one block
-    ``mat[None]``). With one block, ``inverse(b)`` is its LU solve: no GMRES
-    runs and no matvec confirms it. Otherwise it is one :func:`_gmres` solve,
-    right-preconditioned by the block LUs ``M``, from ``M b`` to a true
-    residual of ``0.1 bound ||M b||``: its answer (of norm about ``||M b||``)
-    is exact for a perturbation of ``A`` a tenth of the acceptance bound
-    below (Simoncini & Szyld, SIAM J. Sci. Comput. 25, 454 (2003)), and the
-    ``(dim, dim)`` matrix is never built. A GMRES run that does not converge
-    raises :class:`EigensolverBreakdown`. Each application to a deflated
-    problem (the degeneracy check's) is added to
-    ``problem.engine.inverse_solves``.
+    With one block (a dense matrix is its own one block ``mat[None]``) the
+    block LU's solve is the inverse, and callers apply `jacobi` itself: no
+    GMRES runs and no matvec confirms it. Otherwise ``inverse(b)`` is one
+    :func:`_gmres` solve, right-preconditioned by the block LUs ``M``, from
+    ``M b`` to a true residual of ``0.1 bound ||M b||``: its answer (of norm
+    about ``||M b||``) is exact for a perturbation of ``A`` a tenth of the
+    acceptance bound `bound` (Simoncini & Szyld, SIAM J. Sci. Comput. 25,
+    454 (2003)), and the ``(dim, dim)`` matrix is never built. So one set of
+    LUs serves any bound: the degeneracy check applies the centre solve's at
+    its own. A GMRES run that does not converge raises
+    :class:`EigensolverBreakdown`.
     """
-    jacobi = _block_jacobi(blocks, sigma, tether)
 
     def shifted(x):
-        y = problem.matvec(x) - sigma * x
-        return y if tether is None else y + tether * np.vdot(tether, x)
+        return problem.matvec(x) - sigma * x + tether * np.vdot(tether, x)
 
     def inverse(b):
-        if problem.deflation:
-            problem.engine.inverse_solves += 1
         x0 = jacobi(b)
-        if len(blocks) == 1:
-            return x0
         return _gmres(problem, shifted, b, jacobi, atol=0.1 * bound * np.linalg.norm(x0), x0=x0)
 
     return inverse
@@ -859,7 +826,9 @@ def _tethered_solve(problem: SiteProblem, v0, sigma, blocks, bound):
     of its eigenvalues (a sweep's shift above the dense cutoff, or the
     slowest central value on the dense matrix), from the tethered linear
     system ``(A - sigma I + u u^H) x = u`` with ``u = v0 / ||v0||``, solved
-    by the tethered inverse of :func:`_shifted_inverse`.
+    through the tethered LUs of the harmonic diagonal `blocks`
+    (:func:`_block_jacobi`), exactly with one block and otherwise by
+    :func:`_shifted_inverse`.
 
     When `sigma` is an exact eigenvalue, its left null vector ``w`` turns the
     system into ``(w^H u)(1 - u^H x) = 0``, so ``u^H x = 1`` and
@@ -873,43 +842,44 @@ def _tethered_solve(problem: SiteProblem, v0, sigma, blocks, bound):
     shift well off the eigenvalue converges as Rayleigh-quotient
     iteration), TETHER_ATTEMPTS solves in all.
 
-    Returns ``(theta, vector)``; an unusable block LU, a failed inverse or no
-    accepted pair raises :class:`EigensolverBreakdown`.
+    Returns ``(theta, vector, factored)``, `factored` the accepted solve's
+    ``(jacobi, sigma, u)``, ``jacobi`` its block LUs (:func:`_block_jacobi`);
+    an unusable block LU, a failed inverse or no accepted pair raises
+    :class:`EigensolverBreakdown`.
     """
     u = v0 / np.linalg.norm(v0)
     for _ in range(TETHER_ATTEMPTS):
-        x = _shifted_inverse(problem, blocks, sigma, bound, tether=u)(u)
+        jacobi = _block_jacobi(blocks, sigma, u)
+        x = (jacobi if len(blocks) == 1 else _shifted_inverse(problem, jacobi, sigma, bound, u))(u)
         ax = problem.matvec(x)
         norm = np.linalg.norm(x)
         theta = np.vdot(x, ax) / norm**2
         if np.linalg.norm(ax - theta * x) <= bound * norm:
-            return theta, x / norm
+            return theta, x / norm, (jacobi, sigma, u)
         u, sigma = x / norm, theta
     raise EigensolverBreakdown(f"no pair accepted in {TETHER_ATTEMPTS} tethered solves")
 
 
-def _arnoldi(problem: SiteProblem, v0, sigma, blocks, bound, tol):
-    """Eigenpair nearest `sigma` of a problem with no eigenvalue at `sigma`
-    (the degeneracy check's deflated one), by ARPACK in shift-invert mode
-    (Ericsson & Ruhe, Math. Comp. 35, 1251 (1980)): the eigenvalue ``mu`` of
-    ``(A - sigma I)^-1`` of largest modulus, with ``k = 1``, from `v0` on
-    ARNOLDI_DIM vectors, gives ``theta = sigma + 1 / mu``. ARPACK stays the
-    outer loop; it applies the inverse of :func:`_shifted_inverse` of
-    `blocks` (the deflation's included). `tol` is ARPACK's own stopping
-    tolerance.
+def _arnoldi(matvec, inverse, v0, sigma, bound):
+    """Eigenpair nearest `sigma` of the operator ``A`` that `matvec` applies
+    (the degeneracy check's projected one above the dense cutoff), by ARPACK
+    in shift-invert mode (Ericsson & Ruhe, Math. Comp. 35, 1251 (1980)): the
+    eigenvalue ``mu`` of largest modulus of `inverse`, which applies ``(A -
+    sigma I)^-1``, with ``k = 1``, from `v0` on ARNOLDI_DIM vectors, gives
+    ``theta = sigma + 1 / mu``. ARPACK stays the outer loop, and stops at
+    its own tolerance DEGENERACY_TOL, the check's.
 
     The pair is accepted only on a true residual
     ``||A v - theta v|| <= bound ||v||``, as in :func:`_tethered_solve`. A
     failed or refused attempt is retried once with twice the Krylov space
     and restarts; a partial, unconverged result is never used. Returns
-    ``(theta, vector)``; an unusable block LU or no accepted pair raises
+    ``(theta, vector)``; no accepted pair raises
     :class:`EigensolverBreakdown`, and so does a failed inverse, which is not
     retried.
     """
-    inverse = _shifted_inverse(problem, blocks, sigma, bound)
-    dim = problem.dim
+    dim = len(v0)
     # in shift-invert mode ARPACK applies only `opinv`; `op` gives shape and type
-    op = spla.LinearOperator((dim, dim), matvec=problem.matvec, dtype=complex)
+    op = spla.LinearOperator((dim, dim), matvec=matvec, dtype=complex)
     opinv = spla.LinearOperator((dim, dim), matvec=inverse, dtype=complex)
     for factor in (1, 2):
         try:
@@ -922,13 +892,13 @@ def _arnoldi(problem: SiteProblem, v0, sigma, blocks, bound, tol):
                 v0=v0 / np.linalg.norm(v0),
                 ncv=min(dim, ARNOLDI_DIM * factor),
                 maxiter=ARPACK_MAXITER * factor,
-                tol=tol,
+                tol=DEGENERACY_TOL,
             )
         except spla.ArpackError as err:  # includes ArpackNoConvergence
             reason = str(err)
             continue
         theta, vec = values[0], vectors[:, 0]
-        resid = np.linalg.norm(problem.matvec(vec) - theta * vec) / np.linalg.norm(vec)
+        resid = np.linalg.norm(matvec(vec) - theta * vec) / np.linalg.norm(vec)
         if resid <= bound:
             return theta, vec
         reason = f"Ritz pair refused: residual {resid:.2e} above {bound:.2e}"
@@ -972,7 +942,7 @@ def _nearest_eig(mat, sigma, v0, bound):
 
 
 def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff, accept_start=True):
-    """Solve the local eigenproblem, returning ``(theta, vector)``.
+    """Solve the local eigenproblem, returning ``(theta, vector, factored)``.
 
     `target` is a shift ``sigma`` (the eigenvalue nearest it) or
     ``"slowest_central"`` (:func:`_slowest_central`), always taken from the
@@ -990,7 +960,7 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff, accep
 
     At a shift, a harmonic block above DENSE_LOCAL_HARD_CAP raises
     :class:`EigensolverBreakdown` before anything is built: every method
-    factorizes the blocks (:func:`_shifted_inverse`). One residual bound
+    factorizes the blocks (:func:`_block_jacobi`). One residual bound
     ``tol ||D||``, ``D`` the harmonic diagonal blocks (Frobenius norm), is
     computed once, and every method and the ``eig`` tie-break
     (:func:`_nearest_eig`) accept at it. No method starts from a zero `v0`,
@@ -998,22 +968,29 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff, accep
     tested first (:func:`_tested_start`): one that passes is returned,
     normalized, unless `accept_start` is false, and an eigenvector of an
     eigenvalue away from the shift gets a random part added. Then a problem
-    up to `dense_cutoff` is densified and solved by :func:`_shift_invert`.
-    A larger one is not: a sweep's shift is (nearly) a local eigenvalue,
-    whose vector :func:`_tethered_solve` finds from `v0`, and a deflated
-    problem (the degeneracy check, from a random start) has no eigenvalue
-    at its shift, so shift-invert ARPACK solves it (:func:`_arnoldi`). A
-    method refuses (unusable LU, failed inverse, no accepted pair) by
-    raising :class:`EigensolverBreakdown` with its reason, and this is the
-    one place that catches it: the refusal is logged at WARNING and falls
-    back, either method above the cutoff to the dense shift-invert, and that
-    to :func:`_nearest_eig`. Above DENSE_LOCAL_HARD_CAP a zero start or a
-    refused method raises :class:`EigensolverBreakdown` instead.
+    up to `dense_cutoff` is densified and solved by :func:`_shift_invert`
+    on the LU of ``A - sigma I``. A larger one is not: a sweep's shift is
+    (nearly) a local eigenvalue, whose vector :func:`_tethered_solve` finds
+    from `v0`. A method refuses (unusable LU, failed inverse, no accepted
+    pair) by raising :class:`EigensolverBreakdown` with its reason, and
+    this is the one place that catches it for the sweeps (the degeneracy
+    check catches its own, :func:`_deflated_check`): the refusal is logged
+    at WARNING and falls back, the tethered solve to the dense
+    shift-invert, and that to :func:`_nearest_eig`. Above
+    DENSE_LOCAL_HARD_CAP a zero start or a refused method raises
+    :class:`EigensolverBreakdown` instead.
 
-    Each solve is counted in ``problem.engine.local_solves`` under the
-    method that answered it (``"converged_start"`` for an accepted start,
-    ``"dense_eig"`` for the slowest central pick), or under
-    ``"dense_fallback"`` after a zero start or a refusal.
+    `factored` is the factorization that answered, ``(jacobi, sigma,
+    tether)`` with ``jacobi`` its block LUs (:func:`_block_jacobi`): the
+    dense LU of ``A - sigma I`` with tether None, or the tethered solve's
+    last block LUs of ``A - sigma I + u u^H`` with its shift and tether
+    ``u`` (:func:`_tethered_solve`); None when ``eig`` answered or the
+    start was accepted. The centre solve hands it to the degeneracy check
+    by return value, and nothing stores it. Each solve is counted in
+    ``problem.engine.local_solves`` under the method that answered it
+    (``"converged_start"`` for an accepted start, ``"dense_eig"`` for the
+    slowest central pick), or under ``"dense_fallback"`` after a zero start
+    or a refusal.
     """
     dim = problem.dim
     counts = problem.engine.local_solves
@@ -1032,7 +1009,7 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff, accep
         except EigensolverBreakdown as err:
             logger.warning("tethered LU refused at dim %d (%s); solving with eig", dim, err)
             counts["dense_fallback"] += 1
-            return _nearest_eig(mat, sigma, v0, bound)
+            return (*_nearest_eig(mat, sigma, v0, bound), None)
         counts["dense_eig"] += 1
         return found
     sigma = target
@@ -1046,35 +1023,32 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff, accep
             raise EigensolverBreakdown(f"zero start vector at dim {dim}, above the dense cap")
         logger.warning("zero start vector at dim %d; solving with eig", dim)
         counts["dense_fallback"] += 1
-        return _nearest_eig(problem.dense_matrix(), sigma, v0, bound)
+        return (*_nearest_eig(problem.dense_matrix(), sigma, v0, bound), None)
     found, v0 = _tested_start(problem, v0, sigma, bound)
     if found is not None and accept_start:
         counts["converged_start"] += 1
-        return found
+        return (*found, None)
     fallback = False
-    if dim > max(dense_cutoff, 2):  # ARPACK needs k = 1 < dim - 1
-        method, name = ("arnoldi", "Arnoldi") if problem.deflation else ("tethered", "tethered GMRES")
+    if dim > max(dense_cutoff, 2):  # the check's ARPACK run on a tethered inverse needs k = 1 < dim - 1
         try:
-            if problem.deflation:
-                found = _arnoldi(problem, v0, sigma, blocks, bound, tol)
-            else:
-                found = _tethered_solve(problem, v0, sigma, blocks, bound)
-            counts[method] += 1
+            found = _tethered_solve(problem, v0, sigma, blocks, bound)
+            counts["tethered"] += 1
             return found
         except EigensolverBreakdown as err:
             if dim > DENSE_LOCAL_HARD_CAP:
-                raise EigensolverBreakdown(f"{name} failed at dim {dim}: {err}") from err
-            logger.warning("%s failed at dim %d (%s); solving densely", name, dim, err)
+                raise EigensolverBreakdown(f"tethered GMRES failed at dim {dim}: {err}") from err
+            logger.warning("tethered GMRES failed at dim %d (%s); solving densely", dim, err)
         fallback = True
     mat = problem.dense_matrix()
     try:
-        found = _shift_invert(problem, mat.__matmul__, mat[None], v0, sigma, bound)
+        lu = _block_jacobi(mat[None], sigma)
+        theta, vec = _shift_invert(mat.__matmul__, lu, v0, sigma, bound)
     except EigensolverBreakdown as err:
         logger.warning("shift-invert refused at dim %d (%s); solving with eig", dim, err)
         counts["dense_fallback"] += 1
-        return _nearest_eig(mat, sigma, v0, bound)
+        return (*_nearest_eig(mat, sigma, v0, bound), None)
     counts["dense_fallback" if fallback else "shift_invert"] += 1
-    return found
+    return theta, vec, (lu, sigma, None)
 
 
 def _local_tol(cfg):
@@ -1108,14 +1082,17 @@ def _sweep_schedule(mpo, state, cfg, report, target, label):
     ``report.stage_log`` gains one entry, `label`, with the keys that
     :class:`SolveReport` lists for every stage (its counts are the engine's,
     the centre solve included). The residuals also extend
-    ``report.sweep_residuals``. Returns ``(engine, problem, theta)``: the
-    engine, which holds the swept state (``engine.state()``) with its
-    orthogonality centre at the centre site and its environments, the
-    centre solve's problem and its eigenvalue. The centre solve writes with
-    ``direction=None``, which moves no environment, so that problem stays
-    valid, with what it assembled: the degeneracy check deflates it
-    (:func:`_deflated_check`). It refers to the engine, so a caller that
-    drops the engine drops the problem too.
+    ``report.sweep_residuals``. Returns ``(engine, problem, theta,
+    factored)``: the engine, which holds the swept state
+    (``engine.state()``) with its orthogonality centre at the centre site
+    and its environments, the centre solve's problem, its eigenvalue and
+    the factorization that answered it (:func:`_local_eigensolve`). The
+    centre solve writes with ``direction=None``, which moves no
+    environment, so that problem stays valid, with what it assembled, and
+    the degeneracy check applies that factorization to it
+    (:func:`_deflated_check`). The problem refers to the engine, and the
+    engine to neither it nor the factorization, so a caller that drops all
+    three frees them together.
     """
     stage = cfg.warmup
     start = time.perf_counter()
@@ -1124,18 +1101,18 @@ def _sweep_schedule(mpo, state, cfg, report, target, label):
     shift = target
 
     def solve(problem, direction, accept_start=True):
-        theta, vec = _local_eigensolve(
+        theta, vec, factored = _local_eigensolve(
             problem, problem.current_vector(), shift, _local_tol(cfg), cfg.dense_local_cutoff, accept_start=accept_start
         )
         engine.set_site(problem.unpack(vec), direction=direction)
-        return complex(theta)
+        return complex(theta), factored
 
     # from the centre at 0: right from 0..L-2, left from L-1..1, so each end
     # site is solved once, 2 (L - 1) in all (one at L = 1), and back at 0
     moves = ["right"] * max(engine.length - 1, 1) + ["left"] * (engine.length - 1)
     for sweep in range(stage.sweeps):
         accepted = engine.local_solves["converged_start"]
-        thetas = [solve(engine.site_problem(), direction) for direction in moves]
+        thetas = [solve(engine.site_problem(), direction)[0] for direction in moves]
         idle = engine.local_solves["converged_start"] - accepted == len(moves)
         anchor = thetas[-1] if isinstance(shift, str) else shift
         resid = max(abs(t - anchor) for t in thetas)
@@ -1148,7 +1125,7 @@ def _sweep_schedule(mpo, state, cfg, report, target, label):
             break
     engine.advance_to(engine.length // 2)
     problem = engine.site_problem()
-    theta = solve(problem, None, accept_start=False)
+    theta, factored = solve(problem, None, accept_start=False)
     report.stage_log.append(
         {
             "label": label,
@@ -1164,7 +1141,7 @@ def _sweep_schedule(mpo, state, cfg, report, target, label):
         }
     )
     report.sweep_residuals.extend(residuals)
-    return engine, problem, theta
+    return engine, problem, theta, factored
 
 
 def _saturation_warnings(spectra, chi, phys, length):
@@ -1251,43 +1228,95 @@ def _finish_report(report, cfg, modes, eigenvalue):
     report.fixed_point_residual = max(_eigen_residual(mpo, state, theta) for mpo, state, theta, _ in modes)
 
 
-def _deflated_check(problem, cfg, rng):
-    """Eigenvalue nearest zero of the centre solve's `problem` with the engine's state deflated.
+def _deflated_check(problem, factored, rng):
+    """Eigenvalue nearest zero of the centre solve's `problem` with the engine's state projected out.
 
     `problem` is the last solve of the stage that converged the state
     (:func:`_sweep_schedule`), at the centre site ``L // 2``, whose write
     moved no environment, so it is still valid; the state's local image in
-    the orthonormal frames is the centre vector ``x0``. The check deflates
-    that problem in place (:meth:`SiteProblem.deflate`), so it adds only the
-    rank-one term ``-DEFLATION_SHIFT x0 x0^H / ||x0||^2`` to what the centre
-    solve assembled (the dense operator, the diagonal blocks), and no
-    operator is built twice. A problem is checked once: a second call
-    raises ``ValueError``. The term is the projected Wielandt deflation of
-    the converged state. It moves the local eigenvalue of the state to about
-    ``-DEFLATION_SHIFT`` and leaves every other local eigenvalue in place, so
-    what remains nearest zero is the runner-up of the undeflated problem. It
-    is found by the ordinary steady-state local solve from a random start
-    drawn from `rng`, counted in the engine's counters like the sweeps'
-    solves. Its only decision is ``|theta| < DEGENERACY_TOL``, so the solve
-    accepts at that tolerance (``DEGENERACY_TOL ||D||`` on every path,
-    :func:`_local_eigensolve`), not at the sweeps' :func:`_local_tol`.
+    the orthonormal frames is the unit centre vector ``x0``, and ``A x0 =
+    theta0 x0`` within the sweeps' tolerance. `factored` is that solve's
+    ``(jacobi, sigma, tether)`` (:func:`_local_eigensolve`): the check
+    applies its LUs and factors nothing. It works on range(P) of the spectral
+    projector ``P = I - x0 w0^H / (w0^H x0)`` (Saad, *Numerical Methods for
+    Large Eigenvalue Problems*, SIAM 2011, section 4.2). Since ``P x0 = 0``,
+    ``P A`` and ``P (A - sigma I)^-1 P`` carry exactly the other
+    eigenvalues of ``A`` there, with nothing moved, so what remains nearest
+    zero is the runner-up of the centre problem:
 
-    Returns ``(theta, residual)``, ``residual`` the true residual
-    ``||A v - theta v||`` of the returned unit vector ``v`` (one matvec):
-    `theta` is an exact eigenvalue of ``A - (A v - theta v) v^H``, a problem
-    within `residual` of ``A`` in norm; raises
+    - on the dense LU of ``A - sigma I`` (no tether), ``w0 = (A - sigma
+      I)^-H x0``, one adjoint solve on that LU, approximates the left
+      eigenvector, so every Krylov vector stays clear of the LU's near-zero
+      pivot along ``x0``; :func:`_shift_invert` runs on ``P A`` with the
+      inverse ``P (A - sigma I)^-1 P``;
+    - on the tethered LUs of ``A - sigma I + u u^H``, whose inverse is not
+      singular along ``x0``, ``w0 = x0`` (the orthogonal projector), and
+      ARPACK (:func:`_arnoldi`) runs on the projected inverse, by GMRES
+      (:func:`_shifted_inverse`) at the check's bound when there are
+      several harmonic blocks.
+
+    Both start from ``P v0``, ``v0`` a random vector drawn from `rng`, and
+    are counted in the engine's `local_solves` (``"shift_invert"``,
+    ``"arnoldi"``) like the sweeps' solves, and every application of the
+    projected inverse (not the adjoint solve) in its `inverse_solves`.
+    The check's only decision is ``|theta| < DEGENERACY_TOL``, so it accepts
+    at ``DEGENERACY_TOL ||D||``, ``D`` the centre problem's harmonic
+    diagonal blocks, not at the sweeps' :func:`_local_tol`. When `factored`
+    is None (``eig`` answered the centre solve) or the method refuses, one
+    WARNING is logged and ``np.linalg.eig`` of the centre problem answers,
+    without the eigenvector that overlaps ``x0`` most, counted under
+    ``"dense_fallback"``; above DENSE_LOCAL_HARD_CAP it raises
+    :class:`EigensolverBreakdown` instead.
+
+    Returns ``(theta, residual)``, ``residual`` the true residual ``||P A v
+    - theta v||`` of the projected operator at the returned unit vector
+    ``v`` (``||A v - theta v||`` for ``eig``): `theta` is an exact
+    eigenvalue of a problem within this distance of it in norm; raises
     :class:`DegenerateSteadyStateError` when ``|theta| < DEGENERACY_TOL``.
     """
-    problem.deflate(DEFLATION_SHIFT)
-    v0 = rng.standard_normal(problem.dim) + 1j * rng.standard_normal(problem.dim)
-    theta, vec = _local_eigensolve(problem, v0, 0.0, DEGENERACY_TOL, cfg.dense_local_cutoff)
+    dim, engine = problem.dim, problem.engine
+    x0 = problem.current_vector()
+    v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    bound = DEGENERACY_TOL * np.linalg.norm(problem.diagonal_blocks())
+    try:
+        if factored is None:
+            raise EigensolverBreakdown("no centre factorization to apply")
+        jacobi, sigma, tether = factored
+        if tether is None:  # the dense LU, its own inverse: one adjoint solve gives w0
+            method, solve, inverse, apply = "shift_invert", _shift_invert, jacobi, problem.dense_matrix().__matmul__
+            w0 = jacobi(x0, 2)
+        else:  # the tethered LUs, whose inverse is regular along x0: the orthogonal projector
+            method, solve, apply, w0 = "arnoldi", _arnoldi, problem.matvec, x0
+            several = len(problem.diagonal_blocks()) > 1
+            inverse = _shifted_inverse(problem, jacobi, sigma, bound, tether) if several else jacobi
+        w0 = w0 / np.conj(np.vdot(w0, x0))  # w0^H x0 = 1
+
+        def project(x):
+            return x - x0 * np.vdot(w0, x)
+
+        def matvec(x):
+            return project(apply(x))
+
+        def projected_inverse(x):
+            engine.inverse_solves += 1
+            return project(inverse(project(x)))
+
+        theta, vec = solve(matvec, projected_inverse, project(v0), sigma, bound)
+        engine.local_solves[method] += 1
+    except EigensolverBreakdown as err:
+        if dim > DENSE_LOCAL_HARD_CAP:
+            raise EigensolverBreakdown(f"degeneracy check failed at dim {dim}: {err}") from err
+        logger.warning("degeneracy check refused at dim %d (%s); solving with eig", dim, err)
+        engine.local_solves["dense_fallback"] += 1
+        values, vectors = np.linalg.eig(problem.dense_matrix())
+        values[np.argmax(np.abs(vectors.conj().T @ x0))] = np.inf  # drop the state's own value
+        best = np.argmin(np.abs(values))
+        theta, vec, matvec = values[best], vectors[:, best], problem.dense_matrix().__matmul__
     vec = vec / np.linalg.norm(vec)
-    residual = np.linalg.norm(problem.matvec(vec) - theta * vec)
+    residual = np.linalg.norm(matvec(vec) - theta * vec)
     if abs(theta) < DEGENERACY_TOL:
-        raise DegenerateSteadyStateError(
-            f"deflated centre-site eigenvalue {theta:.2e} is near zero; "
-            "steady space looks degenerate"
-        )
+        message = f"projected centre-site eigenvalue {theta:.2e} is near zero; steady space looks degenerate"
+        raise DegenerateSteadyStateError(message)
     return theta, float(residual)
 
 
@@ -1301,14 +1330,15 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
     trace-normalized state with a :class:`SolveReport`. An
     :class:`EigensolverBreakdown` of a local solve propagates. After the
     sweeps, the state is taken from the sweep engine, and
-    :func:`_deflated_check` deflates the centre solve's problem; it raises
+    :func:`_deflated_check` projects it out of the centre solve's problem,
+    applying that solve's factorization; it raises
     :class:`DegenerateSteadyStateError` when the steady state is degenerate;
     the check accepts its eigenvalue at DEGENERACY_TOL, and the `stage_log`
     entry records its ``"degeneracy_gap"`` and ``"degeneracy_residual"``,
-    counts its local solve, its time and its GMRES iterations, and records
-    under ``"degeneracy_inverse_solves"`` how often it applied its
-    shift-invert inverse, on the dense path its Arnoldi steps and polishing
-    step (:class:`SolveReport` lists every key). :func:`_finish_report` describes the
+    counts its solve, its time and its GMRES iterations, and records under
+    ``"degeneracy_inverse_solves"`` how often it applied the centre
+    factorization as its projected inverse, on the dense path its Arnoldi
+    steps and polishing step (:class:`SolveReport` lists every key). :func:`_finish_report` describes the
     normalized state at ``theta = 0``, with the centre solve's eigenvalue;
     only a steady state adds its trace and Hermiticity defects per harmonic
     and warns about weight in the edge harmonic and Hermiticity defects.
@@ -1329,10 +1359,10 @@ def solve_ness(model: ModelSpec, cfg: SweepConfig):
         seed=cfg.seed,
         noise_bond=stage.chi,
     )
-    engine, problem, final_theta = _sweep_schedule(mpo, state, cfg, report, 0.0, "ness")
+    engine, problem, final_theta, factored = _sweep_schedule(mpo, state, cfg, report, 0.0, "ness")
     state = engine.state()
     check_start = time.perf_counter()
-    theta, residual = _deflated_check(problem, cfg, rng)
+    theta, residual = _deflated_check(problem, factored, rng)
     production = report.stage_log[-1]
     production["seconds"] += time.perf_counter() - check_start
     production["degeneracy_gap"] = float(abs(theta))
@@ -1482,14 +1512,16 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
     rng = np.random.default_rng(cfg.seed + 1)
     blocks = {n: Mps.random(model.chain_length, model.site_dim**2, stage.chi, rng) for n in range(-n_c, n_c + 1)}
     seed = FloquetDensityMatrix(blocks, model.omega, n_c)
-    engine, problem, lam = _sweep_schedule(_trace_penalized(mpo, w), seed, cfg, report, "slowest_central", "decay right")
+    engine, problem, lam, factored = _sweep_schedule(
+        _trace_penalized(mpo, w), seed, cfg, report, "slowest_central", "decay right"
+    )
     if lam.real > 1e-6:
         raise SolverError(f"decay eigenvalue has positive real part: {lam}")
     right, right_spectra = engine.state(), _schmidt_spectra(engine, stage.chi, 1.0)
-    del engine, problem  # and the operator its centre solve assembled
+    del engine, problem, factored  # and the operator and factorization of its centre solve
 
     adjoint = mpo.adjoint()  # the left solve starts from the right mode, its pair
-    engine, _, _ = _sweep_schedule(adjoint, right, cfg, report, lam.conjugate(), "decay left")
+    engine, *_ = _sweep_schedule(adjoint, right, cfg, report, lam.conjugate(), "decay left")
     left = engine.state()
     pairing = left.inner(right)
     if abs(pairing) < 1e-9 * max(left.norm() * right.norm(), 1e-300):

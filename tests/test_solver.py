@@ -120,15 +120,14 @@ def identity_projectors(length, harmonics):
     return np.kron(np.eye(harmonics), np.outer(eye, eye.conj()))
 
 
-@pytest.mark.parametrize("terms", ["none", "uncoupled", "deflated"])
+@pytest.mark.parametrize("terms", ["none", "uncoupled"])
 @pytest.mark.parametrize("adjoint", [False, True], ids=["one-forward", "one-adjoint"])  # one-site problems
 def test_local_operator_matches_dense_projection(adjoint, terms):
     # the local matrix at every site equals Phi^dag A Phi, Phi mapping local
     # coordinates to the full space through the frames, with A the generator
-    # L, the decay solve's penalized L + c sum_n |I_n><I_n| (one identity
-    # projector per harmonic, in the q = 0 MPO component), or for the
-    # deflated problem L - s |rho><rho| / ||rho||^2 with rho the engine's
-    # state
+    # L or the decay solve's penalized L + c sum_n |I_n><I_n| (one identity
+    # projector per harmonic, in the q = 0 MPO component); the engine's
+    # state is Phi times the centre vector
     model = driven_three_site_model()
     n_c, length = 1, 3
     rng = np.random.default_rng(5)
@@ -139,19 +138,13 @@ def test_local_operator_matches_dense_projection(adjoint, terms):
     if adjoint:
         mpo, dense = mpo.adjoint(), dense.conj().T
     stacked = np.concatenate([state.blocks[n].to_dense() for n in (-1, 0, 1)])
-    deflation = 0.0
     if terms == "uncoupled":
         mpo = solver._trace_penalized(mpo, 3.0)
         dense = dense - 3.0 / 2**length * identity_projectors(length, 3)
-    elif terms == "deflated":
-        deflation = solver.DEFLATION_SHIFT
-        dense = dense - deflation * np.outer(stacked, stacked.conj()) / np.vdot(stacked, stacked).real
     for site in range(length):
         engine = SweepEngine(mpo, state)
         engine.advance_to(site)
         problem = engine.site_problem()
-        if deflation:
-            problem.deflate(deflation)
         local = problem.dense_matrix()
         phi = frame_map(engine, problem)
         assert np.max(np.abs(phi.conj().T @ dense @ phi - local)) < 1e-10
@@ -161,13 +154,12 @@ def test_local_operator_matches_dense_projection(adjoint, terms):
 
 
 @pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # DTC harmonics exceed n_c = 1
-@pytest.mark.parametrize("terms", ["bare", "projectors", "deflated"])
+@pytest.mark.parametrize("terms", ["bare", "projectors"])
 @pytest.mark.parametrize("adjoint", [False, True], ids=["one-forward", "one-adjoint"])  # one-site problems
 def test_dense_matrix_assembles_matvec_without_calling_it(adjoint, terms, monkeypatch):
     # DTC at n_c = 1 keeps 5 transfer components (q = -2..2), so pairs (q, n)
     # with |n - q| > n_c are dead; the decay solve's identity projectors
-    # widen the q = 0 component, and the degeneracy check's deflation adds a
-    # low-rank update
+    # widen the q = 0 component
     model = build_dtc_model(DTCParams(chain_length=3), n_c=1)
     n_c, length = 1, 3
     mpo = build_extended_lindbladian(model, n_c)
@@ -176,7 +168,6 @@ def test_dense_matrix_assembles_matvec_without_calling_it(adjoint, terms, monkey
         mpo = mpo.adjoint()
     if terms == "projectors":
         mpo = solver._trace_penalized(mpo, 2.5 * 2**length)
-    deflation = solver.DEFLATION_SHIFT if terms == "deflated" else 0.0
     rng = np.random.default_rng(8)
     blocks = {n: Mps.random(length, 4, 4, rng, norm=1.0) for n in (-1, 0, 1)}
     state = FloquetDensityMatrix(blocks, model.omega, n_c)
@@ -184,8 +175,6 @@ def test_dense_matrix_assembles_matvec_without_calling_it(adjoint, terms, monkey
         engine = SweepEngine(mpo, state)
         engine.advance_to(site)
         problem = engine.site_problem()
-        if deflation:
-            problem.deflate(deflation)
         columns = problem.matvec(np.eye(problem.dim))
 
         def refuse(_):
@@ -273,29 +262,6 @@ def test_stale_problem_rejected():
     for use in (lambda: problem.matvec(x), problem.dense_matrix, problem.diagonal_blocks):
         with pytest.raises(StaleEnvironmentError):
             use()
-
-
-def test_a_problem_is_deflated_once():
-    # deflate adds the rank-one term to what the problem already assembled,
-    # bit for bit what a problem deflated before assembling builds, and
-    # refuses a second call
-    model = driven_three_site_model()
-    rng = np.random.default_rng(5)
-    blocks = {n: Mps.random(3, 4, 3, rng, norm=1.0) for n in (-1, 0, 1)}
-    engine = SweepEngine(build_extended_lindbladian(model, 1), FloquetDensityMatrix(blocks, model.omega, 1))
-    engine.advance_to(1)
-    assembled, early = engine.site_problem(), engine.site_problem()
-    undeflated = assembled.dense_matrix().copy()
-    assembled.diagonal_blocks()
-    for problem in (assembled, early):
-        problem.deflate(solver.DEFLATION_SHIFT)
-    assert np.array_equal(assembled.dense_matrix(), early.dense_matrix())
-    assert np.array_equal(assembled.diagonal_blocks(), early.diagonal_blocks())
-    x0 = assembled.current_vector()
-    rank_one = solver.DEFLATION_SHIFT * np.outer(x0, x0.conj()) / np.vdot(x0, x0).real
-    assert np.max(np.abs(undeflated - rank_one - assembled.dense_matrix())) < 1e-12
-    with pytest.raises(ValueError, match="already deflated"):
-        assembled.deflate(solver.DEFLATION_SHIFT)
 
 
 def test_solve_ness_amplitude_damping():
@@ -437,8 +403,7 @@ def test_breakdown_in_production_stage_propagates(monkeypatch):
     injected = []
 
     def breaks_once(problem, *args, **kwargs):
-        production = not problem.deflation
-        if production and not injected:
+        if not injected:
             injected.append(problem.dim)
             raise EigensolverBreakdown("injected breakdown")
         return original(problem, *args, **kwargs)
@@ -449,20 +414,30 @@ def test_breakdown_in_production_stage_propagates(monkeypatch):
     assert len(injected) == 1
 
 
+def centre_solved(problem, cutoff):
+    """The centre solve of a steady-state stage on `problem` at dense cutoff `cutoff`, which never accepts
+    its start, with its vector written where the stage writes it; returns the factorization it hands to the
+    degeneracy check."""
+    _, vec, factored = solver._local_eigensolve(problem, problem.current_vector(), 0.0, 1e-11, cutoff, accept_start=False)
+    problem.engine.set_site(problem.unpack(vec), direction=None)
+    return factored
+
+
 def test_partial_arpack_result_is_not_accepted(monkeypatch, caplog):
-    # above the dense cutoff ARPACK solves only the degeneracy check's
-    # deflated problem (the converged state deflated out); here it gives up
-    # with a wrong partial eigenvalue: both attempts fail, the dense fallback
-    # answers with the undeflated runner-up and says so; above the hard cap
-    # the solve breaks down instead
+    # above the dense cutoff ARPACK solves only the degeneracy check, on the
+    # centre solve's tethered inverse with the state projected out; here it
+    # gives up with a wrong partial eigenvalue: both attempts fail, and eig
+    # of the centre problem answers with its runner-up and says so; above
+    # the hard cap the check breaks down instead
     model = single_qubit_model(gamma=0.7, omega_z=1.1, drive=4.0)
     ness, _ = solve_ness(model, quick_config(1, 4))
     engine = SweepEngine(build_extended_lindbladian(model, 1), ness)
-    values = np.linalg.eigvals(engine.site_problem().dense_matrix())
+    problem = engine.site_problem()
+    values = np.linalg.eigvals(problem.dense_matrix())
     steady, runner_up = values[np.argsort(np.abs(values))[:2]]
     assert abs(steady) < 1e-10
-    problem = engine.site_problem()
-    problem.deflate(solver.DEFLATION_SHIFT)
+    factored = centre_solved(problem, cutoff=4)
+    assert engine.local_solves == counted(tethered=1)
     attempts = []
 
     def partial(op, k=1, **kwargs):
@@ -470,20 +445,17 @@ def test_partial_arpack_result_is_not_accepted(monkeypatch, caplog):
         raise ArpackNoConvergence("injected", np.array([0.5 + 0j]), np.ones((op.shape[0], 1), complex))
 
     monkeypatch.setattr(solver.spla, "eigs", partial)
-    rng = np.random.default_rng(3)  # the check starts from a random vector
-    v0 = rng.standard_normal(problem.dim) + 1j * rng.standard_normal(problem.dim)
-    solve = dict(v0=v0, target=0.0, tol=1e-10, dense_cutoff=4)
+    caplog.clear()  # solve_ness above falls back on this chain's zero pivot
     with caplog.at_level(logging.WARNING, logger="floquet_ness.solver"):
-        theta, _ = solver._local_eigensolve(problem, **solve)
-    values = np.linalg.eigvals(problem.dense_matrix())
-    assert abs(theta - values[np.argmin(np.abs(values))]) < 1e-12
-    assert abs(theta - runner_up) < 1e-10
-    assert engine.local_solves == counted(dense_fallback=1)
+        theta, _ = solver._deflated_check(problem, factored, np.random.default_rng(3))
+    assert abs(theta - runner_up) < 1e-12
+    assert engine.local_solves == counted(tethered=1, dense_fallback=1)
     assert attempts == [solver.ARPACK_MAXITER, 2 * solver.ARPACK_MAXITER]
-    assert any(r.levelno == logging.WARNING and "Arnoldi failed" in r.getMessage() for r in caplog.records)
+    (warning,) = [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert "degeneracy check refused" in warning.getMessage()
     monkeypatch.setattr(solver, "DENSE_LOCAL_HARD_CAP", problem.dim - 1)
     with pytest.raises(EigensolverBreakdown):
-        solver._local_eigensolve(problem, **solve)
+        solver._deflated_check(problem, factored, np.random.default_rng(3))
 
 
 def stalled_preconditioner(blocks, sigma, tether=None):
@@ -496,15 +468,16 @@ def test_refused_shift_invert_arpack_returns_the_dense_answer(case, monkeypatch,
     # the degeneracy check's shift-invert ARPACK run is accepted only on a
     # true residual: a made-up pair fails it on both attempts, and an inverse
     # whose GMRES does not converge ends the run at once; each is refused
-    # loudly, the dense fallback answers with the undeflated runner-up, and
-    # above the hard cap the solve breaks down instead
+    # loudly, eig of the centre problem answers with its runner-up, and
+    # above the hard cap the check breaks down instead
     model = single_qubit_model(gamma=0.7, omega_z=1.1, drive=4.0)
     ness, _ = solve_ness(model, quick_config(1, 4))
     engine = SweepEngine(build_extended_lindbladian(model, 1), ness)
-    values = np.linalg.eigvals(engine.site_problem().dense_matrix())
-    runner_up = values[np.argsort(np.abs(values))[1]]
     problem = engine.site_problem()
-    problem.deflate(solver.DEFLATION_SHIFT)
+    values = np.linalg.eigvals(problem.dense_matrix())
+    runner_up = values[np.argsort(np.abs(values))[1]]
+    factored = centre_solved(problem, cutoff=4)
+    gmres_before = engine.gmres_iterations
     attempts = []
     if case == "wrong_pair":
 
@@ -515,61 +488,62 @@ def test_refused_shift_invert_arpack_returns_the_dense_answer(case, monkeypatch,
         monkeypatch.setattr(solver.spla, "eigs", wrong)
         reason = "Ritz pair refused"
     else:
-        monkeypatch.setattr(solver, "_block_jacobi", stalled_preconditioner)
+        # the centre solve's shift and tether behind a preconditioner that stalls GMRES
+        _, sigma, tether = factored
+        factored = stalled_preconditioner(problem.diagonal_blocks(), sigma, tether), sigma, tether
         reason = "inverse: GMRES did not converge"
-    rng = np.random.default_rng(3)
-    v0 = rng.standard_normal(problem.dim) + 1j * rng.standard_normal(problem.dim)
-    solve = dict(v0=v0, target=0.0, tol=1e-10, dense_cutoff=4)
     with caplog.at_level(logging.WARNING, logger="floquet_ness.solver"):
-        theta, _ = solver._local_eigensolve(problem, **solve)
-    assert abs(theta - runner_up) < 1e-10
-    assert engine.local_solves == counted(dense_fallback=1)
+        theta, _ = solver._deflated_check(problem, factored, np.random.default_rng(3))
+    assert abs(theta - runner_up) < 1e-12
+    assert engine.local_solves == counted(tethered=1, dense_fallback=1)
     if case == "wrong_pair":
         assert attempts == [solver.ARPACK_MAXITER, 2 * solver.ARPACK_MAXITER]
     else:
-        # each cycle stops at its first step, whose image is zero; the dense
-        # shift-invert then applies its stalled inverse once and closes its basis
-        assert engine.gmres_iterations == solver.GMRES_CYCLES and engine.inverse_solves == 2
+        # each cycle stops at its first step, whose image is zero, and eig
+        # answers without applying the inverse again
+        assert engine.gmres_iterations - gmres_before == solver.GMRES_CYCLES and engine.inverse_solves == 1
     assert any(
-        r.levelno == logging.WARNING and "Arnoldi failed" in r.getMessage() and reason in r.getMessage()
+        r.levelno == logging.WARNING and "degeneracy check refused" in r.getMessage() and reason in r.getMessage()
         for r in caplog.records
     )
     monkeypatch.setattr(solver, "DENSE_LOCAL_HARD_CAP", problem.dim - 1)
     with pytest.raises(EigensolverBreakdown, match=reason):
-        solver._local_eigensolve(problem, **solve)
+        solver._deflated_check(problem, factored, np.random.default_rng(3))
 
 
-@pytest.mark.parametrize("deflated", [True, False], ids=["check", "sweep"])
-def test_single_block_inverse_is_the_block_lu(deflated, monkeypatch):
+@pytest.mark.parametrize("check", [True, False], ids=["check", "sweep"])
+def test_single_block_inverse_is_the_block_lu(check, monkeypatch):
     # at cutoff 0 the one harmonic block is the whole local problem, so its
     # LU solve is the inverse: no GMRES runs and no matvec confirms it, both
-    # in the degeneracy check's shift-invert ARPACK run on the deflated
-    # problem (whose value nearest 0 is the undeflated runner-up) and in a
-    # sweep's tethered solve
+    # in a sweep's tethered solve and in the degeneracy check's shift-invert
+    # ARPACK run on the centre solve's tethered inverse, whose value nearest
+    # 0 is the runner-up
     model = single_qubit_model(gamma=0.7, omega_z=1.1, drive=4.0)
     ness, _ = solve_ness(model, quick_config(0, 4))
     engine = SweepEngine(build_extended_lindbladian(model, 0), ness)
-    values = np.linalg.eigvals(engine.site_problem().dense_matrix())
-    runner_up = values[np.argsort(np.abs(values))[1]]
     problem = engine.site_problem()
-    if deflated:
-        problem.deflate(solver.DEFLATION_SHIFT)
     values, vectors = np.linalg.eig(problem.dense_matrix())
-    best = np.argmin(np.abs(values))
-    assert abs(values[best] - runner_up) < 1e-10 if deflated else abs(values[best]) < 1e-12
+    nearest, runner_up = np.argsort(np.abs(values))[:2]
+    assert abs(values[nearest]) < 1e-12
 
     def refuse(*args, **kwargs):
         raise AssertionError("GMRES ran")
 
     monkeypatch.setattr(solver, "_gmres", refuse)
-    rng = np.random.default_rng(3)
-    v0 = rng.standard_normal(problem.dim) + 1j * rng.standard_normal(problem.dim)
-    theta, vec = solver._local_eigensolve(problem, v0, 0.0, tol=1e-10, dense_cutoff=0)
-    assert abs(theta - values[best]) < 1e-10
-    assert abs(np.vdot(vectors[:, best], vec)) / np.linalg.norm(vec) >= 1 - 1e-10
-    assert engine.local_solves == counted(**{"arnoldi" if deflated else "tethered": 1})
+    if check:
+        factored = centre_solved(problem, cutoff=0)
+        theta, residual = solver._deflated_check(problem, factored, np.random.default_rng(3))
+        assert abs(theta - values[runner_up]) < 1e-10 and residual < 1e-10
+        assert engine.local_solves == counted(tethered=1, arnoldi=1)
+    else:
+        rng = np.random.default_rng(3)
+        v0 = rng.standard_normal(problem.dim) + 1j * rng.standard_normal(problem.dim)
+        theta, vec, _ = solver._local_eigensolve(problem, v0, 0.0, tol=1e-10, dense_cutoff=0)
+        assert abs(theta - values[nearest]) < 1e-10
+        assert abs(np.vdot(vectors[:, nearest], vec)) / np.linalg.norm(vec) >= 1 - 1e-10
+        assert engine.local_solves == counted(tethered=1)
     assert engine.gmres_iterations == 0
-    assert (engine.inverse_solves > 0) == deflated
+    assert (engine.inverse_solves > 0) == check
 
 
 def keep_checked_engine(monkeypatch):
@@ -588,8 +562,8 @@ def keep_checked_engine(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # DTC harmonics exceed n_c = 1
 def test_degeneracy_check_above_cutoff_on_a_small_gap(monkeypatch, caplog):
-    # DTC L=3, n_c=1 at cutoff 100: the deflated centre problem (dim 192,
-    # norm ~1e3) has its eigenvalue nearest zero at 0.0123, where ARPACK
+    # DTC L=3, n_c=1 at cutoff 100: the centre problem (dim 192, norm ~1e3)
+    # has its runner-up eigenvalue at 0.0123, where ARPACK
     # "SM" without a shift-invert ran out of restarts after about 95000
     # matvecs and fell back; shift-invert finds it within one short basis.
     # The check accepts at DEGENERACY_TOL, so its gap is only as close as
@@ -603,10 +577,8 @@ def test_degeneracy_check_above_cutoff_on_a_small_gap(monkeypatch, caplog):
     (entry,) = json.loads(json.dumps(report.to_dict()))["stage_log"]
     assert entry["local_solves"]["arnoldi"] == 1
     assert entry["local_solves"]["dense_fallback"] == 0
-    problem = engine.site_problem()
-    problem.deflate(solver.DEFLATION_SHIFT)
-    values = np.linalg.eigvals(problem.dense_matrix())
-    assert abs(entry["degeneracy_gap"] - np.min(np.abs(values))) <= entry["degeneracy_residual"]
+    values = np.linalg.eigvals(engine.site_problem().dense_matrix())
+    assert abs(entry["degeneracy_gap"] - np.sort(np.abs(values))[1]) <= entry["degeneracy_residual"]
     assert 0 < entry["degeneracy_inverse_solves"] <= 2 * solver.ARNOLDI_DIM  # 13 when measured
 
 
@@ -635,11 +607,99 @@ def test_degeneracy_check_certifies_its_gap_on_every_inverse(monkeypatch, chain,
     assert entry["degeneracy_gap"] > solver.DEGENERACY_TOL
 
 
+@pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # DTC harmonics exceed n_c = 1
+@pytest.mark.parametrize(
+    "chain, n_c, cutoff",
+    [("ising", 1, solver.DENSE_LOCAL_HARD_CAP), ("ising", 0, 40), ("dtc", 1, 100)],
+    ids=["dense", "block", "gmres"],
+)
+def test_degeneracy_check_factors_nothing(monkeypatch, chain, n_c, cutoff):
+    # the check applies the centre solve's own factorization: no getrf runs
+    # during it, neither the dense LU nor a block LU above the cutoff, where
+    # ARPACK still runs on the centre solve's tethered inverse
+    getrfs, arpacks, inside = [], [], []
+    getrf, eigs, check = solver._GETRF, solver.spla.eigs, solver._deflated_check
+
+    def counting_getrf(*args, **kwargs):
+        getrfs.append(bool(inside))
+        return getrf(*args, **kwargs)
+
+    def counting_eigs(*args, **kwargs):
+        arpacks.append(bool(inside))
+        return eigs(*args, **kwargs)
+
+    def checks(*args):
+        inside.append(True)
+        try:
+            return check(*args)
+        finally:
+            inside.clear()
+
+    monkeypatch.setattr(solver, "_GETRF", counting_getrf)
+    monkeypatch.setattr(solver.spla, "eigs", counting_eigs)
+    monkeypatch.setattr(solver, "_deflated_check", checks)
+    model = ising_l3() if chain == "ising" else build_dtc_model(DTCParams(chain_length=3), n_c=1)
+    _, report = solve_ness(model, quick_config(n_c, 8, dense_local_cutoff=cutoff))
+    assert getrfs and not any(getrfs)  # the sweeps factor, the check does not
+    assert arpacks == ([] if cutoff == solver.DENSE_LOCAL_HARD_CAP else [True])
+    assert report.stage_log[0]["degeneracy_gap"] > solver.DEGENERACY_TOL
+
+
+def test_degeneracy_check_on_a_centre_value_away_from_zero(monkeypatch):
+    # at a binding chi (Ising L=4, n_c=1, chi=4, centre dim 192) the centre
+    # problem's eigenvalue nearest zero, the state's own, is about -0.0217,
+    # and its runner-up about -0.3994. The projection removes the state's
+    # value exactly, so the check's shift-invert accepts, and the gap is the
+    # runner-up's modulus within the residual of the projected operator; the
+    # unprojected residual ||A v - theta v|| does not vanish there, since a
+    # Ritz vector of the projected operator lacks its x0 part
+    checked = keep_checked_engine(monkeypatch)
+    cfg = quick_config(1, 4, warmup=make_warmup_schedule(1, 4, warm_sweeps=2, final_sweeps=28))
+    _, report = solve_ness(ising_l4(), cfg)
+    ((engine, _, before),) = checked
+    (entry,) = report.stage_log
+    assert {method: count - before[method] for method, count in entry["local_solves"].items()} == counted(shift_invert=1)
+    problem = engine.site_problem()
+    values = np.linalg.eigvals(problem.dense_matrix())
+    nearest, runner_up = values[np.argsort(np.abs(values))[:2]]
+    assert problem.dim == 192
+    assert abs(nearest + 0.0217) < 1e-4 and abs(runner_up + 0.3994) < 1e-4
+    assert abs(entry["degeneracy_gap"] - abs(runner_up)) <= entry["degeneracy_residual"]
+
+
+def test_degeneracy_check_without_a_factorization_answers_by_eig(monkeypatch, caplog):
+    # on one site the centre problem is the whole generator, and the damped
+    # qubit's LU at sigma = 0 meets an exact zero pivot, so eig answers the
+    # centre solve and leaves no factorization to apply: the check answers
+    # by eig of the centre problem without the eigenvector that overlaps the
+    # state most (no deflation), counted once under dense_fallback with one
+    # WARNING; above the hard cap it breaks down instead
+    model = single_qubit_model(gamma=0.8)
+    engine = SweepEngine(build_extended_lindbladian(model, 0), initial_guess(1, 2, 0, model.omega))
+    problem = engine.site_problem()
+    assert centre_solved(problem, cutoff=700) is None
+    assert engine.local_solves == counted(dense_fallback=1)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="floquet_ness.solver"):
+        theta, residual = solver._deflated_check(problem, None, np.random.default_rng(3))
+    (warning,) = caplog.records
+    assert warning.levelno == logging.WARNING and "no centre factorization" in warning.getMessage()
+    assert engine.local_solves == counted(dense_fallback=2)
+    # the generator's values are 0 (the steady state), -gamma / 2 twice and -gamma
+    assert abs(theta + 0.4) < 1e-12 and residual < 1e-12
+    _, report = solve_ness(model, quick_config(0, 4))
+    assert abs(report.stage_log[0]["degeneracy_gap"] - 0.4) < 1e-12
+    monkeypatch.setattr(solver, "DENSE_LOCAL_HARD_CAP", problem.dim - 1)
+    with pytest.raises(EigensolverBreakdown, match="no centre factorization"):
+        solver._deflated_check(problem, None, np.random.default_rng(3))
+
+
 def test_stage_log_counts_the_degeneracy_checks_inner_solves(monkeypatch):
     # above the cutoff the check's shift-invert inverse runs GMRES: the
     # stage's GMRES iterations include the check's, and the report says how
-    # often the check applied its inverse; below the cutoff its dense
-    # shift-invert applies one LU inverse per Arnoldi step and one to polish
+    # often the check applied its inverse; below the cutoff its shift-invert
+    # applies the centre solve's LU once per Arnoldi step and once to polish
+    # (and once more, uncounted, for the adjoint solve that projects)
     checked = keep_checked_engine(monkeypatch)
     model = ising_l3()
     _, report = solve_ness(model, quick_config(1, 4, dense_local_cutoff=100))
@@ -650,7 +710,7 @@ def test_stage_log_counts_the_degeneracy_checks_inner_solves(monkeypatch):
     _, report = solve_ness(model, quick_config(1, 4))
     (entry,) = json.loads(json.dumps(report.to_dict()))["stage_log"]
     assert entry["gmres_iterations"] == 0
-    assert entry["degeneracy_inverse_solves"] == 16  # 15 steps and the polishing one
+    assert entry["degeneracy_inverse_solves"] == 15  # 14 steps and the polishing one
 
 
 def ising_l3():
@@ -673,29 +733,28 @@ def counted(**counts):
 def test_shift_invert_matches_dense_eig(start, penalties):
     # at every site the shift-invert pair is LAPACK's eigenpair nearest zero;
     # from the noisy guess it takes several Arnoldi steps, and on the random
-    # state the edge problems have that eigenvalue at |theta| ~ 1;
-    # the penalized cases deflate the state itself out of the local problem,
-    # as the degeneracy check does
+    # state the edge problems have that eigenvalue at |theta| ~ 1; the
+    # penalized cases add the decay solve's trace penalty, which moves the
+    # state's own local eigenvalue away from zero
     model = ising_l3()
     n_c = 1
     mpo = build_extended_lindbladian(model, n_c)
+    if penalties:
+        mpo = solver._trace_penalized(mpo, 10.0)
     if start == "guess":
         state = at_one_bond(initial_guess(3, 2, n_c, model.omega, noise_amplitude=1e-2, seed=3), 2)
     else:
         rng = np.random.default_rng(5)
         blocks = {n: Mps.random(3, 4, 4, rng, norm=1.0) for n in range(-n_c, n_c + 1)}
         state = FloquetDensityMatrix(blocks, model.omega, n_c)
-    deflation = solver.DEFLATION_SHIFT if penalties else 0.0
     for site in range(3):
         engine = SweepEngine(mpo, state)
         engine.advance_to(site)
         problem = engine.site_problem()
-        if deflation:
-            problem.deflate(deflation)
         mat = problem.dense_matrix()
         values, vectors = np.linalg.eig(mat)
         best = np.argmin(np.abs(values))
-        theta, vec = solver._local_eigensolve(
+        theta, vec, _ = solver._local_eigensolve(
             problem, problem.current_vector(), 0.0, tol=1e-11, dense_cutoff=700
         )
         assert engine.local_solves == counted(shift_invert=1)
@@ -704,23 +763,22 @@ def test_shift_invert_matches_dense_eig(start, penalties):
 
 
 @pytest.mark.parametrize(
-    "case, cutoff, deflation",
+    "case, cutoff",
     [
-        pytest.param("singular", 700, 0.0, id="singular"),
-        pytest.param("zero_start", 700, 0.0, id="zero_start"),
-        pytest.param("zero_start", 0, 0.0, id="zero_start-tethered"),
-        pytest.param("zero_start", 0, solver.DEFLATION_SHIFT, id="zero_start-deflated"),
-        pytest.param("budget", 700, 0.0, id="budget"),
+        pytest.param("singular", 700, id="singular"),
+        pytest.param("zero_start", 700, id="zero_start"),
+        pytest.param("zero_start", 0, id="zero_start-tethered"),
+        pytest.param("budget", 700, id="budget"),
     ],
 )
-def test_refused_shift_invert_returns_the_eig_answer(case, cutoff, deflation, monkeypatch, caplog):
+def test_refused_shift_invert_returns_the_eig_answer(case, cutoff, monkeypatch, caplog):
     # an exactly singular matrix, a zero start vector and a step budget the
     # noisy guess cannot meet each fall back to np.linalg.eig and say so in
     # one WARNING; the guess's block 0 (bond 3) keeps the identity in its
     # frames, so the local problem has an eigenvalue at zero to rounding. A
-    # zero start is refused before any method, on the dense path, by the
-    # tethered solve's path and by the degeneracy check's above the cutoff
-    # alike, and above the hard cap it breaks the solve down
+    # zero start is refused before any method, on the dense path and on the
+    # tethered solve's path alike, and above the hard cap it breaks the
+    # solve down
     model = ising_l3()
     mpo = build_extended_lindbladian(model, 1)
     guess = initial_guess(3, 2, 1, model.omega, noise_amplitude=1e-2, seed=3)
@@ -729,8 +787,6 @@ def test_refused_shift_invert_returns_the_eig_answer(case, cutoff, deflation, mo
     state = FloquetDensityMatrix({**blocks, 0: guess.blocks[0]}, model.omega, 1)
     engine = SweepEngine(mpo, state)
     problem = engine.site_problem()
-    if deflation:
-        problem.deflate(deflation)
     mat = problem.dense_matrix()
     v0 = problem.current_vector()
     if case == "singular":
@@ -741,7 +797,7 @@ def test_refused_shift_invert_returns_the_eig_answer(case, cutoff, deflation, mo
     else:
         monkeypatch.setattr(solver, "KRYLOV_DIM", 1)
     with caplog.at_level(logging.DEBUG, logger="floquet_ness.solver"):
-        theta, vec = solver._local_eigensolve(problem, v0, 0.0, tol=1e-11, dense_cutoff=cutoff)
+        theta, vec, _ = solver._local_eigensolve(problem, v0, 0.0, tol=1e-11, dense_cutoff=cutoff)
     # the eig value nearest zero; the singular case has two within the
     # residual bound, one eigenspace, whose vector nearest v0 is taken
     values, vectors = np.linalg.eig(mat)
@@ -769,7 +825,7 @@ def test_zero_pivot_at_an_exact_shift_falls_back_loudly(caplog):
     engine = SweepEngine(build_extended_lindbladian(model, 0), initial_guess(1, 2, 0, model.omega))
     problem = engine.site_problem()
     with caplog.at_level(logging.DEBUG, logger="floquet_ness.solver"):
-        theta, vec = solver._local_eigensolve(problem, problem.current_vector(), 0.0, tol=1e-11, dense_cutoff=700)
+        theta, vec, _ = solver._local_eigensolve(problem, problem.current_vector(), 0.0, tol=1e-11, dense_cutoff=700)
     assert engine.local_solves == counted(dense_fallback=1)
     (record,) = [r for r in caplog.records if "shift-invert refused" in r.getMessage()]
     assert record.levelno == logging.WARNING
@@ -800,15 +856,13 @@ def test_every_method_raises_its_refusal(method, reason, monkeypatch):
     engine = SweepEngine(mpo, state)
     engine.advance_to(1)
     problem = engine.site_problem()
-    if method == "_arnoldi":
-        problem.deflate(solver.DEFLATION_SHIFT)
     v0 = problem.current_vector()
     blocks = problem.diagonal_blocks()
     bound = 1e-11 * np.linalg.norm(blocks)
     if method == "_shift_invert":
         monkeypatch.setattr(solver, "KRYLOV_DIM", 1)
         mat = problem.dense_matrix()
-        args = (problem, mat.__matmul__, mat[None], v0, 0.0, bound)
+        args = (mat.__matmul__, solver._block_jacobi(mat[None], 0.0), v0, 0.0, bound)
     elif method == "_tethered_solve":
         part = v0.reshape(len(blocks), -1)[0] / np.linalg.norm(v0)
         blocks[0] = -np.outer(part, part.conj())  # block 0 of D - sigma I + u u^H is exactly zero
@@ -819,7 +873,9 @@ def test_every_method_raises_its_refusal(method, reason, monkeypatch):
             return np.array([0.5 + 0j]), np.ones((op.shape[0], 1), complex) / np.sqrt(op.shape[0])
 
         monkeypatch.setattr(solver.spla, "eigs", wrong)
-        args = (problem, v0, 0.0, blocks, bound, 1e-11)
+        tether = v0 / np.linalg.norm(v0)
+        inverse = solver._shifted_inverse(problem, solver._block_jacobi(blocks, 0.0, tether), 0.0, bound, tether)
+        args = (problem.matvec, inverse, v0, 0.0, bound)
     else:
         args = (problem, problem.matvec, v0, stalled_preconditioner(blocks, 0.0), bound, np.zeros_like(v0))
     with pytest.raises(EigensolverBreakdown, match=reason):
@@ -887,7 +943,7 @@ def test_tethered_solve_matches_dense_eig(chain, offset, caplog):
         sigma = values[np.argmin(np.abs(values))] + offset if offset else 0.0
         best = np.argmin(np.abs(values - sigma))
         with caplog.at_level(logging.WARNING, logger="floquet_ness.solver"):
-            theta, vec = solver._local_eigensolve(problem, problem.current_vector(), sigma, tol=1e-11, dense_cutoff=0)
+            theta, vec, _ = solver._local_eigensolve(problem, problem.current_vector(), sigma, tol=1e-11, dense_cutoff=0)
         assert engine.local_solves == counted(tethered=1)
         assert engine.gmres_iterations > 0
         assert abs(theta - values[best]) <= 1e-12 * np.linalg.norm(mat)
@@ -921,7 +977,7 @@ def test_converged_starts_are_accepted_before_any_method(cutoff, monkeypatch):
         engine.advance_to(site)
         problem = engine.site_problem()
         v0 = problem.current_vector()
-        theta, vec = solver._local_eigensolve(problem, v0, 0.0, tol=1e-11, dense_cutoff=cutoff)
+        theta, vec, _ = solver._local_eigensolve(problem, v0, 0.0, tol=1e-11, dense_cutoff=cutoff)
         assert np.array_equal(vec, v0 / np.linalg.norm(v0))
         assert theta == np.vdot(vec, problem.matvec(vec))
         assert abs(theta) <= 1e-11 * np.linalg.norm(problem.diagonal_blocks())
@@ -943,7 +999,7 @@ def test_eigenvector_away_from_the_shift_is_not_accepted(cutoff, method):
         values, vectors = np.linalg.eig(mat)
         nearest, runner_up = np.argsort(np.abs(values))[:2]
         assert abs(values[runner_up]) > 0.1
-        theta, vec = solver._local_eigensolve(problem, vectors[:, runner_up], 0.0, tol=1e-11, dense_cutoff=cutoff)
+        theta, vec, _ = solver._local_eigensolve(problem, vectors[:, runner_up], 0.0, tol=1e-11, dense_cutoff=cutoff)
         assert engine.local_solves == counted(**{method: 1})
         assert abs(theta - values[nearest]) <= 1e-12 * np.linalg.norm(mat)
         assert abs(np.vdot(vectors[:, nearest], vec)) >= 1 - 1e-10
@@ -973,7 +1029,7 @@ def test_refused_tethered_solve_returns_the_dense_answer(case, monkeypatch, capl
         monkeypatch.setattr(problem, "diagonal_blocks", blocks.copy)
     solve = dict(v0=v0, target=0.0, tol=1e-11, dense_cutoff=0)
     with caplog.at_level(logging.WARNING, logger="floquet_ness.solver"):
-        theta, vec = solver._local_eigensolve(problem, **solve)
+        theta, vec, _ = solver._local_eigensolve(problem, **solve)
     mat = problem.dense_matrix()
     values, vectors = np.linalg.eig(mat)
     best = np.argmin(np.abs(values))
@@ -1026,7 +1082,7 @@ def test_stage_log_counts_local_solves_by_method(chain):
     # every local solve is counted once, under the method that answered it:
     # the first sweep's first two by shift-invert, and every later start
     # passes (4 solves per sweep at L = 3), so the second sweep is idle and
-    # ends the stage; then the centre solve and the deflated degeneracy
+    # ends the stage; then the centre solve and the projected degeneracy
     # check, both by shift-invert
     model = ising_l3() if chain == "ising" else build_dtc_model(DTCParams(chain_length=3), n_c=1)
     _, report = solve_ness(model, quick_config(1, 8))
@@ -1059,7 +1115,7 @@ def test_idle_second_sweep_ends_the_stage_at_the_centre(monkeypatch):
     cfg = quick_config(1, 8)
     start = initial_guess(3, 2, 1, model.omega, noise_amplitude=cfg.noise_amplitude, seed=cfg.seed, noise_bond=8)
     report = solver.SolveReport()
-    engine, problem, theta = solver._sweep_schedule(build_extended_lindbladian(model, 1), start, cfg, report, 0.0, "ness")
+    engine, problem, theta, _ = solver._sweep_schedule(build_extended_lindbladian(model, 1), start, cfg, report, 0.0, "ness")
     (entry,) = report.stage_log
     assert len(entry["sweep_residuals"]) == 2 < cfg.warmup.sweeps
     assert entry["local_solves"] == counted(converged_start=6, shift_invert=3)
@@ -1086,13 +1142,13 @@ def test_small_sweep_residual_does_not_end_the_stage(monkeypatch):
 
 
 def swept_engine(model, cfg):
-    """The sweep engine of `solve_ness` on `model` at cutoff 1, bond 8, and its centre solve's problem,
-    as the degeneracy check finds them."""
+    """The sweep engine of `solve_ness` on `model` at cutoff 1, bond 8, its centre solve's problem and
+    that solve's factorization, as the degeneracy check finds them."""
     start = initial_guess(3, 2, 1, model.omega, noise_amplitude=cfg.noise_amplitude, seed=cfg.seed, noise_bond=8)
-    engine, problem, _ = solver._sweep_schedule(
+    engine, problem, _, factored = solver._sweep_schedule(
         build_extended_lindbladian(model, 1), start, cfg, solver.SolveReport(), 0.0, "ness"
     )
-    return engine, problem
+    return engine, problem, factored
 
 
 def hessenberg_eig_sizes(monkeypatch):
@@ -1111,18 +1167,18 @@ def hessenberg_eig_sizes(monkeypatch):
 @pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # DTC harmonics exceed n_c = 1
 @pytest.mark.parametrize("chain", ["ising", "dtc"])
 def test_deflated_check_matches_eig_runner_up(chain):
-    # deflating the converged state out of the centre-site problem of the
-    # sweep engine leaves the runner-up eigenvalue of the undeflated problem
-    # nearest zero, found to the residual the check returns (it accepts at
-    # DEGENERACY_TOL); the check counts its own solve only, and moving the
-    # engine's centre there leaves the state as it was
+    # projecting the converged state out of the centre-site problem of the
+    # sweep engine leaves its runner-up eigenvalue nearest zero, found to the
+    # residual the check returns (it accepts at DEGENERACY_TOL); the check
+    # counts its own solve only, and moving the engine's centre there leaves
+    # the state as it was
     model = ising_l3() if chain == "ising" else build_dtc_model(DTCParams(chain_length=3), n_c=1)
     cfg = quick_config(1, 8)
-    engine, problem = swept_engine(model, cfg)
+    engine, problem, factored = swept_engine(model, cfg)
     state = engine.state()
     assert engine.local_solves == counted(converged_start=6, shift_invert=3)
     before = dict(engine.local_solves)
-    theta, residual = solver._deflated_check(problem, cfg, np.random.default_rng(3))
+    theta, residual = solver._deflated_check(problem, factored, np.random.default_rng(3))
     assert {method: count - before[method] for method, count in engine.local_solves.items()} == counted(shift_invert=1)
     assert engine.center == 1
     for n, block in engine.state().blocks.items():
@@ -1142,13 +1198,13 @@ def test_deflated_check_matches_eig_runner_up(chain):
 def test_dense_degeneracy_check_tests_few_ritz_pairs(monkeypatch):
     # the check's shift-invert tests its top Ritz pair (a Hessenberg eig and
     # a true residual) after every step, and accepting at DEGENERACY_TOL it
-    # stops after few: 14 steps on the Ising chain, where converging the
+    # stops after few: 13 steps on the Ising chain, where converging the
     # pair to the sweeps' tolerance took 22
     cfg = quick_config(1, 8)
-    engine, problem = swept_engine(ising_l3(), cfg)
+    engine, problem, factored = swept_engine(ising_l3(), cfg)
     sizes = hessenberg_eig_sizes(monkeypatch)
-    theta, residual = solver._deflated_check(problem, cfg, np.random.default_rng(3))
-    assert sizes == list(range(1, len(sizes) + 1)) and len(sizes) <= 16  # 14 when measured
+    theta, residual = solver._deflated_check(problem, factored, np.random.default_rng(3))
+    assert sizes == list(range(1, len(sizes) + 1)) and len(sizes) <= 16  # 13 when measured
     assert engine.inverse_solves == sizes[-1] + 1  # every step's and one polishing application
     mat = engine.site_problem().dense_matrix()
     values = np.linalg.eigvals(mat)
@@ -1157,23 +1213,23 @@ def test_dense_degeneracy_check_tests_few_ritz_pairs(monkeypatch):
 
 
 def test_shift_invert_tests_its_last_step(monkeypatch, caplog):
-    # the check above accepts at step 14; with KRYLOV_DIM at 14 it still
+    # the check above accepts at step 13; with KRYLOV_DIM at 13 it still
     # accepts there, at its last step, and one step fewer is refused and
     # falls back to eig
     cfg = quick_config(1, 8)
-    engine, problem = swept_engine(ising_l3(), cfg)
+    engine, problem, factored = swept_engine(ising_l3(), cfg)
     sizes = hessenberg_eig_sizes(monkeypatch)
-    monkeypatch.setattr(solver, "KRYLOV_DIM", 14)
-    before = dict(engine.local_solves)
-    solver._deflated_check(problem, cfg, np.random.default_rng(3))
-    assert {method: count - before[method] for method, count in engine.local_solves.items()} == counted(shift_invert=1)
-    assert sizes == list(range(1, 15))
-    assert engine.inverse_solves == 15
     monkeypatch.setattr(solver, "KRYLOV_DIM", 13)
+    before = dict(engine.local_solves)
+    solver._deflated_check(problem, factored, np.random.default_rng(3))
+    assert {method: count - before[method] for method, count in engine.local_solves.items()} == counted(shift_invert=1)
+    assert sizes == list(range(1, 14))
+    assert engine.inverse_solves == 14  # 13 steps and the polishing one
+    monkeypatch.setattr(solver, "KRYLOV_DIM", 12)
     with caplog.at_level(logging.WARNING, logger="floquet_ness.solver"):
-        solver._deflated_check(engine.site_problem(), cfg, np.random.default_rng(3))
+        solver._deflated_check(problem, factored, np.random.default_rng(3))
     assert engine.local_solves["dense_fallback"] == before["dense_fallback"] + 1
-    assert "no Ritz pair accepted within 13 steps" in caplog.text
+    assert "no Ritz pair accepted within 12 steps" in caplog.text
 
 
 @pytest.mark.parametrize("theta", [0.0, -0.3 + 1.2j], ids=["zero", "complex"])
@@ -1234,7 +1290,7 @@ def test_sweep_sites_solve_each_end_site_once(length, monkeypatch):
 
     def records(problem, v0, *args, **kwargs):
         sites.append(problem.site)
-        return 0.0, v0
+        return 0.0, v0, None
 
     monkeypatch.setattr(solver, "_local_eigensolve", records)
     jumps = {f"d{i}": {0: LocalOperator(i, SM)} for i in range(length)}
@@ -1256,7 +1312,7 @@ def test_sweeps_keep_unit_norm():
     state = initial_guess(3, 2, 1, model.omega, noise_amplitude=1e-4, seed=2, noise_bond=8)
     assert abs(state.norm() - 1.0) > 0.1
     cfg = quick_config(1, 8, warmup=make_warmup_schedule(1, 8, warm_sweeps=1, final_sweeps=1))
-    engine, _, _ = solver._sweep_schedule(mpo, state, cfg, solver.SolveReport(), 0.0, "norm")
+    engine, *_ = solver._sweep_schedule(mpo, state, cfg, solver.SolveReport(), 0.0, "norm")
     assert abs(engine.state().norm() - 1.0) < 1e-12
 
 
@@ -1331,10 +1387,10 @@ def test_refused_tethered_pick_returns_the_eig_answer(monkeypatch, caplog):
     def recording(problem, v0, target, *args, **kwargs):
         if target != "slowest_central":
             raise FirstSweepDone
-        theta, vec = original(problem, v0, target, *args, **kwargs)
+        theta, vec, factored = original(problem, v0, target, *args, **kwargs)
         picks.append((problem.dense_matrix(), theta, vec))
         counts.update(problem.engine.local_solves)
-        return theta, vec
+        return theta, vec, factored
 
     monkeypatch.setattr(solver, "_tethered_solve", refused)
     monkeypatch.setattr(solver, "_local_eigensolve", recording)
@@ -1468,8 +1524,8 @@ def test_decay_mode_with_positive_real_part_fails_before_the_left_solve(monkeypa
 
     def growing(*args):
         labels.append(args[-1])
-        engine, problem, _ = original(*args)
-        return engine, problem, 0.25 + 0.5j
+        engine, problem, _, factored = original(*args)
+        return engine, problem, 0.25 + 0.5j, factored
 
     monkeypatch.setattr(solver, "_sweep_schedule", growing)
     with pytest.raises(solver.SolverError, match="positive real part"):
@@ -1585,12 +1641,13 @@ def test_damped_driven_qutrit_chain_matches_the_dense_references():
 
 
 def test_degeneracy_check_certifies_a_cluster_of_qutrit_values(monkeypatch, caplog):
-    # at omega=4, gamma=0.5 the deflated centre problem (dim 243) has four
-    # values within 5e-4 of its runner-up -0.4993929 (dense eig of the
-    # whole generator), which Arnoldi on the inverse did not separate to the
-    # sweeps' bound; the check only compares the gap with DEGENERACY_TOL, so
-    # shift-invert accepts at that tolerance (34 inverse applications when
-    # measured) with no eig fallback, and the residual bounds the gap's error
+    # at omega=4, gamma=0.5 the centre problem (dim 243), with the state
+    # projected out, has four values within 5e-4 of its runner-up -0.4993929
+    # (dense eig of the whole generator), which Arnoldi on the inverse did
+    # not separate to the sweeps' bound; the check only compares the gap
+    # with DEGENERACY_TOL, so shift-invert accepts at that tolerance (32
+    # inverse applications when measured) with no eig fallback, and the
+    # residual bounds the gap's error
     checked = keep_checked_engine(monkeypatch)
     model = damped_driven_qutrits(omega=4.0, gamma=0.5)
     with caplog.at_level(logging.WARNING, logger="floquet_ness.solver"):
@@ -1759,10 +1816,12 @@ def test_report_numbers_come_from_the_engine(length, n_c, monkeypatch):
 
 @pytest.mark.parametrize("cutoff", [solver.DENSE_LOCAL_HARD_CAP, 0], ids=["dense", "krylov"])
 def test_degeneracy_check_takes_over_the_centre_operator(cutoff, monkeypatch):
-    # the centre solve's write moves no environment, so the check deflates
-    # that solve's own problem: it builds no second problem, and it assembles
-    # nothing, since the centre solve assembled the dense operator (or above
-    # the cutoff the diagonal blocks) that the deflation only adds to
+    # the centre solve's write moves no environment, so the check works on
+    # that solve's own problem and factorization: it builds no second
+    # problem, runs no local solve and assembles nothing, since the centre
+    # solve assembled the dense operator (or above the cutoff the diagonal
+    # blocks); the factorization comes back by return value, and the check
+    # can run again on it
     cfg = quick_config(1, 8, dense_local_cutoff=cutoff)
     solved, local_eigensolve = [], solver._local_eigensolve
 
@@ -1773,12 +1832,13 @@ def test_degeneracy_check_takes_over_the_centre_operator(cutoff, monkeypatch):
     monkeypatch.setattr(solver, "_local_eigensolve", keeps)
     model = ising_l3()
     start = initial_guess(3, 2, 1, model.omega, noise_amplitude=cfg.noise_amplitude, seed=cfg.seed, noise_bond=8)
-    engine, problem, _ = solver._sweep_schedule(
+    engine, problem, _, factored = solver._sweep_schedule(
         build_extended_lindbladian(model, 1), start, cfg, solver.SolveReport(), 0.0, "ness"
     )
     assert problem is solved.pop() and problem.site == engine.center == 1
     kinds = ("dense", "blocks") if cutoff else ("blocks",)
     assert sorted(problem._assembled) == sorted(kinds)
+    assert (factored[2] is None) == bool(cutoff)  # no tether on the dense LU
     assemblies, built = [], []
     pair_blocks, init = solver.SiteProblem._pair_blocks, solver.SiteProblem.__init__
 
@@ -1793,12 +1853,11 @@ def test_degeneracy_check_takes_over_the_centre_operator(cutoff, monkeypatch):
     monkeypatch.setattr(solver.SiteProblem, "_pair_blocks", assembles)
     monkeypatch.setattr(solver.SiteProblem, "__init__", builds)
     solved.clear()
-    theta, _ = solver._deflated_check(problem, cfg, np.random.default_rng(3))
-    assert solved == [problem] and built == [] and assemblies == []
-    assert problem.deflation == solver.DEFLATION_SHIFT and sorted(problem._assembled) == sorted(kinds)
+    theta, _ = solver._deflated_check(problem, factored, np.random.default_rng(3))
+    assert solved == built == assemblies == []
+    assert sorted(problem._assembled) == sorted(kinds)
     assert abs(theta) > solver.DEGENERACY_TOL
-    with pytest.raises(ValueError, match="already deflated"):
-        solver._deflated_check(problem, cfg, np.random.default_rng(3))
+    assert solver._deflated_check(problem, factored, np.random.default_rng(3))[0] == theta
 
 
 def test_solves_free_their_engines_without_the_garbage_collector(monkeypatch):
@@ -1808,10 +1867,10 @@ def test_solves_free_their_engines_without_the_garbage_collector(monkeypatch):
     engines, problems, original = [], [], solver._sweep_schedule
 
     def keeps(*args):
-        engine, problem, theta = original(*args)
+        engine, problem, theta, factored = original(*args)
         engines.append(weakref.ref(engine))
         problems.append(weakref.ref(problem))
-        return engine, problem, theta
+        return engine, problem, theta, factored
 
     monkeypatch.setattr(solver, "_sweep_schedule", keeps)
     model, cfg = ising_l3(), quick_config(1, 8)
@@ -1882,7 +1941,7 @@ def test_slowest_central_is_always_dense(monkeypatch):
         raise AssertionError("ARPACK called")
 
     monkeypatch.setattr(solver.spla, "eigs", refuse)
-    theta, _ = solver._local_eigensolve(
+    theta, *_ = solver._local_eigensolve(
         problem, problem.current_vector(), "slowest_central", tol=1e-10, dense_cutoff=4
     )
     assert problem.dim == 12
@@ -1909,9 +1968,9 @@ def test_slowest_central_pick_refuses_a_tethered_pair_at_another_value(monkeypat
     problem = engine.site_problem()
     values, vectors = np.linalg.eig(problem.dense_matrix())
     other = np.argmin(np.abs(values + 0.7))  # the slowest is -0.35 + 1.1i
-    monkeypatch.setattr(solver, "_tethered_solve", lambda *args: (values[other], vectors[:, other]))
+    monkeypatch.setattr(solver, "_tethered_solve", lambda *args: (values[other], vectors[:, other], None))
     with caplog.at_level(logging.WARNING, logger="floquet_ness.solver"):
-        theta, vec = solver._local_eigensolve(
+        theta, vec, _ = solver._local_eigensolve(
             problem, problem.current_vector(), "slowest_central", tol=1e-10, dense_cutoff=100
         )
     assert abs(theta - (-0.35 + 1.1j)) < 1e-12
@@ -1921,7 +1980,7 @@ def test_slowest_central_pick_refuses_a_tethered_pair_at_another_value(monkeypat
     assert engine.local_solves == counted(dense_fallback=1)
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="floquet_ness.solver"):
-        theta, vec = solver._local_eigensolve(
+        theta, vec, _ = solver._local_eigensolve(
             problem, np.zeros(problem.dim, dtype=complex), "slowest_central", tol=1e-10, dense_cutoff=100
         )
     assert abs(theta - (-0.35 + 1.1j)) < 1e-12
@@ -1950,10 +2009,10 @@ def test_slowest_central_pick_is_the_dense_eig_value(chain, monkeypatch, caplog)
     def recording(problem, v0, target, tol, dense_cutoff, accept_start=True):
         if target != "slowest_central":
             raise FirstSweepDone
-        theta, vec = original(problem, v0, target, tol, dense_cutoff, accept_start)
+        theta, vec, factored = original(problem, v0, target, tol, dense_cutoff, accept_start)
         picks.append((problem.dense_matrix(), tol * np.linalg.norm(problem.diagonal_blocks()), theta, vec))
         counts.update(problem.engine.local_solves)
-        return theta, vec
+        return theta, vec, factored
 
     monkeypatch.setattr(solver, "_local_eigensolve", recording)
     with caplog.at_level(logging.WARNING, logger="floquet_ness.solver"), pytest.raises(FirstSweepDone):
@@ -2065,7 +2124,7 @@ def test_normalization_idempotence():
     # one extra production sweep must not move the observables
     mpo = build_extended_lindbladian(model, 1)
     extra = quick_config(1, 4, warmup=SweepStage(n_c=1, chi=4, sweeps=1))
-    engine, _, _ = solver._sweep_schedule(mpo, state, extra, solver.SolveReport(), 0.0, "extra")
+    engine, *_ = solver._sweep_schedule(mpo, state, extra, solver.SolveReport(), 0.0, "extra")
     again = engine.state()
     t0 = again.block_trace(0)
     again = again.scaled(1.0 / t0)
