@@ -23,7 +23,11 @@ later sweeps track that mode at a shift) takes the eigenvalues, then one
 tethered LU: LAPACK's eigenvalues alone (no eigenvectors) pick ``theta``,
 and the tethered system below at ``sigma = theta`` gives its vector,
 accepted only on a true residual; a refused one (a value of multiplicity
-above one) falls back to the full diagonalization.
+above one) falls back to the full diagonalization. The first sweep picks
+once per site whose local problem is the whole space (every bond at its
+exact size): there the frames are unitary, so the problem has the
+generator's own spectrum on every visit, and a second visit is solved at
+the first visit's pick, as a shift.
 Above the cutoff nothing is densified. A sweep's shift, which is (nearly) a
 local eigenvalue, is solved as the tethered linear system
 ``(A - sigma I + u u^H) x = u`` (``u`` the current centre vector). Every
@@ -197,10 +201,12 @@ DEGENERACY_TOL = 1e-7
 # shift, a start that already passes the acceptance test, returned with no
 # method run; shift-invert below the dense cutoff; `dense_eig` for the
 # slowest central value, from the eigenvalues, then one tethered LU of the
-# dense problem; above the cutoff the tethered solve for the sweeps, whose
-# inverse is an exact LU solve at one harmonic block and GMRES at more (the
-# engine's `gmres_iterations` counts that work); a dense `eig` (or
-# shift-invert) after any of them failed, or for a zero start. The degeneracy
+# dense problem (a whole-space site's second visit in the first decay sweep
+# is solved at its first pick, as a shift, and counted like any shift solve);
+# above the cutoff the tethered solve for the sweeps, whose inverse is an
+# exact LU solve at one harmonic block and GMRES at more (the engine's
+# `gmres_iterations` counts that work); a dense `eig` (or shift-invert)
+# after any of them failed, or for a zero start. The degeneracy
 # check counts its own solve: `shift_invert` on the centre solve's dense LU,
 # shift-invert ARPACK (`arnoldi`) on its tethered inverse, `dense_fallback`
 # for its `eig`.
@@ -223,11 +229,12 @@ class SweepConfig:
     carries seeded noise of `noise_amplitude` at the full bond; it must be
     positive. Local problems up to `dense_local_cutoff` (an integer, at most
     DENSE_LOCAL_HARD_CAP) are densified: solves at a shift (every solve but
-    the right decay mode's first sweep, which takes the eigenvalues, then
-    one tethered LU, at any size up to the cap) whose start does not
-    already pass use shift-invert (LU plus a short Arnoldi on the
-    inverse, its Ritz pair tested after every step) and fall back to a full
-    `eig` when it is refused. Larger sweep problems at a shift are solved by
+    the right decay mode's first-sweep picks, which take the eigenvalues,
+    then one tethered LU, at any size up to the cap, and which a
+    whole-space site's second visit of that sweep does not repeat) whose
+    start does not already pass use shift-invert (LU plus a short Arnoldi
+    on the inverse, its Ritz pair tested after every step) and fall back to
+    a full `eig` when it is refused. Larger sweep problems at a shift are solved by
     the tethered solve, which inverts with one LU per harmonic block, exactly
     when there is one block and by GMRES otherwise. The degeneracy check
     factors nothing: it applies the steady-state centre solve's inverse with
@@ -945,7 +952,9 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff, accep
     """Solve the local eigenproblem, returning ``(theta, vector, factored)``.
 
     `target` is a shift ``sigma`` (the eigenvalue nearest it) or
-    ``"slowest_central"`` (:func:`_slowest_central`), always taken from the
+    ``"slowest_central"`` (:func:`_slowest_central`; the first decay sweep's
+    second visit of a whole-space site passes its first pick as a shift
+    instead, :func:`_sweep_schedule`), always taken from the
     dense problem at any size up to DENSE_LOCAL_HARD_CAP (above it, or with
     no central eigenvalue, it raises :class:`EigensolverBreakdown`): the
     eigenvalues, then one tethered LU. ``np.linalg.eigvals`` (no
@@ -1007,7 +1016,7 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff, accep
             if not abs(found[0] - sigma) <= bound:  # a retry reached another value
                 raise EigensolverBreakdown(f"tethered pair at {found[0]:.6g}, not at {sigma:.6g}")
         except EigensolverBreakdown as err:
-            logger.warning("tethered LU refused at dim %d (%s); solving with eig", dim, err)
+            logger.warning("tethered LU refused at dim %d (%s); solving with eig", dim, str(err))
             counts["dense_fallback"] += 1
             return (*_nearest_eig(mat, sigma, v0, bound), None)
         counts["dense_eig"] += 1
@@ -1037,14 +1046,14 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff, accep
         except EigensolverBreakdown as err:
             if dim > DENSE_LOCAL_HARD_CAP:
                 raise EigensolverBreakdown(f"tethered GMRES failed at dim {dim}: {err}") from err
-            logger.warning("tethered GMRES failed at dim %d (%s); solving densely", dim, err)
+            logger.warning("tethered GMRES failed at dim %d (%s); solving densely", dim, str(err))
         fallback = True
     mat = problem.dense_matrix()
     try:
         lu = _block_jacobi(mat[None], sigma)
         theta, vec = _shift_invert(mat.__matmul__, lu, v0, sigma, bound)
     except EigensolverBreakdown as err:
-        logger.warning("shift-invert refused at dim %d (%s); solving with eig", dim, err)
+        logger.warning("shift-invert refused at dim %d (%s); solving with eig", dim, str(err))
         counts["dense_fallback"] += 1
         return (*_nearest_eig(mat, sigma, v0, bound), None)
     counts["dense_fallback" if fallback else "shift_invert"] += 1
@@ -1068,13 +1077,18 @@ def _sweep_schedule(mpo, state, cfg, report, target, label):
     would be followed by the same, so it ends the stage; otherwise the stage
     runs ``stage.sweeps`` sweeps. For ``"slowest_central"`` only the first
     sweep solves for it, from the dense eigenvalues, then one tethered LU
-    per site (:func:`_local_eigensolve`); later sweeps track the mode at the
-    sweep before's last local eigenvalue, as a shift (Yu, Pekker, Clark,
-    PRL 118, 017201 (2017)). A sweep's residual is the largest distance of
-    its local eigenvalues from the shift it solved at (a shift `target`, or
-    the tracked value); the first ``"slowest_central"`` sweep, which has no
-    shift, measures its spread about its last value. It is logged and
-    stops nothing. The stage ends with one solve at the centre site
+    (:func:`_local_eigensolve`), at every site it visits, but once per site
+    whose problem is the whole space, ``(2 n_c + 1) p^L``. Every bond there
+    is at its exact size, so the frames form a unitary ``V`` and the
+    problem ``V^H A V`` has the generator's own spectrum on both visits: the
+    second visit (sites ``1..L-2`` are visited twice) is solved at the first
+    visit's pick, as a shift, with no second ``eigvals``. Later sweeps track
+    the mode at the sweep before's last local eigenvalue, as a shift (Yu,
+    Pekker, Clark, PRL 118, 017201 (2017)). A sweep's residual is the
+    largest distance of its local eigenvalues from the shift it solved at (a
+    shift `target`, or the tracked value); the first ``"slowest_central"``
+    sweep, which has no shift, measures its spread about its last value. It
+    is logged and stops nothing. The stage ends with one solve at the centre site
     ``L // 2`` at the last shift, which never accepts its start. Every local
     solve writes a unit-norm centre vector into orthonormal frames, so the
     state keeps unit norm and its bond dimensions.
@@ -1099,11 +1113,17 @@ def _sweep_schedule(mpo, state, cfg, report, target, label):
     engine = SweepEngine(mpo, state, chi=stage.chi)
     residuals, bonds = [], []
     shift = target
+    whole = len(engine.harmonics) * engine.phys**engine.length
+    picks = {}  # site: the first sweep's pick there, kept for whole-space problems
 
     def solve(problem, direction, accept_start=True):
+        same_spectrum = isinstance(shift, str) and problem.dim == whole
+        local = picks.get(problem.site, shift) if same_spectrum else shift
         theta, vec, factored = _local_eigensolve(
-            problem, problem.current_vector(), shift, _local_tol(cfg), cfg.dense_local_cutoff, accept_start=accept_start
+            problem, problem.current_vector(), local, _local_tol(cfg), cfg.dense_local_cutoff, accept_start=accept_start
         )
+        if same_spectrum:
+            picks.setdefault(problem.site, theta)
         engine.set_site(problem.unpack(vec), direction=direction)
         return complex(theta), factored
 
@@ -1306,7 +1326,7 @@ def _deflated_check(problem, factored, rng):
     except EigensolverBreakdown as err:
         if dim > DENSE_LOCAL_HARD_CAP:
             raise EigensolverBreakdown(f"degeneracy check failed at dim {dim}: {err}") from err
-        logger.warning("degeneracy check refused at dim %d (%s); solving with eig", dim, err)
+        logger.warning("degeneracy check refused at dim %d (%s); solving with eig", dim, str(err))
         engine.local_solves["dense_fallback"] += 1
         values, vectors = np.linalg.eig(problem.dense_matrix())
         values[np.argmax(np.abs(vectors.conj().T @ x0))] = np.inf  # drop the state's own value
@@ -1426,8 +1446,7 @@ def _eigen_residual(mpo, vec, theta):
     ``|n - q| <= cutoff`` and ``(c_n - theta) x_n``, with ``c_n`` the ramp
     coefficient (dropped when zero);
     :func:`~floquet_ness.mps.product_sum_norm` takes its norm without
-    building the products. :meth:`FloquetMPO.apply` is the tested reference
-    for the same action.
+    building the products. Its tests compare it with the dense generator.
     """
     norms = []
     for n in vec.harmonics:
@@ -1454,9 +1473,11 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
     targets ``"slowest_central"`` from random blocks at the stage's bond
     dimension: its first sweep takes each site's eigenvalues, then one
     tethered LU for the vector of the slowest central one
-    (:func:`_local_eigensolve`). The left partner is the eigenvector of the
-    bare adjoint generator at ``conj(lambda)``, solved at that shift from
-    the right mode.
+    (:func:`_local_eigensolve`), except on a second visit of a site whose
+    problem is the whole space, which has the same spectrum and is solved at
+    its first pick (:func:`_sweep_schedule`). The left partner is the
+    eigenvector of the bare adjoint generator at ``conj(lambda)``, solved at
+    that shift from the right mode.
     `ness` must be the model's steady state at the stage's cutoff: a chain
     length, site dimension, ``omega`` or cutoff that differs from the
     model's raises ``ValueError`` before any sweep.

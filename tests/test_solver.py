@@ -1331,14 +1331,16 @@ def test_stage_log_reports_discarded_weight_and_bond():
     assert logged[0]["start_discarded_weight"] == entry["start_discarded_weight"]
 
 
-def assert_right_solve_tracks_after_one_eig_sweep(decay, per_sweep, centre):
+def assert_right_solve_tracks_after_one_eig_sweep(decay, per_sweep, centre, revisits=0):
     # one dense pick (eigenvalues, then a tethered LU) per local solve of the
-    # first sweep (`per_sweep` of them);
+    # first sweep (`per_sweep` of them), but for `revisits` whole-space sites
+    # visited again, whose start passes at their first visit's pick;
     # at the tracked shift every start of the second sweep passes, so it is
     # idle and ends the stage, and the centre solve answers by `centre`
     (entry,) = [e for e in decay.report.stage_log if e["label"] == "decay right"]
     assert len(entry["sweep_residuals"]) == 2
-    assert entry["local_solves"] == counted(dense_eig=per_sweep, converged_start=per_sweep, **{centre: 1})
+    picks, starts = per_sweep - revisits, per_sweep + revisits
+    assert entry["local_solves"] == counted(dense_eig=picks, converged_start=starts, **{centre: 1})
 
 
 def closed_two_site_chain():
@@ -1860,28 +1862,37 @@ def test_degeneracy_check_takes_over_the_centre_operator(cutoff, monkeypatch):
     assert solver._deflated_check(problem, factored, np.random.default_rng(3))[0] == theta
 
 
-def test_solves_free_their_engines_without_the_garbage_collector(monkeypatch):
+def test_solves_free_their_engines_without_the_garbage_collector(monkeypatch, caplog):
     # a centre problem refers to its engine, but no engine refers to a
     # problem: so no reference cycle holds an engine, and with it a dense
-    # operator, once a solve is done with it and its centre problem
+    # operator, once a solve is done with it and its centre problem. A
+    # fallback's WARNING carries the refusal's text, not the exception, so a
+    # handler that keeps its records (the log capture here, of a degeneracy
+    # check forced to fall back: the steady state's centre factorization is
+    # withheld) keeps no traceback, and with it no frame of the solve
     engines, problems, original = [], [], solver._sweep_schedule
 
     def keeps(*args):
         engine, problem, theta, factored = original(*args)
         engines.append(weakref.ref(engine))
         problems.append(weakref.ref(problem))
-        return engine, problem, theta, factored
+        return engine, problem, theta, None if args[-1] == "ness" else factored
 
     monkeypatch.setattr(solver, "_sweep_schedule", keeps)
     model, cfg = ising_l3(), quick_config(1, 8)
     gc.disable()
     try:
-        ness, _ = solve_ness(model, cfg)
-        solve_first_decay_mode(model, ness, cfg)
+        with caplog.at_level(logging.WARNING, logger="floquet_ness.solver"):
+            ness, report = solve_ness(model, cfg)
+            solve_first_decay_mode(model, ness, cfg)
         assert len(engines) == len(problems) == 3
         assert all(ref() is None for ref in engines + problems)
     finally:
         gc.enable()
+    (record,) = caplog.records
+    assert record.getMessage() == "degeneracy check refused at dim 192 (no centre factorization to apply); solving with eig"
+    assert not any(isinstance(arg, BaseException) for arg in record.args)
+    assert report.stage_log[0]["local_solves"]["dense_fallback"] == 1
 
 
 def test_slowest_central_keeps_a_real_value_with_negative_roundoff():
@@ -1896,7 +1907,9 @@ def test_slowest_central_keeps_a_real_value_with_negative_roundoff():
 
 
 def test_decay_right_solve_tracks_a_shift_on_ising_l3(ising_l3_decay):
-    assert_right_solve_tracks_after_one_eig_sweep(ising_l3_decay[2], 4, "shift_invert")
+    # the first sweep visits sites 0, 1, 2, 1; at chi = 8 site 1's problem
+    # is the whole space, so its second visit is solved at its first pick
+    assert_right_solve_tracks_after_one_eig_sweep(ising_l3_decay[2], 4, "shift_invert", revisits=1)
 
 
 @pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # Ising harmonics exceed n_c = 0
@@ -1999,18 +2012,21 @@ class FirstSweepDone(Exception):
 def test_slowest_central_pick_is_the_dense_eig_value(chain, monkeypatch, caplog):
     # the right decay solve's first sweep takes the slowest central value
     # from the eigenvalues alone and its vector from one tethered LU: on each
-    # problem of that sweep (the next sweep tracks a shift, and the test
-    # stops there) the value is a dense eig's slowest central one, and the
-    # vector meets the local solve's residual bound, with no fallback
+    # problem of that sweep (sites 0, 1, 2, 1; the next sweep tracks a shift,
+    # and the test stops there) the value is a dense eig's slowest central
+    # one, and the vector meets the local solve's residual bound, with no
+    # fallback. Site 1's problem is the whole space at chi = 8, so its second
+    # visit is solved at its first pick, whose start passes, and is no pick
     model = ising_l3() if chain == "ising" else build_dtc_model(DTCParams(chain_length=3), n_c=1)
     cfg = quick_config(1, 8)
-    original, picks, counts = solver._local_eigensolve, [], {}
+    original, solves, counts = solver._local_eigensolve, [], {}
 
     def recording(problem, v0, target, tol, dense_cutoff, accept_start=True):
-        if target != "slowest_central":
+        if len(solves) == 4:
             raise FirstSweepDone
         theta, vec, factored = original(problem, v0, target, tol, dense_cutoff, accept_start)
-        picks.append((problem.dense_matrix(), tol * np.linalg.norm(problem.diagonal_blocks()), theta, vec))
+        bound = tol * np.linalg.norm(problem.diagonal_blocks())
+        solves.append((problem.site, target, problem.dense_matrix(), bound, theta, vec))
         counts.update(problem.engine.local_solves)
         return theta, vec, factored
 
@@ -2018,12 +2034,46 @@ def test_slowest_central_pick_is_the_dense_eig_value(chain, monkeypatch, caplog)
     with caplog.at_level(logging.WARNING, logger="floquet_ness.solver"), pytest.raises(FirstSweepDone):
         solve_first_decay_mode(model, initial_guess(3, 2, 1, model.omega), cfg)
     assert not caplog.records
-    assert len(picks) == 4 and counts == counted(dense_eig=4)
-    for mat, bound, theta, vec in picks:
+    assert [site for site, *_ in solves] == [0, 1, 2, 1]
+    assert [target for _, target, *_ in solves[:3]] == ["slowest_central"] * 3
+    assert solves[3][1] == solves[1][4] and solves[3][2].shape == (3 * 4**3,) * 2
+    assert counts == counted(dense_eig=3, converged_start=1)
+    for _, _, mat, bound, theta, vec in solves:
         values = np.linalg.eig(mat)[0]
         central = values[(np.abs(values.imag) < model.omega / 2) & (values.imag > -1e-10 * np.abs(values).max())]
         assert abs(theta - central[np.argmax(central.real)]) <= 1e-10 * np.linalg.norm(mat)
         assert np.linalg.norm(mat @ vec - theta * vec) <= bound
+
+
+@pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # DTC harmonics exceed n_c = 0
+@pytest.mark.parametrize("chain", ["dtc_chi2", "pair"])
+def test_first_sweep_picks_at_every_site_short_of_the_whole_space(chain, monkeypatch):
+    # only a whole-space site visited again is solved at its first pick: on
+    # DTC L=3 at a binding chi = 2 site 1's problem (dim 16) is not the
+    # whole space (64), and an L = 2 chain visits each site once, so every
+    # solve of the first sweep is a pick, and the decay right stage logs
+    # what it logged when every first-sweep solve picked
+    if chain == "dtc_chi2":
+        model, cfg = build_dtc_model(DTCParams(chain_length=3), n_c=1), quick_config(0, 2)
+        sites, sweeps, lam, entry = [0, 1, 2, 1], 8, -0.0123400516, dict(shift_invert=29, dense_eig=4)
+    else:
+        model, cfg = driven_damped_pair(), quick_config(1, 4)
+        sites, sweeps, lam, entry = [0, 1], 2, -0.2041957583 + 1.9805048556j, dict(converged_start=2, shift_invert=1, dense_eig=2)
+    ness, _ = solve_ness(model, cfg)
+    original, solves = solver._local_eigensolve, []
+
+    def recording(problem, v0, target, *args, **kwargs):
+        solves.append((problem.site, target))
+        return original(problem, v0, target, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_local_eigensolve", recording)
+    decay = solve_first_decay_mode(model, ness, cfg)
+    assert solves[: len(sites)] == [(site, "slowest_central") for site in sites]
+    assert abs(decay.eigenvalue - lam) < 1e-9
+    (right, _) = decay.report.stage_log
+    assert right["local_solves"] == counted(**entry)
+    assert len(right["sweep_residuals"]) == sweeps and right["max_bond"] == [cfg.warmup.chi] * sweeps
+    assert right["gmres_iterations"] == 0
 
 
 def test_slowest_central_without_central_value_breaks_down(monkeypatch):
