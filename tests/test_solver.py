@@ -1865,34 +1865,45 @@ def test_degeneracy_check_takes_over_the_centre_operator(cutoff, monkeypatch):
 def test_solves_free_their_engines_without_the_garbage_collector(monkeypatch, caplog):
     # a centre problem refers to its engine, but no engine refers to a
     # problem: so no reference cycle holds an engine, and with it a dense
-    # operator, once a solve is done with it and its centre problem. A
-    # fallback's WARNING carries the refusal's text, not the exception, so a
-    # handler that keeps its records (the log capture here, of a degeneracy
-    # check forced to fall back: the steady state's centre factorization is
-    # withheld) keeps no traceback, and with it no frame of the solve
-    engines, problems, original = [], [], solver._sweep_schedule
+    # operator, once a solve is done with it and its centre problem. Both
+    # ways through the degeneracy check are run: its normal path, whose
+    # closures hold the problem, its engine and the centre factorization,
+    # and its fallback, forced by withholding the steady state's centre
+    # factorization. A fallback's WARNING carries the refusal's text, not the
+    # exception, so a handler that keeps its records (the log capture here)
+    # keeps no traceback, and with it no frame of the solve
+    original, withheld = solver._sweep_schedule, [False]
 
     def keeps(*args):
         engine, problem, theta, factored = original(*args)
         engines.append(weakref.ref(engine))
         problems.append(weakref.ref(problem))
-        return engine, problem, theta, None if args[-1] == "ness" else factored
+        return engine, problem, theta, None if withheld[0] and args[-1] == "ness" else factored
 
     monkeypatch.setattr(solver, "_sweep_schedule", keeps)
     model, cfg = ising_l3(), quick_config(1, 8)
-    gc.disable()
-    try:
-        with caplog.at_level(logging.WARNING, logger="floquet_ness.solver"):
-            ness, report = solve_ness(model, cfg)
-            solve_first_decay_mode(model, ness, cfg)
-        assert len(engines) == len(problems) == 3
-        assert all(ref() is None for ref in engines + problems)
-    finally:
-        gc.enable()
-    (record,) = caplog.records
-    assert record.getMessage() == "degeneracy check refused at dim 192 (no centre factorization to apply); solving with eig"
-    assert not any(isinstance(arg, BaseException) for arg in record.args)
-    assert report.stage_log[0]["local_solves"]["dense_fallback"] == 1
+    for withhold in (False, True):
+        engines, problems, withheld[0] = [], [], withhold
+        caplog.clear()
+        gc.disable()
+        try:
+            with caplog.at_level(logging.WARNING, logger="floquet_ness.solver"):
+                ness, report = solve_ness(model, cfg)
+                solve_first_decay_mode(model, ness, cfg)
+            assert len(engines) == len(problems) == 3
+            assert all(ref() is None for ref in engines + problems)
+        finally:
+            gc.enable()
+        fallbacks = report.stage_log[0]["local_solves"]["dense_fallback"]
+        if not withhold:
+            assert caplog.records == [] and fallbacks == 0
+            continue
+        (record,) = caplog.records
+        assert record.getMessage() == (
+            "degeneracy check refused at dim 192 (no centre factorization to apply); solving with eig"
+        )
+        assert not any(isinstance(arg, BaseException) for arg in record.args)
+        assert fallbacks == 1
 
 
 def test_slowest_central_keeps_a_real_value_with_negative_roundoff():
