@@ -117,6 +117,15 @@ def _integer(name, value):
     return int(value)
 
 
+def _real(name, value):
+    """`value` as a float; anything but an integer or a float, ``bool``,
+    strings and complex values included, raises a ``ValueError`` naming
+    `name`. The one real-number rule of ``SweepConfig.validate``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def initial_guess(chain_length, site_dim, cutoff, omega, noise_amplitude=0.0, seed=0, noise_bond=2):
     """Maximally mixed state in the static block plus seeded noise everywhere.
 

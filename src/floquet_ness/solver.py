@@ -5,29 +5,26 @@ The solver works on the harmonic-resolved MPS of
 mixed-canonical gauge around the active site; contracting everything except
 that site against the transfer components of the generator yields, for the
 site tensors of all harmonic blocks at once, an ordinary (non-Hermitian)
-local eigenproblem. Its target is a shift ``sigma``, the
-eigenvalue nearest it (``0`` for the steady state, ``conj(lambda)`` for the
-left partner of a decay mode ``lambda``), or ``"slowest_central"``: the
-largest real part in the central Floquet zone ``|Im theta| < omega / 2``,
-since copies shifted by ``s`` harmonics sit at ``theta - i s omega`` and the
-truncated harmonic ladder carries spurious ones at its edge (at cutoff 0, with
-no ladder, every value counts). A shift target first tests its start: one
-whose Rayleigh quotient and residual already pass the acceptance test is
-returned with no method run. Otherwise local problems up to
-``SweepConfig.dense_local_cutoff`` are densified: a shift target is found by
-shift-invert (one LU factorization of ``A - sigma I`` and a short Arnoldi run
-on its inverse, whose top Ritz pair is tested after every step and accepted
-only on a small true residual), and every refused one by a full LAPACK
-diagonalization. ``"slowest_central"`` (the right decay solve's first sweep;
-later sweeps track that mode at a shift) takes the eigenvalues, then one
-tethered LU: LAPACK's eigenvalues alone (no eigenvectors) pick ``theta``,
-and the tethered system below at ``sigma = theta`` gives its vector,
-accepted only on a true residual; a refused one (a value of multiplicity
-above one) falls back to the full diagonalization. The first sweep picks
+local eigenproblem. Every local solve takes one contract: the eigenvalue
+nearest a shift ``sigma`` (``0`` for the steady state, ``conj(lambda)`` for
+the left partner of a decay mode ``lambda``). The right decay solve's first
+sweep picks its shift at each site before it solves (later sweeps track that
+mode at a shift): LAPACK's eigenvalues of the dense problem alone (no
+eigenvectors) give the largest real part in the central Floquet zone
+``|Im theta| < omega / 2``, since copies shifted by ``s`` harmonics sit at
+``theta - i s omega`` and the truncated harmonic ladder carries spurious
+ones at its edge (at cutoff 0, with no ladder, every value counts). It picks
 once per site whose local problem is the whole space (every bond at its
 exact size): there the frames are unitary, so the problem has the
 generator's own spectrum on every visit, and a second visit is solved at
-the first visit's pick, as a shift.
+the first visit's pick. A solve first tests its start: one whose Rayleigh
+quotient and residual already pass the acceptance test is returned with no
+method run. Otherwise local problems up to
+``SweepConfig.dense_local_cutoff`` are densified and solved by
+shift-invert (one LU factorization of ``A - sigma I`` and a short Arnoldi
+run on its inverse, whose top Ritz pair is tested after every step and
+accepted only on a small true residual), and every refused one by a full
+LAPACK diagonalization.
 Above the cutoff nothing is densified. A sweep's shift, which is (nearly) a
 local eigenvalue, is solved as the tethered linear system
 ``(A - sigma I + u u^H) x = u`` (``u`` the current centre vector). Every
@@ -118,6 +115,7 @@ from .freqspace import (
     FloquetMPO,
     _integer,
     _padded,
+    _real,
     block_norms,
     hermiticity_defect,
     initial_guess,
@@ -191,22 +189,21 @@ TETHER_ATTEMPTS = 5  # tethered solves of one local problem, each from the last 
 # basis vector costs an application of the centre solve's tethered inverse
 ARNOLDI_DIM = 12
 ARPACK_MAXITER = 50
-# largest local problem densified (slowest central, a shift after GMRES failed,
-# or the degeneracy check's eig), and largest harmonic block that GMRES
-# preconditioning factorizes
+# largest local problem densified (the first decay sweep's pick, a shift after
+# GMRES failed, or the degeneracy check's eig), and largest harmonic block that
+# GMRES preconditioning factorizes
 DENSE_LOCAL_HARD_CAP = 4096
 # a centre eigenvalue this close to 0, with the converged state projected out, is degenerate
 DEGENERACY_TOL = 1e-7
-# Methods a local solve is counted under in `SweepEngine.local_solves`: at a
-# shift, a start that already passes the acceptance test, returned with no
-# method run; shift-invert below the dense cutoff; `dense_eig` for the
-# slowest central value, from the eigenvalues, then one tethered LU of the
-# dense problem (a whole-space site's second visit in the first decay sweep
-# is solved at its first pick, as a shift, and counted like any shift solve);
-# above the cutoff the tethered solve for the sweeps, whose inverse is an
-# exact LU solve at one harmonic block and GMRES at more (the engine's
-# `gmres_iterations` counts that work); a dense `eig` (or shift-invert)
-# after any of them failed, or for a zero start. The degeneracy
+# Methods a local solve is counted under in `SweepEngine.local_solves`: a
+# start that already passes the acceptance test, returned with no method run;
+# shift-invert below the dense cutoff; above the cutoff the tethered solve,
+# whose inverse is an exact LU solve at one harmonic block and GMRES at more
+# (the engine's `gmres_iterations` counts that work); a dense `eig` (or
+# shift-invert) after any of them failed, or for a zero start. `dense_eig`
+# counts no solve but the first decay sweep's picks, one `eigvals` each (a
+# whole-space site's second visit reuses its first pick); the solve at a pick
+# is counted like any shift solve. The degeneracy
 # check counts its own solve: `shift_invert` on the centre solve's dense LU,
 # shift-invert ARPACK (`arnoldi`) on its tethered inverse, `dense_fallback`
 # for its `eig`.
@@ -221,22 +218,24 @@ class SweepConfig:
     (integers, not ``bool``: ``n_c >= 0``, ``chi >= 1``, at least one
     sweep); a sweep whose
     every start passes the acceptance test ends it early, and one solve at
-    the centre site ``L // 2`` ends it. `eig_tol` stops no sweep: a stage
-    whose last sweep residual (the largest distance of the sweep's local
-    eigenvalues from its shift, :func:`_sweep_schedule`) exceeds it is
-    reported unconverged, with a warning, and it sets the local solves'
-    residual bound. Single-site sweeps cannot grow a bond, so the start
-    carries seeded noise of `noise_amplitude` at the full bond; it must be
-    positive. Local problems up to `dense_local_cutoff` (an integer, at most
-    DENSE_LOCAL_HARD_CAP) are densified: solves at a shift (every solve but
-    the right decay mode's first-sweep picks, which take the eigenvalues,
-    then one tethered LU, at any size up to the cap, and which a
-    whole-space site's second visit of that sweep does not repeat) whose
-    start does not already pass use shift-invert (LU plus a short Arnoldi
-    on the inverse, its Ritz pair tested after every step) and fall back to
-    a full `eig` when it is refused. Larger sweep problems at a shift are solved by
-    the tethered solve, which inverts with one LU per harmonic block, exactly
-    when there is one block and by GMRES otherwise. The degeneracy check
+    the centre site ``L // 2`` ends it. `eig_tol` and `noise_amplitude`
+    are real numbers (an int or a float, not ``bool``), positive and
+    finite. `eig_tol` stops no sweep: a stage whose last sweep residual
+    (the largest distance of the sweep's local eigenvalues from its shift,
+    :func:`_sweep_schedule`) exceeds it is reported unconverged, with a
+    warning, and it sets the local solves' residual bound. Single-site
+    sweeps cannot grow a bond, so the start carries seeded noise of
+    `noise_amplitude` at the full bond. Local problems up to
+    `dense_local_cutoff` (an integer, at most DENSE_LOCAL_HARD_CAP) are
+    densified. Every local solve is at a shift:
+    the right decay mode's first sweep picks its shift from the dense
+    eigenvalues at any size up to the cap (once per whole-space site), and
+    solves at it like any other. A solve whose start does not already pass
+    uses shift-invert (LU plus a short Arnoldi on the inverse, its Ritz
+    pair tested after every step) and falls back to a full `eig` when it is
+    refused. Larger problems are solved by the tethered solve, which
+    inverts with one LU per harmonic block, exactly when there is one block
+    and by GMRES otherwise. The degeneracy check
     factors nothing: it applies the steady-state centre solve's inverse with
     the converged state projected out, by shift-invert on the dense LU and
     by shift-invert ARPACK on the tethered inverse. The sweeps' local solves
@@ -265,13 +264,9 @@ class SweepConfig:
             raise ValueError("the stage's bond dimension chi must be at least 1")
         if self.seed < 0:
             raise ValueError(f"seed must be at least 0, got {self.seed}")
-        if not 0 < self.eig_tol < np.inf:
-            raise ValueError(f"eig_tol must be positive and finite, got {self.eig_tol}")
-        if not 0 < self.noise_amplitude < np.inf:
-            raise ValueError(
-                f"noise_amplitude must be positive and finite, got {self.noise_amplitude}: "
-                "a noiseless start stays at bond 1"
-            )
+        for name, reason in (("eig_tol", ""), ("noise_amplitude", ": a noiseless start stays at bond 1")):
+            if not 0 < _real(name, getattr(self, name)) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}{reason}")
         if not 0 <= self.dense_local_cutoff <= DENSE_LOCAL_HARD_CAP:
             raise ValueError(f"dense_local_cutoff must lie in [0, {DENSE_LOCAL_HARD_CAP}]")
         return self
@@ -304,7 +299,9 @@ class SolveReport:
       eigenvalues from the shift;
     - ``"max_bond"``: per sweep, the largest bond after it;
     - ``"local_solves"``: the local solves counted by method (keys
-      `LOCAL_METHODS`);
+      `LOCAL_METHODS`); ``"dense_eig"`` counts the first decay sweep's
+      picks, one ``eigvals`` each, and the solve at a pick is counted
+      under the method that answered it;
     - ``"gmres_iterations"``: the GMRES iterations of every inverse.
 
     A steady state's entry adds its degeneracy check (:func:`_deflated_check`):
@@ -805,9 +802,8 @@ def _shifted_inverse(problem: SiteProblem, jacobi, sigma, bound, tether):
     ``A`` the operator of ``problem.matvec``, over several harmonic blocks,
     from their factored, tethered LUs `jacobi` (:func:`_block_jacobi`).
 
-    With one block (a dense matrix is its own one block ``mat[None]``) the
-    block LU's solve is the inverse, and callers apply `jacobi` itself: no
-    GMRES runs and no matvec confirms it. Otherwise ``inverse(b)`` is one
+    With one block the block LU's solve is the inverse, and callers apply
+    `jacobi` itself: no GMRES runs and no matvec confirms it. Otherwise ``inverse(b)`` is one
     :func:`_gmres` solve, right-preconditioned by the block LUs ``M``, from
     ``M b`` to a true residual of ``0.1 bound ||M b||``: its answer (of norm
     about ``||M b||``) is exact for a perturbation of ``A`` a tenth of the
@@ -830,10 +826,10 @@ def _shifted_inverse(problem: SiteProblem, jacobi, sigma, bound, tether):
 
 def _tethered_solve(problem: SiteProblem, v0, sigma, blocks, bound):
     """Eigenpair of the local problem at a shift `sigma` that is (nearly) one
-    of its eigenvalues (a sweep's shift above the dense cutoff, or the
-    slowest central value on the dense matrix), from the tethered linear
-    system ``(A - sigma I + u u^H) x = u`` with ``u = v0 / ||v0||``, solved
-    through the tethered LUs of the harmonic diagonal `blocks`
+    of its eigenvalues (a sweep's shift above the dense cutoff, a first
+    decay sweep's pick included), from the tethered linear system ``(A -
+    sigma I + u u^H) x = u`` with ``u = v0 / ||v0||``, solved through the
+    tethered LUs of the harmonic diagonal `blocks`
     (:func:`_block_jacobi`), exactly with one block and otherwise by
     :func:`_shifted_inverse`.
 
@@ -948,26 +944,13 @@ def _nearest_eig(mat, sigma, v0, bound):
     return values[best], vectors[:, best]
 
 
-def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff, accept_start=True):
-    """Solve the local eigenproblem, returning ``(theta, vector, factored)``.
+def _local_eigensolve(problem: SiteProblem, v0, sigma, tol, dense_cutoff, accept_start=True):
+    """Solve the local eigenproblem at the shift `sigma` (the eigenvalue
+    nearest it), returning ``(theta, vector, factored)``. Every local solve
+    takes this one path: the first decay sweep picks its shift before it
+    calls (:func:`_sweep_schedule`).
 
-    `target` is a shift ``sigma`` (the eigenvalue nearest it) or
-    ``"slowest_central"`` (:func:`_slowest_central`; the first decay sweep's
-    second visit of a whole-space site passes its first pick as a shift
-    instead, :func:`_sweep_schedule`), always taken from the
-    dense problem at any size up to DENSE_LOCAL_HARD_CAP (above it, or with
-    no central eigenvalue, it raises :class:`EigensolverBreakdown`): the
-    eigenvalues, then one tethered LU. ``np.linalg.eigvals`` (no
-    eigenvectors) picks ``sigma``, and :func:`_tethered_solve` of the dense
-    matrix at it (one LU of ``A - sigma I + u u^H``, ``u`` the unit `v0`)
-    gives its vector, accepted only on a true residual and at ``|theta -
-    sigma|`` within the bound below (after a refused solve its
-    Rayleigh-quotient retries may reach another value, which is not the
-    pick). A refused tethered LU (a value of multiplicity above one) or a
-    zero `v0` falls back to :func:`_nearest_eig` at ``sigma``, with one
-    WARNING log.
-
-    At a shift, a harmonic block above DENSE_LOCAL_HARD_CAP raises
+    A harmonic block above DENSE_LOCAL_HARD_CAP raises
     :class:`EigensolverBreakdown` before anything is built: every method
     factorizes the blocks (:func:`_block_jacobi`). One residual bound
     ``tol ||D||``, ``D`` the harmonic diagonal blocks (Frobenius norm), is
@@ -997,31 +980,11 @@ def _local_eigensolve(problem: SiteProblem, v0, target, tol, dense_cutoff, accep
     start was accepted. The centre solve hands it to the degeneracy check
     by return value, and nothing stores it. Each solve is counted in
     ``problem.engine.local_solves`` under the method that answered it
-    (``"converged_start"`` for an accepted start, ``"dense_eig"`` for the
-    slowest central pick), or under ``"dense_fallback"`` after a zero start
-    or a refusal.
+    (``"converged_start"`` for an accepted start), or under
+    ``"dense_fallback"`` after a zero start or a refusal.
     """
     dim = problem.dim
     counts = problem.engine.local_solves
-    if target == "slowest_central":
-        if dim > DENSE_LOCAL_HARD_CAP:
-            raise EigensolverBreakdown(f"slowest central value wanted at dim {dim}, above the dense cap")
-        mat = problem.dense_matrix()
-        sigma = _slowest_central(np.linalg.eigvals(mat), problem.engine)
-        bound = tol * np.linalg.norm(problem.diagonal_blocks())
-        try:  # sigma is an eigenvalue: one tethered LU gives its vector
-            if not np.linalg.norm(v0) > 0:
-                raise EigensolverBreakdown("zero start vector")
-            found = _tethered_solve(problem, v0, sigma, mat[None], bound)
-            if not abs(found[0] - sigma) <= bound:  # a retry reached another value
-                raise EigensolverBreakdown(f"tethered pair at {found[0]:.6g}, not at {sigma:.6g}")
-        except EigensolverBreakdown as err:
-            logger.warning("tethered LU refused at dim %d (%s); solving with eig", dim, str(err))
-            counts["dense_fallback"] += 1
-            return (*_nearest_eig(mat, sigma, v0, bound), None)
-        counts["dense_eig"] += 1
-        return found
-    sigma = target
     block = dim // len(problem.engine.harmonics)
     if block > DENSE_LOCAL_HARD_CAP:  # the methods above the cutoff factorize the blocks
         raise EigensolverBreakdown(f"harmonic block of dim {block} above the dense cap, at dim {dim}")
@@ -1075,21 +1038,25 @@ def _sweep_schedule(mpo, state, cfg, report, target, label):
     bonds. Single sites are swept until a sweep only moves the gauge: a
     sweep whose every local solve accepted its start (``"converged_start"``)
     would be followed by the same, so it ends the stage; otherwise the stage
-    runs ``stage.sweeps`` sweeps. For ``"slowest_central"`` only the first
-    sweep solves for it, from the dense eigenvalues, then one tethered LU
-    (:func:`_local_eigensolve`), at every site it visits, but once per site
-    whose problem is the whole space, ``(2 n_c + 1) p^L``. Every bond there
-    is at its exact size, so the frames form a unitary ``V`` and the
-    problem ``V^H A V`` has the generator's own spectrum on both visits: the
-    second visit (sites ``1..L-2`` are visited twice) is solved at the first
-    visit's pick, as a shift, with no second ``eigvals``. Later sweeps track
-    the mode at the sweep before's last local eigenvalue, as a shift (Yu,
-    Pekker, Clark, PRL 118, 017201 (2017)). A sweep's residual is the
-    largest distance of its local eigenvalues from the shift it solved at (a
-    shift `target`, or the tracked value); the first ``"slowest_central"``
-    sweep, which has no shift, measures its spread about its last value. It
-    is logged and stops nothing. The stage ends with one solve at the centre site
-    ``L // 2`` at the last shift, which never accepts its start. Every local
+    runs ``stage.sweeps`` sweeps. Every solve is at a shift
+    (:func:`_local_eigensolve`). For ``"slowest_central"`` the first sweep
+    picks its shift at every site it visits: the slowest central value
+    (:func:`_slowest_central`) of ``np.linalg.eigvals`` of the dense
+    problem, at any size up to DENSE_LOCAL_HARD_CAP (above it, or with no
+    central value, it raises :class:`EigensolverBreakdown`), counted under
+    ``"dense_eig"``. It picks once per site whose problem is the whole
+    space, ``(2 n_c + 1) p^L``. Every bond there is at its exact size, so
+    the frames form a unitary ``V`` and the problem ``V^H A V`` has the
+    generator's own spectrum on both visits: the second visit (sites
+    ``1..L-2`` are visited twice) is solved at the first visit's pick, with
+    no second ``eigvals``. Later sweeps track the mode at the sweep before's
+    last local eigenvalue (Yu, Pekker, Clark, PRL 118, 017201 (2017)). A
+    sweep's residual is the largest distance of its local eigenvalues from
+    the shift it solved at (a shift `target`, or the tracked value); the
+    first ``"slowest_central"`` sweep, which picks a shift per site,
+    measures its spread about its last value. It is logged and stops
+    nothing. The stage ends with one solve at the centre site ``L // 2`` at
+    the last shift, which never accepts its start. Every local
     solve writes a unit-norm centre vector into orthonormal frames, so the
     state keeps unit norm and its bond dimensions.
 
@@ -1114,16 +1081,20 @@ def _sweep_schedule(mpo, state, cfg, report, target, label):
     residuals, bonds = [], []
     shift = target
     whole = len(engine.harmonics) * engine.phys**engine.length
-    picks = {}  # site: the first sweep's pick there, kept for whole-space problems
+    picks = {}  # site: the first sweep's pick there, reused only for whole-space problems
 
     def solve(problem, direction, accept_start=True):
-        same_spectrum = isinstance(shift, str) and problem.dim == whole
-        local = picks.get(problem.site, shift) if same_spectrum else shift
+        sigma = shift
+        if isinstance(shift, str):  # the first "slowest_central" sweep picks its shift
+            sigma = picks.get(problem.site) if problem.dim == whole else None
+            if sigma is None:
+                if problem.dim > DENSE_LOCAL_HARD_CAP:
+                    raise EigensolverBreakdown(f"slowest central value wanted at dim {problem.dim}, above the dense cap")
+                sigma = picks[problem.site] = _slowest_central(np.linalg.eigvals(problem.dense_matrix()), engine)
+                engine.local_solves["dense_eig"] += 1
         theta, vec, factored = _local_eigensolve(
-            problem, problem.current_vector(), local, _local_tol(cfg), cfg.dense_local_cutoff, accept_start=accept_start
+            problem, problem.current_vector(), sigma, _local_tol(cfg), cfg.dense_local_cutoff, accept_start=accept_start
         )
-        if same_spectrum:
-            picks.setdefault(problem.site, theta)
         engine.set_site(problem.unpack(vec), direction=direction)
         return complex(theta), factored
 
@@ -1471,11 +1442,11 @@ def solve_first_decay_mode(model: ModelSpec, ness: FloquetDensityMatrix, cfg: Sw
     norms of one jump operator's Fourier components. That moves all kernel
     copies at once while leaving genuine decay modes alone, and the solve
     targets ``"slowest_central"`` from random blocks at the stage's bond
-    dimension: its first sweep takes each site's eigenvalues, then one
-    tethered LU for the vector of the slowest central one
-    (:func:`_local_eigensolve`), except on a second visit of a site whose
-    problem is the whole space, which has the same spectrum and is solved at
-    its first pick (:func:`_sweep_schedule`). The left partner is the
+    dimension: its first sweep picks each site's shift, the slowest central
+    value of its dense eigenvalues, and solves at it like any shift
+    (:func:`_local_eigensolve`); a second visit of a site whose problem is
+    the whole space, which has the same spectrum, reuses its first pick
+    (:func:`_sweep_schedule`). The left partner is the
     eigenvector of the bare adjoint generator at ``conj(lambda)``, solved at
     that shift from the right mode.
     `ness` must be the model's steady state at the stage's cutoff: a chain

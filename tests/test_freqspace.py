@@ -186,6 +186,12 @@ def test_load_state_rejects_a_header_that_disagrees_with_the_tensors(tmp_path):
         np.savez(tampered, **arrays | {"header": np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)})
         with pytest.raises(ValueError, match=f"{key}={value}"):
             load_state(tampered)
+    header = json.loads(bytes(arrays["header"]).decode())
+    header["format_version"] += 1
+    tampered = tmp_path / "format_version.npz"
+    np.savez(tampered, **arrays | {"header": np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)})
+    with pytest.raises(ValueError, match=f"unsupported checkpoint version {header['format_version']}"):
+        load_state(tampered)
 
 
 def test_containers_read_their_dimensions_and_are_never_empty():

@@ -2,9 +2,11 @@ import functools
 import gc
 import json
 import logging
+import re
 import types
 import warnings
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -262,6 +264,11 @@ def test_stale_problem_rejected():
     for use in (lambda: problem.matvec(x), problem.dense_matrix, problem.diagonal_blocks):
         with pytest.raises(StaleEnvironmentError):
             use()
+    # advance_to moves the centre only rightward, and a leftward target moves nothing
+    version = engine.version
+    with pytest.raises(ValueError, match="only moves the center rightward"):
+        engine.advance_to(0)
+    assert (engine.center, engine.version) == (1, version)
 
 
 def test_solve_ness_amplitude_damping():
@@ -1027,7 +1034,7 @@ def test_refused_tethered_solve_returns_the_dense_answer(case, monkeypatch, capl
         part = v0.reshape(len(blocks), -1)[0] / np.linalg.norm(v0)
         blocks[0] = -np.outer(part, part.conj())
         monkeypatch.setattr(problem, "diagonal_blocks", blocks.copy)
-    solve = dict(v0=v0, target=0.0, tol=1e-11, dense_cutoff=0)
+    solve = dict(v0=v0, sigma=0.0, tol=1e-11, dense_cutoff=0)
     with caplog.at_level(logging.WARNING, logger="floquet_ness.solver"):
         theta, vec, _ = solver._local_eigensolve(problem, **solve)
     mat = problem.dense_matrix()
@@ -1331,16 +1338,17 @@ def test_stage_log_reports_discarded_weight_and_bond():
     assert logged[0]["start_discarded_weight"] == entry["start_discarded_weight"]
 
 
-def assert_right_solve_tracks_after_one_eig_sweep(decay, per_sweep, centre, revisits=0):
-    # one dense pick (eigenvalues, then a tethered LU) per local solve of the
-    # first sweep (`per_sweep` of them), but for `revisits` whole-space sites
-    # visited again, whose start passes at their first visit's pick;
-    # at the tracked shift every start of the second sweep passes, so it is
-    # idle and ends the stage, and the centre solve answers by `centre`
+def assert_right_solve_tracks_after_one_eig_sweep(decay, picks, first, centre):
+    # the first sweep takes `picks` dense picks (the eigenvalues alone), one
+    # per local solve but for whole-space sites visited again, which reuse
+    # their first visit's pick, and solves at each pick as at any shift:
+    # `first` counts those solves by the method that answered. At the
+    # tracked shift every start of the second sweep passes, so it is idle
+    # and ends the stage, and the centre solve answers by `centre`
     (entry,) = [e for e in decay.report.stage_log if e["label"] == "decay right"]
     assert len(entry["sweep_residuals"]) == 2
-    picks, starts = per_sweep - revisits, per_sweep + revisits
-    assert entry["local_solves"] == counted(dense_eig=picks, converged_start=starts, **{centre: 1})
+    solves = Counter(first) + Counter(converged_start=sum(first.values())) + Counter({centre: 1})
+    assert entry["local_solves"] == counted(dense_eig=picks, **solves)
 
 
 def closed_two_site_chain():
@@ -1371,44 +1379,6 @@ def test_decay_mode_of_a_closed_chain_does_not_decay():
         assert not decay.report.warnings
     with pytest.raises(DegenerateSteadyStateError):
         solve_ness(model, quick_config(1, 4))
-
-
-def test_refused_tethered_pick_returns_the_eig_answer(monkeypatch, caplog):
-    # after the penalty the closed chain's central values include 0 three
-    # times and +-1.2795i twice each, where the tethered matrix is singular;
-    # whether LAPACK's LU sees that is roundoff, so the refusal is forced
-    # here. Each pick of the first sweep then falls back to eig loudly (one
-    # WARNING and one dense_fallback count) and still returns a pair of the
-    # dense spectrum; the next sweep tracks a shift, and the test stops there
-    model = closed_two_site_chain()
-    original, picks, counts = solver._local_eigensolve, [], {}
-
-    def refused(*args):
-        raise EigensolverBreakdown("forced")
-
-    def recording(problem, v0, target, *args, **kwargs):
-        if target != "slowest_central":
-            raise FirstSweepDone
-        theta, vec, factored = original(problem, v0, target, *args, **kwargs)
-        picks.append((problem.dense_matrix(), theta, vec))
-        counts.update(problem.engine.local_solves)
-        return theta, vec, factored
-
-    monkeypatch.setattr(solver, "_tethered_solve", refused)
-    monkeypatch.setattr(solver, "_local_eigensolve", recording)
-    with caplog.at_level(logging.WARNING, logger="floquet_ness.solver"), pytest.raises(FirstSweepDone):
-        solve_first_decay_mode(model, initial_guess(2, 2, 1, model.omega), quick_config(1, 4))
-    assert [r.getMessage() for r in caplog.records] == [
-        f"tethered LU refused at dim {mat.shape[0]} (forced); solving with eig" for mat, _, _ in picks
-    ]
-    assert counts == counted(dense_fallback=len(picks))
-    assert [mat.shape[0] for mat, _, _ in picks] == [48, 48]  # the whole space at L = 2
-    for mat, theta, vec in picks:
-        values = np.linalg.eigvals(mat)
-        for value, count in [(0, 3), (1.2795349466j, 2), (-1.2795349466j, 2)]:
-            assert np.sum(np.abs(values - value) < 1e-8) == count
-        assert np.min(np.abs(values - theta)) < 1e-10 * np.linalg.norm(mat)
-        assert np.linalg.norm(mat @ vec - theta * vec) < 1e-10 * np.linalg.norm(mat)
 
 
 def assert_kernel_mode_warning(decay):
@@ -1499,12 +1469,11 @@ def test_decay_mode_amplitude_damping():
     assert decay.identity_overlap < 1e-8
     assert decay.steady_overlap < 1e-6
     assert decay.report.converged and not decay.report.warnings
-    # the right mode's first sweep is a dense pick, the centre solves of
-    # both modes at a shift, where the LU is exactly singular on this qubit
-    # (the shift is an exact local eigenvalue) and the solve falls back to
-    # eig; the right mode is also the left one, so the left solve's one
-    # sweep is idle
-    assert_right_solve_tracks_after_one_eig_sweep(decay, 1, "dense_fallback")
+    # the right mode's first sweep is a dense pick; the solve at it and the
+    # centre solves of both modes meet an exactly singular LU on this qubit
+    # (the shift is an exact local eigenvalue) and fall back to eig; the
+    # right mode is also the left one, so the left solve's one sweep is idle
+    assert_right_solve_tracks_after_one_eig_sweep(decay, 1, {"dense_fallback": 1}, "dense_fallback")
     logged = json.loads(json.dumps(decay.report.to_dict()))
     for entry, exported in zip(decay.report.stage_log, logged["stage_log"]):
         if entry["label"] == "decay right":
@@ -1919,8 +1888,11 @@ def test_slowest_central_keeps_a_real_value_with_negative_roundoff():
 
 def test_decay_right_solve_tracks_a_shift_on_ising_l3(ising_l3_decay):
     # the first sweep visits sites 0, 1, 2, 1; at chi = 8 site 1's problem
-    # is the whole space, so its second visit is solved at its first pick
-    assert_right_solve_tracks_after_one_eig_sweep(ising_l3_decay[2], 4, "shift_invert", revisits=1)
+    # is the whole space, so its second visit is solved at its first pick.
+    # Shift-invert answers sites 0 and 1; their solves leave site 2's start
+    # an eigenvector at its pick, and site 1's at the pick it reuses
+    first = {"shift_invert": 2, "converged_start": 2}
+    assert_right_solve_tracks_after_one_eig_sweep(ising_l3_decay[2], 3, first, "shift_invert")
 
 
 @pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # Ising harmonics exceed n_c = 0
@@ -1953,91 +1925,74 @@ def test_decay_modes_are_returned_as_swept(ising_l3_decay, monkeypatch):
 
 
 def test_slowest_central_is_always_dense(monkeypatch):
-    # above the dense cutoff the slowest central value still comes from the
-    # dense eigenvalues; above the hard cap it raises; ARPACK is never called
+    # above the dense cutoff the first sweep still picks the slowest central
+    # value from the dense eigenvalues, and solves at it; above the hard cap
+    # the pick raises before anything is densified; ARPACK is never called
     model = single_qubit_model(gamma=0.7, omega_z=1.1, drive=4.0)
     mpo = build_extended_lindbladian(model, 1)
     state = initial_guess(1, 2, 1, model.omega, noise_amplitude=1e-2, seed=3)
-    engine = SweepEngine(mpo, state)
-    problem = engine.site_problem()
+    cfg = quick_config(1, 4, warmup=SweepStage(1, 4, 1), dense_local_cutoff=4)
 
     def refuse(*args, **kwargs):
         raise AssertionError("ARPACK called")
 
     monkeypatch.setattr(solver.spla, "eigs", refuse)
-    theta, *_ = solver._local_eigensolve(
-        problem, problem.current_vector(), "slowest_central", tol=1e-10, dense_cutoff=4
-    )
+    report = solver.SolveReport()
+    engine, problem, theta, _ = solver._sweep_schedule(mpo, state, cfg, report, "slowest_central", "pick")
     assert problem.dim == 12
     values = np.linalg.eigvals(problem.dense_matrix())
     central = values[(np.abs(values.imag) < model.omega / 2) & (values.imag > -1e-10 * np.abs(values).max())]
     assert abs(theta - central[np.argmax(central.real)]) < 1e-12
-    assert engine.local_solves == counted(dense_eig=1)
+    # one pick; the solve at it and the centre solve, above the cutoff, are tethered
+    assert engine.local_solves == counted(dense_eig=1, tethered=2)
     monkeypatch.setattr(solver, "DENSE_LOCAL_HARD_CAP", problem.dim - 1)
-    with pytest.raises(EigensolverBreakdown, match="above the dense cap"):
-        solver._local_eigensolve(
-            problem, problem.current_vector(), "slowest_central", tol=1e-10, dense_cutoff=4
-        )
-    assert engine.local_solves == counted(dense_eig=1)
 
+    def densified(self):
+        raise AssertionError("densified above the cap")
 
-def test_slowest_central_pick_refuses_a_tethered_pair_at_another_value(monkeypatch, caplog):
-    # the pick keeps its value: a tethered pair of another eigenvalue (forced
-    # here; the Rayleigh-quotient retries after a refused solve can reach
-    # one) is refused loudly, and the eig fallback answers at the picked
-    # value; so is a zero start, which cannot tether
-    model = single_qubit_model(gamma=0.7, omega_z=1.1, drive=4.0)
-    mpo = solver._trace_penalized(build_extended_lindbladian(model, 1), 10.0)
-    engine = SweepEngine(mpo, initial_guess(1, 2, 1, model.omega, noise_amplitude=1e-2, seed=3))
-    problem = engine.site_problem()
-    values, vectors = np.linalg.eig(problem.dense_matrix())
-    other = np.argmin(np.abs(values + 0.7))  # the slowest is -0.35 + 1.1i
-    monkeypatch.setattr(solver, "_tethered_solve", lambda *args: (values[other], vectors[:, other], None))
-    with caplog.at_level(logging.WARNING, logger="floquet_ness.solver"):
-        theta, vec, _ = solver._local_eigensolve(
-            problem, problem.current_vector(), "slowest_central", tol=1e-10, dense_cutoff=100
-        )
-    assert abs(theta - (-0.35 + 1.1j)) < 1e-12
-    assert np.linalg.norm(problem.matvec(vec) - theta * vec) < 1e-12
-    (record,) = caplog.records
-    assert record.getMessage().startswith("tethered LU refused at dim 12 (tethered pair at -0.7")
-    assert engine.local_solves == counted(dense_fallback=1)
-    caplog.clear()
-    with caplog.at_level(logging.WARNING, logger="floquet_ness.solver"):
-        theta, vec, _ = solver._local_eigensolve(
-            problem, np.zeros(problem.dim, dtype=complex), "slowest_central", tol=1e-10, dense_cutoff=100
-        )
-    assert abs(theta - (-0.35 + 1.1j)) < 1e-12
-    assert np.linalg.norm(problem.matvec(vec) - theta * vec) < 1e-12
-    (record,) = caplog.records
-    assert record.getMessage() == "tethered LU refused at dim 12 (zero start vector); solving with eig"
-    assert engine.local_solves == counted(dense_fallback=2)
+    monkeypatch.setattr(solver.SiteProblem, "dense_matrix", densified)
+    with pytest.raises(EigensolverBreakdown, match="slowest central value wanted at dim 12, above the dense cap"):
+        solver._sweep_schedule(mpo, state, cfg, report, "slowest_central", "pick")
 
 
 class FirstSweepDone(Exception):
     pass
 
 
+def recording_picks(monkeypatch):
+    """The first sweep's picks, in order, recorded where the eigenvalues pick them."""
+    original, picks = solver._slowest_central, []
+
+    def recording(values, engine):
+        picks.append(original(values, engine))
+        return picks[-1]
+
+    monkeypatch.setattr(solver, "_slowest_central", recording)
+    return picks
+
+
 @pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # DTC harmonics exceed n_c = 1
 @pytest.mark.parametrize("chain", ["ising", "dtc"])
 def test_slowest_central_pick_is_the_dense_eig_value(chain, monkeypatch, caplog):
     # the right decay solve's first sweep takes the slowest central value
-    # from the eigenvalues alone and its vector from one tethered LU: on each
+    # from the eigenvalues alone and solves at it as at any shift: on each
     # problem of that sweep (sites 0, 1, 2, 1; the next sweep tracks a shift,
-    # and the test stops there) the value is a dense eig's slowest central
-    # one, and the vector meets the local solve's residual bound, with no
-    # fallback. Site 1's problem is the whole space at chi = 8, so its second
-    # visit is solved at its first pick, whose start passes, and is no pick
+    # and the test stops there) the pick and the value found at it are a
+    # dense eig's slowest central one, and the vector meets the local solve's
+    # residual bound, with no fallback. Site 1's problem is the whole space
+    # at chi = 8, so its second visit is solved at its first pick, whose
+    # start passes, and is no pick
     model = ising_l3() if chain == "ising" else build_dtc_model(DTCParams(chain_length=3), n_c=1)
     cfg = quick_config(1, 8)
     original, solves, counts = solver._local_eigensolve, [], {}
+    picks = recording_picks(monkeypatch)
 
-    def recording(problem, v0, target, tol, dense_cutoff, accept_start=True):
+    def recording(problem, v0, sigma, tol, dense_cutoff, accept_start=True):
         if len(solves) == 4:
             raise FirstSweepDone
-        theta, vec, factored = original(problem, v0, target, tol, dense_cutoff, accept_start)
+        theta, vec, factored = original(problem, v0, sigma, tol, dense_cutoff, accept_start)
         bound = tol * np.linalg.norm(problem.diagonal_blocks())
-        solves.append((problem.site, target, problem.dense_matrix(), bound, theta, vec))
+        solves.append((problem.site, sigma, problem.dense_matrix(), bound, theta, vec))
         counts.update(problem.engine.local_solves)
         return theta, vec, factored
 
@@ -2046,13 +2001,14 @@ def test_slowest_central_pick_is_the_dense_eig_value(chain, monkeypatch, caplog)
         solve_first_decay_mode(model, initial_guess(3, 2, 1, model.omega), cfg)
     assert not caplog.records
     assert [site for site, *_ in solves] == [0, 1, 2, 1]
-    assert [target for _, target, *_ in solves[:3]] == ["slowest_central"] * 3
-    assert solves[3][1] == solves[1][4] and solves[3][2].shape == (3 * 4**3,) * 2
-    assert counts == counted(dense_eig=3, converged_start=1)
-    for _, _, mat, bound, theta, vec in solves:
+    assert [sigma for _, sigma, *_ in solves] == [*picks, picks[1]]
+    assert solves[3][2].shape == (3 * 4**3,) * 2
+    assert counts == counted(dense_eig=3, shift_invert=2, converged_start=2)
+    for _, sigma, mat, bound, theta, vec in solves:
         values = np.linalg.eig(mat)[0]
         central = values[(np.abs(values.imag) < model.omega / 2) & (values.imag > -1e-10 * np.abs(values).max())]
-        assert abs(theta - central[np.argmax(central.real)]) <= 1e-10 * np.linalg.norm(mat)
+        for value in (sigma, theta):
+            assert abs(value - central[np.argmax(central.real)]) <= 1e-10 * np.linalg.norm(mat)
         assert np.linalg.norm(mat @ vec - theta * vec) <= bound
 
 
@@ -2062,24 +2018,24 @@ def test_first_sweep_picks_at_every_site_short_of_the_whole_space(chain, monkeyp
     # only a whole-space site visited again is solved at its first pick: on
     # DTC L=3 at a binding chi = 2 site 1's problem (dim 16) is not the
     # whole space (64), and an L = 2 chain visits each site once, so every
-    # solve of the first sweep is a pick, and the decay right stage logs
-    # what it logged when every first-sweep solve picked
+    # solve of the first sweep is at a pick of its own
     if chain == "dtc_chi2":
         model, cfg = build_dtc_model(DTCParams(chain_length=3), n_c=1), quick_config(0, 2)
-        sites, sweeps, lam, entry = [0, 1, 2, 1], 8, -0.0123400516, dict(shift_invert=29, dense_eig=4)
+        sites, sweeps, lam, entry = [0, 1, 2, 1], 8, -0.0123400516, dict(shift_invert=33, dense_eig=4)
     else:
         model, cfg = driven_damped_pair(), quick_config(1, 4)
-        sites, sweeps, lam, entry = [0, 1], 2, -0.2041957583 + 1.9805048556j, dict(converged_start=2, shift_invert=1, dense_eig=2)
+        sites, sweeps, lam, entry = [0, 1], 2, -0.2041957583 + 1.9805048556j, dict(converged_start=3, shift_invert=2, dense_eig=2)
     ness, _ = solve_ness(model, cfg)
     original, solves = solver._local_eigensolve, []
+    picks = recording_picks(monkeypatch)
 
-    def recording(problem, v0, target, *args, **kwargs):
-        solves.append((problem.site, target))
-        return original(problem, v0, target, *args, **kwargs)
+    def recording(problem, v0, sigma, *args, **kwargs):
+        solves.append((problem.site, sigma))
+        return original(problem, v0, sigma, *args, **kwargs)
 
     monkeypatch.setattr(solver, "_local_eigensolve", recording)
     decay = solve_first_decay_mode(model, ness, cfg)
-    assert solves[: len(sites)] == [(site, "slowest_central") for site in sites]
+    assert solves[: len(sites)] == list(zip(sites, picks, strict=True))
     assert abs(decay.eigenvalue - lam) < 1e-9
     (right, _) = decay.report.stage_log
     assert right["local_solves"] == counted(**entry)
@@ -2089,11 +2045,11 @@ def test_first_sweep_picks_at_every_site_short_of_the_whole_space(chain, monkeyp
 
 def test_slowest_central_without_central_value_breaks_down(monkeypatch):
     # a dense spectrum of edge copies only (|Im theta| > omega / 2) has no
-    # slowest central value: the solve raises instead of taking an edge copy
+    # slowest central value: the first sweep raises instead of taking an
+    # edge copy
     model = single_qubit_model(gamma=0.7, omega_z=1.1, drive=4.0)
     mpo = build_extended_lindbladian(model, 1)
     state = initial_guess(1, 2, 1, model.omega, noise_amplitude=1e-2, seed=3)
-    problem = SweepEngine(mpo, state).site_problem()
 
     def edge_copies(mat):
         values = np.full(mat.shape[0], -0.35 + 1j * model.omega)
@@ -2102,9 +2058,7 @@ def test_slowest_central_without_central_value_breaks_down(monkeypatch):
 
     monkeypatch.setattr(solver.np.linalg, "eigvals", edge_copies)
     with pytest.raises(EigensolverBreakdown, match="no central local eigenvalue"):
-        solver._local_eigensolve(
-            problem, problem.current_vector(), "slowest_central", tol=1e-10, dense_cutoff=100
-        )
+        solver._sweep_schedule(mpo, state, quick_config(1, 4), solver.SolveReport(), "slowest_central", "pick")
 
 
 def test_transient_limits():
@@ -2208,6 +2162,12 @@ def test_config_validation():
     for name, value in [("eig_tol", np.nan), ("eig_tol", np.inf), ("noise_amplitude", np.nan), ("noise_amplitude", np.inf)]:
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             SweepConfig(warmup=SweepStage(1, 4, 2), **{name: value}).validate()
+    # True ran as a tolerance or a noise norm of 1, and a string or complex
+    # value failed with a bare TypeError from the comparison
+    for name in ("eig_tol", "noise_amplitude"):
+        for value in (True, "1e-6", 1e-6 + 0j):
+            with pytest.raises(ValueError, match=f"{name} must be a real number, got {re.escape(repr(value))}"):
+                SweepConfig(warmup=SweepStage(1, 4, 2), **{name: value}).validate()
     # a negative cutoff or an empty bond would fail deep inside the solve
     with pytest.raises(ValueError, match="n_c"):
         SweepConfig(warmup=SweepStage(-1, 4, 3)).validate()
@@ -2247,6 +2207,7 @@ def test_config_validation():
     SweepConfig(
         warmup=SweepStage(np.int64(1), np.int32(4), np.int64(2)), dense_local_cutoff=np.int64(40), seed=np.int64(5)
     ).validate()
+    SweepConfig(warmup=SweepStage(1, 4, 2), eig_tol=np.float32(1e-6), noise_amplitude=1).validate()
 
 
 @pytest.mark.parametrize("amplitude", [0.0, -1e-6])
