@@ -5,14 +5,10 @@ the harmonic traces evaluated by MPS contraction; the sum is
 :func:`.superops.fourier_sum`, the package's one resummation. Correlation
 profiles and the entropy-based effective temperature use the static harmonic
 ``rho^0``.
-Small CSV/JSON writers store series, profiles and reports (for instance
-``SolveReport.to_dict()``) with a provenance record.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import logging
 from dataclasses import dataclass
 
@@ -34,9 +30,6 @@ __all__ = [
     "averaged_correlation_profile",
     "ness_entropy_and_beta_eff",
     "harmonic_expectations",
-    "write_series_csv",
-    "write_profile_csv",
-    "write_report_json",
 ]
 
 
@@ -224,37 +217,3 @@ def ness_entropy_and_beta_eff(state: FloquetDensityMatrix, d_matrix):
     energies = np.linalg.eigvalsh(np.asarray(d_matrix))
     beta_eff = beta_from_entropy(entropy, energies)
     return entropy, beta_eff, report["clipped_weight"]
-
-
-# -- writers -------------------------------------------------------------------
-
-
-def write_series_csv(path, series: ObservableSeries, provenance=None):
-    """CSV with a provenance comment line, then time, re, im columns."""
-    with open(path, "w", newline="") as fh:
-        if provenance is not None:
-            fh.write("# " + json.dumps(provenance, sort_keys=True) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["time", f"{series.label}_re", f"{series.label}_im"])
-        for t, v in zip(series.times, series.complex_values):
-            writer.writerow([f"{t:.12g}", f"{v.real:.12g}", f"{v.imag:.12g}"])
-
-
-def write_profile_csv(path, profile: CorrelationProfile, provenance=None):
-    with open(path, "w", newline="") as fh:
-        if provenance is not None:
-            fh.write("# " + json.dumps(provenance, sort_keys=True) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["displacement", "value_re", "value_im"])
-        for x, v in zip(profile.displacements, profile.values):
-            writer.writerow([int(x), f"{np.real(v):.12g}", f"{np.imag(v):.12g}"])
-        writer.writerow([])
-        writer.writerow(["xi", f"{profile.xi:.12g}", ""])
-
-
-def write_report_json(path, report: dict, provenance=None):
-    payload = dict(report)
-    if provenance is not None:
-        payload["provenance"] = provenance
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)

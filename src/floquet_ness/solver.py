@@ -341,9 +341,9 @@ class SolveReport:
     eigenvalue: complex = None
 
     def to_dict(self):
-        """The report for ``json.dumps``: every field but the complex
-        eigenvalue, written as ``[re, im]``, is already plain numbers and
-        lists (its int keys are written as strings)."""
+        """The report for ``json.dumps``, stored as ``json.dump(report.to_dict(),
+        fh)``: every field but the complex eigenvalue, written as ``[re, im]``,
+        is already plain numbers and lists (int keys are written as strings)."""
         out = asdict(self)
         if self.eigenvalue is not None:
             out["eigenvalue"] = [float(np.real(self.eigenvalue)), float(np.imag(self.eigenvalue))]
@@ -799,20 +799,22 @@ def _gmres(problem: SiteProblem, matvec, rhs, jacobi, atol, x0):
 
 def _shifted_inverse(problem: SiteProblem, jacobi, sigma, bound, tether):
     """The inverse of ``A - sigma I + u u^H`` (``u`` the flat `tether`),
-    ``A`` the operator of ``problem.matvec``, over several harmonic blocks,
-    from their factored, tethered LUs `jacobi` (:func:`_block_jacobi`).
+    ``A`` the operator of ``problem.matvec``, from the factored, tethered
+    LUs `jacobi` of its harmonic blocks (:func:`_block_jacobi`).
 
-    With one block the block LU's solve is the inverse, and callers apply
-    `jacobi` itself: no GMRES runs and no matvec confirms it. Otherwise ``inverse(b)`` is one
-    :func:`_gmres` solve, right-preconditioned by the block LUs ``M``, from
-    ``M b`` to a true residual of ``0.1 bound ||M b||``: its answer (of norm
-    about ``||M b||``) is exact for a perturbation of ``A`` a tenth of the
-    acceptance bound `bound` (Simoncini & Szyld, SIAM J. Sci. Comput. 25,
-    454 (2003)), and the ``(dim, dim)`` matrix is never built. So one set of
-    LUs serves any bound: the degeneracy check applies the centre solve's at
-    its own. A GMRES run that does not converge raises
-    :class:`EigensolverBreakdown`.
+    With one block the block LU's solve is the inverse, and `jacobi` itself
+    is returned: no GMRES runs and no matvec confirms it. Otherwise
+    ``inverse(b)`` is one :func:`_gmres` solve, right-preconditioned by the
+    block LUs ``M``, from ``M b`` to a true residual of
+    ``0.1 bound ||M b||``: its answer (of norm about ``||M b||``) is exact
+    for a perturbation of ``A`` a tenth of the acceptance bound `bound` (Simoncini
+    & Szyld, SIAM J. Sci. Comput. 25, 454 (2003)), and the ``(dim, dim)``
+    matrix is never built. So one set of LUs serves any bound: the
+    degeneracy check applies the centre solve's at its own. A GMRES run that
+    does not converge raises :class:`EigensolverBreakdown`.
     """
+    if len(problem.engine.harmonics) == 1:
+        return jacobi
 
     def shifted(x):
         return problem.matvec(x) - sigma * x + tether * np.vdot(tether, x)
@@ -828,10 +830,9 @@ def _tethered_solve(problem: SiteProblem, v0, sigma, blocks, bound):
     """Eigenpair of the local problem at a shift `sigma` that is (nearly) one
     of its eigenvalues (a sweep's shift above the dense cutoff, a first
     decay sweep's pick included), from the tethered linear system ``(A -
-    sigma I + u u^H) x = u`` with ``u = v0 / ||v0||``, solved through the
-    tethered LUs of the harmonic diagonal `blocks`
-    (:func:`_block_jacobi`), exactly with one block and otherwise by
-    :func:`_shifted_inverse`.
+    sigma I + u u^H) x = u`` with ``u = v0 / ||v0||``, solved by
+    :func:`_shifted_inverse` on the tethered LUs of the harmonic diagonal
+    `blocks` (:func:`_block_jacobi`), exactly with one block.
 
     When `sigma` is an exact eigenvalue, its left null vector ``w`` turns the
     system into ``(w^H u)(1 - u^H x) = 0``, so ``u^H x = 1`` and
@@ -853,7 +854,7 @@ def _tethered_solve(problem: SiteProblem, v0, sigma, blocks, bound):
     u = v0 / np.linalg.norm(v0)
     for _ in range(TETHER_ATTEMPTS):
         jacobi = _block_jacobi(blocks, sigma, u)
-        x = (jacobi if len(blocks) == 1 else _shifted_inverse(problem, jacobi, sigma, bound, u))(u)
+        x = _shifted_inverse(problem, jacobi, sigma, bound, u)(u)
         ax = problem.matvec(x)
         norm = np.linalg.norm(x)
         theta = np.vdot(x, ax) / norm**2
@@ -1278,8 +1279,7 @@ def _deflated_check(problem, factored, rng):
             w0 = jacobi(x0, 2)
         else:  # the tethered LUs, whose inverse is regular along x0: the orthogonal projector
             method, solve, apply, w0 = "arnoldi", _arnoldi, problem.matvec, x0
-            several = len(problem.diagonal_blocks()) > 1
-            inverse = _shifted_inverse(problem, jacobi, sigma, bound, tether) if several else jacobi
+            inverse = _shifted_inverse(problem, jacobi, sigma, bound, tether)
         w0 = w0 / np.conj(np.vdot(w0, x0))  # w0^H x0 = 1
 
         def project(x):

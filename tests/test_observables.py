@@ -1,6 +1,3 @@
-import csv
-import json
-
 import numpy as np
 import pytest
 
@@ -16,9 +13,6 @@ from floquet_ness.observables import (
     expectation_series,
     ness_entropy_and_beta_eff,
     period_averaged_error,
-    write_profile_csv,
-    write_report_json,
-    write_series_csv,
 )
 from floquet_ness.superops import PAULI, LocalOperator, choi_site_vector, sum_local_terms
 
@@ -113,14 +107,6 @@ def test_ness_entropy_and_beta_eff_matches_dense(ising):
     assert 0.0 < entropy < L * np.log(2)
 
 
-def read_commented_csv(path):
-    with open(path, newline="") as fh:
-        first = fh.readline()
-        rows = list(csv.reader(fh))
-    assert first.startswith("# ")
-    return json.loads(first[2:]), rows
-
-
 def test_expectation_series_micro_motion_matches_time_evolution():
     # e^{+i n omega t} against independent dynamics: the steady harmonics summed
     # at t = 0 start the master equation, whose trajectory is the periodic state
@@ -159,49 +145,3 @@ def test_period_averaged_error_matches_analytic_mean():
             ObservableSeries(times[half], drive.values[half], "drive", period),
             ObservableSeries(times[half], offset.values[half], "offset", period),
         )
-
-
-def test_write_series_csv_round_trip(ising, tmp_path):
-    model, _, state = ising
-    times = np.linspace(0.0, 2 * np.pi / model.omega, 7)
-    series = expectation_series(state, LocalOperator(1, PAULI["Z"]), times, hermitize=False)
-    provenance = {"model": "ising", "n_c": N_C}
-    path = tmp_path / "series.csv"
-    write_series_csv(path, series, provenance)
-    header, rows = read_commented_csv(path)
-    assert header == provenance
-    assert rows[0] == ["time", f"{series.label}_re", f"{series.label}_im"]
-    got = np.array([[float(x) for x in row] for row in rows[1:]])
-    assert got.shape == (times.size, 3)
-    assert np.allclose(got[:, 0], times, rtol=1e-11, atol=0)
-    assert np.allclose(got[:, 1], series.complex_values.real, rtol=1e-11, atol=1e-300)
-    assert np.allclose(got[:, 2], series.complex_values.imag, rtol=1e-11, atol=1e-300)
-    assert rows[1][1] == f"{series.complex_values[0].real:.12g}"
-
-
-def test_write_profile_csv_round_trip(ising, tmp_path):
-    _, _, state = ising
-    prof = correlation_profile(state, 0, 2, connected=True)
-    path = tmp_path / "profile.csv"
-    write_profile_csv(path, prof, {"reference_site": 0})
-    header, rows = read_commented_csv(path)
-    assert header == {"reference_site": 0}
-    assert rows[0] == ["displacement", "value_re", "value_im"]
-    for row, x, v in zip(rows[1:3], prof.displacements, prof.values):
-        assert int(row[0]) == x
-        assert float(row[1]) == pytest.approx(v.real, rel=1e-11)
-        assert float(row[2]) == pytest.approx(v.imag, rel=1e-11, abs=1e-300)
-    assert rows[3] == []
-    assert rows[4][0] == "xi"
-    assert float(rows[4][1]) == pytest.approx(prof.xi, rel=1e-11)
-
-
-def test_write_report_json_round_trip(tmp_path):
-    report = {"block_norms": {"0": 0.125, "1": 1.5e-7}, "warnings": ["w"], "converged": True}
-    path = tmp_path / "report.json"
-    write_report_json(path, report, {"seed": 7})
-    with open(path) as fh:
-        loaded = json.load(fh)
-    assert loaded.pop("provenance") == {"seed": 7}
-    assert loaded == report
-    assert "provenance" not in report

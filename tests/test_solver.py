@@ -841,6 +841,7 @@ def test_zero_pivot_at_an_exact_shift_falls_back_loudly(caplog):
     assert np.allclose(np.abs(vec), [1, 0, 0, 0], atol=1e-14)
 
 
+@pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # the drive's transfers exceed n_c = 0
 @pytest.mark.parametrize(
     "method, reason",
     [
@@ -848,18 +849,24 @@ def test_zero_pivot_at_an_exact_shift_falls_back_loudly(caplog):
         ("_tethered_solve", "block LU: zero pivot"),
         ("_arnoldi", "Ritz pair refused"),
         ("_gmres", "GMRES did not converge"),
+        pytest.param("_lu", "block LU: non-finite LU factors", id="lu_nan_block"),
+        pytest.param("_tethered_solve", "no pair accepted in 5 tethered solves", id="tethered_one_block_bound_0"),
     ],
 )
 def test_every_method_raises_its_refusal(method, reason, monkeypatch):
     # a local-solve method that cannot answer raises EigensolverBreakdown
     # with its reason, which _local_eigensolve alone catches: shift-invert
     # with a budget of one Krylov step, the tethered solve on an exactly
-    # singular harmonic block, ARPACK returning a made-up pair and GMRES
-    # behind a preconditioner that returns zeros, all on the noisy guess's
-    # centre problem (dimension 192 in three harmonic blocks)
+    # singular harmonic block, ARPACK returning a made-up pair, GMRES
+    # behind a preconditioner that returns zeros and the LU of a block
+    # holding a NaN, all on the noisy guess's centre problem (dimension 192
+    # in three harmonic blocks); and the tethered solve at bound 0 on the
+    # one-harmonic problem (n_c = 0, dimension 64), whose block LU is the
+    # exact inverse (with several blocks GMRES would refuse first)
+    n_c = 0 if "tethered solves" in reason else 1
     model = ising_l3()
-    mpo = build_extended_lindbladian(model, 1)
-    state = at_one_bond(initial_guess(3, 2, 1, model.omega, noise_amplitude=1e-2, seed=3, noise_bond=4), 4)
+    mpo = build_extended_lindbladian(model, n_c)
+    state = at_one_bond(initial_guess(3, 2, n_c, model.omega, noise_amplitude=1e-2, seed=3, noise_bond=4), 4)
     engine = SweepEngine(mpo, state)
     engine.advance_to(1)
     problem = engine.site_problem()
@@ -870,6 +877,12 @@ def test_every_method_raises_its_refusal(method, reason, monkeypatch):
         monkeypatch.setattr(solver, "KRYLOV_DIM", 1)
         mat = problem.dense_matrix()
         args = (mat.__matmul__, solver._block_jacobi(mat[None], 0.0), v0, 0.0, bound)
+    elif method == "_lu":
+        block = blocks[0].copy()
+        block[0, 0] = np.nan
+        args = (block,)
+    elif n_c == 0:
+        args = (problem, v0, 0.0, blocks, 0.0)
     elif method == "_tethered_solve":
         part = v0.reshape(len(blocks), -1)[0] / np.linalg.norm(v0)
         blocks[0] = -np.outer(part, part.conj())  # block 0 of D - sigma I + u u^H is exactly zero
@@ -889,14 +902,25 @@ def test_every_method_raises_its_refusal(method, reason, monkeypatch):
         getattr(solver, method)(*args)
 
 
-@pytest.mark.parametrize("coupling", [0.05, 0.3, 0.5])  # 0.5 takes a second cycle
-def test_gmres_meets_atol_in_scipys_iterations(coupling):
+@pytest.mark.parametrize(
+    "coupling, cycles",
+    [
+        pytest.param(0.05, None, id="0.05"),
+        pytest.param(0.3, None, id="0.3"),
+        pytest.param(0.5, None, id="0.5"),  # takes a second cycle
+        pytest.param(0.5, 2, id="0.5-last_cycle"),
+    ],
+)
+def test_gmres_meets_atol_in_scipys_iterations(coupling, cycles, monkeypatch):
     # on a random system whose harmonic-like diagonal blocks dominate, the
     # block-Jacobi GMRES answer has a true residual within atol, in no more
     # iterations than scipy's left-preconditioned gmres at the same restart
     # (up to one; scipy stops on the preconditioned residual, and at coupling
     # 0.3 took 30 to this kernel's 27), and an answer that already meets atol
-    # costs none
+    # costs none; with GMRES_CYCLES at 2 the second cycle is the last, whose
+    # answer the confirmation after the loop returns (one cycle is too few)
+    if cycles:
+        monkeypatch.setattr(solver, "GMRES_CYCLES", cycles)
     rng = np.random.default_rng(17)
     nh, m = 3, 24
     dim = nh * m
@@ -928,6 +952,10 @@ def test_gmres_meets_atol_in_scipys_iterations(coupling):
     again = solver._gmres(problem, mat.__matmul__, rhs, jacobi, atol, x0=x)
     assert np.array_equal(again, x)
     assert problem.engine.gmres_iterations == ours
+    if cycles:
+        monkeypatch.setattr(solver, "GMRES_CYCLES", cycles - 1)
+        with pytest.raises(EigensolverBreakdown, match=f"GMRES did not converge in {cycles - 1} cycles"):
+            solver._gmres(problem, mat.__matmul__, rhs, jacobi, atol, x0=np.zeros(dim, dtype=complex))
 
 
 @pytest.mark.filterwarnings("ignore:model harmonics:UserWarning")  # DTC harmonics exceed n_c = 1
